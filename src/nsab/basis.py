@@ -27,13 +27,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import legendre_table
-
 #: highest z-derivative order tabulated for interior evaluation; order 5 is
 #: needed for the bilaplacian of poloidal-generated velocity components.
 MAX_DERIV = 5
 #: highest derivative order tabulated on the walls (boundary tractions).
 MAX_TRACE_DERIV = 3
+
+
+def legendre_table(x, nmax, dmax):
+    """Table T[d, n, j] = d-th derivative of P_n at x[j], n <= nmax, d <= dmax.
+
+    Recurrence (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}, differentiated d
+    times: (n+1) P_{n+1}^(d) = (2n+1) (x P_n^(d) + d P_n^(d-1)) - n P_{n-1}^(d).
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    T = np.zeros((dmax + 1, nmax + 1, x.size))
+    T[0, 0] = 1.0
+    if nmax >= 1:
+        T[0, 1] = x
+        if dmax >= 1:
+            T[1, 1] = 1.0
+    for n in range(1, nmax):
+        for d in range(dmax + 1):
+            lower = d * T[d - 1, n] if d > 0 else 0.0
+            T[d, n + 1] = ((2 * n + 1) * (x * T[d, n] + lower) - n * T[d, n - 1]) / (n + 1)
+    return T
 
 
 def gauss_legendre(Q, H):

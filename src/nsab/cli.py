@@ -3,11 +3,12 @@
     nsab <subcommand> --config <path> [--out <dir>] [--serial] [--seed N]
 
 Subcommands: verify-adn, solve, eigs, evolve, sweep, probe-uniqueness,
-convergence.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, 4 watchdog/blow-up event.  The output directory defaults to
-``nsab_out``; the environment variable ``NSAB_OUT_DIR`` overrides it when
---out is absent.  Execution is always deterministic and serial; --serial is
-accepted for compatibility with parallel builds of the drivers.
+convergence.  Exit codes: 0 success, 2 configuration error (including an
+output directory that cannot be written), 3 numerical failure, 4
+watchdog/blow-up event.  The output directory defaults to ``nsab_out``;
+the environment variable ``NSAB_OUT_DIR`` overrides it when --out is
+absent.  Execution is always deterministic and serial; --serial does
+nothing and is still accepted so existing command lines parse.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
 timings, timestamp); data files carry no timestamps so reruns from the
@@ -31,7 +32,7 @@ from .adn import (check_covering, check_ellipticity, eliminate_boundary_system,
                   ns_alpha_beta_system, stable_subspace_angle, MOMENTUM_ONLY)
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
-from .field import random_field, zero_field
+from .field import mirror, random_field, zero_field
 from .manufactured import default_case
 from .operators import OperatorSet
 from .spectral import eigenpairs_A, garding_constants
@@ -88,12 +89,9 @@ def _initial_field(cfg, ops):
                             amplitude=cfg["u0.amplitude"], decay=cfg["u0.decay"])
     if kind == "single_mode":
         f = zero_field(cfg.geometry, cfg.resolution)
-        lay = ops.layout
-        i1, i2, k1, k2 = lay.reps[0]
+        i1, i2, _, _ = ops.layout.reps[0]
         f.psi[i1, i2, 0] = cfg["u0.amplitude"]
-        j1, j2 = lay.conj_index(i1, i2)
-        f.psi[j1, j2, 0] = np.conj(f.psi[i1, i2, 0])
-        return f
+        return mirror(f)
     raise ConfigError(f"unknown u0.id {kind!r}")
 
 
@@ -308,7 +306,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg, out_dir, serial=True):
+def run(cfg, out_dir):
     """Dispatch one experiment; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +336,7 @@ def main(argv=None):
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     ap.add_argument("--serial", action="store_true",
-                    help="force serial execution (always on in this build)")
+                    help="no effect: execution is always serial")
     ap.add_argument("--seed", type=int, default=None,
                     help="override every catalog seed")
     args = ap.parse_args(argv)
@@ -359,7 +357,14 @@ def main(argv=None):
 
     out_dir = args.out or os.environ.get("NSAB_OUT_DIR") or "nsab_out"
     try:
-        return run(cfg, out_dir, serial=True)
+        return run(cfg, out_dir)
+    except ConfigError as exc:  # a catalog id the experiment does not know
+        print(f"nsab: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"nsab: cannot write output directory {out_dir!r}: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except ConsistencyError as exc:
         write_json(Path(out_dir) / "error.json",
                    {"error": str(exc), "type": "consistency"})

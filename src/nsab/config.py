@@ -2,8 +2,11 @@
 
 Unknown keys, duplicate keys (both lines named), malformed lines
 (line/column reported) and domain violations (constraint named) are all
-rejected at parse time; physical and resolution parameters are re-validated
-by constructing the typed objects.
+rejected at parse time: every real value must be finite, the time step,
+horizon and watchdog ceiling positive, the output cadence, eigenvalue
+count and sweep levels at least 1, and the horizon a whole number of time
+steps.  Physical and resolution parameters, including every convergence
+degree, are re-validated by constructing the typed objects.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from .params import (ChannelGeometry, ModelParams, ParameterError, Resolution,
 
 EXPERIMENTS = ("verify-adn", "solve", "eigs", "evolve", "sweep",
                "probe-uniqueness", "convergence")
+
+#: relative tolerance on time.T / time.dt being a whole number of steps
+STEP_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -141,6 +147,7 @@ def parse_config(text, kind_override=None):
                           f"expected one of {', '.join(EXPERIMENTS)}")
     if values["scheme.name"] not in ("euler", "cnab2"):
         raise ConfigError(f"unknown scheme {values['scheme.name']!r}")
+    _check_domain(values, seen)
 
     try:
         params = derive_params(values["model.alpha"], values["model.beta"],
@@ -150,7 +157,33 @@ def parse_config(text, kind_override=None):
         resolution = Resolution(values["resolution.N1"], values["resolution.N2"],
                                 values["resolution.P"], values["resolution.Q"],
                                 values["resolution.padding"])
+        if not values["convergence.p_values"]:
+            raise ParameterError("convergence.p_values lists no degree")
+        for P in values["convergence.p_values"]:
+            Resolution(resolution.N1, resolution.N2, P)
     except ParameterError as exc:
         raise ConfigError(str(exc))
     values["experiment.kind"] = kind
     return RunConfig(kind, params, geometry, resolution, values, text)
+
+
+def _check_domain(values, seen):
+    for key, (caster, _) in _SCHEMA.items():
+        if caster is float and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]!r}",
+                              line=seen.get(key))
+    for key in ("time.dt", "time.T", "watchdog.ceiling"):
+        if values[key] <= 0.0:
+            raise ConfigError(f"{key} must be positive, got {values[key]!r}",
+                              line=seen.get(key))
+    for key in ("output.cadence", "eigs.count", "sweep.levels"):
+        if values[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {values[key]!r}",
+                              line=seen.get(key))
+    dt, T = values["time.dt"], values["time.T"]
+    steps = T / dt  # overflows to inf for a subnormal dt
+    whole = (math.isfinite(steps) and round(steps) >= 1
+             and abs(round(steps) * dt - T) <= STEP_RTOL * T)
+    if not whole:
+        raise ConfigError(f"time.T = {T!r} is not a whole multiple of "
+                          f"time.dt = {dt!r}", line=seen.get("time.T"))

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._accel import convective_product
-from .field import reconstruct, zero_field
+from .field import mirror, project_velocity, reconstruct, zero_field
 from .operators import OperatorSet
 from .params import derive_params
 from .spectral import SpectralFactors
@@ -89,29 +88,10 @@ def nonlinear_term(u, ops):
     _check_padding(res)
     rec = reconstruct(u, ops.cache, want=("u", "grad_u", "v", "grad_v"),
                       alpha=ops.params.alpha)
-    F = convective_product(rec["u"], rec["grad_u"], rec["v"], rec["grad_v"])
-    M1, M2 = res.padded_shape
-    Fh = np.fft.fft2(F, axes=(-3, -2)) / (M1 * M2)
-    out = zero_field(u.geometry, res)
-    area = ops.geometry.area
-    w = ops.cache.w
-    for (i1, i2, k1, k2) in ops.layout.reps:
-        blk = ops.cache.block(k1, k2)
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        I1, I2 = k1 % M1, k2 % M2
-        f1, f2, f3 = Fh[0, I1, I2], Fh[1, I1, I2], Fh[2, I1, I2]
-        ct = area * (blk.tor.E[0].T @ (w * (-1j * e2 * f1 + 1j * e1 * f2)))
-        cp = area * (blk.pol.E[1].T @ (w * (-1j * e1 * f1 - 1j * e2 * f2))
-                     + blk.m * (blk.pol.E[0].T @ (w * f3)))
-        out.psi[i1, i2] = ct
-        out.phi[i1, i2] = cp
-        j1, j2 = ops.layout.conj_index(i1, i2)
-        out.psi[j1, j2] = np.conj(ct)
-        out.phi[j1, j2] = np.conj(cp)
-    blk0 = ops.cache.block(0, 0)
-    for c in range(2):
-        out.mean[c] = area * np.real(blk0.tor.E[0].T @ (w * Fh[c, 0, 0]))
-    return out
+    # F_i = (grad v)_{ij} u_j + (grad u)_{ji} v_j, with (grad u)_{ij} = d_j u_i
+    F = (np.einsum("ij...,j...->i...", rec["grad_v"], rec["u"])
+         + np.einsum("ji...,j...->i...", rec["grad_u"], rec["v"]))
+    return project_velocity(F, u.geometry, res, ops.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +111,8 @@ def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
     if factors is None:
         factors = SpectralFactors(ops, include_gradient=True)
     out = zero_field(u0.geometry, u0.resolution)
-    slots = list(ops.field_blocks(u0))
-    for slot, blk, c in slots:
-        fb = factors.block(blk)
-        val = factors.propagate_block(blk, t, c)
-        _slot_set(out, slot, val)
+    for slot, blk, c in ops.field_blocks(u0):
+        out.coeffs(slot)[:] = factors.propagate_block(blk, t, c)
     if forcing is not None and t > 0:
         x, wq = np.polynomial.legendre.leggauss(nodes)
         # panels graded geometrically toward tau = t, where the semigroup
@@ -152,34 +129,8 @@ def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
                     val = wgt * (fb.inv_sqrt_lambda
                                  @ factors.semigroup_apply(blk, t - tau,
                                                            fb.inv_sqrt_lambda @ c))
-                    _slot_add(out, slot, val)
-    _mirror(out, ops.layout)
-    return out
-
-
-def _slot_set(f, slot, vec):
-    if slot[0] == "psi":
-        f.psi[slot[1], slot[2]] = vec
-    elif slot[0] == "phi":
-        f.phi[slot[1], slot[2]] = vec
-    else:
-        f.mean[slot[1]] = vec.real
-
-
-def _slot_add(f, slot, vec):
-    if slot[0] == "psi":
-        f.psi[slot[1], slot[2]] += vec
-    elif slot[0] == "phi":
-        f.phi[slot[1], slot[2]] += vec
-    else:
-        f.mean[slot[1]] += vec.real
-
-
-def _mirror(f, layout):
-    for (i1, i2, _, _) in layout.reps:
-        j1, j2 = layout.conj_index(i1, i2)
-        f.psi[j1, j2] = np.conj(f.psi[i1, i2])
-        f.phi[j1, j2] = np.conj(f.phi[i1, i2])
+                    out.coeffs(slot)[:] += val
+    return mirror(out)
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +178,15 @@ class IMEXStepper:
         out = zero_field(u.geometry, u.resolution)
         for slot, blk, c in ops.field_blocks(u):
             lu = self._lu[id(blk)]
-            n_now = _slot_get(N, slot)
+            n_now = N.coeffs(slot)
             if self.scheme == "euler":
                 rhs = blk.M_lambda @ c - dt * n_now
             else:
-                n_old = _slot_get(Nprev, slot)
+                n_old = Nprev.coeffs(slot)
                 rhs = self._minus[id(blk)] @ c - dt * (1.5 * n_now - 0.5 * n_old)
-            _slot_set(out, slot, _lu_solve_c(lu, rhs))
-        _mirror(out, ops.layout)
-        return EvolutionState(state.time + dt, out,
+            out.coeffs(slot)[:] = _lu_solve_c(lu, rhs)
+        return EvolutionState(state.time + dt, mirror(out),
                               N if self.scheme == "cnab2" else None)
-
-
-def _slot_get(f, slot):
-    if slot[0] == "psi":
-        return f.psi[slot[1], slot[2]]
-    if slot[0] == "phi":
-        return f.phi[slot[1], slot[2]]
-    return f.mean[slot[1]]
 
 
 def _lu_solve_c(lu, rhs):
@@ -252,12 +194,6 @@ def _lu_solve_c(lu, rhs):
         return (sla.lu_solve(lu, rhs.real.astype(float))
                 + 1j * sla.lu_solve(lu, rhs.imag.astype(float)))
     return sla.lu_solve(lu, rhs)
-
-
-def step_imex(state, dt, ops, scheme="euler", nonlinear=True, stepper=None):
-    """Single-step facade; reuse an IMEXStepper for long runs."""
-    st = stepper if stepper is not None else IMEXStepper(ops, dt, scheme, nonlinear)
-    return st.step(state)
 
 
 # ---------------------------------------------------------------------------

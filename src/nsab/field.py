@@ -12,11 +12,23 @@ Coefficients are expressed in the per-block orthonormalized bases of
 :mod:`nsab.basis`, so the L2 inner product of two fields is the plain
 (Hermitian) dot product of their coefficient arrays summed over the grid.
 
-Reconstruction evaluates velocity (and, on request, its gradient, the
-filtered velocity v = (1 - alpha^2 Lap) u and grad v) on the padded
-tangential grid times the Gauss-Legendre nodes; projection is its L2
-adjoint and realizes the Leray projection onto the discrete solenoidal
-space when fed an arbitrary vector field.
+This module is the only place that traverses, projects and mirrors that
+spectrum.  Writers fill the representative modes and call :func:`mirror`;
+:meth:`SolenoidalField.coeffs` addresses one block vector by the slot keys
+of :meth:`nsab.operators.OperatorSet.field_blocks`.
+
+One synthesis/analysis pair maps between coefficients and Fourier-side
+profiles at the quadrature nodes on any A x B tangential mode grid, mode
+(k1, k2) sitting at (k1 % A, k2 % B):
+
+* :func:`synthesize` evaluates velocity (and, on request, its gradient, the
+  filtered velocity v = (1 - alpha^2 Lap) u and grad v); :func:`reconstruct`
+  transforms it to the padded physical grid;
+* :func:`analyze` is its L2 adjoint, the Galerkin projection onto the
+  solenoidal test basis, which realizes the Leray projection when fed an
+  arbitrary vector field.  :func:`project_velocity` applies it to gridded
+  samples, the nonlinear term to the convective product and the forcing
+  dual to profiles on the N1 x N2 storage grid.
 """
 
 from __future__ import annotations
@@ -59,6 +71,10 @@ class ModeLayout:
         for (i1, i2, k1, k2) in reps:
             groups.setdefault((abs(k1), abs(k2)), []).append((i1, i2, k1, k2))
         self.groups = groups
+        # fancy indices of the representatives and of their conjugate partners
+        ri = np.array([(i1, i2) for (i1, i2, _, _) in reps], int).reshape(-1, 2).T
+        self.rep_index = (ri[0], ri[1])
+        self.partner_index = ((-ri[0]) % N1, (-ri[1]) % N2)
 
     def conj_index(self, i1, i2):
         return (-i1) % self.N1, (-i2) % self.N2
@@ -108,6 +124,16 @@ class SolenoidalField:
 
     __rmul__ = __mul__
 
+    def coeffs(self, slot):
+        """Writable view of one block vector.
+
+        slot is ("psi"|"phi", i1, i2) or ("mean", c), as yielded by
+        :meth:`nsab.operators.OperatorSet.field_blocks`.
+        """
+        if slot[0] == "mean":
+            return self.mean[slot[1]]
+        return getattr(self, slot[0])[slot[1], slot[2]]
+
     def dot(self, other):
         """L2 inner product over the full (Hermitian) spectrum; real."""
         lay = layout_for(self.resolution)
@@ -130,6 +156,14 @@ def zero_field(geometry, resolution):
         np.zeros((2, resolution.n_toroidal)))
 
 
+def mirror(f):
+    """Set every partner mode to the conjugate of its representative; in place."""
+    lay = layout_for(f.resolution)
+    for arr in (f.psi, f.phi):
+        arr[lay.partner_index] = np.conj(arr[lay.rep_index])
+    return f
+
+
 def enforce_constraints(f):
     """Pin Nyquist/(0,0) slots to zero and Hermitian-symmetrize in place."""
     lay = layout_for(f.resolution)
@@ -137,12 +171,10 @@ def enforce_constraints(f):
         arr[lay.nyq1, :, :] = 0.0
         arr[:, lay.nyq2, :] = 0.0
         arr[0, 0, :] = 0.0
-    for (i1, i2, _, _) in lay.reps:
-        j1, j2 = lay.conj_index(i1, i2)
-        for arr in (f.psi, f.phi):
-            avg = 0.5 * (arr[i1, i2] + np.conj(arr[j1, j2]))
-            arr[i1, i2] = avg
-            arr[j1, j2] = np.conj(avg)
+    for arr in (f.psi, f.phi):
+        avg = 0.5 * (arr[lay.rep_index] + np.conj(arr[lay.partner_index]))
+        arr[lay.rep_index] = avg
+        arr[lay.partner_index] = np.conj(avg)
     return f
 
 
@@ -163,9 +195,7 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
         wp = np.exp(-decay * (kmag + jp))
         f.psi[i1, i2] = wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
         f.phi[i1, i2] = wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
-        j1, j2 = lay.conj_index(i1, i2)
-        f.psi[j1, j2] = np.conj(f.psi[i1, i2])
-        f.phi[j1, j2] = np.conj(f.phi[i1, i2])
+    mirror(f)
     f.mean[:] = np.exp(-decay * jt) * rng.standard_normal((2, n_t))
     nrm = f.norm_l2()
     if nrm > 0:
@@ -174,8 +204,12 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 
 
 # ---------------------------------------------------------------------------
-# reconstruction: coefficients -> padded physical grid
+# synthesis: coefficients -> Fourier-side profiles -> padded physical grid
 # ---------------------------------------------------------------------------
+
+#: quantities synthesize can evaluate, in order of the derivatives they need
+QUANTITIES = ("u", "grad_u", "v", "grad_v")
+
 
 def _mode_profiles(blk, eta1, eta2, tvals, pvals, want, alpha):
     """Per-mode component profiles at quadrature nodes.
@@ -233,22 +267,25 @@ def _mean_profiles(blk, mean, want, alpha):
     return out
 
 
-def reconstruct(f, cache, want=("u",), alpha=None):
-    """Evaluate requested physical-space quantities on the padded grid.
+def synthesize(f, cache, shape, want=("u",), alpha=None):
+    """Fourier-side profiles of the requested quantities on an A x B mode grid.
 
-    Returns dict mapping names to real arrays of shape (3, M1, M2, Q) for
-    vectors and (3, 3, M1, M2, Q) for gradients ((grad u)_{ij} = d_j u_i).
+    Mode (k1, k2) lands at (k1 % A, k2 % B) and its conjugate partner at
+    (-k1 % A, -k2 % B).  Returns dict mapping names to complex arrays of
+    shape (3, A, B, Q) for vectors and (3, 3, A, B, Q) for gradients.
     """
     res = f.resolution
     lay = layout_for(res)
     if alpha is None and any(n in ("v", "grad_v") for n in want):
         raise ValueError("filtered quantities need the filter length alpha")
-    M1, M2 = res.padded_shape
+    A, B = shape
     Q = res.Q
     spec = {}
     for name in want:
-        shape = (3, 3, M1, M2, Q) if name.startswith("grad") else (3, M1, M2, Q)
-        spec[name] = np.zeros(shape, complex)
+        dims = (3, 3, A, B, Q) if name.startswith("grad") else (3, A, B, Q)
+        spec[name] = np.zeros(dims, complex)
+    # psi derivatives up to order nd - 1 and phi derivatives up to nd
+    nd = 1 + max(QUANTITIES.index(name) for name in want)
 
     for key, modes in lay.groups.items():
         blk = cache.block(*key)
@@ -261,13 +298,13 @@ def reconstruct(f, cache, want=("u",), alpha=None):
             ct[:, j] = f.psi[i1, i2]
             cp[:, j] = f.phi[i1, i2]
             e1[j], e2[j] = cache.wavenumber(k1, k2)
-        tvals = [blk.tor.E[d] @ ct for d in range(5)]
-        pvals = [blk.pol.E[d] @ cp for d in range(5)]
+        tvals = [blk.tor.E[d] @ ct for d in range(nd)]
+        pvals = [blk.pol.E[d] @ cp for d in range(nd + 1)]
         profs = _mode_profiles(blk, e1[None, :], e2[None, :],
                                tvals, pvals, want, alpha)
         for j, (i1, i2, k1, k2) in enumerate(modes):
-            I1, I2 = k1 % M1, k2 % M2
-            J1, J2 = (-k1) % M1, (-k2) % M2
+            I1, I2 = k1 % A, k2 % B
+            J1, J2 = (-k1) % A, (-k2) % B
             for name, arr in profs.items():
                 spec[name][..., I1, I2, :] = arr[..., :, j]
                 spec[name][..., J1, J2, :] = np.conj(arr[..., :, j])
@@ -276,7 +313,17 @@ def reconstruct(f, cache, want=("u",), alpha=None):
     profs0 = _mean_profiles(blk0, f.mean, want, alpha)
     for name, arr in profs0.items():
         spec[name][..., 0, 0, :] = arr
+    return spec
 
+
+def reconstruct(f, cache, want=("u",), alpha=None):
+    """Evaluate requested physical-space quantities on the padded grid.
+
+    Returns dict mapping names to real arrays of shape (3, M1, M2, Q) for
+    vectors and (3, 3, M1, M2, Q) for gradients ((grad u)_{ij} = d_j u_i).
+    """
+    M1, M2 = f.resolution.padded_shape
+    spec = synthesize(f, cache, (M1, M2), want, alpha)
     out = {}
     scale = M1 * M2
     for name, arr in spec.items():
@@ -295,8 +342,39 @@ def potentials_to_velocity(f, cache=None):
 
 
 # ---------------------------------------------------------------------------
-# projection: physical grid -> coefficients (the L2 adjoint)
+# analysis: Fourier-side profiles -> Galerkin duals (the L2 adjoint)
 # ---------------------------------------------------------------------------
+
+def analyze(Fh, geometry, resolution, cache):
+    """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
+
+    Fh has shape (3, A, B, Q); mode (k1, k2) is read at (k1 % A, k2 % B),
+    which serves the padded grid and the N1 x N2 storage grid alike.
+    Returns the dual coefficients (same container as fields).
+    """
+    lay = layout_for(resolution)
+    A, B = Fh.shape[1:3]
+    area = geometry.area
+    w = cache.w
+    out = zero_field(geometry, resolution)
+
+    for key, modes in lay.groups.items():
+        blk = cache.block(*key)
+        m = blk.m
+        for (i1, i2, k1, k2) in modes:
+            e1, e2 = cache.wavenumber(k1, k2)
+            f1, f2, f3 = Fh[:, k1 % A, k2 % B]
+            tor_integrand = (-1j * e2) * f1 + (1j * e1) * f2
+            out.psi[i1, i2] = area * (blk.tor.E[0].T @ (w * tor_integrand))
+            pol_integrand_d = (-1j * e1) * f1 + (-1j * e2) * f2
+            out.phi[i1, i2] = area * (blk.pol.E[1].T @ (w * pol_integrand_d)
+                                      + m * (blk.pol.E[0].T @ (w * f3)))
+
+    blk0 = cache.block(0, 0)
+    for c in range(2):
+        out.mean[c] = area * np.real(blk0.tor.E[0].T @ (w * Fh[c, 0, 0]))
+    return mirror(out)
+
 
 def project_velocity(U, geometry, resolution, cache):
     """L2 projection of a gridded vector field onto the solenoidal basis.
@@ -305,35 +383,9 @@ def project_velocity(U, geometry, resolution, cache):
     :func:`potentials_to_velocity`; in general it realizes the Leray-type
     projection (gradient parts drop out by construction of the test basis).
     """
-    lay = layout_for(resolution)
     M1, M2 = resolution.padded_shape
-    area = geometry.area
-    w = cache.w
-    out = zero_field(geometry, resolution)
     Uh = np.fft.fft2(U, axes=(-3, -2)) / (M1 * M2)
-
-    for key, modes in lay.groups.items():
-        blk = cache.block(*key)
-        m = blk.m
-        for (i1, i2, k1, k2) in modes:
-            e1, e2 = cache.wavenumber(k1, k2)
-            I1, I2 = k1 % M1, k2 % M2
-            u1, u2, u3 = Uh[0, I1, I2], Uh[1, I1, I2], Uh[2, I1, I2]
-            tor_integrand = (-1j * e2) * u1 + (1j * e1) * u2
-            ct = area * (blk.tor.E[0].T @ (w * tor_integrand))
-            pol_integrand_d = (-1j * e1) * u1 + (-1j * e2) * u2
-            cp = area * (blk.pol.E[1].T @ (w * pol_integrand_d)
-                         + m * (blk.pol.E[0].T @ (w * u3)))
-            out.psi[i1, i2] = ct
-            out.phi[i1, i2] = cp
-            j1, j2 = lay.conj_index(i1, i2)
-            out.psi[j1, j2] = np.conj(ct)
-            out.phi[j1, j2] = np.conj(cp)
-
-    blk0 = cache.block(0, 0)
-    for c in range(2):
-        out.mean[c] = area * np.real(blk0.tor.E[0].T @ (w * Uh[c, 0, 0]))
-    return out
+    return analyze(Uh, geometry, resolution, cache)
 
 
 def velocity_to_potentials(U, geometry, resolution, cache=None):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gauss_legendre
+from .basis import gauss_legendre, legendre_table
 from .stationary import ModalForcing, wall_dual
 
 
@@ -72,18 +72,6 @@ class ManufacturedCase:
         t = np.stack([self.tor_amp * self.tor_profile(z, d) for d in range(dmax + 1)])
         p = np.stack([self.pol_amp * self.pol_profile(z, d) for d in range(dmax + 1)])
         return t, p
-
-    def velocity_profiles(self, ops, z, dmax=0):
-        """u*-hat derivative stacks (dmax+1, 3, len(z)) at the mode."""
-        e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
-        m = e1 * e1 + e2 * e2
-        t, p = self.mode_potentials(z, dmax + 1)
-        out = np.stack([
-            np.stack([1j * e2 * t[d] + 1j * e1 * p[d + 1],
-                      -1j * e1 * t[d] + 1j * e2 * p[d + 1],
-                      m * p[d]])
-            for d in range(dmax + 1)])
-        return out
 
     def pressure_profile(self, z, deriv=0):
         return self.p_amp * self.p_profile(z, deriv)
@@ -189,7 +177,6 @@ class ManufacturedCase:
         h2 = h1 + 2 * area * float(np.sum(w2 * np.abs(lap) ** 2))
         out = {"L2": np.sqrt(l2), "H1": np.sqrt(h1), "H2": np.sqrt(h2)}
         if pressure is not None:
-            from ._accel import legendre_table
             zeta = 2.0 * z2 / geo.H - 1.0
             tab = legendre_table(zeta, pressure.degree, 0)[0].T
             ph_num = tab @ pressure.coeffs[i1, i2]

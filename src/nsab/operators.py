@@ -202,16 +202,13 @@ class OperatorSet:
         acc = 0.0
         for slot, blk, cu in self.field_blocks(u):
             mat = getattr(blk, form)
-            cv = _slot_coeffs(v, slot)
+            cv = v.coeffs(slot)
             val = np.vdot(cv, mat @ cu).real
             acc += val if slot[0] == "mean" else 2.0 * val
         return acc
 
     def form_energy(self, form, u):
         return self.form_inner(form, u, u)
-
-    def a_form(self, u, v=None):
-        return self.form_inner("K_a", u, u if v is None else v)
 
     # -- spectral decomposition of the form operator ------------------------
 
@@ -224,13 +221,8 @@ class OperatorSet:
         return self._eig[key]
 
     def distinct_blocks(self):
-        seen = set()
-        for (_, _, k1, k2) in self.layout.reps:
-            key = (abs(k1), abs(k2))
-            if key in seen:
-                continue
-            seen.add(key)
-            mops = self.mode_ops(k1, k2)
+        for key in self.layout.groups:
+            mops = self.mode_ops(*key)
             yield mops.blocks["toroidal"]
             yield mops.blocks["poloidal"]
         yield self.mean_ops.blocks["mean1"]
@@ -279,16 +271,3 @@ class OperatorSet:
         }
         out.update(self.a_scale_norms(f, shift=shift))
         return out
-
-
-def _slot_coeffs(f, slot):
-    if slot[0] == "psi":
-        return f.psi[slot[1], slot[2]]
-    if slot[0] == "phi":
-        return f.phi[slot[1], slot[2]]
-    return f.mean[slot[1]]
-
-
-def sobolev_norms(field, ops, shift=None):
-    """Free-function facade over OperatorSet.sobolev_norms."""
-    return ops.sobolev_norms(field, shift=shift)

@@ -37,6 +37,8 @@ class ModelParams:
 
 
 def _validate_model(alpha, beta, gamma, ell):
+    if not all(math.isfinite(x) for x in (alpha, beta, gamma, ell)):
+        raise ParameterError("alpha, beta, gamma, ell must be finite")
     if beta <= 0.0:
         raise ParameterError("beta must be positive")
     if alpha <= beta:
@@ -61,8 +63,8 @@ class ChannelGeometry:
     H: float = 1.0
 
     def __post_init__(self):
-        if min(self.L1, self.L2, self.H) <= 0.0:
-            raise ParameterError("L1, L2, H must be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.L1, self.L2, self.H)):
+            raise ParameterError("L1, L2, H must be finite and positive")
 
     @property
     def area(self):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .field import zero_field
+from .field import mirror, zero_field
 
 
 @dataclass
@@ -47,15 +47,10 @@ def eigenpairs_A(ops, count):
     contains each eigenpair once with its multiplicity recorded.
     """
     found = []
-    seen = set()
-    for (_, _, k1, k2), mops in ops.iter_reps():
-        key = (abs(k1), abs(k2))
-        if key in seen:
-            continue
-        seen.add(key)
+    for key, modes in ops.layout.groups.items():
+        mops = ops.mode_ops(*key)
         # multiplicity: stored representatives sharing this block x 2
-        reps_here = sum(1 for (_, _, q1, q2) in ops.layout.reps
-                        if (abs(q1), abs(q2)) == key)
+        reps_here = len(modes)
         for name in ("toroidal", "poloidal"):
             blk = mops.blocks[name]
             lam, V = ops.block_eig(blk)
@@ -95,9 +90,7 @@ def eigenpair_field(ops, pair, component=0):
                 f.psi[i1, i2] = vec
             else:
                 f.phi[i1, i2] = vec
-            j1, j2 = ops.layout.conj_index(i1, i2)
-            (f.psi if pair.block == "toroidal" else f.phi)[j1, j2] = np.conj(vec)
-            return f
+            return mirror(f)
     raise ValueError(f"no stored representative for mode {pair.mode}")
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import legendre_table
-from .field import zero_field
+from .basis import legendre_table
+from .field import analyze, mirror, synthesize, zero_field
 
 
 class ConsistencyError(RuntimeError):
@@ -57,42 +57,14 @@ class ModalForcing:
 
     def dual(self, ops):
         """Galerkin right-hand side: projection onto the solenoidal basis."""
-        out = zero_field(self.geometry, self.resolution)
-        area = self.geometry.area
-        w = ops.cache.w
-        for (i1, i2, k1, k2) in ops.layout.reps:
-            blk = ops.cache.block(k1, k2)
-            e1, e2 = ops.cache.wavenumber(k1, k2)
-            f1, f2, f3 = self.F[:, i1, i2, :]
-            out.psi[i1, i2] = area * (blk.tor.E[0].T @ (w * (-1j * e2 * f1 + 1j * e1 * f2)))
-            out.phi[i1, i2] = area * (blk.pol.E[1].T @ (w * (-1j * e1 * f1 - 1j * e2 * f2))
-                                      + blk.m * (blk.pol.E[0].T @ (w * f3)))
-            j1, j2 = ops.layout.conj_index(i1, i2)
-            out.psi[j1, j2] = np.conj(out.psi[i1, i2])
-            out.phi[j1, j2] = np.conj(out.phi[i1, i2])
-        blk0 = ops.cache.block(0, 0)
-        for c in range(2):
-            out.mean[c] = area * np.real(blk0.tor.E[0].T @ (w * self.F[c, 0, 0, :]))
-        return out
+        return analyze(self.F, self.geometry, self.resolution, ops.cache)
 
 
 def forcing_from_field(f, ops):
     """Velocity profiles of a solenoidal field, packaged as forcing data."""
-    out = ModalForcing(f.geometry, f.resolution)
-    lay = ops.layout
-    for (i1, i2, k1, k2) in lay.reps:
-        blk = ops.cache.block(k1, k2)
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        t0 = blk.tor.E[0] @ f.psi[i1, i2]
-        p0 = blk.pol.E[0] @ f.phi[i1, i2]
-        p1 = blk.pol.E[1] @ f.phi[i1, i2]
-        prof = np.stack([1j * e2 * t0 + 1j * e1 * p1,
-                         -1j * e1 * t0 + 1j * e2 * p1,
-                         blk.m * p0])
-        out.set_mode(lay, i1, i2, prof)
-    blk0 = ops.cache.block(0, 0)
-    for c in range(2):
-        out.F[c, 0, 0, :] = blk0.tor.E[0] @ f.mean[c]
+    res = f.resolution
+    out = ModalForcing(f.geometry, res)
+    out.F = synthesize(f, ops.cache, (res.N1, res.N2))["u"]
     return out
 
 
@@ -151,27 +123,10 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
         sol = V @ x
         res_sq += float(np.linalg.norm(blk.K_a @ sol - c) ** 2) * \
             (1.0 if slot[0] == "mean" else 2.0)
-        _assign(u, slot, sol)
+        u.coeffs(slot)[:] = sol
     if violation > consistency_rtol * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
-    _mirror(u, ops.layout)
-    return u, SolveReport(kernel_dim, violation, np.sqrt(res_sq), rhs_norm)
-
-
-def _assign(f, slot, vec):
-    if slot[0] == "psi":
-        f.psi[slot[1], slot[2]] = vec
-    elif slot[0] == "phi":
-        f.phi[slot[1], slot[2]] = vec
-    else:
-        f.mean[slot[1]] = vec.real
-
-
-def _mirror(f, layout):
-    for (i1, i2, _, _) in layout.reps:
-        j1, j2 = layout.conj_index(i1, i2)
-        f.psi[j1, j2] = np.conj(f.psi[i1, i2])
-        f.phi[j1, j2] = np.conj(f.phi[i1, i2])
+    return mirror(u), SolveReport(kernel_dim, violation, np.sqrt(res_sq), rhs_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +161,7 @@ def wall_dual(ops, wall_values):
                       + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1])
         out.psi[i1, i2] = tor
         out.phi[i1, i2] = pol
-        j1, j2 = ops.layout.conj_index(i1, i2)
-        out.psi[j1, j2] = np.conj(tor)
-        out.phi[j1, j2] = np.conj(pol)
-    return out
+    return mirror(out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +233,6 @@ class PressureField:
     degree: int
     coeffs: np.ndarray  # (N1, N2, degree+1) Legendre coefficients on [0, H]
     mean_profile: np.ndarray
-
-    def eval_mode(self, i1, i2, table):
-        return table @ self.coeffs[i1, i2]
 
 
 @dataclass

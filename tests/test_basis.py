@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from nsab._accel import legendre_table
 from nsab.basis import (BasisCache, clamped_basis, dirichlet_basis,
-                        gauss_legendre)
+                        gauss_legendre, legendre_table)
 
 
 def test_legendre_values_match_numpy():

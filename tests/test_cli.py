@@ -1,11 +1,15 @@
 """End-to-end CLI runs: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsab
 from nsab.cli import main
 
 SMALL = """
@@ -146,3 +150,41 @@ def test_out_dir_env_override(cfgfile, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["eigs", "--config", str(cfgfile)]) == 0
     assert (target / "eigs.csv").exists()
+
+
+def _config_with(overrides):
+    keep = [ln for ln in SMALL.strip().splitlines()
+            if ln.partition("=")[0].strip() not in overrides]
+    return "\n".join(keep + [f"{k} = {v}" for k, v in overrides.items()]) + "\n"
+
+
+@pytest.mark.parametrize("overrides, out_under_file", [
+    pytest.param({"model.alpha": "nan"}, False, id="alpha-nan"),
+    pytest.param({"geometry.H": "inf"}, False, id="H-inf"),
+    pytest.param({"time.dt": "-1"}, False, id="dt-negative"),
+    pytest.param({"time.T": "nan"}, False, id="T-nan"),
+    pytest.param({"output.cadence": "0"}, False, id="cadence-0"),
+    pytest.param({"watchdog.ceiling": "nan"}, False, id="ceiling-nan"),
+    pytest.param({"eigs.count": "-3"}, False, id="eigs-count-negative"),
+    pytest.param({"convergence.p_values": "4,8"}, False, id="convergence-P-below-6"),
+    pytest.param({"u0.id": "bogus"}, False, id="u0-id-unknown"),
+    pytest.param({"time.T": "0.1", "time.dt": "0.03"}, False, id="T-not-multiple"),
+    pytest.param({"time.T": "0.1", "time.dt": "0.2"}, False, id="dt-above-T"),
+    pytest.param({}, True, id="out-under-file"),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, overrides, out_under_file):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_config_with(overrides))
+    out = tmp_path / "out"
+    if out_under_file:
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("")
+        out = blocker / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsab.cli", "evolve", "--config", str(cfg),
+         "--out", str(out)], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

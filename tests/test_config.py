@@ -79,3 +79,17 @@ def test_canonical_round_trip():
     cfg2 = parse_config(echo)
     assert cfg2.values == cfg.values
     assert cfg2.canonical_text() == echo
+
+
+@pytest.mark.parametrize("T, dt", [(0.2, 0.02), (0.5, 0.02), (0.04, 0.02),
+                                   (1.0, 0.005), (1.0, 0.0125)])
+def test_horizon_whole_number_of_steps_accepted(T, dt):
+    cfg = parse_config(f"experiment.kind = evolve\ntime.T = {T}\ntime.dt = {dt}\n")
+    assert cfg["time.T"] == T and cfg["time.dt"] == dt
+
+
+@pytest.mark.parametrize("T, dt", [(0.1, 0.03), (0.1, 0.2), (1.0, 0.3),
+                                   (1.0, 1e-320)])
+def test_horizon_not_a_whole_number_of_steps_rejected(T, dt):
+    with pytest.raises(ConfigError, match="not a whole multiple of time.dt"):
+        parse_config(f"experiment.kind = evolve\ntime.T = {T}\ntime.dt = {dt}\n")

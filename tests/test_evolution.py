@@ -7,7 +7,7 @@ from nsab.evolution import (EvolutionState, IMEXStepper, PaddingError,
                             energy_report, linear_propagator_exact,
                             nonlinear_term, run_evolution, uniqueness_probe,
                             vanishing_sweep)
-from nsab.field import layout_for, random_field, zero_field
+from nsab.field import layout_for, mirror, random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
@@ -113,15 +113,8 @@ def test_propagator_constant_forcing(ops, geo, res_small):
         d = fb.d_eigvecs.T @ cc
         mu = fb.d_eigvals
         phi = np.where(np.abs(mu) > 1e-12, (1 - np.exp(-mu * t)) / np.where(mu == 0, 1, mu), t)
-        val = fb.inv_sqrt_lambda @ (fb.d_eigvecs @ (phi * d))
-        if slot[0] == "psi":
-            ref.psi[slot[1], slot[2]] = val
-        elif slot[0] == "phi":
-            ref.phi[slot[1], slot[2]] = val
-        else:
-            ref.mean[slot[1]] = val.real
-    from nsab.evolution import _mirror
-    _mirror(ref, ops.layout)
+        ref.coeffs(slot)[:] = fb.inv_sqrt_lambda @ (fb.d_eigvecs @ (phi * d))
+    mirror(ref)
     # graded composite Gauss quadrature: stiff-block kernels resolved to ~1e-8
     assert (u - ref).norm_l2() <= 1e-8 * max(ref.norm_l2(), 1e-30)
 

@@ -7,6 +7,9 @@ from nsab.basis import BasisCache
 from nsab.field import (enforce_constraints, grid_quadrature, layout_for,
                         potentials_to_velocity, random_field, reconstruct,
                         velocity_to_potentials, zero_field)
+from nsab.operators import OperatorSet
+from nsab.params import derive_params
+from nsab.stationary import forcing_from_field
 
 from conftest import mode_velocity_profiles
 
@@ -115,6 +118,11 @@ def test_round_trip_projection(geo_odd, res_small):
     U = potentials_to_velocity(f, cache)
     f2 = velocity_to_potentials(U, geo_odd, res_small, cache)
     assert (f2 - f).norm_l2() <= 1e-12 * f.norm_l2()
+    # the same projection read from profiles on the N1 x N2 storage grid
+    ops = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.05), geo_odd, res_small,
+                      cache)
+    f3 = forcing_from_field(f, ops).dual(ops)
+    assert (f3 - f).norm_l2() <= 1e-12 * f.norm_l2()
 
 
 def test_essential_wall_values(geo, res_small, cache_small):
