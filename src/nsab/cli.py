@@ -5,10 +5,11 @@
 Subcommands: verify-adn, solve, eigs, evolve, sweep, probe-uniqueness,
 convergence.  Exit codes: 0 success, 2 configuration error (including an
 output directory that cannot be written), 3 numerical failure, 4
-watchdog/blow-up event.  The output directory defaults to ``nsab_out``;
-the environment variable ``NSAB_OUT_DIR`` overrides it when --out is
-absent.  Execution is always deterministic and serial; --serial does
-nothing and is still accepted so existing command lines parse.
+watchdog/blow-up event; every non-zero exit prints one line on stderr.  The
+output directory defaults to ``nsab_out``; the environment variable
+``NSAB_OUT_DIR`` overrides it when --out is absent.  Execution is always
+deterministic and serial; --serial does nothing and is still accepted so
+existing command lines parse.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
 timings, timestamp); data files carry no timestamps so reruns from the
@@ -32,7 +33,7 @@ from .adn import (check_covering, check_ellipticity, eliminate_boundary_system,
                   ns_alpha_beta_system, stable_subspace_angle, MOMENTUM_ONLY)
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
-from .field import mirror, random_field, zero_field
+from .field import random_field, zero_field
 from .manufactured import default_case
 from .operators import OperatorSet
 from .spectral import eigenpairs_A, garding_constants
@@ -80,6 +81,10 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def _fail(message):
+    print(f"nsab: {message}", file=sys.stderr)
+
+
 def _initial_field(cfg, ops):
     kind = cfg["u0.id"]
     if kind == "zero":
@@ -89,9 +94,8 @@ def _initial_field(cfg, ops):
                             amplitude=cfg["u0.amplitude"], decay=cfg["u0.decay"])
     if kind == "single_mode":
         f = zero_field(cfg.geometry, cfg.resolution)
-        i1, i2, _, _ = ops.layout.reps[0]
-        f.psi[i1, i2, 0] = cfg["u0.amplitude"]
-        return mirror(f)
+        f.psi[ops.layout.row[ops.layout.reps[0]], 0] = cfg["u0.amplitude"]
+        return f
     raise ConfigError(f"unknown u0.id {kind!r}")
 
 
@@ -119,8 +123,12 @@ def _exp_verify_adn(cfg, out):
     for eta in etas[:8] + [(1.0, 0.0), (0.0, 1.0)]:
         angles[f"{eta[0]:.6g},{eta[1]:.6g}"] = stable_subspace_angle(eta)
     elim = eliminate_boundary_system((1, 0), variant=MOMENTUM_ONLY)
-    all_pass = (ell_rep.passed and all(c["pass"] for c in covering)
-                and max(angles.values()) <= 1e-8 and elim.kernel_trivial)
+    failed = [name for name, ok in (
+        ("ellipticity", ell_rep.passed),
+        ("covering", all(c["pass"] for c in covering)),
+        ("stable subspace angles", max(angles.values()) <= 1e-8),
+        ("classical elimination", elim.kernel_trivial)) if not ok]
+    all_pass = not failed
     write_json(out / "report.json", {
         "ellipticity": {"pass": ell_rep.passed, "method": ell_rep.method,
                         "determinant": str(ell_rep.determinant),
@@ -135,7 +143,10 @@ def _exp_verify_adn(cfg, out):
             "kernel_trivial": elim.kernel_trivial},
         "all_pass": all_pass,
     })
-    return EXIT_OK if all_pass else EXIT_NUMERICAL
+    if failed:
+        _fail(f"verify-adn check failed: {', '.join(failed)} (see report.json)")
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _exp_solve(cfg, out):
@@ -222,6 +233,8 @@ def _exp_evolve(cfg, out):
         "h4_proxy": result.watchdog.h4_proxy,
         "ceiling": result.watchdog.ceiling,
     })
+    _fail(f"watchdog stopped the run at t = {result.watchdog.time!r}: "
+          f"{result.watchdog.reason}")
     return EXIT_WATCHDOG
 
 
@@ -237,8 +250,11 @@ def _exp_sweep(cfg, out):
               [(n, r.alpha, r.beta, r.sup_l2, r.int_h1_sq, r.alpha_sup_grad,
                 r.beta2_int_h2_sq, r.watchdog.reason if r.watchdog else "none")
                for n, r in enumerate(rows)])
-    if any(r.watchdog for r in rows):
-        return EXIT_NUMERICAL
+    for n, r in enumerate(rows):
+        if r.watchdog:
+            _fail(f"sweep level {n} (alpha = {r.alpha!r}, beta = {r.beta!r}): "
+                  f"watchdog at t = {r.watchdog.time!r}: {r.watchdog.reason}")
+            return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -344,12 +360,12 @@ def main(argv=None):
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
-        print(f"nsab: cannot read config: {exc}", file=sys.stderr)
+        _fail(f"cannot read config: {exc}")
         return EXIT_CONFIG
     try:
         cfg = parse_config(text, kind_override=args.subcommand)
     except ConfigError as exc:
-        print(f"nsab: config error: {exc}", file=sys.stderr)
+        _fail(f"config error: {exc}")
         return EXIT_CONFIG
     if args.seed is not None:
         for key in ("u0.seed", "forcing.seed", "covering.seed", "probe.seed"):
@@ -359,22 +375,21 @@ def main(argv=None):
     try:
         return run(cfg, out_dir)
     except ConfigError as exc:  # a catalog id the experiment does not know
-        print(f"nsab: config error: {exc}", file=sys.stderr)
+        _fail(f"config error: {exc}")
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"nsab: cannot write output directory {out_dir!r}: {exc}",
-              file=sys.stderr)
+        _fail(f"cannot write output directory {out_dir!r}: {exc}")
         return EXIT_CONFIG
     except ConsistencyError as exc:
         write_json(Path(out_dir) / "error.json",
                    {"error": str(exc), "type": "consistency"})
-        print(f"nsab: {exc}", file=sys.stderr)
+        _fail(str(exc))
         return EXIT_NUMERICAL
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         write_json(Path(out_dir) / "error.json",
                    {"error": str(exc), "type": "numerical"})
-        print(f"nsab: numerical failure: {exc}", file=sys.stderr)
+        _fail(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
 
 

@@ -15,13 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .params import (ChannelGeometry, ModelParams, ParameterError, Resolution,
-                     derive_params)
+                     derive_params, step_count)
 
 EXPERIMENTS = ("verify-adn", "solve", "eigs", "evolve", "sweep",
                "probe-uniqueness", "convergence")
-
-#: relative tolerance on time.T / time.dt being a whole number of steps
-STEP_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -181,9 +178,8 @@ def _check_domain(values, seen):
             raise ConfigError(f"{key} must be at least 1, got {values[key]!r}",
                               line=seen.get(key))
     dt, T = values["time.dt"], values["time.T"]
-    steps = T / dt  # overflows to inf for a subnormal dt
-    whole = (math.isfinite(steps) and round(steps) >= 1
-             and abs(round(steps) * dt - T) <= STEP_RTOL * T)
-    if not whole:
+    try:
+        step_count(T, dt)
+    except ParameterError:
         raise ConfigError(f"time.T = {T!r} is not a whole multiple of "
                           f"time.dt = {dt!r}", line=seen.get("time.T"))

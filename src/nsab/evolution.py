@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .field import mirror, project_velocity, reconstruct, zero_field
+from .field import project_velocity, reconstruct, zero_field
 from .operators import OperatorSet
-from .params import derive_params
+from .params import derive_params, step_count
 from .spectral import SpectralFactors
 
 
@@ -125,12 +125,11 @@ def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
             for tau, wgt in zip(taus, ws):
                 g = forcing(tau)
                 for slot, blk, c in ops.field_blocks(g):
-                    fb = factors.block(blk)
-                    val = wgt * (fb.inv_sqrt_lambda
-                                 @ factors.semigroup_apply(blk, t - tau,
-                                                           fb.inv_sqrt_lambda @ c))
+                    isq = factors.block(blk).inv_sqrt_lambda
+                    val = wgt * (factors.semigroup_apply(blk, t - tau, c @ isq.T)
+                                 @ isq.T)
                     out.coeffs(slot)[:] += val
-    return mirror(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +179,22 @@ class IMEXStepper:
             lu = self._lu[id(blk)]
             n_now = N.coeffs(slot)
             if self.scheme == "euler":
-                rhs = blk.M_lambda @ c - dt * n_now
+                rhs = c @ blk.M_lambda.T - dt * n_now
             else:
                 n_old = Nprev.coeffs(slot)
-                rhs = self._minus[id(blk)] @ c - dt * (1.5 * n_now - 0.5 * n_old)
-            out.coeffs(slot)[:] = _lu_solve_c(lu, rhs)
-        return EvolutionState(state.time + dt, mirror(out),
+                rhs = c @ self._minus[id(blk)].T - dt * (1.5 * n_now - 0.5 * n_old)
+            out.coeffs(slot)[:] = _lu_solve_rows(lu, rhs)
+        return EvolutionState(state.time + dt, out,
                               N if self.scheme == "cnab2" else None)
 
 
-def _lu_solve_c(lu, rhs):
-    if np.iscomplexobj(rhs):
-        return (sla.lu_solve(lu, rhs.real.astype(float))
-                + 1j * sla.lu_solve(lu, rhs.imag.astype(float)))
-    return sla.lu_solve(lu, rhs)
+def _lu_solve_rows(lu, rhs):
+    """Solve for every row of rhs in one call; the real and imaginary parts
+    of complex rows are stacked as columns."""
+    if not np.iscomplexobj(rhs):
+        return sla.lu_solve(lu, rhs.T).T
+    x = sla.lu_solve(lu, np.concatenate([rhs.real, rhs.imag]).T)
+    return (x[:, :len(rhs)] + 1j * x[:, len(rhs):]).T
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +228,19 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
                   watchdog_ceiling=1e6, nonlinear=True, inject_nan_step=None):
     """Integrate to T or until the blow-up watchdog fires.
 
+    T must be a whole number of steps dt (ValueError otherwise), so a run
+    that is not stopped by the watchdog ends exactly at T.
+
     The watchdog monitors the fourth-order proxy ||(A + shift) u|| against
     ceiling times its initial value and also trips on non-finite
     coefficients; its firing is a structured outcome, not an exception.
     """
+    nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme, nonlinear)
     state = EvolutionState(0.0, u0.copy(), None)
     sn0 = ops.a_scale_norms(u0)
     h4_0 = max(sn0["A1"], 1e-300)
     reports = [energy_report(ops, state, snorm=sn0)]
-    nsteps = int(round(T / dt))
     for n in range(1, nsteps + 1):
         prev = state
         state = stepper.step(state)
@@ -283,13 +287,13 @@ def uniqueness_probe(ops, u0, perturbation, delta, T, dt, scheme="cnab2"):
     u0 + delta * perturbation.  delta = 0 reproduces the base trajectory
     bit for bit (growth identically 1).
     """
+    nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
     base = EvolutionState(0.0, u0.copy(), None)
     pert = EvolutionState(0.0, u0 + delta * perturbation, None)
     w0 = _h1_norm(ops, pert.field - base.field)
     if delta == 0.0:
         w0 = 1.0
-    nsteps = int(round(T / dt))
     times = [0.0]
     growth = [1.0]
     h3 = [0.0]
@@ -328,6 +332,7 @@ def vanishing_sweep(base_params, geometry, resolution, u0, levels, T, dt,
     involves) stays fixed along the sweep; this is the regime in which the
     first energy level dissipates uniformly in (alpha, beta).
     """
+    cadence = max(1, step_count(T, dt) // 50)
     rows = []
     for n in range(levels):
         al = base_params.alpha * 0.5**n
@@ -335,8 +340,7 @@ def vanishing_sweep(base_params, geometry, resolution, u0, levels, T, dt,
         ell = base_params.k * be**2 if keep_wall_coupling else base_params.ell
         par = derive_params(al, be, base_params.gamma, ell)
         ops = OperatorSet(par, geometry, resolution, cache)
-        result = run_evolution(ops, u0, dt, T, scheme=scheme,
-                               cadence=max(1, int(round(T / dt)) // 50))
+        result = run_evolution(ops, u0, dt, T, scheme=scheme, cadence=cadence)
         sup_l2 = 0.0
         int_h1 = 0.0
         sup_grad = 0.0

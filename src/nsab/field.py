@@ -2,33 +2,38 @@
 
 Storage layout
 --------------
-Tangential spectra live on the full FFT grid (wavenumbers k1 in
-[-N1/2, N1/2), k2 likewise, numpy fft ordering) with Hermitian symmetry
-coef(-k) = conj(coef(k)) so the physical field is real.  Nyquist columns and
-the (0,0) entry of the potentials are pinned to zero; the (0,0) slot is
-carried separately as two real mean profiles (U1(z), U2(z), 0).
+A real field's tangential spectrum is Hermitian, coef(-k) = conj(coef(k)),
+so only the representative modes are stored: k1 > 0, or k1 = 0 < k2, for
+wavenumbers k in [-N/2, N/2) without the Nyquist values -N/2.  The
+potentials ``psi`` and ``phi`` are (R, n) arrays with one row per
+representative, R = ((N1 - 1)(N2 - 1) - 1) / 2; the (0,0) slot is carried
+separately as two real mean profiles (U1(z), U2(z), 0).  Rows are ordered by
+block group - the modes (k1, k2) sharing |k1|, |k2| and therefore one basis
+block - so each group is a contiguous (g, n) slice (:class:`ModeLayout`).
 
 Coefficients are expressed in the per-block orthonormalized bases of
-:mod:`nsab.basis`, so the L2 inner product of two fields is the plain
-(Hermitian) dot product of their coefficient arrays summed over the grid.
+:mod:`nsab.basis`, so the L2 inner product of two fields is the Hermitian
+dot product of their rows, counted twice for the conjugate partners, plus
+the dot product of the mean rows.
 
-This module is the only place that traverses, projects and mirrors that
-spectrum.  Writers fill the representative modes and call :func:`mirror`;
-:meth:`SolenoidalField.coeffs` addresses one block vector by the slot keys
-of :meth:`nsab.operators.OperatorSet.field_blocks`.
+This module and the snapshot file boundary are the only places that know
+that layout.  :meth:`SolenoidalField.coeffs` addresses one group's rows by
+the slot keys of :meth:`nsab.operators.OperatorSet.field_blocks`.
 
 One synthesis/analysis pair maps between coefficients and Fourier-side
 profiles at the quadrature nodes on any A x B tangential mode grid, mode
 (k1, k2) sitting at (k1 % A, k2 % B):
 
 * :func:`synthesize` evaluates velocity (and, on request, its gradient, the
-  filtered velocity v = (1 - alpha^2 Lap) u and grad v); :func:`reconstruct`
-  transforms it to the padded physical grid;
+  filtered velocity v = (1 - alpha^2 Lap) u, grad v and Lap^2 u), and is the
+  only code that writes the conjugate partners of a field's profiles;
+  :func:`reconstruct` transforms them to the padded physical grid;
 * :func:`analyze` is its L2 adjoint, the Galerkin projection onto the
   solenoidal test basis, which realizes the Leray projection when fed an
-  arbitrary vector field.  :func:`project_velocity` applies it to gridded
-  samples, the nonlinear term to the convective product and the forcing
-  dual to profiles on the N1 x N2 storage grid.
+  arbitrary vector field.  It reads the representative modes only.
+  :func:`project_velocity` applies it to gridded samples, the nonlinear
+  term to the convective product and the forcing dual to profiles on the
+  N1 x N2 storage grid.
 """
 
 from __future__ import annotations
@@ -45,39 +50,37 @@ def _int_freqs(N):
 
 
 class ModeLayout:
-    """Index bookkeeping for the tangential spectral grid."""
+    """Rows of the representative tangential modes.
+
+    ``reps`` lists the representatives (k1, k2) in fft traversal order;
+    ``groups`` maps each block key (|k1|, |k2|) to its slice of rows, in
+    order of first appearance in ``reps``; rows within a group keep the
+    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers and
+    ``row`` the (k1, k2) -> row lookup.
+    """
 
     def __init__(self, resolution):
         N1, N2 = resolution.N1, resolution.N2
-        self.k1 = _int_freqs(N1)
-        self.k2 = _int_freqs(N2)
-        self.nyq1, self.nyq2 = N1 // 2, N2 // 2
-        reps, active = [], []
-        for i1 in range(N1):
-            if i1 == self.nyq1:
-                continue
-            for i2 in range(N2):
-                if i2 == self.nyq2 or (i1 == 0 and i2 == 0):
-                    continue
-                k1, k2 = int(self.k1[i1]), int(self.k2[i2])
-                active.append((i1, i2, k1, k2))
-                if k1 > 0 or (k1 == 0 and k2 > 0):
-                    reps.append((i1, i2, k1, k2))
-        self.active = active
-        self.reps = reps
         self.N1, self.N2 = N1, N2
-        # representatives grouped by (|k1|, |k2|): one basis block per group
-        groups = {}
-        for (i1, i2, k1, k2) in reps:
-            groups.setdefault((abs(k1), abs(k2)), []).append((i1, i2, k1, k2))
-        self.groups = groups
-        # fancy indices of the representatives and of their conjugate partners
-        ri = np.array([(i1, i2) for (i1, i2, _, _) in reps], int).reshape(-1, 2).T
-        self.rep_index = (ri[0], ri[1])
-        self.partner_index = ((-ri[0]) % N1, (-ri[1]) % N2)
+        self.reps = [(int(k1), int(k2))
+                     for k1 in _int_freqs(N1) if 2 * k1 != -N1
+                     for k2 in _int_freqs(N2) if 2 * k2 != -N2
+                     if k1 > 0 or (k1 == 0 and k2 > 0)]
+        members = {}
+        for k1, k2 in self.reps:
+            members.setdefault((abs(k1), abs(k2)), []).append((k1, k2))
+        rows, self.groups = [], {}
+        for key, modes in members.items():
+            self.groups[key] = slice(len(rows), len(rows) + len(modes))
+            rows += modes
+        self.k = np.array(rows, int).reshape(-1, 2)
+        self.row = {k: r for r, k in enumerate(rows)}
 
-    def conj_index(self, i1, i2):
-        return (-i1) % self.N1, (-i2) % self.N2
+    def grid_index(self, A, B):
+        """Fancy indices of every row's mode and of its conjugate partner
+        on an A x B mode grid."""
+        k1, k2 = self.k.T
+        return (k1 % A, k2 % B), ((-k1) % A, (-k2) % B)
 
 
 _layouts = {}
@@ -100,8 +103,8 @@ class SolenoidalField:
 
     geometry: object
     resolution: object
-    psi: np.ndarray  # (N1, N2, P-1) complex toroidal coefficients
-    phi: np.ndarray  # (N1, N2, P-3) complex poloidal coefficients
+    psi: np.ndarray  # (R, P-1) complex toroidal coefficients, one row per mode
+    phi: np.ndarray  # (R, P-3) complex poloidal coefficients
     mean: np.ndarray  # (2, P-1) real mean-profile coefficients
 
     def copy(self):
@@ -125,57 +128,30 @@ class SolenoidalField:
     __rmul__ = __mul__
 
     def coeffs(self, slot):
-        """Writable view of one block vector.
+        """Writable (g, n) view of one block group's rows.
 
-        slot is ("psi"|"phi", i1, i2) or ("mean", c), as yielded by
+        slot is ("psi"|"phi"|"mean", rows), as yielded by
         :meth:`nsab.operators.OperatorSet.field_blocks`.
         """
-        if slot[0] == "mean":
-            return self.mean[slot[1]]
-        return getattr(self, slot[0])[slot[1], slot[2]]
+        return getattr(self, slot[0])[slot[1]]
 
     def dot(self, other):
         """L2 inner product over the full (Hermitian) spectrum; real."""
-        lay = layout_for(self.resolution)
-        acc = 0.0
-        for (i1, i2, _, _) in lay.reps:
-            acc += 2.0 * (np.vdot(other.psi[i1, i2], self.psi[i1, i2]).real
-                          + np.vdot(other.phi[i1, i2], self.phi[i1, i2]).real)
-        acc += float(np.dot(self.mean.ravel(), other.mean.ravel()))
-        return acc
+        return (2.0 * (np.vdot(other.psi, self.psi).real
+                       + np.vdot(other.phi, self.phi).real)
+                + float(np.vdot(other.mean, self.mean)))
 
     def norm_l2(self):
         return np.sqrt(max(self.dot(self), 0.0))
 
 
 def zero_field(geometry, resolution):
+    R = len(layout_for(resolution).reps)
     return SolenoidalField(
         geometry, resolution,
-        np.zeros((resolution.N1, resolution.N2, resolution.n_toroidal), complex),
-        np.zeros((resolution.N1, resolution.N2, resolution.n_poloidal), complex),
+        np.zeros((R, resolution.n_toroidal), complex),
+        np.zeros((R, resolution.n_poloidal), complex),
         np.zeros((2, resolution.n_toroidal)))
-
-
-def mirror(f):
-    """Set every partner mode to the conjugate of its representative; in place."""
-    lay = layout_for(f.resolution)
-    for arr in (f.psi, f.phi):
-        arr[lay.partner_index] = np.conj(arr[lay.rep_index])
-    return f
-
-
-def enforce_constraints(f):
-    """Pin Nyquist/(0,0) slots to zero and Hermitian-symmetrize in place."""
-    lay = layout_for(f.resolution)
-    for arr in (f.psi, f.phi):
-        arr[lay.nyq1, :, :] = 0.0
-        arr[:, lay.nyq2, :] = 0.0
-        arr[0, 0, :] = 0.0
-    for arr in (f.psi, f.phi):
-        avg = 0.5 * (arr[lay.rep_index] + np.conj(arr[lay.partner_index]))
-        arr[lay.rep_index] = avg
-        arr[lay.partner_index] = np.conj(avg)
-    return f
 
 
 def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
@@ -189,13 +165,13 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     lay = layout_for(resolution)
     n_t, n_p = resolution.n_toroidal, resolution.n_poloidal
     jt, jp = np.arange(n_t), np.arange(n_p)
-    for (i1, i2, k1, k2) in lay.reps:
+    for (k1, k2) in lay.reps:
+        r = lay.row[(k1, k2)]
         kmag = np.hypot(k1, k2)
         wt = np.exp(-decay * (kmag + jt))
         wp = np.exp(-decay * (kmag + jp))
-        f.psi[i1, i2] = wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
-        f.phi[i1, i2] = wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
-    mirror(f)
+        f.psi[r] = wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
+        f.phi[r] = wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
     f.mean[:] = np.exp(-decay * jt) * rng.standard_normal((2, n_t))
     nrm = f.norm_l2()
     if nrm > 0:
@@ -208,7 +184,7 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 # ---------------------------------------------------------------------------
 
 #: quantities synthesize can evaluate, in order of the derivatives they need
-QUANTITIES = ("u", "grad_u", "v", "grad_v")
+QUANTITIES = ("u", "grad_u", "v", "grad_v", "bilap_u")
 
 
 def _mode_profiles(blk, eta1, eta2, tvals, pvals, want, alpha):
@@ -244,13 +220,17 @@ def _mode_profiles(blk, eta1, eta2, tvals, pvals, want, alpha):
                        pvals[3] - m * pvals[1])
             dv = du - alpha**2 * dlap
             out["grad_v"] = np.stack([ie1 * v, ie2 * v, dv], axis=1)
+    if "bilap_u" in want:
+        out["bilap_u"] = vel(tvals[4] - 2 * m * tvals[2] + m * m * tvals[0],
+                             pvals[5] - 2 * m * pvals[3] + m * m * pvals[1],
+                             pvals[4] - 2 * m * pvals[2] + m * m * pvals[0])
     return out
 
 
-def _mean_profiles(blk, mean, want, alpha):
+def _mean_profiles(blk, mean, want, alpha, nd):
     E = blk.tor.E
     U = [np.stack([E[d] @ mean[0], E[d] @ mean[1], np.zeros(E[d].shape[0])])
-         for d in range(4)]
+         for d in range(nd + 1)]
     out = {}
     if "u" in want:
         out["u"] = U[0]
@@ -264,6 +244,8 @@ def _mean_profiles(blk, mean, want, alpha):
         if "grad_v" in want:
             z = np.zeros_like(U[0])
             out["grad_v"] = np.stack([z, z, U[1] - alpha**2 * U[3]], axis=1)
+    if "bilap_u" in want:
+        out["bilap_u"] = U[4]
     return out
 
 
@@ -271,7 +253,9 @@ def synthesize(f, cache, shape, want=("u",), alpha=None):
     """Fourier-side profiles of the requested quantities on an A x B mode grid.
 
     Mode (k1, k2) lands at (k1 % A, k2 % B) and its conjugate partner at
-    (-k1 % A, -k2 % B).  Returns dict mapping names to complex arrays of
+    (-k1 % A, -k2 % B).  Names are those of :data:`QUANTITIES`: velocity,
+    its gradient, the filtered velocity v and grad v (these two need
+    alpha) and Lap^2 u.  Returns dict mapping names to complex arrays of
     shape (3, A, B, Q) for vectors and (3, 3, A, B, Q) for gradients.
     """
     res = f.resolution
@@ -286,31 +270,22 @@ def synthesize(f, cache, shape, want=("u",), alpha=None):
         spec[name] = np.zeros(dims, complex)
     # psi derivatives up to order nd - 1 and phi derivatives up to nd
     nd = 1 + max(QUANTITIES.index(name) for name in want)
+    idx, partner = lay.grid_index(A, B)
 
-    for key, modes in lay.groups.items():
+    for key, rows in lay.groups.items():
         blk = cache.block(*key)
-        g = len(modes)
-        ct = np.empty((res.n_toroidal, g), complex)
-        cp = np.empty((res.n_poloidal, g), complex)
-        e1 = np.empty(g)
-        e2 = np.empty(g)
-        for j, (i1, i2, k1, k2) in enumerate(modes):
-            ct[:, j] = f.psi[i1, i2]
-            cp[:, j] = f.phi[i1, i2]
-            e1[j], e2[j] = cache.wavenumber(k1, k2)
-        tvals = [blk.tor.E[d] @ ct for d in range(nd)]
-        pvals = [blk.pol.E[d] @ cp for d in range(nd + 1)]
-        profs = _mode_profiles(blk, e1[None, :], e2[None, :],
-                               tvals, pvals, want, alpha)
-        for j, (i1, i2, k1, k2) in enumerate(modes):
-            I1, I2 = k1 % A, k2 % B
-            J1, J2 = (-k1) % A, (-k2) % B
-            for name, arr in profs.items():
-                spec[name][..., I1, I2, :] = arr[..., :, j]
-                spec[name][..., J1, J2, :] = np.conj(arr[..., :, j])
+        e1, e2 = cache.wavenumber(lay.k[rows, 0], lay.k[rows, 1])
+        tvals = [blk.tor.E[d] @ f.psi[rows].T for d in range(nd)]
+        pvals = [blk.pol.E[d] @ f.phi[rows].T for d in range(nd + 1)]
+        profs = _mode_profiles(blk, e1, e2, tvals, pvals, want, alpha)
+        I1, I2 = idx[0][rows], idx[1][rows]
+        J1, J2 = partner[0][rows], partner[1][rows]
+        for name, arr in profs.items():
+            arr = np.swapaxes(arr, -1, -2)  # (..., g, Q)
+            spec[name][..., I1, I2, :] = arr
+            spec[name][..., J1, J2, :] = np.conj(arr)
 
-    blk0 = cache.block(0, 0)
-    profs0 = _mean_profiles(blk0, f.mean, want, alpha)
+    profs0 = _mean_profiles(cache.block(0, 0), f.mean, want, alpha, nd)
     for name, arr in profs0.items():
         spec[name][..., 0, 0, :] = arr
     return spec
@@ -349,7 +324,8 @@ def analyze(Fh, geometry, resolution, cache):
     """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
 
     Fh has shape (3, A, B, Q); mode (k1, k2) is read at (k1 % A, k2 % B),
-    which serves the padded grid and the N1 x N2 storage grid alike.
+    which serves the padded grid and the N1 x N2 grid alike.  Only the
+    representative modes and (0, 0) are read.
     Returns the dual coefficients (same container as fields).
     """
     lay = layout_for(resolution)
@@ -357,23 +333,21 @@ def analyze(Fh, geometry, resolution, cache):
     area = geometry.area
     w = cache.w
     out = zero_field(geometry, resolution)
+    idx, _ = lay.grid_index(A, B)
+    F1, F2, F3 = w * Fh[:, idx[0], idx[1]]  # (rows, Q) each
+    E1, E2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])  # (rows, 1) each
 
-    for key, modes in lay.groups.items():
+    for key, rows in lay.groups.items():
         blk = cache.block(*key)
-        m = blk.m
-        for (i1, i2, k1, k2) in modes:
-            e1, e2 = cache.wavenumber(k1, k2)
-            f1, f2, f3 = Fh[:, k1 % A, k2 % B]
-            tor_integrand = (-1j * e2) * f1 + (1j * e1) * f2
-            out.psi[i1, i2] = area * (blk.tor.E[0].T @ (w * tor_integrand))
-            pol_integrand_d = (-1j * e1) * f1 + (-1j * e2) * f2
-            out.phi[i1, i2] = area * (blk.pol.E[1].T @ (w * pol_integrand_d)
-                                      + m * (blk.pol.E[0].T @ (w * f3)))
+        e1, e2, f1, f2 = E1[rows], E2[rows], F1[rows], F2[rows]
+        out.psi[rows] = area * (((-1j * e2) * f1 + (1j * e1) * f2) @ blk.tor.E[0])
+        out.phi[rows] = area * (((-1j * e1) * f1 + (-1j * e2) * f2) @ blk.pol.E[1]
+                                + blk.m * (F3[rows] @ blk.pol.E[0]))
 
     blk0 = cache.block(0, 0)
     for c in range(2):
         out.mean[c] = area * np.real(blk0.tor.E[0].T @ (w * Fh[c, 0, 0]))
-    return mirror(out)
+    return out
 
 
 def project_velocity(U, geometry, resolution, cache):
@@ -386,12 +360,6 @@ def project_velocity(U, geometry, resolution, cache):
     M1, M2 = resolution.padded_shape
     Uh = np.fft.fft2(U, axes=(-3, -2)) / (M1 * M2)
     return analyze(Uh, geometry, resolution, cache)
-
-
-def velocity_to_potentials(U, geometry, resolution, cache=None):
-    if cache is None:
-        cache = BasisCache(geometry, resolution)
-    return project_velocity(U, geometry, resolution, cache)
 
 
 def grid_quadrature(cache, resolution):

@@ -56,7 +56,11 @@ class TrigProfile:
 
 @dataclass
 class ManufacturedCase:
-    """One manufactured (u*, p*) pair concentrated on a single mode."""
+    """One manufactured (u*, p*) pair concentrated on a single mode.
+
+    (k1, k2) must be a representative mode of the field layout (k1 > 0, or
+    k1 = 0 < k2); its conjugate partner carries the conjugate data.
+    """
 
     k1: int
     k2: int
@@ -94,9 +98,7 @@ class ManufacturedCase:
                          -1j * e1 * LLt + 1j * e2 * DLLp + 1j * e2 * q0,
                          m * LLp + q1])
         out = ModalForcing(ops.geometry, res)
-        i1 = int(np.where(ops.layout.k1 == self.k1)[0][0])
-        i2 = int(np.where(ops.layout.k2 == self.k2)[0][0])
-        out.set_mode(ops.layout, i1, i2, prof)
+        out.set_mode(self.k1, self.k2, prof)
         return out
 
     def wall_defect_dual(self, ops, params):
@@ -113,7 +115,6 @@ class ManufacturedCase:
         w3 = m * t[0]
         dw1 = 1j * e1 * t[2] - 1j * e2 * DLp
         dw2 = 1j * e2 * t[2] + 1j * e1 * DLp
-        vals = {}
         kk = params.k
         gvals = []
         for wall, sgn in ((0, -1.0), (1, +1.0)):
@@ -124,10 +125,7 @@ class ManufacturedCase:
             else:         # top, n = +e3: (n x v)_12 = (-v2, v1)
                 g = (-kk * w2[wall] + gn2, kk * w1[wall] - gn1)
             gvals.append(np.array(g))
-        i1 = int(np.where(ops.layout.k1 == self.k1)[0][0])
-        i2 = int(np.where(ops.layout.k2 == self.k2)[0][0])
-        vals[(i1, i2)] = (gvals[0], gvals[1])
-        return wall_dual(ops, vals)
+        return wall_dual(ops, {(self.k1, self.k2): tuple(gvals)})
 
     def rhs(self, ops, params):
         return self.forcing(ops).dual(ops) + self.wall_defect_dual(ops, params)
@@ -147,12 +145,11 @@ class ManufacturedCase:
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
         blk = ops.cache.block(self.k1, self.k2)
-        i1 = int(np.where(ops.layout.k1 == self.k1)[0][0])
-        i2 = int(np.where(ops.layout.k2 == self.k2)[0][0])
+        row = ops.layout.row[(self.k1, self.k2)]
         Et = blk.tor.evaluate(z2, geo.H, res.P, "dirichlet", dmax=3)
         Ep = blk.pol.evaluate(z2, geo.H, res.P, "clamped", dmax=3)
-        th = np.stack([Et[d] @ u.psi[i1, i2] for d in range(4)])
-        ph = np.stack([Ep[d] @ u.phi[i1, i2] for d in range(4)])
+        th = np.stack([Et[d] @ u.psi[row] for d in range(4)])
+        ph = np.stack([Ep[d] @ u.phi[row] for d in range(4)])
         ts, ps = self.mode_potentials(z2, 4)
         dt = th - ts[:4]
         dp = ph - ps[:4]
@@ -179,7 +176,7 @@ class ManufacturedCase:
         if pressure is not None:
             zeta = 2.0 * z2 / geo.H - 1.0
             tab = legendre_table(zeta, pressure.degree, 0)[0].T
-            ph_num = tab @ pressure.coeffs[i1, i2]
+            ph_num = tab @ pressure.coeffs[row]
             ph_ref = self.pressure_profile(z2)
             # compare modulo the gauge: the reference constant-mode offset
             # lives in the zero mode, which this case leaves pressure-free

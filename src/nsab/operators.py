@@ -58,31 +58,6 @@ class ModeOperators:
         self.m = eta[0] ** 2 + eta[1] ** 2
         self.blocks = blocks  # dict name -> BlockOperators
 
-    def _full(self, attr):
-        mats = [getattr(b, attr) for b in self.blocks.values()]
-        out = np.zeros((sum(m.shape[0] for m in mats),) * 2)
-        at = 0
-        for m in mats:
-            out[at:at + m.shape[0], at:at + m.shape[0]] = m
-            at += m.shape[0]
-        return out
-
-    @property
-    def M(self):
-        return self._full("M")
-
-    @property
-    def M_lambda(self):
-        return self._full("M_lambda")
-
-    @property
-    def K_a(self):
-        return self._full("K_a")
-
-    @property
-    def K_grad(self):
-        return self._full("K_grad")
-
 
 def _wall_sum(tr):
     return tr[0][:, None] * tr[0][None, :] + tr[1][:, None] * tr[1][None, :]
@@ -114,7 +89,7 @@ def assemble_mode(k1, k2, params, geometry, resolution, cache=None):
         Kb = s * gram(E[2], E[2])
         Ka = Kb - kk * s * _wall_sum([t[1][0], t[1][1]])
         b = BlockOperators("mean", blk.tor.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
-        return ModeOperators((0.0, 0.0), {"mean1": b, "mean2": b})
+        return ModeOperators((0.0, 0.0), {"mean": b})
 
     m = blk.m
     eta = cache.wavenumber(k1, k2)
@@ -143,6 +118,12 @@ def assemble_mode(k1, k2, params, geometry, resolution, cache=None):
     pol = BlockOperators("poloidal", blk.pol.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
 
     return ModeOperators(eta, {"toroidal": tor, "poloidal": pol})
+
+
+def weight(slot):
+    """Multiplicity of a field_blocks slot in the full spectrum: each stored
+    mode also stands for its conjugate partner; the mean stands alone."""
+    return 1.0 if slot[0] == "mean" else 2.0
 
 
 def apply_form(op_matrix, u_coeffs, v_coeffs):
@@ -178,33 +159,27 @@ class OperatorSet:
     def mean_ops(self):
         return self.mode_ops(0, 0)
 
-    def iter_reps(self):
-        for (i1, i2, k1, k2) in self.layout.reps:
-            yield (i1, i2, k1, k2), self.mode_ops(k1, k2)
-
     # -- block-wise traversal of a field's coefficients ---------------------
 
     def field_blocks(self, f):
-        """Yield (slot, block_ops, coeffs) covering the representative modes.
+        """Yield (slot, block_ops, coeffs), one per block group and potential,
+        then the mean.
 
-        slot is ("psi"|"phi", i1, i2) or ("mean", c); the coefficient vector
-        is a view into the field.
+        slot is ("psi"|"phi"|"mean", rows) for :meth:`SolenoidalField.coeffs`;
+        coeffs is the (g, n) view of the group's rows in the field.
         """
-        for (i1, i2, k1, k2), mops in self.iter_reps():
-            yield ("psi", i1, i2), mops.blocks["toroidal"], f.psi[i1, i2]
-            yield ("phi", i1, i2), mops.blocks["poloidal"], f.phi[i1, i2]
-        mean_blk = self.mean_ops.blocks["mean1"]
-        for c in range(2):
-            yield ("mean", c), mean_blk, f.mean[c]
+        for key, rows in self.layout.groups.items():
+            mops = self.mode_ops(*key)
+            yield ("psi", rows), mops.blocks["toroidal"], f.psi[rows]
+            yield ("phi", rows), mops.blocks["poloidal"], f.phi[rows]
+        yield ("mean", slice(None)), self.mean_ops.blocks["mean"], f.mean
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
         acc = 0.0
         for slot, blk, cu in self.field_blocks(u):
             mat = getattr(blk, form)
-            cv = v.coeffs(slot)
-            val = np.vdot(cv, mat @ cu).real
-            acc += val if slot[0] == "mean" else 2.0 * val
+            acc += weight(slot) * np.vdot(v.coeffs(slot), cu @ mat.T).real
         return acc
 
     def form_energy(self, form, u):
@@ -222,10 +197,8 @@ class OperatorSet:
 
     def distinct_blocks(self):
         for key in self.layout.groups:
-            mops = self.mode_ops(*key)
-            yield mops.blocks["toroidal"]
-            yield mops.blocks["poloidal"]
-        yield self.mean_ops.blocks["mean1"]
+            yield from self.mode_ops(*key).blocks.values()
+        yield self.mean_ops.blocks["mean"]
 
     def spectral_shift(self):
         """Shift making the stationary operator spectrum nonnegative."""
@@ -246,28 +219,15 @@ class OperatorSet:
         n0 = n1 = n2 = n2L = 0.0
         for slot, blk, c in self.field_blocks(f):
             lam, V = self.block_eig(blk)
-            d = V.conj().T @ c
-            mult = 1.0 if slot[0] == "mean" else 2.0
+            d = c @ V
+            mult = weight(slot)
             p = np.abs(d) ** 2
             lam_s = np.maximum(lam + shift, 0.0)
             n0 += mult * p.sum()
             n1 += mult * (lam_s * p).sum()
             n2 += mult * (lam_s**2 * p).sum()
-            Ac = V @ (lam_s * d)
-            n2L += mult * np.vdot(Ac, blk.M_lambda @ Ac).real
+            Ac = (lam_s * d) @ V.T
+            n2L += mult * np.vdot(Ac, Ac @ blk.M_lambda.T).real
         return {"A0": np.sqrt(n0), "A_half": np.sqrt(n1),
                 "A1": np.sqrt(n2), "A1_lambda": np.sqrt(max(n2L, 0.0)),
                 "shift": shift}
-
-    def sobolev_norms(self, f, shift=None):
-        """L2/H1/H2 proxy norms and the A-scale norms of a field."""
-        l2sq = self.form_energy("M", f)
-        gradsq = self.form_energy("K_grad", f)
-        bilapsq = self.form_energy("K_bilap", f)
-        out = {
-            "L2": np.sqrt(max(l2sq, 0.0)),
-            "H1": np.sqrt(max(l2sq + gradsq, 0.0)),
-            "H2": np.sqrt(max(l2sq + gradsq + bilapsq, 0.0)),
-        }
-        out.update(self.a_scale_norms(f, shift=shift))
-        return out

@@ -22,6 +22,23 @@ class ParameterError(ValueError):
     """A physical or resolution parameter violates its admissibility range."""
 
 
+#: relative tolerance on T / dt being a whole number of steps
+STEP_RTOL = 1e-9
+
+
+def step_count(T, dt):
+    """Number of time steps dt in the horizon T.
+
+    Raises ParameterError unless T is a positive whole multiple of dt (to
+    STEP_RTOL relative), so that a run ends exactly at T.
+    """
+    steps = T / dt if dt > 0 else math.nan  # inf for a subnormal dt
+    n = round(steps) if math.isfinite(steps) else 0
+    if n < 1 or abs(n * dt - T) > STEP_RTOL * T:
+        raise ParameterError(f"T = {T!r} is not a whole multiple of dt = {dt!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ModelParams:
     alpha: float
@@ -77,7 +94,7 @@ class Resolution:
     """Mode counts and wall-normal degrees.
 
     N1, N2   even tangential Fourier mode counts (wavenumbers k in [-N/2, N/2);
-             Nyquist columns are kept in storage but pinned to zero),
+             Nyquist wavenumbers -N/2 are not stored),
     P        wall-normal polynomial degree,
     Q        Gauss-Legendre node count; Q >= ceil((3P+1)/2) so that triple
              products of degree-P polynomials are integrated exactly,

@@ -11,7 +11,11 @@ Layout:
                (k1-major fft ordering, then k2, then basis index), then phi
                likewise, then the two real mean-coefficient rows.
 
-write -> read -> write is byte-identical.
+The payload holds the full N1 x N2 spectrum, while a field stores its
+representative modes only: the writer expands it (conjugate partners,
+zero Nyquist and (0,0) potential entries), and the reader packs it after
+checking that the file is such an expansion.  write -> read -> write is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .field import SolenoidalField
+from .field import SolenoidalField, layout_for
 from .params import ChannelGeometry, Resolution, derive_params
 
 MAGIC = b"NSABSNP1"
@@ -54,15 +58,33 @@ def _metadata(field, params=None, extra=None):
     return meta
 
 
+def _expand(rows, lay):
+    """(R, n) representative rows -> (N1, N2, n) Hermitian fft-order array."""
+    full = np.zeros((lay.N1, lay.N2, rows.shape[1]), complex)
+    idx, partner = lay.grid_index(lay.N1, lay.N2)
+    full[idx] = rows
+    full[partner] = np.conj(rows)
+    return full
+
+
+def _pack(full, lay, path, name):
+    """Inverse of _expand; SnapshotError if full is not such an expansion."""
+    rows = full[lay.grid_index(lay.N1, lay.N2)[0]]
+    if not np.array_equal(_expand(rows, lay), full, equal_nan=True):
+        raise SnapshotError(f"{path}: {name} is not Hermitian: a partner is not "
+                            f"the conjugate of its representative, or a Nyquist "
+                            f"or (0,0) entry is nonzero")
+    return rows
+
+
 def write_snapshot(path, field, params=None, extra=None):
     meta = json.dumps(_metadata(field, params, extra), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
     header = header.ljust(HEADER_LEN, b"\0")
-    payload = (np.ascontiguousarray(field.psi, dtype=np.complex128)
-               .view(np.float64).astype("<f8").tobytes()
-               + np.ascontiguousarray(field.phi, dtype=np.complex128)
-               .view(np.float64).astype("<f8").tobytes()
+    lay = layout_for(field.resolution)
+    payload = (_expand(field.psi, lay).view(np.float64).astype("<f8").tobytes()
+               + _expand(field.phi, lay).view(np.float64).astype("<f8").tobytes()
                + np.ascontiguousarray(field.mean, dtype=np.float64)
                .astype("<f8").tobytes())
     with open(path, "wb") as fh:
@@ -95,7 +117,9 @@ def read_snapshot(path):
     phi = np.frombuffer(buf[16 * npsi:16 * (npsi + nphi)],
                         dtype="<c16").reshape(res.N1, res.N2, n_p)
     mean = np.frombuffer(buf[16 * (npsi + nphi):], dtype="<f8").reshape(2, n_t)
-    field = SolenoidalField(g, res, psi.copy(), phi.copy(), mean.copy())
+    lay = layout_for(res)
+    field = SolenoidalField(g, res, _pack(psi, lay, path, "psi"),
+                            _pack(phi, lay, path, "phi"), mean.copy())
     params = None
     if "params" in meta:
         p = meta["params"]

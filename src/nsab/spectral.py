@@ -12,7 +12,7 @@ generalized pencils reduce to standard symmetric eigenproblems:
                        c0 with a(u,u) + g0 ||u||^2 >= c0 ||u||_{H2}^2 on the
                        discrete space, together with the smallest shift g0
                        on a logarithmic search grid that makes it positive;
-* ``lambda_sqrt_and_D`` square-root factors of the Helmholtz filter form
+* ``SpectralFactors``  square-root factors of the Helmholtz filter form
                        and the symmetrized dissipation generator
                        D = beta^2 L^{-1/2} A L^{-1/2} (optionally including
                        the viscous gradient form, which the evolution
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .field import mirror, zero_field
+from .field import zero_field
 
 
 @dataclass
@@ -46,28 +46,21 @@ def eigenpairs_A(ops, count):
     partner); the returned list is nondecreasing in the eigenvalue and
     contains each eigenpair once with its multiplicity recorded.
     """
+    # (mode, block, multiplicity): stored representatives sharing a block
+    # x 2 for their partners; two identical mean components
+    blocks = [(key, ops.mode_ops(*key).blocks[name], 2 * (rows.stop - rows.start))
+              for key, rows in ops.layout.groups.items()
+              for name in ("toroidal", "poloidal")]
+    blocks.append(((0, 0), ops.mean_ops.blocks["mean"], 2))
     found = []
-    for key, modes in ops.layout.groups.items():
-        mops = ops.mode_ops(*key)
-        # multiplicity: stored representatives sharing this block x 2
-        reps_here = len(modes)
-        for name in ("toroidal", "poloidal"):
-            blk = mops.blocks[name]
-            lam, V = ops.block_eig(blk)
-            scale = np.max(np.abs(lam))
-            for i, lv in enumerate(lam):
-                res = float(np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i])
-                            / (scale + abs(lv)))
-                found.append(EigenPair(float(lv), V[:, i].copy(), key, name,
-                                       2 * reps_here, res))
-    blk = ops.mean_ops.blocks["mean1"]
-    lam, V = ops.block_eig(blk)
-    scale = np.max(np.abs(lam))
-    for i, lv in enumerate(lam):
-        res = float(np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i])
-                    / (scale + abs(lv)))
-        found.append(EigenPair(float(lv), V[:, i].copy(), (0, 0), "mean",
-                               2, res))  # two identical mean components
+    for key, blk, mult in blocks:
+        lam, V = ops.block_eig(blk)
+        scale = np.max(np.abs(lam))
+        for i, lv in enumerate(lam):
+            res = float(np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i])
+                        / (scale + abs(lv)))
+            found.append(EigenPair(float(lv), V[:, i].copy(), key, blk.name,
+                                   mult, res))
     found.sort(key=lambda p: p.lam)
     return found[:count]
 
@@ -83,15 +76,12 @@ def eigenpair_field(ops, pair, component=0):
     if pair.mode == (0, 0):
         f.mean[component] = pair.vector.real
         return f
-    for (i1, i2, k1, k2) in ops.layout.reps:
-        if (abs(k1), abs(k2)) == pair.mode:
-            vec = pair.vector / np.sqrt(2.0)  # unit L2 norm with the partner
-            if pair.block == "toroidal":
-                f.psi[i1, i2] = vec
-            else:
-                f.phi[i1, i2] = vec
-            return mirror(f)
-    raise ValueError(f"no stored representative for mode {pair.mode}")
+    if pair.mode not in ops.layout.groups:
+        raise ValueError(f"no stored representative for mode {pair.mode}")
+    row = ops.layout.groups[pair.mode].start
+    coeffs = f.psi if pair.block == "toroidal" else f.phi
+    coeffs[row] = pair.vector / np.sqrt(2.0)  # unit L2 norm with the partner
+    return f
 
 
 DEFAULT_SHIFT_GRID = (0.0,) + tuple(10.0**j for j in range(-3, 5))
@@ -189,21 +179,19 @@ class SpectralFactors:
         return self._blocks[key]
 
     def semigroup_apply(self, blk, t, coeffs):
-        """e^{-tD} applied to block coefficients."""
+        """e^{-tD} applied to block coefficients (a vector or rows of them)."""
         fb = self.block(blk)
-        return fb.d_eigvecs @ (np.exp(-t * fb.d_eigvals)
-                               * (fb.d_eigvecs.T @ coeffs))
+        return ((np.exp(-t * fb.d_eigvals) * (coeffs @ fb.d_eigvecs))
+                @ fb.d_eigvecs.T)
 
     def propagate_block(self, blk, t, c0):
-        """Lambda^{-1/2} e^{-tD} Lambda^{1/2} applied to block coefficients."""
+        """Lambda^{-1/2} e^{-tD} Lambda^{1/2} applied to block coefficients
+        (a vector or rows of them)."""
         fb = self.block(blk)
-        return fb.inv_sqrt_lambda @ self.semigroup_apply(blk, t, fb.sqrt_lambda @ c0)
+        return (self.semigroup_apply(blk, t, c0 @ fb.sqrt_lambda.T)
+                @ fb.inv_sqrt_lambda.T)
 
     def min_d_eigenvalue(self):
         vals = [self.block(b).d_eigvals[0] for b in self.ops.distinct_blocks()]
         return float(min(vals))
 
-
-def lambda_sqrt_and_D(ops, include_gradient=False):
-    """Factor container realizing Lambda^{+-1/2} and D per block."""
-    return SpectralFactors(ops, include_gradient=include_gradient)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import analyze, mirror, synthesize, zero_field
+from .field import analyze, synthesize, zero_field
+from .operators import weight
 
 
 class ConsistencyError(RuntimeError):
@@ -42,18 +43,21 @@ class ConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class ModalForcing:
-    """Vector-field data held as per-mode profiles at the quadrature nodes."""
+    """Vector-field data held as per-mode profiles at the quadrature nodes.
+
+    F is (3, N1, N2, Q) with mode (k1, k2) at (k1 % N1, k2 % N2); only the
+    representative modes of the field layout and (0, 0) are read, the
+    other modes being their conjugates.
+    """
 
     def __init__(self, geometry, resolution):
         self.geometry = geometry
         self.resolution = resolution
         self.F = np.zeros((3, resolution.N1, resolution.N2, resolution.Q), complex)
 
-    def set_mode(self, layout, i1, i2, profiles):
-        """Install profiles (3, Q) at a representative and its partner."""
-        self.F[:, i1, i2, :] = profiles
-        j1, j2 = layout.conj_index(i1, i2)
-        self.F[:, j1, j2, :] = np.conj(profiles)
+    def set_mode(self, k1, k2, profiles):
+        """Install profiles (3, Q) at the representative mode (k1, k2)."""
+        self.F[:, k1 % self.resolution.N1, k2 % self.resolution.N2, :] = profiles
 
     def dual(self, ops):
         """Galerkin right-hand side: projection onto the solenoidal basis."""
@@ -69,21 +73,18 @@ def forcing_from_field(f, ops):
 
 
 def gradient_forcing(ops, scalar_modes):
-    """f = grad q for per-mode scalar profiles {(i1, i2): (value, z-deriv)}.
+    """f = grad q for per-mode scalar profiles {(k1, k2): (value, z-deriv)}.
 
-    scalar_modes maps representative indices to a pair of (Q,) arrays; the
-    zero mode, if present, uses key (0, 0) with real profiles.
+    scalar_modes maps representative wavenumbers to a pair of (Q,) arrays;
+    the zero mode, if present, uses key (0, 0) with real profiles.
     """
     out = ModalForcing(ops.geometry, ops.resolution)
-    for (i1, i2), (q0, q1) in scalar_modes.items():
-        if (i1, i2) == (0, 0):
+    for (k1, k2), (q0, q1) in scalar_modes.items():
+        if (k1, k2) == (0, 0):
             out.F[2, 0, 0, :] = q1
             continue
-        k1 = int(ops.layout.k1[i1])
-        k2 = int(ops.layout.k2[i2])
         e1, e2 = ops.cache.wavenumber(k1, k2)
-        out.set_mode(ops.layout, i1, i2,
-                     np.stack([1j * e1 * q0, 1j * e2 * q0, q1]))
+        out.set_mode(k1, k2, np.stack([1j * e1 * q0, 1j * e2 * q0, q1]))
     return out
 
 
@@ -114,19 +115,19 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
         lam, V = ops.block_eig(blk)
         scale = np.max(np.abs(lam))
         kernel = np.abs(lam) <= kernel_rtol * scale
-        d = V.T @ c
+        d = c @ V
         if kernel.any():
-            kernel_dim += int(kernel.sum())
-            violation = max(violation, float(np.linalg.norm(d[kernel])))
+            kernel_dim += int(kernel.sum()) * len(c)
+            violation = max(violation,
+                            float(np.linalg.norm(d[:, kernel], axis=1).max()))
         x = np.zeros_like(d)
-        x[~kernel] = d[~kernel] / lam[~kernel]
-        sol = V @ x
-        res_sq += float(np.linalg.norm(blk.K_a @ sol - c) ** 2) * \
-            (1.0 if slot[0] == "mean" else 2.0)
+        x[:, ~kernel] = d[:, ~kernel] / lam[~kernel]
+        sol = x @ V.T
+        res_sq += weight(slot) * float(np.linalg.norm(sol @ blk.K_a.T - c) ** 2)
         u.coeffs(slot)[:] = sol
     if violation > consistency_rtol * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
-    return mirror(u), SolveReport(kernel_dim, violation, np.sqrt(res_sq), rhs_norm)
+    return u, SolveReport(kernel_dim, violation, np.sqrt(res_sq), rhs_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +137,18 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
 def wall_dual(ops, wall_values):
     """Dual vector of phi -> sum_walls g . conj(d_n phi).
 
-    wall_values maps representative indices (i1, i2) to a pair of tangential
-    2-vectors (g_bottom, g_top); the key (0, 0) holds real mean data.
+    wall_values maps representative wavenumbers (k1, k2) to a pair of
+    tangential 2-vectors (g_bottom, g_top); the key (0, 0) holds real mean
+    data.
     """
     out = zero_field(ops.geometry, ops.resolution)
     area = ops.geometry.area
-    for (i1, i2), (gb, gt) in wall_values.items():
-        blk0 = ops.cache.block(0, 0)
-        if (i1, i2) == (0, 0):
-            t1 = blk0.tor.tr[1]
+    for (k1, k2), (gb, gt) in wall_values.items():
+        if (k1, k2) == (0, 0):
+            t1 = ops.cache.block(0, 0).tor.tr[1]
             for c in range(2):
                 out.mean[c] = area * np.real(-gb[c] * t1[0] + gt[c] * t1[1])
             continue
-        k1 = int(ops.layout.k1[i1])
-        k2 = int(ops.layout.k2[i2])
         blk = ops.cache.block(k1, k2)
         e1, e2 = ops.cache.wavenumber(k1, k2)
         ttr = blk.tor.tr[1]   # first-derivative traces, rows (z=0, z=H)
@@ -159,9 +158,10 @@ def wall_dual(ops, wall_values):
                       + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1])
         pol = area * ((gb[0] * 1j * e1 + gb[1] * 1j * e2) * ptr[0]
                       + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1])
-        out.psi[i1, i2] = tor
-        out.phi[i1, i2] = pol
-    return mirror(out)
+        row = ops.layout.row[(k1, k2)]
+        out.psi[row] = tor
+        out.phi[row] = pol
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +186,13 @@ def strong_bc_residual(u, params, ops):
     we_sq = 0.0
     area = ops.geometry.area
     kk = params.k
-    for (i1, i2, k1, k2) in ops.layout.reps:
-        blk = ops.cache.block(k1, k2)
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        ct, cp = u.psi[i1, i2], u.phi[i1, i2]
-        tt = [blk.tor.tr[d] @ ct for d in range(4)]
-        pt = [blk.pol.tr[d] @ cp for d in range(4)]
+    lay = ops.layout
+    for key, rows in lay.groups.items():
+        blk = ops.cache.block(*key)
+        e1, e2 = ops.cache.wavenumber(lay.k[rows, 0], lay.k[rows, 1])
+        # wall traces, (2 walls, g modes) each
+        tt = [blk.tor.tr[d] @ u.psi[rows].T for d in range(4)]
+        pt = [blk.pol.tr[d] @ u.phi[rows].T for d in range(4)]
         for wall, sgn in ((0, -1.0), (1, +1.0)):
             uw = np.array([1j * e2 * tt[0][wall] + 1j * e1 * pt[1][wall],
                            -1j * e1 * tt[0][wall] + 1j * e2 * pt[1][wall],
@@ -210,7 +211,7 @@ def strong_bc_residual(u, params, ops):
             g2 = sgn * (dw2 + params.gamma * 1j * e2 * w3)
             r1 = g1 - kk * w1
             r2 = g2 - kk * w2
-            we_sq += 2.0 * area * float(abs(r1) ** 2 + abs(r2) ** 2)
+            we_sq += 2.0 * area * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2))
     blk0 = ops.cache.block(0, 0)
     for wall, sgn in ((0, -1.0), (1, +1.0)):
         t = [blk0.tor.tr[d] @ u.mean.T for d in range(3)]  # (2 walls, 2 comps)
@@ -231,8 +232,8 @@ def strong_bc_residual(u, params, ops):
 @dataclass
 class PressureField:
     degree: int
-    coeffs: np.ndarray  # (N1, N2, degree+1) Legendre coefficients on [0, H]
-    mean_profile: np.ndarray
+    coeffs: np.ndarray  # (R, degree+1) Legendre coefficients on [0, H], per row
+    mean_profile: np.ndarray  # zero mode at the quadrature nodes
 
 
 @dataclass
@@ -249,31 +250,6 @@ def _legendre_design(geometry, z, degree, dmax=1):
     return [np.ascontiguousarray(T[d, :, :].T * scale**d) for d in range(dmax + 1)]
 
 
-def bilaplacian_profiles(u, ops):
-    """(Lap^2 u)-hat at the quadrature nodes for every stored mode."""
-    res = u.resolution
-    out = np.zeros((3, res.N1, res.N2, res.Q), complex)
-    for (i1, i2, k1, k2) in ops.layout.reps:
-        blk = ops.cache.block(k1, k2)
-        m = blk.m
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        t = [blk.tor.E[d] @ u.psi[i1, i2] for d in range(5)]
-        p = [blk.pol.E[d] @ u.phi[i1, i2] for d in range(6)]
-        LLt = t[4] - 2 * m * t[2] + m * m * t[0]
-        DLLp = p[5] - 2 * m * p[3] + m * m * p[1]
-        LLp = p[4] - 2 * m * p[2] + m * m * p[0]
-        prof = np.stack([1j * e2 * LLt + 1j * e1 * DLLp,
-                         -1j * e1 * LLt + 1j * e2 * DLLp,
-                         m * LLp])
-        out[:, i1, i2, :] = prof
-        j1, j2 = ops.layout.conj_index(i1, i2)
-        out[:, j1, j2, :] = np.conj(prof)
-    blk0 = ops.cache.block(0, 0)
-    for c in range(2):
-        out[c, 0, 0, :] = blk0.tor.E[4] @ u.mean[c]
-    return out
-
-
 def recover_pressure(u, forcing, ops, degree=None):
     """Least-squares pressure from the momentum residual r = f - Lap^2 u.
 
@@ -288,51 +264,45 @@ def recover_pressure(u, forcing, ops, degree=None):
     z, w = ops.cache.z, ops.cache.w
     Phi = _legendre_design(geo, z, degree)
     sw = np.sqrt(w)
-    R = forcing.F - bilaplacian_profiles(u, ops)
-    coeffs = np.zeros((res.N1, res.N2, degree + 1), complex)
+    R = forcing.F - synthesize(u, ops.cache, (res.N1, res.N2),
+                               ("bilap_u",))["bilap_u"]
+    idx, _ = ops.layout.grid_index(res.N1, res.N2)
+    R_reps = R[:, idx[0], idx[1], :]  # (3, rows, Q)
+    r0 = R[:, 0, 0, :]
+    coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
     defect_sq = 0.0
-    curl_sq = 0.0
     area = geo.area
+    k1, k2 = ops.layout.k.T
+    e1, e2 = ops.cache.wavenumber(k1[:, None], k2[:, None])  # (rows, 1)
 
-    fit0 = np.linalg.pinv(sw[:, None] * Phi[0])  # for curl: polynomial fit of r
+    # curl of r, z-derivatives from a polynomial fit of each component
+    fit0 = np.linalg.pinv(sw[:, None] * Phi[0])
+    dR = ((sw * R_reps) @ fit0.T) @ Phi[1].T
+    curl = np.stack([1j * e2 * R_reps[2] - dR[1],
+                     dR[0] - 1j * e1 * R_reps[2],
+                     1j * e1 * R_reps[1] - 1j * e2 * R_reps[0]])
+    curl_sq = 2.0 * area * float(np.sum(w * np.abs(curl) ** 2))
 
-    def mode_curl(e1, e2, rprof):
-        cr = [fit0 @ (sw * rprof[c]) for c in range(3)]
-        vals = [Phi[0] @ c for c in cr]
-        dvals = [Phi[1] @ c for c in cr]
-        curl = np.stack([1j * e2 * rprof[2] - dvals[1],
-                         dvals[0] - 1j * e1 * rprof[2],
-                         1j * e1 * rprof[1] - 1j * e2 * rprof[0]])
-        return float(np.sum(w * np.abs(curl) ** 2))
-
-    for (i1, i2, k1, k2) in ops.layout.reps:
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        rprof = R[:, i1, i2, :]
-        A = np.vstack([1j * e1 * (sw[:, None] * Phi[0]),
-                       1j * e2 * (sw[:, None] * Phi[0]),
+    for r, rprof in enumerate(R_reps.transpose(1, 0, 2)):
+        A = np.vstack([1j * e1[r] * (sw[:, None] * Phi[0]),
+                       1j * e2[r] * (sw[:, None] * Phi[0]),
                        sw[:, None] * Phi[1]])
         b = np.concatenate([sw * rprof[0], sw * rprof[1], sw * rprof[2]])
         c, *_ = np.linalg.lstsq(A, b, rcond=None)
-        coeffs[i1, i2] = c
-        j1, j2 = ops.layout.conj_index(i1, i2)
-        coeffs[j1, j2] = np.conj(c)
+        coeffs[r] = c
         defect_sq += 2.0 * area * float(np.linalg.norm(A @ c - b) ** 2)
-        curl_sq += 2.0 * area * mode_curl(e1, e2, rprof)
 
     # zero mode: only the normal component is a gradient; the tangential
     # residual components cannot be matched and count as defect
-    r0 = R[:, 0, 0, :]
     A0 = sw[:, None] * Phi[1]
     c0, *_ = np.linalg.lstsq(A0, sw * r0[2], rcond=None)
     defect_sq += area * float(np.linalg.norm(A0 @ c0 - sw * r0[2]) ** 2)
     defect_sq += area * float(np.sum(w * (np.abs(r0[0]) ** 2 + np.abs(r0[1]) ** 2)))
     # gauge: zero spatial mean
     zmean = float(np.real(np.sum(w * (Phi[0] @ c0)))) / geo.H
-    c0 = c0.astype(complex)
-    c0[0] -= zmean
-    coeffs[0, 0] = c0
 
-    rnorm_sq = area * float(np.sum(w * np.abs(R) ** 2, axis=(0, 3)).sum())
-    press = PressureField(degree, coeffs, np.real(Phi[0] @ c0))
+    rnorm_sq = area * (2.0 * float(np.sum(w * np.abs(R_reps) ** 2))
+                       + float(np.sum(w * np.abs(r0) ** 2)))
+    press = PressureField(degree, coeffs, np.real(Phi[0] @ c0) - zmean)
     return press, PressureReport(np.sqrt(defect_sq), np.sqrt(curl_sq),
                                  np.sqrt(rnorm_sq))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
+from nsab.field import layout_for
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
 
@@ -63,6 +64,13 @@ def params_with_k(gamma, k, alpha=0.2, beta=0.1):
 # ---------------------------------------------------------------------------
 # pointwise profile machinery (independent of the assembly routines)
 # ---------------------------------------------------------------------------
+
+def hermitian_modes(f):
+    """(k1, k2, psi, phi) of every stored mode and of its conjugate partner."""
+    for r, (k1, k2) in enumerate(layout_for(f.resolution).k):
+        yield k1, k2, f.psi[r], f.phi[r]
+        yield -k1, -k2, np.conj(f.psi[r]), np.conj(f.phi[r])
+
 
 def mode_velocity_profiles(cache, k1, k2, ct, cp, z, dmax=0):
     """u-hat derivative stacks (dmax+1, 3, len(z)) from potential coefficients."""

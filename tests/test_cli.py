@@ -87,6 +87,21 @@ def test_evolve_nan_injection_watchdog_exit(cfgfile, tmp_path):
     assert wd["reason"] == "nan"
 
 
+def test_watchdog_exit_4_prints_one_line(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SMALL + "debug.inject_nan_step = 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsab.cli", "evolve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        env=env, timeout=120)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "watchdog" in lines[0] and "nan" in lines[0] and "t = 0.04" in lines[0]
+
+
 def test_solve_and_convergence(cfgfile, tmp_path):
     out = tmp_path / "solve"
     assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 0

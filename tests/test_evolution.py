@@ -7,7 +7,7 @@ from nsab.evolution import (EvolutionState, IMEXStepper, PaddingError,
                             energy_report, linear_propagator_exact,
                             nonlinear_term, run_evolution, uniqueness_probe,
                             vanishing_sweep)
-from nsab.field import layout_for, mirror, random_field, zero_field
+from nsab.field import layout_for, random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
@@ -42,20 +42,18 @@ def test_nonlinear_single_mode_support(ops, geo, res_small):
     verified against a brute-force convolution of the tangential series."""
     lay = layout_for(res_small)
     u = zero_field(geo, res_small)
-    i1, i2, k1, k2 = next(r for r in lay.reps if (r[2], r[3]) == (1, 1))
-    u.psi[i1, i2, 0] = 0.7 + 0.4j
-    u.phi[i1, i2, 0] = 0.2 - 0.1j
-    j1, j2 = lay.conj_index(i1, i2)
-    u.psi[j1, j2] = np.conj(u.psi[i1, i2])
-    u.phi[j1, j2] = np.conj(u.phi[i1, i2])
+    k1, k2 = 1, 1
+    u.psi[lay.row[(k1, k2)], 0] = 0.7 + 0.4j
+    u.phi[lay.row[(k1, k2)], 0] = 0.2 - 0.1j
     N = nonlinear_term(u, ops)
     allowed = {(0, 0), (2 * k1, 2 * k2), (-2 * k1, -2 * k2)}
     top = max(np.abs(N.psi).max(), np.abs(N.phi).max(), np.abs(N.mean).max())
-    for (a1, a2, q1, q2) in lay.active:
+    # stored rows stand for their conjugate partners too
+    for a, (q1, q2) in enumerate(lay.k):
         if (q1, q2) in allowed:
             continue
-        assert np.abs(N.psi[a1, a2]).max() <= 1e-14 * top
-        assert np.abs(N.phi[a1, a2]).max() <= 1e-14 * top
+        assert np.abs(N.psi[a]).max() <= 1e-14 * top
+        assert np.abs(N.phi[a]).max() <= 1e-14 * top
     # brute-force tangential convolution of the quadratic interaction:
     # support of products of e^{i eta x} and conjugates
     active = {(k1, k2), (-k1, -k2)}
@@ -109,12 +107,12 @@ def test_propagator_constant_forcing(ops, geo, res_small):
     ref = zero_field(geo, res_small)
     for slot, blk, c in ops.field_blocks(g):
         fb = fac.block(blk)
-        cc = fb.inv_sqrt_lambda @ c
-        d = fb.d_eigvecs.T @ cc
         mu = fb.d_eigvals
         phi = np.where(np.abs(mu) > 1e-12, (1 - np.exp(-mu * t)) / np.where(mu == 0, 1, mu), t)
-        ref.coeffs(slot)[:] = fb.inv_sqrt_lambda @ (fb.d_eigvecs @ (phi * d))
-    mirror(ref)
+        for row, cr in zip(ref.coeffs(slot), c):
+            cc = fb.inv_sqrt_lambda @ cr
+            d = fb.d_eigvecs.T @ cc
+            row[:] = fb.inv_sqrt_lambda @ (fb.d_eigvecs @ (phi * d))
     # graded composite Gauss quadrature: stiff-block kernels resolved to ~1e-8
     assert (u - ref).norm_l2() <= 1e-8 * max(ref.norm_l2(), 1e-30)
 
@@ -235,3 +233,16 @@ def test_vanishing_sweep_uniform_bounds(geo):
     # uniform in the sweep index: no growth as the lengths halve
     assert max(l2s) <= l2s[0] * (1 + 1e-6)
     assert max(h1s) <= 10 * h1s[0]
+
+
+@pytest.mark.parametrize("dt, T", [(0.03, 0.1), (0.2, 0.1)])
+def test_library_rejects_horizon_not_a_whole_number_of_steps(ops, geo, res_small,
+                                                             par, dt, T):
+    """T = 0.1 with dt = 0.03 would stop at 0.09, dt = 0.2 would take no step."""
+    u0 = random_field(geo, res_small, seed=2, amplitude=0.1)
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        run_evolution(ops, u0, dt, T)
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        uniqueness_probe(ops, u0, u0, 1e-6, T, dt)
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        vanishing_sweep(par, geo, res_small, u0, 1, T, dt)

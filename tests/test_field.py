@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache
-from nsab.field import (enforce_constraints, grid_quadrature, layout_for,
-                        potentials_to_velocity, random_field, reconstruct,
-                        velocity_to_potentials, zero_field)
+from nsab.field import (grid_quadrature, layout_for, potentials_to_velocity,
+                        project_velocity, random_field, reconstruct, zero_field)
 from nsab.operators import OperatorSet
-from nsab.params import derive_params
+from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
 
-from conftest import mode_velocity_profiles
+from conftest import hermitian_modes, mode_velocity_profiles
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
@@ -22,10 +21,8 @@ def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
 def test_single_toroidal_mode_is_horizontal(geo, res_small, cache_small):
     f = zero_field(geo, res_small)
     lay = layout_for(res_small)
-    i1, i2, k1, k2 = lay.reps[2]
-    f.psi[i1, i2, 0] = 1.0 + 0.3j
-    j1, j2 = lay.conj_index(i1, i2)
-    f.psi[j1, j2, 0] = np.conj(f.psi[i1, i2, 0])
+    k1, k2 = lay.reps[2]
+    f.psi[lay.row[(k1, k2)], 0] = 1.0 + 0.3j
     U = potentials_to_velocity(f, cache_small)
     assert np.abs(U[2]).max() < 1e-14 * np.abs(U).max()   # u3 == 0
     # horizontal divergence i eta . u_h == 0 pointwise: check spectrally
@@ -40,12 +37,11 @@ def test_reconstruction_is_real(geo, res_small, cache_small):
     # rebuild the complex spectral array independently and inverse-transform
     # without casting: the imaginary part must sit at roundoff
     f = random_field(geo, res_small, seed=11)
-    lay = layout_for(res_small)
     M1, M2 = res_small.padded_shape
     spec = np.zeros((3, M1, M2, res_small.Q), complex)
-    for (i1, i2, k1, k2) in lay.active:
+    for k1, k2, ct, cp in hermitian_modes(f):
         spec[:, k1 % M1, k2 % M2, :] = mode_velocity_profiles(
-            cache_small, k1, k2, f.psi[i1, i2], f.phi[i1, i2], cache_small.z)[0]
+            cache_small, k1, k2, ct, cp, cache_small.z)[0]
     blk0 = cache_small.block(0, 0)
     spec[0, 0, 0, :] = blk0.tor.E[0] @ f.mean[0]
     spec[1, 0, 0, :] = blk0.tor.E[0] @ f.mean[1]
@@ -64,10 +60,11 @@ def test_spectral_divergence_near_roundoff(geo_odd, res_small):
     lay = layout_for(res_small)
     scale = 0.0
     worst = 0.0
-    for (i1, i2, k1, k2) in lay.reps[:6]:
+    for (k1, k2) in lay.reps[:6]:
         e1, e2 = cache.wavenumber(k1, k2)
-        prof = mode_velocity_profiles(cache, k1, k2, f.psi[i1, i2],
-                                      f.phi[i1, i2], cache.z, dmax=1)
+        r = lay.row[(k1, k2)]
+        prof = mode_velocity_profiles(cache, k1, k2, f.psi[r],
+                                      f.phi[r], cache.z, dmax=1)
         div = prof[1][2] + 1j * e1 * prof[0][0] + 1j * e2 * prof[0][1]
         worst = max(worst, np.abs(div).max())
         scale = max(scale, np.abs(prof[0]).max())
@@ -77,7 +74,6 @@ def test_spectral_divergence_near_roundoff(geo_odd, res_small):
 def test_finite_difference_divergence_oracle(geo, res_small, cache_small):
     """Divergence via high-order FD on grids the solver never uses."""
     f = random_field(geo, res_small, seed=7, amplitude=1.0)
-    lay = layout_for(res_small)
     # fine tangential grid (128^2) and interior z line with 9-point stencils
     Mf = 128
     h = 5e-3 * geo.H
@@ -87,9 +83,8 @@ def test_finite_difference_divergence_oracle(geo, res_small, cache_small):
                    4 / 5, -1 / 5, 4 / 105, -1 / 280]) / h
     zpts = (z0[:, None] + offsets[None, :]).ravel()
     spec = np.zeros((3, Mf, Mf, zpts.size), complex)
-    for (i1, i2, k1, k2) in lay.active:
-        prof = mode_velocity_profiles(cache_small, k1, k2, f.psi[i1, i2],
-                                      f.phi[i1, i2], zpts)[0]
+    for k1, k2, ct, cp in hermitian_modes(f):
+        prof = mode_velocity_profiles(cache_small, k1, k2, ct, cp, zpts)[0]
         spec[:, k1 % Mf, k2 % Mf, :] = prof
     blk0 = cache_small.block(0, 0)
     Em = blk0.tor.evaluate(zpts, geo.H, res_small.P, "dirichlet", dmax=0)
@@ -116,7 +111,7 @@ def test_round_trip_projection(geo_odd, res_small):
     cache = BasisCache(geo_odd, res_small)
     f = random_field(geo_odd, res_small, seed=5, amplitude=3.0)
     U = potentials_to_velocity(f, cache)
-    f2 = velocity_to_potentials(U, geo_odd, res_small, cache)
+    f2 = project_velocity(U, geo_odd, res_small, cache)
     assert (f2 - f).norm_l2() <= 1e-12 * f.norm_l2()
     # the same projection read from profiles on the N1 x N2 storage grid
     ops = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.05), geo_odd, res_small,
@@ -130,9 +125,9 @@ def test_essential_wall_values(geo, res_small, cache_small):
     lay = layout_for(res_small)
     interior = np.abs(potentials_to_velocity(f, cache_small)).max()
     worst = 0.0
-    for (i1, i2, k1, k2) in lay.reps:
-        prof = mode_velocity_profiles(cache_small, k1, k2, f.psi[i1, i2],
-                                      f.phi[i1, i2], np.array([0.0, geo.H]))[0]
+    for r, (k1, k2) in enumerate(lay.k):
+        prof = mode_velocity_profiles(cache_small, k1, k2, f.psi[r],
+                                      f.phi[r], np.array([0.0, geo.H]))[0]
         worst = max(worst, np.abs(prof).max())
     blk0 = cache_small.block(0, 0)
     Em = blk0.tor.evaluate(np.array([0.0, geo.H]), geo.H, res_small.P,
@@ -153,10 +148,32 @@ def test_parseval_between_grid_and_coefficients(geo_odd, res_small):
 def test_random_field_amplitude_and_hermit(geo, res_small):
     f = random_field(geo, res_small, seed=1, amplitude=2.5)
     assert f.norm_l2() == pytest.approx(2.5, rel=1e-12)
-    lay = layout_for(res_small)
-    i1, i2, _, _ = lay.reps[0]
-    j1, j2 = lay.conj_index(i1, i2)
-    assert np.allclose(f.psi[j1, j2], np.conj(f.psi[i1, i2]))
+
+
+def test_random_field_draws_in_rep_order(geo):
+    """A seed gives the same field in any row order: the representatives
+    draw in fft traversal order, then the mean.  At 8 x 8 the row order
+    (by block group) differs from that order."""
+    seed, decay = 3, 0.5
+    res = Resolution(N1=8, N2=8, P=8)
+    f = random_field(geo, res, seed=seed, amplitude=1.0, decay=decay)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_t, n_p = res.n_toroidal, res.n_poloidal
+    lay = layout_for(res)
+    assert [tuple(k) for k in lay.k] != lay.reps
+    psi, phi = [], []
+    for (k1, k2) in lay.reps:
+        kmag = np.hypot(k1, k2)
+        psi.append(np.exp(-decay * (kmag + np.arange(n_t)))
+                   * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)))
+        phi.append(np.exp(-decay * (kmag + np.arange(n_p)))
+                   * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)))
+    mean = np.exp(-decay * np.arange(n_t)) * rng.standard_normal((2, n_t))
+    scale = f.mean[0, 0] / mean[0, 0]
+    rows = [lay.row[k] for k in lay.reps]
+    assert np.allclose(f.psi[rows], scale * np.array(psi), rtol=1e-14, atol=0)
+    assert np.allclose(f.phi[rows], scale * np.array(phi), rtol=1e-14, atol=0)
+    assert np.allclose(f.mean, scale * mean, rtol=1e-14, atol=0)
 
 
 def test_mismatched_cache_rejected(geo, geo_odd, res_small):
@@ -166,16 +183,3 @@ def test_mismatched_cache_rejected(geo, geo_odd, res_small):
     with pytest.raises(ValueError, match="do not match"):
         potentials_to_velocity(f, wrong)
 
-
-def test_enforce_constraints_pins_and_symmetrizes(geo, res_small):
-    f = random_field(geo, res_small, seed=2)
-    lay = layout_for(res_small)
-    f.psi[lay.nyq1, 0, :] = 1.0        # pollute a Nyquist slot
-    f.psi[0, 0, :] = 2.0               # and the zero-mode potential
-    i1, i2, _, _ = lay.reps[0]
-    f.psi[i1, i2] += 0.5               # break Hermitian symmetry
-    enforce_constraints(f)
-    assert np.all(f.psi[lay.nyq1, 0] == 0.0)
-    assert np.all(f.psi[0, 0] == 0.0)
-    j1, j2 = lay.conj_index(i1, i2)
-    assert np.allclose(f.psi[j1, j2], np.conj(f.psi[i1, i2]))

@@ -117,21 +117,17 @@ def test_cross_mode_forms_vanish(geo_odd, res_small, cache_odd):
     f = zero_field(geo_odd, res_small)
     g = zero_field(geo_odd, res_small)
     lay = layout_for(res_small)
-    (i1, i2, k1, k2), (j1, j2, q1, q2) = lay.reps[0], lay.reps[3]
-    f.psi[i1, i2, 0] = 1.0
-    f.phi[i1, i2, 0] = 0.5
-    g.psi[j1, j2, 1] = 1.0
-    c1, c2 = lay.conj_index(i1, i2)
-    f.psi[c1, c2] = np.conj(f.psi[i1, i2])
-    f.phi[c1, c2] = np.conj(f.phi[i1, i2])
-    c1, c2 = lay.conj_index(j1, j2)
-    g.psi[c1, c2] = np.conj(g.psi[j1, j2])
+    (k1, k2), (q1, q2) = lay.reps[0], lay.reps[3]
+    rf, rg = lay.row[(k1, k2)], lay.row[(q1, q2)]
+    f.psi[rf, 0] = 1.0
+    f.phi[rf, 0] = 0.5
+    g.psi[rg, 1] = 1.0
     # volume integrand G(f) : grad(omega(g)) on the padded physical grid:
     # the tangential factor int e^{i(eta_f - eta_g).x} is evaluated as an
     # actual grid sum (exact for distinct stored modes)
     z = cache_odd.z
-    _, Gf = mode_vorticity_gradient(cache_odd, k1, k2, f.psi[i1, i2], f.phi[i1, i2], z)
-    _, Gg = mode_vorticity_gradient(cache_odd, q1, q2, g.psi[j1, j2],
+    _, Gf = mode_vorticity_gradient(cache_odd, k1, k2, f.psi[rf], f.phi[rf], z)
+    _, Gg = mode_vorticity_gradient(cache_odd, q1, q2, g.psi[rg],
                                     np.zeros(res_small.n_poloidal, complex), z)
     M1, M2 = res_small.padded_shape
     x = np.arange(M1) * geo_odd.L1 / M1
@@ -263,26 +259,25 @@ def test_mode_operator_invariants(setup):
             assert np.linalg.eigvalsh(blk.M)[0] > 0.99
             assert np.linalg.eigvalsh(blk.M_lambda)[0] > 0.99
             assert np.linalg.eigvalsh(blk.K_grad)[0] > 0.0
-    full = ops.mode_ops(1, 1).K_a
-    assert np.abs(full - full.T).max() <= 1e-12 * np.abs(full).max()
+    for blk in ops.mode_ops(1, 1).blocks.values():
+        K = blk.K_a
+        assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
 
 def test_sobolev_norms(setup, geo_odd, res_small):
     ops = setup
     z = zero_field(geo_odd, res_small)
-    nz = ops.sobolev_norms(z)
+    assert all(ops.form_energy(form, z) == 0.0 for form in ("M", "K_grad", "K_bilap"))
+    nz = ops.a_scale_norms(z)
     assert all(v == 0.0 for k, v in nz.items() if k != "shift")
     # single eigenvector: ||(A+shift)^{1/2} u|| = sqrt(lam + shift)
     blk = ops.mode_ops(1, 1).blocks["toroidal"]
     lam, V = ops.block_eig(blk)
     f = zero_field(geo_odd, res_small)
     lay = layout_for(res_small)
-    rep = next(r for r in lay.reps if (abs(r[2]), abs(r[3])) == (1, 1))
-    f.psi[rep[0], rep[1]] = V[:, -1] / np.sqrt(2.0)  # unit L2 norm overall
-    j1, j2 = lay.conj_index(rep[0], rep[1])
-    f.psi[j1, j2] = np.conj(f.psi[rep[0], rep[1]])
-    sn = ops.sobolev_norms(f)
-    assert sn["L2"] == pytest.approx(1.0, rel=1e-12)
+    f.psi[lay.groups[(1, 1)].start] = V[:, -1] / np.sqrt(2.0)  # unit L2 norm overall
+    sn = ops.a_scale_norms(f)
+    assert np.sqrt(ops.form_energy("M", f)) == pytest.approx(1.0, rel=1e-12)
     assert sn["A_half"] == pytest.approx(np.sqrt(lam[-1] + sn["shift"]), rel=1e-10)
     # Parseval: total L2 from the physical grid equals the form energy
     u = random_field(geo_odd, res_small, seed=21, amplitude=1.7)
@@ -298,6 +293,6 @@ def test_mean_block_wall_coupling_can_lose_coercivity(geo):
     res = Resolution(N1=4, N2=4, P=12)
     for k, positive in ((0.0, True), (5.0, False)):
         ops = OperatorSet(params_with_k(0.0, k), geo, res)
-        blk = ops.mean_ops.blocks["mean1"]
+        blk = ops.mean_ops.blocks["mean"]
         lam = np.linalg.eigvalsh(blk.K_a)
         assert (lam[0] > 0) == positive

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from nsab.params import (ChannelGeometry, ParameterError, Resolution,
-                         derive_params, min_quadrature_nodes)
+                         derive_params, min_quadrature_nodes, step_count)
 
 
 def test_derived_wall_coefficient():
@@ -58,3 +58,16 @@ def test_resolution_basic_constraints():
     r = Resolution(N1=8, N2=6, P=16)
     assert r.padded_shape == (16, 12)
     assert r.n_toroidal == 15 and r.n_poloidal == 13
+
+
+@pytest.mark.parametrize("T, dt, n", [(0.2, 0.02, 10), (0.5, 0.02, 25),
+                                      (1.0, 0.005, 200), (1.0, 0.0125, 80)])
+def test_step_count_of_horizons_in_use(T, dt, n):
+    assert step_count(T, dt) == n
+
+
+@pytest.mark.parametrize("T, dt", [(0.1, 0.03), (0.1, 0.2), (0.1, 0.0),
+                                   (0.1, -0.01), (math.nan, 0.01)])
+def test_step_count_rejects_partial_or_empty_horizons(T, dt):
+    with pytest.raises(ValueError, match="not a whole multiple"):
+        step_count(T, dt)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from nsab.field import random_field
+from nsab.field import layout_for, random_field
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.snapshots import (HEADER_LEN, MAGIC, SnapshotError, read_snapshot,
                             write_snapshot)
@@ -53,3 +53,49 @@ def test_rejects_corrupt_files(tmp_path, geo, res_small):
     (tmp_path / "trunc.snap").write_bytes(data[:-16])
     with pytest.raises(SnapshotError, match="payload"):
         read_snapshot(tmp_path / "trunc.snap")
+
+
+def _payload(path):
+    raw = path.read_bytes()
+    _, meta_len = struct.unpack("<IQ", raw[8:20])
+    start = HEADER_LEN + meta_len
+    return raw[:start], np.frombuffer(raw[start:], dtype="<f8").copy()
+
+
+def _full_spectrum(rows, res):
+    """(N1, N2, n) fft-order array holding each stored mode and its partner."""
+    lay = layout_for(res)
+    full = np.zeros((res.N1, res.N2, rows.shape[1]), complex)
+    for k1, k2 in lay.reps:
+        full[k1 % res.N1, k2 % res.N2] = rows[lay.row[(k1, k2)]]
+        full[-k1 % res.N1, -k2 % res.N2] = np.conj(rows[lay.row[(k1, k2)]])
+    return full
+
+
+def test_payload_is_full_hermitian_spectrum(tmp_path, geo, res_small):
+    f = random_field(geo, res_small, seed=4)
+    p = tmp_path / "f.snap"
+    write_snapshot(p, f)
+    _, payload = _payload(p)
+    expect = np.concatenate([_full_spectrum(f.psi, res_small).view(np.float64).ravel(),
+                             _full_spectrum(f.phi, res_small).view(np.float64).ravel(),
+                             f.mean.ravel()])
+    assert np.array_equal(payload, expect)
+
+
+@pytest.mark.parametrize("where", ["partner", "nyquist", "zero-mode"])
+def test_rejects_non_hermitian_payload(tmp_path, geo, res_small, where):
+    f = random_field(geo, res_small, seed=4)
+    good = tmp_path / "good.snap"
+    write_snapshot(good, f)
+    head, payload = _payload(good)
+    N1, N2, n_t = res_small.N1, res_small.N2, res_small.n_toroidal
+    k1, k2 = layout_for(res_small).reps[0]
+    i1, i2 = {"partner": (-k1 % N1, -k2 % N2), "nyquist": (N1 // 2, 1),
+              "zero-mode": (0, 0)}[where]
+    psi = payload[:2 * N1 * N2 * n_t].reshape(N1, N2, n_t, 2)
+    psi[i1, i2, 0, 0] += 0.5          # real part of one psi entry
+    bad = tmp_path / "bad.snap"
+    bad.write_bytes(head + payload.astype("<f8").tobytes())
+    with pytest.raises(SnapshotError, match="Hermitian|Nyquist"):
+        read_snapshot(bad)

@@ -8,7 +8,7 @@ from nsab.field import grid_quadrature, potentials_to_velocity
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import (SpectralFactors, eigenpair_field, eigenpairs_A,
-                           garding_constants, lambda_sqrt_and_D)
+                           garding_constants)
 
 from conftest import params_with_k
 
@@ -116,11 +116,11 @@ def test_lambda1_exceeds_negative_shift(geo, res_small):
 def test_factor_identities(geo, res_small):
     par = derive_params(0.2, 0.1, 0.5, 0.05)
     o = OperatorSet(par, geo, res_small)
-    fac = lambda_sqrt_and_D(o)
+    fac = SpectralFactors(o)
     rng = np.random.default_rng(3)
     for blk in (o.mode_ops(1, 1).blocks["poloidal"],
                 o.mode_ops(2, 0).blocks["toroidal"],
-                o.mean_ops.blocks["mean1"]):
+                o.mean_ops.blocks["mean"]):
         fb = fac.block(blk)
         assert np.abs(fb.D - fb.D.T).max() <= 1e-12 * np.abs(fb.D).max()
         sq_err = np.linalg.norm(fb.sqrt_lambda @ fb.sqrt_lambda - blk.M_lambda)
@@ -148,7 +148,7 @@ def test_alpha_zero_degenerates_to_identity_filter(geo, res_small):
 
 def test_d_spectrum_bounded_below(geo, res_small):
     o = OperatorSet(params_with_k(1.0, 5.0), geo, res_small)
-    fac = lambda_sqrt_and_D(o)
+    fac = SpectralFactors(o)
     dmin = fac.min_d_eigenvalue()
     shift = o.spectral_shift()
     # mu_min >= 1 for the filter form, so min spec(D) >= -beta^2 * shift
