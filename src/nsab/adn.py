@@ -97,12 +97,6 @@ class DNSystem:
             return TriPoly.zero()
         return self.L[i][j].homogeneous_part(d)
 
-    def boundary_principal_entry(self, i, j):
-        d = self.r[i] + self.t[j]
-        if d < 0:
-            return TriPoly.zero()
-        return self.B[i][j].homogeneous_part(d)
-
 
 def ns_alpha_beta_system(gamma=0):
     """The coupled fourth-order system and its five wall conditions.

@@ -264,10 +264,8 @@ def _exp_probe(cfg, out):
     pert = random_field(cfg.geometry, cfg.resolution, seed=cfg["probe.seed"],
                         amplitude=1.0, decay=cfg["u0.decay"])
     d1, d2 = cfg["probe.delta1"], cfg["probe.delta2"]
-    p1 = uniqueness_probe(ops, u0, pert, d1, cfg["time.T"], cfg["time.dt"],
-                          scheme=cfg["scheme.name"])
-    p2 = uniqueness_probe(ops, u0, pert, d2, cfg["time.T"], cfg["time.dt"],
-                          scheme=cfg["scheme.name"])
+    p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
+                              cfg["time.dt"], scheme=cfg["scheme.name"])
     write_csv(out / "probe.csv",
               ["t", "growth_delta1", "growth_delta2", "h3_integral"],
               list(zip(p1.times, p1.growth, p2.growth, p1.h3_integral)))

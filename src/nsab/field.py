@@ -24,16 +24,17 @@ One synthesis/analysis pair maps between coefficients and Fourier-side
 profiles at the quadrature nodes on any A x B tangential mode grid, mode
 (k1, k2) sitting at (k1 % A, k2 % B):
 
-* :func:`synthesize` evaluates velocity (and, on request, its gradient, the
-  filtered velocity v = (1 - alpha^2 Lap) u, grad v and Lap^2 u), and is the
-  only code that writes the conjugate partners of a field's profiles;
-  :func:`reconstruct` transforms them to the padded physical grid;
+* :func:`synthesize` evaluates velocity (and, on request, the curl of the
+  filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u), and is the only
+  code that writes the conjugate partners of a field's profiles;
+  :func:`reconstruct` transforms the k2 >= 0 half of them to the padded
+  physical grid with a real inverse FFT;
 * :func:`analyze` is its L2 adjoint, the Galerkin projection onto the
   solenoidal test basis, which realizes the Leray projection when fed an
   arbitrary vector field.  It reads the representative modes only.
   :func:`project_velocity` applies it to gridded samples, the nonlinear
-  term to the convective product and the forcing dual to profiles on the
-  N1 x N2 storage grid.
+  term to the rotational product (curl v) x u and the forcing dual to
+  profiles on the N1 x N2 storage grid.
 """
 
 from __future__ import annotations
@@ -183,43 +184,37 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 # synthesis: coefficients -> Fourier-side profiles -> padded physical grid
 # ---------------------------------------------------------------------------
 
-#: quantities synthesize can evaluate, in order of the derivatives they need
-QUANTITIES = ("u", "grad_u", "v", "grad_v", "bilap_u")
+#: quantities synthesize can evaluate, each with the highest phi derivative
+#: it needs (psi derivatives go one order lower)
+QUANTITIES = {"u": 1, "curl_v": 4, "bilap_u": 5}
 
 
 def _mode_profiles(blk, eta1, eta2, tvals, pvals, want, alpha):
     """Per-mode component profiles at quadrature nodes.
 
     tvals/pvals: lists of (Q, g) arrays of potential derivative values.
-    Returns dict like {"u": (3, Q, g), "grad_u": (3, 3, Q, g), ...}.
+    Returns dict like {"u": (3, Q, g), ...}.
     """
     m = blk.m
-    ie1 = 1j * eta1
-    ie2 = 1j * eta2
+    ie1, ie2 = 1j * eta1, 1j * eta2
     out = {}
 
     def vel(td, pd1, pd0):
         # velocity-like triple from psi-derivs (order d) and phi-derivs (d+1, d)
         return np.stack([ie2 * td + ie1 * pd1, -ie1 * td + ie2 * pd1, m * pd0])
 
-    u = vel(tvals[0], pvals[1], pvals[0])
     if "u" in want:
-        out["u"] = u
-    if "grad_u" in want:
-        du = vel(tvals[1], pvals[2], pvals[1])
-        out["grad_u"] = np.stack([ie1 * u, ie2 * u, du], axis=1)
-    if "v" in want or "grad_v" in want:
-        lap = vel(tvals[2] - m * tvals[0], pvals[3] - m * pvals[1],
-                  pvals[2] - m * pvals[0])
-        v = u - alpha**2 * lap
-        if "v" in want:
-            out["v"] = v
-        if "grad_v" in want:
-            du = vel(tvals[1], pvals[2], pvals[1])
-            dlap = vel(tvals[3] - m * tvals[1], pvals[4] - m * pvals[2],
-                       pvals[3] - m * pvals[1])
-            dv = du - alpha**2 * dlap
-            out["grad_v"] = np.stack([ie1 * v, ie2 * v, dv], axis=1)
+        out["u"] = vel(tvals[0], pvals[1], pvals[0])
+    if "curl_v" in want:
+        # curl u = vel(-Lap phi, D psi, psi), and curl commutes with the
+        # filter: curl v = vel(T, D P, P) with T = -(1 - a^2 Lap) Lap phi,
+        # P = (1 - a^2 Lap) psi and Lap = D^2 - m
+        a2 = alpha**2
+        T = (a2 * (pvals[4] - 2 * m * pvals[2] + m * m * pvals[0])
+             - (pvals[2] - m * pvals[0]))
+        P0 = tvals[0] - a2 * (tvals[2] - m * tvals[0])
+        P1 = tvals[1] - a2 * (tvals[3] - m * tvals[1])
+        out["curl_v"] = vel(T, P1, P0)
     if "bilap_u" in want:
         out["bilap_u"] = vel(tvals[4] - 2 * m * tvals[2] + m * m * tvals[0],
                              pvals[5] - 2 * m * pvals[3] + m * m * pvals[1],
@@ -234,16 +229,10 @@ def _mean_profiles(blk, mean, want, alpha, nd):
     out = {}
     if "u" in want:
         out["u"] = U[0]
-    if "grad_u" in want:
-        z = np.zeros_like(U[0])
-        out["grad_u"] = np.stack([z, z, U[1]], axis=1)
-    if "v" in want or "grad_v" in want:
-        v = U[0] - alpha**2 * U[2]
-        if "v" in want:
-            out["v"] = v
-        if "grad_v" in want:
-            z = np.zeros_like(U[0])
-            out["grad_v"] = np.stack([z, z, U[1] - alpha**2 * U[3]], axis=1)
+    if "curl_v" in want:
+        # curl (V1, V2, 0)(z) = (-V2', V1', 0) with V = U - alpha^2 U''
+        dV = U[1] - alpha**2 * U[3]
+        out["curl_v"] = np.stack([-dV[1], dV[0], np.zeros_like(dV[0])])
     if "bilap_u" in want:
         out["bilap_u"] = U[4]
     return out
@@ -254,22 +243,18 @@ def synthesize(f, cache, shape, want=("u",), alpha=None):
 
     Mode (k1, k2) lands at (k1 % A, k2 % B) and its conjugate partner at
     (-k1 % A, -k2 % B).  Names are those of :data:`QUANTITIES`: velocity,
-    its gradient, the filtered velocity v and grad v (these two need
-    alpha) and Lap^2 u.  Returns dict mapping names to complex arrays of
-    shape (3, A, B, Q) for vectors and (3, 3, A, B, Q) for gradients.
+    the curl of the filtered velocity v = (1 - alpha^2 Lap) u (this one
+    needs alpha) and Lap^2 u.  Returns dict mapping names to complex
+    arrays of shape (3, A, B, Q).
     """
     res = f.resolution
     lay = layout_for(res)
-    if alpha is None and any(n in ("v", "grad_v") for n in want):
+    if alpha is None and "curl_v" in want:
         raise ValueError("filtered quantities need the filter length alpha")
     A, B = shape
-    Q = res.Q
-    spec = {}
-    for name in want:
-        dims = (3, 3, A, B, Q) if name.startswith("grad") else (3, A, B, Q)
-        spec[name] = np.zeros(dims, complex)
+    spec = {name: np.zeros((3, A, B, res.Q), complex) for name in want}
     # psi derivatives up to order nd - 1 and phi derivatives up to nd
-    nd = 1 + max(QUANTITIES.index(name) for name in want)
+    nd = max(QUANTITIES[name] for name in want)
     idx, partner = lay.grid_index(A, B)
 
     for key, rows in lay.groups.items():
@@ -281,37 +266,35 @@ def synthesize(f, cache, shape, want=("u",), alpha=None):
         I1, I2 = idx[0][rows], idx[1][rows]
         J1, J2 = partner[0][rows], partner[1][rows]
         for name, arr in profs.items():
-            arr = np.swapaxes(arr, -1, -2)  # (..., g, Q)
-            spec[name][..., I1, I2, :] = arr
-            spec[name][..., J1, J2, :] = np.conj(arr)
+            arr = np.swapaxes(arr, -1, -2)  # (3, g, Q)
+            spec[name][:, I1, I2, :] = arr
+            spec[name][:, J1, J2, :] = np.conj(arr)
 
     profs0 = _mean_profiles(cache.block(0, 0), f.mean, want, alpha, nd)
     for name, arr in profs0.items():
-        spec[name][..., 0, 0, :] = arr
+        spec[name][:, 0, 0, :] = arr
     return spec
 
 
 def reconstruct(f, cache, want=("u",), alpha=None):
     """Evaluate requested physical-space quantities on the padded grid.
 
-    Returns dict mapping names to real arrays of shape (3, M1, M2, Q) for
-    vectors and (3, 3, M1, M2, Q) for gradients ((grad u)_{ij} = d_j u_i).
+    Returns dict mapping names to real arrays of shape (3, M1, M2, Q).
+    The spectrum is Hermitian, so its k2 >= 0 half is inverse-transformed
+    with irfft2.
     """
     M1, M2 = f.resolution.padded_shape
     spec = synthesize(f, cache, (M1, M2), want, alpha)
-    out = {}
-    scale = M1 * M2
-    for name, arr in spec.items():
-        out[name] = np.real(np.fft.ifft2(arr, axes=(-3, -2)) * scale)
-    return out
+    return {name: np.fft.irfft2(arr[:, :, :M2 // 2 + 1], s=(M1, M2),
+                                axes=(-3, -2)) * (M1 * M2)
+            for name, arr in spec.items()}
 
 
 def potentials_to_velocity(f, cache=None):
     """Physical velocity samples on the padded tangential grid x z-nodes."""
     if cache is None:
         cache = BasisCache(f.geometry, f.resolution)
-    if (cache.geometry is not f.geometry and cache.geometry != f.geometry) or \
-            (cache.resolution is not f.resolution and cache.resolution != f.resolution):
+    if cache.geometry != f.geometry or cache.resolution != f.resolution:
         raise ValueError("basis cache resolution/geometry do not match the field")
     return reconstruct(f, cache, want=("u",))["u"]
 

@@ -59,7 +59,8 @@ class ManufacturedCase:
     """One manufactured (u*, p*) pair concentrated on a single mode.
 
     (k1, k2) must be a representative mode of the field layout (k1 > 0, or
-    k1 = 0 < k2); its conjugate partner carries the conjugate data.
+    k1 = 0 < k2); its conjugate partner carries the conjugate data.  Any
+    other mode raises ValueError when the case is used.
     """
 
     k1: int
@@ -70,6 +71,20 @@ class ManufacturedCase:
     tor_profile: TrigProfile
     pol_profile: TrigProfile
     p_profile: TrigProfile
+
+    def row(self, ops):
+        """Row of the case's mode in the field layout of ops."""
+        k1, k2 = self.k1, self.k2
+        rows = ops.layout.row
+        if (k1, k2) in rows:
+            return rows[(k1, k2)]
+        if (-k1, -k2) in rows:
+            raise ValueError(f"manufactured mode ({k1}, {k2}) is not a "
+                             f"representative mode; use ({-k1}, {-k2}) with "
+                             f"conjugated amplitudes")
+        res = ops.resolution
+        raise ValueError(f"manufactured mode ({k1}, {k2}) is not stored at "
+                         f"N1 = {res.N1}, N2 = {res.N2}")
 
     def mode_potentials(self, z, dmax):
         """psi*, phi* derivative stacks (dmax+1, len(z)) at the mode."""
@@ -84,7 +99,7 @@ class ManufacturedCase:
 
     def forcing(self, ops):
         """f = Lap^2 u* + grad p* as per-mode profiles."""
-        res = ops.resolution
+        self.row(ops)  # the mode must be stored at this resolution
         z = ops.cache.z
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
@@ -97,12 +112,13 @@ class ManufacturedCase:
         prof = np.stack([1j * e2 * LLt + 1j * e1 * DLLp + 1j * e1 * q0,
                          -1j * e1 * LLt + 1j * e2 * DLLp + 1j * e2 * q0,
                          m * LLp + q1])
-        out = ModalForcing(ops.geometry, res)
+        out = ModalForcing(ops.geometry, ops.resolution)
         out.set_mode(self.k1, self.k2, prof)
         return out
 
     def wall_defect_dual(self, ops, params):
         """Wall functional absorbing the traction mismatch of u*."""
+        self.row(ops)  # the mode must be stored at this resolution
         H = ops.geometry.H
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
@@ -145,7 +161,7 @@ class ManufacturedCase:
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
         blk = ops.cache.block(self.k1, self.k2)
-        row = ops.layout.row[(self.k1, self.k2)]
+        row = self.row(ops)
         Et = blk.tor.evaluate(z2, geo.H, res.P, "dirichlet", dmax=3)
         Ep = blk.pol.evaluate(z2, geo.H, res.P, "clamped", dmax=3)
         th = np.stack([Et[d] @ u.psi[row] for d in range(4)])

@@ -192,9 +192,6 @@ class TriPoly:
     def homogeneous_part(self, d):
         return TriPoly({m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def is_real(self):
-        return all(c.im == 0 for c in self.terms.values())
-
     def __eq__(self, other):
         other = self._coerce(other)
         return self.terms == other.terms

@@ -257,6 +257,11 @@ def recover_pressure(u, forcing, ops, degree=None):
     (i eta1 p - r1, i eta2 p - r2, p' - r3); the misfit is the gradient
     defect of r and an explicit curl norm of r is also formed.  The
     pressure is gauged to zero spatial mean.
+
+    r is a difference of two large, nearly equal profiles, so the
+    diagnostics derived from it (``gradient_defect``, ``curl_residual`` and
+    a manufactured case's ``pressure_L2``) carry only about four
+    significant digits.
     """
     res = u.resolution
     geo = u.geometry

@@ -333,8 +333,7 @@ def test_criterion_13_uniqueness_probe():
     ops = OperatorSet(par, GEO, res)
     u0 = random_field(GEO, res, seed=2, amplitude=0.3, decay=1.0)
     pert = random_field(GEO, res, seed=77, amplitude=1.0, decay=1.0)
-    p8 = uniqueness_probe(ops, u0, pert, 1e-8, 2.0, 0.01)
-    p6 = uniqueness_probe(ops, u0, pert, 1e-6, 2.0, 0.01)
+    p8, p6 = uniqueness_probe(ops, u0, pert, (1e-8, 1e-6), 2.0, 0.01)
     rel = abs(p8.growth[-1] - p6.growth[-1]) / abs(p8.growth[-1])
     mask = p8.times > 0
     rate = np.max(np.log(np.maximum(p8.growth[mask], 1e-300))

@@ -7,12 +7,12 @@ from nsab.evolution import (EvolutionState, IMEXStepper, PaddingError,
                             energy_report, linear_propagator_exact,
                             nonlinear_term, run_evolution, uniqueness_probe,
                             vanishing_sweep)
-from nsab.field import layout_for, random_field, zero_field
+from nsab.field import layout_for, project_velocity, random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
 
-from conftest import params_with_k
+from conftest import hermitian_modes, mode_velocity_profiles, params_with_k
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,56 @@ def test_nonlinear_skew_symmetry(ops, geo, res_small):
         N = nonlinear_term(u, ops)
         scale = N.norm_l2() * u.norm_l2()
         assert abs(N.dot(u)) <= 1e-11 * max(scale, 1e-30)
+
+
+def convective_form(u, cache, alpha):
+    """(grad v) u + (grad u)^T v on the padded grid, (grad u)_{ij} = d_j u_i,
+    built from the pointwise mode profiles: the reference for N."""
+    res = u.resolution
+    M1, M2 = res.padded_shape
+    a2 = alpha**2
+    U, V = (np.zeros((3, M1, M2, res.Q), complex) for _ in range(2))
+    GU, GV = (np.zeros((3, 3, M1, M2, res.Q), complex) for _ in range(2))
+    for k1, k2, ct, cp in hermitian_modes(u):
+        d = mode_velocity_profiles(cache, k1, k2, ct, cp, cache.z, dmax=3)
+        e1, e2 = cache.wavenumber(k1, k2)
+        m = e1 * e1 + e2 * e2
+        u_hat = d[0]
+        v_hat = d[0] - a2 * (d[2] - m * d[0])
+        dv_hat = d[1] - a2 * (d[3] - m * d[1])
+        i, j = k1 % M1, k2 % M2
+        U[:, i, j] = u_hat
+        V[:, i, j] = v_hat
+        GU[:, :, i, j] = np.stack([1j * e1 * u_hat, 1j * e2 * u_hat, d[1]],
+                                  axis=1)
+        GV[:, :, i, j] = np.stack([1j * e1 * v_hat, 1j * e2 * v_hat, dv_hat],
+                                  axis=1)
+    # mean profile (U1, U2, 0)(z): only z-derivatives
+    E = cache.block(0, 0).tor.evaluate(cache.z, cache.geometry.H, res.P,
+                                       "dirichlet", dmax=3)
+    Um = [np.stack([E[j] @ u.mean[0], E[j] @ u.mean[1], 0.0 * cache.z])
+          for j in range(4)]
+    U[:, 0, 0] = Um[0]
+    V[:, 0, 0] = Um[0] - a2 * Um[2]
+    GU[:, 2, 0, 0] = Um[1]
+    GV[:, 2, 0, 0] = Um[1] - a2 * Um[3]
+    u_, v_, gu, gv = (np.real(np.fft.ifft2(A, axes=(-3, -2))) * (M1 * M2)
+                      for A in (U, V, GU, GV))
+    return (np.einsum("ij...,j...->i...", gv, u_)
+            + np.einsum("ji...,j...->i...", gu, v_))
+
+
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_nonlinear_matches_convective_form(request, geometry, par, res_small):
+    """N equals the projection of the convective form evaluated pointwise."""
+    g = request.getfixturevalue(geometry)
+    o = OperatorSet(par, g, res_small)
+    for seed in (3, 17):
+        u = random_field(g, res_small, seed=seed, amplitude=1.0, decay=0.5)
+        ref = project_velocity(convective_form(u, o.cache, par.alpha), g,
+                               res_small, o.cache)
+        N = nonlinear_term(u, o)
+        assert (N - ref).norm_l2() <= 1e-12 * ref.norm_l2()
 
 
 def test_nonlinear_single_mode_support(ops, geo, res_small):
@@ -205,10 +255,9 @@ def test_watchdog_nan_and_ceiling(ops, geo, res_small):
 def test_uniqueness_probe_properties(ops, geo, res_small):
     u0 = random_field(geo, res_small, seed=2, amplitude=0.1, decay=1.0)
     pert = random_field(geo, res_small, seed=99, amplitude=1.0, decay=1.0)
-    p0 = uniqueness_probe(ops, u0, pert, 0.0, 0.1, 0.01)
+    p0, = uniqueness_probe(ops, u0, pert, (0.0,), 0.1, 0.01)
     assert np.all(p0.growth == 1.0)
-    p8 = uniqueness_probe(ops, u0, pert, 1e-8, 0.2, 0.01)
-    p6 = uniqueness_probe(ops, u0, pert, 1e-6, 0.2, 0.01)
+    p8, p6 = uniqueness_probe(ops, u0, pert, (1e-8, 1e-6), 0.2, 0.01)
     assert abs(p8.growth[-1] - p6.growth[-1]) <= 0.01 * abs(p8.growth[-1])
     # Gronwall envelope: log growth controlled by the H3-proxy integral with
     # a once-fitted constant (regression value with 50% headroom)
@@ -235,6 +284,20 @@ def test_vanishing_sweep_uniform_bounds(geo):
     assert max(h1s) <= 10 * h1s[0]
 
 
+def test_uniqueness_probe_members_match_single_delta_runs(ops, geo, res_small):
+    """The shared base trajectory changes no member: each one is bitwise
+    equal to a run with its delta alone."""
+    u0 = random_field(geo, res_small, seed=2, amplitude=0.1, decay=1.0)
+    pert = random_field(geo, res_small, seed=99, amplitude=1.0, decay=1.0)
+    deltas = (1e-8, 0.0, 1e-6)
+    members = uniqueness_probe(ops, u0, pert, deltas, 0.1, 0.01)
+    assert [p.delta for p in members] == list(deltas)
+    for d, p in zip(deltas, members):
+        alone, = uniqueness_probe(ops, u0, pert, (d,), 0.1, 0.01)
+        for name in ("times", "growth", "h3_integral"):
+            assert np.array_equal(getattr(p, name), getattr(alone, name))
+
+
 @pytest.mark.parametrize("dt, T", [(0.03, 0.1), (0.2, 0.1)])
 def test_library_rejects_horizon_not_a_whole_number_of_steps(ops, geo, res_small,
                                                              par, dt, T):
@@ -243,6 +306,6 @@ def test_library_rejects_horizon_not_a_whole_number_of_steps(ops, geo, res_small
     with pytest.raises(ValueError, match="not a whole multiple"):
         run_evolution(ops, u0, dt, T)
     with pytest.raises(ValueError, match="not a whole multiple"):
-        uniqueness_probe(ops, u0, u0, 1e-6, T, dt)
+        uniqueness_probe(ops, u0, u0, (1e-6,), T, dt)
     with pytest.raises(ValueError, match="not a whole multiple"):
         vanishing_sweep(par, geo, res_small, u0, 1, T, dt)

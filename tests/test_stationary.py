@@ -79,6 +79,24 @@ def test_manufactured_solution_and_pressure(geo):
     assert rep.residual <= 1e-10 * rep.rhs_norm
 
 
+@pytest.mark.parametrize("k1, k2, match", [
+    (-1, 1, r"not a representative mode; use \(1, -1\)"),
+    (0, -1, r"not a representative mode; use \(0, 1\)"),
+    # (2, 0) is the dropped Nyquist mode at N = 4; 3 % 4 would alias onto -1
+    (2, 0, r"not stored at N1 = 4, N2 = 4"),
+    (3, 1, r"not stored at N1 = 4, N2 = 4"),
+    (0, 0, r"not stored at N1 = 4, N2 = 4"),
+])
+def test_manufactured_case_rejects_modes_without_a_row(ops, k1, k2, match):
+    case = default_case(ops.geometry, k1=k1, k2=k2)
+    for use in (lambda: case.forcing(ops),
+                lambda: case.wall_defect_dual(ops, ops.params),
+                lambda: case.errors(zero_field(ops.geometry, ops.resolution),
+                                    None, ops)):
+        with pytest.raises(ValueError, match=match):
+            use()
+
+
 def test_manufactured_gamma_k_sweep(geo):
     # the wall correction absorbs the traction mismatch for any parameters
     res = Resolution(N1=4, N2=4, P=16)
