@@ -134,6 +134,8 @@ class BasisCache:
 
     Blocks depend on the wavenumber only through m = |eta|^2, so they are
     keyed by (|k1|, |k2|).  The (0, 0) key holds the mean-profile block.
+    ``raw_T``/``raw_C`` and their wall traces ``raw_T_tr``/``raw_C_tr`` are
+    the tables all blocks share: a block's ``E[d]`` is ``raw_T[d] @ W``.
     """
 
     def __init__(self, geometry, resolution):
@@ -142,11 +144,12 @@ class BasisCache:
         self.z, self.w = gauss_legendre(resolution.Q, geometry.H)
         wall_pts = np.array([0.0, geometry.H])
         P = resolution.P
-        self._raw_T = dirichlet_basis(P, self.z, geometry.H)
-        self._raw_C = clamped_basis(P, self.z, geometry.H)
-        self._raw_T_tr = dirichlet_basis(P, wall_pts, geometry.H, MAX_TRACE_DERIV)
-        self._raw_C_tr = clamped_basis(P, wall_pts, geometry.H, MAX_TRACE_DERIV)
+        self.raw_T = dirichlet_basis(P, self.z, geometry.H)
+        self.raw_C = clamped_basis(P, self.z, geometry.H)
+        self.raw_T_tr = dirichlet_basis(P, wall_pts, geometry.H, MAX_TRACE_DERIV)
+        self.raw_C_tr = clamped_basis(P, wall_pts, geometry.H, MAX_TRACE_DERIV)
         self._blocks = {}
+        self._stacks = {}
 
     def wavenumber(self, k1, k2):
         g = self.geometry
@@ -158,22 +161,33 @@ class BasisCache:
             self._blocks[key] = self._build(key)
         return self._blocks[key]
 
+    def row_stacks(self, keys):
+        """m (R, 1) and the W stacks (R, n, n) of the toroidal and poloidal
+        blocks of rows keyed keys[r] = (|k1|, |k2|); built once per keys."""
+        if keys not in self._stacks:
+            blks = [self.block(*key) for key in keys]
+            n_t, n_p = self.resolution.n_toroidal, self.resolution.n_poloidal
+            self._stacks[keys] = (np.array([b.m for b in blks]).reshape(-1, 1),
+                                  np.array([b.tor.W for b in blks]).reshape(-1, n_t, n_t),
+                                  np.array([b.pol.W for b in blks]).reshape(-1, n_p, n_p))
+        return self._stacks[keys]
+
     def _build(self, key):
         area = self.geometry.area
         w = self.w
         if key == (0, 0):
             # mean block: plain L^2 mass, one copy shared by both components
-            mass = area * (self._raw_T[0].T * w) @ self._raw_T[0]
-            blk = BlockBasis(self._raw_T, self._raw_T_tr, mass)
+            mass = area * (self.raw_T[0].T * w) @ self.raw_T[0]
+            blk = BlockBasis(self.raw_T, self.raw_T_tr, mass)
             return ModeBasis(0.0, blk, None)
         e1, e2 = self.wavenumber(*key)
         m = e1 * e1 + e2 * e2
         # toroidal velocity (i eta2 T, -i eta1 T, 0): mass = m * area * Gram
-        mass_t = m * area * (self._raw_T[0].T * w) @ self._raw_T[0]
-        tor = BlockBasis(self._raw_T, self._raw_T_tr, mass_t)
+        mass_t = m * area * (self.raw_T[0].T * w) @ self.raw_T[0]
+        tor = BlockBasis(self.raw_T, self.raw_T_tr, mass_t)
         # poloidal velocity (i eta1 C', i eta2 C', m C):
         # mass = area * (m <C'C'> + m^2 <CC>)
-        mass_p = area * (m * (self._raw_C[1].T * w) @ self._raw_C[1]
-                         + m * m * (self._raw_C[0].T * w) @ self._raw_C[0])
-        pol = BlockBasis(self._raw_C, self._raw_C_tr, mass_p)
+        mass_p = area * (m * (self.raw_C[1].T * w) @ self.raw_C[1]
+                         + m * m * (self.raw_C[0].T * w) @ self.raw_C[0])
+        pol = BlockBasis(self.raw_C, self.raw_C_tr, mass_p)
         return ModeBasis(m, tor, pol)

@@ -93,8 +93,12 @@ def nonlinear_term(u, ops):
     _check_padding(res)
     rec = reconstruct(u, ops.cache, want=("u", "curl_v"),
                       alpha=ops.params.alpha)
-    return project_velocity(np.cross(rec["curl_v"], rec["u"], axis=0),
-                            u.geometry, res, ops.cache)
+    w, v = rec["curl_v"], rec["u"]
+    prod = np.empty_like(v)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(w[j], v[k], out=prod[i])
+        prod[i] -= w[k] * v[j]
+    return project_velocity(prod, u.geometry, res, ops.cache)
 
 
 # ---------------------------------------------------------------------------

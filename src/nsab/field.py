@@ -20,21 +20,19 @@ This module and the snapshot file boundary are the only places that know
 that layout.  :meth:`SolenoidalField.coeffs` addresses one group's rows by
 the slot keys of :meth:`nsab.operators.OperatorSet.field_blocks`.
 
-One synthesis/analysis pair maps between coefficients and Fourier-side
-profiles at the quadrature nodes on any A x B tangential mode grid, mode
-(k1, k2) sitting at (k1 % A, k2 % B):
+One synthesis/analysis pair maps coefficients to Fourier-side profiles at
+the quadrature nodes in the same row layout - complex (3, R, Q) rows plus
+the real (3, Q) mean profile - in a few batched calls: a stacked per-row
+change of basis and one gemm per derivative order against the raw tables
+all blocks share.  :func:`synthesize` evaluates velocity (and, on request,
+the curl of the filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u);
+:func:`analyze`, its L2 adjoint, is the Galerkin projection onto the
+solenoidal test basis (a Leray projection when fed an arbitrary field).
 
-* :func:`synthesize` evaluates velocity (and, on request, the curl of the
-  filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u), and is the only
-  code that writes the conjugate partners of a field's profiles;
-  :func:`reconstruct` transforms the k2 >= 0 half of them to the padded
-  physical grid with a real inverse FFT;
-* :func:`analyze` is its L2 adjoint, the Galerkin projection onto the
-  solenoidal test basis, which realizes the Leray projection when fed an
-  arbitrary vector field.  It reads the representative modes only.
-  :func:`project_velocity` applies it to gridded samples, the nonlinear
-  term to the rotational product (curl v) x u and the forcing dual to
-  profiles on the N1 x N2 storage grid.
+Only :func:`reconstruct` and :func:`project_velocity` know the padded
+grid: the k1 >= 0 half of its spectrum, (3, M1/2 + 1, M2, Q) with mode
+(k1, k2) at (k1, k2 % M2), taken to and from physical samples by the real
+FFT along x.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ class ModeLayout:
     ``reps`` lists the representatives (k1, k2) in fft traversal order;
     ``groups`` maps each block key (|k1|, |k2|) to its slice of rows, in
     order of first appearance in ``reps``; rows within a group keep the
-    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers and
-    ``row`` the (k1, k2) -> row lookup.
+    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers, ``keys``
+    their block keys and ``row`` the (k1, k2) -> row lookup.
     """
 
     def __init__(self, resolution):
@@ -76,12 +74,7 @@ class ModeLayout:
             rows += modes
         self.k = np.array(rows, int).reshape(-1, 2)
         self.row = {k: r for r, k in enumerate(rows)}
-
-    def grid_index(self, A, B):
-        """Fancy indices of every row's mode and of its conjugate partner
-        on an A x B mode grid."""
-        k1, k2 = self.k.T
-        return (k1 % A, k2 % B), ((-k1) % A, (-k2) % B)
+        self.keys = tuple((abs(k1), abs(k2)) for k1, k2 in rows)
 
 
 _layouts = {}
@@ -189,13 +182,21 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 QUANTITIES = {"u": 1, "curl_v": 4, "bilap_u": 5}
 
 
-def _mode_profiles(blk, eta1, eta2, tvals, pvals, want, alpha):
-    """Per-mode component profiles at quadrature nodes.
+def rowmul(W, c):
+    """Row-wise W[r] @ c[r] for a real (R, n, n) stack (or one (n, n)
+    matrix); complex rows go as (n, 2) real blocks, so W is never cast."""
+    c = np.ascontiguousarray(c)
+    if not np.iscomplexobj(c):
+        return np.matmul(W, c[..., None])[..., 0]
+    return np.matmul(W, c.view(np.float64).reshape(*c.shape, 2)).view(complex)[..., 0]
 
-    tvals/pvals: lists of (Q, g) arrays of potential derivative values.
-    Returns dict like {"u": (3, Q, g), ...}.
+
+def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha):
+    """Component profiles of the representative modes at quadrature nodes.
+
+    m, eta1, eta2: (R, 1) per-row data; tvals/pvals: lists of (R, Q)
+    arrays of potential derivative values.  Returns {"u": (3, R, Q), ...}.
     """
-    m = blk.m
     ie1, ie2 = 1j * eta1, 1j * eta2
     out = {}
 
@@ -238,56 +239,51 @@ def _mean_profiles(blk, mean, want, alpha, nd):
     return out
 
 
-def synthesize(f, cache, shape, want=("u",), alpha=None):
-    """Fourier-side profiles of the requested quantities on an A x B mode grid.
+def synthesize(f, cache, want=("u",), alpha=None):
+    """Fourier-side profiles of the requested quantities at the quadrature nodes.
 
-    Mode (k1, k2) lands at (k1 % A, k2 % B) and its conjugate partner at
-    (-k1 % A, -k2 % B).  Names are those of :data:`QUANTITIES`: velocity,
-    the curl of the filtered velocity v = (1 - alpha^2 Lap) u (this one
-    needs alpha) and Lap^2 u.  Returns dict mapping names to complex
-    arrays of shape (3, A, B, Q).
+    Names are those of :data:`QUANTITIES`: velocity, the curl of the
+    filtered velocity v = (1 - alpha^2 Lap) u (this one needs alpha) and
+    Lap^2 u.  Returns dict mapping names to (rows, mean): complex (3, R, Q)
+    profiles of the representative modes in row order and the real (3, Q)
+    profile of the (0, 0) mode.  Conjugate partners are not formed.
     """
-    res = f.resolution
-    lay = layout_for(res)
+    lay = layout_for(f.resolution)
     if alpha is None and "curl_v" in want:
         raise ValueError("filtered quantities need the filter length alpha")
-    A, B = shape
-    spec = {name: np.zeros((3, A, B, res.Q), complex) for name in want}
     # psi derivatives up to order nd - 1 and phi derivatives up to nd
     nd = max(QUANTITIES[name] for name in want)
-    idx, partner = lay.grid_index(A, B)
-
-    for key, rows in lay.groups.items():
-        blk = cache.block(*key)
-        e1, e2 = cache.wavenumber(lay.k[rows, 0], lay.k[rows, 1])
-        tvals = [blk.tor.E[d] @ f.psi[rows].T for d in range(nd)]
-        pvals = [blk.pol.E[d] @ f.phi[rows].T for d in range(nd + 1)]
-        profs = _mode_profiles(blk, e1, e2, tvals, pvals, want, alpha)
-        I1, I2 = idx[0][rows], idx[1][rows]
-        J1, J2 = partner[0][rows], partner[1][rows]
-        for name, arr in profs.items():
-            arr = np.swapaxes(arr, -1, -2)  # (3, g, Q)
-            spec[name][:, I1, I2, :] = arr
-            spec[name][:, J1, J2, :] = np.conj(arr)
-
-    profs0 = _mean_profiles(cache.block(0, 0), f.mean, want, alpha, nd)
-    for name, arr in profs0.items():
-        spec[name][:, 0, 0, :] = arr
-    return spec
+    m, W_tor, W_pol = cache.row_stacks(lay.keys)
+    e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
+    # orthonormal -> raw recombined coefficients, then one gemm per order
+    ct, cp = rowmul(W_tor, f.psi), rowmul(W_pol, f.phi)
+    tvals = [ct @ cache.raw_T[d].T for d in range(nd)]
+    pvals = [cp @ cache.raw_C[d].T for d in range(nd + 1)]
+    rows = _mode_profiles(m, e1, e2, tvals, pvals, want, alpha)
+    means = _mean_profiles(cache.block(0, 0), f.mean, want, alpha, nd)
+    return {name: (rows[name], means[name]) for name in want}
 
 
 def reconstruct(f, cache, want=("u",), alpha=None):
     """Evaluate requested physical-space quantities on the padded grid.
 
     Returns dict mapping names to real arrays of shape (3, M1, M2, Q).
-    The spectrum is Hermitian, so its k2 >= 0 half is inverse-transformed
-    with irfft2.
+    Every representative has k1 >= 0, so of the conjugate partners only
+    those of the k1 = 0 rows lie in the half spectrum.
     """
-    M1, M2 = f.resolution.padded_shape
-    spec = synthesize(f, cache, (M1, M2), want, alpha)
-    return {name: np.fft.irfft2(arr[:, :, :M2 // 2 + 1], s=(M1, M2),
-                                axes=(-3, -2)) * (M1 * M2)
-            for name, arr in spec.items()}
+    res = f.resolution
+    M1, M2 = res.padded_shape
+    k1, k2 = layout_for(res).k.T
+    k1_zero = k1 == 0
+    out = {}
+    for name, (rows, mean) in synthesize(f, cache, want, alpha).items():
+        half = np.zeros((3, M1 // 2 + 1, M2, res.Q), complex)
+        half[:, k1, k2 % M2] = rows
+        half[:, 0, -k2[k1_zero] % M2] = np.conj(rows[:, k1_zero])
+        half[:, 0, 0] = mean
+        out[name] = np.fft.irfft2(half, s=(M2, M1), axes=(-2, -3),
+                                  norm="forward")
+    return out
 
 
 def potentials_to_velocity(f, cache=None):
@@ -303,34 +299,26 @@ def potentials_to_velocity(f, cache=None):
 # analysis: Fourier-side profiles -> Galerkin duals (the L2 adjoint)
 # ---------------------------------------------------------------------------
 
-def analyze(Fh, geometry, resolution, cache):
+def analyze(rows, mean, geometry, resolution, cache):
     """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
 
-    Fh has shape (3, A, B, Q); mode (k1, k2) is read at (k1 % A, k2 % B),
-    which serves the padded grid and the N1 x N2 grid alike.  Only the
-    representative modes and (0, 0) are read.
-    Returns the dual coefficients (same container as fields).
+    rows/mean: profiles of the representative modes and of (0, 0), as
+    :func:`synthesize` returns them.  Returns the dual coefficients (same
+    container as fields).
     """
     lay = layout_for(resolution)
-    A, B = Fh.shape[1:3]
-    area = geometry.area
-    w = cache.w
-    out = zero_field(geometry, resolution)
-    idx, _ = lay.grid_index(A, B)
-    F1, F2, F3 = w * Fh[:, idx[0], idx[1]]  # (rows, Q) each
-    E1, E2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])  # (rows, 1) each
-
-    for key, rows in lay.groups.items():
-        blk = cache.block(*key)
-        e1, e2, f1, f2 = E1[rows], E2[rows], F1[rows], F2[rows]
-        out.psi[rows] = area * (((-1j * e2) * f1 + (1j * e1) * f2) @ blk.tor.E[0])
-        out.phi[rows] = area * (((-1j * e1) * f1 + (-1j * e2) * f2) @ blk.pol.E[1]
-                                + blk.m * (F3[rows] @ blk.pol.E[0]))
-
-    blk0 = cache.block(0, 0)
-    for c in range(2):
-        out.mean[c] = area * np.real(blk0.tor.E[0].T @ (w * Fh[c, 0, 0]))
-    return out
+    area, w = geometry.area, cache.w
+    m, W_tor, W_pol = cache.row_stacks(lay.keys)
+    e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
+    f1, f2, f3 = w * rows
+    # adjoint of synthesize: raw-table gemms first, then the stacked W^T
+    gt = ((-1j * e2) * f1 + (1j * e1) * f2) @ cache.raw_T[0]
+    gp = (((-1j * e1) * f1 + (-1j * e2) * f2) @ cache.raw_C[1]
+          + m * (f3 @ cache.raw_C[0]))
+    psi = area * rowmul(W_tor.transpose(0, 2, 1), gt)
+    phi = area * rowmul(W_pol.transpose(0, 2, 1), gp)
+    mean0 = area * ((w * mean[:2]) @ cache.block(0, 0).tor.E[0])
+    return SolenoidalField(geometry, resolution, psi, phi, mean0)
 
 
 def project_velocity(U, geometry, resolution, cache):
@@ -340,9 +328,11 @@ def project_velocity(U, geometry, resolution, cache):
     :func:`potentials_to_velocity`; in general it realizes the Leray-type
     projection (gradient parts drop out by construction of the test basis).
     """
-    M1, M2 = resolution.padded_shape
-    Uh = np.fft.fft2(U, axes=(-3, -2)) / (M1 * M2)
-    return analyze(Uh, geometry, resolution, cache)
+    M2 = resolution.padded_shape[1]
+    k1, k2 = layout_for(resolution).k.T
+    Uh = np.fft.rfft2(U, axes=(-2, -3), norm="forward")
+    return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, geometry, resolution,
+                   cache)
 
 
 def grid_quadrature(cache, resolution):

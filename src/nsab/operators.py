@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisCache
-from .field import layout_for
+from .field import layout_for, rowmul
 
 
 @dataclass
@@ -53,9 +53,7 @@ class BlockOperators:
 class ModeOperators:
     """Forms of one wavenumber: toroidal+poloidal blocks, or the mean block."""
 
-    def __init__(self, eta, blocks):
-        self.eta = eta
-        self.m = eta[0] ** 2 + eta[1] ** 2
+    def __init__(self, blocks):
         self.blocks = blocks  # dict name -> BlockOperators
 
 
@@ -89,10 +87,9 @@ def assemble_mode(k1, k2, params, geometry, resolution, cache=None):
         Kb = s * gram(E[2], E[2])
         Ka = Kb - kk * s * _wall_sum([t[1][0], t[1][1]])
         b = BlockOperators("mean", blk.tor.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
-        return ModeOperators((0.0, 0.0), {"mean": b})
+        return ModeOperators({"mean": b})
 
     m = blk.m
-    eta = cache.wavenumber(k1, k2)
 
     # toroidal block
     E = blk.tor.E
@@ -117,7 +114,7 @@ def assemble_mode(k1, k2, params, geometry, resolution, cache=None):
     Ka = Kb - kk * s * m * _wall_sum([t[2][0], t[2][1]])
     pol = BlockOperators("poloidal", blk.pol.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
 
-    return ModeOperators(eta, {"toroidal": tor, "poloidal": pol})
+    return ModeOperators({"toroidal": tor, "poloidal": pol})
 
 
 def weight(slot):
@@ -147,6 +144,7 @@ class OperatorSet:
         self.layout = layout_for(resolution)
         self._ops = {}
         self._eig = {}
+        self._stacks = None
 
     def mode_ops(self, k1, k2):
         key = (abs(k1), abs(k2))
@@ -207,27 +205,39 @@ class OperatorSet:
                                         for b in self.distinct_blocks()))
         return self._shift
 
+    def _eig_stack(self, blocks, n):
+        """Per-row stacks lam, V^T and V^T M_lambda V of K_a's eigenpairs."""
+        eig = [self.block_eig(b) for b in blocks]
+        return (np.array([lam for lam, _ in eig]).reshape(-1, n),
+                np.array([V.T for _, V in eig]).reshape(-1, n, n),
+                np.array([V.T @ b.M_lambda @ V for (_, V), b in zip(eig, blocks)])
+                .reshape(-1, n, n))
+
     def a_scale_norms(self, f, shift=None):
         """Norms ||(A + shift)^{j/2} u|| for j = 0, 1, 2 plus Lambda-weighted j=2.
 
         The operator powers are realized through the per-block spectral
-        calculus of the stationary form; shift defaults to the smallest
-        value making the spectrum nonnegative.
+        calculus of the stationary form, stacked per row; shift defaults to
+        the smallest value making the spectrum nonnegative.  A field too
+        large for the squares gives inf, the watchdog's blow-up signal.
         """
         if shift is None:
             shift = self.spectral_shift()
-        n0 = n1 = n2 = n2L = 0.0
-        for slot, blk, c in self.field_blocks(f):
-            lam, V = self.block_eig(blk)
-            d = c @ V
-            mult = weight(slot)
-            p = np.abs(d) ** 2
-            lam_s = np.maximum(lam + shift, 0.0)
-            n0 += mult * p.sum()
-            n1 += mult * (lam_s * p).sum()
-            n2 += mult * (lam_s**2 * p).sum()
-            Ac = (lam_s * d) @ V.T
-            n2L += mult * np.vdot(Ac, Ac @ blk.M_lambda.T).real
-        return {"A0": np.sqrt(n0), "A_half": np.sqrt(n1),
-                "A1": np.sqrt(n2), "A1_lambda": np.sqrt(max(n2L, 0.0)),
+        if self._stacks is None:
+            rows = [self.mode_ops(*key).blocks for key in self.layout.keys]
+            n_t, n_p = self.resolution.n_toroidal, self.resolution.n_poloidal
+            self._stacks = [self._eig_stack([b["toroidal"] for b in rows], n_t),
+                            self._eig_stack([b["poloidal"] for b in rows], n_p),
+                            self._eig_stack([self.mean_ops.blocks["mean"]], n_t)]
+        sums = np.zeros(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mult, c, (lam, VT, G) in zip((2.0, 2.0, 1.0),
+                                             (f.psi, f.phi, f.mean), self._stacks):
+                d = rowmul(VT, c)  # rows of c @ V
+                lam_s = np.maximum(lam + shift, 0.0)
+                p, y = np.abs(d) ** 2, lam_s * d
+                sums += mult * np.array([p.sum(), (lam_s * p).sum(), (lam_s**2 * p).sum(),
+                                         np.vdot(y, rowmul(G, y)).real])
+            n0, n1, n2, n2L = np.sqrt(np.maximum(sums, 0.0))
+        return {"A0": n0, "A_half": n1, "A1": n2, "A1_lambda": n2L,
                 "shift": shift}

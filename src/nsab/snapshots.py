@@ -61,15 +61,15 @@ def _metadata(field, params=None, extra=None):
 def _expand(rows, lay):
     """(R, n) representative rows -> (N1, N2, n) Hermitian fft-order array."""
     full = np.zeros((lay.N1, lay.N2, rows.shape[1]), complex)
-    idx, partner = lay.grid_index(lay.N1, lay.N2)
-    full[idx] = rows
-    full[partner] = np.conj(rows)
+    k1, k2 = lay.k.T
+    full[k1 % lay.N1, k2 % lay.N2] = rows
+    full[-k1 % lay.N1, -k2 % lay.N2] = np.conj(rows)
     return full
 
 
 def _pack(full, lay, path, name):
     """Inverse of _expand; SnapshotError if full is not such an expansion."""
-    rows = full[lay.grid_index(lay.N1, lay.N2)[0]]
+    rows = full[lay.k[:, 0] % lay.N1, lay.k[:, 1] % lay.N2]
     if not np.array_equal(_expand(rows, lay), full, equal_nan=True):
         raise SnapshotError(f"{path}: {name} is not Hermitian: a partner is not "
                             f"the conjugate of its representative, or a Nyquist "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import analyze, synthesize, zero_field
+from .field import analyze, layout_for, rowmul, synthesize, zero_field
 from .operators import weight
 
 
@@ -43,33 +43,34 @@ class ConsistencyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class ModalForcing:
-    """Vector-field data held as per-mode profiles at the quadrature nodes.
+    """Vector-field data held as Fourier-side profiles at the quadrature nodes.
 
-    F is (3, N1, N2, Q) with mode (k1, k2) at (k1 % N1, k2 % N2); only the
-    representative modes of the field layout and (0, 0) are read, the
-    other modes being their conjugates.
+    ``rows`` is complex (3, R, Q), one profile per representative mode of
+    the field layout in row order (the other modes are their conjugates);
+    ``mean`` is the real (3, Q) profile of the (0, 0) mode.
     """
 
-    def __init__(self, geometry, resolution):
-        self.geometry = geometry
-        self.resolution = resolution
-        self.F = np.zeros((3, resolution.N1, resolution.N2, resolution.Q), complex)
+    def __init__(self, geometry, resolution, rows=None, mean=None):
+        self.geometry, self.resolution = geometry, resolution
+        self.layout = layout_for(resolution)
+        R, Q = len(self.layout.reps), resolution.Q
+        self.rows = np.zeros((3, R, Q), complex) if rows is None else rows
+        self.mean = np.zeros((3, Q)) if mean is None else mean
 
     def set_mode(self, k1, k2, profiles):
         """Install profiles (3, Q) at the representative mode (k1, k2)."""
-        self.F[:, k1 % self.resolution.N1, k2 % self.resolution.N2, :] = profiles
+        self.rows[:, self.layout.row[(k1, k2)]] = profiles
 
     def dual(self, ops):
         """Galerkin right-hand side: projection onto the solenoidal basis."""
-        return analyze(self.F, self.geometry, self.resolution, ops.cache)
+        return analyze(self.rows, self.mean, self.geometry, self.resolution,
+                       ops.cache)
 
 
 def forcing_from_field(f, ops):
     """Velocity profiles of a solenoidal field, packaged as forcing data."""
-    res = f.resolution
-    out = ModalForcing(f.geometry, res)
-    out.F = synthesize(f, ops.cache, (res.N1, res.N2))["u"]
-    return out
+    rows, mean = synthesize(f, ops.cache)["u"]
+    return ModalForcing(f.geometry, f.resolution, rows, mean)
 
 
 def gradient_forcing(ops, scalar_modes):
@@ -81,7 +82,7 @@ def gradient_forcing(ops, scalar_modes):
     out = ModalForcing(ops.geometry, ops.resolution)
     for (k1, k2), (q0, q1) in scalar_modes.items():
         if (k1, k2) == (0, 0):
-            out.F[2, 0, 0, :] = q1
+            out.mean[2] = q1
             continue
         e1, e2 = ops.cache.wavenumber(k1, k2)
         out.set_mode(k1, k2, np.stack([1j * e1 * q0, 1j * e2 * q0, q1]))
@@ -182,46 +183,30 @@ def strong_bc_residual(u, params, ops):
     evaluated from the potential traces, measures how well the natural
     condition is recovered and decays under refinement.
     """
-    dir_sq = 0.0
-    we_sq = 0.0
-    area = ops.geometry.area
-    kk = params.k
-    lay = ops.layout
-    for key, rows in lay.groups.items():
-        blk = ops.cache.block(*key)
-        e1, e2 = ops.cache.wavenumber(lay.k[rows, 0], lay.k[rows, 1])
-        # wall traces, (2 walls, g modes) each
-        tt = [blk.tor.tr[d] @ u.psi[rows].T for d in range(4)]
-        pt = [blk.pol.tr[d] @ u.phi[rows].T for d in range(4)]
-        for wall, sgn in ((0, -1.0), (1, +1.0)):
-            uw = np.array([1j * e2 * tt[0][wall] + 1j * e1 * pt[1][wall],
-                           -1j * e1 * tt[0][wall] + 1j * e2 * pt[1][wall],
-                           blk.m * pt[0][wall]])
-            dir_sq += 2.0 * area * float(np.sum(np.abs(uw) ** 2))
-            # omega and d_z omega tangential components at the wall
-            Lp = pt[2][wall] - blk.m * pt[0][wall]
-            DLp = pt[3][wall] - blk.m * pt[1][wall]
-            w1 = 1j * e1 * tt[1][wall] - 1j * e2 * Lp
-            w2 = 1j * e2 * tt[1][wall] + 1j * e1 * Lp
-            w3 = blk.m * tt[0][wall]
-            dw1 = 1j * e1 * tt[2][wall] - 1j * e2 * DLp
-            dw2 = 1j * e2 * tt[2][wall] + 1j * e1 * DLp
-            # (Gn)_j = sgn * (d_z w_j + gamma * i eta_j w3), j = 1, 2
-            g1 = sgn * (dw1 + params.gamma * 1j * e1 * w3)
-            g2 = sgn * (dw2 + params.gamma * 1j * e2 * w3)
-            r1 = g1 - kk * w1
-            r2 = g2 - kk * w2
-            we_sq += 2.0 * area * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2))
-    blk0 = ops.cache.block(0, 0)
-    for wall, sgn in ((0, -1.0), (1, +1.0)):
-        t = [blk0.tor.tr[d] @ u.mean.T for d in range(3)]  # (2 walls, 2 comps)
-        U0 = t[0][wall]
-        dir_sq += area * float(np.sum(U0**2))
-        w1, w2 = -t[1][wall][1], t[1][wall][0]
-        dw1, dw2 = -t[2][wall][1], t[2][wall][0]
-        r1 = sgn * dw1 - kk * w1
-        r2 = sgn * dw2 - kk * w2
-        we_sq += area * float(r1**2 + r2**2)
+    area, kk, cache, lay = ops.geometry.area, params.k, ops.cache, ops.layout
+    m, W_tor, W_pol = cache.row_stacks(lay.keys)
+    e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
+    sgn = np.array([-1.0, 1.0])  # outward normal -e3 at z = 0, +e3 at z = H
+    # wall traces, (rows, 2 walls) each
+    ct, cp = rowmul(W_tor, u.psi), rowmul(W_pol, u.phi)
+    tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
+    pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
+    uw = np.stack([1j * e2 * tt[0] + 1j * e1 * pt[1],
+                   -1j * e1 * tt[0] + 1j * e2 * pt[1], m * pt[0]])
+    # omega and d_z omega tangential components at the walls
+    Lp, DLp = pt[2] - m * pt[0], pt[3] - m * pt[1]
+    w1 = 1j * e1 * tt[1] - 1j * e2 * Lp
+    w2 = 1j * e2 * tt[1] + 1j * e1 * Lp
+    w3 = m * tt[0]
+    # (Gn)_j = sgn * (d_z w_j + gamma * i eta_j w3), j = 1, 2
+    r1 = sgn * (1j * e1 * tt[2] - 1j * e2 * DLp + params.gamma * 1j * e1 * w3) - kk * w1
+    r2 = sgn * (1j * e2 * tt[2] + 1j * e1 * DLp + params.gamma * 1j * e2 * w3) - kk * w2
+    # mean flow (U1, U2, 0): omega = (-U2', U1', 0); traces (2 walls, 2 comps)
+    t = [cache.block(0, 0).tor.tr[d] @ u.mean.T for d in range(3)]
+    r0 = sgn[:, None] * t[2] - kk * t[1]  # the mean residual up to signs
+    dir_sq = area * (2.0 * float(np.sum(np.abs(uw) ** 2)) + float(np.sum(t[0] ** 2)))
+    we_sq = area * (2.0 * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2))
+                    + float(np.sum(r0 ** 2)))
     return BCResidual(np.sqrt(dir_sq), np.sqrt(we_sq))
 
 
@@ -269,16 +254,13 @@ def recover_pressure(u, forcing, ops, degree=None):
     z, w = ops.cache.z, ops.cache.w
     Phi = _legendre_design(geo, z, degree)
     sw = np.sqrt(w)
-    R = forcing.F - synthesize(u, ops.cache, (res.N1, res.N2),
-                               ("bilap_u",))["bilap_u"]
-    idx, _ = ops.layout.grid_index(res.N1, res.N2)
-    R_reps = R[:, idx[0], idx[1], :]  # (3, rows, Q)
-    r0 = R[:, 0, 0, :]
+    bilap_rows, bilap_mean = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
+    R_reps = forcing.rows - bilap_rows  # (3, rows, Q)
+    r0 = forcing.mean - bilap_mean
     coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
     defect_sq = 0.0
     area = geo.area
-    k1, k2 = ops.layout.k.T
-    e1, e2 = ops.cache.wavenumber(k1[:, None], k2[:, None])  # (rows, 1)
+    e1, e2 = ops.cache.wavenumber(ops.layout.k[:, :1], ops.layout.k[:, 1:])
 
     # curl of r, z-derivatives from a polynomial fit of each component
     fit0 = np.linalg.pinv(sw[:, None] * Phi[0])

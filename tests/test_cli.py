@@ -87,19 +87,56 @@ def test_evolve_nan_injection_watchdog_exit(cfgfile, tmp_path):
     assert wd["reason"] == "nan"
 
 
-def test_watchdog_exit_4_prints_one_line(tmp_path):
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text(SMALL + "debug.inject_nan_step = 2\n")
+def _evolve_in_subprocess(tmp_path, config):
+    """Exit code and stderr lines of an evolve run in a fresh interpreter."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
     env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "nsab.cli", "evolve", "--config", str(cfg),
          "--out", str(tmp_path / "out")], capture_output=True, text=True,
         env=env, timeout=120)
-    assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
-    lines = proc.stderr.strip().splitlines()
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
+def test_watchdog_exit_4_prints_one_line(tmp_path):
+    code, lines = _evolve_in_subprocess(
+        tmp_path, SMALL + "debug.inject_nan_step = 2\n")
+    assert code == 4
     assert len(lines) == 1
     assert "watchdog" in lines[0] and "nan" in lines[0] and "t = 0.04" in lines[0]
+
+
+def test_watchdog_overflow_prints_one_line(tmp_path):
+    # a blow-up that overflows the watchdog norms (h4_proxy = inf) must not
+    # leak numpy's overflow warnings onto stderr
+    code, lines = _evolve_in_subprocess(tmp_path, """
+model.alpha = 0.2
+model.beta = 0.1
+model.gamma = -1.0
+model.ell = 0.01
+resolution.N1 = 8
+resolution.N2 = 8
+resolution.P = 16
+scheme.name = euler
+time.dt = 0.05
+time.T = 1
+u0.amplitude = 500
+watchdog.ceiling = 1e300
+""")
+    assert code == 4
+    assert len(lines) == 1
+    assert "watchdog" in lines[0] and "h4_growth" in lines[0]
+
+
+@pytest.mark.parametrize("kind", ["evolve", "solve", "probe-uniqueness"])
+def test_mean_only_resolution_runs(tmp_path, kind):
+    # at N1 = N2 = 2 no representative mode is stored, only the mean rows
+    cfg = tmp_path / "n2.cfg"
+    cfg.write_text(SMALL.replace("resolution.N1 = 4", "resolution.N1 = 2")
+                   .replace("resolution.N2 = 4", "resolution.N2 = 2"))
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_solve_and_convergence(cfgfile, tmp_path):

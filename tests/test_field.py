@@ -5,7 +5,8 @@ import pytest
 
 from nsab.basis import BasisCache
 from nsab.field import (grid_quadrature, layout_for, potentials_to_velocity,
-                        project_velocity, random_field, reconstruct, zero_field)
+                        project_velocity, random_field, reconstruct, synthesize,
+                        zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
@@ -50,6 +51,50 @@ def test_reconstruction_is_real(geo, res_small, cache_small):
     # and it agrees with the production reconstruction
     assert np.allclose(U.real, potentials_to_velocity(f, cache_small),
                        atol=1e-12 * np.abs(U.real).max())
+
+
+@pytest.mark.parametrize("res", [Resolution(N1=4, N2=4, P=12),
+                                 Resolution(N1=8, N2=6, P=14)],
+                         ids=["4x4", "8x6"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_synthesize_matches_per_mode_oracle(geometry, res, request):
+    """Row-batched synthesis against per-mode velocity formulas: curl_v and
+    bilap_u are formed from z-derivatives of the velocity profile itself,
+    v = u - alpha^2 (u'' - m u), not from the potential identities."""
+    g = request.getfixturevalue(geometry)
+    cache = BasisCache(g, res)
+    alpha = 0.2
+    f = random_field(g, res, seed=17, amplitude=1.0)
+    got = synthesize(f, cache, ("u", "curl_v", "bilap_u"), alpha)
+    lay = layout_for(res)
+    want = {name: np.zeros((3, len(lay.reps), res.Q), complex)
+            for name in ("u", "curl_v", "bilap_u")}
+    for r, (k1, k2) in enumerate(lay.k):
+        blk = cache.block(k1, k2)
+        e1, e2 = cache.wavenumber(k1, k2)
+        m = blk.m
+        t = [E @ f.psi[r] for E in blk.tor.E]
+        p = [E @ f.phi[r] for E in blk.pol.E]
+        U = [np.stack([1j * e2 * t[d] + 1j * e1 * p[d + 1],
+                       -1j * e1 * t[d] + 1j * e2 * p[d + 1],
+                       m * p[d]]) for d in range(5)]
+        V = [U[d] - alpha**2 * (U[d + 2] - m * U[d]) for d in range(2)]
+        want["u"][:, r] = U[0]
+        want["curl_v"][:, r] = [1j * e2 * V[0][2] - V[1][1],
+                                V[1][0] - 1j * e1 * V[0][2],
+                                1j * e1 * V[0][1] - 1j * e2 * V[0][0]]
+        want["bilap_u"][:, r] = U[4] - 2 * m * U[2] + m * m * U[0]
+    E = cache.block(0, 0).tor.E
+    M = [np.stack([E[d] @ f.mean[0], E[d] @ f.mean[1], 0 * cache.z])
+         for d in range(5)]
+    want_mean = {"u": M[0], "bilap_u": M[4],
+                 "curl_v": np.stack([-(M[1][1] - alpha**2 * M[3][1]),
+                                     M[1][0] - alpha**2 * M[3][0], 0 * cache.z])}
+    for name, (rows, mean) in got.items():
+        assert rows.shape == (3, len(lay.reps), res.Q)
+        assert np.abs(rows - want[name]).max() <= 1e-13 * np.abs(want[name]).max()
+        assert np.abs(mean - want_mean[name]).max() <= \
+            1e-13 * np.abs(want_mean[name]).max()
 
 
 def test_spectral_divergence_near_roundoff(geo_odd, res_small):

@@ -6,7 +6,7 @@ import pytest
 from nsab.basis import BasisCache, gauss_legendre
 from nsab.field import grid_quadrature, layout_for, potentials_to_velocity, \
     random_field, zero_field
-from nsab.operators import OperatorSet, apply_form, assemble_mode
+from nsab.operators import OperatorSet, apply_form, assemble_mode, weight
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
 from conftest import (a_form_oracle, grad_omega_sq_oracle,
@@ -285,6 +285,34 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     U = potentials_to_velocity(u, ops.cache)
     phys = float(np.sum(U**2 * wq))
     assert ops.form_energy("M", u) == pytest.approx(phys, rel=1e-12)
+
+
+def _a_scale_norms_by_block(ops, f, shift):
+    """Reference: the watchdog norms accumulated one block group at a time."""
+    acc = np.zeros(4)
+    for slot, blk, c in ops.field_blocks(f):
+        lam, V = ops.block_eig(blk)
+        d = c @ V
+        p = np.abs(d) ** 2
+        lam_s = np.maximum(lam + shift, 0.0)
+        Ac = (lam_s * d) @ V.T
+        acc += weight(slot) * np.array([
+            p.sum(), (lam_s * p).sum(), (lam_s**2 * p).sum(),
+            np.vdot(Ac, Ac @ blk.M_lambda.T).real])
+    return np.sqrt(acc)
+
+
+@pytest.mark.parametrize("res", [Resolution(N1=4, N2=4, P=12),
+                                 Resolution(N1=8, N2=6, P=16)],
+                         ids=["4x4", "8x6"])
+def test_a_scale_norms_match_per_block_loop(geo_odd, res):
+    ops = OperatorSet(derive_params(0.2, 0.1, 0.5, 0.05), geo_odd, res)
+    for seed, shift in ((2, None), (3, 0.0), (4, 7.5)):
+        f = random_field(geo_odd, res, seed=seed, amplitude=1.3)
+        got = ops.a_scale_norms(f, shift)
+        ref = _a_scale_norms_by_block(ops, f, got["shift"])
+        for name, want in zip(("A0", "A_half", "A1", "A1_lambda"), ref):
+            assert got[name] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_mean_block_wall_coupling_can_lose_coercivity(geo):

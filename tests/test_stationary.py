@@ -7,7 +7,7 @@ from nsab.basis import legendre_table
 from nsab.field import random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.stationary import (ConsistencyError, ModalForcing, forcing_from_field,
+from nsab.stationary import (ConsistencyError, forcing_from_field,
                              gradient_forcing, recover_pressure, solve_stationary,
                              strong_bc_residual)
 from nsab.manufactured import TrigProfile, default_case
