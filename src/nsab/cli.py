@@ -36,6 +36,7 @@ from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
 from .field import random_field, zero_field
 from .manufactured import default_case
 from .operators import OperatorSet
+from .params import ParameterError
 from .spectral import eigenpairs_A, garding_constants
 from .snapshots import write_snapshot
 from .stationary import (ConsistencyError, forcing_from_field, recover_pressure,
@@ -372,7 +373,9 @@ def main(argv=None):
     out_dir = args.out or os.environ.get("NSAB_OUT_DIR") or "nsab_out"
     try:
         return run(cfg, out_dir)
-    except ConfigError as exc:  # a catalog id the experiment does not know
+    except (ConfigError, ParameterError) as exc:
+        # a catalog id the experiment does not know, or a resolution too
+        # coarse for the manufactured mode
         _fail(f"config error: {exc}")
         return EXIT_CONFIG
     except OSError as exc:

@@ -12,9 +12,15 @@ the potentials, evaluated in rotational form as the projection of
 realizes the divergence-free (Leray) projection; skew symmetry
 <N(u), u> = 0 holds pointwise, as (curl v) x u is orthogonal to u.
 
-Steppers treat the stiff fourth-order linear part implicitly and N
-explicitly: backward-Euler/forward-Euler, or Crank-Nicolson with
-Adams-Bashforth-2 (first step seeded with the initial slope).  The linear
+Steppers treat the stiff fourth-order linear part S = beta^2 K_a + K_grad
+implicitly and N explicitly: backward-Euler/forward-Euler (theta = 1), or
+Crank-Nicolson with Adams-Bashforth-2 (theta = 1/2, first step seeded with
+the initial slope).  A step solves A u' = (M_L - (1 - theta) dt S) u - dt G
+with A = M_L + theta dt S and G the explicit term.  As M_L - (1 - theta) dt S
+= M_L / theta - (1/theta - 1) A, it is applied as u' = P u / theta -
+(1/theta - 1) u - dt Q G through per-row stacks of the propagators
+P = A^{-1} M_L and Q = A^{-1}, formed with one LU per distinct block; this
+keeps the cancellation in M_L - dt S / 2 out of the step.  The linear
 flow also has an exact spectral propagator through the factorization
 u(t) = L^{-1/2} e^{-tD} L^{1/2} u0 (+ Duhamel term), which serves as the
 order oracle for the steppers.
@@ -25,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .field import project_velocity, reconstruct, zero_field
+from .field import SolenoidalField, project_velocity, reconstruct, rowmul, zero_field
 from .operators import OperatorSet
 from .params import derive_params, step_count
 from .spectral import SpectralFactors
@@ -117,9 +122,20 @@ def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
     """
     if factors is None:
         factors = SpectralFactors(ops, include_gradient=True)
-    out = zero_field(u0.geometry, u0.resolution)
-    for slot, blk, c in ops.field_blocks(u0):
-        out.coeffs(slot)[:] = factors.propagate_block(blk, t, c)
+
+    def parts(b):
+        fb = factors.block(b)
+        return (fb.sqrt_lambda, fb.inv_sqrt_lambda, fb.d_eigvals,
+                fb.d_eigvecs.T)
+
+    stacks = list(ops.row_stacks(parts))
+
+    def semigroup(tau, c, lam, VT):
+        # e^{-tau D} applied to every row of c
+        return rowmul(VT.transpose(0, 2, 1), np.exp(-tau * lam) * rowmul(VT, c))
+
+    out = [rowmul(isq, semigroup(t, rowmul(sq, c), lam, VT))
+           for c, (sq, isq, lam, VT) in zip(u0.potentials(), stacks)]
     if forcing is not None and t > 0:
         x, wq = np.polynomial.legendre.leggauss(nodes)
         # panels graded geometrically toward tau = t, where the semigroup
@@ -130,13 +146,10 @@ def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
             taus = 0.5 * (b - a) * (x + 1.0) + a
             ws = 0.5 * (b - a) * wq
             for tau, wgt in zip(taus, ws):
-                g = forcing(tau)
-                for slot, blk, c in ops.field_blocks(g):
-                    isq = factors.block(blk).inv_sqrt_lambda
-                    val = wgt * (factors.semigroup_apply(blk, t - tau, c @ isq.T)
-                                 @ isq.T)
-                    out.coeffs(slot)[:] += val
-    return out
+                for acc, c, (_, isq, lam, VT) in zip(out, forcing(tau).potentials(),
+                                                     stacks):
+                    acc += wgt * rowmul(isq, semigroup(t - tau, rowmul(isq, c), lam, VT))
+    return SolenoidalField(u0.geometry, u0.resolution, *out)
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +174,32 @@ class IMEXStepper:
         self.dt = dt
         self.scheme = scheme
         self.nonlinear = nonlinear
-        self._lu = {}
-        self._minus = {}
+        theta = 1.0 if scheme == "euler" else 0.5
+        self._inv_theta = 1.0 / theta
         b2 = ops.params.beta**2
 
-        for blk in ops.distinct_blocks():
-            S = b2 * blk.K_a + blk.K_grad
-            if scheme == "euler":
-                A = blk.M_lambda + dt * S
-            else:
-                A = blk.M_lambda + 0.5 * dt * S
-                self._minus[id(blk)] = blk.M_lambda - 0.5 * dt * S
-            self._lu[id(blk)] = sla.lu_factor(A)
+        def propagators(blk):
+            A = blk.M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad)
+            PQ = np.linalg.solve(A, np.hstack([blk.M_lambda, np.eye(blk.n)]))
+            return PQ[:, :blk.n], PQ[:, blk.n:]
+
+        self._props = list(ops.row_stacks(propagators))
 
     def step(self, state):
         ops = self.ops
         dt = self.dt
         u = state.field
         N = nonlinear_term(u, ops) if self.nonlinear else zero_field(u.geometry, u.resolution)
+        G = N
         if self.scheme == "cnab2":
             Nprev = state.history if state.history is not None else N
-        out = zero_field(u.geometry, u.resolution)
-        for slot, blk, c in ops.field_blocks(u):
-            lu = self._lu[id(blk)]
-            n_now = N.coeffs(slot)
-            if self.scheme == "euler":
-                rhs = c @ blk.M_lambda.T - dt * n_now
-            else:
-                n_old = Nprev.coeffs(slot)
-                rhs = c @ self._minus[id(blk)].T - dt * (1.5 * n_now - 0.5 * n_old)
-            out.coeffs(slot)[:] = _lu_solve_rows(lu, rhs)
-        return EvolutionState(state.time + dt, out,
+            G = N * 1.5 - Nprev * 0.5
+        a = self._inv_theta
+        out = [rowmul(P, c) * a - (a - 1.0) * c - dt * rowmul(Q, g)
+               for (P, Q), c, g in zip(self._props, u.potentials(), G.potentials())]
+        return EvolutionState(state.time + dt,
+                              SolenoidalField(u.geometry, u.resolution, *out),
                               N if self.scheme == "cnab2" else None)
-
-
-def _lu_solve_rows(lu, rhs):
-    """Solve for every row of rhs in one call; the real and imaginary parts
-    of complex rows are stacked as columns."""
-    if not np.iscomplexobj(rhs):
-        return sla.lu_solve(lu, rhs.T).T
-    x = sla.lu_solve(lu, np.concatenate([rhs.real, rhs.imag]).T)
-    return (x[:, :len(rhs)] + 1j * x[:, len(rhs):]).T
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +207,19 @@ def _lu_solve_rows(lu, rhs):
 # ---------------------------------------------------------------------------
 
 def energy_report(ops, state, prev=None, dt=None, snorm=None):
+    # M = I in the orthonormal bases, so ||u||^2 = u.dot(u) and
+    # E_L = <M_L u, u> / 2 = (||u||^2 + alpha^2 <K_grad u, u>) / 2
     u = state.field
-    E = 0.5 * ops.form_energy("M_lambda", u)
+    a2 = ops.params.alpha**2
+    l2sq = u.dot(u)
     a_uu = ops.form_energy("K_a", u)
     grad = ops.form_energy("K_grad", u)
-    l2sq = ops.form_energy("M", u)
+    E = 0.5 * (l2sq + a2 * grad)
     sn = snorm if snorm is not None else ops.a_scale_norms(u)
     bal = np.nan
     if prev is not None and dt:
-        E0 = 0.5 * ops.form_energy("M_lambda", prev.field)
+        f0 = prev.field
+        E0 = 0.5 * (f0.dot(f0) + a2 * ops.form_energy("K_grad", f0))
         bal = abs((E - E0) / dt + ops.params.beta**2 * a_uu + grad)
     return EnergyReport(state.time, E, a_uu, grad,
                         float(np.sqrt(max(l2sq, 0.0) + max(grad, 0.0))),
@@ -284,7 +286,7 @@ class UniquenessProbe:
 
 
 def _h1_norm(ops, f):
-    return float(np.sqrt(max(ops.form_energy("M", f) + ops.form_energy("K_grad", f), 0.0)))
+    return float(np.sqrt(max(f.dot(f) + ops.form_energy("K_grad", f), 0.0)))
 
 
 def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2"):

@@ -17,8 +17,7 @@ dot product of their rows, counted twice for the conjugate partners, plus
 the dot product of the mean rows.
 
 This module and the snapshot file boundary are the only places that know
-that layout.  :meth:`SolenoidalField.coeffs` addresses one group's rows by
-the slot keys of :meth:`nsab.operators.OperatorSet.field_blocks`.
+that layout.
 
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
 the quadrature nodes in the same row layout - complex (3, R, Q) rows plus
@@ -121,13 +120,10 @@ class SolenoidalField:
 
     __rmul__ = __mul__
 
-    def coeffs(self, slot):
-        """Writable (g, n) view of one block group's rows.
-
-        slot is ("psi"|"phi"|"mean", rows), as yielded by
-        :meth:`nsab.operators.OperatorSet.field_blocks`.
-        """
-        return getattr(self, slot[0])[slot[1]]
+    def potentials(self):
+        """(psi, phi, mean), the order of
+        :meth:`nsab.operators.OperatorSet.row_stacks`."""
+        return self.psi, self.phi, self.mean
 
     def dot(self, other):
         """L2 inner product over the full (Hermitian) spectrum; real."""

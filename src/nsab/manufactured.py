@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import gauss_legendre, legendre_table
+from .params import ParameterError
 from .stationary import ModalForcing, wall_dual
 
 
@@ -60,7 +61,8 @@ class ManufacturedCase:
 
     (k1, k2) must be a representative mode of the field layout (k1 > 0, or
     k1 = 0 < k2); its conjugate partner carries the conjugate data.  Any
-    other mode raises ValueError when the case is used.
+    other mode raises ValueError when the case is used (ParameterError
+    when the resolution does not store the mode at all).
     """
 
     k1: int
@@ -83,8 +85,8 @@ class ManufacturedCase:
                              f"representative mode; use ({-k1}, {-k2}) with "
                              f"conjugated amplitudes")
         res = ops.resolution
-        raise ValueError(f"manufactured mode ({k1}, {k2}) is not stored at "
-                         f"N1 = {res.N1}, N2 = {res.N2}")
+        raise ParameterError(f"manufactured mode ({k1}, {k2}) is not stored at "
+                             f"N1 = {res.N1}, N2 = {res.N2}")
 
     def mode_potentials(self, z, dmax):
         """psi*, phi* derivative stacks (dmax+1, len(z)) at the mode."""

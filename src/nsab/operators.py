@@ -33,6 +33,10 @@ import numpy as np
 from .basis import BasisCache
 from .field import layout_for, rowmul
 
+#: multiplicity of each potential's rows in the full spectrum: a stored
+#: mode also stands for its conjugate partner; the mean stands alone
+MULTIPLICITY = (2.0, 2.0, 1.0)
+
 
 @dataclass
 class BlockOperators:
@@ -117,12 +121,6 @@ def assemble_mode(k1, k2, params, geometry, resolution, cache=None):
     return ModeOperators({"toroidal": tor, "poloidal": pol})
 
 
-def weight(slot):
-    """Multiplicity of a field_blocks slot in the full spectrum: each stored
-    mode also stands for its conjugate partner; the mean stands alone."""
-    return 1.0 if slot[0] == "mean" else 2.0
-
-
 def apply_form(op_matrix, u_coeffs, v_coeffs):
     """Sesquilinear form value v* (matrix) u; conjugate-linear in v."""
     u = np.asarray(u_coeffs)
@@ -144,6 +142,7 @@ class OperatorSet:
         self.layout = layout_for(resolution)
         self._ops = {}
         self._eig = {}
+        self._forms = {}
         self._stacks = None
 
     def mode_ops(self, k1, k2):
@@ -157,28 +156,37 @@ class OperatorSet:
     def mean_ops(self):
         return self.mode_ops(0, 0)
 
-    # -- block-wise traversal of a field's coefficients ---------------------
+    # -- per-row stacks of block operators ---------------------------------
 
-    def field_blocks(self, f):
-        """Yield (slot, block_ops, coeffs), one per block group and potential,
-        then the mean.
+    def row_stacks(self, fn):
+        """Per-row stacks of fn(block), one potential at a time.
 
-        slot is ("psi"|"phi"|"mean", rows) for :meth:`SolenoidalField.coeffs`;
-        coeffs is the (g, n) view of the group's rows in the field.
+        fn maps a BlockOperators to a tuple of (n,) or (n, n) arrays and is
+        evaluated once per distinct block.  Yields the tuple stacked over
+        rows for the toroidal (R, ...), poloidal (R, ...) and mean (1, ...)
+        blocks, in the order of :meth:`SolenoidalField.potentials`.
         """
-        for key, rows in self.layout.groups.items():
-            mops = self.mode_ops(*key)
-            yield ("psi", rows), mops.blocks["toroidal"], f.psi[rows]
-            yield ("phi", rows), mops.blocks["poloidal"], f.phi[rows]
-        yield ("mean", slice(None)), self.mean_ops.blocks["mean"], f.mean
+        groups = self.layout.groups
+        sizes = [rows.stop - rows.start for rows in groups.values()]
+        mean = fn(self.mean_ops.blocks["mean"])
+
+        def stack(name, n):
+            if not groups:  # a mean-only resolution stores no rows
+                return tuple(np.zeros((0,) + (n,) * np.ndim(a)) for a in mean)
+            parts = zip(*(fn(self.mode_ops(*key).blocks[name]) for key in groups))
+            return tuple(np.repeat(np.array(p), sizes, axis=0) for p in parts)
+
+        yield stack("toroidal", self.resolution.n_toroidal)
+        yield stack("poloidal", self.resolution.n_poloidal)
+        yield tuple(np.asarray(a)[None] for a in mean)
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        acc = 0.0
-        for slot, blk, cu in self.field_blocks(u):
-            mat = getattr(blk, form)
-            acc += weight(slot) * np.vdot(v.coeffs(slot), cu @ mat.T).real
-        return acc
+        if form not in self._forms:
+            self._forms[form] = list(self.row_stacks(lambda b: (getattr(b, form),)))
+        return sum(mult * np.vdot(cv, rowmul(K, cu)).real
+                   for mult, (K,), cu, cv in zip(MULTIPLICITY, self._forms[form],
+                                                 u.potentials(), v.potentials()))
 
     def form_energy(self, form, u):
         return self.form_inner(form, u, u)
@@ -205,14 +213,6 @@ class OperatorSet:
                                         for b in self.distinct_blocks()))
         return self._shift
 
-    def _eig_stack(self, blocks, n):
-        """Per-row stacks lam, V^T and V^T M_lambda V of K_a's eigenpairs."""
-        eig = [self.block_eig(b) for b in blocks]
-        return (np.array([lam for lam, _ in eig]).reshape(-1, n),
-                np.array([V.T for _, V in eig]).reshape(-1, n, n),
-                np.array([V.T @ b.M_lambda @ V for (_, V), b in zip(eig, blocks)])
-                .reshape(-1, n, n))
-
     def a_scale_norms(self, f, shift=None):
         """Norms ||(A + shift)^{j/2} u|| for j = 0, 1, 2 plus Lambda-weighted j=2.
 
@@ -224,15 +224,14 @@ class OperatorSet:
         if shift is None:
             shift = self.spectral_shift()
         if self._stacks is None:
-            rows = [self.mode_ops(*key).blocks for key in self.layout.keys]
-            n_t, n_p = self.resolution.n_toroidal, self.resolution.n_poloidal
-            self._stacks = [self._eig_stack([b["toroidal"] for b in rows], n_t),
-                            self._eig_stack([b["poloidal"] for b in rows], n_p),
-                            self._eig_stack([self.mean_ops.blocks["mean"]], n_t)]
+            def eig_stack(b):
+                lam, V = self.block_eig(b)
+                return lam, V.T, V.T @ b.M_lambda @ V
+            self._stacks = list(self.row_stacks(eig_stack))
         sums = np.zeros(4)
         with np.errstate(over="ignore", invalid="ignore"):
-            for mult, c, (lam, VT, G) in zip((2.0, 2.0, 1.0),
-                                             (f.psi, f.phi, f.mean), self._stacks):
+            for mult, c, (lam, VT, G) in zip(MULTIPLICITY, f.potentials(),
+                                             self._stacks):
                 d = rowmul(VT, c)  # rows of c @ V
                 lam_s = np.maximum(lam + shift, 0.0)
                 p, y = np.abs(d) ** 2, lam_s * d

@@ -177,21 +177,3 @@ class SpectralFactors:
             dv, dV = np.linalg.eigh(D)
             self._blocks[key] = BlockFactors(sq, isq, D, dv, dV)
         return self._blocks[key]
-
-    def semigroup_apply(self, blk, t, coeffs):
-        """e^{-tD} applied to block coefficients (a vector or rows of them)."""
-        fb = self.block(blk)
-        return ((np.exp(-t * fb.d_eigvals) * (coeffs @ fb.d_eigvecs))
-                @ fb.d_eigvecs.T)
-
-    def propagate_block(self, blk, t, c0):
-        """Lambda^{-1/2} e^{-tD} Lambda^{1/2} applied to block coefficients
-        (a vector or rows of them)."""
-        fb = self.block(blk)
-        return (self.semigroup_apply(blk, t, c0 @ fb.sqrt_lambda.T)
-                @ fb.inv_sqrt_lambda.T)
-
-    def min_d_eigenvalue(self):
-        vals = [self.block(b).d_eigvals[0] for b in self.ops.distinct_blocks()]
-        return float(min(vals))
-

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import analyze, layout_for, rowmul, synthesize, zero_field
-from .operators import weight
+from .field import (SolenoidalField, analyze, layout_for, rowmul, synthesize,
+                    zero_field)
+from .operators import MULTIPLICITY
 
 
 class ConsistencyError(RuntimeError):
@@ -107,27 +108,29 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
     Raises ConsistencyError when a singular block sees data along its
     kernel beyond consistency_rtol times the data norm.
     """
-    u = zero_field(ops.geometry, ops.resolution)
     kernel_dim = 0
     violation = 0.0
     res_sq = 0.0
     rhs_norm = rhs.norm_l2()
-    for slot, blk, c in ops.field_blocks(rhs):
-        lam, V = ops.block_eig(blk)
-        scale = np.max(np.abs(lam))
-        kernel = np.abs(lam) <= kernel_rtol * scale
-        d = c @ V
-        if kernel.any():
-            kernel_dim += int(kernel.sum()) * len(c)
-            violation = max(violation,
-                            float(np.linalg.norm(d[:, kernel], axis=1).max()))
-        x = np.zeros_like(d)
-        x[:, ~kernel] = d[:, ~kernel] / lam[~kernel]
-        sol = x @ V.T
-        res_sq += weight(slot) * float(np.linalg.norm(sol @ blk.K_a.T - c) ** 2)
-        u.coeffs(slot)[:] = sol
+    parts = []
+    stacks = ops.row_stacks(lambda b: ops.block_eig(b) + (b.K_a,))
+    for mult, c in zip(MULTIPLICITY, rhs.potentials()):
+        lam, V, K = next(stacks)
+        # kernel: |lam| <= kernel_rtol * max|lam| of the row's block; the
+        # mean's one stack row serves both mean components
+        scale = np.abs(lam).max(axis=1, keepdims=True, initial=0.0)
+        d = rowmul(V.transpose(0, 2, 1), c)  # rows of c @ V
+        kernel = np.broadcast_to(np.abs(lam) <= kernel_rtol * scale, d.shape)
+        kernel_dim += int(kernel.sum())
+        along = np.sum(np.abs(np.where(kernel, d, 0.0)) ** 2, axis=1)
+        violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
+        sol = rowmul(V, np.divide(d, lam, out=np.zeros_like(d), where=~kernel))
+        res_sq += mult * float(np.sum(np.abs(rowmul(K, sol) - c) ** 2))
+        parts.append(sol)
+        del lam, V, K  # hold one potential's stacks at a time
     if violation > consistency_rtol * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
+    u = SolenoidalField(ops.geometry, ops.resolution, *parts)
     return u, SolveReport(kernel_dim, violation, np.sqrt(res_sq), rhs_norm)
 
 

@@ -61,6 +61,17 @@ def params_with_k(gamma, k, alpha=0.2, beta=0.1):
     return derive_params(alpha, beta, gamma, k * beta**2)
 
 
+def block_groups(ops, f):
+    """(block, (g, n) writable view of f's rows, multiplicity) per block group
+    and potential, then the mean: a per-group traversal that does not go
+    through OperatorSet.row_stacks."""
+    for key, rows in layout_for(f.resolution).groups.items():
+        blocks = ops.mode_ops(*key).blocks
+        yield blocks["toroidal"], f.psi[rows], 2.0
+        yield blocks["poloidal"], f.phi[rows], 2.0
+    yield ops.mean_ops.blocks["mean"], f.mean, 1.0
+
+
 # ---------------------------------------------------------------------------
 # pointwise profile machinery (independent of the assembly routines)
 # ---------------------------------------------------------------------------

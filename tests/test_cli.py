@@ -210,21 +210,27 @@ def _config_with(overrides):
     return "\n".join(keep + [f"{k} = {v}" for k, v in overrides.items()]) + "\n"
 
 
-@pytest.mark.parametrize("overrides, out_under_file", [
-    pytest.param({"model.alpha": "nan"}, False, id="alpha-nan"),
-    pytest.param({"geometry.H": "inf"}, False, id="H-inf"),
-    pytest.param({"time.dt": "-1"}, False, id="dt-negative"),
-    pytest.param({"time.T": "nan"}, False, id="T-nan"),
-    pytest.param({"output.cadence": "0"}, False, id="cadence-0"),
-    pytest.param({"watchdog.ceiling": "nan"}, False, id="ceiling-nan"),
-    pytest.param({"eigs.count": "-3"}, False, id="eigs-count-negative"),
-    pytest.param({"convergence.p_values": "4,8"}, False, id="convergence-P-below-6"),
-    pytest.param({"u0.id": "bogus"}, False, id="u0-id-unknown"),
-    pytest.param({"time.T": "0.1", "time.dt": "0.03"}, False, id="T-not-multiple"),
-    pytest.param({"time.T": "0.1", "time.dt": "0.2"}, False, id="dt-above-T"),
-    pytest.param({}, True, id="out-under-file"),
+@pytest.mark.parametrize("subcommand, overrides, out_under_file", [
+    pytest.param("evolve", {"model.alpha": "nan"}, False, id="alpha-nan"),
+    pytest.param("evolve", {"geometry.H": "inf"}, False, id="H-inf"),
+    pytest.param("evolve", {"time.dt": "-1"}, False, id="dt-negative"),
+    pytest.param("evolve", {"time.T": "nan"}, False, id="T-nan"),
+    pytest.param("evolve", {"output.cadence": "0"}, False, id="cadence-0"),
+    pytest.param("evolve", {"watchdog.ceiling": "nan"}, False, id="ceiling-nan"),
+    pytest.param("evolve", {"eigs.count": "-3"}, False, id="eigs-count-negative"),
+    pytest.param("evolve", {"convergence.p_values": "4,8"}, False, id="convergence-P-below-6"),
+    pytest.param("evolve", {"u0.id": "bogus"}, False, id="u0-id-unknown"),
+    pytest.param("evolve", {"time.T": "0.1", "time.dt": "0.03"}, False, id="T-not-multiple"),
+    pytest.param("evolve", {"time.T": "0.1", "time.dt": "0.2"}, False, id="dt-above-T"),
+    pytest.param("evolve", {}, True, id="out-under-file"),
+    # the manufactured mode (1, 1) is not stored at N = 2
+    pytest.param("convergence", {"resolution.N1": "2", "resolution.N2": "2"},
+                 False, id="convergence-N-2"),
+    pytest.param("solve", {"resolution.N1": "2", "forcing.id": "manufactured"},
+                 False, id="solve-manufactured-N1-2"),
 ])
-def test_bad_input_exits_2_without_traceback(tmp_path, overrides, out_under_file):
+def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
+                                            out_under_file):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_config_with(overrides))
     out = tmp_path / "out"
@@ -234,9 +240,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, overrides, out_under_file
         out = blocker / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "nsab.cli", "evolve", "--config", str(cfg),
+        [sys.executable, "-m", "nsab.cli", subcommand, "--config", str(cfg),
          "--out", str(out)], capture_output=True, text=True, env=env,
         timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    if subcommand != "evolve":  # the line names the resolution
+        assert "N1 = 2, N2 = " in proc.stderr

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nsab.evolution import (EvolutionState, IMEXStepper, PaddingError,
                             energy_report, linear_propagator_exact,
@@ -12,7 +13,8 @@ from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
 
-from conftest import hermitian_modes, mode_velocity_profiles, params_with_k
+from conftest import (block_groups, hermitian_modes, mode_velocity_profiles,
+                      params_with_k)
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +128,16 @@ def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):
     u0 = random_field(geo, res_small, seed=6, amplitude=0.3, decay=1.0)
     assert (linear_propagator_exact(u0, 0.0, ops, fac) - u0).norm_l2() <= 1e-13
     # an eigenvector of D: u = L^{-1/2} e, decays like e^{-mu t} in L norm
-    blk = ops.mode_ops(1, 0).blocks["toroidal"]
-    fb = fac.block(blk)
+    fb = fac.block(ops.mode_ops(1, 0).blocks["toroidal"])
     mu = fb.d_eigvals[0]
-    e = fb.d_eigvecs[:, 0]
-    c0 = fb.inv_sqrt_lambda @ e
+    c0 = fb.inv_sqrt_lambda @ fb.d_eigvecs[:, 0]
+    f = zero_field(geo, res_small)
+    f.psi[layout_for(res_small).row[(1, 0)]] = c0
     for t in (0.1, 1.0):
-        ct = fac.propagate_block(blk, t, c0)
-        assert np.allclose(ct, np.exp(-mu * t) * c0, atol=1e-12 * np.abs(c0).max())
+        ft = linear_propagator_exact(f, t, ops, fac)
+        want = np.exp(-mu * t) * f
+        for got, ref in zip(ft.potentials(), want.potentials()):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12 * np.abs(c0).max())
 
 
 def test_semigroup_contraction_bound(ops):
@@ -155,11 +159,12 @@ def test_propagator_constant_forcing(ops, geo, res_small):
     u = linear_propagator_exact(zero_field(geo, res_small), t, ops, fac,
                                 forcing=lambda tau: g, panels=8, nodes=10)
     ref = zero_field(geo, res_small)
-    for slot, blk, c in ops.field_blocks(g):
+    for (blk, c, _), (_, rows, _) in zip(block_groups(ops, g),
+                                         block_groups(ops, ref)):
         fb = fac.block(blk)
         mu = fb.d_eigvals
         phi = np.where(np.abs(mu) > 1e-12, (1 - np.exp(-mu * t)) / np.where(mu == 0, 1, mu), t)
-        for row, cr in zip(ref.coeffs(slot), c):
+        for row, cr in zip(rows, c):
             cc = fb.inv_sqrt_lambda @ cr
             d = fb.d_eigvecs.T @ cc
             row[:] = fb.inv_sqrt_lambda @ (fb.d_eigvecs @ (phi * d))
@@ -186,6 +191,60 @@ def test_imex_orders_against_propagator(geo):
             errs.append((st.field - uT).norm_l2())
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert abs(slope - expected) <= 0.1
+
+
+def _lu_step(ops, dt, theta, u, G):
+    """Reference step: one scipy LU solve of A x = (M_L - (1 - theta) dt S) u
+    - dt G per block group, A = M_L + theta dt S."""
+    out = zero_field(u.geometry, u.resolution)
+    b2 = ops.params.beta**2
+    for (blk, c, _), (_, g, _), (_, x, _) in zip(block_groups(ops, u),
+                                                 block_groups(ops, G),
+                                                 block_groups(ops, out)):
+        S = b2 * blk.K_a + blk.K_grad
+        lu = scipy.linalg.lu_factor(blk.M_lambda + theta * dt * S)
+        rhs = c @ (blk.M_lambda - (1 - theta) * dt * S).T - dt * g
+        x[:] = scipy.linalg.lu_solve(lu, rhs.T).T
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_step_matches_high_precision_solve(request, geometry, res_small):
+    """One euler and one cnab2 step against a 30-digit solve of the same
+    float64 block system, and against a per-group LU step."""
+    mp = pytest.importorskip("mpmath").MPContext()  # private precision
+    mp.dps = 30
+    g = request.getfixturevalue(geometry)
+    ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), g, res_small)
+    u = random_field(g, res_small, seed=2, amplitude=0.5)
+    Nu = nonlinear_term(u, ops)
+    Nprev = nonlinear_term(random_field(g, res_small, seed=3, amplitude=0.5), ops)
+    dt = 0.02
+    b2 = mp.mpf(ops.params.beta**2)
+
+    def mat(a):
+        return mp.matrix(a.tolist())
+
+    for scheme, theta in (("euler", 1.0), ("cnab2", 0.5)):
+        got = IMEXStepper(ops, dt, scheme).step(EvolutionState(0.0, u, Nprev)).field
+        G = Nu if scheme == "euler" else Nu * 1.5 - Nprev * 0.5
+        ref = _lu_step(ops, dt, theta, u, G)
+        for a, b in zip(got.potentials(), ref.potentials()):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        # up to two rows of every block group: both mean components
+        err = cmax = 0.0
+        th, tau = mp.mpf(theta), mp.mpf(dt)
+        for (blk, c, _), (_, gr, _), (_, x, _) in zip(block_groups(ops, u),
+                                                      block_groups(ops, G),
+                                                      block_groups(ops, got)):
+            M, S = mat(blk.M_lambda), b2 * mat(blk.K_a) + mat(blk.K_grad)
+            for cr, grow, xr in zip(c[:2], gr[:2], x[:2]):
+                rhs = (M - (1 - th) * tau * S) * mat(cr) - tau * mat(grow)
+                want = np.array(mp.lu_solve(M + th * tau * S, rhs).tolist(),
+                                dtype=complex)[:, 0]
+                err = max(err, np.abs(xr - want).max())
+                cmax = max(cmax, np.abs(want).max())
+        assert err <= 1e-14 * cmax
 
 
 def test_zero_state_is_fixed_point(ops, geo, res_small):

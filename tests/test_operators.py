@@ -6,10 +6,10 @@ import pytest
 from nsab.basis import BasisCache, gauss_legendre
 from nsab.field import grid_quadrature, layout_for, potentials_to_velocity, \
     random_field, zero_field
-from nsab.operators import OperatorSet, apply_form, assemble_mode, weight
+from nsab.operators import OperatorSet, apply_form, assemble_mode
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
-from conftest import (a_form_oracle, grad_omega_sq_oracle,
+from conftest import (a_form_oracle, block_groups, grad_omega_sq_oracle,
                       mode_velocity_profiles, mode_vorticity_gradient,
                       params_with_k, random_block_coeffs)
 
@@ -290,13 +290,13 @@ def test_sobolev_norms(setup, geo_odd, res_small):
 def _a_scale_norms_by_block(ops, f, shift):
     """Reference: the watchdog norms accumulated one block group at a time."""
     acc = np.zeros(4)
-    for slot, blk, c in ops.field_blocks(f):
+    for blk, c, mult in block_groups(ops, f):
         lam, V = ops.block_eig(blk)
         d = c @ V
         p = np.abs(d) ** 2
         lam_s = np.maximum(lam + shift, 0.0)
         Ac = (lam_s * d) @ V.T
-        acc += weight(slot) * np.array([
+        acc += mult * np.array([
             p.sum(), (lam_s * p).sum(), (lam_s**2 * p).sum(),
             np.vdot(Ac, Ac @ blk.M_lambda.T).real])
     return np.sqrt(acc)
@@ -313,6 +313,42 @@ def test_a_scale_norms_match_per_block_loop(geo_odd, res):
         ref = _a_scale_norms_by_block(ops, f, got["shift"])
         for name, want in zip(("A0", "A_half", "A1", "A1_lambda"), ref):
             assert got[name] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
+RESOLUTIONS = pytest.mark.parametrize(
+    "res", [Resolution(N1=4, N2=4, P=12), Resolution(N1=8, N2=6, P=16)],
+    ids=["4x4", "8x6"])
+
+
+@RESOLUTIONS
+def test_form_inner_matches_per_group_loop(geo_odd, res):
+    ops = OperatorSet(derive_params(0.2, 0.1, 0.5, 0.05), geo_odd, res)
+    u = random_field(geo_odd, res, seed=5, amplitude=1.3)
+    v = random_field(geo_odd, res, seed=6, amplitude=0.7)
+    for form in FORMS:
+        for a, b in ((u, u), (u, v), (v, u)):
+            terms = [mult * np.vdot(cb, ca @ getattr(blk, form).T).real
+                     for (blk, ca, mult), (_, cb, _) in zip(block_groups(ops, a),
+                                                            block_groups(ops, b))]
+            got = ops.form_inner(form, a, b)
+            assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
+
+
+@RESOLUTIONS
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_energy_identities_of_the_orthonormal_bases(request, geometry, res):
+    """M = I, so ||u||^2 = u.dot(u) and <M_L u, u> = ||u||^2 + alpha^2
+    <K_grad u, u>: the identities energy_report relies on."""
+    g = request.getfixturevalue(geometry)
+    par = derive_params(0.2, 0.1, 0.5, 0.05)
+    ops = OperatorSet(par, g, res)
+    for seed in (7, 8):
+        u = random_field(g, res, seed=seed, amplitude=1.3)
+        l2sq = u.dot(u)
+        assert ops.form_energy("M", u) == pytest.approx(l2sq, rel=1e-13, abs=0)
+        want = l2sq + par.alpha**2 * ops.form_energy("K_grad", u)
+        assert ops.form_energy("M_lambda", u) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_mean_block_wall_coupling_can_lose_coercivity(geo):

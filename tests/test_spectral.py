@@ -149,7 +149,7 @@ def test_alpha_zero_degenerates_to_identity_filter(geo, res_small):
 def test_d_spectrum_bounded_below(geo, res_small):
     o = OperatorSet(params_with_k(1.0, 5.0), geo, res_small)
     fac = SpectralFactors(o)
-    dmin = fac.min_d_eigenvalue()
+    dmin = min(fac.block(b).d_eigvals[0] for b in o.distinct_blocks())
     shift = o.spectral_shift()
     # mu_min >= 1 for the filter form, so min spec(D) >= -beta^2 * shift
     assert dmin >= -o.params.beta**2 * shift - 1e-12

@@ -12,7 +12,7 @@ from nsab.stationary import (ConsistencyError, forcing_from_field,
                              strong_bc_residual)
 from nsab.manufactured import TrigProfile, default_case
 
-from conftest import params_with_k
+from conftest import block_groups, params_with_k
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,9 @@ def test_discrete_manufactured_recovery(ops, geo, res_small):
     """rhs := K_a c* recovers c* through the solve (exact Galerkin inverse)."""
     target = random_field(geo, res_small, seed=31, amplitude=1.0)
     rhs = zero_field(geo, res_small)
-    for slot, blk, c in ops.field_blocks(target):
-        rhs.coeffs(slot)[:] = c @ blk.K_a.T
+    for (blk, c, _), (_, r, _) in zip(block_groups(ops, target),
+                                      block_groups(ops, rhs)):
+        r[:] = c @ blk.K_a.T
     u, rep = solve_stationary(ops, rhs)
     assert (u - target).norm_l2() <= 1e-10 * target.norm_l2()
 
