@@ -12,8 +12,10 @@ deterministic and serial; --serial does nothing and is still accepted so
 existing command lines parse.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
-timings, timestamp); data files carry no timestamps so reruns from the
-echoed config are byte-identical.
+timings, peak resident memory, timestamp); ``timings.setup_s`` is the part
+of ``total_s`` spent building the experiment's operator sets (a sweep's
+per-level sets not included).  Data files carry no timestamps so reruns
+from the echoed config are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -104,7 +107,7 @@ def _initial_field(cfg, ops):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_verify_adn(cfg, out):
+def _exp_verify_adn(cfg, out, operators):
     system = ns_alpha_beta_system(gamma=cfg.params.gamma)
     ell_rep = check_ellipticity(system)
     rng = np.random.default_rng(cfg["covering.seed"])
@@ -150,8 +153,8 @@ def _exp_verify_adn(cfg, out):
     return EXIT_OK
 
 
-def _exp_solve(cfg, out):
-    ops = OperatorSet(cfg.params, cfg.geometry, cfg.resolution)
+def _exp_solve(cfg, out, operators):
+    ops = operators()
     fid = cfg["forcing.id"]
     pressure_info = {}
     if fid == "manufactured":
@@ -191,8 +194,8 @@ def _exp_solve(cfg, out):
     return EXIT_OK
 
 
-def _exp_eigs(cfg, out):
-    ops = OperatorSet(cfg.params, cfg.geometry, cfg.resolution)
+def _exp_eigs(cfg, out, operators):
+    ops = operators()
     pairs = eigenpairs_A(ops, cfg["eigs.count"])
     rows = [(n, p.lam, p.mode[0], p.mode[1], p.block, p.multiplicity, p.residual)
             for n, p in enumerate(pairs, start=1)]
@@ -214,8 +217,8 @@ def _exp_eigs(cfg, out):
 _TS_HEADER = ["t", "E_Lambda", "a_uu", "grad_sq", "H1", "H3", "H5", "dE_balance"]
 
 
-def _exp_evolve(cfg, out):
-    ops = OperatorSet(cfg.params, cfg.geometry, cfg.resolution)
+def _exp_evolve(cfg, out, operators):
+    ops = operators()
     u0 = _initial_field(cfg, ops)
     inject = cfg["debug.inject_nan_step"] or None
     result = run_evolution(ops, u0, cfg["time.dt"], cfg["time.T"],
@@ -239,8 +242,8 @@ def _exp_evolve(cfg, out):
     return EXIT_WATCHDOG
 
 
-def _exp_sweep(cfg, out):
-    ops = OperatorSet(cfg.params, cfg.geometry, cfg.resolution)
+def _exp_sweep(cfg, out, operators):
+    ops = operators()
     u0 = _initial_field(cfg, ops)
     rows = vanishing_sweep(cfg.params, cfg.geometry, cfg.resolution, u0,
                            cfg["sweep.levels"], cfg["time.T"], cfg["time.dt"],
@@ -259,8 +262,8 @@ def _exp_sweep(cfg, out):
     return EXIT_OK
 
 
-def _exp_probe(cfg, out):
-    ops = OperatorSet(cfg.params, cfg.geometry, cfg.resolution)
+def _exp_probe(cfg, out, operators):
+    ops = operators()
     u0 = _initial_field(cfg, ops)
     pert = random_field(cfg.geometry, cfg.resolution, seed=cfg["probe.seed"],
                         amplitude=1.0, decay=cfg["u0.decay"])
@@ -285,12 +288,12 @@ def _exp_probe(cfg, out):
     return EXIT_OK
 
 
-def _exp_convergence(cfg, out):
+def _exp_convergence(cfg, out, operators):
     rows = []
     from .params import Resolution as Res
     for P in cfg["convergence.p_values"]:
         res = Res(cfg.resolution.N1, cfg.resolution.N2, P)
-        ops = OperatorSet(cfg.params, cfg.geometry, res)
+        ops = operators(res)
         case = default_case(cfg.geometry)
         u, rep = solve_stationary(ops, case.rhs(ops, cfg.params))
         press, prep = recover_pressure(u, case.forcing(ops), ops)
@@ -325,8 +328,17 @@ def run(cfg, out_dir):
     """Dispatch one experiment; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    setup_s = []
+
+    def operators(resolution=cfg.resolution):
+        # the experiment's OperatorSets; their build time is setup_s
+        t = time.perf_counter()
+        ops = OperatorSet(cfg.params, cfg.geometry, resolution)
+        setup_s.append(time.perf_counter() - t)
+        return ops
+
     t0 = time.perf_counter()
-    code = _RUNNERS[cfg.kind](cfg, out)
+    code = _RUNNERS[cfg.kind](cfg, out, operators)
     elapsed = time.perf_counter() - t0
     write_json(out / "manifest.json", {
         "config": cfg.canonical_text(),
@@ -335,7 +347,9 @@ def run(cfg, out_dir):
         "seed": {"u0": cfg["u0.seed"], "forcing": cfg["forcing.seed"],
                  "covering": cfg["covering.seed"], "probe": cfg["probe.seed"]},
         "serial": True,
-        "timings": {"total_s": elapsed},
+        "timings": {"total_s": elapsed, "setup_s": sum(setup_s)},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "exit_code": code,
     })

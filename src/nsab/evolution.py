@@ -126,7 +126,7 @@ def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
     def parts(b):
         fb = factors.block(b)
         return (fb.sqrt_lambda, fb.inv_sqrt_lambda, fb.d_eigvals,
-                fb.d_eigvecs.T)
+                np.swapaxes(fb.d_eigvecs, 1, 2))
 
     stacks = list(ops.row_stacks(parts))
 
@@ -180,8 +180,9 @@ class IMEXStepper:
 
         def propagators(blk):
             A = blk.M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad)
-            PQ = np.linalg.solve(A, np.hstack([blk.M_lambda, np.eye(blk.n)]))
-            return PQ[:, :blk.n], PQ[:, blk.n:]
+            eye = np.broadcast_to(np.eye(blk.n), A.shape)
+            PQ = np.linalg.solve(A, np.concatenate([blk.M_lambda, eye], axis=-1))
+            return PQ[..., :blk.n], PQ[..., blk.n:]
 
         self._props = list(ops.row_stacks(propagators))
 
@@ -206,9 +207,10 @@ class IMEXStepper:
 # trajectories, energy monitors, watchdog
 # ---------------------------------------------------------------------------
 
-def energy_report(ops, state, prev=None, dt=None, snorm=None):
+def energy_report(ops, state, prev=None, dt=None, snorm=None, prev_E=None):
     # M = I in the orthonormal bases, so ||u||^2 = u.dot(u) and
-    # E_L = <M_L u, u> / 2 = (||u||^2 + alpha^2 <K_grad u, u>) / 2
+    # E_L = <M_L u, u> / 2 = (||u||^2 + alpha^2 <K_grad u, u>) / 2;
+    # prev_E, when given, is E_L of prev (from its own report)
     u = state.field
     a2 = ops.params.alpha**2
     l2sq = u.dot(u)
@@ -219,7 +221,8 @@ def energy_report(ops, state, prev=None, dt=None, snorm=None):
     bal = np.nan
     if prev is not None and dt:
         f0 = prev.field
-        E0 = 0.5 * (f0.dot(f0) + a2 * ops.form_energy("K_grad", f0))
+        E0 = prev_E if prev_E is not None else \
+            0.5 * (f0.dot(f0) + a2 * ops.form_energy("K_grad", f0))
         bal = abs((E - E0) / dt + ops.params.beta**2 * a_uu + grad)
     return EnergyReport(state.time, E, a_uu, grad,
                         float(np.sqrt(max(l2sq, 0.0) + max(grad, 0.0))),
@@ -250,9 +253,10 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
     sn0 = ops.a_scale_norms(u0)
     h4_0 = max(sn0["A1"], 1e-300)
     reports = [energy_report(ops, state, snorm=sn0)]
+    last = reports[0]  # the report of state, if it has one
     for n in range(1, nsteps + 1):
-        prev = state
-        state = stepper.step(state)
+        prev, prev_E = state, last.E_lambda if last else None
+        state, last = stepper.step(state), None
         if inject_nan_step is not None and n == inject_nan_step:
             state.field.psi[:] = np.nan
         bad = not (np.all(np.isfinite(state.field.psi))
@@ -264,12 +268,13 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
                                                  watchdog_ceiling * h4_0))
         sn = ops.a_scale_norms(state.field)
         if sn["A1"] > watchdog_ceiling * h4_0:
-            reports.append(energy_report(ops, state, prev, dt, sn))
+            reports.append(energy_report(ops, state, prev, dt, sn, prev_E))
             return EvolutionResult(reports, state,
                                    WatchdogEvent(state.time, "h4_growth",
                                                  sn["A1"], watchdog_ceiling * h4_0))
         if n % cadence == 0 or n == nsteps:
-            reports.append(energy_report(ops, state, prev, dt, sn))
+            last = energy_report(ops, state, prev, dt, sn, prev_E)
+            reports.append(last)
     return EvolutionResult(reports, state, None)
 
 

@@ -219,8 +219,7 @@ def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha):
     return out
 
 
-def _mean_profiles(blk, mean, want, alpha, nd):
-    E = blk.tor.E
+def _mean_profiles(E, mean, want, alpha, nd):
     U = [np.stack([E[d] @ mean[0], E[d] @ mean[1], np.zeros(E[d].shape[0])])
          for d in range(nd + 1)]
     out = {}
@@ -256,7 +255,7 @@ def synthesize(f, cache, want=("u",), alpha=None):
     tvals = [ct @ cache.raw_T[d].T for d in range(nd)]
     pvals = [cp @ cache.raw_C[d].T for d in range(nd + 1)]
     rows = _mode_profiles(m, e1, e2, tvals, pvals, want, alpha)
-    means = _mean_profiles(cache.block(0, 0), f.mean, want, alpha, nd)
+    means = _mean_profiles(cache.mean_E, f.mean, want, alpha, nd)
     return {name: (rows[name], means[name]) for name in want}
 
 
@@ -313,7 +312,7 @@ def analyze(rows, mean, geometry, resolution, cache):
           + m * (f3 @ cache.raw_C[0]))
     psi = area * rowmul(W_tor.transpose(0, 2, 1), gt)
     phi = area * rowmul(W_pol.transpose(0, 2, 1), gp)
-    mean0 = area * ((w * mean[:2]) @ cache.block(0, 0).tor.E[0])
+    mean0 = area * ((w * mean[:2]) @ cache.mean_E[0])
     return SolenoidalField(geometry, resolution, psi, phi, mean0)
 
 
@@ -330,10 +329,3 @@ def project_velocity(U, geometry, resolution, cache):
     return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, geometry, resolution,
                    cache)
 
-
-def grid_quadrature(cache, resolution):
-    """Weights integrating gridded samples over the channel volume."""
-    M1, M2 = resolution.padded_shape
-    g = cache.geometry
-    da = (g.L1 / M1) * (g.L2 / M2)
-    return da * np.broadcast_to(cache.w, (M1, M2, resolution.Q))

@@ -162,8 +162,8 @@ class ManufacturedCase:
         z2, w2 = gauss_legendre(Q2, geo.H)
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
-        blk = ops.cache.block(self.k1, self.k2)
         row = self.row(ops)
+        blk = ops.cache.block(self.k1, self.k2)
         Et = blk.tor.evaluate(z2, geo.H, res.P, "dirichlet", dmax=3)
         Ep = blk.pol.evaluate(z2, geo.H, res.P, "clamped", dmax=3)
         th = np.stack([Et[d] @ u.psi[row] for d in range(4)])

@@ -21,12 +21,15 @@ two decoupled Dirichlet profiles with volume term <U'' V''> and wall term
 
 All matrices are expressed in the M-orthonormalized block bases of
 :mod:`nsab.basis`, so M is the identity and symmetric generalized pencils
-become standard symmetric eigenproblems.
+become standard symmetric eigenproblems.  :func:`toroidal_forms`,
+:func:`poloidal_forms` and :func:`mean_forms` build the forms of all
+distinct blocks at once, as (G, n, n) stacks of Gram products of the
+tabulated block bases, with no per-block loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +41,13 @@ from .field import layout_for, rowmul
 MULTIPLICITY = (2.0, 2.0, 1.0)
 
 
+FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
+
+
 @dataclass
 class BlockOperators:
-    """Assembled forms of one scalar block, in its orthonormal basis."""
+    """Assembled forms of one scalar block in its orthonormal basis, or of a
+    stack of blocks: then each form is a (G, n, n) array."""
 
     name: str
     n: int
@@ -53,6 +60,10 @@ class BlockOperators:
     def h2_form(self):
         return self.M + self.K_grad + self.K_bilap
 
+    def __getitem__(self, g):
+        """Block g of a stack, as views."""
+        return replace(self, **{f: getattr(self, f)[g] for f in FORMS})
+
 
 class ModeOperators:
     """Forms of one wavenumber: toroidal+poloidal blocks, or the mean block."""
@@ -61,78 +72,68 @@ class ModeOperators:
         self.blocks = blocks  # dict name -> BlockOperators
 
 
-def _wall_sum(tr):
-    return tr[0][:, None] * tr[0][None, :] + tr[1][:, None] * tr[1][None, :]
+def _gram(w, A, B):
+    return (np.swapaxes(A, -1, -2) * w) @ B
 
 
-def assemble_mode(k1, k2, params, geometry, resolution, cache=None):
-    """Assemble the ModeOperators of one wavenumber pair.
+def _wall_sum(t):
+    # sum over the two walls of the outer products of (..., 2, n) traces
+    return t[..., 0, :, None] * t[..., 0, None, :] + t[..., 1, :, None] * t[..., 1, None, :]
 
-    The result depends on the model only through gamma and k; the alpha
-    dependence enters via M_lambda and the beta^2 scaling of K_a is applied
-    by callers where the evolution equation requires it.
+
+def _block(params, name, M, K_a, K_grad, K_bilap):
+    return BlockOperators(name, M.shape[-1], M, M + params.alpha**2 * K_grad,
+                          K_a, K_grad, K_bilap)
+
+
+def toroidal_forms(params, cache, m, W):
+    """Forms of the toroidal blocks with m = |eta|^2 (G,) > 0 and bases W
+    (G, n, n), stacked (G, n, n).
+
+    The result depends on the model only through gamma, k and alpha (via
+    M_lambda); callers apply the beta^2 scaling of K_a.
     """
-    if cache is None:
-        cache = BasisCache(geometry, resolution)
-    blk = cache.block(k1, k2)
-    s = geometry.area
-    w = cache.w
-    kk = params.k
-    gam = params.gamma
-
-    def gram(A, B):
-        return (A.T * w) @ B
-
-    if (k1, k2) == (0, 0):
-        E = blk.tor.E
-        t = blk.tor.tr
-        M = s * gram(E[0], E[0])
-        Kg = s * gram(E[1], E[1])
-        Kb = s * gram(E[2], E[2])
-        Ka = Kb - kk * s * _wall_sum([t[1][0], t[1][1]])
-        b = BlockOperators("mean", blk.tor.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
-        return ModeOperators({"mean": b})
-
-    m = blk.m
-
-    # toroidal block
-    E = blk.tor.E
-    t = blk.tor.tr
-    M = s * m * gram(E[0], E[0])
-    Kg = s * m * (gram(E[1], E[1]) + m * gram(E[0], E[0]))
-    Kb = s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1]) + m**2 * gram(E[0], E[0]))
+    s, w, m = cache.geometry.area, cache.w, m[:, None, None]
+    E = [t @ W for t in cache.raw_T[:3]]
+    G00, G11 = _gram(w, E[0], E[0]), _gram(w, E[1], E[1])
+    K_grad = s * m * (G11 + m * G00)
+    K_bilap = s * m * (_gram(w, E[2], E[2]) + 2 * m * G11 + m**2 * G00)
     # transposed-gradient contribution: gamma * m^2 * integral of an exact
     # derivative; identically zero under Dirichlet but assembled as written
-    Ktrans = s * gam * m * m * (2 * gram(E[1], E[1]) + gram(E[0], E[2]) + gram(E[2], E[0]))
-    Ka = Kb + Ktrans - kk * s * m * _wall_sum([t[1][0], t[1][1]])
-    tor = BlockOperators("toroidal", blk.tor.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
-
-    # poloidal block
-    E = blk.pol.E
-    t = blk.pol.tr
-    L0 = E[2] - m * E[0]
-    L1 = E[3] - m * E[1]
-    M = s * m * (gram(E[1], E[1]) + m * gram(E[0], E[0]))
-    Kg = s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1]) + m**2 * gram(E[0], E[0]))
-    Kb = s * m * (gram(L1, L1) + m * gram(L0, L0))
-    Ka = Kb - kk * s * m * _wall_sum([t[2][0], t[2][1]])
-    pol = BlockOperators("poloidal", blk.pol.n, M, M + params.alpha**2 * Kg, Ka, Kg, Kb)
-
-    return ModeOperators({"toroidal": tor, "poloidal": pol})
+    K_trans = s * params.gamma * m * m * (2 * G11 + _gram(w, E[0], E[2])
+                                          + _gram(w, E[2], E[0]))
+    K_a = K_bilap + K_trans - params.k * s * m * _wall_sum(cache.raw_T_tr[1] @ W)
+    return _block(params, "toroidal", s * m * G00, K_a, K_grad, K_bilap)
 
 
-def apply_form(op_matrix, u_coeffs, v_coeffs):
-    """Sesquilinear form value v* (matrix) u; conjugate-linear in v."""
-    u = np.asarray(u_coeffs)
-    v = np.asarray(v_coeffs)
-    if op_matrix.shape != (v.size, u.size):
-        raise ValueError(f"dimension mismatch: matrix {op_matrix.shape}, "
-                         f"vectors {u.size}/{v.size}")
-    return complex(np.vdot(v, op_matrix @ u))
+def poloidal_forms(params, cache, m, W):
+    """Forms of the poloidal blocks with m = |eta|^2 (G,) > 0 and bases W
+    (G, n, n), stacked (G, n, n)."""
+    s, w, m = cache.geometry.area, cache.w, m[:, None, None]
+    E = [t @ W for t in cache.raw_C[:4]]
+    L0, L1 = E[2] - m * E[0], E[3] - m * E[1]
+    G00, G11 = _gram(w, E[0], E[0]), _gram(w, E[1], E[1])
+    K_grad = s * m * (_gram(w, E[2], E[2]) + 2 * m * G11 + m**2 * G00)
+    K_bilap = s * m * (_gram(w, L1, L1) + m * _gram(w, L0, L0))
+    K_a = K_bilap - params.k * s * m * _wall_sum(cache.raw_C_tr[2] @ W)
+    return _block(params, "poloidal", s * m * (G11 + m * G00), K_a, K_grad, K_bilap)
+
+
+def mean_forms(params, cache):
+    """Forms of the mean block, as a stack of one."""
+    s, w, E = cache.geometry.area, cache.w, cache.mean_E
+    K_bilap = s * _gram(w, E[2], E[2])
+    K_a = K_bilap - params.k * s * _wall_sum(cache.mean_tr[1])
+    return _block(params, "mean", s * _gram(w, E[0], E[0])[None], K_a[None],
+                  s * _gram(w, E[1], E[1])[None], K_bilap[None])
 
 
 class OperatorSet:
-    """Assembled operators for every stored wavenumber at fixed parameters."""
+    """Assembled operators for every stored wavenumber at fixed parameters.
+
+    ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
+    distinct blocks, in the order of :meth:`SolenoidalField.potentials`.
+    """
 
     def __init__(self, params, geometry, resolution, cache=None):
         self.params = params
@@ -140,17 +141,34 @@ class OperatorSet:
         self.resolution = resolution
         self.cache = cache if cache is not None else BasisCache(geometry, resolution)
         self.layout = layout_for(resolution)
-        self._ops = {}
+        c = self.cache
+        self.blocks = (toroidal_forms(params, c, c.m, c.W_tor),
+                       poloidal_forms(params, c, c.m, c.W_pol),
+                       mean_forms(params, c))
+        self._rows = self.cache.block_number(*self.layout.k.T)  # block of each row
+        self._views = {}
         self._eig = {}
         self._forms = {}
         self._stacks = None
 
     def mode_ops(self, k1, k2):
+        """Forms of one wavenumber pair: views of the stacks for a stored
+        one, assembled on their own for any other."""
         key = (abs(k1), abs(k2))
-        if key not in self._ops:
-            self._ops[key] = assemble_mode(key[0], key[1], self.params,
-                                           self.geometry, self.resolution, self.cache)
-        return self._ops[key]
+        if key not in self._views:
+            tor, pol, mean = self.blocks
+            if key == (0, 0):
+                blocks = {"mean": mean[0]}
+            elif key in self.layout.groups:
+                g = self.cache.block_number(*key)
+                blocks = {"toroidal": tor[g], "poloidal": pol[g]}
+            else:
+                b, par = self.cache.block(*key), self.params
+                m = np.array([b.m])
+                blocks = {"toroidal": toroidal_forms(par, self.cache, m, b.tor.W[None])[0],
+                          "poloidal": poloidal_forms(par, self.cache, m, b.pol.W[None])[0]}
+            self._views[key] = ModeOperators(blocks)
+        return self._views[key]
 
     @property
     def mean_ops(self):
@@ -159,26 +177,20 @@ class OperatorSet:
     # -- per-row stacks of block operators ---------------------------------
 
     def row_stacks(self, fn):
-        """Per-row stacks of fn(block), one potential at a time.
+        """Per-row stacks of fn(blocks), one potential at a time.
 
-        fn maps a BlockOperators to a tuple of (n,) or (n, n) arrays and is
-        evaluated once per distinct block.  Yields the tuple stacked over
-        rows for the toroidal (R, ...), poloidal (R, ...) and mean (1, ...)
-        blocks, in the order of :meth:`SolenoidalField.potentials`.
+        fn maps a stacked BlockOperators to a tuple of (G, ...) arrays
+        (matmul, eigh and solve accept stacks) and runs once per potential.
+        Yields the tuple gathered over rows for the toroidal (R, ...),
+        poloidal (R, ...) and mean (1, ...) blocks, in the order of
+        :meth:`SolenoidalField.potentials`.
         """
-        groups = self.layout.groups
-        sizes = [rows.stop - rows.start for rows in groups.values()]
-        mean = fn(self.mean_ops.blocks["mean"])
-
-        def stack(name, n):
-            if not groups:  # a mean-only resolution stores no rows
-                return tuple(np.zeros((0,) + (n,) * np.ndim(a)) for a in mean)
-            parts = zip(*(fn(self.mode_ops(*key).blocks[name]) for key in groups))
-            return tuple(np.repeat(np.array(p), sizes, axis=0) for p in parts)
-
-        yield stack("toroidal", self.resolution.n_toroidal)
-        yield stack("poloidal", self.resolution.n_poloidal)
-        yield tuple(np.asarray(a)[None] for a in mean)
+        tor, pol, mean = self.blocks
+        for stack in (tor, pol):
+            # gathered in C order: the BLAS path of the row-wise matmuls, and
+            # so their rounding, does not depend on the layout fn returns
+            yield tuple(np.ascontiguousarray(a)[self._rows] for a in fn(stack))
+        yield fn(mean)
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
@@ -194,23 +206,18 @@ class OperatorSet:
     # -- spectral decomposition of the form operator ------------------------
 
     def block_eig(self, blk):
-        """Eigendecomposition of K_a in the orthonormal basis (M = I)."""
+        """Eigendecomposition of K_a (a block or a stack) in the orthonormal
+        basis (M = I)."""
         key = id(blk)
         if key not in self._eig:
-            lam, V = np.linalg.eigh(blk.K_a)
-            self._eig[key] = (lam, V)
+            self._eig[key] = np.linalg.eigh(blk.K_a)
         return self._eig[key]
-
-    def distinct_blocks(self):
-        for key in self.layout.groups:
-            yield from self.mode_ops(*key).blocks.values()
-        yield self.mean_ops.blocks["mean"]
 
     def spectral_shift(self):
         """Shift making the stationary operator spectrum nonnegative."""
         if getattr(self, "_shift", None) is None:
-            self._shift = max(0.0, -min(self.block_eig(b)[0][0]
-                                        for b in self.distinct_blocks()))
+            self._shift = max(0.0, -min(self.block_eig(b)[0][:, 0].min(initial=np.inf)
+                                        for b in self.blocks))
         return self._shift
 
     def a_scale_norms(self, f, shift=None):
@@ -226,7 +233,8 @@ class OperatorSet:
         if self._stacks is None:
             def eig_stack(b):
                 lam, V = self.block_eig(b)
-                return lam, V.T, V.T @ b.M_lambda @ V
+                VT = np.swapaxes(V, 1, 2)
+                return lam, VT, VT @ b.M_lambda @ V
             self._stacks = list(self.row_stacks(eig_stack))
         sums = np.zeros(4)
         with np.errstate(over="ignore", invalid="ignore"):

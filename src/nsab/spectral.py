@@ -26,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .field import zero_field
-
 
 @dataclass
 class EigenPair:
@@ -46,42 +44,31 @@ def eigenpairs_A(ops, count):
     partner); the returned list is nondecreasing in the eigenvalue and
     contains each eigenpair once with its multiplicity recorded.
     """
-    # (mode, block, multiplicity): stored representatives sharing a block
-    # x 2 for their partners; two identical mean components
-    blocks = [(key, ops.mode_ops(*key).blocks[name], 2 * (rows.stop - rows.start))
-              for key, rows in ops.layout.groups.items()
-              for name in ("toroidal", "poloidal")]
-    blocks.append(((0, 0), ops.mean_ops.blocks["mean"], 2))
+    # candidates ordered by block group of the layout (position q; block
+    # g[q] of the stacks), toroidal before poloidal, then the mean: equal
+    # eigenvalues keep that order; stored representatives sharing a block
+    # count x 2 for their partners, the two mean components x 2
+    keys = list(ops.layout.groups) + [(0, 0)]
+    mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
+    g = ops.cache.block_number(*np.array(keys[:-1], int).reshape(-1, 2).T)
+    rank = np.argsort(g)  # layout position of each stack block
+    q_of_block = (rank, rank, np.array([len(g)]))
+    cols = []
+    for p, stack in enumerate(ops.blocks):
+        lam, V = ops.block_eig(stack)
+        res = (np.linalg.norm(stack.K_a @ V - V * lam[:, None, :], axis=1)
+               / (np.abs(lam).max(axis=1, keepdims=True) + np.abs(lam)))
+        b, i = np.indices(lam.shape)
+        cols.append(np.stack([lam, res, q_of_block[p][b],
+                              np.full(lam.shape, p), i]).reshape(5, -1))
+    lam, res, pos, pot, col = np.concatenate(cols, axis=1)
     found = []
-    for key, blk, mult in blocks:
-        lam, V = ops.block_eig(blk)
-        scale = np.max(np.abs(lam))
-        for i, lv in enumerate(lam):
-            res = float(np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i])
-                        / (scale + abs(lv)))
-            found.append(EigenPair(float(lv), V[:, i].copy(), key, blk.name,
-                                   mult, res))
-    found.sort(key=lambda p: p.lam)
-    return found[:count]
-
-
-def eigenpair_field(ops, pair, component=0):
-    """Embed an eigenpair into a full field (for cross-mode inner products).
-
-    For nonzero wavenumbers the coefficients are placed on the first stored
-    representative of the pair's block; for the mean block, on the chosen
-    component.
-    """
-    f = zero_field(ops.geometry, ops.resolution)
-    if pair.mode == (0, 0):
-        f.mean[component] = pair.vector.real
-        return f
-    if pair.mode not in ops.layout.groups:
-        raise ValueError(f"no stored representative for mode {pair.mode}")
-    row = ops.layout.groups[pair.mode].start
-    coeffs = f.psi if pair.block == "toroidal" else f.phi
-    coeffs[row] = pair.vector / np.sqrt(2.0)  # unit L2 norm with the partner
-    return f
+    for j in np.lexsort((col, pot, pos, lam))[:count]:
+        p, q, i = int(pot[j]), int(pos[j]), int(col[j])
+        V = ops.block_eig(ops.blocks[p])[1][g[q] if p < 2 else 0]
+        found.append(EigenPair(float(lam[j]), V[:, i].copy(), keys[q],
+                               ops.blocks[p].name, mult[q], float(res[j])))
+    return found
 
 
 DEFAULT_SHIFT_GRID = (0.0,) + tuple(10.0**j for j in range(-3, 5))
@@ -102,11 +89,10 @@ class GardingReport:
 
 def _c0_of_shift(ops, shift):
     c0 = np.inf
-    for blk in ops.distinct_blocks():
-        A = blk.K_a + shift * blk.M
-        B = blk.h2_form()
-        lam0 = sla.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
-        c0 = min(c0, float(lam0))
+    for stack in ops.blocks:
+        for A, B in zip(stack.K_a + shift * stack.M, stack.h2_form()):
+            lam0 = sla.eigh(A, B, eigvals_only=True, subset_by_index=[0, 0])[0]
+            c0 = min(c0, float(lam0))
     return c0
 
 
@@ -149,7 +135,8 @@ class BlockFactors:
 
 
 class SpectralFactors:
-    """Per-block filter square roots and generator eigendecompositions.
+    """Filter square roots and generator eigendecompositions of a block or
+    a stack of blocks.
 
     include_gradient=True builds the generator of the full stiff linear
     part beta^2 A - Lap (the form the time stepper treats implicitly);
@@ -165,15 +152,16 @@ class SpectralFactors:
         key = id(blk)
         if key not in self._blocks:
             mu, U = np.linalg.eigh(blk.M_lambda)
-            if mu[0] <= 0:
+            if np.any(mu[..., 0] <= 0):
                 raise RuntimeError("filter form lost positivity (should not occur)")
-            sq = (U * np.sqrt(mu)) @ U.T
-            isq = (U / np.sqrt(mu)) @ U.T
+            UT, r = np.swapaxes(U, -1, -2), np.sqrt(mu)[..., None, :]
+            sq = (U * r) @ UT
+            isq = (U / r) @ UT
             S = self.ops.params.beta**2 * blk.K_a
             if self.include_gradient:
                 S = S + blk.K_grad
             D = isq @ S @ isq
-            D = 0.5 * (D + D.T)
+            D = 0.5 * (D + np.swapaxes(D, -1, -2))
             dv, dV = np.linalg.eigh(D)
             self._blocks[key] = BlockFactors(sq, isq, D, dv, dV)
         return self._blocks[key]

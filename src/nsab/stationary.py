@@ -74,22 +74,6 @@ def forcing_from_field(f, ops):
     return ModalForcing(f.geometry, f.resolution, rows, mean)
 
 
-def gradient_forcing(ops, scalar_modes):
-    """f = grad q for per-mode scalar profiles {(k1, k2): (value, z-deriv)}.
-
-    scalar_modes maps representative wavenumbers to a pair of (Q,) arrays;
-    the zero mode, if present, uses key (0, 0) with real profiles.
-    """
-    out = ModalForcing(ops.geometry, ops.resolution)
-    for (k1, k2), (q0, q1) in scalar_modes.items():
-        if (k1, k2) == (0, 0):
-            out.mean[2] = q1
-            continue
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        out.set_mode(k1, k2, np.stack([1j * e1 * q0, 1j * e2 * q0, q1]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stationary solve
 # ---------------------------------------------------------------------------
@@ -146,17 +130,17 @@ def wall_dual(ops, wall_values):
     data.
     """
     out = zero_field(ops.geometry, ops.resolution)
-    area = ops.geometry.area
+    area, cache = ops.geometry.area, ops.cache
     for (k1, k2), (gb, gt) in wall_values.items():
         if (k1, k2) == (0, 0):
-            t1 = ops.cache.block(0, 0).tor.tr[1]
+            t1 = cache.mean_tr[1]
             for c in range(2):
                 out.mean[c] = area * np.real(-gb[c] * t1[0] + gt[c] * t1[1])
             continue
-        blk = ops.cache.block(k1, k2)
-        e1, e2 = ops.cache.wavenumber(k1, k2)
-        ttr = blk.tor.tr[1]   # first-derivative traces, rows (z=0, z=H)
-        ptr = blk.pol.tr[2]   # second-derivative traces
+        blk = cache.block(k1, k2)
+        e1, e2 = cache.wavenumber(k1, k2)
+        ttr = cache.raw_T_tr[1] @ blk.tor.W   # first-derivative traces, rows (z=0, z=H)
+        ptr = cache.raw_C_tr[2] @ blk.pol.W   # second-derivative traces
         # d_n phi at bottom = -(i e2 T', -i e1 T', 0) tor / -(i e1 C'', i e2 C'', .) pol
         tor = area * ((gb[0] * 1j * e2 - gb[1] * 1j * e1) * ttr[0]
                       + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1])
@@ -205,7 +189,7 @@ def strong_bc_residual(u, params, ops):
     r1 = sgn * (1j * e1 * tt[2] - 1j * e2 * DLp + params.gamma * 1j * e1 * w3) - kk * w1
     r2 = sgn * (1j * e2 * tt[2] + 1j * e1 * DLp + params.gamma * 1j * e2 * w3) - kk * w2
     # mean flow (U1, U2, 0): omega = (-U2', U1', 0); traces (2 walls, 2 comps)
-    t = [cache.block(0, 0).tor.tr[d] @ u.mean.T for d in range(3)]
+    t = [cache.mean_tr[d] @ u.mean.T for d in range(3)]
     r0 = sgn[:, None] * t[2] - kk * t[1]  # the mean residual up to signs
     dir_sq = area * (2.0 * float(np.sum(np.abs(uw) ** 2)) + float(np.sum(t[0] ** 2)))
     we_sq = area * (2.0 * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2))

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
-from nsab.field import layout_for
+from nsab.field import layout_for, zero_field
 from nsab.params import ChannelGeometry, Resolution, derive_params
+from nsab.stationary import ModalForcing
 
 
 def pytest_configure(config):
@@ -59,6 +60,14 @@ def params_with_k(gamma, k, alpha=0.2, beta=0.1):
         return ModelParams(alpha=alpha, beta=beta, gamma=gamma,
                            ell=1e-300, k=1e-300 / beta**2)
     return derive_params(alpha, beta, gamma, k * beta**2)
+
+
+def distinct_blocks(ops):
+    """Every distinct block of ops, one at a time: toroidal and poloidal per
+    block group, then the mean."""
+    for key in ops.layout.groups:
+        yield from ops.mode_ops(*key).blocks.values()
+    yield ops.mean_ops.blocks["mean"]
 
 
 def block_groups(ops, f):
@@ -164,3 +173,111 @@ def random_block_coeffs(cache, k1, k2, seed):
     ct = rng.standard_normal(blk.tor.n) + 1j * rng.standard_normal(blk.tor.n)
     cp = rng.standard_normal(blk.pol.n) + 1j * rng.standard_normal(blk.pol.n)
     return ct, cp
+
+
+# ---------------------------------------------------------------------------
+# per-block reference assembly: the Gram products of each block's own
+# tabulated orthonormal basis, one block at a time
+# ---------------------------------------------------------------------------
+
+def reference_block(mass, raw, raw_tr):
+    """(W, E, tr) of one block: W = chol(mass)^{-T}, tables E[d] = raw[d] W."""
+    W = np.linalg.solve(np.linalg.cholesky(mass).T, np.eye(mass.shape[0]))
+    return W, [e @ W for e in raw], [t @ W for t in raw_tr]
+
+
+def reference_forms(params, cache, k1, k2):
+    """{block name: {form: matrix}} and {block name: W} of one wavenumber
+    pair, assembled per block from the raw tables of cache."""
+    s, w, kk = cache.geometry.area, cache.w, params.k
+    T, C, Ttr, Ctr = cache.raw_T, cache.raw_C, cache.raw_T_tr, cache.raw_C_tr
+
+    def gram(A, B):
+        return (A.T * w) @ B
+
+    def wall(t):
+        return np.outer(t[0], t[0]) + np.outer(t[1], t[1])
+
+    def forms(M, K_a, K_grad, K_bilap):
+        return {"M": M, "M_lambda": M + params.alpha**2 * K_grad, "K_a": K_a,
+                "K_grad": K_grad, "K_bilap": K_bilap}
+
+    if (k1, k2) == (0, 0):
+        W, E, t = reference_block(s * gram(T[0], T[0]), T, Ttr)
+        Kb = s * gram(E[2], E[2])
+        return ({"mean": forms(s * gram(E[0], E[0]), Kb - kk * s * wall(t[1]),
+                               s * gram(E[1], E[1]), Kb)}, {"mean": W})
+    e1, e2 = cache.wavenumber(k1, k2)
+    m = e1 * e1 + e2 * e2
+    Wt, E, t = reference_block(m * s * gram(T[0], T[0]), T, Ttr)
+    Kb = s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1]) + m**2 * gram(E[0], E[0]))
+    Ktrans = s * params.gamma * m * m * (2 * gram(E[1], E[1]) + gram(E[0], E[2])
+                                         + gram(E[2], E[0]))
+    tor = forms(s * m * gram(E[0], E[0]), Kb + Ktrans - kk * s * m * wall(t[1]),
+                s * m * (gram(E[1], E[1]) + m * gram(E[0], E[0])), Kb)
+    Wp, E, t = reference_block(s * (m * gram(C[1], C[1]) + m * m * gram(C[0], C[0])),
+                               C, Ctr)
+    L0, L1 = E[2] - m * E[0], E[3] - m * E[1]
+    Kb = s * m * (gram(L1, L1) + m * gram(L0, L0))
+    pol = forms(s * m * (gram(E[1], E[1]) + m * gram(E[0], E[0])),
+                Kb - kk * s * m * wall(t[2]),
+                s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1])
+                         + m**2 * gram(E[0], E[0])), Kb)
+    return {"toroidal": tor, "poloidal": pol}, {"toroidal": Wt, "poloidal": Wp}
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+def apply_form(op_matrix, u_coeffs, v_coeffs):
+    """Sesquilinear form value v* (matrix) u; conjugate-linear in v."""
+    u = np.asarray(u_coeffs)
+    v = np.asarray(v_coeffs)
+    if op_matrix.shape != (v.size, u.size):
+        raise ValueError(f"dimension mismatch: matrix {op_matrix.shape}, "
+                         f"vectors {u.size}/{v.size}")
+    return complex(np.vdot(v, op_matrix @ u))
+
+
+def grid_quadrature(cache, resolution):
+    """Weights integrating gridded samples over the channel volume."""
+    M1, M2 = resolution.padded_shape
+    g = cache.geometry
+    da = (g.L1 / M1) * (g.L2 / M2)
+    return da * np.broadcast_to(cache.w, (M1, M2, resolution.Q))
+
+
+def gradient_forcing(ops, scalar_modes):
+    """f = grad q for per-mode scalar profiles {(k1, k2): (value, z-deriv)}.
+
+    scalar_modes maps representative wavenumbers to a pair of (Q,) arrays;
+    the zero mode, if present, uses key (0, 0) with real profiles.
+    """
+    out = ModalForcing(ops.geometry, ops.resolution)
+    for (k1, k2), (q0, q1) in scalar_modes.items():
+        if (k1, k2) == (0, 0):
+            out.mean[2] = q1
+            continue
+        e1, e2 = ops.cache.wavenumber(k1, k2)
+        out.set_mode(k1, k2, np.stack([1j * e1 * q0, 1j * e2 * q0, q1]))
+    return out
+
+
+def eigenpair_field(ops, pair, component=0):
+    """Embed an eigenpair into a full field (for cross-mode inner products).
+
+    For nonzero wavenumbers the coefficients are placed on the first stored
+    representative of the pair's block; for the mean block, on the chosen
+    component.
+    """
+    f = zero_field(ops.geometry, ops.resolution)
+    if pair.mode == (0, 0):
+        f.mean[component] = pair.vector.real
+        return f
+    if pair.mode not in ops.layout.groups:
+        raise ValueError(f"no stored representative for mode {pair.mode}")
+    row = ops.layout.groups[pair.mode].start
+    coeffs = f.psi if pair.block == "toroidal" else f.phi
+    coeffs[row] = pair.vector / np.sqrt(2.0)  # unit L2 norm with the partner
+    return f

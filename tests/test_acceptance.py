@@ -23,12 +23,11 @@ from nsab.manufactured import default_case
 from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.polynomial import GaussQ, norm_sq_poly
-from nsab.spectral import (SpectralFactors, eigenpair_field, eigenpairs_A,
-                           garding_constants)
+from nsab.spectral import SpectralFactors, eigenpairs_A, garding_constants
 from nsab.stationary import (forcing_from_field, recover_pressure,
                              solve_stationary, strong_bc_residual)
 
-from conftest import params_with_k
+from conftest import distinct_blocks, eigenpair_field, params_with_k
 from fractions import Fraction
 
 GEO = ChannelGeometry()  # 2pi x 2pi x 1
@@ -99,7 +98,7 @@ def test_criterion_04_form_symmetry_grid():
     for gamma in (-1.0, -0.5, 0.0, 0.5, 1.0):
         for k in (0.0, 5.0):
             ops = OperatorSet(params_with_k(gamma, k), GEO, res)
-            for blk in ops.distinct_blocks():
+            for blk in distinct_blocks(ops):
                 m = blk.K_a
                 worst = max(worst, np.abs(m - m.T).max() / np.abs(m).max())
     dt = time.perf_counter() - t0

@@ -66,9 +66,10 @@ def test_block_orthonormalization(geo_odd, res_small):
     w = cache.w
     area = geo_odd.area
     m = blk.m
-    Mt = m * area * (blk.tor.E[0].T * w) @ blk.tor.E[0]
-    Mp = area * (m * (blk.pol.E[1].T * w) @ blk.pol.E[1]
-                 + m * m * (blk.pol.E[0].T * w) @ blk.pol.E[0])
+    Et = [t @ blk.tor.W for t in cache.raw_T]
+    Ep = [t @ blk.pol.W for t in cache.raw_C]
+    Mt = m * area * (Et[0].T * w) @ Et[0]
+    Mp = area * (m * (Ep[1].T * w) @ Ep[1] + m * m * (Ep[0].T * w) @ Ep[0])
     assert np.abs(Mt - np.eye(blk.tor.n)).max() < 1e-12
     assert np.abs(Mp - np.eye(blk.pol.n)).max() < 1e-12
 
@@ -78,4 +79,4 @@ def test_evaluate_consistent_with_tables(geo, res_small):
     blk = cache.block(1, 1)
     again = blk.tor.evaluate(cache.z, geo.H, res_small.P, "dirichlet", dmax=2)
     for d in range(3):
-        assert np.allclose(again[d], blk.tor.E[d], atol=1e-13)
+        assert np.allclose(again[d], cache.raw_T[d] @ blk.tor.W, atol=1e-13)

@@ -52,6 +52,16 @@ def test_verify_adn_run(cfgfile, tmp_path):
     assert man["exit_code"] == 0 and "timestamp" in man
 
 
+@pytest.mark.parametrize("kind", ["evolve", "solve", "convergence"])
+def test_manifest_records_setup_time_and_peak_memory(cfgfile, tmp_path, kind):
+    out = tmp_path / kind
+    assert main([kind, "--config", str(cfgfile), "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    setup, total = man["timings"]["setup_s"], man["timings"]["total_s"]
+    assert np.isfinite(setup) and np.isfinite(total) and 0.0 < setup <= total
+    assert np.isfinite(man["peak_rss_mb"]) and man["peak_rss_mb"] > 0.0
+
+
 def test_eigs_run_nondecreasing(cfgfile, tmp_path):
     out = tmp_path / "eigs"
     assert main(["eigs", "--config", str(cfgfile), "--out", str(out)]) == 0
@@ -130,7 +140,7 @@ watchdog.ceiling = 1e300
     assert "watchdog" in lines[0] and "h4_growth" in lines[0]
 
 
-@pytest.mark.parametrize("kind", ["evolve", "solve", "probe-uniqueness"])
+@pytest.mark.parametrize("kind", ["evolve", "solve", "probe-uniqueness", "eigs"])
 def test_mean_only_resolution_runs(tmp_path, kind):
     # at N1 = N2 = 2 no representative mode is stored, only the mean rows
     cfg = tmp_path / "n2.cfg"

@@ -1,5 +1,8 @@
 """Nonlinear term, exact propagator, IMEX stepping, monitors, probes."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,8 +16,8 @@ from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
 
-from conftest import (block_groups, hermitian_modes, mode_velocity_profiles,
-                      params_with_k)
+from conftest import (block_groups, distinct_blocks, hermitian_modes,
+                      mode_velocity_profiles, params_with_k)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +146,7 @@ def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):
 def test_semigroup_contraction_bound(ops):
     """||e^{-tD}|| <= e^{-mu_min t}: self-adjoint sharp bound per block."""
     fac = SpectralFactors(ops, include_gradient=False)
-    for blk in ops.distinct_blocks():
+    for blk in distinct_blocks(ops):
         fb = fac.block(blk)
         mu_min = fb.d_eigvals[0]
         for t in (0.1, 1.0, 10.0):
@@ -212,7 +215,7 @@ def _lu_step(ops, dt, theta, u, G):
 def test_step_matches_high_precision_solve(request, geometry, res_small):
     """One euler and one cnab2 step against a 30-digit solve of the same
     float64 block system, and against a per-group LU step."""
-    mp = pytest.importorskip("mpmath").MPContext()  # private precision
+    mp = mpmath.MPContext()  # private precision
     mp.dps = 30
     g = request.getfixturevalue(geometry)
     ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), g, res_small)
@@ -368,3 +371,23 @@ def test_library_rejects_horizon_not_a_whole_number_of_steps(ops, geo, res_small
         uniqueness_probe(ops, u0, u0, (1e-6,), T, dt)
     with pytest.raises(ValueError, match="not a whole multiple"):
         vanishing_sweep(par, geo, res_small, u0, 1, T, dt)
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_energy_reports_reuse_previous_energy_bitwise(ops, geo, res_small, cadence):
+    """run_evolution passes the previous report's E_Lambda to the balance
+    term where the previous state was reported; every report equals the one
+    that recomputes it from the previous state."""
+    u0 = random_field(geo, res_small, seed=2, amplitude=0.1)
+    dt, T = 0.01, 0.1
+    got = run_evolution(ops, u0, dt, T, cadence=cadence).reports
+    stepper = IMEXStepper(ops, dt, "euler")
+    state = EvolutionState(0.0, u0.copy(), None)
+    want = [energy_report(ops, state)]
+    for n in range(1, 11):
+        prev, state = state, stepper.step(state)
+        if n % cadence == 0 or n == 10:
+            want.append(energy_report(ops, state, prev, dt))
+    assert len(got) == len(want) == 1 + 10 // cadence + (10 % cadence > 0)
+    rows = [[dataclasses.astuple(r) for r in reps] for reps in (got, want)]
+    np.testing.assert_array_equal(*rows)  # bitwise, NaN balance of t = 0 included

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache
-from nsab.field import (grid_quadrature, layout_for, potentials_to_velocity,
-                        project_velocity, random_field, reconstruct, synthesize,
-                        zero_field)
+from nsab.field import (layout_for, potentials_to_velocity, project_velocity,
+                        random_field, reconstruct, synthesize, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
 
-from conftest import hermitian_modes, mode_velocity_profiles
+from conftest import grid_quadrature, hermitian_modes, mode_velocity_profiles
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
@@ -43,9 +42,8 @@ def test_reconstruction_is_real(geo, res_small, cache_small):
     for k1, k2, ct, cp in hermitian_modes(f):
         spec[:, k1 % M1, k2 % M2, :] = mode_velocity_profiles(
             cache_small, k1, k2, ct, cp, cache_small.z)[0]
-    blk0 = cache_small.block(0, 0)
-    spec[0, 0, 0, :] = blk0.tor.E[0] @ f.mean[0]
-    spec[1, 0, 0, :] = blk0.tor.E[0] @ f.mean[1]
+    spec[0, 0, 0, :] = cache_small.mean_E[0] @ f.mean[0]
+    spec[1, 0, 0, :] = cache_small.mean_E[0] @ f.mean[1]
     U = np.fft.ifft2(spec, axes=(1, 2)) * (M1 * M2)
     assert np.abs(U.imag).max() <= 1e-13 * np.abs(U.real).max()
     # and it agrees with the production reconstruction
@@ -73,8 +71,8 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
         blk = cache.block(k1, k2)
         e1, e2 = cache.wavenumber(k1, k2)
         m = blk.m
-        t = [E @ f.psi[r] for E in blk.tor.E]
-        p = [E @ f.phi[r] for E in blk.pol.E]
+        t = [E @ (blk.tor.W @ f.psi[r]) for E in cache.raw_T]
+        p = [E @ (blk.pol.W @ f.phi[r]) for E in cache.raw_C]
         U = [np.stack([1j * e2 * t[d] + 1j * e1 * p[d + 1],
                        -1j * e1 * t[d] + 1j * e2 * p[d + 1],
                        m * p[d]]) for d in range(5)]
@@ -84,7 +82,7 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
                                 V[1][0] - 1j * e1 * V[0][2],
                                 1j * e1 * V[0][1] - 1j * e2 * V[0][0]]
         want["bilap_u"][:, r] = U[4] - 2 * m * U[2] + m * m * U[0]
-    E = cache.block(0, 0).tor.E
+    E = cache.mean_E
     M = [np.stack([E[d] @ f.mean[0], E[d] @ f.mean[1], 0 * cache.z])
          for d in range(5)]
     want_mean = {"u": M[0], "bilap_u": M[4],

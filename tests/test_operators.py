@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
-from nsab.field import grid_quadrature, layout_for, potentials_to_velocity, \
+from nsab.field import layout_for, potentials_to_velocity, \
     random_field, zero_field
-from nsab.operators import OperatorSet, apply_form, assemble_mode
+from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
-from conftest import (a_form_oracle, block_groups, grad_omega_sq_oracle,
-                      mode_velocity_profiles, mode_vorticity_gradient,
-                      params_with_k, random_block_coeffs)
+from conftest import (a_form_oracle, apply_form, block_groups, grad_omega_sq_oracle,
+                      grid_quadrature, mode_velocity_profiles,
+                      mode_vorticity_gradient, params_with_k, random_block_coeffs,
+                      reference_forms)
 
 
 @pytest.fixture(scope="module")
@@ -360,3 +361,47 @@ def test_mean_block_wall_coupling_can_lose_coercivity(geo):
         blk = ops.mean_ops.blocks["mean"]
         lam = np.linalg.eigvalsh(blk.K_a)
         assert (lam[0] > 0) == positive
+
+
+ASSEMBLY_RESOLUTIONS = pytest.mark.parametrize(
+    "res", [Resolution(N1=4, N2=4, P=12), Resolution(N1=8, N2=6, P=16),
+            Resolution(N1=16, N2=16, P=32)], ids=["4x4", "8x6", "16x16"])
+
+
+@ASSEMBLY_RESOLUTIONS
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_stacked_assembly_matches_per_block_reference(request, geometry, res):
+    """Every form and basis of every toroidal, poloidal and mean block of the
+    stacks against a per-block Gram assembly from each block's own tables."""
+    g = request.getfixturevalue(geometry)
+    par = derive_params(0.2, 0.1, 0.5, 0.05)
+    ops = OperatorSet(par, g, res)
+    checked = 0
+    for key in list(layout_for(res).groups) + [(0, 0)]:
+        forms, bases = reference_forms(par, ops.cache, *key)
+        blocks = ops.mode_ops(*key).blocks
+        basis = ops.cache.block(*key)
+        for name, ref in forms.items():
+            for form, want in ref.items():
+                got = getattr(blocks[name], form)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
+                    (key, name, form)
+                checked += 1
+            W = {"toroidal": basis.tor, "poloidal": basis.pol, "mean": basis.tor}[name].W
+            assert np.abs(W - bases[name]).max() <= 1e-13 * np.abs(bases[name]).max()
+    assert checked == 5 * (2 * len(layout_for(res).groups) + 1)
+
+
+@ASSEMBLY_RESOLUTIONS
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_toroidal_basis_scales_as_inverse_sqrt_m(request, geometry, res):
+    """The toroidal mass is area m G00, so W(m) = W0 / sqrt(area m) with
+    W0 = chol(G00)^{-T}, for every block of the stack."""
+    g = request.getfixturevalue(geometry)
+    cache = BasisCache(g, res)
+    T0 = cache.raw_T[0]
+    W0 = np.linalg.solve(np.linalg.cholesky((T0.T * cache.w) @ T0).T,
+                         np.eye(res.n_toroidal))
+    want = W0 / np.sqrt(g.area * cache.m)[:, None, None]
+    assert cache.W_tor.shape == want.shape
+    assert np.abs(cache.W_tor - want).max() <= 1e-13 * np.abs(want).max()

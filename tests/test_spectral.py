@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from nsab.field import grid_quadrature, potentials_to_velocity
+from nsab.field import potentials_to_velocity
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.spectral import (SpectralFactors, eigenpair_field, eigenpairs_A,
-                           garding_constants)
+from nsab.spectral import SpectralFactors, eigenpairs_A, garding_constants
 
-from conftest import params_with_k
+from conftest import (distinct_blocks, eigenpair_field, grid_quadrature,
+                      params_with_k)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,34 @@ def test_eigenpairs_sorted_and_accurate(ops):
     assert all(l2 >= l1 - 1e-12 for l1, l2 in zip(lams, lams[1:]))
     assert lams[19] > lams[0]
     assert max(p.residual for p in pairs) <= 1e-10
+
+
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_eigenpairs_match_per_block_loop(request, geometry, res_small):
+    """The stacked selection against one eigendecomposition and residual per
+    block, candidates concatenated per block group (toroidal, poloidal),
+    then the mean, and stably sorted; on geo the (1, 0) and (0, 1) blocks
+    tie exactly."""
+    g = request.getfixturevalue(geometry)
+    ops = OperatorSet(params_with_k(1.0, 5.0), g, res_small)
+    found = []
+    for key in list(ops.layout.groups) + [(0, 0)]:
+        rows = ops.layout.groups.get(key, slice(0, 1))  # two mean components
+        for blk in ops.mode_ops(*key).blocks.values():
+            lam, V = np.linalg.eigh(blk.K_a)
+            for i, lv in enumerate(lam):
+                res = np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i]) / (
+                    np.abs(lam).max() + abs(lv))
+                found.append((lv, V[:, i], key, blk.name,
+                              2 * (rows.stop - rows.start), res))
+    found.sort(key=lambda p: p[0])
+    count = len(found) - 3
+    got = eigenpairs_A(ops, count)
+    assert len(got) == count
+    for p, (lv, v, key, name, mult, res) in zip(got, found):
+        assert (p.lam, p.mode, p.block, p.multiplicity) == (lv, key, name, mult)
+        assert np.array_equal(p.vector, v)
+        assert p.residual <= 1e-14 and abs(p.residual - res) <= 1e-15
 
 
 def test_eigenpairs_orthonormal_by_quadrature(ops, geo, res_small):
@@ -61,7 +89,7 @@ def test_rayleigh_consistency(ops):
     lam1 = pairs[0].lam
     rng = np.random.default_rng(2)
     best = np.inf
-    for blk in ops.distinct_blocks():
+    for blk in distinct_blocks(ops):
         x0 = rng.standard_normal(blk.n)
 
         def rq(x, K=blk.K_a):
@@ -81,7 +109,7 @@ def test_eigencount_grows_with_modes_and_stabilizes_in_P(geo):
     def count(N, P):
         o = OperatorSet(par, geo, Resolution(N1=N, N2=N, P=P))
         total = 0
-        for blk in o.distinct_blocks():
+        for blk in distinct_blocks(o):
             lam = np.linalg.eigvalsh(blk.K_a)
             total += int(np.sum(lam < cap))
         return total
@@ -149,7 +177,7 @@ def test_alpha_zero_degenerates_to_identity_filter(geo, res_small):
 def test_d_spectrum_bounded_below(geo, res_small):
     o = OperatorSet(params_with_k(1.0, 5.0), geo, res_small)
     fac = SpectralFactors(o)
-    dmin = min(fac.block(b).d_eigvals[0] for b in o.distinct_blocks())
+    dmin = min(fac.block(b).d_eigvals[0] for b in distinct_blocks(o))
     shift = o.spectral_shift()
     # mu_min >= 1 for the filter form, so min spec(D) >= -beta^2 * shift
     assert dmin >= -o.params.beta**2 * shift - 1e-12

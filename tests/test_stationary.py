@@ -8,11 +8,10 @@ from nsab.field import random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import (ConsistencyError, forcing_from_field,
-                             gradient_forcing, recover_pressure, solve_stationary,
-                             strong_bc_residual)
+                             recover_pressure, solve_stationary, strong_bc_residual)
 from nsab.manufactured import TrigProfile, default_case
 
-from conftest import block_groups, params_with_k
+from conftest import block_groups, gradient_forcing, params_with_k
 
 
 @pytest.fixture(scope="module")
