@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
 
 from .polynomial import GaussQ, TriPoly, norm_sq_poly, poly_determinant
 
@@ -474,6 +473,10 @@ def numeric_stable_subspace(eta):
     """
     if np.hypot(*eta) == 0.0:
         raise ValueError("eta must be nonzero")
+    # imported here, not at module level, so that importing nsab (and the
+    # CLI) does not load scipy.linalg; only these verify-adn checks use it
+    import scipy.linalg as sla
+
     C = _companion_matrix(eta)
     try:
         T, Z, sdim = sla.schur(C, output="complex", sort=lambda z: z.real < 0)
@@ -509,6 +512,8 @@ def closed_form_jets(eta, variant=DIVERGENCE_FREE):
 
 def stable_subspace_angle(eta, variant=DIVERGENCE_FREE):
     """Largest principal angle between numeric and closed-form jet spaces."""
+    import scipy.linalg as sla
+
     num = numeric_stable_subspace(eta)
     cf = closed_form_jets(eta, variant)
     ang = sla.subspace_angles(num.jets, cf)

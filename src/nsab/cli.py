@@ -12,20 +12,26 @@ deterministic and serial; --serial does nothing and is still accepted so
 existing command lines parse.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
-timings, peak resident memory, timestamp); ``timings.setup_s`` is the part
-of ``total_s`` spent building the experiment's operator sets (a sweep's
-per-level sets not included).  Data files carry no timestamps so reruns
-from the echoed config are byte-identical.
+timings, peak resident memory, numpy/scipy versions, CPU count, timestamp).
+``timings.stages`` holds seconds and calls per stage of the experiment
+(``setup``, then e.g. ``solve``, ``pressure``, ``bc_audit``, ``errors``,
+``write`` for ``solve``); the stages do not overlap, so they sum to at most
+``total_s``.  ``timings.setup_s`` is the ``setup`` stage: building the
+experiment's operator sets (a sweep's per-level sets not included).  Data
+files carry no timestamps so reruns from the echoed config are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -89,6 +95,34 @@ def _fail(message):
     print(f"nsab: {message}", file=sys.stderr)
 
 
+class StageTimer:
+    """Seconds and calls summed per named stage: ``with stage("solve"):``."""
+
+    def __init__(self):
+        self.stages = {}
+
+    @contextmanager
+    def __call__(self, name):
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            entry = self.stages.setdefault(name, {"s": 0.0, "calls": 0})
+            entry["s"] += time.perf_counter() - t
+            entry["calls"] += 1
+
+
+def _library_versions():
+    # from the installed metadata, which does not import the packages
+    versions = {}
+    for name in ("numpy", "scipy"):
+        try:
+            versions[name] = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:
+            versions[name] = None
+    return versions
+
+
 def _initial_field(cfg, ops):
     kind = cfg["u0.id"]
     if kind == "zero":
@@ -107,7 +141,7 @@ def _initial_field(cfg, ops):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _exp_verify_adn(cfg, out, operators):
+def _exp_verify_adn(cfg, out, operators, stage):
     system = ns_alpha_beta_system(gamma=cfg.params.gamma)
     ell_rep = check_ellipticity(system)
     rng = np.random.default_rng(cfg["covering.seed"])
@@ -153,32 +187,34 @@ def _exp_verify_adn(cfg, out, operators):
     return EXIT_OK
 
 
-def _exp_solve(cfg, out, operators):
+def _exp_solve(cfg, out, operators, stage):
     ops = operators()
     fid = cfg["forcing.id"]
     pressure_info = {}
-    if fid == "manufactured":
-        case = default_case(cfg.geometry)
-        rhs = case.rhs(ops, cfg.params)
-        forcing = case.forcing(ops)
-    elif fid == "random_solenoidal":
-        f = random_field(cfg.geometry, cfg.resolution, seed=cfg["forcing.seed"],
-                         amplitude=cfg["forcing.amplitude"])
-        forcing = forcing_from_field(f, ops)
-        rhs = forcing.dual(ops)
-    elif fid == "zero":
-        forcing = None
-        rhs = zero_field(cfg.geometry, cfg.resolution)
-    else:
-        raise ConfigError(f"unknown forcing.id {fid!r}")
-    u, rep = solve_stationary(ops, rhs)
+    with stage("solve"):
+        if fid == "manufactured":
+            case = default_case(cfg.geometry)
+            rhs = case.rhs(ops, cfg.params)
+            forcing = case.forcing(ops)
+        elif fid == "random_solenoidal":
+            f = random_field(cfg.geometry, cfg.resolution, seed=cfg["forcing.seed"],
+                             amplitude=cfg["forcing.amplitude"])
+            forcing = forcing_from_field(f, ops)
+            rhs = forcing.dual(ops)
+        elif fid == "zero":
+            forcing = None
+            rhs = zero_field(cfg.geometry, cfg.resolution)
+        else:
+            raise ConfigError(f"unknown forcing.id {fid!r}")
+        u, rep = solve_stationary(ops, rhs)
     press = None
     if forcing is not None:
-        press, prep = recover_pressure(u, forcing, ops)
+        with stage("pressure"):
+            press, prep = recover_pressure(u, forcing, ops)
         pressure_info = {"gradient_defect": prep.gradient_defect,
                          "curl_residual": prep.curl_residual}
-    bc = strong_bc_residual(u, cfg.params, ops)
-    write_snapshot(out / "solution.snap", u, cfg.params)
+    with stage("bc_audit"):
+        bc = strong_bc_residual(u, cfg.params, ops)
     report = {
         "kernel_dim": rep.kernel_dim,
         "kernel_violation": rep.max_kernel_violation,
@@ -189,60 +225,68 @@ def _exp_solve(cfg, out, operators):
         **pressure_info,
     }
     if fid == "manufactured":
-        report["manufactured_errors"] = case.errors(u, press, ops)
-    write_json(out / "residuals.json", report)
+        with stage("errors"):
+            report["manufactured_errors"] = case.errors(u, press, ops)
+    with stage("write"):
+        write_snapshot(out / "solution.snap", u, cfg.params)
+        write_json(out / "residuals.json", report)
     return EXIT_OK
 
 
-def _exp_eigs(cfg, out, operators):
+def _exp_eigs(cfg, out, operators, stage):
     ops = operators()
-    pairs = eigenpairs_A(ops, cfg["eigs.count"])
+    with stage("eigenpairs"):
+        pairs = eigenpairs_A(ops, cfg["eigs.count"])
+    with stage("garding"):
+        g = garding_constants(ops)
     rows = [(n, p.lam, p.mode[0], p.mode[1], p.block, p.multiplicity, p.residual)
             for n, p in enumerate(pairs, start=1)]
-    write_csv(out / "eigs.csv",
-              ["n", "lambda", "k1", "k2", "block", "multiplicity", "residual"],
-              rows)
-    g = garding_constants(ops)
-    write_json(out / "garding.json", {
-        "grid": list(g.grid),
-        "c0": {repr(k): v for k, v in g.c0.items()},
-        "gamma0_min": g.gamma0_min,
-        "gamma0_refined": g.gamma0_refined,
-        "c0_at_min": g.c0_at_min,
-        "norm_definition": g.norm_definition,
-    })
+    with stage("write"):
+        write_csv(out / "eigs.csv",
+                  ["n", "lambda", "k1", "k2", "block", "multiplicity", "residual"],
+                  rows)
+        write_json(out / "garding.json", {
+            "grid": list(g.grid),
+            "c0": {repr(k): v for k, v in g.c0.items()},
+            "gamma0_min": g.gamma0_min,
+            "gamma0_refined": g.gamma0_refined,
+            "c0_at_min": g.c0_at_min,
+            "norm_definition": g.norm_definition,
+        })
     return EXIT_OK
 
 
 _TS_HEADER = ["t", "E_Lambda", "a_uu", "grad_sq", "H1", "H3", "H5", "dE_balance"]
 
 
-def _exp_evolve(cfg, out, operators):
+def _exp_evolve(cfg, out, operators, stage):
     ops = operators()
-    u0 = _initial_field(cfg, ops)
-    inject = cfg["debug.inject_nan_step"] or None
-    result = run_evolution(ops, u0, cfg["time.dt"], cfg["time.T"],
-                           scheme=cfg["scheme.name"], cadence=cfg["output.cadence"],
-                           watchdog_ceiling=cfg["watchdog.ceiling"],
-                           inject_nan_step=inject)
+    with stage("integrate"):
+        u0 = _initial_field(cfg, ops)
+        inject = cfg["debug.inject_nan_step"] or None
+        result = run_evolution(ops, u0, cfg["time.dt"], cfg["time.T"],
+                               scheme=cfg["scheme.name"], cadence=cfg["output.cadence"],
+                               watchdog_ceiling=cfg["watchdog.ceiling"],
+                               inject_nan_step=inject)
     rows = [(r.t, r.E_lambda, r.a_uu, r.grad_sq, r.H1, r.H3, r.H5, r.dE_balance)
             for r in result.reports]
-    write_csv(out / "timeseries.csv", _TS_HEADER, rows)
-    if result.watchdog is None:
-        write_snapshot(out / "final.snap", result.final.field, cfg.params)
-        return EXIT_OK
-    write_json(out / "watchdog.json", {
-        "time": result.watchdog.time,
-        "reason": result.watchdog.reason,
-        "h4_proxy": result.watchdog.h4_proxy,
-        "ceiling": result.watchdog.ceiling,
-    })
+    with stage("write"):
+        write_csv(out / "timeseries.csv", _TS_HEADER, rows)
+        if result.watchdog is None:
+            write_snapshot(out / "final.snap", result.final.field, cfg.params)
+            return EXIT_OK
+        write_json(out / "watchdog.json", {
+            "time": result.watchdog.time,
+            "reason": result.watchdog.reason,
+            "h4_proxy": result.watchdog.h4_proxy,
+            "ceiling": result.watchdog.ceiling,
+        })
     _fail(f"watchdog stopped the run at t = {result.watchdog.time!r}: "
           f"{result.watchdog.reason}")
     return EXIT_WATCHDOG
 
 
-def _exp_sweep(cfg, out, operators):
+def _exp_sweep(cfg, out, operators, stage):
     ops = operators()
     u0 = _initial_field(cfg, ops)
     rows = vanishing_sweep(cfg.params, cfg.geometry, cfg.resolution, u0,
@@ -262,33 +306,35 @@ def _exp_sweep(cfg, out, operators):
     return EXIT_OK
 
 
-def _exp_probe(cfg, out, operators):
+def _exp_probe(cfg, out, operators, stage):
     ops = operators()
-    u0 = _initial_field(cfg, ops)
-    pert = random_field(cfg.geometry, cfg.resolution, seed=cfg["probe.seed"],
-                        amplitude=1.0, decay=cfg["u0.decay"])
     d1, d2 = cfg["probe.delta1"], cfg["probe.delta2"]
-    p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
-                              cfg["time.dt"], scheme=cfg["scheme.name"])
-    write_csv(out / "probe.csv",
-              ["t", "growth_delta1", "growth_delta2", "h3_integral"],
-              list(zip(p1.times, p1.growth, p2.growth, p1.h3_integral)))
+    with stage("integrate"):
+        u0 = _initial_field(cfg, ops)
+        pert = random_field(cfg.geometry, cfg.resolution, seed=cfg["probe.seed"],
+                            amplitude=1.0, decay=cfg["u0.decay"])
+        p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
+                                  cfg["time.dt"], scheme=cfg["scheme.name"])
     mask = p1.times >= 0.25 * cfg["time.T"]
     with np.errstate(divide="ignore", invalid="ignore"):
         cfit = np.nanmax(np.where(mask, np.log(np.maximum(p1.growth, 1e-300))
                                   / np.maximum(p1.h3_integral, 1e-300), -np.inf))
     rel = abs(p1.growth[-1] - p2.growth[-1]) / max(abs(p1.growth[-1]), 1e-300)
-    write_json(out / "probe.json", {
-        "delta1": d1, "delta2": d2,
-        "growth_final_delta1": float(p1.growth[-1]),
-        "growth_final_delta2": float(p2.growth[-1]),
-        "relative_difference": float(rel),
-        "gronwall_rate_fit": float(cfit),
-    })
+    with stage("write"):
+        write_csv(out / "probe.csv",
+                  ["t", "growth_delta1", "growth_delta2", "h3_integral"],
+                  list(zip(p1.times, p1.growth, p2.growth, p1.h3_integral)))
+        write_json(out / "probe.json", {
+            "delta1": d1, "delta2": d2,
+            "growth_final_delta1": float(p1.growth[-1]),
+            "growth_final_delta2": float(p2.growth[-1]),
+            "relative_difference": float(rel),
+            "gronwall_rate_fit": float(cfit),
+        })
     return EXIT_OK
 
 
-def _exp_convergence(cfg, out, operators):
+def _exp_convergence(cfg, out, operators, stage):
     rows = []
     from .params import Resolution as Res
     for P in cfg["convergence.p_values"]:
@@ -328,17 +374,15 @@ def run(cfg, out_dir):
     """Dispatch one experiment; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    setup_s = []
+    stage = StageTimer()
 
     def operators(resolution=cfg.resolution):
-        # the experiment's OperatorSets; their build time is setup_s
-        t = time.perf_counter()
-        ops = OperatorSet(cfg.params, cfg.geometry, resolution)
-        setup_s.append(time.perf_counter() - t)
-        return ops
+        # the experiment's OperatorSets; their build time is the setup stage
+        with stage("setup"):
+            return OperatorSet(cfg.params, cfg.geometry, resolution)
 
     t0 = time.perf_counter()
-    code = _RUNNERS[cfg.kind](cfg, out, operators)
+    code = _RUNNERS[cfg.kind](cfg, out, operators, stage)
     elapsed = time.perf_counter() - t0
     write_json(out / "manifest.json", {
         "config": cfg.canonical_text(),
@@ -347,9 +391,13 @@ def run(cfg, out_dir):
         "seed": {"u0": cfg["u0.seed"], "forcing": cfg["forcing.seed"],
                  "covering": cfg["covering.seed"], "probe": cfg["probe.seed"]},
         "serial": True,
-        "timings": {"total_s": elapsed, "setup_s": sum(setup_s)},
+        "timings": {"total_s": elapsed,
+                    "setup_s": stage.stages.get("setup", {"s": 0.0})["s"],
+                    "stages": stage.stages},
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "libraries": _library_versions(),
+        "cpu_count": os.cpu_count(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "exit_code": code,
     })

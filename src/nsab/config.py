@@ -4,9 +4,10 @@ Unknown keys, duplicate keys (both lines named), malformed lines
 (line/column reported) and domain violations (constraint named) are all
 rejected at parse time: every real value must be finite, the time step,
 horizon and watchdog ceiling positive, the output cadence, eigenvalue
-count and sweep levels at least 1, and the horizon a whole number of time
-steps.  Physical and resolution parameters, including every convergence
-degree, are re-validated by constructing the typed objects.
+count and sweep levels at least 1, seeds and covering sample counts
+nonnegative, and the horizon a whole number of time steps.  Physical and
+resolution parameters, including every convergence degree, are
+re-validated by constructing the typed objects.
 """
 
 from __future__ import annotations
@@ -176,6 +177,11 @@ def _check_domain(values, seen):
     for key in ("output.cadence", "eigs.count", "sweep.levels"):
         if values[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {values[key]!r}",
+                              line=seen.get(key))
+    for key in ("u0.seed", "forcing.seed", "probe.seed", "covering.seed",
+                "covering.n_circle", "covering.n_magnitude"):
+        if values[key] < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {values[key]!r}",
                               line=seen.get(key))
     dt, T = values["time.dt"], values["time.T"]
     try:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .field import SolenoidalField, project_velocity, reconstruct, rowmul, zero_field
 from .operators import OperatorSet
-from .params import derive_params, step_count
+from .params import ParameterError, derive_params, step_count
 from .spectral import SpectralFactors
 
 
@@ -309,6 +309,8 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2"):
     perts = [EvolutionState(0.0, u0 + d * perturbation, None) for d in deltas]
     w0 = [_h1_norm(ops, p.field - base.field) if d != 0.0 else 1.0
           for d, p in zip(deltas, perts)]
+    if 0.0 in w0:
+        raise ParameterError("a probe delta is too small to change u0 in floating point")
     times = [0.0]
     growth = [[1.0] for _ in deltas]
     h3 = [0.0]

@@ -64,6 +64,8 @@ def _validate_model(alpha, beta, gamma, ell):
         raise ParameterError("|gamma| <= 1 required")
     if ell <= 0.0:
         raise ParameterError("ell must be positive")
+    if beta**2 == 0.0 or not math.isfinite(ell / beta**2):
+        raise ParameterError("k = ell / beta^2 must be finite")
 
 
 def derive_params(alpha, beta, gamma, ell):

@@ -13,7 +13,8 @@ a component in the kernel.
 
 Pressure is recovered from the pointwise momentum residual r = f - Lap^2 u:
 tangentially r = (i eta1 p, i eta2 p, p')+curl-free defect, so a per-mode
-least-squares fit of a polynomial p against all three components both
+least-squares fit of a polynomial p against all three components (one
+batched QR per distinct block serves every mode of the block) both
 determines p (up to the zero-mean gauge) and measures how far r is from a
 gradient; the explicit curl of r is also reported.
 """
@@ -230,6 +231,14 @@ def recover_pressure(u, forcing, ops, degree=None):
     defect of r and an explicit curl norm of r is also formed.  The
     pressure is gauged to zero spatial mean.
 
+    The fit is batched.  Each row's tangential residual is split along
+    eta/|eta| and its normal; the normal part cannot be matched by
+    i eta p and counts whole as defect.  What remains is
+    min ||[|eta| S0; S1] c - [-i r_along; r3]|| with S0, S1 the weighted
+    design matrices of p and p', a real matrix that depends on the mode
+    only through m = |eta|^2: it is factored by one batched QR over the
+    distinct blocks and applied to every row of its block.
+
     r is a difference of two large, nearly equal profiles, so the
     diagnostics derived from it (``gradient_defect``, ``curl_residual`` and
     a manufactured case's ``pressure_L2``) carry only about four
@@ -241,36 +250,42 @@ def recover_pressure(u, forcing, ops, degree=None):
     z, w = ops.cache.z, ops.cache.w
     Phi = _legendre_design(geo, z, degree)
     sw = np.sqrt(w)
+    S0, S1 = sw[:, None] * Phi[0], sw[:, None] * Phi[1]
     bilap_rows, bilap_mean = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
     R_reps = forcing.rows - bilap_rows  # (3, rows, Q)
     r0 = forcing.mean - bilap_mean
-    coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
-    defect_sq = 0.0
     area = geo.area
     e1, e2 = ops.cache.wavenumber(ops.layout.k[:, :1], ops.layout.k[:, 1:])
 
     # curl of r, z-derivatives from a polynomial fit of each component
-    fit0 = np.linalg.pinv(sw[:, None] * Phi[0])
+    fit0 = np.linalg.pinv(S0)
     dR = ((sw * R_reps) @ fit0.T) @ Phi[1].T
     curl = np.stack([1j * e2 * R_reps[2] - dR[1],
                      dR[0] - 1j * e1 * R_reps[2],
                      1j * e1 * R_reps[1] - 1j * e2 * R_reps[0]])
     curl_sq = 2.0 * area * float(np.sum(w * np.abs(curl) ** 2))
 
-    for r, rprof in enumerate(R_reps.transpose(1, 0, 2)):
-        A = np.vstack([1j * e1[r] * (sw[:, None] * Phi[0]),
-                       1j * e2[r] * (sw[:, None] * Phi[0]),
-                       sw[:, None] * Phi[1]])
-        b = np.concatenate([sw * rprof[0], sw * rprof[1], sw * rprof[2]])
-        c, *_ = np.linalg.lstsq(A, b, rcond=None)
-        coeffs[r] = c
-        defect_sq += 2.0 * area * float(np.linalg.norm(A @ c - b) ** 2)
+    # per block: the least-squares solution operator R^-1 Q^T of [|eta| S0; S1]
+    m = ops.cache.m
+    A = np.concatenate([np.sqrt(m)[:, None, None] * S0,
+                        np.broadcast_to(S1, m.shape + S1.shape)], axis=1)
+    Qf, Rf = np.linalg.qr(A)
+    fit = np.linalg.solve(Rf, np.swapaxes(Qf, -1, -2))
+    # per row: residual along eta (times -i, so the matrix stays real) and
+    # across it
+    eta = np.sqrt(e1 * e1 + e2 * e2)
+    r_along = sw * (e1 * R_reps[0] + e2 * R_reps[1]) / eta
+    r_across = sw * (e2 * R_reps[0] - e1 * R_reps[1]) / eta
+    b = np.concatenate([-1j * r_along, sw * R_reps[2]], axis=1)
+    coeffs = rowmul(fit[ops.cache.block_number(*ops.layout.k.T)], b)
+    misfit = np.concatenate([eta * (coeffs @ S0.T), coeffs @ S1.T], axis=1) - b
+    defect_sq = 2.0 * area * float(np.sum(np.abs(misfit) ** 2)
+                                   + np.sum(np.abs(r_across) ** 2))
 
     # zero mode: only the normal component is a gradient; the tangential
     # residual components cannot be matched and count as defect
-    A0 = sw[:, None] * Phi[1]
-    c0, *_ = np.linalg.lstsq(A0, sw * r0[2], rcond=None)
-    defect_sq += area * float(np.linalg.norm(A0 @ c0 - sw * r0[2]) ** 2)
+    c0, *_ = np.linalg.lstsq(S1, sw * r0[2], rcond=None)
+    defect_sq += area * float(np.linalg.norm(S1 @ c0 - sw * r0[2]) ** 2)
     defect_sq += area * float(np.sum(w * (np.abs(r0[0]) ** 2 + np.abs(r0[1]) ** 2)))
     # gauge: zero spatial mean
     zmean = float(np.real(np.sum(w * (Phi[0] @ c0)))) / geo.H

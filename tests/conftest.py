@@ -8,11 +8,13 @@ differences on evaluation grids the solver never touches.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre
-from nsab.field import layout_for, zero_field
+from nsab.field import layout_for, synthesize, zero_field
 from nsab.params import ChannelGeometry, Resolution, derive_params
-from nsab.stationary import ModalForcing
+from nsab.spectral import DEFAULT_SHIFT_GRID
+from nsab.stationary import ModalForcing, _legendre_design
 
 
 def pytest_configure(config):
@@ -224,6 +226,70 @@ def reference_forms(params, cache, k1, k2):
                 s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1])
                          + m**2 * gram(E[0], E[0])), Kb)
     return {"toroidal": tor, "poloidal": pol}, {"toroidal": Wt, "poloidal": Wp}
+
+
+# ---------------------------------------------------------------------------
+# per-block and per-row references of the stationary diagnostics
+# ---------------------------------------------------------------------------
+
+def reference_c0(ops, shift):
+    """c0(shift): the lowest eigenvalue of (K_a + shift M, M + K_grad +
+    K_bilap), one generalized eigenproblem per distinct block."""
+    return min(float(scipy.linalg.eigh(blk.K_a + shift * blk.M, blk.h2_form(),
+                                       eigvals_only=True,
+                                       subset_by_index=[0, 0])[0])
+               for blk in distinct_blocks(ops))
+
+
+def reference_garding(ops, threshold=1e-10):
+    """(c0 on the default shift grid, gamma0_min, gamma0_refined) from
+    reference_c0, with the grid search and bisection of garding_constants."""
+    grid = tuple(sorted(set(DEFAULT_SHIFT_GRID)))
+    c0 = {g: reference_c0(ops, g) for g in grid}
+    passing = [g for g in grid if c0[g] > threshold]
+    if not passing:
+        return c0, np.inf, np.inf
+    gmin = grefined = passing[0]
+    failing = [g for g in grid if g < gmin and c0[g] <= threshold]
+    if failing:
+        lo, hi = max(failing), gmin
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if reference_c0(ops, mid) > threshold:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-3 * max(hi, 1e-12):
+                break
+        grefined = hi
+    return c0, gmin, grefined
+
+
+def reference_pressure(u, forcing, ops):
+    """(coefficients (R, degree+1), gradient_defect) of recover_pressure at
+    its default degree, from one complex least-squares fit of
+    (i eta1 p - r1, i eta2 p - r2, p' - r3) per row."""
+    geo, w = u.geometry, ops.cache.w
+    degree = u.resolution.P + 1
+    Phi = _legendre_design(geo, ops.cache.z, degree)
+    sw = np.sqrt(w)
+    bilap_rows, bilap_mean = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
+    R_reps, r0 = forcing.rows - bilap_rows, forcing.mean - bilap_mean
+    coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
+    defect_sq = 0.0
+    for r, (k1, k2) in enumerate(ops.layout.k):
+        e1, e2 = ops.cache.wavenumber(k1, k2)
+        A = np.vstack([1j * e1 * (sw[:, None] * Phi[0]),
+                       1j * e2 * (sw[:, None] * Phi[0]),
+                       sw[:, None] * Phi[1]])
+        b = np.concatenate([sw * R_reps[0, r], sw * R_reps[1, r], sw * R_reps[2, r]])
+        coeffs[r] = np.linalg.lstsq(A, b, rcond=None)[0]
+        defect_sq += 2.0 * geo.area * float(np.linalg.norm(A @ coeffs[r] - b) ** 2)
+    A0 = sw[:, None] * Phi[1]
+    c0 = np.linalg.lstsq(A0, sw * r0[2], rcond=None)[0]
+    defect_sq += geo.area * float(np.linalg.norm(A0 @ c0 - sw * r0[2]) ** 2)
+    defect_sq += geo.area * float(np.sum(w * (r0[0] ** 2 + r0[1] ** 2)))
+    return coeffs, np.sqrt(defect_sq)
 
 
 # ---------------------------------------------------------------------------

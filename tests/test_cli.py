@@ -238,6 +238,11 @@ def _config_with(overrides):
                  False, id="convergence-N-2"),
     pytest.param("solve", {"resolution.N1": "2", "forcing.id": "manufactured"},
                  False, id="solve-manufactured-N1-2"),
+    # found by tests/test_config_fuzz.py
+    pytest.param("evolve", {"u0.seed": "-1"}, False, id="seed-negative"),
+    pytest.param("evolve", {"model.beta": "1e-300"}, False, id="beta-squared-underflows"),
+    pytest.param("probe-uniqueness", {"probe.delta1": "1e-300"}, False,
+                 id="probe-delta-below-roundoff"),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
                                             out_under_file):
@@ -256,5 +261,37 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
-    if subcommand != "evolve":  # the line names the resolution
+    if "resolution.N1" in overrides:  # the line names the resolution
         assert "N1 = 2, N2 = " in proc.stderr
+
+
+@pytest.mark.parametrize("kind, stages", [
+    ("solve", {"setup", "solve", "pressure", "bc_audit", "errors", "write"}),
+    ("eigs", {"setup", "eigenpairs", "garding", "write"}),
+    ("evolve", {"setup", "integrate", "write"}),
+    ("probe-uniqueness", {"setup", "integrate", "write"}),
+])
+def test_manifest_records_stage_times(tmp_path, kind, stages):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_with({"forcing.id": "manufactured"}))
+    out = tmp_path / kind
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    timings = man["timings"]
+    assert set(timings["stages"]) == stages
+    assert all(st["calls"] >= 1 and st["s"] >= 0.0 for st in timings["stages"].values())
+    assert sum(st["s"] for st in timings["stages"].values()) <= timings["total_s"]
+    assert timings["setup_s"] == timings["stages"]["setup"]["s"]
+    assert man["cpu_count"] == os.cpu_count()
+    assert man["libraries"]["numpy"] == np.__version__
+    assert set(man["libraries"]) == {"numpy", "scipy"}
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nsab.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

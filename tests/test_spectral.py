@@ -10,7 +10,7 @@ from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors, eigenpairs_A, garding_constants
 
 from conftest import (distinct_blocks, eigenpair_field, grid_quadrature,
-                      params_with_k)
+                      params_with_k, reference_garding)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,23 @@ def test_garding_cases(geo, res_small):
     assert g.c0[0.0] < 0.0
     assert np.isfinite(g.gamma0_min) and g.c0_at_min > 0.0
     assert g.gamma0_refined <= g.gamma0_min
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_garding_matches_per_block_reference(request, geometry, k, res_small):
+    """The reduced pencils against one generalized eigenproblem per block;
+    at k = 5 c0(0) is negative and the bisection runs."""
+    o = OperatorSet(params_with_k(1.0, k), request.getfixturevalue(geometry),
+                    res_small)
+    g = garding_constants(o)
+    c0, gmin, grefined = reference_garding(o)
+    assert g.grid == tuple(c0)
+    for s in g.grid:
+        assert abs(g.c0[s] - c0[s]) <= 1e-12 * max(1.0, abs(c0[s]))
+    assert (g.gamma0_min, g.gamma0_refined) == (gmin, grefined)
+    if k == 5.0:
+        assert c0[0.0] < 0.0 and grefined < gmin
 
 
 def test_lambda1_exceeds_negative_shift(geo, res_small):

@@ -11,7 +11,8 @@ from nsab.stationary import (ConsistencyError, forcing_from_field,
                              recover_pressure, solve_stationary, strong_bc_residual)
 from nsab.manufactured import TrigProfile, default_case
 
-from conftest import block_groups, gradient_forcing, params_with_k
+from conftest import (block_groups, gradient_forcing, params_with_k,
+                      reference_pressure)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,28 @@ def test_gradient_datum_recovers_pressure(ops, geo, res_small):
     tab = legendre_table(zeta, press.degree, 0)[0].T
     assert np.abs(tab @ press.coeffs[ops.layout.row[(1, 0)]] - q(z)).max() <= 1e-12
     assert rep.gradient_defect <= 1e-10
+
+
+@pytest.mark.parametrize("forcing_id", ["manufactured", "random"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_pressure_fit_matches_per_row_reference(request, geometry, forcing_id):
+    """The batched fit against one complex least-squares fit per row, rows
+    with k1 = 0 or k2 = 0 included."""
+    g = request.getfixturevalue(geometry)
+    o = OperatorSet(derive_params(0.2, 0.1, 0.3, 0.015), g,
+                    Resolution(N1=6, N2=4, P=12))
+    assert (o.layout.k == 0).any(axis=0).all()
+    if forcing_id == "manufactured":
+        case = default_case(g)
+        rhs, forc = case.rhs(o, o.params), case.forcing(o)
+    else:
+        forc = forcing_from_field(random_field(g, o.resolution, seed=5), o)
+        rhs = forc.dual(o)
+    u, _ = solve_stationary(o, rhs)
+    press, rep = recover_pressure(u, forc, o)
+    coeffs, defect = reference_pressure(u, forc, o)
+    assert np.abs(press.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+    assert abs(rep.gradient_defect - defect) <= 1e-10 * defect
 
 
 def test_manufactured_solution_and_pressure(geo):
