@@ -1,15 +1,14 @@
 """Command-line orchestration: experiments, manifests, CSV/JSON artifacts.
 
-    nsab <subcommand> --config <path> [--out <dir>] [--serial] [--seed N]
+    nsab <subcommand> --config <path> [--out <dir>] [--seed N]
 
 Subcommands: verify-adn, solve, eigs, evolve, sweep, probe-uniqueness,
 convergence.  Exit codes: 0 success, 2 configuration error (including an
 output directory that cannot be written), 3 numerical failure, 4
-watchdog/blow-up event; every non-zero exit prints one line on stderr.  The
-output directory defaults to ``nsab_out``; the environment variable
-``NSAB_OUT_DIR`` overrides it when --out is absent.  Execution is always
-deterministic and serial; --serial does nothing and is still accepted so
-existing command lines parse.
+watchdog/blow-up event; every non-zero exit prints one line on stderr, a
+malformed command line (exit 2) included.  The output directory defaults to
+``nsab_out``; the environment variable ``NSAB_OUT_DIR`` overrides it when
+--out is absent.  Execution is always deterministic and serial.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
 timings, peak resident memory, numpy/scipy versions, CPU count, timestamp).
@@ -25,6 +24,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.metadata
 import json
 import os
@@ -112,6 +112,7 @@ class StageTimer:
             entry["calls"] += 1
 
 
+@functools.cache
 def _library_versions():
     # from the installed metadata, which does not import the packages
     versions = {}
@@ -187,6 +188,9 @@ def _exp_verify_adn(cfg, out, operators, stage):
     return EXIT_OK
 
 
+# data near the float64 limit overflows the solve or its norms: stop with
+# exit 3 rather than report NaN diagnostics
+@np.errstate(over="raise", invalid="raise")
 def _exp_solve(cfg, out, operators, stage):
     ops = operators()
     fid = cfg["forcing.id"]
@@ -390,13 +394,12 @@ def run(cfg, out_dir):
         "version": __version__,
         "seed": {"u0": cfg["u0.seed"], "forcing": cfg["forcing.seed"],
                  "covering": cfg["covering.seed"], "probe": cfg["probe.seed"]},
-        "serial": True,
         "timings": {"total_s": elapsed,
                     "setup_s": stage.stages.get("setup", {"s": 0.0})["s"],
                     "stages": stage.stages},
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "libraries": _library_versions(),
+        "libraries": dict(_library_versions()),
         "cpu_count": os.cpu_count(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "exit_code": code,
@@ -404,19 +407,31 @@ def run(cfg, out_dir):
     return code
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print the usage block first: keep it to one line
+        raise _UsageError(message)
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="nsab",
         description="spectral laboratory for the two-length-scale "
                     "wall-eddy channel model")
     ap.add_argument("subcommand", choices=EXPERIMENTS)
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--serial", action="store_true",
-                    help="no effect: execution is always serial")
     ap.add_argument("--seed", type=int, default=None,
                     help="override every catalog seed")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except _UsageError as exc:
+        _fail(f"usage error: {' '.join(str(exc).split())} (see nsab --help)")
+        return EXIT_CONFIG
 
     try:
         text = Path(args.config).read_text()
@@ -448,7 +463,7 @@ def main(argv=None):
                    {"error": str(exc), "type": "consistency"})
         _fail(str(exc))
         return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         write_json(Path(out_dir) / "error.json",
                    {"error": str(exc), "type": "numerical"})

@@ -1,13 +1,14 @@
 """Flat key-value run configuration: ``section.key = value`` lines.
 
-Unknown keys, duplicate keys (both lines named), malformed lines
-(line/column reported) and domain violations (constraint named) are all
-rejected at parse time: every real value must be finite, the time step,
-horizon and watchdog ceiling positive, the output cadence, eigenvalue
-count and sweep levels at least 1, seeds and covering sample counts
-nonnegative, and the horizon a whole number of time steps.  Physical and
-resolution parameters, including every convergence degree, are
-re-validated by constructing the typed objects.
+Unknown keys, retired keys (with the reason they went), duplicate keys
+(both lines named), malformed lines (line/column reported) and domain
+violations (constraint named) are all rejected at parse time: every real
+value must be finite, the time step, horizon and watchdog ceiling
+positive, the output cadence, eigenvalue count and sweep levels at least
+1, seeds and covering sample counts nonnegative, and the horizon a whole
+number of time steps.  Physical and resolution parameters, including
+every convergence degree, are re-validated by constructing the typed
+objects.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ _SCHEMA = {
     "resolution.N2": (int, 16),
     "resolution.P": (int, 32),
     "resolution.Q": (int, 0),
-    "resolution.padding": (int, 2),
     "experiment.kind": (str, ""),
     "forcing.id": (str, "random_solenoidal"),
     "forcing.amplitude": (float, 1.0),
@@ -72,6 +72,12 @@ _SCHEMA = {
     "eigs.count": (int, 20),
     "convergence.p_values": (_parse_int_list, (8, 16, 24, 32)),
     "debug.inject_nan_step": (int, 0),
+}
+
+#: keys of earlier versions, rejected with the reason they went
+_RETIRED = {
+    "resolution.padding": "the padded grid is fixed to the smallest even "
+                          "M >= 3N/2 per direction",
 }
 
 
@@ -118,6 +124,8 @@ def parse_config(text, kind_override=None):
         if "." not in key:
             raise ConfigError(f"key {key!r} is not of the form section.key",
                               line=ln, col=raw.find(key) + 1)
+        if key in _RETIRED:
+            raise ConfigError(f"{key} is retired: {_RETIRED[key]}", line=ln)
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", line=ln)
         if key in seen:
@@ -153,8 +161,7 @@ def parse_config(text, kind_override=None):
         geometry = ChannelGeometry(values["geometry.L1"], values["geometry.L2"],
                                    values["geometry.H"])
         resolution = Resolution(values["resolution.N1"], values["resolution.N2"],
-                                values["resolution.P"], values["resolution.Q"],
-                                values["resolution.padding"])
+                                values["resolution.P"], values["resolution.Q"])
         if not values["convergence.p_values"]:
             raise ParameterError("convergence.p_values lists no degree")
         for P in values["convergence.p_values"]:

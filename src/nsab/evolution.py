@@ -38,10 +38,6 @@ from .params import ParameterError, derive_params, step_count
 from .spectral import SpectralFactors
 
 
-class PaddingError(ValueError):
-    pass
-
-
 @dataclass
 class EvolutionState:
     time: float
@@ -73,16 +69,6 @@ class WatchdogEvent:
 # nonlinear term
 # ---------------------------------------------------------------------------
 
-def _check_padding(resolution):
-    need1 = (3 * resolution.N1) // 2
-    need2 = (3 * resolution.N2) // 2
-    M1, M2 = resolution.padded_shape
-    if M1 < need1 or M2 < need2:
-        raise PaddingError(
-            f"padded grid {M1}x{M2} insufficient for dealiased quadratic "
-            f"products: need at least {need1}x{need2}")
-
-
 def nonlinear_term(u, ops):
     """Galerkin projection of (grad v) u + (grad u)^T v, v the filtered field.
 
@@ -90,12 +76,11 @@ def nonlinear_term(u, ops):
     (curl v) x u + grad(u . v): the gradient part drops out of the
     projection because the solenoidal test fields vanish on the walls
     (<grad q, w> = -<q, div w> = 0) and the quadrature is exact for these
-    products.  Quadratic tangential interactions are exact on the padded
-    grid; wall-normal triple products are exact by the Q >= (3P+1)/2 rule.
-    Returns dual coefficients (same container as fields).
+    products.  Quadratic tangential interactions are exact on the 3/2-rule
+    padded grid; wall-normal triple products are exact by the
+    Q >= (3P+1)/2 rule.  Returns dual coefficients (same container as
+    fields).
     """
-    res = u.resolution
-    _check_padding(res)
     rec = reconstruct(u, ops.cache, want=("u", "curl_v"),
                       alpha=ops.params.alpha)
     w, v = rec["curl_v"], rec["u"]
@@ -103,7 +88,7 @@ def nonlinear_term(u, ops):
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(w[j], v[k], out=prod[i])
         prod[i] -= w[k] * v[j]
-    return project_velocity(prod, u.geometry, res, ops.cache)
+    return project_velocity(prod, u.geometry, u.resolution, ops.cache)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,12 @@ the curl of the filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u);
 solenoidal test basis (a Leray projection when fed an arbitrary field).
 
 Only :func:`reconstruct` and :func:`project_velocity` know the padded
-grid: the k1 >= 0 half of its spectrum, (3, M1/2 + 1, M2, Q) with mode
-(k1, k2) at (k1, k2 % M2), taken to and from physical samples by the real
-FFT along x.
+grid, M1 x M2 x Q physical samples with M the smallest even count
+>= 3N/2 per direction (``Resolution.padded_shape``): stored wavenumbers
+reach |k| = N/2 - 1 only, so products of two fields do not alias back onto
+them and their projection is exact.  The grid's spectrum is kept as its
+k1 >= 0 half, (3, M1/2 + 1, M2, Q) with mode (k1, k2) at (k1, k2 % M2),
+taken to and from physical samples by the real FFT along x.
 """
 
 from __future__ import annotations

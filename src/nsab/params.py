@@ -75,6 +75,11 @@ def derive_params(alpha, beta, gamma, ell):
                        ell=float(ell), k=float(ell) / float(beta) ** 2)
 
 
+#: admissible channel lengths; far outside, the block forms (polynomials in
+#: m = |eta|^2 with powers of 1/H) leave the float64 range
+LENGTH_RANGE = (1e-6, 1e6)
+
+
 @dataclass(frozen=True)
 class ChannelGeometry:
     L1: float = 2.0 * math.pi
@@ -82,8 +87,12 @@ class ChannelGeometry:
     H: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0.0 for x in (self.L1, self.L2, self.H)):
-            raise ParameterError("L1, L2, H must be finite and positive")
+        lo, hi = LENGTH_RANGE
+        for name in ("L1", "L2", "H"):
+            x = getattr(self, name)
+            if not lo <= x <= hi:
+                raise ParameterError(f"{name} = {x!r} is outside the admissible "
+                                     f"lengths [{lo:g}, {hi:g}]")
 
     @property
     def area(self):
@@ -99,16 +108,19 @@ class Resolution:
              Nyquist wavenumbers -N/2 are not stored),
     P        wall-normal polynomial degree,
     Q        Gauss-Legendre node count; Q >= ceil((3P+1)/2) so that triple
-             products of degree-P polynomials are integrated exactly,
-    pad      tangential padding factor; pad*N >= 3N/2 makes quadratic
-             convolution integrals exact on the padded grid.
+             products of degree-P polynomials are integrated exactly.
+
+    The padded tangential grid is fixed by the 3/2 rule (Orszag 1971): in
+    each direction it has the smallest even point count M >= 3N/2.  The
+    stored wavenumbers satisfy |k| <= K = N/2 - 1, so M >= 3K + 1 and
+    quadratic products are dealiased exactly; a larger grid would change
+    the cost only.
     """
 
     N1: int = 16
     N2: int = 16
     P: int = 32
     Q: int = 0  # 0 means "minimal admissible", resolved in __post_init__
-    pad: int = 2
 
     def __post_init__(self):
         if self.N1 < 2 or self.N2 < 2 or self.N1 % 2 or self.N2 % 2:
@@ -121,8 +133,6 @@ class Resolution:
             raise ParameterError(
                 f"Q={self.Q} too small: need Q >= ceil((3P+1)/2) = "
                 f"{min_quadrature_nodes(self.P)} for exact triple products")
-        if self.pad * self.N1 < (3 * self.N1) // 2 or self.pad * self.N2 < (3 * self.N2) // 2:
-            raise ParameterError("padding factor must give a grid of at least 3N/2")
 
     @property
     def n_toroidal(self):
@@ -136,7 +146,8 @@ class Resolution:
 
     @property
     def padded_shape(self):
-        return (self.pad * self.N1, self.pad * self.N2)
+        """(M1, M2), each the smallest even M >= 3N/2."""
+        return tuple(3 * N // 2 + (3 * N // 2) % 2 for N in (self.N1, self.N2))
 
 
 def min_quadrature_nodes(P):

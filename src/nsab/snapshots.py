@@ -46,7 +46,7 @@ def _metadata(field, params=None, extra=None):
         "format": "nsab-snapshot",
         "version": VERSION,
         "geometry": {"L1": g.L1, "L2": g.L2, "H": g.H},
-        "resolution": {"N1": r.N1, "N2": r.N2, "P": r.P, "Q": r.Q, "pad": r.pad},
+        "resolution": {"N1": r.N1, "N2": r.N2, "P": r.P, "Q": r.Q},
         "layout": PAYLOAD_LAYOUT,
         "basis": "per-block M-orthonormalized Legendre recombination",
     }
@@ -104,7 +104,8 @@ def read_snapshot(path):
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
         g = ChannelGeometry(**meta["geometry"])
         rr = meta["resolution"]
-        res = Resolution(rr["N1"], rr["N2"], rr["P"], rr["Q"], rr["pad"])
+        # files from before the fixed 3/2-rule grid also carry a "pad" entry
+        res = Resolution(rr["N1"], rr["N2"], rr["P"], rr["Q"])
         n_t, n_p = res.n_toroidal, res.n_poloidal
         npsi = res.N1 * res.N2 * n_t
         nphi = res.N1 * res.N2 * n_p

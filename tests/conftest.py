@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre
-from nsab.field import layout_for, synthesize, zero_field
+from nsab.field import analyze, layout_for, synthesize, zero_field
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
 from nsab.stationary import ModalForcing, _legendre_design
@@ -226,6 +226,30 @@ def reference_forms(params, cache, k1, k2):
                 s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1])
                          + m**2 * gram(E[0], E[0])), Kb)
     return {"toroidal": tor, "poloidal": pol}, {"toroidal": Wt, "poloidal": Wp}
+
+
+# ---------------------------------------------------------------------------
+# reference nonlinear term on a chosen tangential grid
+# ---------------------------------------------------------------------------
+
+def nonlinear_term_on_grid(u, ops, shape):
+    """N(u) with (curl v) x u formed on an explicit M1 x M2 grid: every
+    stored mode and its conjugate partner placed by hand and taken through
+    full complex FFTs, with no half spectrum and no Resolution.padded_shape."""
+    M1, M2 = shape
+    k1, k2 = ops.layout.k.T
+    grid = {}
+    for name, (rows, mean) in synthesize(u, ops.cache, want=("u", "curl_v"),
+                                         alpha=ops.params.alpha).items():
+        spec = np.zeros((3, M1, M2, u.resolution.Q), complex)
+        spec[:, k1 % M1, k2 % M2] = rows
+        spec[:, -k1 % M1, -k2 % M2] = np.conj(rows)
+        spec[:, 0, 0] = mean
+        grid[name] = np.fft.ifft2(spec, axes=(1, 2), norm="forward").real
+    prod = np.cross(grid["curl_v"], grid["u"], axis=0)
+    spec = np.fft.fft2(prod, axes=(1, 2), norm="forward")
+    return analyze(spec[:, k1 % M1, k2 % M2], spec[:, 0, 0].real, u.geometry,
+                   u.resolution, ops.cache)
 
 
 # ---------------------------------------------------------------------------

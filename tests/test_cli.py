@@ -97,15 +97,19 @@ def test_evolve_nan_injection_watchdog_exit(cfgfile, tmp_path):
     assert wd["reason"] == "nan"
 
 
+def _run_cli(*args):
+    """`python -m nsab.cli *args` with RuntimeWarnings turned into errors."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nsab.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 def _evolve_in_subprocess(tmp_path, config):
     """Exit code and stderr lines of an evolve run in a fresh interpreter."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
-    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nsab.cli", "evolve", "--config", str(cfg),
-         "--out", str(tmp_path / "out")], capture_output=True, text=True,
-        env=env, timeout=120)
+    proc = _run_cli("evolve", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stderr.strip().splitlines()
 
@@ -243,6 +247,12 @@ def _config_with(overrides):
     pytest.param("evolve", {"model.beta": "1e-300"}, False, id="beta-squared-underflows"),
     pytest.param("probe-uniqueness", {"probe.delta1": "1e-300"}, False,
                  id="probe-delta-below-roundoff"),
+    # far out of range, the lengths overflowed the block forms (numpy
+    # warnings and exit 3 for L1, an OverflowError traceback for H)
+    pytest.param("solve", {"geometry.L1": "1e-300"}, False, id="L1-tiny"),
+    pytest.param("eigs", {"geometry.H": "1e-100"}, False, id="H-tiny"),
+    # the padded grid is fixed by the 3/2 rule
+    pytest.param("evolve", {"resolution.padding": "2"}, False, id="padding-retired"),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
                                             out_under_file):
@@ -253,16 +263,41 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
         blocker = tmp_path / "plain_file"
         blocker.write_text("")
         out = blocker / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nsab.cli", subcommand, "--config", str(cfg),
-         "--out", str(out)], capture_output=True, text=True, env=env,
-        timeout=120)
+    proc = _run_cli(subcommand, "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     if "resolution.N1" in overrides:  # the line names the resolution
         assert "N1 = 2, N2 = " in proc.stderr
+    if "resolution.padding" in overrides:  # the line names the fixed rule
+        assert "M >= 3N/2" in proc.stderr
+
+
+def test_overflowing_forcing_exits_3_in_one_line(tmp_path):
+    # finite but near the float64 limit: the solve's norms overflow, which
+    # must stop the run before residuals.json reports NaN diagnostics
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(_config_with({"forcing.amplitude": "1e300"}))
+    out = tmp_path / "out"
+    proc = _run_cli("solve", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "overflow" in proc.stderr
+    assert not (out / "residuals.json").exists()
+    assert json.loads((out / "error.json").read_text())["type"] == "numerical"
+
+
+@pytest.mark.parametrize("args", [["--bogus"], ["--serial"], ["--seed", "x"]],
+                         ids=["unknown-flag", "retired-serial", "bad-seed"])
+def test_usage_error_exits_2_in_one_line(cfgfile, tmp_path, args):
+    argv = ["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "o"), *args]
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nsab: usage error: ")
+    assert main(argv) == 2
 
 
 @pytest.mark.parametrize("kind, stages", [

@@ -2,9 +2,9 @@
 
 Configs start from a tiny valid run (N <= 4, P <= 8, T <= 2 dt) and
 replace some keys of the schema with well-typed, out-of-range or malformed
-values.  The contract: exit code 0, 2 (config), 3 (numerical) or 4
-(watchdog); no traceback and at most one line on stderr; an ``evolve`` that
-exits 0 ends exactly at T.
+values, or set a retired key.  The contract: exit code 0, 2 (config), 3
+(numerical) or 4 (watchdog), and 2 for a retired key; no traceback and at
+most one line on stderr; an ``evolve`` that exits 0 ends exactly at T.
 """
 
 import contextlib
@@ -31,6 +31,8 @@ BASE = {
 BAD_FLOATS = ["nan", "inf", "-inf", "-1.0", "0.0", "1e-300", "1e300", "-1e-300"]
 BAD_INTS = ["-1", "0", "-7", "3", "5"]
 MALFORMED = ["", "abc", "1.5.2", "0x10", "1e", "--1", "1,2", "[1]", "a=b", "None"]
+# keys of earlier schemas: any value exits 2
+RETIRED = ["resolution.padding"]
 
 # in-range values, kept tiny: the cost of a run must not depend on the draw
 VALID = {
@@ -40,7 +42,6 @@ VALID = {
     "geometry.H": st.floats(0.5, 3.0),
     "resolution.N1": st.sampled_from([2, 4]), "resolution.N2": st.sampled_from([2, 4]),
     "resolution.P": st.integers(6, 8), "resolution.Q": st.sampled_from([0, 13, 16]),
-    "resolution.padding": st.integers(2, 3),
     "experiment.kind": st.sampled_from(("",) + EXPERIMENTS),
     "forcing.id": st.sampled_from(["manufactured", "random_solenoidal", "zero"]),
     "forcing.amplitude": st.floats(0.0, 2.0), "forcing.seed": st.integers(0, 2**31),
@@ -65,6 +66,8 @@ assert set(VALID) == set(FUZZED)
 
 
 def _bad(key, dt):
+    if key in RETIRED:
+        return st.sampled_from(["2", "3"] + MALFORMED)
     caster = _SCHEMA[key][0]
     if key in ("time.dt", "time.T"):
         # no tiny dt or huge T: those are valid runs of ~1e300 steps
@@ -81,7 +84,7 @@ def _bad(key, dt):
 def configs(draw):
     """{key: value text}: valid values for up to four keys,
     then, in about half the draws, one key set to an out-of-range or
-    malformed value."""
+    malformed value, and in about one draw of eight a retired key."""
     values = dict(BASE)
     for key in draw(st.lists(st.sampled_from(FUZZED), max_size=4, unique=True)):
         values[key] = str(draw(VALID[key]))
@@ -91,6 +94,9 @@ def configs(draw):
     bad = draw(st.one_of(st.none(), st.sampled_from(sorted(_SCHEMA))))
     if bad is not None:
         values[bad] = draw(_bad(bad, dt))
+    retired = draw(st.sampled_from([None] * 7 + RETIRED))
+    if retired is not None:
+        values[retired] = draw(_bad(retired, dt))
     return values
 
 
@@ -108,6 +114,8 @@ def test_fuzzed_config_exits_with_documented_code(subcommand, values):
         with contextlib.redirect_stderr(err):
             code = main([subcommand, "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3, 4), text
+        if any(key in values for key in RETIRED):
+            assert code == 2, text
         assert "Traceback" not in err.getvalue(), text
         assert len(err.getvalue().strip().splitlines()) <= (1 if code else 0), \
             (text, err.getvalue())

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nsab.evolution import (EvolutionState, IMEXStepper, PaddingError,
-                            energy_report, linear_propagator_exact,
-                            nonlinear_term, run_evolution, uniqueness_probe,
-                            vanishing_sweep)
+from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
+                            linear_propagator_exact, nonlinear_term,
+                            run_evolution, uniqueness_probe, vanishing_sweep)
 from nsab.field import layout_for, project_velocity, random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
 
 from conftest import (block_groups, distinct_blocks, hermitian_modes,
-                      mode_velocity_profiles, params_with_k)
+                      mode_velocity_profiles, nonlinear_term_on_grid,
+                      params_with_k)
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +116,20 @@ def test_nonlinear_single_mode_support(ops, geo, res_small):
     assert allowed == conv
 
 
-def test_nonlinear_padding_refusal(ops, geo, res_small):
-    u = random_field(geo, res_small, seed=1)
-    object.__setattr__(u.resolution, "pad", 1)  # forge an inconsistent object
-    try:
-        with pytest.raises(PaddingError, match="need at least"):
-            nonlinear_term(u, ops)
-    finally:
-        object.__setattr__(u.resolution, "pad", 2)
+@pytest.mark.parametrize("N, P, M", [(8, 16, 12), (6, 12, 10)],
+                         ids=["N8P16", "N6P12"])
+def test_nonlinear_3_2_grid_matches_twice_padded_grid(par, geo_odd, N, P, M):
+    """The 3N/2 grid (rounded up to even: 10 at N = 6) gives the products of
+    the 2N grid; an N x N grid aliases them, which the comparison sees."""
+    res = Resolution(N1=N, N2=N, P=P)
+    o = OperatorSet(par, geo_odd, res)
+    assert res.padded_shape == (M, M)
+    for seed in (5, 23):
+        u = random_field(geo_odd, res, seed=seed, amplitude=1.0, decay=0.3)
+        ref = nonlinear_term_on_grid(u, o, (2 * N, 2 * N))
+        assert (nonlinear_term(u, o) - ref).norm_l2() <= 1e-13 * ref.norm_l2()
+        aliased = nonlinear_term_on_grid(u, o, (N, N))
+        assert (aliased - ref).norm_l2() > 1e-6 * ref.norm_l2()
 
 
 def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):

@@ -34,6 +34,14 @@ def test_gamma_endpoints_allowed():
     derive_params(0.2, 0.1, -1.0, 0.05)
 
 
+@pytest.mark.parametrize("lengths", [{"L1": 1e-300}, {"L2": 1e7}, {"H": 1e-100},
+                                     {"H": math.nan}])
+def test_geometry_lengths_in_range(lengths):
+    with pytest.raises(ParameterError, match="outside the admissible lengths"):
+        ChannelGeometry(**lengths)
+    ChannelGeometry(L1=1e-6, L2=1e6, H=1e-6)
+
+
 def test_geometry_positive():
     with pytest.raises(ParameterError):
         ChannelGeometry(L1=0.0)
@@ -53,11 +61,17 @@ def test_resolution_basic_constraints():
         Resolution(N1=5, N2=4, P=12)
     with pytest.raises(ParameterError):
         Resolution(N1=4, N2=4, P=4)
-    with pytest.raises(ParameterError):
-        Resolution(N1=4, N2=4, P=12, pad=1)
     r = Resolution(N1=8, N2=6, P=16)
-    assert r.padded_shape == (16, 12)
+    assert r.padded_shape == (12, 10)  # 3N2/2 = 9 rounds up to an even 10
     assert r.n_toroidal == 15 and r.n_poloidal == 13
+
+
+@pytest.mark.parametrize("N", range(2, 129, 2))
+def test_padded_grid_is_the_smallest_even_alias_free_grid(N):
+    M = Resolution(N1=N, N2=2, P=6).padded_shape[0]
+    assert M % 2 == 0 and 2 * M >= 3 * N
+    assert M >= 3 * (N // 2 - 1) + 1  # quadratic products of |k| <= N/2 - 1
+    assert M - 2 < 1.5 * N  # smallest such
 
 
 @pytest.mark.parametrize("T, dt, n", [(0.2, 0.02, 10), (0.5, 0.02, 25),

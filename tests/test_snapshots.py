@@ -41,6 +41,28 @@ def test_header_layout(tmp_path, geo, res_small):
     assert "layout" in meta
 
 
+def test_reads_files_that_carry_a_padding_factor(tmp_path, geo, res_small):
+    # files written while the padded grid was pad * N name "pad" in their
+    # resolution metadata; the grid is fixed now, so the entry is ignored
+    f = random_field(geo, res_small, seed=5)
+    p = tmp_path / "new.snap"
+    write_snapshot(p, f)
+    raw = p.read_bytes()
+    _, meta_len = struct.unpack("<IQ", raw[8:20])
+    meta = json.loads(raw[HEADER_LEN:HEADER_LEN + meta_len])
+    assert "pad" not in meta["resolution"]
+    meta["resolution"]["pad"] = 2
+    old_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    old = tmp_path / "old.snap"
+    old.write_bytes((MAGIC + struct.pack("<IQ", 1, len(old_meta))).ljust(HEADER_LEN, b"\0")
+                    + old_meta + raw[HEADER_LEN + meta_len:])
+    g, meta_read, _ = read_snapshot(old)
+    assert meta_read["resolution"]["pad"] == 2
+    assert g.resolution == res_small
+    assert np.array_equal(f.psi, g.psi) and np.array_equal(f.phi, g.phi)
+    assert np.array_equal(f.mean, g.mean)
+
+
 def test_rejects_corrupt_files(tmp_path, geo, res_small):
     p = tmp_path / "bad.snap"
     p.write_bytes(b"not a snapshot at all" + bytes(64))
