@@ -11,7 +11,8 @@ malformed command line (exit 2) included.  The output directory defaults to
 --out is absent.  Execution is always deterministic and serial.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
-timings, peak resident memory, numpy/scipy versions, CPU count, timestamp).
+timings, peak resident memory, numpy/scipy versions, CPU count, timestamp,
+exit code), a run the experiment ends with exit 2 or 3 included.
 ``timings.stages`` holds seconds and calls per stage of the experiment
 (``setup``, then e.g. ``solve``, ``pressure``, ``bc_audit``, ``errors``,
 ``write`` for ``solve``); the stages do not overlap, so they sum to at most
@@ -374,8 +375,28 @@ _RUNNERS = {
 }
 
 
+#: exceptions that end an experiment with exit 2 or 3 (:func:`_failure`)
+_RUN_FAILURES = (ConfigError, ParameterError, np.linalg.LinAlgError,
+                 RuntimeError, FloatingPointError)
+
+
+def _failure(exc, out):
+    """(exit code, stderr line) of an experiment that raised; a numerical
+    failure also leaves error.json."""
+    if isinstance(exc, (ConfigError, ParameterError)):
+        # a catalog id the experiment does not know, or a resolution too
+        # coarse for the manufactured mode
+        return EXIT_CONFIG, f"config error: {exc}"
+    if isinstance(exc, ConsistencyError):
+        write_json(out / "error.json", {"error": str(exc), "type": "consistency"})
+        return EXIT_NUMERICAL, str(exc)
+    write_json(out / "error.json", {"error": str(exc), "type": "numerical"})
+    return EXIT_NUMERICAL, f"numerical failure: {exc}"
+
+
 def run(cfg, out_dir):
-    """Dispatch one experiment; returns the process exit code."""
+    """Dispatch one experiment; returns the process exit code.  The
+    manifest is written whether the experiment returns or fails."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage = StageTimer()
@@ -386,7 +407,11 @@ def run(cfg, out_dir):
             return OperatorSet(cfg.params, cfg.geometry, resolution)
 
     t0 = time.perf_counter()
-    code = _RUNNERS[cfg.kind](cfg, out, operators, stage)
+    message = None
+    try:
+        code = _RUNNERS[cfg.kind](cfg, out, operators, stage)
+    except _RUN_FAILURES as exc:
+        code, message = _failure(exc, out)
     elapsed = time.perf_counter() - t0
     write_json(out / "manifest.json", {
         "config": cfg.canonical_text(),
@@ -404,6 +429,8 @@ def run(cfg, out_dir):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "exit_code": code,
     })
+    if message is not None:
+        _fail(message)
     return code
 
 
@@ -450,25 +477,9 @@ def main(argv=None):
     out_dir = args.out or os.environ.get("NSAB_OUT_DIR") or "nsab_out"
     try:
         return run(cfg, out_dir)
-    except (ConfigError, ParameterError) as exc:
-        # a catalog id the experiment does not know, or a resolution too
-        # coarse for the manufactured mode
-        _fail(f"config error: {exc}")
-        return EXIT_CONFIG
     except OSError as exc:
         _fail(f"cannot write output directory {out_dir!r}: {exc}")
         return EXIT_CONFIG
-    except ConsistencyError as exc:
-        write_json(Path(out_dir) / "error.json",
-                   {"error": str(exc), "type": "consistency"})
-        _fail(str(exc))
-        return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        write_json(Path(out_dir) / "error.json",
-                   {"error": str(exc), "type": "numerical"})
-        _fail(f"numerical failure: {exc}")
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

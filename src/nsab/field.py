@@ -32,14 +32,16 @@ Only :func:`reconstruct` and :func:`project_velocity` know the padded
 grid, M1 x M2 x Q physical samples with M the smallest even count
 >= 3N/2 per direction (``Resolution.padded_shape``): stored wavenumbers
 reach |k| = N/2 - 1 only, so products of two fields do not alias back onto
-them and their projection is exact.  The grid's spectrum is kept as its
-k1 >= 0 half, (3, M1/2 + 1, M2, Q) with mode (k1, k2) at (k1, k2 % M2),
-taken to and from physical samples by the real FFT along x.
+them and their projection is exact.  Both go through :class:`PaddedGrid`,
+a matrix DFT pruned to the box of stored wavenumbers (0 <= k1 < N1/2,
+|k2| < N2/2): one real gemm along k2 and one along k1 each way, with
+tables built once per (N1, N2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +49,15 @@ from .basis import BasisCache
 
 
 def _int_freqs(N):
-    return np.rint(np.fft.fftfreq(N) * N).astype(int)
+    """Integer wavenumbers of an N-point DFT in fft order: 0, 1, ..., -1."""
+    return (np.arange(N) + N // 2) % N - N // 2
+
+
+def _roots(M, j):
+    """cos and sin of 2 pi j / M, the phase taken from the integer j mod M,
+    so every value is one of the M roots of unity."""
+    angle = (2.0 * np.pi / M) * (j % M)
+    return np.cos(angle), np.sin(angle)
 
 
 class ModeLayout:
@@ -57,12 +67,14 @@ class ModeLayout:
     ``groups`` maps each block key (|k1|, |k2|) to its slice of rows, in
     order of first appearance in ``reps``; rows within a group keep the
     ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers, ``keys``
-    their block keys and ``row`` the (k1, k2) -> row lookup.
+    their block keys and ``row`` the (k1, k2) -> row lookup.  ``grid`` is
+    the transform to the padded grid, built on first use.
     """
 
     def __init__(self, resolution):
         N1, N2 = resolution.N1, resolution.N2
         self.N1, self.N2 = N1, N2
+        self.padded_shape = resolution.padded_shape
         self.reps = [(int(k1), int(k2))
                      for k1 in _int_freqs(N1) if 2 * k1 != -N1
                      for k2 in _int_freqs(N2) if 2 * k2 != -N2
@@ -77,6 +89,74 @@ class ModeLayout:
         self.k = np.array(rows, int).reshape(-1, 2)
         self.row = {k: r for r, k in enumerate(rows)}
         self.keys = tuple((abs(k1), abs(k2)) for k1, k2 in rows)
+
+    @cached_property
+    def grid(self):
+        return PaddedGrid(self.k, self.N1, self.N2, self.padded_shape)
+
+
+class PaddedGrid:
+    """Matrix DFT between the stored modes and the padded M1 x M2 grid.
+
+    The spectral side is the box of stored wavenumbers, 0 <= k1 <= K1 - 1
+    (K1 = N1/2) and |k2| <= K2 = N2/2 - 1, as a real (B, K1, 2, 2 K2 + 1, Q)
+    array with the real and imaginary parts in separate planes.  The
+    inverse applies the complex (M2, 2 K2 + 1) DFT along k2 as one real
+    (2 M2, 2 (2 K2 + 1)) block, then one real (M1, 2 K1) gemm along k1 that
+    writes the grid: u = Re sum_k1 c_k1 G_k1(y) exp(2 pi i k1 x / M1), with
+    c = 2 for k1 > 0 (the conjugate partners k1 < 0) and c = 1 for k1 = 0,
+    whose column holds its partners itself.  :meth:`from_grid` is the
+    adjoint, scaled by 1/(M1 M2), so it returns the grid's Fourier
+    coefficients of the stored modes.
+    """
+
+    def __init__(self, k, N1, N2, shape):
+        M1, M2 = shape
+        K1, K2 = N1 // 2, N2 // 2 - 1
+        k1, k2 = k.T
+        zero = k1 == 0
+        self.rows = (k1, k2 + K2)
+        self.partners = (zero, K2 - k2[zero])
+        self.center = K2
+        self.box = (K1, 2, 2 * K2 + 1)
+        self.shape = (M1, M2)
+        cy, sy = _roots(M2, np.arange(M2)[:, None] * np.arange(-K2, K2 + 1))
+        self.y_inv = np.block([[cy, -sy], [sy, cy]])
+        self.y_fwd = np.ascontiguousarray(self.y_inv.T / M2)
+        cx, sx = _roots(M1, np.arange(M1)[:, None] * np.arange(K1))
+        c = np.where(np.arange(K1) > 0, 2.0, 1.0)
+        self.x_inv = np.stack([c * cx, -c * sx], axis=-1).reshape(M1, 2 * K1)
+        self.x_fwd = np.stack([cx.T, -sx.T], axis=1).reshape(2 * K1, M1) / M1
+
+    def to_grid(self, profiles):
+        """Real (3 n, M1, M2, Q) samples of n (rows, mean) profile pairs,
+        complex (3, R, Q) rows and the real (3, Q) mean as
+        :func:`synthesize` returns them."""
+        profiles = list(profiles)
+        B, Q = 3 * len(profiles), profiles[0][1].shape[-1]
+        (k1, j2), (zero, jp) = self.rows, self.partners
+        box = np.zeros((B,) + self.box + (Q,))
+        for b, (rows, mean) in zip(np.split(box, len(profiles)), profiles):
+            b[:, k1, 0, j2] = rows.real
+            b[:, k1, 1, j2] = rows.imag
+            b[:, 0, 0, jp] = rows.real[:, zero]
+            b[:, 0, 1, jp] = -rows.imag[:, zero]
+            b[:, 0, 0, self.center] = mean
+        K1 = self.box[0]
+        half = np.matmul(self.y_inv, box.reshape(B * K1, -1, Q))
+        grid = np.matmul(self.x_inv, half.reshape(B, 2 * K1, -1))
+        return grid.reshape((B,) + self.shape + (Q,))
+
+    def from_grid(self, U):
+        """(rows, mean) Fourier coefficients of real (B, M1, M2, Q) samples:
+        complex (B, R, Q) rows of the stored modes and the real (B, Q) mean."""
+        B, M1, M2, Q = U.shape
+        K1 = self.box[0]
+        half = np.matmul(self.x_fwd, U.reshape(B, M1, M2 * Q))
+        box = np.matmul(self.y_fwd, half.reshape(B * K1, 2 * M2, Q))
+        box = box.reshape((B,) + self.box + (Q,))
+        k1, j2 = self.rows
+        return box[:, k1, 0, j2] + 1j * box[:, k1, 1, j2], box[:, 0, 0, self.center]
 
 
 _layouts = {}
@@ -265,23 +345,12 @@ def synthesize(f, cache, want=("u",), alpha=None):
 def reconstruct(f, cache, want=("u",), alpha=None):
     """Evaluate requested physical-space quantities on the padded grid.
 
-    Returns dict mapping names to real arrays of shape (3, M1, M2, Q).
-    Every representative has k1 >= 0, so of the conjugate partners only
-    those of the k1 = 0 rows lie in the half spectrum.
+    Returns dict mapping names to real arrays of shape (3, M1, M2, Q),
+    all transformed in one :meth:`PaddedGrid.to_grid` call.
     """
-    res = f.resolution
-    M1, M2 = res.padded_shape
-    k1, k2 = layout_for(res).k.T
-    k1_zero = k1 == 0
-    out = {}
-    for name, (rows, mean) in synthesize(f, cache, want, alpha).items():
-        half = np.zeros((3, M1 // 2 + 1, M2, res.Q), complex)
-        half[:, k1, k2 % M2] = rows
-        half[:, 0, -k2[k1_zero] % M2] = np.conj(rows[:, k1_zero])
-        half[:, 0, 0] = mean
-        out[name] = np.fft.irfft2(half, s=(M2, M1), axes=(-2, -3),
-                                  norm="forward")
-    return out
+    profiles = synthesize(f, cache, want, alpha)
+    grid = layout_for(f.resolution).grid.to_grid(profiles.values())
+    return dict(zip(profiles, np.split(grid, len(profiles))))
 
 
 def potentials_to_velocity(f, cache=None):
@@ -326,9 +395,5 @@ def project_velocity(U, geometry, resolution, cache):
     :func:`potentials_to_velocity`; in general it realizes the Leray-type
     projection (gradient parts drop out by construction of the test basis).
     """
-    M2 = resolution.padded_shape[1]
-    k1, k2 = layout_for(resolution).k.T
-    Uh = np.fft.rfft2(U, axes=(-2, -3), norm="forward")
-    return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, geometry, resolution,
-                   cache)
-
+    rows, mean = layout_for(resolution).grid.from_grid(U)
+    return analyze(rows, mean, geometry, resolution, cache)

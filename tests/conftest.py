@@ -252,6 +252,34 @@ def nonlinear_term_on_grid(u, ops, shape):
                    u.resolution, ops.cache)
 
 
+def reconstruct_fft(f, cache, want=("u",), alpha=None):
+    """field.reconstruct through numpy's real FFT: the zero-filled k1 >= 0
+    half spectrum (3, M1/2 + 1, M2, Q) taken to the grid by irfft2."""
+    res = f.resolution
+    M1, M2 = res.padded_shape
+    k1, k2 = layout_for(res).k.T
+    k1_zero = k1 == 0
+    out = {}
+    for name, (rows, mean) in synthesize(f, cache, want, alpha).items():
+        half = np.zeros((3, M1 // 2 + 1, M2, res.Q), complex)
+        half[:, k1, k2 % M2] = rows
+        half[:, 0, -k2[k1_zero] % M2] = np.conj(rows[:, k1_zero])
+        half[:, 0, 0] = mean
+        out[name] = np.fft.irfft2(half, s=(M2, M1), axes=(-2, -3),
+                                  norm="forward")
+    return out
+
+
+def project_velocity_fft(U, geometry, resolution, cache):
+    """field.project_velocity through numpy's real FFT: rfft2 of the grid,
+    then the stored rows and the mean gathered from the half spectrum."""
+    M2 = resolution.padded_shape[1]
+    k1, k2 = layout_for(resolution).k.T
+    Uh = np.fft.rfft2(U, axes=(-2, -3), norm="forward")
+    return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, geometry, resolution,
+                   cache)
+
+
 # ---------------------------------------------------------------------------
 # per-block and per-row references of the stationary diagnostics
 # ---------------------------------------------------------------------------

@@ -288,6 +288,26 @@ def test_overflowing_forcing_exits_3_in_one_line(tmp_path):
     assert json.loads((out / "error.json").read_text())["type"] == "numerical"
 
 
+@pytest.mark.parametrize("overrides, kind", [
+    pytest.param({"forcing.amplitude": "1e300"}, "numerical", id="overflow"),
+    # k = 2/H, the singular wall coefficient of test_numerical_failure_exit_code
+    pytest.param({"model.ell": "0.02", "forcing.id": "random_solenoidal"},
+                 "consistency", id="singular-wall"),
+])
+def test_failed_run_writes_manifest(tmp_path, overrides, kind):
+    cfg = tmp_path / "fail.cfg"
+    cfg.write_text(_config_with(overrides))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert json.loads((out / "error.json").read_text())["type"] == kind
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["exit_code"] == 3 and man["experiment"] == "solve"
+    timings = man["timings"]
+    assert "setup" in timings["stages"] and timings["setup_s"] > 0.0
+    assert sum(st["s"] for st in timings["stages"].values()) <= timings["total_s"]
+    assert man["peak_rss_mb"] > 0.0
+
+
 @pytest.mark.parametrize("args", [["--bogus"], ["--serial"], ["--seed", "x"]],
                          ids=["unknown-flag", "retired-serial", "bad-seed"])
 def test_usage_error_exits_2_in_one_line(cfgfile, tmp_path, args):

@@ -20,6 +20,9 @@ from hypothesis import strategies as st
 from nsab.cli import main
 from nsab.config import EXPERIMENTS, _SCHEMA
 
+# a numpy warning raised by a fuzzed input is a failure, not captured noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 BASE = {
     "model.alpha": "0.2", "model.beta": "0.1", "model.gamma": "-1.0",
     "model.ell": "0.01", "resolution.N1": "4", "resolution.N2": "4",

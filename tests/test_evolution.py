@@ -17,7 +17,7 @@ from nsab.spectral import SpectralFactors
 
 from conftest import (block_groups, distinct_blocks, hermitian_modes,
                       mode_velocity_profiles, nonlinear_term_on_grid,
-                      params_with_k)
+                      params_with_k, project_velocity_fft, reconstruct_fft)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,23 @@ def test_nonlinear_3_2_grid_matches_twice_padded_grid(par, geo_odd, N, P, M):
         assert (nonlinear_term(u, o) - ref).norm_l2() <= 1e-13 * ref.norm_l2()
         aliased = nonlinear_term_on_grid(u, o, (N, N))
         assert (aliased - ref).norm_l2() > 1e-6 * ref.norm_l2()
+
+
+@pytest.mark.parametrize("N1, N2, P", [(4, 4, 12), (6, 6, 12), (8, 8, 16),
+                                       (10, 12, 12), (16, 16, 32)],
+                         ids=["N4P12", "N6P12", "N8P16", "N10x12P12", "N16P32"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_nonlinear_term_matches_fft_oracle(par, geometry, N1, N2, P, request):
+    """N(u) through the matrix DFTs against the same product taken through
+    numpy's real FFTs on the same 3/2-rule grid."""
+    g = request.getfixturevalue(geometry)
+    res = Resolution(N1=N1, N2=N2, P=P)
+    o = OperatorSet(par, g, res)
+    u = random_field(g, res, seed=17, amplitude=1.0, decay=0.3)
+    rec = reconstruct_fft(u, o.cache, want=("u", "curl_v"), alpha=par.alpha)
+    ref = project_velocity_fft(np.cross(rec["curl_v"], rec["u"], axis=0), g,
+                               res, o.cache)
+    assert (nonlinear_term(u, o) - ref).norm_l2() <= 1e-13 * ref.norm_l2()
 
 
 def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):

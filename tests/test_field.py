@@ -10,7 +10,8 @@ from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
 
-from conftest import grid_quadrature, hermitian_modes, mode_velocity_profiles
+from conftest import (grid_quadrature, hermitian_modes, mode_velocity_profiles,
+                      project_velocity_fft, reconstruct_fft)
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
@@ -93,6 +94,34 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
         assert np.abs(rows - want[name]).max() <= 1e-13 * np.abs(want[name]).max()
         assert np.abs(mean - want_mean[name]).max() <= \
             1e-13 * np.abs(want_mean[name]).max()
+
+
+@pytest.mark.parametrize("res, shape", [
+    (Resolution(N1=2, N2=4, P=10), (4, 6)),
+    (Resolution(N1=6, N2=6, P=12), (10, 10)),
+    (Resolution(N1=6, N2=8, P=12), (10, 12)),
+    (Resolution(N1=10, N2=12, P=12), (16, 18)),
+], ids=["2x4", "6x6", "6x8", "10x12"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_grid_transforms_match_fft_oracle(geometry, res, shape, request):
+    """The pruned matrix DFTs of reconstruct and project_velocity against
+    the real FFT of the zero-filled half spectrum: N1 != N2, the round-up
+    N = 6 (3N/2 = 9 -> M = 10) and the single k1 column of N1 = 2."""
+    g = request.getfixturevalue(geometry)
+    assert res.padded_shape == shape
+    cache = BasisCache(g, res)
+    f = random_field(g, res, seed=9, decay=0.2)
+    want = ("u", "curl_v", "bilap_u")
+    got = reconstruct(f, cache, want=want, alpha=0.3)
+    ref = reconstruct_fft(f, cache, want=want, alpha=0.3)
+    assert list(got) == list(ref)
+    for name in want:
+        assert got[name].shape == (3,) + shape + (res.Q,)
+        assert np.abs(got[name] - ref[name]).max() <= 1e-13 * np.abs(ref[name]).max()
+    # an arbitrary grid field: the modes the box does not hold are dropped
+    U = np.random.default_rng(4).standard_normal((3,) + shape + (res.Q,))
+    got, ref = project_velocity(U, g, res, cache), project_velocity_fft(U, g, res, cache)
+    assert (got - ref).norm_l2() <= 1e-13 * ref.norm_l2()
 
 
 def test_spectral_divergence_near_roundoff(geo_odd, res_small):
