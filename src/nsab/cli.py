@@ -13,13 +13,17 @@ malformed command line (exit 2) included.  The output directory defaults to
 Every run writes ``manifest.json`` (config echo, package version, seed,
 timings, peak resident memory, numpy/scipy versions, CPU count, timestamp,
 exit code), a run the experiment ends with exit 2 or 3 included.
-``timings.stages`` holds seconds and calls per stage of the experiment
+``timings.stages`` holds seconds, calls and minor page faults
+(``minor_faults``, the ``ru_minflt`` delta) per stage of the experiment
 (``setup``, then e.g. ``solve``, ``pressure``, ``bc_audit``, ``errors``,
 ``write`` for ``solve``); the stages do not overlap, so they sum to at most
 ``total_s``.  ``timings.setup_s`` is the ``setup`` stage: building the
-experiment's operator sets (a sweep's per-level sets not included).  Data
-files carry no timestamps so reruns from the echoed config are
-byte-identical.
+experiment's operator sets (a sweep's per-level sets not included).
+``evolve`` and ``probe-uniqueness`` also record ``timings.steps``, the IMEX
+steps taken over all trajectories (three per time step for the probe's base
+run and two members), and ``timings.steps_per_s``, those steps per second
+of the ``integrate`` stage.  Data files carry no timestamps so reruns from
+the echoed config are byte-identical.
 """
 
 from __future__ import annotations
@@ -96,21 +100,39 @@ def _fail(message):
     print(f"nsab: {message}", file=sys.stderr)
 
 
+def _minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class StageTimer:
-    """Seconds and calls summed per named stage: ``with stage("solve"):``."""
+    """Seconds, calls and minor page faults summed per named stage:
+    ``with stage("solve"):``.  ``steps`` is set by experiments that
+    integrate in time."""
 
     def __init__(self):
         self.stages = {}
+        self.steps = None
 
     @contextmanager
     def __call__(self, name):
-        t = time.perf_counter()
+        t, faults = time.perf_counter(), _minor_faults()
         try:
             yield
         finally:
-            entry = self.stages.setdefault(name, {"s": 0.0, "calls": 0})
+            entry = self.stages.setdefault(name, {"s": 0.0, "calls": 0, "minor_faults": 0})
             entry["s"] += time.perf_counter() - t
             entry["calls"] += 1
+            entry["minor_faults"] += _minor_faults() - faults
+
+    def timings(self, total_s):
+        """The manifest's ``timings`` record."""
+        out = {"total_s": total_s,
+               "setup_s": self.stages.get("setup", {"s": 0.0})["s"],
+               "stages": self.stages}
+        if self.steps is not None:
+            out["steps"] = self.steps
+            out["steps_per_s"] = self.steps / max(self.stages["integrate"]["s"], 1e-300)
+        return out
 
 
 @functools.cache
@@ -273,6 +295,7 @@ def _exp_evolve(cfg, out, operators, stage):
                                scheme=cfg["scheme.name"], cadence=cfg["output.cadence"],
                                watchdog_ceiling=cfg["watchdog.ceiling"],
                                inject_nan_step=inject)
+    stage.steps = result.steps
     rows = [(r.t, r.E_lambda, r.a_uu, r.grad_sq, r.H1, r.H3, r.H5, r.dE_balance)
             for r in result.reports]
     with stage("write"):
@@ -320,6 +343,8 @@ def _exp_probe(cfg, out, operators, stage):
                             amplitude=1.0, decay=cfg["u0.decay"])
         p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
                                   cfg["time.dt"], scheme=cfg["scheme.name"])
+    # the base trajectory and the two members take every time step
+    stage.steps = 3 * (len(p1.times) - 1)
     mask = p1.times >= 0.25 * cfg["time.T"]
     with np.errstate(divide="ignore", invalid="ignore"):
         cfit = np.nanmax(np.where(mask, np.log(np.maximum(p1.growth, 1e-300))
@@ -419,9 +444,7 @@ def run(cfg, out_dir):
         "version": __version__,
         "seed": {"u0": cfg["u0.seed"], "forcing": cfg["forcing.seed"],
                  "covering": cfg["covering.seed"], "probe": cfg["probe.seed"]},
-        "timings": {"total_s": elapsed,
-                    "setup_s": stage.stages.get("setup", {"s": 0.0})["s"],
-                    "stages": stage.stages},
+        "timings": stage.timings(elapsed),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "libraries": dict(_library_versions()),

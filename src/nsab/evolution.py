@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SolenoidalField, project_velocity, reconstruct, rowmul, zero_field
+from .field import (SolenoidalField, layout_for, project_velocity, reconstruct, rowmul,
+                    zero_field)
 from .operators import OperatorSet
 from .params import ParameterError, derive_params, step_count
 from .spectral import SpectralFactors
@@ -79,16 +80,19 @@ def nonlinear_term(u, ops):
     products.  Quadratic tangential interactions are exact on the 3/2-rule
     padded grid; wall-normal triple products are exact by the
     Q >= (3P+1)/2 rule.  Returns dual coefficients (same container as
-    fields).
+    fields) that own their arrays; the grid arrays in between are the
+    padded grid's reused workspace (:class:`nsab.field.GridWorkspace`).
     """
-    rec = reconstruct(u, ops.cache, want=("u", "curl_v"),
-                      alpha=ops.params.alpha)
+    want = ("u", "curl_v")
+    work = layout_for(u.resolution).grid.workspace(want, u.resolution.Q)
+    rec = reconstruct(u, ops.cache, want=want, alpha=ops.params.alpha, work=work)
     w, v = rec["curl_v"], rec["u"]
-    prod = np.empty_like(v)
+    prod, tmp = work.prod, work.scratch
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(w[j], v[k], out=prod[i])
-        prod[i] -= w[k] * v[j]
-    return project_velocity(prod, u.geometry, u.resolution, ops.cache)
+        np.multiply(w[k], v[j], out=tmp)
+        np.subtract(prod[i], tmp, out=prod[i])
+    return project_velocity(prod, u.geometry, u.resolution, ops.cache, work)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +223,7 @@ class EvolutionResult:
     reports: list
     final: EvolutionState
     watchdog: object = None
+    steps: int = 0  # steps taken, fewer than T / dt when the watchdog fires
 
 
 def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
@@ -250,17 +255,17 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
         if bad:
             return EvolutionResult(reports, state,
                                    WatchdogEvent(state.time, "nan", np.inf,
-                                                 watchdog_ceiling * h4_0))
+                                                 watchdog_ceiling * h4_0), n)
         sn = ops.a_scale_norms(state.field)
         if sn["A1"] > watchdog_ceiling * h4_0:
             reports.append(energy_report(ops, state, prev, dt, sn, prev_E))
             return EvolutionResult(reports, state,
                                    WatchdogEvent(state.time, "h4_growth",
-                                                 sn["A1"], watchdog_ceiling * h4_0))
+                                                 sn["A1"], watchdog_ceiling * h4_0), n)
         if n % cadence == 0 or n == nsteps:
             last = energy_report(ops, state, prev, dt, sn, prev_E)
             reports.append(last)
-    return EvolutionResult(reports, state, None)
+    return EvolutionResult(reports, state, None, nsteps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre
-from nsab.field import analyze, layout_for, synthesize, zero_field
+from nsab.field import (analyze, layout_for, project_velocity, reconstruct,
+                        synthesize, zero_field)
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
 from nsab.stationary import ModalForcing, _legendre_design
@@ -229,8 +230,46 @@ def reference_forms(params, cache, k1, k2):
 
 
 # ---------------------------------------------------------------------------
+# reference random field: one draw per representative, in fft order
+# ---------------------------------------------------------------------------
+
+def random_field_loop(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
+    """field.random_field drawn representative by representative: psi's
+    real and imaginary parts, then phi's, in ``reps`` order, then the mean."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    f = zero_field(geometry, resolution)
+    lay = layout_for(resolution)
+    n_t, n_p = resolution.n_toroidal, resolution.n_poloidal
+    jt, jp = np.arange(n_t), np.arange(n_p)
+    for (k1, k2) in lay.reps:
+        r = lay.row[(k1, k2)]
+        kmag = np.hypot(k1, k2)
+        wt = np.exp(-decay * (kmag + jt))
+        wp = np.exp(-decay * (kmag + jp))
+        f.psi[r] = wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
+        f.phi[r] = wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
+    f.mean[:] = np.exp(-decay * jt) * rng.standard_normal((2, n_t))
+    nrm = f.norm_l2()
+    if nrm > 0:
+        f = f * (amplitude / nrm)
+    return f
+
+
+# ---------------------------------------------------------------------------
 # reference nonlinear term on a chosen tangential grid
 # ---------------------------------------------------------------------------
+
+def nonlinear_term_fresh(u, ops):
+    """N(u) composed from the public functions, every array fresh:
+    reconstruct -> (curl v) x u -> project_velocity."""
+    rec = reconstruct(u, ops.cache, want=("u", "curl_v"), alpha=ops.params.alpha)
+    w, v = rec["curl_v"], rec["u"]
+    prod = np.empty_like(v)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(w[j], v[k], out=prod[i])
+        prod[i] -= w[k] * v[j]
+    return project_velocity(prod, u.geometry, u.resolution, ops.cache)
+
 
 def nonlinear_term_on_grid(u, ops, shape):
     """N(u) with (curl v) x u formed on an explicit M1 x M2 grid: every

@@ -52,6 +52,20 @@ def test_verify_adn_run(cfgfile, tmp_path):
     assert man["exit_code"] == 0 and "timestamp" in man
 
 
+def test_verify_adn_large_eta_subspace_angle(tmp_path):
+    """Seed 35 samples |eta| ~ 480, where the companion entries reach
+    |eta|^4 ~ 5e10: the scaled stable-subspace angle stays far below 1e-8."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_with({"covering.seed": "35", "covering.n_circle": "2",
+                                 "covering.n_magnitude": "1"}))
+    out = tmp_path / "adn"
+    assert main(["verify-adn", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    etas = [np.hypot(*map(float, k.split(","))) for k in rep["subspace_angles"]]
+    assert max(etas) > 400
+    assert rep["all_pass"] and max(rep["subspace_angles"].values()) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["evolve", "solve", "convergence"])
 def test_manifest_records_setup_time_and_peak_memory(cfgfile, tmp_path, kind):
     out = tmp_path / kind
@@ -340,6 +354,27 @@ def test_manifest_records_stage_times(tmp_path, kind, stages):
     assert man["cpu_count"] == os.cpu_count()
     assert man["libraries"]["numpy"] == np.__version__
     assert set(man["libraries"]) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("kind, steps", [("evolve", 5), ("probe-uniqueness", 15)])
+def test_manifest_records_steps_and_page_faults(cfgfile, tmp_path, kind, steps):
+    """dt 0.02 to T 0.1 is 5 steps per trajectory; the probe steps three."""
+    out = tmp_path / kind
+    assert main([kind, "--config", str(cfgfile), "--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert timings["steps"] == steps
+    assert timings["steps_per_s"] == pytest.approx(
+        steps / timings["stages"]["integrate"]["s"], rel=1e-12)
+    faults = [st["minor_faults"] for st in timings["stages"].values()]
+    assert all(isinstance(f, int) and f >= 0 for f in faults)
+
+
+def test_manifest_without_time_steps_has_no_step_fields(cfgfile, tmp_path):
+    out = tmp_path / "eigs"
+    assert main(["eigs", "--config", str(cfgfile), "--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert "steps" not in timings and "steps_per_s" not in timings
+    assert all("minor_faults" in st for st in timings["stages"].values())
 
 
 def test_cli_import_does_not_load_scipy_linalg():

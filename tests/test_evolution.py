@@ -1,6 +1,7 @@
 """Nonlinear term, exact propagator, IMEX stepping, monitors, probes."""
 
 import dataclasses
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,14 +11,17 @@ import scipy.linalg
 from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
                             linear_propagator_exact, nonlinear_term,
                             run_evolution, uniqueness_probe, vanishing_sweep)
-from nsab.field import layout_for, project_velocity, random_field, zero_field
+from nsab import evolution
+from nsab.field import (layout_for, project_velocity, random_field, reconstruct,
+                        synthesize, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import SpectralFactors
 
 from conftest import (block_groups, distinct_blocks, hermitian_modes,
-                      mode_velocity_profiles, nonlinear_term_on_grid,
-                      params_with_k, project_velocity_fft, reconstruct_fft)
+                      mode_velocity_profiles, nonlinear_term_fresh,
+                      nonlinear_term_on_grid, params_with_k, project_velocity_fft,
+                      reconstruct_fft)
 
 
 @pytest.fixture(scope="module")
@@ -414,3 +418,80 @@ def test_energy_reports_reuse_previous_energy_bitwise(ops, geo, res_small, caden
     assert len(got) == len(want) == 1 + 10 // cadence + (10 % cadence > 0)
     rows = [[dataclasses.astuple(r) for r in reps] for reps in (got, want)]
     np.testing.assert_array_equal(*rows)  # bitwise, NaN balance of t = 0 included
+
+
+# ---------------------------------------------------------------------------
+# the reused grid workspace of the nonlinear term
+# ---------------------------------------------------------------------------
+
+def _same_field(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.potentials(), b.potentials()))
+
+
+@pytest.mark.parametrize("N, P", [(4, 12), (8, 16), (16, 32)],
+                         ids=["N4P12", "N8P16", "N16P32"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_nonlinear_workspace_bitwise_equals_public_composition(par, geometry, N, P,
+                                                               request):
+    """The workspace path does the arithmetic of reconstruct -> cross
+    product -> project_velocity on fresh arrays, bit for bit, in repeated
+    calls that reuse the workspace for other fields."""
+    g = request.getfixturevalue(geometry)
+    res = Resolution(N1=N, N2=N, P=P)
+    o = OperatorSet(par, g, res)
+    fields = [random_field(g, res, seed=s, amplitude=a)
+              for s, a in ((1, 1.0), (2, 0.2), (1, 1.0), (3, 5.0))]
+    for u in fields:
+        assert _same_field(nonlinear_term(u, o), nonlinear_term_fresh(u, o))
+
+
+def test_nonlinear_workspace_does_not_alias_returned_arrays(par, geo_odd):
+    """Arrays handed out earlier - public reconstruct, synthesize and
+    project_velocity results, a previous N and its input - are not touched
+    by a later nonlinear_term call."""
+    res = Resolution(N1=8, N2=6, P=14)
+    o = OperatorSet(par, geo_odd, res)
+    u, u2 = (random_field(geo_odd, res, seed=s) for s in (4, 5))
+    want = ("u", "curl_v")
+    rec = reconstruct(u, o.cache, want=want, alpha=par.alpha)
+    syn = synthesize(u, o.cache, want=want, alpha=par.alpha)
+    proj = project_velocity(rec["u"], geo_odd, res, o.cache)
+    N = nonlinear_term(u, o)
+    held = [*rec.values(), *(a for pair in syn.values() for a in pair),
+            *proj.potentials(), *N.potentials(), *u.potentials()]
+    copies = [a.copy() for a in held]
+    nonlinear_term(u2, o)
+    assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+
+
+def test_cnab2_history_owns_its_arrays(par, geo, monkeypatch):
+    """cnab2 keeps N as history across a step: a run equals one whose
+    nonlinear term hands over a copy."""
+    res = Resolution(N1=8, N2=8, P=16)
+    o = OperatorSet(par, geo, res)
+    u0 = random_field(geo, res, seed=6, amplitude=0.3)
+    got = run_evolution(o, u0, 0.02, 0.2, scheme="cnab2", cadence=2)
+    plain = evolution.nonlinear_term
+    monkeypatch.setattr(evolution, "nonlinear_term", lambda u, ops: plain(u, ops).copy())
+    want = run_evolution(o, u0, 0.02, 0.2, scheme="cnab2", cadence=2)
+    assert _same_field(got.final.field, want.final.field)
+    assert got.steps == want.steps == 10
+    np.testing.assert_array_equal([dataclasses.astuple(r) for r in got.reports],
+                                  [dataclasses.astuple(r) for r in want.reports])
+
+
+def test_warm_nonlinear_term_allocates_under_1mb(par, geo):
+    """At N16/P32 the grid, box, profile and product arrays (3.3 MB when
+    allocated per call) live in the workspace: a warm call's traced
+    allocation peak stays under 1 MB."""
+    res = Resolution(N1=16, N2=16, P=32)
+    o = OperatorSet(par, geo, res)
+    u = random_field(geo, res, seed=8, amplitude=0.2)
+    nonlinear_term(u, o)
+    tracemalloc.start()
+    try:
+        nonlinear_term(u, o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -11,7 +11,7 @@ from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
 
 from conftest import (grid_quadrature, hermitian_modes, mode_velocity_profiles,
-                      project_velocity_fft, reconstruct_fft)
+                      project_velocity_fft, random_field_loop, reconstruct_fft)
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
@@ -246,6 +246,22 @@ def test_random_field_draws_in_rep_order(geo):
     assert np.allclose(f.psi[rows], scale * np.array(psi), rtol=1e-14, atol=0)
     assert np.allclose(f.phi[rows], scale * np.array(phi), rtol=1e-14, atol=0)
     assert np.allclose(f.mean, scale * mean, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("res", [Resolution(N1=4, N2=4, P=12),
+                                 Resolution(N1=8, N2=6, P=14),
+                                 Resolution(N1=16, N2=16, P=32)],
+                         ids=["4x4", "8x6", "16x16"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_random_field_matches_per_representative_draws(geometry, res, request):
+    """The one batched draw gives the per-representative loop's field bit
+    for bit: the generator's stream does not depend on how it is split."""
+    g = request.getfixturevalue(geometry)
+    for seed, amplitude, decay in ((0, 1.0, 0.5), (7, 0.2, 1.5), (11, 3.0, 0.0)):
+        got = random_field(g, res, seed=seed, amplitude=amplitude, decay=decay)
+        ref = random_field_loop(g, res, seed=seed, amplitude=amplitude, decay=decay)
+        for a, b in zip(got.potentials(), ref.potentials()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_mismatched_cache_rejected(geo, geo_odd, res_small):
