@@ -415,20 +415,21 @@ class CoveringReport:
     sigma_ratio: float
 
 
-def check_covering(eta, gamma=0.0, variant=DIVERGENCE_FREE, rel_tol=1e-8):
-    """Covering condition at one tangential frequency.
+def check_covering(eta, gamma=0.0):
+    """Covering condition of the divergence-free system at one tangential
+    frequency.
 
     The kernel dimension is decided on the row/column-equilibrated matrix
     (the raw matrix has columns scaling like |eta|^0, |eta|^-1, |eta|^-3,
     so equilibration keeps the singular-value test meaningful across
-    magnitudes)."""
-    B = boundary_system(eta, gamma=gamma, variant=variant)
+    magnitudes): singular values below 1e-8 of the largest."""
+    B = boundary_system(eta, gamma=gamma)
     det = complex(np.linalg.det(B))
     Bs = B / np.linalg.norm(B, axis=0, keepdims=True)
     Bs = Bs / np.linalg.norm(Bs, axis=1, keepdims=True)
     sv = np.linalg.svd(Bs, compute_uv=False)
     ratio = float(sv[-1] / sv[0])
-    kdim = int(np.sum(sv <= rel_tol * sv[0]))
+    kdim = int(np.sum(sv <= 1e-8 * sv[0]))
     return CoveringReport(tuple(float(x) for x in eta), det, kdim, kdim == 0, ratio)
 
 

@@ -26,12 +26,18 @@ The mass forms depend on the wavenumber only through m = |eta|^2:
 area * m <T, T> (toroidal) and area * (m <C', C'> + m^2 <C, C>)
 (poloidal).  :class:`BasisCache` builds the change of basis of every
 distinct block at once, as a (G, n, n) stack from one batched Cholesky
-factorization per potential, with no per-block loop.
+factorization per potential, with no per-block loop.  The field layout
+(:class:`nsab.field.ModeLayout`) owns the block numbering: stack g is its
+block group g, and ``layout.block`` gives each row's g.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+
+from .field import layout_for
 
 #: highest z-derivative order tabulated for interior evaluation; order 5 is
 #: needed for the bilaplacian of poloidal-generated velocity components.
@@ -67,9 +73,10 @@ def gauss_legendre(Q, H):
     return 0.5 * H * (x + 1.0), 0.5 * H * w
 
 
-def _bases(P, points, H, dmax):
-    """Dirichlet and clamped recombinations at z points, from one Legendre
-    table: lists of (len(points), n) arrays, d = 0..dmax."""
+def recombined_bases(P, points, H, dmax):
+    """Dirichlet and clamped recombinations and their z-derivatives at the
+    given z points, from one Legendre table: two lists, d = 0..dmax, of
+    (len(points), P - 1) and (len(points), P - 3) arrays."""
     T = legendre_table(2.0 * np.asarray(points, dtype=float) / H - 1.0, P, dmax)
     j = np.arange(P - 3)
     c2 = 2.0 * (2 * j + 5) / (2 * j + 7)
@@ -82,19 +89,6 @@ def _bases(P, points, H, dmax):
              for d in range(dmax + 1)])
 
 
-def dirichlet_basis(P, points, H, dmax=MAX_DERIV):
-    """Values/derivatives of the Dirichlet recombination at given z points.
-
-    Returns a list B with B[d] of shape (len(points), P-1).
-    """
-    return _bases(P, points, H, dmax)[0]
-
-
-def clamped_basis(P, points, H, dmax=MAX_DERIV):
-    """Values/derivatives of the clamped recombination, shape (npts, P-3)."""
-    return _bases(P, points, H, dmax)[1]
-
-
 def _inv_chol_T(mass):
     """W = L^{-T} from the Cholesky factor of an SPD (stack of) mass
     matrices, so W^T mass W = I."""
@@ -103,61 +97,35 @@ def _inv_chol_T(mass):
                            np.broadcast_to(np.eye(L.shape[-1]), L.shape))
 
 
-class BlockBasis:
-    """The orthonormal basis of one scalar block: W (n, n) maps orthonormal
-    coefficients to the raw recombined basis."""
-
-    def __init__(self, W):
-        self.W = W
-        self.n = W.shape[0]
-
-    def evaluate(self, points, H, P, kind, dmax=MAX_DERIV):
-        """Orthonormal basis values/derivatives at arbitrary z points."""
-        raw = (dirichlet_basis if kind == "dirichlet" else clamped_basis)(P, points, H, dmax)
-        return [r @ self.W for r in raw]
-
-
-class ModeBasis:
-    """Toroidal + poloidal blocks for one |wavenumber| pair, or the mean block."""
-
-    def __init__(self, m, tor, pol):
-        self.m = m
-        self.tor = tor
-        self.pol = pol
-
-
 class BasisCache:
     """All basis data shared by assembly, reconstruction and projection.
 
     ``raw_T``/``raw_C`` tabulate the raw recombined bases and their
     z-derivatives at the quadrature nodes, ``raw_T_tr``/``raw_C_tr`` on the
-    walls.  Blocks depend on the wavenumber only through m = |eta|^2; the
-    distinct ones, keyed by (|k1|, |k2|) != (0, 0), are numbered by
-    :meth:`block_number`, and ``m`` (G,), ``W_tor`` and ``W_pol`` (G, n, n)
-    hold their m and changes of basis (:meth:`bases`).  The mean block has
-    ``mean_W`` and its own tables ``mean_E``/``mean_tr`` (``raw_T``/
-    ``raw_T_tr`` times ``mean_W``).
+    walls.  Blocks depend on the wavenumber only through m = |eta|^2:
+    ``m`` (G,), ``W_tor`` and ``W_pol`` (G, n, n) stack them in the order
+    of the layout's block groups (``layout.block``), and :attr:`row_bases`
+    gathers them per row on first use.  The mean block has ``mean_W`` and
+    its own tables ``mean_E``/``mean_tr`` (``raw_T``/``raw_T_tr`` times
+    ``mean_W``).
     """
 
     def __init__(self, geometry, resolution):
         self.geometry = geometry
         self.resolution = resolution
+        self.layout = layout_for(resolution)
         H, P, area = geometry.H, resolution.P, geometry.area
         self.z, self.w = gauss_legendre(resolution.Q, H)
-        self.raw_T, self.raw_C = _bases(P, self.z, H, MAX_DERIV)
-        self.raw_T_tr, self.raw_C_tr = _bases(P, [0.0, H], H, MAX_TRACE_DERIV)
+        self.raw_T, self.raw_C = recombined_bases(P, self.z, H, MAX_DERIV)
+        self.raw_T_tr, self.raw_C_tr = recombined_bases(P, [0.0, H], H, MAX_TRACE_DERIV)
         # mean block: plain L^2 mass, one copy shared by both components
         T0 = self.raw_T[0]
         self.mean_W = _inv_chol_T(area * (T0.T * self.w) @ T0)
         self.mean_E = [t @ self.mean_W for t in self.raw_T]
         self.mean_tr = [t @ self.mean_W for t in self.raw_T_tr]
-        # the stored |k1| <= N1/2 - 1, |k2| <= K2 = N2/2 - 1
-        self.K2 = resolution.N2 // 2 - 1
-        k1, k2 = np.divmod(np.arange(1, resolution.N1 // 2 * (self.K2 + 1)), self.K2 + 1)
-        e1, e2 = self.wavenumber(k1, k2)
+        e1, e2 = self.wavenumber(*np.array(list(self.layout.groups), int).reshape(-1, 2).T)
         self.m = e1 * e1 + e2 * e2
         self.W_tor, self.W_pol = self.bases(self.m)
-        self._stacks = {}
 
     def bases(self, m):
         """Toroidal and poloidal W stacks (G, n, n) of the blocks with
@@ -173,25 +141,9 @@ class BasisCache:
         g = self.geometry
         return 2.0 * np.pi * k1 / g.L1, 2.0 * np.pi * k2 / g.L2
 
-    def block_number(self, k1, k2):
-        """Index in the stacks of the block of stored nonzero wavenumbers
-        (k1, k2), ints or arrays."""
-        return np.abs(k1) * (self.K2 + 1) + np.abs(k2) - 1
-
-    def block(self, k1, k2):
-        """The bases of one wavenumber pair, stored or not; (0, 0) is the
-        mean block."""
-        if (k1, k2) == (0, 0):
-            return ModeBasis(0.0, BlockBasis(self.mean_W), None)
-        e1, e2 = self.wavenumber(k1, k2)
-        m = e1 * e1 + e2 * e2
-        W_tor, W_pol = self.bases(np.array([m]))
-        return ModeBasis(m, BlockBasis(W_tor[0]), BlockBasis(W_pol[0]))
-
-    def row_stacks(self, keys):
+    @cached_property
+    def row_bases(self):
         """m (R, 1) and the W stacks (R, n, n) of the toroidal and poloidal
-        blocks of rows keyed keys[r] = (|k1|, |k2|); gathered once per keys."""
-        if keys not in self._stacks:
-            g = self.block_number(*np.array(keys, int).reshape(-1, 2).T)
-            self._stacks[keys] = (self.m[g, None], self.W_tor[g], self.W_pol[g])
-        return self._stacks[keys]
+        blocks of every row of the layout."""
+        g = self.layout.block
+        return self.m[g, None], self.W_tor[g], self.W_pol[g]

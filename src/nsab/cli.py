@@ -37,6 +37,7 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
 from .field import random_field, zero_field
 from .manufactured import default_case
 from .operators import OperatorSet
-from .params import ParameterError
+from .params import ParameterError, Resolution
 from .spectral import eigenpairs_A, garding_constants
 from .snapshots import write_snapshot
 from .stationary import (ConsistencyError, forcing_from_field, recover_pressure,
@@ -303,14 +304,13 @@ def _exp_evolve(cfg, out, operators, stage):
         if result.watchdog is None:
             write_snapshot(out / "final.snap", result.final.field, cfg.params)
             return EXIT_OK
-        write_json(out / "watchdog.json", {
-            "time": result.watchdog.time,
-            "reason": result.watchdog.reason,
-            "h4_proxy": result.watchdog.h4_proxy,
-            "ceiling": result.watchdog.ceiling,
-        })
-    _fail(f"watchdog stopped the run at t = {result.watchdog.time!r}: "
-          f"{result.watchdog.reason}")
+        return _watchdog_exit(out, result.watchdog)
+
+
+def _watchdog_exit(out, event):
+    """Write watchdog.json for a run the watchdog stopped; exit 4."""
+    write_json(out / "watchdog.json", asdict(event))
+    _fail(f"watchdog stopped the run at t = {event.time!r}: {event.reason}")
     return EXIT_WATCHDOG
 
 
@@ -342,7 +342,8 @@ def _exp_probe(cfg, out, operators, stage):
         pert = random_field(cfg.geometry, cfg.resolution, seed=cfg["probe.seed"],
                             amplitude=1.0, decay=cfg["u0.decay"])
         p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
-                                  cfg["time.dt"], scheme=cfg["scheme.name"])
+                                  cfg["time.dt"], scheme=cfg["scheme.name"],
+                                  watchdog_ceiling=cfg["watchdog.ceiling"])
     # the base trajectory and the two members take every time step
     stage.steps = 3 * (len(p1.times) - 1)
     mask = p1.times >= 0.25 * cfg["time.T"]
@@ -354,6 +355,8 @@ def _exp_probe(cfg, out, operators, stage):
         write_csv(out / "probe.csv",
                   ["t", "growth_delta1", "growth_delta2", "h3_integral"],
                   list(zip(p1.times, p1.growth, p2.growth, p1.h3_integral)))
+        if p1.watchdog is not None:
+            return _watchdog_exit(out, p1.watchdog)
         write_json(out / "probe.json", {
             "delta1": d1, "delta2": d2,
             "growth_final_delta1": float(p1.growth[-1]),
@@ -366,9 +369,8 @@ def _exp_probe(cfg, out, operators, stage):
 
 def _exp_convergence(cfg, out, operators, stage):
     rows = []
-    from .params import Resolution as Res
     for P in cfg["convergence.p_values"]:
-        res = Res(cfg.resolution.N1, cfg.resolution.N2, P)
+        res = Resolution(cfg.resolution.N1, cfg.resolution.N2, P)
         ops = operators(res)
         case = default_case(cfg.geometry)
         u, rep = solve_stationary(ops, case.rhs(ops, cfg.params))

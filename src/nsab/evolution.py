@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import BasisCache
 from .field import (SolenoidalField, layout_for, project_velocity, reconstruct, rowmul,
                     zero_field)
 from .operators import OperatorSet
 from .params import ParameterError, derive_params, step_count
-from .spectral import SpectralFactors
+from .spectral import spectral_factors
 
 
 @dataclass
@@ -99,21 +100,16 @@ def nonlinear_term(u, ops):
 # exact linear propagator
 # ---------------------------------------------------------------------------
 
-def linear_propagator_exact(u0, t, ops, factors=None, forcing=None,
-                            panels=8, nodes=8):
-    """Spectral solution of M_L du/dt + S u = f via the symmetrized factors.
+def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
+    """Spectral solution of M_L du/dt + S u = f via the symmetrized factors,
+    S = beta^2 K_a + K_grad the evolution system's linear part.
 
-    factors selects the stiff operator S: SpectralFactors with
-    include_gradient=True for the evolution system's linear part, False for
-    the bare beta^2-weighted stationary form.  forcing, if given, maps a
-    time to dual coefficients; the Duhamel integral uses composite
-    Gauss-Legendre quadrature with the given panel/node counts.
+    forcing, if given, maps a time to dual coefficients; the Duhamel
+    integral uses composite Gauss-Legendre quadrature with the given
+    panel/node counts.
     """
-    if factors is None:
-        factors = SpectralFactors(ops, include_gradient=True)
-
     def parts(b):
-        fb = factors.block(b)
+        fb = spectral_factors(b, ops.params.beta, include_gradient=True)
         return (fb.sqrt_lambda, fb.inv_sqrt_lambda, fb.d_eigvals,
                 np.swapaxes(fb.d_eigvecs, 1, 2))
 
@@ -226,8 +222,19 @@ class EvolutionResult:
     steps: int = 0  # steps taken, fewer than T / dt when the watchdog fires
 
 
+def _watchdog_event(state, ceiling, snorm=None):
+    """The watchdog event of state, or None: non-finite coefficients, or
+    the fourth-order proxy A1 of snorm (its :meth:`a_scale_norms`, when
+    given) above ceiling."""
+    if not all(np.all(np.isfinite(c)) for c in state.field.potentials()):
+        return WatchdogEvent(state.time, "nan", np.inf, ceiling)
+    if snorm is not None and snorm["A1"] > ceiling:
+        return WatchdogEvent(state.time, "h4_growth", snorm["A1"], ceiling)
+    return None
+
+
 def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
-                  watchdog_ceiling=1e6, nonlinear=True, inject_nan_step=None):
+                  watchdog_ceiling=1e6, inject_nan_step=None):
     """Integrate to T or until the blow-up watchdog fires.
 
     T must be a whole number of steps dt (ValueError otherwise), so a run
@@ -238,10 +245,10 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
     coefficients; its firing is a structured outcome, not an exception.
     """
     nsteps = step_count(T, dt)
-    stepper = IMEXStepper(ops, dt, scheme, nonlinear)
+    stepper = IMEXStepper(ops, dt, scheme)
     state = EvolutionState(0.0, u0.copy(), None)
     sn0 = ops.a_scale_norms(u0)
-    h4_0 = max(sn0["A1"], 1e-300)
+    ceiling = watchdog_ceiling * max(sn0["A1"], 1e-300)
     reports = [energy_report(ops, state, snorm=sn0)]
     last = reports[0]  # the report of state, if it has one
     for n in range(1, nsteps + 1):
@@ -249,22 +256,15 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
         state, last = stepper.step(state), None
         if inject_nan_step is not None and n == inject_nan_step:
             state.field.psi[:] = np.nan
-        bad = not (np.all(np.isfinite(state.field.psi))
-                   and np.all(np.isfinite(state.field.phi))
-                   and np.all(np.isfinite(state.field.mean)))
-        if bad:
-            return EvolutionResult(reports, state,
-                                   WatchdogEvent(state.time, "nan", np.inf,
-                                                 watchdog_ceiling * h4_0), n)
-        sn = ops.a_scale_norms(state.field)
-        if sn["A1"] > watchdog_ceiling * h4_0:
-            reports.append(energy_report(ops, state, prev, dt, sn, prev_E))
-            return EvolutionResult(reports, state,
-                                   WatchdogEvent(state.time, "h4_growth",
-                                                 sn["A1"], watchdog_ceiling * h4_0), n)
-        if n % cadence == 0 or n == nsteps:
-            last = energy_report(ops, state, prev, dt, sn, prev_E)
-            reports.append(last)
+        event = _watchdog_event(state, ceiling)
+        if event is None:
+            sn = ops.a_scale_norms(state.field)
+            event = _watchdog_event(state, ceiling, sn)
+            if event is not None or n % cadence == 0 or n == nsteps:
+                last = energy_report(ops, state, prev, dt, sn, prev_E)
+                reports.append(last)
+        if event is not None:
+            return EvolutionResult(reports, state, event, n)
     return EvolutionResult(reports, state, None, nsteps)
 
 
@@ -278,20 +278,24 @@ class UniquenessProbe:
     growth: np.ndarray        # ||w(t)||_H1 / ||w(0)||_H1
     h3_integral: np.ndarray   # int_0^t H3-proxy of the base run
     delta: float
+    watchdog: object = None   # the event that stopped the probe early
 
 
 def _h1_norm(ops, f):
     return float(np.sqrt(max(f.dot(f) + ops.form_energy("K_grad", f), 0.0)))
 
 
-def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2"):
+def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
+                     watchdog_ceiling=1e6):
     """Paired-trajectory separation growth in the H1 norm, one probe per delta.
 
     perturbation is a unit-shape field; the member for delta starts from
     u0 + delta * perturbation and is compared with the base trajectory from
     u0, which is integrated once and shared.  Each member equals a
     single-delta run bit for bit; delta = 0 reproduces the base trajectory
-    (growth identically 1).
+    (growth identically 1).  The watchdog of :func:`run_evolution` checks
+    the base run and the members' finite coefficients; when it fires the
+    probes end with the last step before it and carry the event.
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
@@ -304,20 +308,28 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2"):
     times = [0.0]
     growth = [[1.0] for _ in deltas]
     h3 = [0.0]
-    h3_prev = ops.a_scale_norms(u0)["A_half"]
+    sn0 = ops.a_scale_norms(u0)
+    ceiling = watchdog_ceiling * max(sn0["A1"], 1e-300)
+    h3_prev = sn0["A_half"]
     acc = 0.0
     for n in range(nsteps):
         base = stepper.step(base)
-        h3_now = ops.a_scale_norms(base.field)["A_half"]
+        sn = ops.a_scale_norms(base.field)
+        event = _watchdog_event(base, ceiling, sn)
+        if event is None:
+            perts = [stepper.step(p) for p in perts]
+            event = next(filter(None, (_watchdog_event(p, ceiling) for p in perts)), None)
+        if event is not None:
+            break
+        h3_now = sn["A_half"]
         acc += 0.5 * dt * (h3_prev + h3_now)
         h3_prev = h3_now
         times.append(base.time)
         h3.append(acc)
         for j, d in enumerate(deltas):
-            perts[j] = stepper.step(perts[j])
             wn = _h1_norm(ops, perts[j].field - base.field)
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)
-    return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d)
+    return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d, event)
             for d, g in zip(deltas, growth)]
 
 
@@ -333,21 +345,22 @@ class SweepRow:
 
 
 def vanishing_sweep(base_params, geometry, resolution, u0, levels, T, dt,
-                    scheme="euler", cache=None, keep_wall_coupling=True):
+                    scheme="euler"):
     """Energy records along a sequence of halved regularization lengths.
 
-    keep_wall_coupling=True scales ell with beta^2 so the wall condition
-    coefficient k = ell/beta^2 (the quantity the boundary condition actually
-    involves) stays fixed along the sweep; this is the regime in which the
-    first energy level dissipates uniformly in (alpha, beta).
+    ell is scaled with beta^2 so the wall condition coefficient
+    k = ell/beta^2 (the quantity the boundary condition actually involves)
+    stays fixed along the sweep; this is the regime in which the first
+    energy level dissipates uniformly in (alpha, beta).  The basis does not
+    depend on the parameters, so one cache serves every level.
     """
     cadence = max(1, step_count(T, dt) // 50)
+    cache = BasisCache(geometry, resolution)
     rows = []
     for n in range(levels):
         al = base_params.alpha * 0.5**n
         be = base_params.beta * 0.5**n
-        ell = base_params.k * be**2 if keep_wall_coupling else base_params.ell
-        par = derive_params(al, be, base_params.gamma, ell)
+        par = derive_params(al, be, base_params.gamma, base_params.k * be**2)
         ops = OperatorSet(par, geometry, resolution, cache)
         result = run_evolution(ops, u0, dt, T, scheme=scheme, cadence=cadence)
         sup_l2 = 0.0

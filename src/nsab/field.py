@@ -10,6 +10,8 @@ representative, R = ((N1 - 1)(N2 - 1) - 1) / 2; the (0,0) slot is carried
 separately as two real mean profiles (U1(z), U2(z), 0).  Rows are ordered by
 block group - the modes (k1, k2) sharing |k1|, |k2| and therefore one basis
 block - so each group is a contiguous (g, n) slice (:class:`ModeLayout`).
+The layout also owns the block numbering: block g of every per-block stack
+(bases, forms) is group g, and ``ModeLayout.block`` gives each row's g.
 
 Coefficients are expressed in the per-block orthonormalized bases of
 :mod:`nsab.basis`, so the L2 inner product of two fields is the Hermitian
@@ -58,8 +60,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisCache
-
 
 def _int_freqs(N):
     """Integer wavenumbers of an N-point DFT in fft order: 0, 1, ..., -1."""
@@ -79,9 +79,11 @@ class ModeLayout:
     ``reps`` lists the representatives (k1, k2) in fft traversal order;
     ``groups`` maps each block key (|k1|, |k2|) to its slice of rows, in
     order of first appearance in ``reps``; rows within a group keep the
-    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers, ``keys``
-    their block keys and ``row`` the (k1, k2) -> row lookup.  ``grid`` is
-    the transform to the padded grid, built on first use.
+    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers, ``block``
+    the (R,) group index g of each row (the block numbering: block g of
+    every per-block stack is group g) and ``row`` the (k1, k2) -> row
+    lookup.  ``grid`` is the transform to the padded grid, built on first
+    use.
     """
 
     def __init__(self, resolution):
@@ -100,8 +102,8 @@ class ModeLayout:
             self.groups[key] = slice(len(rows), len(rows) + len(modes))
             rows += modes
         self.k = np.array(rows, int).reshape(-1, 2)
+        self.block = np.repeat(np.arange(len(members)), [len(v) for v in members.values()])
         self.row = {k: r for r, k in enumerate(rows)}
-        self.keys = tuple((abs(k1), abs(k2)) for k1, k2 in rows)
 
     @cached_property
     def grid(self):
@@ -365,6 +367,11 @@ def rowmul(W, c):
     return np.matmul(W, c.view(np.float64).reshape(*c.shape, 2)).view(complex)[..., 0]
 
 
+def velocity(e1, e2, m, t, p1, p0):
+    """Velocity (3, ...) of toroidal t and poloidal p0, p1 = p0' at (e1, e2)."""
+    return np.stack([1j * e2 * t + 1j * e1 * p1, -1j * e1 * t + 1j * e2 * p1, m * p0])
+
+
 def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into):
     """Component profiles of the representative modes at quadrature nodes.
 
@@ -433,7 +440,7 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
         raise ValueError("filtered quantities need the filter length alpha")
     # psi derivatives up to order nd - 1 and phi derivatives up to nd
     nd = max(QUANTITIES[name] for name in want)
-    m, W_tor, W_pol = cache.row_stacks(lay.keys)
+    m, W_tor, W_pol = cache.row_bases
     e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
     # orthonormal -> raw recombined coefficients, then one gemm per order
     ct, cp = rowmul(W_tor, f.psi), rowmul(W_pol, f.phi)
@@ -458,10 +465,8 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
     return dict(zip(profiles, np.split(grid, len(profiles))))
 
 
-def potentials_to_velocity(f, cache=None):
+def potentials_to_velocity(f, cache):
     """Physical velocity samples on the padded tangential grid x z-nodes."""
-    if cache is None:
-        cache = BasisCache(f.geometry, f.resolution)
     if cache.geometry != f.geometry or cache.resolution != f.resolution:
         raise ValueError("basis cache resolution/geometry do not match the field")
     return reconstruct(f, cache, want=("u",))["u"]
@@ -481,7 +486,7 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     """
     lay = layout_for(resolution)
     area, w = geometry.area, cache.w
-    m, W_tor, W_pol = cache.row_stacks(lay.keys)
+    m, W_tor, W_pol = cache.row_bases
     e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
     f1, f2, f3 = np.multiply(w, rows, out=_slot(work, "weighted"))
     # adjoint of synthesize: raw-table gemms first, then the stacked W^T

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gauss_legendre, legendre_table
+from .basis import gauss_legendre, legendre_table, recombined_bases
+from .field import velocity
 from .params import ParameterError
 from .stationary import ModalForcing, wall_dual
 
@@ -106,14 +107,11 @@ class ManufacturedCase:
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
         t, p = self.mode_potentials(z, 5)
-        LLt = t[4] - 2 * m * t[2] + m * m * t[0]
-        DLLp = p[5] - 2 * m * p[3] + m * m * p[1]
-        LLp = p[4] - 2 * m * p[2] + m * m * p[0]
         q0 = self.pressure_profile(z)
-        q1 = self.pressure_profile(z, 1)
-        prof = np.stack([1j * e2 * LLt + 1j * e1 * DLLp + 1j * e1 * q0,
-                         -1j * e1 * LLt + 1j * e2 * DLLp + 1j * e2 * q0,
-                         m * LLp + q1])
+        grad_p = np.stack([1j * e1 * q0, 1j * e2 * q0, self.pressure_profile(z, 1)])
+        prof = velocity(e1, e2, m, t[4] - 2 * m * t[2] + m * m * t[0],
+                        p[5] - 2 * m * p[3] + m * m * p[1],
+                        p[4] - 2 * m * p[2] + m * m * p[0]) + grad_p
         out = ModalForcing(ops.geometry, ops.resolution)
         out.set_mode(self.k1, self.k2, prof)
         return out
@@ -150,7 +148,7 @@ class ManufacturedCase:
 
     # -- error measurement ----------------------------------------------------
 
-    def errors(self, u, pressure, ops, n_refine=None):
+    def errors(self, u, pressure, ops):
         """L2/H1/H2 errors of a discrete solution against u*, p*.
 
         Uses an independent refined quadrature and the analytic profiles;
@@ -158,33 +156,22 @@ class ManufacturedCase:
         """
         res = ops.resolution
         geo = ops.geometry
-        Q2 = n_refine or (2 * res.Q + 12)
-        z2, w2 = gauss_legendre(Q2, geo.H)
+        z2, w2 = gauss_legendre(2 * res.Q + 12, geo.H)
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
         row = self.row(ops)
-        blk = ops.cache.block(self.k1, self.k2)
-        Et = blk.tor.evaluate(z2, geo.H, res.P, "dirichlet", dmax=3)
-        Ep = blk.pol.evaluate(z2, geo.H, res.P, "clamped", dmax=3)
-        th = np.stack([Et[d] @ u.psi[row] for d in range(4)])
-        ph = np.stack([Ep[d] @ u.phi[row] for d in range(4)])
+        g = ops.layout.block[row]
+        Et, Ep = recombined_bases(res.P, z2, geo.H, 3)
+        th = np.stack([(E @ ops.cache.W_tor[g]) @ u.psi[row] for E in Et])
+        ph = np.stack([(E @ ops.cache.W_pol[g]) @ u.phi[row] for E in Ep])
         ts, ps = self.mode_potentials(z2, 4)
         dt = th - ts[:4]
         dp = ph - ps[:4]
 
-        def vel(d):
-            return np.stack([1j * e2 * dt[d] + 1j * e1 * dp[d + 1],
-                             -1j * e1 * dt[d] + 1j * e2 * dp[d + 1],
-                             m * dp[d]])
-
-        e0 = vel(0)
-        e1v = vel(1)
-        Lt = dt[2] - m * dt[0]
-        DLp_ = dp[3] - m * dp[1]
-        Lp_ = dp[2] - m * dp[0]
-        lap = np.stack([1j * e2 * Lt + 1j * e1 * DLp_,
-                        -1j * e1 * Lt + 1j * e2 * DLp_,
-                        m * Lp_])
+        e0 = velocity(e1, e2, m, dt[0], dp[1], dp[0])
+        e1v = velocity(e1, e2, m, dt[1], dp[2], dp[1])
+        lap = velocity(e1, e2, m, dt[2] - m * dt[0], dp[3] - m * dp[1],
+                       dp[2] - m * dp[0])
         area = geo.area
         l2 = 2 * area * float(np.sum(w2 * np.abs(e0) ** 2))
         h1 = l2 + 2 * area * float(np.sum(w2 * (m * np.abs(e0) ** 2

@@ -24,7 +24,8 @@ All matrices are expressed in the M-orthonormalized block bases of
 become standard symmetric eigenproblems.  :func:`toroidal_forms`,
 :func:`poloidal_forms` and :func:`mean_forms` build the forms of all
 distinct blocks at once, as (G, n, n) stacks of Gram products of the
-tabulated block bases, with no per-block loop.
+tabulated block bases, with no per-block loop.  Block g of the stacks is
+block group g of the field layout, which owns the numbering.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisCache
-from .field import layout_for, rowmul
+from .field import rowmul
 
 #: multiplicity of each potential's rows in the full spectrum: a stored
 #: mode also stands for its conjugate partner; the mean stands alone
@@ -63,13 +64,6 @@ class BlockOperators:
     def __getitem__(self, g):
         """Block g of a stack, as views."""
         return replace(self, **{f: getattr(self, f)[g] for f in FORMS})
-
-
-class ModeOperators:
-    """Forms of one wavenumber: toroidal+poloidal blocks, or the mean block."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks  # dict name -> BlockOperators
 
 
 def _gram(w, A, B):
@@ -132,47 +126,26 @@ class OperatorSet:
     """Assembled operators for every stored wavenumber at fixed parameters.
 
     ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
-    distinct blocks, in the order of :meth:`SolenoidalField.potentials`.
+    distinct blocks, in the order of :meth:`SolenoidalField.potentials`;
+    ``blocks[p][layout.block[row]]`` is the block of a row.
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
         self.params = params
         self.geometry = geometry
         self.resolution = resolution
-        self.cache = cache if cache is not None else BasisCache(geometry, resolution)
-        self.layout = layout_for(resolution)
-        c = self.cache
+        self.cache = c = cache if cache is not None else BasisCache(geometry, resolution)
+        self.layout = c.layout
         self.blocks = (toroidal_forms(params, c, c.m, c.W_tor),
                        poloidal_forms(params, c, c.m, c.W_pol),
                        mean_forms(params, c))
-        self._rows = self.cache.block_number(*self.layout.k.T)  # block of each row
-        self._views = {}
-        self._eig = {}
-        self._forms = {}
-        self._stacks = None
+        self._memo = {}
 
-    def mode_ops(self, k1, k2):
-        """Forms of one wavenumber pair: views of the stacks for a stored
-        one, assembled on their own for any other."""
-        key = (abs(k1), abs(k2))
-        if key not in self._views:
-            tor, pol, mean = self.blocks
-            if key == (0, 0):
-                blocks = {"mean": mean[0]}
-            elif key in self.layout.groups:
-                g = self.cache.block_number(*key)
-                blocks = {"toroidal": tor[g], "poloidal": pol[g]}
-            else:
-                b, par = self.cache.block(*key), self.params
-                m = np.array([b.m])
-                blocks = {"toroidal": toroidal_forms(par, self.cache, m, b.tor.W[None])[0],
-                          "poloidal": poloidal_forms(par, self.cache, m, b.pol.W[None])[0]}
-            self._views[key] = ModeOperators(blocks)
-        return self._views[key]
-
-    @property
-    def mean_ops(self):
-        return self.mode_ops(0, 0)
+    def _cached(self, key, build):
+        """build(), computed once per key for this operator set."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- per-row stacks of block operators ---------------------------------
 
@@ -189,15 +162,15 @@ class OperatorSet:
         for stack in (tor, pol):
             # gathered in C order: the BLAS path of the row-wise matmuls, and
             # so their rounding, does not depend on the layout fn returns
-            yield tuple(np.ascontiguousarray(a)[self._rows] for a in fn(stack))
+            yield tuple(np.ascontiguousarray(a)[self.layout.block] for a in fn(stack))
         yield fn(mean)
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        if form not in self._forms:
-            self._forms[form] = list(self.row_stacks(lambda b: (getattr(b, form),)))
+        stacks = self._cached(("form", form), lambda: list(
+            self.row_stacks(lambda b: (getattr(b, form),))))
         return sum(mult * np.vdot(cv, rowmul(K, cu)).real
-                   for mult, (K,), cu, cv in zip(MULTIPLICITY, self._forms[form],
+                   for mult, (K,), cu, cv in zip(MULTIPLICITY, stacks,
                                                  u.potentials(), v.potentials()))
 
     def form_energy(self, form, u):
@@ -207,18 +180,16 @@ class OperatorSet:
 
     def block_eig(self, blk):
         """Eigendecomposition of K_a (a block or a stack) in the orthonormal
-        basis (M = I)."""
-        key = id(blk)
-        if key not in self._eig:
-            self._eig[key] = np.linalg.eigh(blk.K_a)
-        return self._eig[key]
+        basis (M = I); computed once for each of the stacks of ``blocks``."""
+        for p, stack in enumerate(self.blocks):
+            if blk is stack:
+                return self._cached(("eig", p), lambda: np.linalg.eigh(blk.K_a))
+        return np.linalg.eigh(blk.K_a)
 
     def spectral_shift(self):
         """Shift making the stationary operator spectrum nonnegative."""
-        if getattr(self, "_shift", None) is None:
-            self._shift = max(0.0, -min(self.block_eig(b)[0][:, 0].min(initial=np.inf)
-                                        for b in self.blocks))
-        return self._shift
+        return self._cached("shift", lambda: max(0.0, -min(
+            self.block_eig(b)[0][:, 0].min(initial=np.inf) for b in self.blocks)))
 
     def a_scale_norms(self, f, shift=None):
         """Norms ||(A + shift)^{j/2} u|| for j = 0, 1, 2 plus Lambda-weighted j=2.
@@ -230,16 +201,16 @@ class OperatorSet:
         """
         if shift is None:
             shift = self.spectral_shift()
-        if self._stacks is None:
-            def eig_stack(b):
-                lam, V = self.block_eig(b)
-                VT = np.swapaxes(V, 1, 2)
-                return lam, VT, VT @ b.M_lambda @ V
-            self._stacks = list(self.row_stacks(eig_stack))
+
+        def eig_stack(b):
+            lam, V = self.block_eig(b)
+            VT = np.swapaxes(V, 1, 2)
+            return lam, VT, VT @ b.M_lambda @ V
+
+        stacks = self._cached("norms", lambda: list(self.row_stacks(eig_stack)))
         sums = np.zeros(4)
         with np.errstate(over="ignore", invalid="ignore"):
-            for mult, c, (lam, VT, G) in zip(MULTIPLICITY, f.potentials(),
-                                             self._stacks):
+            for mult, c, (lam, VT, G) in zip(MULTIPLICITY, f.potentials(), stacks):
                 d = rowmul(VT, c)  # rows of c @ V
                 lam_s = np.maximum(lam + shift, 0.0)
                 p, y = np.abs(d) ** 2, lam_s * d

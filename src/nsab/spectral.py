@@ -16,7 +16,7 @@ loop:
                        each stack's pencil is reduced once, through the
                        Cholesky factor of its H2 form, to C + g0 N, so a
                        shift costs one batched eigvalsh per stack;
-* ``SpectralFactors``  square-root factors of the Helmholtz filter form
+* ``spectral_factors`` square-root factors of the Helmholtz filter form
                        and the symmetrized dissipation generator
                        D = beta^2 L^{-1/2} A L^{-1/2} (optionally including
                        the viscous gradient form, which the evolution
@@ -47,34 +47,34 @@ def eigenpairs_A(ops, count):
     partner); the returned list is nondecreasing in the eigenvalue and
     contains each eigenpair once with its multiplicity recorded.
     """
-    # candidates ordered by block group of the layout (position q; block
-    # g[q] of the stacks), toroidal before poloidal, then the mean: equal
-    # eigenvalues keep that order; stored representatives sharing a block
-    # count x 2 for their partners, the two mean components x 2
+    # candidates ordered by block (block q is block group q of the layout;
+    # the mean comes last), toroidal before poloidal: equal eigenvalues keep
+    # that order; stored representatives sharing a block count x 2 for
+    # their partners, the two mean components x 2
     keys = list(ops.layout.groups) + [(0, 0)]
     mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
-    g = ops.cache.block_number(*np.array(keys[:-1], int).reshape(-1, 2).T)
-    rank = np.argsort(g)  # layout position of each stack block
-    q_of_block = (rank, rank, np.array([len(g)]))
     cols = []
     for p, stack in enumerate(ops.blocks):
         lam, V = ops.block_eig(stack)
         res = (np.linalg.norm(stack.K_a @ V - V * lam[:, None, :], axis=1)
                / (np.abs(lam).max(axis=1, keepdims=True) + np.abs(lam)))
         b, i = np.indices(lam.shape)
-        cols.append(np.stack([lam, res, q_of_block[p][b],
-                              np.full(lam.shape, p), i]).reshape(5, -1))
+        q = b if p < 2 else np.full(lam.shape, len(keys) - 1)
+        cols.append(np.stack([lam, res, q, np.full(lam.shape, p), i]).reshape(5, -1))
     lam, res, pos, pot, col = np.concatenate(cols, axis=1)
     found = []
     for j in np.lexsort((col, pot, pos, lam))[:count]:
         p, q, i = int(pot[j]), int(pos[j]), int(col[j])
-        V = ops.block_eig(ops.blocks[p])[1][g[q] if p < 2 else 0]
+        V = ops.block_eig(ops.blocks[p])[1][q if p < 2 else 0]
         found.append(EigenPair(float(lam[j]), V[:, i].copy(), keys[q],
                                ops.blocks[p].name, mult[q], float(res[j])))
     return found
 
 
+#: shifts g0 at which garding_constants measures c0(g0)
 DEFAULT_SHIFT_GRID = (0.0,) + tuple(10.0**j for j in range(-3, 5))
+#: c0 above this counts as coercive
+C0_THRESHOLD = 1e-10
 
 H2_NORM_DEFINITION = "||u||_H2^2 := ||u||^2 + ||grad u||^2 + ||Lap u||^2 (assembled forms)"
 
@@ -109,30 +109,29 @@ def _c0_of_shift(pencils, shift):
                for C, N in pencils)
 
 
-def garding_constants(ops, gamma0_grid=None, threshold=1e-10):
+def garding_constants(ops):
     """Measure c0(shift) over the shift grid and locate the coercive range."""
-    grid = tuple(sorted(set(gamma0_grid if gamma0_grid is not None
-                            else DEFAULT_SHIFT_GRID)))
+    grid = DEFAULT_SHIFT_GRID
     pencils = _reduced_pencils(ops)
     c0 = {g: _c0_of_shift(pencils, g) for g in grid}
-    passing = [g for g in grid if c0[g] > threshold]
+    passing = [g for g in grid if c0[g] > C0_THRESHOLD]
     if not passing:
-        return GardingReport(grid, c0, np.inf, np.inf, -np.inf, threshold)
+        return GardingReport(grid, c0, np.inf, np.inf, -np.inf, C0_THRESHOLD)
     gmin = passing[0]
     grefined = gmin
-    failing = [g for g in grid if g < gmin and c0[g] <= threshold]
+    failing = [g for g in grid if g < gmin and c0[g] <= C0_THRESHOLD]
     if failing:
         lo, hi = max(failing), gmin
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if _c0_of_shift(pencils, mid) > threshold:
+            if _c0_of_shift(pencils, mid) > C0_THRESHOLD:
                 hi = mid
             else:
                 lo = mid
             if hi - lo <= 1e-3 * max(hi, 1e-12):
                 break
         grefined = hi
-    return GardingReport(grid, c0, gmin, grefined, c0[gmin], threshold)
+    return GardingReport(grid, c0, gmin, grefined, c0[gmin], C0_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -148,34 +147,24 @@ class BlockFactors:
     d_eigvecs: np.ndarray
 
 
-class SpectralFactors:
-    """Filter square roots and generator eigendecompositions of a block or
-    a stack of blocks.
+def spectral_factors(blk, beta, include_gradient=False):
+    """Filter square roots and generator eigendecomposition of a block or a
+    stack of blocks.
 
     include_gradient=True builds the generator of the full stiff linear
     part beta^2 A - Lap (the form the time stepper treats implicitly);
     include_gradient=False is the bare beta^2-weighted form operator.
     """
-
-    def __init__(self, ops, include_gradient=False):
-        self.ops = ops
-        self.include_gradient = include_gradient
-        self._blocks = {}
-
-    def block(self, blk):
-        key = id(blk)
-        if key not in self._blocks:
-            mu, U = np.linalg.eigh(blk.M_lambda)
-            if np.any(mu[..., 0] <= 0):
-                raise RuntimeError("filter form lost positivity (should not occur)")
-            UT, r = np.swapaxes(U, -1, -2), np.sqrt(mu)[..., None, :]
-            sq = (U * r) @ UT
-            isq = (U / r) @ UT
-            S = self.ops.params.beta**2 * blk.K_a
-            if self.include_gradient:
-                S = S + blk.K_grad
-            D = isq @ S @ isq
-            D = 0.5 * (D + np.swapaxes(D, -1, -2))
-            dv, dV = np.linalg.eigh(D)
-            self._blocks[key] = BlockFactors(sq, isq, D, dv, dV)
-        return self._blocks[key]
+    mu, U = np.linalg.eigh(blk.M_lambda)
+    if np.any(mu[..., 0] <= 0):
+        raise RuntimeError("filter form lost positivity (should not occur)")
+    UT, r = np.swapaxes(U, -1, -2), np.sqrt(mu)[..., None, :]
+    sq = (U * r) @ UT
+    isq = (U / r) @ UT
+    S = beta**2 * blk.K_a
+    if include_gradient:
+        S = S + blk.K_grad
+    D = isq @ S @ isq
+    D = 0.5 * (D + np.swapaxes(D, -1, -2))
+    dv, dV = np.linalg.eigh(D)
+    return BlockFactors(sq, isq, D, dv, dV)

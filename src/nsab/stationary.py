@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import legendre_table
 from .field import (SolenoidalField, analyze, layout_for, rowmul, synthesize,
-                    zero_field)
+                    velocity, zero_field)
 from .operators import MULTIPLICITY
 
 
@@ -138,16 +138,16 @@ def wall_dual(ops, wall_values):
             for c in range(2):
                 out.mean[c] = area * np.real(-gb[c] * t1[0] + gt[c] * t1[1])
             continue
-        blk = cache.block(k1, k2)
+        row = ops.layout.row[(k1, k2)]
+        g = ops.layout.block[row]
         e1, e2 = cache.wavenumber(k1, k2)
-        ttr = cache.raw_T_tr[1] @ blk.tor.W   # first-derivative traces, rows (z=0, z=H)
-        ptr = cache.raw_C_tr[2] @ blk.pol.W   # second-derivative traces
+        ttr = cache.raw_T_tr[1] @ cache.W_tor[g]  # first-derivative traces, rows (z=0, z=H)
+        ptr = cache.raw_C_tr[2] @ cache.W_pol[g]  # second-derivative traces
         # d_n phi at bottom = -(i e2 T', -i e1 T', 0) tor / -(i e1 C'', i e2 C'', .) pol
         tor = area * ((gb[0] * 1j * e2 - gb[1] * 1j * e1) * ttr[0]
                       + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1])
         pol = area * ((gb[0] * 1j * e1 + gb[1] * 1j * e2) * ptr[0]
                       + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1])
-        row = ops.layout.row[(k1, k2)]
         out.psi[row] = tor
         out.phi[row] = pol
     return out
@@ -172,15 +172,14 @@ def strong_bc_residual(u, params, ops):
     condition is recovered and decays under refinement.
     """
     area, kk, cache, lay = ops.geometry.area, params.k, ops.cache, ops.layout
-    m, W_tor, W_pol = cache.row_stacks(lay.keys)
+    m, W_tor, W_pol = cache.row_bases
     e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
     sgn = np.array([-1.0, 1.0])  # outward normal -e3 at z = 0, +e3 at z = H
     # wall traces, (rows, 2 walls) each
     ct, cp = rowmul(W_tor, u.psi), rowmul(W_pol, u.phi)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
     pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
-    uw = np.stack([1j * e2 * tt[0] + 1j * e1 * pt[1],
-                   -1j * e1 * tt[0] + 1j * e2 * pt[1], m * pt[0]])
+    uw = velocity(e1, e2, m, tt[0], pt[1], pt[0])
     # omega and d_z omega tangential components at the walls
     Lp, DLp = pt[2] - m * pt[0], pt[3] - m * pt[1]
     w1 = 1j * e1 * tt[1] - 1j * e2 * Lp
@@ -277,7 +276,7 @@ def recover_pressure(u, forcing, ops, degree=None):
     r_along = sw * (e1 * R_reps[0] + e2 * R_reps[1]) / eta
     r_across = sw * (e2 * R_reps[0] - e1 * R_reps[1]) / eta
     b = np.concatenate([-1j * r_along, sw * R_reps[2]], axis=1)
-    coeffs = rowmul(fit[ops.cache.block_number(*ops.layout.k.T)], b)
+    coeffs = rowmul(fit[ops.layout.block], b)
     misfit = np.concatenate([eta * (coeffs @ S0.T), coeffs @ S1.T], axis=1) - b
     defect_sq = 2.0 * area * float(np.sum(np.abs(misfit) ** 2)
                                    + np.sum(np.abs(r_across) ** 2))

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nsab.basis import BasisCache, gauss_legendre
+from nsab.basis import BasisCache, gauss_legendre, recombined_bases
 from nsab.field import (analyze, layout_for, project_velocity, reconstruct,
                         synthesize, zero_field)
+from nsab.operators import poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
 from nsab.stationary import ModalForcing, _legendre_design
@@ -68,20 +69,58 @@ def params_with_k(gamma, k, alpha=0.2, beta=0.1):
 def distinct_blocks(ops):
     """Every distinct block of ops, one at a time: toroidal and poloidal per
     block group, then the mean."""
-    for key in ops.layout.groups:
-        yield from ops.mode_ops(*key).blocks.values()
-    yield ops.mean_ops.blocks["mean"]
+    tor, pol, mean = ops.blocks
+    for g in range(len(ops.layout.groups)):
+        yield tor[g]
+        yield pol[g]
+    yield mean[0]
 
 
 def block_groups(ops, f):
     """(block, (g, n) writable view of f's rows, multiplicity) per block group
     and potential, then the mean: a per-group traversal that does not go
     through OperatorSet.row_stacks."""
-    for key, rows in layout_for(f.resolution).groups.items():
-        blocks = ops.mode_ops(*key).blocks
-        yield blocks["toroidal"], f.psi[rows], 2.0
-        yield blocks["poloidal"], f.phi[rows], 2.0
-    yield ops.mean_ops.blocks["mean"], f.mean, 1.0
+    tor, pol, mean = ops.blocks
+    for g, rows in enumerate(layout_for(f.resolution).groups.values()):
+        yield tor[g], f.psi[rows], 2.0
+        yield pol[g], f.phi[rows], 2.0
+    yield mean[0], f.mean, 1.0
+
+
+def pair_bases(cache, k1, k2):
+    """m = |eta|^2 and the toroidal and poloidal W (n, n) of any nonzero
+    wavenumber pair, stored or not, built on their own."""
+    e1, e2 = cache.wavenumber(k1, k2)
+    m = e1 * e1 + e2 * e2
+    W_tor, W_pol = cache.bases(np.array([m]))
+    return m, W_tor[0], W_pol[0]
+
+
+def pair_forms(ops, k1, k2):
+    """Toroidal and poloidal forms of any nonzero wavenumber pair: views of
+    the stacks for a stored one, assembled on their own otherwise."""
+    key = (abs(k1), abs(k2))
+    if key in ops.layout.groups:
+        g = ops.layout.block[ops.layout.groups[key].start]
+        return ops.blocks[0][g], ops.blocks[1][g]
+    m, W_tor, W_pol = pair_bases(ops.cache, k1, k2)
+    m = np.array([m])
+    return (toroidal_forms(ops.params, ops.cache, m, W_tor[None])[0],
+            poloidal_forms(ops.params, ops.cache, m, W_pol[None])[0])
+
+
+def pair_tables(cache, k1, k2, z, dmax):
+    """m and the orthonormal toroidal and poloidal bases of any nonzero
+    pair at the points z: lists of (len(z), n) arrays, d = 0..dmax."""
+    m, W_tor, W_pol = pair_bases(cache, k1, k2)
+    tor, pol = recombined_bases(cache.resolution.P, z, cache.geometry.H, dmax)
+    return m, [t @ W_tor for t in tor], [p @ W_pol for p in pol]
+
+
+def mean_tables(cache, z, dmax):
+    """The orthonormal mean basis at the points z, d = 0..dmax."""
+    tor, _ = recombined_bases(cache.resolution.P, z, cache.geometry.H, dmax)
+    return [t @ cache.mean_W for t in tor]
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +136,8 @@ def hermitian_modes(f):
 
 def mode_velocity_profiles(cache, k1, k2, ct, cp, z, dmax=0):
     """u-hat derivative stacks (dmax+1, 3, len(z)) from potential coefficients."""
-    blk = cache.block(k1, k2)
     e1, e2 = cache.wavenumber(k1, k2)
-    m = blk.m
-    P = cache.resolution.P
-    H = cache.geometry.H
-    Et = blk.tor.evaluate(z, H, P, "dirichlet", dmax=dmax)
-    Ep = blk.pol.evaluate(z, H, P, "clamped", dmax=dmax + 1)
+    m, Et, Ep = pair_tables(cache, k1, k2, z, dmax + 1)
     t = [Et[d] @ ct for d in range(dmax + 1)]
     p = [Ep[d] @ cp for d in range(dmax + 2)]
     return np.stack([
@@ -114,13 +148,8 @@ def mode_velocity_profiles(cache, k1, k2, ct, cp, z, dmax=0):
 
 def mode_vorticity_gradient(cache, k1, k2, ct, cp, z):
     """(omega-hat, grad omega-hat) at the given z points, componentwise."""
-    blk = cache.block(k1, k2)
     e1, e2 = cache.wavenumber(k1, k2)
-    m = blk.m
-    P = cache.resolution.P
-    H = cache.geometry.H
-    Et = blk.tor.evaluate(z, H, P, "dirichlet", dmax=3)
-    Ep = blk.pol.evaluate(z, H, P, "clamped", dmax=3)
+    m, Et, Ep = pair_tables(cache, k1, k2, z, 3)
     t = [Et[d] @ ct for d in range(4)]
     p = [Ep[d] @ cp for d in range(4)]
     L0 = p[2] - m * p[0]
@@ -171,10 +200,10 @@ def grad_omega_sq_oracle(cache, k1, k2, ct, cp, refine=3):
 
 
 def random_block_coeffs(cache, k1, k2, seed):
-    blk = cache.block(k1, k2)
+    n_t, n_p = cache.resolution.n_toroidal, cache.resolution.n_poloidal
     rng = np.random.default_rng(seed)
-    ct = rng.standard_normal(blk.tor.n) + 1j * rng.standard_normal(blk.tor.n)
-    cp = rng.standard_normal(blk.pol.n) + 1j * rng.standard_normal(blk.pol.n)
+    ct = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
+    cp = rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)
     return ct, cp
 
 

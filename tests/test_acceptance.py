@@ -23,7 +23,7 @@ from nsab.manufactured import default_case
 from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.polynomial import GaussQ, norm_sq_poly
-from nsab.spectral import SpectralFactors, eigenpairs_A, garding_constants
+from nsab.spectral import eigenpairs_A, garding_constants
 from nsab.stationary import (forcing_from_field, recover_pressure,
                              solve_stationary, strong_bc_residual)
 
@@ -110,9 +110,8 @@ def test_criterion_04_form_symmetry_grid():
 # -- 5 -----------------------------------------------------------------------
 
 def test_criterion_05_gamma_minus_one_identity():
-    from conftest import random_block_coeffs
+    from conftest import mode_velocity_profiles, pair_bases, pair_forms, random_block_coeffs
     from nsab.basis import BasisCache, gauss_legendre
-    from conftest import mode_velocity_profiles
     res = Resolution(N1=4, N2=4, P=16)
     cache = BasisCache(GEO, res)
     ops = OperatorSet(params_with_k(-1.0, 0.0), GEO, res, cache)
@@ -122,11 +121,10 @@ def test_criterion_05_gamma_minus_one_identity():
     for seed in range(20):
         k1, k2 = modes[seed % 4]
         ct, cp = random_block_coeffs(cache, k1, k2, 900 + seed)
-        mops = ops.mode_ops(k1, k2)
-        a_val = 2.0 * (np.vdot(ct, mops.blocks["toroidal"].K_a @ ct).real
-                       + np.vdot(cp, mops.blocks["poloidal"].K_a @ cp).real)
+        bt, bp = pair_forms(ops, k1, k2)
+        a_val = 2.0 * (np.vdot(ct, bt.K_a @ ct).real + np.vdot(cp, bp.K_a @ cp).real)
         prof = mode_velocity_profiles(cache, k1, k2, ct, cp, z2, dmax=2)
-        m = cache.block(k1, k2).m
+        m = pair_bases(cache, k1, k2)[0]
         lap = prof[2] - m * prof[0]
         lap_sq = 2.0 * GEO.area * float(np.sum(w2 * np.abs(lap) ** 2))
         worst = max(worst, abs(a_val - lap_sq) / lap_sq)
@@ -248,10 +246,9 @@ def test_criterion_10_propagator_orders():
     par = derive_params(0.2, 0.1, -1.0, 0.01)
     res = Resolution(N1=4, N2=4, P=12)
     ops = OperatorSet(par, GEO, res)
-    fac = SpectralFactors(ops, include_gradient=True)
     u0 = random_field(GEO, res, seed=5, amplitude=0.5, decay=2.0)
     T = 0.2
-    uT = linear_propagator_exact(u0, T, ops, fac)
+    uT = linear_propagator_exact(u0, T, ops)
     dts = [1e-2, 5e-3, 2.5e-3]
     slopes = {}
     for scheme in ("euler", "cnab2"):

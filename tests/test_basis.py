@@ -1,10 +1,19 @@
 """Wall-normal basis construction against independent references."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nsab.basis import (BasisCache, clamped_basis, dirichlet_basis,
-                        gauss_legendre, legendre_table)
+import nsab
+
+from nsab.basis import (BasisCache, gauss_legendre, legendre_table,
+                        recombined_bases)
+
+from conftest import pair_bases
 
 
 def test_legendre_values_match_numpy():
@@ -47,14 +56,14 @@ def test_gauss_quadrature_exactness():
 
 def test_dirichlet_basis_boundary_values():
     H = 1.3
-    B = dirichlet_basis(12, np.array([0.0, H]), H, dmax=1)
+    B = recombined_bases(12, np.array([0.0, H]), H, 1)[0]
     assert np.abs(B[0]).max() < 1e-13          # values vanish at both walls
     assert np.abs(B[1]).max() > 1e-3           # slopes do not
 
 
 def test_clamped_basis_boundary_values():
     H = 0.9
-    B = clamped_basis(12, np.array([0.0, H]), H, dmax=2)
+    B = recombined_bases(12, np.array([0.0, H]), H, 2)[1]
     assert np.abs(B[0]).max() < 1e-13
     assert np.abs(B[1]).max() < 1e-12          # slopes vanish too
     assert np.abs(B[2]).max() > 1e-3
@@ -62,21 +71,29 @@ def test_clamped_basis_boundary_values():
 
 def test_block_orthonormalization(geo_odd, res_small):
     cache = BasisCache(geo_odd, res_small)
-    blk = cache.block(2, 1)
+    m, W_tor, W_pol = pair_bases(cache, 2, 1)
     w = cache.w
     area = geo_odd.area
-    m = blk.m
-    Et = [t @ blk.tor.W for t in cache.raw_T]
-    Ep = [t @ blk.pol.W for t in cache.raw_C]
+    Et = [t @ W_tor for t in cache.raw_T]
+    Ep = [t @ W_pol for t in cache.raw_C]
     Mt = m * area * (Et[0].T * w) @ Et[0]
     Mp = area * (m * (Ep[1].T * w) @ Ep[1] + m * m * (Ep[0].T * w) @ Ep[0])
-    assert np.abs(Mt - np.eye(blk.tor.n)).max() < 1e-12
-    assert np.abs(Mp - np.eye(blk.pol.n)).max() < 1e-12
+    assert np.abs(Mt - np.eye(res_small.n_toroidal)).max() < 1e-12
+    assert np.abs(Mp - np.eye(res_small.n_poloidal)).max() < 1e-12
 
 
 def test_evaluate_consistent_with_tables(geo, res_small):
     cache = BasisCache(geo, res_small)
-    blk = cache.block(1, 1)
-    again = blk.tor.evaluate(cache.z, geo.H, res_small.P, "dirichlet", dmax=2)
+    W = cache.W_tor[cache.layout.block[cache.layout.row[(1, 1)]]]
+    again = recombined_bases(res_small.P, cache.z, geo.H, 2)[0]
     for d in range(3):
-        assert np.allclose(again[d], cache.raw_T[d] @ blk.tor.W, atol=1e-13)
+        assert np.allclose(again[d] @ W, cache.raw_T[d] @ W, atol=1e-13)
+
+
+def test_basis_imports_first_in_a_fresh_interpreter():
+    """nsab.basis imports the field layout, so nsab.field must not import
+    nsab.basis back: a cycle would fail this import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "import nsab.basis"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -158,6 +158,36 @@ watchdog.ceiling = 1e300
     assert "watchdog" in lines[0] and "h4_growth" in lines[0]
 
 
+def test_probe_watchdog_exit_4_prints_one_line(tmp_path):
+    # evolve on this config stops at t = 0.06 (h4_growth); the probe's base
+    # run blows up the same way and must stop there too, before overflow
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("""
+model.alpha = 0.2
+model.beta = 0.1
+model.gamma = 0.0
+model.ell = 0.01
+resolution.N1 = 8
+resolution.N2 = 8
+resolution.P = 16
+scheme.name = cnab2
+time.dt = 0.02
+time.T = 0.5
+u0.amplitude = 1e4
+""")
+    out = tmp_path / "out"
+    proc = _run_cli("probe-uniqueness", "--config", str(cfg), "--out", str(out))
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 4
+    assert len(lines) == 1
+    assert "watchdog" in lines[0] and "h4_growth" in lines[0] and "t = 0.06" in lines[0]
+    wd = json.loads((out / "watchdog.json").read_text())
+    assert wd["reason"] == "h4_growth" and wd["time"] == pytest.approx(0.06)
+    assert not (out / "probe.json").exists()
+    assert len((out / "probe.csv").read_text().strip().splitlines()) == 1 + 3
+    assert json.loads((out / "manifest.json").read_text())["exit_code"] == 4
+
+
 @pytest.mark.parametrize("kind", ["evolve", "solve", "probe-uniqueness", "eigs"])
 def test_mean_only_resolution_runs(tmp_path, kind):
     # at N1 = N2 = 2 no representative mode is stored, only the mean rows

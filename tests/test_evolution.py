@@ -16,9 +16,9 @@ from nsab.field import (layout_for, project_velocity, random_field, reconstruct,
                         synthesize, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.spectral import SpectralFactors
+from nsab.spectral import spectral_factors
 
-from conftest import (block_groups, distinct_blocks, hermitian_modes,
+from conftest import (block_groups, distinct_blocks, hermitian_modes, mean_tables,
                       mode_velocity_profiles, nonlinear_term_fresh,
                       nonlinear_term_on_grid, params_with_k, project_velocity_fft,
                       reconstruct_fft)
@@ -69,8 +69,7 @@ def convective_form(u, cache, alpha):
         GV[:, :, i, j] = np.stack([1j * e1 * v_hat, 1j * e2 * v_hat, dv_hat],
                                   axis=1)
     # mean profile (U1, U2, 0)(z): only z-derivatives
-    E = cache.block(0, 0).tor.evaluate(cache.z, cache.geometry.H, res.P,
-                                       "dirichlet", dmax=3)
+    E = mean_tables(cache, cache.z, 3)
     Um = [np.stack([E[j] @ u.mean[0], E[j] @ u.mean[1], 0.0 * cache.z])
           for j in range(4)]
     U[:, 0, 0] = Um[0]
@@ -154,17 +153,17 @@ def test_nonlinear_term_matches_fft_oracle(par, geometry, N1, N2, P, request):
 
 
 def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):
-    fac = SpectralFactors(ops, include_gradient=True)
     u0 = random_field(geo, res_small, seed=6, amplitude=0.3, decay=1.0)
-    assert (linear_propagator_exact(u0, 0.0, ops, fac) - u0).norm_l2() <= 1e-13
+    assert (linear_propagator_exact(u0, 0.0, ops) - u0).norm_l2() <= 1e-13
     # an eigenvector of D: u = L^{-1/2} e, decays like e^{-mu t} in L norm
-    fb = fac.block(ops.mode_ops(1, 0).blocks["toroidal"])
+    g = ops.layout.block[ops.layout.row[(1, 0)]]
+    fb = spectral_factors(ops.blocks[0][g], par.beta, include_gradient=True)
     mu = fb.d_eigvals[0]
     c0 = fb.inv_sqrt_lambda @ fb.d_eigvecs[:, 0]
     f = zero_field(geo, res_small)
     f.psi[layout_for(res_small).row[(1, 0)]] = c0
     for t in (0.1, 1.0):
-        ft = linear_propagator_exact(f, t, ops, fac)
+        ft = linear_propagator_exact(f, t, ops)
         want = np.exp(-mu * t) * f
         for got, ref in zip(ft.potentials(), want.potentials()):
             assert np.allclose(got, ref, rtol=0, atol=1e-12 * np.abs(c0).max())
@@ -172,9 +171,8 @@ def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):
 
 def test_semigroup_contraction_bound(ops):
     """||e^{-tD}|| <= e^{-mu_min t}: self-adjoint sharp bound per block."""
-    fac = SpectralFactors(ops, include_gradient=False)
     for blk in distinct_blocks(ops):
-        fb = fac.block(blk)
+        fb = spectral_factors(blk, ops.params.beta, include_gradient=False)
         mu_min = fb.d_eigvals[0]
         for t in (0.1, 1.0, 10.0):
             E = fb.d_eigvecs @ np.diag(np.exp(-t * fb.d_eigvals)) @ fb.d_eigvecs.T
@@ -183,15 +181,14 @@ def test_semigroup_contraction_bound(ops):
 
 def test_propagator_constant_forcing(ops, geo, res_small):
     """Duhamel quadrature against the closed form for constant forcing."""
-    fac = SpectralFactors(ops, include_gradient=True)
     g = random_field(geo, res_small, seed=9, amplitude=0.2, decay=1.0)
     t = 0.7
-    u = linear_propagator_exact(zero_field(geo, res_small), t, ops, fac,
+    u = linear_propagator_exact(zero_field(geo, res_small), t, ops,
                                 forcing=lambda tau: g, panels=8, nodes=10)
     ref = zero_field(geo, res_small)
     for (blk, c, _), (_, rows, _) in zip(block_groups(ops, g),
                                          block_groups(ops, ref)):
-        fb = fac.block(blk)
+        fb = spectral_factors(blk, ops.params.beta, include_gradient=True)
         mu = fb.d_eigvals
         phi = np.where(np.abs(mu) > 1e-12, (1 - np.exp(-mu * t)) / np.where(mu == 0, 1, mu), t)
         for row, cr in zip(rows, c):
@@ -206,10 +203,9 @@ def test_imex_orders_against_propagator(geo):
     par = derive_params(0.2, 0.1, -1.0, 0.01)
     res = Resolution(N1=4, N2=4, P=12)
     o = OperatorSet(par, geo, res)
-    fac = SpectralFactors(o, include_gradient=True)
     u0 = random_field(geo, res, seed=5, amplitude=0.5, decay=2.0)
     T = 0.2
-    uT = linear_propagator_exact(u0, T, o, fac)
+    uT = linear_propagator_exact(u0, T, o)
     dts = [1e-2, 5e-3, 2.5e-3]
     for scheme, expected in (("euler", 1.0), ("cnab2", 2.0)):
         errs = []
@@ -290,7 +286,6 @@ def test_small_amplitude_quadratic_deviation(geo):
     par = derive_params(0.2, 0.1, -1.0, 0.01)
     res = Resolution(N1=4, N2=4, P=10)
     o = OperatorSet(par, geo, res)
-    fac = SpectralFactors(o, include_gradient=True)
     shape = random_field(geo, res, seed=8, amplitude=1.0, decay=1.5)
     T, dt = 0.1, 2e-3
     devs = []
@@ -354,6 +349,35 @@ def test_uniqueness_probe_properties(ops, geo, res_small):
     mask = p8.times > 0
     assert np.all(np.log(np.maximum(p8.growth[mask], 1e-300))
                   <= C_REG * p8.h3_integral[mask] + 1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniqueness_probe_watchdog_matches_run_evolution(geo):
+    """A blow-up stops the probe at the step where run_evolution's watchdog
+    stops the same base run, before any overflow; the probes keep the
+    steps before it."""
+    o = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.01), geo,
+                    Resolution(N1=8, N2=8, P=16))
+    u0 = random_field(geo, o.resolution, seed=1, amplitude=1e4, decay=1.0)
+    pert = random_field(geo, o.resolution, seed=7, amplitude=1.0, decay=1.0)
+    run = run_evolution(o, u0, 0.02, 0.5, scheme="cnab2")
+    assert run.watchdog is not None and run.watchdog.reason == "h4_growth"
+    probes = uniqueness_probe(o, u0, pert, (1e-8, 1e-6), 0.5, 0.02)
+    for p in probes:
+        assert p.watchdog == run.watchdog
+        assert len(p.times) == run.steps
+        assert p.times[-1] == pytest.approx(run.watchdog.time - 0.02)
+        assert np.all(np.isfinite(p.growth)) and np.all(np.isfinite(p.h3_integral))
+
+
+def test_uniqueness_probe_watchdog_checks_members(ops, geo, res_small):
+    u0 = random_field(geo, res_small, seed=2, amplitude=0.1, decay=1.0)
+    pert = zero_field(geo, res_small)
+    pert.phi[0, 0] = np.nan
+    p, = uniqueness_probe(ops, u0, pert, (1e-6,), 0.1, 0.01)
+    assert p.watchdog is not None and p.watchdog.reason == "nan"
+    assert p.watchdog.time == pytest.approx(0.01)
+    assert list(p.times) == [0.0]
 
 
 def test_vanishing_sweep_uniform_bounds(geo):

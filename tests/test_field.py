@@ -10,8 +10,9 @@ from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
 
-from conftest import (grid_quadrature, hermitian_modes, mode_velocity_profiles,
-                      project_velocity_fft, random_field_loop, reconstruct_fft)
+from conftest import (grid_quadrature, hermitian_modes, mean_tables,
+                      mode_velocity_profiles, pair_bases, project_velocity_fft,
+                      random_field_loop, reconstruct_fft)
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
@@ -69,11 +70,10 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
     want = {name: np.zeros((3, len(lay.reps), res.Q), complex)
             for name in ("u", "curl_v", "bilap_u")}
     for r, (k1, k2) in enumerate(lay.k):
-        blk = cache.block(k1, k2)
+        m, W_tor, W_pol = pair_bases(cache, k1, k2)
         e1, e2 = cache.wavenumber(k1, k2)
-        m = blk.m
-        t = [E @ (blk.tor.W @ f.psi[r]) for E in cache.raw_T]
-        p = [E @ (blk.pol.W @ f.phi[r]) for E in cache.raw_C]
+        t = [E @ (W_tor @ f.psi[r]) for E in cache.raw_T]
+        p = [E @ (W_pol @ f.phi[r]) for E in cache.raw_C]
         U = [np.stack([1j * e2 * t[d] + 1j * e1 * p[d + 1],
                        -1j * e1 * t[d] + 1j * e2 * p[d + 1],
                        m * p[d]]) for d in range(5)]
@@ -158,8 +158,7 @@ def test_finite_difference_divergence_oracle(geo, res_small, cache_small):
     for k1, k2, ct, cp in hermitian_modes(f):
         prof = mode_velocity_profiles(cache_small, k1, k2, ct, cp, zpts)[0]
         spec[:, k1 % Mf, k2 % Mf, :] = prof
-    blk0 = cache_small.block(0, 0)
-    Em = blk0.tor.evaluate(zpts, geo.H, res_small.P, "dirichlet", dmax=0)
+    Em = mean_tables(cache_small, zpts, 0)
     spec[0, 0, 0, :] = Em[0] @ f.mean[0]
     spec[1, 0, 0, :] = Em[0] @ f.mean[1]
     U = np.real(np.fft.ifft2(spec, axes=(1, 2)) * Mf * Mf)
@@ -201,9 +200,7 @@ def test_essential_wall_values(geo, res_small, cache_small):
         prof = mode_velocity_profiles(cache_small, k1, k2, f.psi[r],
                                       f.phi[r], np.array([0.0, geo.H]))[0]
         worst = max(worst, np.abs(prof).max())
-    blk0 = cache_small.block(0, 0)
-    Em = blk0.tor.evaluate(np.array([0.0, geo.H]), geo.H, res_small.P,
-                           "dirichlet", dmax=0)
+    Em = mean_tables(cache_small, np.array([0.0, geo.H]), 0)
     worst = max(worst, np.abs(Em[0] @ f.mean.T).max())
     assert worst <= 1e-12 * interior
 
@@ -271,3 +268,19 @@ def test_mismatched_cache_rejected(geo, geo_odd, res_small):
     with pytest.raises(ValueError, match="do not match"):
         potentials_to_velocity(f, wrong)
 
+
+
+@pytest.mark.parametrize("N1, N2", [(16, 16), (8, 12), (12, 8), (2, 4)])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_layout_block_numbers_the_basis_stacks(request, geometry, N1, N2):
+    """ModeLayout.block is the block numbering: block g of the stacks is
+    group g, so every row of a group reads its block's m = |eta(k)|^2."""
+    g = request.getfixturevalue(geometry)
+    cache = BasisCache(g, Resolution(N1=N1, N2=N2, P=8))
+    lay = cache.layout
+    assert lay is layout_for(cache.resolution)
+    e1, e2 = cache.wavenumber(lay.k[:, 0], lay.k[:, 1])
+    assert np.array_equal(cache.m[lay.block], e1 * e1 + e2 * e2)
+    assert len(cache.m) == len(lay.groups)
+    for block, rows in enumerate(lay.groups.values()):
+        assert np.all(lay.block[rows] == block)

@@ -11,8 +11,8 @@ from nsab.params import ChannelGeometry, Resolution, derive_params
 
 from conftest import (a_form_oracle, apply_form, block_groups, grad_omega_sq_oracle,
                       grid_quadrature, mode_velocity_profiles,
-                      mode_vorticity_gradient, params_with_k, random_block_coeffs,
-                      reference_forms)
+                      mode_vorticity_gradient, pair_bases, pair_forms, pair_tables,
+                      params_with_k, random_block_coeffs, reference_forms)
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +21,8 @@ def setup(geo_odd, res_small, cache_odd):
     return OperatorSet(par, geo_odd, res_small, cache_odd)
 
 
-def _block_energy(mops, ct, cp, form):
-    bt, bp = mops.blocks["toroidal"], mops.blocks["poloidal"]
+def _block_energy(blocks, ct, cp, form):
+    bt, bp = blocks
     return 2.0 * (np.vdot(ct, getattr(bt, form) @ ct).real
                   + np.vdot(cp, getattr(bp, form) @ cp).real)
 
@@ -32,9 +32,8 @@ def _block_energy(mops, ct, cp, form):
 def test_a_form_matches_pointwise_oracle(geo_odd, res_small, cache_odd, gamma, k, seed):
     par = params_with_k(gamma, k)
     ops = OperatorSet(par, geo_odd, res_small, cache_odd)
-    mops = ops.mode_ops(2, -1)
     ct, cp = random_block_coeffs(cache_odd, 2, -1, 100 + seed)
-    a_mat = _block_energy(mops, ct, cp, "K_a")
+    a_mat = _block_energy(pair_forms(ops, 2, -1), ct, cp, "K_a")
     a_ref = a_form_oracle(par, cache_odd, 2, -1, ct, cp)
     assert a_mat == pytest.approx(a_ref, rel=1e-12)
 
@@ -45,11 +44,9 @@ def test_form_symmetry(geo, gamma, k):
     par = params_with_k(gamma, k)
     res = Resolution(N1=8, N2=8, P=24)
     ops = OperatorSet(par, geo, res)
-    for kk in ((1, 0), (2, 3), (0, 0)):
-        mops = ops.mode_ops(*kk)
-        for blk in mops.blocks.values():
-            m = blk.K_a
-            assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
+    for blk in (*pair_forms(ops, 1, 0), *pair_forms(ops, 2, 3), ops.blocks[2][0]):
+        m = blk.K_a
+        assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
 
 
 def test_gamma_minus_one_bilaplacian_identity(geo_odd, res_small, cache_odd):
@@ -60,9 +57,9 @@ def test_gamma_minus_one_bilaplacian_identity(geo_odd, res_small, cache_odd):
     for seed in range(20):
         k1, k2 = [(1, 0), (2, 1), (1, -1), (3, 2)][seed % 4]
         ct, cp = random_block_coeffs(cache_odd, k1, k2, 300 + seed)
-        a_val = _block_energy(ops.mode_ops(k1, k2), ct, cp, "K_a")
+        a_val = _block_energy(pair_forms(ops, k1, k2), ct, cp, "K_a")
         prof = mode_velocity_profiles(cache_odd, k1, k2, ct, cp, z2, dmax=2)
-        m = cache_odd.block(k1, k2).m
+        m = pair_bases(cache_odd, k1, k2)[0]
         lap = prof[2] - m * prof[0]
         lap_sq = 2.0 * geo_odd.area * float(np.sum(w2 * np.abs(lap) ** 2))
         assert abs(a_val - lap_sq) <= 1e-12 * lap_sq
@@ -73,7 +70,7 @@ def test_flat_wall_gamma_independence(geo_odd, res_small, cache_odd):
     vals = []
     for gamma in (-1.0, 0.0, 1.0):
         ops = OperatorSet(params_with_k(gamma, 2.0), geo_odd, res_small, cache_odd)
-        vals.append(_block_energy(ops.mode_ops(1, 2), ct, cp, "K_a"))
+        vals.append(_block_energy(pair_forms(ops, 1, 2), ct, cp, "K_a"))
     assert max(vals) - min(vals) <= 1e-13 * max(abs(v) for v in vals)
 
 
@@ -87,8 +84,8 @@ def test_boundary_term_against_surface_quadrature(geo_odd, res_small, cache_odd)
     for seed in (0, 1, 2):
         k1, k2 = 2, 1
         ct, cp = random_block_coeffs(cache_odd, k1, k2, 500 + seed)
-        diff = (_block_energy(ops_k.mode_ops(k1, k2), ct, cp, "K_a")
-                - _block_energy(ops_0.mode_ops(k1, k2), ct, cp, "K_a"))
+        diff = (_block_energy(pair_forms(ops_k, k1, k2), ct, cp, "K_a")
+                - _block_energy(pair_forms(ops_0, k1, k2), ct, cp, "K_a"))
         wall = 0.0
         for zw, sgn in ((0.0, -1.0), (geo_odd.H, +1.0)):
             zp = np.array([zw])
@@ -105,7 +102,7 @@ def test_garding_sign_structure(geo_odd, res_small, cache_odd, gamma):
     ops = OperatorSet(params_with_k(gamma, 0.0), geo_odd, res_small, cache_odd)
     for seed in range(4):
         ct, cp = random_block_coeffs(cache_odd, 1, 1, 700 + seed)
-        a_val = _block_energy(ops.mode_ops(1, 1), ct, cp, "K_a")
+        a_val = _block_energy(pair_forms(ops, 1, 1), ct, cp, "K_a")
         ref = grad_omega_sq_oracle(cache_odd, 1, 1, ct, cp)
         assert a_val >= (1.0 - abs(gamma)) * ref - 1e-10 * abs(ref)
 
@@ -165,19 +162,14 @@ def test_strong_form_integration_by_parts(geo_odd, res_small, cache_odd, gamma, 
     par = params_with_k(gamma, k)
     ops = OperatorSet(par, geo_odd, res_small, cache_odd)
     k1, k2 = 2, 1
-    blk = cache_odd.block(k1, k2)
     ct, cp = random_block_coeffs(cache_odd, k1, k2, 61)
     dt_, dp_ = random_block_coeffs(cache_odd, k1, k2, 62)
-    mops = ops.mode_ops(k1, k2)
-    lhs = 2.0 * np.real(np.vdot(dt_, mops.blocks["toroidal"].K_a @ ct)
-                        + np.vdot(dp_, mops.blocks["poloidal"].K_a @ cp))
+    bt, bp = pair_forms(ops, k1, k2)
+    lhs = 2.0 * np.real(np.vdot(dt_, bt.K_a @ ct) + np.vdot(dp_, bp.K_a @ cp))
     # volume: bilaplacian of the trial against the test velocity
     z2, w2 = gauss_legendre(3 * res_small.Q, geo_odd.H)
-    m = blk.m
+    m, Et, Ep = pair_tables(cache_odd, k1, k2, z2, 5)
     e1, e2 = cache_odd.wavenumber(k1, k2)
-    P = res_small.P
-    Et = blk.tor.evaluate(z2, geo_odd.H, P, "dirichlet", dmax=4)
-    Ep = blk.pol.evaluate(z2, geo_odd.H, P, "clamped", dmax=5)
     t = [Et[d] @ ct for d in range(5)]
     p = [Ep[d] @ cp for d in range(6)]
     LLt = t[4] - 2 * m * t[2] + m * m * t[0]
@@ -205,14 +197,12 @@ def test_bilaplacian_form_integration_by_parts(geo_odd, res_small, cache_odd,
     par = params_with_k(gamma, k)
     ops = OperatorSet(par, geo_odd, res_small, cache_odd)
     k1, k2 = 1, 2
-    blk = cache_odd.block(k1, k2)
     ct, cp = random_block_coeffs(cache_odd, k1, k2, 71)
     dt_, dp_ = random_block_coeffs(cache_odd, k1, k2, 72)
-    mops = ops.mode_ops(k1, k2)
-    lhs = 2.0 * np.real(np.vdot(dt_, mops.blocks["toroidal"].K_a @ ct)
-                        + np.vdot(dp_, mops.blocks["poloidal"].K_a @ cp))
+    bt, bp = pair_forms(ops, k1, k2)
+    lhs = 2.0 * np.real(np.vdot(dt_, bt.K_a @ ct) + np.vdot(dp_, bp.K_a @ cp))
     z2, w2 = gauss_legendre(3 * res_small.Q, geo_odd.H)
-    m = blk.m
+    m = pair_bases(cache_odd, k1, k2)[0]
 
     def lap_profiles(a, b, z):
         prof = mode_velocity_profiles(cache_odd, k1, k2, a, b, z, dmax=2)
@@ -233,8 +223,7 @@ def test_bilaplacian_form_integration_by_parts(geo_odd, res_small, cache_odd,
 
 def test_apply_form_examples(setup):
     ops = setup
-    mops = ops.mode_ops(1, 1)
-    bt = mops.blocks["toroidal"]
+    bt = pair_forms(ops, 1, 1)[0]
     n = bt.n
     for j in (0, n // 2, n - 1):
         e = np.zeros(n)
@@ -255,12 +244,11 @@ def test_apply_form_examples(setup):
 def test_mode_operator_invariants(setup):
     ops = setup
     for kk in ((1, 0), (1, 1), (2, -1)):
-        mops = ops.mode_ops(*kk)
-        for blk in mops.blocks.values():
+        for blk in pair_forms(ops, *kk):
             assert np.linalg.eigvalsh(blk.M)[0] > 0.99
             assert np.linalg.eigvalsh(blk.M_lambda)[0] > 0.99
             assert np.linalg.eigvalsh(blk.K_grad)[0] > 0.0
-    for blk in ops.mode_ops(1, 1).blocks.values():
+    for blk in pair_forms(ops, 1, 1):
         K = blk.K_a
         assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
@@ -272,7 +260,7 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     nz = ops.a_scale_norms(z)
     assert all(v == 0.0 for k, v in nz.items() if k != "shift")
     # single eigenvector: ||(A+shift)^{1/2} u|| = sqrt(lam + shift)
-    blk = ops.mode_ops(1, 1).blocks["toroidal"]
+    blk = pair_forms(ops, 1, 1)[0]
     lam, V = ops.block_eig(blk)
     f = zero_field(geo_odd, res_small)
     lay = layout_for(res_small)
@@ -358,8 +346,7 @@ def test_mean_block_wall_coupling_can_lose_coercivity(geo):
     res = Resolution(N1=4, N2=4, P=12)
     for k, positive in ((0.0, True), (5.0, False)):
         ops = OperatorSet(params_with_k(0.0, k), geo, res)
-        blk = ops.mean_ops.blocks["mean"]
-        lam = np.linalg.eigvalsh(blk.K_a)
+        lam = np.linalg.eigvalsh(ops.blocks[2][0].K_a)
         assert (lam[0] > 0) == positive
 
 
@@ -377,17 +364,19 @@ def test_stacked_assembly_matches_per_block_reference(request, geometry, res):
     par = derive_params(0.2, 0.1, 0.5, 0.05)
     ops = OperatorSet(par, g, res)
     checked = 0
-    for key in list(layout_for(res).groups) + [(0, 0)]:
-        forms, bases = reference_forms(par, ops.cache, *key)
-        blocks = ops.mode_ops(*key).blocks
-        basis = ops.cache.block(*key)
+    (tor, pol, mean), c = ops.blocks, ops.cache
+    for g, key in enumerate(list(layout_for(res).groups) + [(0, 0)]):
+        forms, bases = reference_forms(par, c, *key)
+        blocks, Ws = (({"mean": mean[0]}, {"mean": c.mean_W}) if key == (0, 0) else
+                      ({"toroidal": tor[g], "poloidal": pol[g]},
+                       {"toroidal": c.W_tor[g], "poloidal": c.W_pol[g]}))
         for name, ref in forms.items():
             for form, want in ref.items():
                 got = getattr(blocks[name], form)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
                     (key, name, form)
                 checked += 1
-            W = {"toroidal": basis.tor, "poloidal": basis.pol, "mean": basis.tor}[name].W
+            W = Ws[name]
             assert np.abs(W - bases[name]).max() <= 1e-13 * np.abs(bases[name]).max()
     assert checked == 5 * (2 * len(layout_for(res).groups) + 1)
 

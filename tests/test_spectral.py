@@ -7,10 +7,10 @@ import scipy.optimize
 from nsab.field import potentials_to_velocity
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.spectral import SpectralFactors, eigenpairs_A, garding_constants
+from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
 
 from conftest import (distinct_blocks, eigenpair_field, grid_quadrature,
-                      params_with_k, reference_garding)
+                      pair_forms, params_with_k, reference_garding)
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +35,11 @@ def test_eigenpairs_match_per_block_loop(request, geometry, res_small):
     g = request.getfixturevalue(geometry)
     ops = OperatorSet(params_with_k(1.0, 5.0), g, res_small)
     found = []
-    for key in list(ops.layout.groups) + [(0, 0)]:
-        rows = ops.layout.groups.get(key, slice(0, 1))  # two mean components
-        for blk in ops.mode_ops(*key).blocks.values():
+    tor, pol, mean = ops.blocks
+    # the mean's rows: its two components
+    groups = list(ops.layout.groups.items()) + [((0, 0), slice(0, 1))]
+    for g, (key, rows) in enumerate(groups):
+        for blk in ((tor[g], pol[g]) if key != (0, 0) else (mean[0],)):
             lam, V = np.linalg.eigh(blk.K_a)
             for i, lv in enumerate(lam):
                 res = np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i]) / (
@@ -161,12 +163,9 @@ def test_lambda1_exceeds_negative_shift(geo, res_small):
 def test_factor_identities(geo, res_small):
     par = derive_params(0.2, 0.1, 0.5, 0.05)
     o = OperatorSet(par, geo, res_small)
-    fac = SpectralFactors(o)
     rng = np.random.default_rng(3)
-    for blk in (o.mode_ops(1, 1).blocks["poloidal"],
-                o.mode_ops(2, 0).blocks["toroidal"],
-                o.mean_ops.blocks["mean"]):
-        fb = fac.block(blk)
+    for blk in (pair_forms(o, 1, 1)[1], pair_forms(o, 2, 0)[0], o.blocks[2][0]):
+        fb = spectral_factors(blk, par.beta)
         assert np.abs(fb.D - fb.D.T).max() <= 1e-12 * np.abs(fb.D).max()
         sq_err = np.linalg.norm(fb.sqrt_lambda @ fb.sqrt_lambda - blk.M_lambda)
         assert sq_err <= 1e-11 * np.linalg.norm(blk.M_lambda)
@@ -183,18 +182,47 @@ def test_alpha_zero_degenerates_to_identity_filter(geo, res_small):
     import dataclasses
     par = derive_params(0.2, 0.1, 0.0, 0.05)
     o = OperatorSet(par, geo, res_small)
-    blk = o.mode_ops(1, 0).blocks["toroidal"]
+    blk = pair_forms(o, 1, 0)[0]
     blk0 = dataclasses.replace(blk, M_lambda=blk.M)
-    fac = SpectralFactors(o)
-    fb = fac.block(blk0)
+    fb = spectral_factors(blk0, par.beta)
     assert np.allclose(fb.sqrt_lambda, np.eye(blk.n), atol=1e-10)
     assert np.allclose(fb.D, par.beta**2 * blk.K_a, atol=1e-9)
 
 
 def test_d_spectrum_bounded_below(geo, res_small):
     o = OperatorSet(params_with_k(1.0, 5.0), geo, res_small)
-    fac = SpectralFactors(o)
-    dmin = min(fac.block(b).d_eigvals[0] for b in distinct_blocks(o))
+    dmin = min(spectral_factors(b, o.params.beta).d_eigvals[0]
+               for b in distinct_blocks(o))
     shift = o.spectral_shift()
     # mu_min >= 1 for the filter form, so min spec(D) >= -beta^2 * shift
     assert dmin >= -o.params.beta**2 * shift - 1e-12
+
+
+def test_views_taken_in_a_loop_get_their_own_eigenpairs_and_factors(geo):
+    """Each ops.blocks[p][g] is a new view that dies after use, so a later
+    view can reuse its id(): block_eig and spectral_factors must answer
+    for the block they are given."""
+    par = derive_params(0.2, 0.1, 0.5, 0.05)
+    o = OperatorSet(par, geo, Resolution(N1=8, N2=8, P=12))
+    for p in range(3):
+        for g in range(len(o.blocks[p].K_a)):
+            lam, V = o.block_eig(o.blocks[p][g])
+            want_lam, want_V = np.linalg.eigh(o.blocks[p][g].K_a)
+            assert np.array_equal(lam, want_lam) and np.array_equal(V, want_V)
+            fb = spectral_factors(o.blocks[p][g], par.beta, include_gradient=True)
+            blk = o.blocks[p][g]
+            # D has the spectrum of the pencil (beta^2 K_a + K_grad, M_lambda)
+            Li = np.linalg.inv(np.linalg.cholesky(blk.M_lambda))
+            want = np.linalg.eigh(Li @ (par.beta**2 * blk.K_a + blk.K_grad) @ Li.T)[0]
+            assert np.abs(fb.d_eigvals - want).max() <= 1e-10 * np.abs(want).max()
+            sq_err = np.linalg.norm(fb.sqrt_lambda @ fb.sqrt_lambda - blk.M_lambda)
+            assert sq_err <= 1e-11 * np.linalg.norm(blk.M_lambda)
+
+
+def test_eigs_leaves_the_per_row_bases_unbuilt(geo, res_small):
+    """The spectra work on the distinct-block stacks: the per-row gather of
+    the bases is built on first use only, so eigs does not pay for it."""
+    o = OperatorSet(params_with_k(1.0, 5.0), geo, res_small)
+    eigenpairs_A(o, 5)
+    garding_constants(o)
+    assert "row_bases" not in vars(o.cache)

@@ -182,8 +182,7 @@ def test_kernel_handling(geo):
     res = Resolution(N1=4, N2=4, P=12)
     k_star = 2.0 / geo.H
     o = OperatorSet(params_with_k(0.0, k_star), geo, res)
-    blk = o.mean_ops.blocks["mean"]
-    lamv, V = np.linalg.eigh(blk.K_a)
+    lamv, V = np.linalg.eigh(o.blocks[2][0].K_a)
     assert abs(lamv[0]) <= 1e-10 * abs(lamv[-1])   # exact discrete kernel
     assert abs(lamv[1]) > 1e-6 * abs(lamv[-1])     # and it is one-dimensional
     # forcing orthogonal to the kernel: solvable, kernel reported
