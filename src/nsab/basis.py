@@ -25,10 +25,10 @@ and generalized eigenproblems downstream become standard symmetric ones.
 The mass forms depend on the wavenumber only through m = |eta|^2:
 area * m <T, T> (toroidal) and area * (m <C', C'> + m^2 <C, C>)
 (poloidal).  :class:`BasisCache` builds the change of basis of every
-distinct block at once, as a (G, n, n) stack from one batched Cholesky
-factorization per potential, with no per-block loop.  The field layout
-(:class:`nsab.field.ModeLayout`) owns the block numbering: stack g is its
-block group g, and ``layout.block`` gives each row's g.
+distinct m at once, as a (U, n, n) stack from one batched Cholesky
+factorization per potential, with no per-block loop: block groups (|k1|,
+|k2|) of bitwise-equal m, (a, b) and (b, a) on a square box, share a block,
+and ``BasisCache.block`` gives each row's, the one block numbering.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ class BasisCache:
     ``raw_T``/``raw_C`` tabulate the raw recombined bases and their
     z-derivatives at the quadrature nodes, ``raw_T_tr``/``raw_C_tr`` on the
     walls.  Blocks depend on the wavenumber only through m = |eta|^2:
-    ``m`` (G,), ``W_tor`` and ``W_pol`` (G, n, n) stack them in the order
-    of the layout's block groups (``layout.block``), and :attr:`row_bases`
-    gathers them per row on first use.  The mean block has ``mean_W`` and
-    its own tables ``mean_E``/``mean_tr`` (``raw_T``/``raw_T_tr`` times
-    ``mean_W``).
+    ``m`` (U,), ``W_tor`` and ``W_pol`` (U, n, n) stack one per distinct m,
+    in order of first appearance among the layout's block groups,
+    ``block`` (R,) gives each row's, and :attr:`row_bases` gathers them per
+    row on first use.  The mean block has ``mean_W`` and its own tables
+    ``mean_E``/``mean_tr`` (``raw_T``/``raw_T_tr`` times ``mean_W``).
     """
 
     def __init__(self, geometry, resolution):
@@ -123,13 +123,16 @@ class BasisCache:
         self.mean_W = _inv_chol_T(area * (T0.T * self.w) @ T0)
         self.mean_E = [t @ self.mean_W for t in self.raw_T]
         self.mean_tr = [t @ self.mean_W for t in self.raw_T_tr]
-        e1, e2 = self.wavenumber(*np.array(list(self.layout.groups), int).reshape(-1, 2).T)
-        self.m = e1 * e1 + e2 * e2
+        # a block per distinct m, in first-appearance order; only bitwise-equal m merge
+        e1, e2 = self.wavenumber(self.layout.k[:, 0], self.layout.k[:, 1])
+        m, first, inv = np.unique(e1 * e1 + e2 * e2, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self.m, self.block = m[order], np.argsort(order)[inv]
         self.W_tor, self.W_pol = self.bases(self.m)
 
     def bases(self, m):
-        """Toroidal and poloidal W stacks (G, n, n) of the blocks with
-        m = |eta|^2 > 0, m of shape (G,): one batched Cholesky factorization
+        """Toroidal and poloidal W stacks (U, n, n) of the blocks with
+        m = |eta|^2 > 0, m of shape (U,): one batched Cholesky factorization
         each of the masses area m <T, T> and area (m <C', C'> + m^2 <C, C>)."""
         area, w = self.geometry.area, self.w
         m = m[:, None, None]
@@ -145,5 +148,5 @@ class BasisCache:
     def row_bases(self):
         """m (R, 1) and the W stacks (R, n, n) of the toroidal and poloidal
         blocks of every row of the layout."""
-        g = self.layout.block
-        return self.m[g, None], self.W_tor[g], self.W_pol[g]
+        b = self.block
+        return self.m[b, None], self.W_tor[b], self.W_pol[b]

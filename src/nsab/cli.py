@@ -344,8 +344,7 @@ def _exp_probe(cfg, out, operators, stage):
         p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
                                   cfg["time.dt"], scheme=cfg["scheme.name"],
                                   watchdog_ceiling=cfg["watchdog.ceiling"])
-    # the base trajectory and the two members take every time step
-    stage.steps = 3 * (len(p1.times) - 1)
+    stage.steps = p1.steps
     mask = p1.times >= 0.25 * cfg["time.T"]
     with np.errstate(divide="ignore", invalid="ignore"):
         cfit = np.nanmax(np.where(mask, np.log(np.maximum(p1.growth, 1e-300))

@@ -279,6 +279,7 @@ class UniquenessProbe:
     h3_integral: np.ndarray   # int_0^t H3-proxy of the base run
     delta: float
     watchdog: object = None   # the event that stopped the probe early
+    steps: int = 0            # steps taken by the base run and all members
 
 
 def _h1_norm(ops, f):
@@ -311,13 +312,13 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     sn0 = ops.a_scale_norms(u0)
     ceiling = watchdog_ceiling * max(sn0["A1"], 1e-300)
     h3_prev = sn0["A_half"]
-    acc = 0.0
+    acc, taken = 0.0, 0
     for n in range(nsteps):
-        base = stepper.step(base)
+        base, taken = stepper.step(base), taken + 1
         sn = ops.a_scale_norms(base.field)
         event = _watchdog_event(base, ceiling, sn)
         if event is None:
-            perts = [stepper.step(p) for p in perts]
+            perts, taken = [stepper.step(p) for p in perts], taken + len(perts)
             event = next(filter(None, (_watchdog_event(p, ceiling) for p in perts)), None)
         if event is not None:
             break
@@ -329,7 +330,7 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
         for j, d in enumerate(deltas):
             wn = _h1_norm(ops, perts[j].field - base.field)
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)
-    return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d, event)
+    return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d, event, taken)
             for d, g in zip(deltas, growth)]
 
 

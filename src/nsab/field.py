@@ -10,8 +10,9 @@ representative, R = ((N1 - 1)(N2 - 1) - 1) / 2; the (0,0) slot is carried
 separately as two real mean profiles (U1(z), U2(z), 0).  Rows are ordered by
 block group - the modes (k1, k2) sharing |k1|, |k2| and therefore one basis
 block - so each group is a contiguous (g, n) slice (:class:`ModeLayout`).
-The layout also owns the block numbering: block g of every per-block stack
-(bases, forms) is group g, and ``ModeLayout.block`` gives each row's g.
+A block depends on the wavenumber only through m = |eta|^2, so groups with
+bitwise-equal m share one: ``BasisCache.block`` gives each row's index into
+every per-block stack (bases, forms).
 
 Coefficients are expressed in the per-block orthonormalized bases of
 :mod:`nsab.basis`, so the L2 inner product of two fields is the Hermitian
@@ -79,11 +80,9 @@ class ModeLayout:
     ``reps`` lists the representatives (k1, k2) in fft traversal order;
     ``groups`` maps each block key (|k1|, |k2|) to its slice of rows, in
     order of first appearance in ``reps``; rows within a group keep the
-    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers, ``block``
-    the (R,) group index g of each row (the block numbering: block g of
-    every per-block stack is group g) and ``row`` the (k1, k2) -> row
-    lookup.  ``grid`` is the transform to the padded grid, built on first
-    use.
+    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers and
+    ``row`` the (k1, k2) -> row lookup.  ``grid`` is the transform to the
+    padded grid, built on first use.
     """
 
     def __init__(self, resolution):
@@ -102,7 +101,6 @@ class ModeLayout:
             self.groups[key] = slice(len(rows), len(rows) + len(modes))
             rows += modes
         self.k = np.array(rows, int).reshape(-1, 2)
-        self.block = np.repeat(np.arange(len(members)), [len(v) for v in members.values()])
         self.row = {k: r for r, k in enumerate(rows)}
 
     @cached_property
@@ -210,9 +208,9 @@ class GridWorkspace:
     regions.  Each step of the chain reads one region and writes the other,
     so the arrays of a region take turns:
 
-    region A: ``tvals``/``pvals`` (derivative values), ``box``, ``grid``,
-    ``fhalf``, ``re``/``im`` (gathered parts), ``weighted`` (rows times
-    the quadrature weights);
+    region A: ``tvals``/``pvals``/``terms`` (derivative values, profile
+    terms), ``box``, ``grid``, ``fhalf``, ``re``/``im`` (gathered parts),
+    ``weighted``/``mixed`` (rows times the quadrature weights, their sums);
 
     region B: ``profiles``, ``half``, ``prod`` and its ``scratch``,
     ``fbox`` and the gathered ``rows`` (after ``fbox``, whose mean slot
@@ -227,12 +225,13 @@ class GridWorkspace:
         rows = ((3, R, Q), complex)
         # per region, its stages in turn; the arrays of a stage lie end to end
         regions = (
-            [[("tvals", (nd, R, Q), complex), ("pvals", (nd + 1, R, Q), complex)],
+            [[("tvals", (nd, R, Q), complex), ("pvals", (nd + 1, R, Q), complex),
+              ("terms", (4, R, Q), complex)],
              [("box", (B, K1, 2, J, Q), float)],
              [("grid", (B, M1, M2 * Q), float)],
              [("fhalf", (3, 2 * K1, M2 * Q), float)],
              [("re", (3, R, Q), float), ("im", (3, R, Q), float)],
-             [("weighted",) + rows]],
+             [("weighted",) + rows, ("mixed", (2, R, Q), complex)]],
             [[("profiles", (len(want), 3, R, Q), complex)],
              [("half", (B * K1, 2 * M2, Q), float)],
              [("prod", (3, M1, M2, Q), float), ("scratch", (M1, M2, Q), float)],
@@ -372,21 +371,35 @@ def velocity(e1, e2, m, t, p1, p0):
     return np.stack([1j * e2 * t + 1j * e1 * p1, -1j * e1 * t + 1j * e2 * p1, m * p0])
 
 
-def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into):
+def _minus(a, x, y, out):
+    """y - a * x, written to out (None: a fresh array)."""
+    out = np.multiply(a, x, out=out)
+    return np.subtract(y, out, out=out)
+
+
+def _combine(a, x, b, y, out, tmp):
+    """a * x + b * y, written to out with tmp as scratch (None: fresh arrays)."""
+    out = np.multiply(a, x, out=out)
+    return np.add(out, np.multiply(b, y, out=tmp), out=out)
+
+
+def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
     """Component profiles of the representative modes at quadrature nodes.
 
     m, eta1, eta2: (R, 1) per-row data; tvals/pvals: lists of (R, Q)
     arrays of potential derivative values; into: name -> (3, R, Q) array to
-    write, or None for a fresh one.  Returns {"u": (3, R, Q), ...}.
+    write, or None for a fresh one; tmp: (4, R, Q) scratch, or None for
+    fresh arrays.  Returns {"u": (3, R, Q), ...}.
     """
     ie1, ie2 = 1j * eta1, 1j * eta2
+    s0, s1, s2, s3 = [None] * 4 if tmp is None else tmp
     out = {}
 
     def vel(td, pd1, pd0, name):
         # velocity-like triple from psi-derivs (order d) and phi-derivs (d+1, d)
         v = np.empty((3,) + td.shape, complex) if into[name] is None else into[name]
-        np.add(ie2 * td, ie1 * pd1, out=v[0])
-        np.add(-ie1 * td, ie2 * pd1, out=v[1])
+        _combine(ie2, td, ie1, pd1, v[0], s3)
+        _combine(-ie1, td, ie2, pd1, v[1], s3)
         np.multiply(m, pd0, out=v[2])
         return v
 
@@ -397,10 +410,11 @@ def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into):
         # filter: curl v = vel(T, D P, P) with T = -(1 - a^2 Lap) Lap phi,
         # P = (1 - a^2 Lap) psi and Lap = D^2 - m
         a2 = alpha**2
-        T = (a2 * (pvals[4] - 2 * m * pvals[2] + m * m * pvals[0])
-             - (pvals[2] - m * pvals[0]))
-        P0 = tvals[0] - a2 * (tvals[2] - m * tvals[0])
-        P1 = tvals[1] - a2 * (tvals[3] - m * tvals[1])
+        T = _minus(2 * m, pvals[2], pvals[4], s0)
+        np.add(T, np.multiply(m * m, pvals[0], out=s3), out=T)
+        np.subtract(np.multiply(a2, T, out=T), _minus(m, pvals[0], pvals[2], s3), out=T)
+        P0 = _minus(a2, _minus(m, tvals[0], tvals[2], s1), tvals[0], s1)
+        P1 = _minus(a2, _minus(m, tvals[1], tvals[3], s2), tvals[1], s2)
         out["curl_v"] = vel(T, P1, P0, "curl_v")
     if "bilap_u" in want:
         out["bilap_u"] = vel(tvals[4] - 2 * m * tvals[2] + m * m * tvals[0],
@@ -448,7 +462,7 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
                     else ([None] * nd, [None] * (nd + 1), dict.fromkeys(want)))
     tvals = [np.matmul(ct, cache.raw_T[d].T, out=tv[d]) for d in range(nd)]
     pvals = [np.matmul(cp, cache.raw_C[d].T, out=pv[d]) for d in range(nd + 1)]
-    rows = _mode_profiles(m, e1, e2, tvals, pvals, want, alpha, into)
+    rows = _mode_profiles(m, e1, e2, tvals, pvals, want, alpha, into, _slot(work, "terms"))
     means = _mean_profiles(cache.mean_E, f.mean, want, alpha, nd)
     return {name: (rows[name], means[name]) for name in want}
 
@@ -489,9 +503,10 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     m, W_tor, W_pol = cache.row_bases
     e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
     f1, f2, f3 = np.multiply(w, rows, out=_slot(work, "weighted"))
+    a, b = (None, None) if work is None else work.mixed
     # adjoint of synthesize: raw-table gemms first, then the stacked W^T
-    gt = ((-1j * e2) * f1 + (1j * e1) * f2) @ cache.raw_T[0]
-    gp = (((-1j * e1) * f1 + (-1j * e2) * f2) @ cache.raw_C[1]
+    gt = _combine(-1j * e2, f1, 1j * e1, f2, a, b) @ cache.raw_T[0]
+    gp = (_combine(-1j * e1, f1, -1j * e2, f2, a, b) @ cache.raw_C[1]
           + m * (f3 @ cache.raw_C[0]))
     psi = area * rowmul(W_tor.transpose(0, 2, 1), gt)
     phi = area * rowmul(W_pol.transpose(0, 2, 1), gp)

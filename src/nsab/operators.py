@@ -23,9 +23,9 @@ All matrices are expressed in the M-orthonormalized block bases of
 :mod:`nsab.basis`, so M is the identity and symmetric generalized pencils
 become standard symmetric eigenproblems.  :func:`toroidal_forms`,
 :func:`poloidal_forms` and :func:`mean_forms` build the forms of all
-distinct blocks at once, as (G, n, n) stacks of Gram products of the
-tabulated block bases, with no per-block loop.  Block g of the stacks is
-block group g of the field layout, which owns the numbering.
+distinct blocks at once, one per distinct m = |eta|^2, as (U, n, n) stacks
+of Gram products of the tabulated block bases, with no per-block loop;
+``BasisCache.block`` gives each row's block.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
 @dataclass
 class BlockOperators:
     """Assembled forms of one scalar block in its orthonormal basis, or of a
-    stack of blocks: then each form is a (G, n, n) array."""
+    stack of blocks: then each form is a (U, n, n) array."""
 
     name: str
     n: int
@@ -81,8 +81,8 @@ def _block(params, name, M, K_a, K_grad, K_bilap):
 
 
 def toroidal_forms(params, cache, m, W):
-    """Forms of the toroidal blocks with m = |eta|^2 (G,) > 0 and bases W
-    (G, n, n), stacked (G, n, n).
+    """Forms of the toroidal blocks with m = |eta|^2 (U,) > 0 and bases W
+    (U, n, n), stacked (U, n, n).
 
     The result depends on the model only through gamma, k and alpha (via
     M_lambda); callers apply the beta^2 scaling of K_a.
@@ -101,8 +101,8 @@ def toroidal_forms(params, cache, m, W):
 
 
 def poloidal_forms(params, cache, m, W):
-    """Forms of the poloidal blocks with m = |eta|^2 (G,) > 0 and bases W
-    (G, n, n), stacked (G, n, n)."""
+    """Forms of the poloidal blocks with m = |eta|^2 (U,) > 0 and bases W
+    (U, n, n), stacked (U, n, n)."""
     s, w, m = cache.geometry.area, cache.w, m[:, None, None]
     E = [t @ W for t in cache.raw_C[:4]]
     L0, L1 = E[2] - m * E[0], E[3] - m * E[1]
@@ -126,8 +126,8 @@ class OperatorSet:
     """Assembled operators for every stored wavenumber at fixed parameters.
 
     ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
-    distinct blocks, in the order of :meth:`SolenoidalField.potentials`;
-    ``blocks[p][layout.block[row]]`` is the block of a row.
+    distinct m, in the order of :meth:`SolenoidalField.potentials`;
+    ``blocks[p][cache.block[row]]`` is the block of a row.
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
@@ -152,7 +152,7 @@ class OperatorSet:
     def row_stacks(self, fn):
         """Per-row stacks of fn(blocks), one potential at a time.
 
-        fn maps a stacked BlockOperators to a tuple of (G, ...) arrays
+        fn maps a stacked BlockOperators to a tuple of (U, ...) arrays
         (matmul, eigh and solve accept stacks) and runs once per potential.
         Yields the tuple gathered over rows for the toroidal (R, ...),
         poloidal (R, ...) and mean (1, ...) blocks, in the order of
@@ -162,7 +162,7 @@ class OperatorSet:
         for stack in (tor, pol):
             # gathered in C order: the BLAS path of the row-wise matmuls, and
             # so their rounding, does not depend on the layout fn returns
-            yield tuple(np.ascontiguousarray(a)[self.layout.block] for a in fn(stack))
+            yield tuple(np.ascontiguousarray(a)[self.cache.block] for a in fn(stack))
         yield fn(mean)
 
     def form_inner(self, form, u, v):

@@ -47,17 +47,19 @@ def eigenpairs_A(ops, count):
     partner); the returned list is nondecreasing in the eigenvalue and
     contains each eigenpair once with its multiplicity recorded.
     """
-    # candidates ordered by block (block q is block group q of the layout;
-    # the mean comes last), toroidal before poloidal: equal eigenvalues keep
-    # that order; stored representatives sharing a block count x 2 for
-    # their partners, the two mean components x 2
+    # candidates ordered by block group q (the mean comes last), toroidal
+    # before poloidal: equal eigenvalues keep that order; a group's stored
+    # representatives count x 2 for their partners, the two mean components
+    # x 2.  Groups of equal m read the eigenpairs of their block[q].
     keys = list(ops.layout.groups) + [(0, 0)]
     mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
+    block = ops.cache.block[[rows.start for rows in ops.layout.groups.values()]]
     cols = []
     for p, stack in enumerate(ops.blocks):
         lam, V = ops.block_eig(stack)
         res = (np.linalg.norm(stack.K_a @ V - V * lam[:, None, :], axis=1)
                / (np.abs(lam).max(axis=1, keepdims=True) + np.abs(lam)))
+        lam, res = (lam[block], res[block]) if p < 2 else (lam, res)
         b, i = np.indices(lam.shape)
         q = b if p < 2 else np.full(lam.shape, len(keys) - 1)
         cols.append(np.stack([lam, res, q, np.full(lam.shape, p), i]).reshape(5, -1))
@@ -65,7 +67,7 @@ def eigenpairs_A(ops, count):
     found = []
     for j in np.lexsort((col, pot, pos, lam))[:count]:
         p, q, i = int(pot[j]), int(pos[j]), int(col[j])
-        V = ops.block_eig(ops.blocks[p])[1][q if p < 2 else 0]
+        V = ops.block_eig(ops.blocks[p])[1][block[q] if p < 2 else 0]
         found.append(EigenPair(float(lam[j]), V[:, i].copy(), keys[q],
                                ops.blocks[p].name, mult[q], float(res[j])))
     return found

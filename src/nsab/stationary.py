@@ -139,7 +139,7 @@ def wall_dual(ops, wall_values):
                 out.mean[c] = area * np.real(-gb[c] * t1[0] + gt[c] * t1[1])
             continue
         row = ops.layout.row[(k1, k2)]
-        g = ops.layout.block[row]
+        g = cache.block[row]
         e1, e2 = cache.wavenumber(k1, k2)
         ttr = cache.raw_T_tr[1] @ cache.W_tor[g]  # first-derivative traces, rows (z=0, z=H)
         ptr = cache.raw_C_tr[2] @ cache.W_pol[g]  # second-derivative traces
@@ -236,7 +236,7 @@ def recover_pressure(u, forcing, ops, degree=None):
     min ||[|eta| S0; S1] c - [-i r_along; r3]|| with S0, S1 the weighted
     design matrices of p and p', a real matrix that depends on the mode
     only through m = |eta|^2: it is factored by one batched QR over the
-    distinct blocks and applied to every row of its block.
+    distinct m and applied to every row of its block (``cache.block``).
 
     r is a difference of two large, nearly equal profiles, so the
     diagnostics derived from it (``gradient_defect``, ``curl_residual`` and
@@ -264,7 +264,7 @@ def recover_pressure(u, forcing, ops, degree=None):
                      1j * e1 * R_reps[1] - 1j * e2 * R_reps[0]])
     curl_sq = 2.0 * area * float(np.sum(w * np.abs(curl) ** 2))
 
-    # per block: the least-squares solution operator R^-1 Q^T of [|eta| S0; S1]
+    # per distinct m: the least-squares solution operator R^-1 Q^T of [|eta| S0; S1]
     m = ops.cache.m
     A = np.concatenate([np.sqrt(m)[:, None, None] * S0,
                         np.broadcast_to(S1, m.shape + S1.shape)], axis=1)
@@ -276,7 +276,7 @@ def recover_pressure(u, forcing, ops, degree=None):
     r_along = sw * (e1 * R_reps[0] + e2 * R_reps[1]) / eta
     r_across = sw * (e2 * R_reps[0] - e1 * R_reps[1]) / eta
     b = np.concatenate([-1j * r_along, sw * R_reps[2]], axis=1)
-    coeffs = rowmul(fit[ops.layout.block], b)
+    coeffs = rowmul(fit[ops.cache.block], b)
     misfit = np.concatenate([eta * (coeffs @ S0.T), coeffs @ S1.T], axis=1) - b
     defect_sq = 2.0 * area * float(np.sum(np.abs(misfit) ** 2)
                                    + np.sum(np.abs(r_across) ** 2))

@@ -67,12 +67,14 @@ def params_with_k(gamma, k, alpha=0.2, beta=0.1):
 
 
 def distinct_blocks(ops):
-    """Every distinct block of ops, one at a time: toroidal and poloidal per
-    block group, then the mean."""
+    """The block of every distinct |k| pair of ops, one at a time: toroidal
+    and poloidal per block group (groups of equal m read the block they
+    share, through ops.cache.block), then the mean."""
     tor, pol, mean = ops.blocks
-    for g in range(len(ops.layout.groups)):
-        yield tor[g]
-        yield pol[g]
+    for rows in ops.layout.groups.values():
+        b = ops.cache.block[rows.start]
+        yield tor[b]
+        yield pol[b]
     yield mean[0]
 
 
@@ -81,9 +83,10 @@ def block_groups(ops, f):
     and potential, then the mean: a per-group traversal that does not go
     through OperatorSet.row_stacks."""
     tor, pol, mean = ops.blocks
-    for g, rows in enumerate(layout_for(f.resolution).groups.values()):
-        yield tor[g], f.psi[rows], 2.0
-        yield pol[g], f.phi[rows], 2.0
+    for rows in layout_for(f.resolution).groups.values():
+        b = ops.cache.block[rows.start]
+        yield tor[b], f.psi[rows], 2.0
+        yield pol[b], f.phi[rows], 2.0
     yield mean[0], f.mean, 1.0
 
 
@@ -101,8 +104,8 @@ def pair_forms(ops, k1, k2):
     the stacks for a stored one, assembled on their own otherwise."""
     key = (abs(k1), abs(k2))
     if key in ops.layout.groups:
-        g = ops.layout.block[ops.layout.groups[key].start]
-        return ops.blocks[0][g], ops.blocks[1][g]
+        b = ops.cache.block[ops.layout.groups[key].start]
+        return ops.blocks[0][b], ops.blocks[1][b]
     m, W_tor, W_pol = pair_bases(ops.cache, k1, k2)
     m = np.array([m])
     return (toroidal_forms(ops.params, ops.cache, m, W_tor[None])[0],

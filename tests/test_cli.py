@@ -184,6 +184,8 @@ u0.amplitude = 1e4
     wd = json.loads((out / "watchdog.json").read_text())
     assert wd["reason"] == "h4_growth" and wd["time"] == pytest.approx(0.06)
     assert not (out / "probe.json").exists()
+    # two full steps of three trajectories, then the base step that fired
+    assert json.loads((out / "manifest.json").read_text())["timings"]["steps"] == 7
     assert len((out / "probe.csv").read_text().strip().splitlines()) == 1 + 3
     assert json.loads((out / "manifest.json").read_text())["exit_code"] == 4
 

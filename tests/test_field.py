@@ -273,14 +273,19 @@ def test_mismatched_cache_rejected(geo, geo_odd, res_small):
 @pytest.mark.parametrize("N1, N2", [(16, 16), (8, 12), (12, 8), (2, 4)])
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
 def test_layout_block_numbers_the_basis_stacks(request, geometry, N1, N2):
-    """ModeLayout.block is the block numbering: block g of the stacks is
-    group g, so every row of a group reads its block's m = |eta(k)|^2."""
+    """BasisCache.block numbers the stacks of the layout's rows: every row
+    of a block group reads one block, whose m = |eta(k)|^2 is the row's
+    own; blocks are the distinct m in order of first appearance among the
+    groups, so where no m repeats block u is group u."""
     g = request.getfixturevalue(geometry)
     cache = BasisCache(g, Resolution(N1=N1, N2=N2, P=8))
     lay = cache.layout
     assert lay is layout_for(cache.resolution)
     e1, e2 = cache.wavenumber(lay.k[:, 0], lay.k[:, 1])
-    assert np.array_equal(cache.m[lay.block], e1 * e1 + e2 * e2)
-    assert len(cache.m) == len(lay.groups)
-    for block, rows in enumerate(lay.groups.values()):
-        assert np.all(lay.block[rows] == block)
+    assert np.array_equal(cache.m[cache.block], e1 * e1 + e2 * e2)
+    assert cache.block.shape == (len(lay.reps),)
+    firsts = [int(cache.block[rows.start]) for rows in lay.groups.values()]
+    for block, rows in zip(firsts, lay.groups.values()):
+        assert np.all(cache.block[rows] == block)
+    assert list(dict.fromkeys(firsts)) == list(range(len(cache.m)))
+    assert len(cache.m) == len(set((e1 * e1 + e2 * e2).tolist()))

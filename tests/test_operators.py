@@ -6,7 +6,7 @@ import pytest
 from nsab.basis import BasisCache, gauss_legendre
 from nsab.field import layout_for, potentials_to_velocity, \
     random_field, zero_field
-from nsab.operators import OperatorSet
+from nsab.operators import FORMS, OperatorSet, poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
 from conftest import (a_form_oracle, apply_form, block_groups, grad_omega_sq_oracle,
@@ -365,11 +365,13 @@ def test_stacked_assembly_matches_per_block_reference(request, geometry, res):
     ops = OperatorSet(par, g, res)
     checked = 0
     (tor, pol, mean), c = ops.blocks, ops.cache
-    for g, key in enumerate(list(layout_for(res).groups) + [(0, 0)]):
+    groups = layout_for(res).groups
+    for key in list(groups) + [(0, 0)]:
         forms, bases = reference_forms(par, c, *key)
+        b = c.block[groups[key].start] if key != (0, 0) else None
         blocks, Ws = (({"mean": mean[0]}, {"mean": c.mean_W}) if key == (0, 0) else
-                      ({"toroidal": tor[g], "poloidal": pol[g]},
-                       {"toroidal": c.W_tor[g], "poloidal": c.W_pol[g]}))
+                      ({"toroidal": tor[b], "poloidal": pol[b]},
+                       {"toroidal": c.W_tor[b], "poloidal": c.W_pol[b]}))
         for name, ref in forms.items():
             for form, want in ref.items():
                 got = getattr(blocks[name], form)
@@ -394,3 +396,33 @@ def test_toroidal_basis_scales_as_inverse_sqrt_m(request, geometry, res):
     want = W0 / np.sqrt(g.area * cache.m)[:, None, None]
     assert cache.W_tor.shape == want.shape
     assert np.abs(cache.W_tor - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N1, N2", [(16, 16), (8, 12), (2, 4)])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_one_block_per_distinct_m(request, geometry, N1, N2):
+    """Block groups of bitwise-equal m = |eta|^2 share one block: fewer
+    blocks than groups on the square box, where (a, b) and (b, a) meet
+    (2x4 has one group only), one per group on geo_odd.  Each group's
+    bases and forms are bitwise those built for its m alone."""
+    g = request.getfixturevalue(geometry)
+    par = derive_params(0.2, 0.1, 0.5, 0.05)
+    ops = OperatorSet(par, g, Resolution(N1=N1, N2=N2, P=10))
+    c, groups = ops.cache, ops.layout.groups
+    U, G = len(c.m), len(groups)
+    assert U < G if geometry == "geo" and N1 > 2 else U == G
+    for r, (k1, k2) in enumerate(ops.layout.k):
+        e1, e2 = c.wavenumber(k1, k2)
+        assert c.m[c.block[r]] == e1 * e1 + e2 * e2
+    for (k1, k2), rows in groups.items():
+        e1, e2 = c.wavenumber(k1, k2)
+        m = np.array([e1 * e1 + e2 * e2])
+        W_tor, W_pol = c.bases(m)
+        b = c.block[rows.start]
+        assert np.array_equal(c.W_tor[b], W_tor[0])
+        assert np.array_equal(c.W_pol[b], W_pol[0])
+        for got, want in ((ops.blocks[0][b], toroidal_forms(par, c, m, W_tor)[0]),
+                          (ops.blocks[1][b], poloidal_forms(par, c, m, W_pol)[0])):
+            for form in FORMS:
+                assert np.array_equal(getattr(got, form), getattr(want, form)), \
+                    ((k1, k2), got.name, form)

@@ -38,8 +38,9 @@ def test_eigenpairs_match_per_block_loop(request, geometry, res_small):
     tor, pol, mean = ops.blocks
     # the mean's rows: its two components
     groups = list(ops.layout.groups.items()) + [((0, 0), slice(0, 1))]
-    for g, (key, rows) in enumerate(groups):
-        for blk in ((tor[g], pol[g]) if key != (0, 0) else (mean[0],)):
+    for key, rows in groups:
+        b = ops.cache.block[rows.start]
+        for blk in ((tor[b], pol[b]) if key != (0, 0) else (mean[0],)):
             lam, V = np.linalg.eigh(blk.K_a)
             for i, lv in enumerate(lam):
                 res = np.linalg.norm(blk.K_a @ V[:, i] - lv * V[:, i]) / (
