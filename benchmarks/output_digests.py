@@ -1,0 +1,119 @@
+"""sha256 digests of the data files of a fixed set of nsab runs.
+
+Runs each config of a set in a fresh process (one BLAS thread) in a
+temporary directory and prints, per run, its exit code and one sha256 per
+data file it wrote (``manifest.json``, which holds timings and a timestamp,
+excluded).  Two checkouts that print the same lines wrote byte-identical
+outputs, so a change meant to keep the arithmetic is checked by diffing
+the output of this script on the parent and on the change:
+
+    python benchmarks/output_digests.py > change.txt
+    python benchmarks/output_digests.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+The ``full`` set (default) holds the 12 stationary-n16 benchmark operations
+(manufactured and random-forcing solves and ``eigs`` at N16, P 24-48), a
+solve and an ``eigs`` on an odd geometry, ``convergence``, ``verify-adn`` at
+two gamma, and short ``evolve``, ``probe-uniqueness`` and ``sweep`` runs.
+The ``small`` set keeps one of each kind at the smallest sizes.  Digests
+depend on the BLAS library and the CPU, so compare runs on one machine.
+Exits 1 when a run's exit code is not the expected one (the P48 solves
+exit 3: their spurious kernel is a known open defect).
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MODEL = ("model.alpha = 0.2", "model.beta = 0.1", "model.gamma = -1.0",
+         "model.ell = 0.01")
+ODD = ("geometry.L2 = 1.7", "geometry.H = 1.3")
+
+
+def _res(n1, n2, p):
+    return (f"resolution.N1 = {n1}", f"resolution.N2 = {n2}", f"resolution.P = {p}")
+
+
+def _stationary(P):
+    res = _res(16, 16, P)
+    code = 3 if P == 48 else 0
+    return [(f"solve-manufactured-p{P}", "solve", res + ("forcing.id = manufactured",), code),
+            (f"solve-random-p{P}", "solve",
+             res + ("forcing.id = random_solenoidal", "forcing.seed = 11"), code),
+            (f"eigs-p{P}", "eigs", res + ("eigs.count = 20",), 0)]
+
+
+def _trajectory(n1, n2, p, scheme, T):
+    return _res(n1, n2, p) + (f"scheme.name = {scheme}", "time.dt = 0.02",
+                              f"time.T = {T}", "u0.amplitude = 0.2", "u0.seed = 3")
+
+
+#: (name, subcommand, config lines on top of MODEL, expected exit code)
+SMALL = [
+    *_stationary(24),
+    ("solve-odd", "solve", ODD + _res(6, 8, 16) + ("forcing.seed = 5",), 0),
+    ("convergence", "convergence", _res(8, 8, 12) + ("convergence.p_values = 12,16,20",), 0),
+    ("verify-adn", "verify-adn", ("covering.n_circle = 8", "covering.n_magnitude = 4"), 0),
+    ("evolve-odd-cnab2", "evolve", ODD + _trajectory(8, 12, 16, "cnab2", 0.1), 0),
+    ("probe", "probe-uniqueness", _trajectory(8, 8, 16, "cnab2", 0.1) + ("probe.seed = 4",), 0),
+    ("sweep", "sweep", _trajectory(4, 4, 12, "euler", 0.1) + ("sweep.levels = 3",), 0),
+]
+FULL = SMALL + [
+    *_stationary(32), *_stationary(40), *_stationary(48),
+    ("eigs-odd-gamma1", "eigs", ODD + _res(8, 6, 16) + (
+        "model.gamma = 1.0", "model.ell = 0.05", "eigs.count = 12"), 0),
+    ("verify-adn-gamma0.5", "verify-adn", (
+        "model.gamma = 0.5", "covering.n_circle = 8", "covering.n_magnitude = 4"), 0),
+    ("evolve-n16p32", "evolve", _trajectory(16, 16, 32, "euler", 0.2) + (
+        "output.cadence = 5",), 0),
+]
+SETS = {"small": SMALL, "full": FULL}
+
+
+def config_text(lines):
+    # a later line of MODEL's keys overrides it, so drop the earlier one
+    keys = {ln.partition("=")[0].strip() for ln in lines}
+    base = [ln for ln in MODEL if ln.partition("=")[0].strip() not in keys]
+    return "\n".join([*base, *lines]) + "\n"
+
+
+def run_one(src, name, kind, lines, work):
+    """Exit code and {file: sha256} of one nsab run in a fresh process."""
+    cfg, out = work / f"{name}.cfg", work / name
+    cfg.write_text(config_text(lines))
+    env = dict(os.environ, PYTHONPATH=str(src), **dict.fromkeys(THREADS, "1"))
+    proc = subprocess.run([sys.executable, "-m", "nsab.cli", kind, "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+    return proc.returncode, digests
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--set", choices=SETS, default="full")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the source tree to run (default: this checkout's src)")
+    args = ap.parse_args(argv)
+    unexpected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kind, lines, expected in SETS[args.set]:
+            code, digests = run_one(args.src.resolve(), name, kind, lines, Path(tmp))
+            print(f"{name}: {kind} exit {code}", flush=True)
+            for fname, digest in digests.items():
+                print(f"  {digest}  {name}/{fname}", flush=True)
+            if code != expected:
+                unexpected.append(f"{name} exited {code}, expected {expected}")
+    for line in unexpected:
+        print(f"output_digests: {line}", file=sys.stderr)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -251,18 +251,21 @@ def check_ellipticity(system):
 # decaying half-space solutions
 # ---------------------------------------------------------------------------
 
-def _expjet(coeffs, lam, order):
-    """Jet of e^{-lam t} * poly(t) at t = 0 through the given order.
+def _expderiv(poly, lam):
+    """t-polynomial q with d/dt (e^{-lam t} poly(t)) = e^{-lam t} q(t).
 
     Works for float/complex and for GaussQ/Fraction scalars alike.
     """
-    poly = list(coeffs)
-    jets = []
+    dpoly = [(i + 1) * c for i, c in enumerate(poly[1:])] + [0 * lam]
+    return [d - lam * p for d, p in zip(dpoly, poly)]
+
+
+def _expjet(coeffs, lam, order):
+    """Jet of e^{-lam t} * poly(t) at t = 0 through the given order."""
+    poly, jets = list(coeffs), []
     for _ in range(order + 1):
         jets.append(poly[0] if poly else 0 * lam)
-        dpoly = [(i + 1) * poly[i + 1] for i in range(len(poly) - 1)]
-        poly = [d - lam * p for d, p in
-                zip(dpoly + [0 * lam] * (len(poly) - len(dpoly)), poly)]
+        poly = _expderiv(poly, lam)
     return jets
 
 
@@ -270,13 +273,8 @@ def _expeval(coeffs, lam, t, order=0):
     """Value of the order-th t-derivative of e^{-lam t} poly(t) at real t."""
     poly = list(coeffs)
     for _ in range(order):
-        dpoly = [(i + 1) * poly[i + 1] for i in range(len(poly) - 1)]
-        poly = [d - lam * p for d, p in
-                zip(dpoly + [0.0] * (len(poly) - len(dpoly)), poly)]
-    acc = 0.0j
-    for i, c in enumerate(poly):
-        acc += c * t**i
-    return acc * np.exp(-lam * t)
+        poly = _expderiv(poly, lam)
+    return sum((c * t**i for i, c in enumerate(poly)), 0.0j) * np.exp(-lam * t)
 
 
 def _particular_polys(eta1, eta2, lam, variant, one=1.0, imag=1j):
@@ -293,6 +291,19 @@ def _particular_polys(eta1, eta2, lam, variant, one=1.0, imag=1j):
     else:
         raise ValueError(f"unknown particular-solution variant {variant!r}")
     return [p1, p2, p3]
+
+
+def _completion(eta1, eta2, lam, imag, a1, a2, b1, b2):
+    """A family member's (a, b), with a3 and b3 from the divergence
+    constraints b3 = i(eta.b)/|eta| and a3 = (i(eta.a) + b3)/|eta|."""
+    b3 = imag * (eta1 * b1 + eta2 * b2) / lam
+    return [a1, a2, (imag * (eta1 * a1 + eta2 * a2) + b3) / lam], [b1, b2, b3]
+
+
+def _member_polys(a, b, a0, part):
+    """Per-component t-polynomials multiplying e^{-|eta| t}."""
+    return [[a[j] + a0 * part[j][0], b[j] + a0 * part[j][1], a0 * part[j][2]]
+            for j in range(3)]
 
 
 @dataclass
@@ -312,9 +323,7 @@ class DecayingSolutionFamily:
     def component_polys(self):
         """Per-component t-polynomials multiplying e^{-|eta| t}."""
         part = _particular_polys(self.eta[0], self.eta[1], self.lam, self.variant)
-        return [[self.a[j] + self.a0 * part[j][0],
-                 self.b[j] + self.a0 * part[j][1],
-                 self.a0 * part[j][2]] for j in range(3)]
+        return _member_polys(self.a, self.b, self.a0, part)
 
     def u_jet(self, order):
         polys = self.component_polys()
@@ -346,16 +355,14 @@ class DecayingSolutionFamily:
 
 def closed_form_family(eta, a1=0.0, a2=0.0, b1=0.0, b2=0.0, a0=0.0,
                        variant=DIVERGENCE_FREE):
-    """Member of the decaying family: completes a3, b3 from the divergence
-    constraints b3 = i(eta.b)/|eta| and a3 = (i(eta.a) + b3)/|eta|."""
+    """Member of the decaying family, a3 and b3 completed by
+    :func:`_completion`."""
     e1, e2 = float(eta[0]), float(eta[1])
     lam = np.hypot(e1, e2)
     if lam == 0.0:
         raise ValueError("eta must be nonzero")
-    b3 = 1j * (e1 * b1 + e2 * b2) / lam
-    a3 = (1j * (e1 * a1 + e2 * a2) + b3) / lam
-    return DecayingSolutionFamily((e1, e2), np.array([a1, a2, a3], complex),
-                                  np.array([b1, b2, b3], complex),
+    a, b = _completion(e1, e2, lam, 1j, a1, a2, b1, b2)
+    return DecayingSolutionFamily((e1, e2), np.array(a, complex), np.array(b, complex),
                                   complex(a0), variant)
 
 
@@ -563,51 +570,22 @@ class EliminationRecord:
 
 
 def _exact_family_jets(eta, variant):
-    """Exact jets of the five family basis members (integer |eta| required)."""
+    """Exact jets of the five family basis members (integer |eta| required),
+    with the particular solution's polynomials."""
     e1, e2 = eta
     lam_int = _int_sqrt(e1 * e1 + e2 * e2)
     if lam_int is None:
         raise ValueError("exact elimination needs integer |eta|")
-    lam = GaussQ.of(lam_int)
-    one = GaussQ.of(1)
-    i = GaussQ.i()
+    lam, one, i = GaussQ.of(lam_int), GaussQ.of(1), GaussQ.i()
     E1, E2 = GaussQ.of(e1), GaussQ.of(e2)
     part = _particular_polys(E1, E2, lam, variant, one=one, imag=i)
     cols = []
     for k in range(5):
         free = [GaussQ.of(0)] * 5
         free[k] = one
-        a1, a2, b1, b2, a0 = free
-        b3 = i * (E1 * b1 + E2 * b2) / lam
-        a3 = (i * (E1 * a1 + E2 * a2) + b3) / lam
-        a = [a1, a2, a3]
-        b = [b1, b2, b3]
-        polys = [[a[j] + a0 * part[j][0], b[j] + a0 * part[j][1],
-                  a0 * part[j][2]] for j in range(3)]
-        jets = [_expjet(p, lam, 2) for p in polys]
-        cols.append(jets)
-    return cols, lam, i, E1, E2
-
-
-def _gauss_det(rows):
-    """Exact determinant by fraction division (GaussQ is a field)."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = GaussQ.of(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not rows[r][c].is_zero), None)
-        if piv is None:
-            return GaussQ.of(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = GaussQ.of(1) / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            for cc in range(c, n):
-                rows[r][cc] = rows[r][cc] - f * rows[c][cc]
-    return det
+        a, b = _completion(E1, E2, lam, i, *free[:4])
+        cols.append([_expjet(p, lam, 2) for p in _member_polys(a, b, free[4], part)])
+    return cols, part, lam, i, E1, E2
 
 
 def eliminate_boundary_system(eta, gamma=0, variant=MOMENTUM_ONLY):
@@ -620,16 +598,15 @@ def eliminate_boundary_system(eta, gamma=0, variant=MOMENTUM_ONLY):
     +-(2|eta| b_j + i eta_j b3) - whose invertibility forces b = 0, after
     which a3 = b3/|eta| = 0 and a0 = 0 follow.
     """
-    jets, lam, i, E1, E2 = _exact_family_jets(eta, variant)
+    jets, part, lam, i, E1, E2 = _exact_family_jets(eta, variant)
     g = GaussQ(Fraction(gamma))
     rows = [_boundary_rows(E1, E2, jets[k], g, imag=i) for k in range(5)]
     Bx = [[rows[k][r] for k in range(5)] for r in range(5)]  # 5x5, row-major
-    det5 = _gauss_det(Bx)
+    det5 = poly_determinant(Bx)
 
     # rows 0,1 must read a1 = 0 and a2 = 0 exactly
     assert Bx[0][0] == GaussQ.of(1) and all(Bx[0][j].is_zero for j in (1, 2, 3, 4))
     assert Bx[1][1] == GaussQ.of(1) and all(Bx[1][j].is_zero for j in (0, 2, 3, 4))
-    part = _particular_polys(E1, E2, lam, variant, one=GaussQ.of(1), imag=i)
     a3_over_a0 = -part[2][0]              # a3 = -a0 * vpart_3(0)
     a0_over_b3 = -(GaussQ.of(1)) / (lam * part[2][0])  # row 3: b3/|eta| + a0 vpart_3(0) = 0
 

@@ -156,6 +156,10 @@ def _initial_field(cfg, ops):
         return random_field(cfg.geometry, cfg.resolution, seed=cfg["u0.seed"],
                             amplitude=cfg["u0.amplitude"], decay=cfg["u0.decay"])
     if kind == "single_mode":
+        if not ops.layout.reps:
+            res = cfg.resolution
+            raise ConfigError(f"u0.id = single_mode needs a nonzero mode, and N1 = "
+                              f"{res.N1}, N2 = {res.N2} store none")
         f = zero_field(cfg.geometry, cfg.resolution)
         f.psi[ops.layout.row[ops.layout.reps[0]], 0] = cfg["u0.amplitude"]
         return f
@@ -167,8 +171,8 @@ def _initial_field(cfg, ops):
 # ---------------------------------------------------------------------------
 
 def _exp_verify_adn(cfg, out, operators, stage):
-    system = ns_alpha_beta_system(gamma=cfg.params.gamma)
-    ell_rep = check_ellipticity(system)
+    with stage("ellipticity"):
+        ell_rep = check_ellipticity(ns_alpha_beta_system(gamma=cfg.params.gamma))
     rng = np.random.default_rng(cfg["covering.seed"])
     etas = []
     for th in rng.uniform(0.0, 2 * np.pi, cfg["covering.n_circle"]):
@@ -177,35 +181,35 @@ def _exp_verify_adn(cfg, out, operators, stage):
         th = rng.uniform(0.0, 2 * np.pi)
         r = 10.0 ** rng.uniform(-3, 3)
         etas.append((r * np.cos(th), r * np.sin(th)))
-    covering = []
-    for eta in etas:
-        rep = check_covering(eta, gamma=cfg.params.gamma)
-        covering.append({"eta": list(rep.eta), "det_modulus": abs(rep.det),
-                         "kernel_dim": rep.kernel_dim, "pass": rep.passed})
-    angles = {}
-    for eta in etas[:8] + [(1.0, 0.0), (0.0, 1.0)]:
-        angles[f"{eta[0]:.6g},{eta[1]:.6g}"] = stable_subspace_angle(eta)
-    elim = eliminate_boundary_system((1, 0), variant=MOMENTUM_ONLY)
+    with stage("covering"):
+        reps = [check_covering(eta, gamma=cfg.params.gamma) for eta in etas]
+    covering = [{"eta": list(rep.eta), "det_modulus": abs(rep.det),
+                 "kernel_dim": rep.kernel_dim, "pass": rep.passed} for rep in reps]
+    with stage("angles"):
+        angles = {f"{eta[0]:.6g},{eta[1]:.6g}": stable_subspace_angle(eta)
+                  for eta in etas[:8] + [(1.0, 0.0), (0.0, 1.0)]}
+    with stage("elimination"):
+        elim = eliminate_boundary_system((1, 0), variant=MOMENTUM_ONLY)
     failed = [name for name, ok in (
         ("ellipticity", ell_rep.passed),
         ("covering", all(c["pass"] for c in covering)),
         ("stable subspace angles", max(angles.values()) <= 1e-8),
         ("classical elimination", elim.kernel_trivial)) if not ok]
-    all_pass = not failed
-    write_json(out / "report.json", {
-        "ellipticity": {"pass": ell_rep.passed, "method": ell_rep.method,
-                        "determinant": str(ell_rep.determinant),
-                        "sos_exponent": ell_rep.sos_exponent},
-        "covering": covering,
-        "subspace_angles": angles,
-        "classical_elimination": {
-            "a3_over_a0": str(elim.a3_over_a0),
-            "reduced_rows_classical": elim.reduced_rows_classical,
-            "b_forced_zero": elim.b_forced_zero,
-            "a_and_a0_forced_zero": elim.a_and_a0_forced_zero,
-            "kernel_trivial": elim.kernel_trivial},
-        "all_pass": all_pass,
-    })
+    with stage("write"):
+        write_json(out / "report.json", {
+            "ellipticity": {"pass": ell_rep.passed, "method": ell_rep.method,
+                            "determinant": str(ell_rep.determinant),
+                            "sos_exponent": ell_rep.sos_exponent},
+            "covering": covering,
+            "subspace_angles": angles,
+            "classical_elimination": {
+                "a3_over_a0": str(elim.a3_over_a0),
+                "reduced_rows_classical": elim.reduced_rows_classical,
+                "b_forced_zero": elim.b_forced_zero,
+                "a_and_a0_forced_zero": elim.a_and_a0_forced_zero,
+                "kernel_trivial": elim.kernel_trivial},
+            "all_pass": not failed,
+        })
     if failed:
         _fail(f"verify-adn check failed: {', '.join(failed)} (see report.json)")
         return EXIT_NUMERICAL
@@ -316,16 +320,18 @@ def _watchdog_exit(out, event):
 
 def _exp_sweep(cfg, out, operators, stage):
     ops = operators()
-    u0 = _initial_field(cfg, ops)
-    rows = vanishing_sweep(cfg.params, cfg.geometry, cfg.resolution, u0,
-                           cfg["sweep.levels"], cfg["time.T"], cfg["time.dt"],
-                           scheme=cfg["scheme.name"])
-    write_csv(out / "sweep.csv",
-              ["n", "alpha", "beta", "sup_l2", "int_h1_sq", "alpha_sup_grad",
-               "beta2_int_h2_sq", "watchdog"],
-              [(n, r.alpha, r.beta, r.sup_l2, r.int_h1_sq, r.alpha_sup_grad,
-                r.beta2_int_h2_sq, r.watchdog.reason if r.watchdog else "none")
-               for n, r in enumerate(rows)])
+    with stage("integrate"):
+        u0 = _initial_field(cfg, ops)
+        rows = vanishing_sweep(cfg.params, cfg.geometry, cfg.resolution, u0,
+                               cfg["sweep.levels"], cfg["time.T"], cfg["time.dt"],
+                               scheme=cfg["scheme.name"])
+    with stage("write"):
+        write_csv(out / "sweep.csv",
+                  ["n", "alpha", "beta", "sup_l2", "int_h1_sq", "alpha_sup_grad",
+                   "beta2_int_h2_sq", "watchdog"],
+                  [(n, r.alpha, r.beta, r.sup_l2, r.int_h1_sq, r.alpha_sup_grad,
+                    r.beta2_int_h2_sq, r.watchdog.reason if r.watchdog else "none")
+                   for n, r in enumerate(rows)])
     for n, r in enumerate(rows):
         if r.watchdog:
             _fail(f"sweep level {n} (alpha = {r.alpha!r}, beta = {r.beta!r}): "
@@ -372,21 +378,26 @@ def _exp_convergence(cfg, out, operators, stage):
         res = Resolution(cfg.resolution.N1, cfg.resolution.N2, P)
         ops = operators(res)
         case = default_case(cfg.geometry)
-        u, rep = solve_stationary(ops, case.rhs(ops, cfg.params))
-        press, prep = recover_pressure(u, case.forcing(ops), ops)
-        errs = case.errors(u, press, ops)
-        ref = case.errors(zero_field(cfg.geometry, res), None, ops)
-        # natural-condition recovery on a plain smooth solve (no correction)
-        f = random_field(cfg.geometry, res, seed=cfg["forcing.seed"],
-                         amplitude=1.0, decay=1.0)
-        uf, _ = solve_stationary(ops, forcing_from_field(f, ops).dual(ops))
-        bc = strong_bc_residual(uf, cfg.params, ops)
+        with stage("solve"):
+            u, rep = solve_stationary(ops, case.rhs(ops, cfg.params))
+            # natural-condition recovery on a plain smooth solve (no correction)
+            f = random_field(cfg.geometry, res, seed=cfg["forcing.seed"],
+                             amplitude=1.0, decay=1.0)
+            uf, _ = solve_stationary(ops, forcing_from_field(f, ops).dual(ops))
+        with stage("pressure"):
+            press, prep = recover_pressure(u, case.forcing(ops), ops)
+        with stage("errors"):
+            errs = case.errors(u, press, ops)
+            ref = case.errors(zero_field(cfg.geometry, res), None, ops)
+        with stage("bc_audit"):
+            bc = strong_bc_residual(uf, cfg.params, ops)
         rows.append((P, errs["H2"] / ref["H2"], errs["pressure_L2"],
                      prep.gradient_defect, prep.curl_residual,
                      bc.wall_eddy_res))
-    write_csv(out / "convergence.csv",
-              ["P", "h2_err_rel", "pressure_err", "gradient_defect",
-               "curl_residual", "wall_eddy_residual_plain"], rows)
+    with stage("write"):
+        write_csv(out / "convergence.csv",
+                  ["P", "h2_err_rel", "pressure_err", "gradient_defect",
+                   "curl_residual", "wall_eddy_residual_plain"], rows)
     return EXIT_OK
 
 

@@ -364,35 +364,20 @@ def vanishing_sweep(base_params, geometry, resolution, u0, levels, T, dt,
         par = derive_params(al, be, base_params.gamma, base_params.k * be**2)
         ops = OperatorSet(par, geometry, resolution, cache)
         result = run_evolution(ops, u0, dt, T, scheme=scheme, cadence=cadence)
-        sup_l2 = 0.0
-        int_h1 = 0.0
-        sup_grad = 0.0
-        prev_t = None
-        prev_h1 = None
+        # sup of L2 and grad, trapezoids of the H1 square and of the
+        # H2-proxy square L2^2 + grad^2 + a_uu (bilap^2 = a_uu - wall term
+        # is not recoverable from the reports: the conservative pieces)
+        sup_l2 = sup_grad = int_h1 = int_h2 = 0.0
+        prev = None
         for rep in result.reports:
-            l2 = np.sqrt(max(rep.H1**2 - rep.grad_sq, 0.0))
-            sup_l2 = max(sup_l2, l2)
+            l2sq = max(rep.H1**2 - rep.grad_sq, 0.0)
+            sup_l2 = max(sup_l2, np.sqrt(l2sq))
             sup_grad = max(sup_grad, np.sqrt(max(rep.grad_sq, 0.0)))
-            h1_sq = rep.H1**2
-            if prev_t is not None:
-                int_h1 += 0.5 * (rep.t - prev_t) * (prev_h1 + h1_sq)
-            prev_t, prev_h1 = rep.t, h1_sq
-        int_h2 = _h2_dissipation(ops, result, dt)
+            h1_sq, h2_sq = rep.H1**2, l2sq + rep.grad_sq + max(rep.a_uu, 0.0)
+            if prev is not None:
+                int_h1 += 0.5 * (rep.t - prev[0]) * (prev[1] + h1_sq)
+                int_h2 += 0.5 * (rep.t - prev[0]) * (prev[2] + h2_sq)
+            prev = (rep.t, h1_sq, h2_sq)
         rows.append(SweepRow(al, be, sup_l2, int_h1, al * sup_grad,
                              be**2 * int_h2, result.watchdog))
     return rows
-
-
-def _h2_dissipation(ops, result, dt):
-    # trapezoid of the H2-proxy square reconstructed from stored reports:
-    # ||u||_H2^2 ~ L2^2 + grad^2 + bilap^2; bilap^2 = a_uu - wall term is not
-    # recoverable from reports alone, so use the conservative assembled pieces
-    acc = 0.0
-    prev = None
-    for rep in result.reports:
-        l2sq = max(rep.H1**2 - rep.grad_sq, 0.0)
-        h2sq = l2sq + rep.grad_sq + max(rep.a_uu, 0.0)
-        if prev is not None:
-            acc += 0.5 * (rep.t - prev[0]) * (prev[1] + h2sq)
-        prev = (rep.t, h2sq)
-    return acc

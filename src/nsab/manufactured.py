@@ -25,7 +25,7 @@ import numpy as np
 from .basis import gauss_legendre, legendre_table, recombined_bases
 from .field import velocity
 from .params import ParameterError
-from .stationary import ModalForcing, wall_dual
+from .stationary import ModalForcing, wall_dual, wall_traction
 
 
 class TrigProfile:
@@ -117,31 +117,14 @@ class ManufacturedCase:
         return out
 
     def wall_defect_dual(self, ops, params):
-        """Wall functional absorbing the traction mismatch of u*."""
-        self.row(ops)  # the mode must be stored at this resolution
-        H = ops.geometry.H
+        """Wall functional absorbing the traction mismatch of u*: wall data
+        -n x r for u*'s traction defect r, (-r2, r1) at z = 0 and (r2, -r1)
+        at z = H."""
+        row = self.row(ops)
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
-        m = e1 * e1 + e2 * e2
-        zw = np.array([0.0, H])
-        t, p = self.mode_potentials(zw, 3)
-        Lp = p[2] - m * p[0]
-        DLp = p[3] - m * p[1]
-        w1 = 1j * e1 * t[1] - 1j * e2 * Lp
-        w2 = 1j * e2 * t[1] + 1j * e1 * Lp
-        w3 = m * t[0]
-        dw1 = 1j * e1 * t[2] - 1j * e2 * DLp
-        dw2 = 1j * e2 * t[2] + 1j * e1 * DLp
-        kk = params.k
-        gvals = []
-        for wall, sgn in ((0, -1.0), (1, +1.0)):
-            gn1 = sgn * (dw1[wall] + params.gamma * 1j * e1 * w3[wall])
-            gn2 = sgn * (dw2[wall] + params.gamma * 1j * e2 * w3[wall])
-            if sgn < 0:   # bottom, n = -e3: (n x v)_12 = (v2, -v1)
-                g = (kk * w2[wall] - gn2, -kk * w1[wall] + gn1)
-            else:         # top, n = +e3: (n x v)_12 = (-v2, v1)
-                g = (-kk * w2[wall] + gn2, kk * w1[wall] - gn1)
-            gvals.append(np.array(g))
-        return wall_dual(ops, {(self.k1, self.k2): tuple(gvals)})
+        t, p = self.mode_potentials(np.array([0.0, ops.geometry.H]), 3)
+        r1, r2 = wall_traction(e1, e2, e1 * e1 + e2 * e2, t, p, params.gamma, params.k)
+        return wall_dual(ops, row, np.array([-r2[0], r1[0]]), np.array([r2[1], -r1[1]]))
 
     def rhs(self, ops, params):
         return self.forcing(ops).dual(ops) + self.wall_defect_dual(ops, params)

@@ -259,11 +259,12 @@ class TriPoly:
 
 
 def poly_determinant(rows):
-    """Cofactor-expansion determinant of a square TriPoly matrix (n <= 6)."""
+    """Cofactor-expansion determinant of a square matrix (n <= 6) over any
+    ring with ``is_zero``: TriPoly or GaussQ entries."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    det = TriPoly.zero()
+    det = rows[0][0] * 0
     for j in range(n):
         if rows[0][j].is_zero:
             continue

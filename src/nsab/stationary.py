@@ -123,33 +123,19 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
 # wall functionals (natural-condition data)
 # ---------------------------------------------------------------------------
 
-def wall_dual(ops, wall_values):
-    """Dual vector of phi -> sum_walls g . conj(d_n phi).
-
-    wall_values maps representative wavenumbers (k1, k2) to a pair of
-    tangential 2-vectors (g_bottom, g_top); the key (0, 0) holds real mean
-    data.
-    """
+def wall_dual(ops, row, gb, gt):
+    """Dual vector of phi -> sum_walls g . conj(d_n phi) on one stored row,
+    with tangential 2-vectors gb at z = 0 and gt at z = H."""
     out = zero_field(ops.geometry, ops.resolution)
-    area, cache = ops.geometry.area, ops.cache
-    for (k1, k2), (gb, gt) in wall_values.items():
-        if (k1, k2) == (0, 0):
-            t1 = cache.mean_tr[1]
-            for c in range(2):
-                out.mean[c] = area * np.real(-gb[c] * t1[0] + gt[c] * t1[1])
-            continue
-        row = ops.layout.row[(k1, k2)]
-        g = cache.block[row]
-        e1, e2 = cache.wavenumber(k1, k2)
-        ttr = cache.raw_T_tr[1] @ cache.W_tor[g]  # first-derivative traces, rows (z=0, z=H)
-        ptr = cache.raw_C_tr[2] @ cache.W_pol[g]  # second-derivative traces
-        # d_n phi at bottom = -(i e2 T', -i e1 T', 0) tor / -(i e1 C'', i e2 C'', .) pol
-        tor = area * ((gb[0] * 1j * e2 - gb[1] * 1j * e1) * ttr[0]
-                      + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1])
-        pol = area * ((gb[0] * 1j * e1 + gb[1] * 1j * e2) * ptr[0]
-                      + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1])
-        out.psi[row] = tor
-        out.phi[row] = pol
+    area, cache, b = ops.geometry.area, ops.cache, ops.cache.block[row]
+    e1, e2 = cache.wavenumber(*ops.layout.k[row])
+    ttr = cache.raw_T_tr[1] @ cache.W_tor[b]  # first-derivative traces, rows (z=0, z=H)
+    ptr = cache.raw_C_tr[2] @ cache.W_pol[b]  # second-derivative traces
+    # d_n phi at bottom = -(i e2 T', -i e1 T', 0) tor / -(i e1 C'', i e2 C'', .) pol
+    out.psi[row] = area * ((gb[0] * 1j * e2 - gb[1] * 1j * e1) * ttr[0]
+                           + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1])
+    out.phi[row] = area * ((gb[0] * 1j * e1 + gb[1] * 1j * e2) * ptr[0]
+                           + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1])
     return out
 
 
@@ -163,34 +149,46 @@ class BCResidual:
     wall_eddy_res: float
 
 
+_SGN = np.array([-1.0, 1.0])  # outward normal -e3 at z = 0, +e3 at z = H
+
+
+def wall_traction(e1, e2, m, t, p, gamma, k):
+    """Tangential traction defect r_j = (G n)_j - k w_j, j = 1, 2, at both walls.
+
+    t and p hold the z-derivatives 0..3 of the toroidal and poloidal
+    potentials at the walls (z = 0, z = H) on their last axis; w = curl u
+    and G = grad w + gamma (grad w)^T.  With the outward normal sgn e3,
+    sgn = ``_SGN``, (G n)_j = sgn (d_z w_j + gamma i eta_j w3).
+    """
+    Lp, DLp = p[2] - m * p[0], p[3] - m * p[1]
+    w1 = 1j * e1 * t[1] - 1j * e2 * Lp
+    w2 = 1j * e2 * t[1] + 1j * e1 * Lp
+    w3 = m * t[0]
+    r1 = _SGN * (1j * e1 * t[2] - 1j * e2 * DLp + gamma * 1j * e1 * w3) - k * w1
+    r2 = _SGN * (1j * e2 * t[2] + 1j * e1 * DLp + gamma * 1j * e2 * w3) - k * w2
+    return r1, r2
+
+
 def strong_bc_residual(u, params, ops):
     """Wall traces of the solution: no-slip and tangential traction defect.
 
     The Dirichlet trace is structurally zero (essential basis); the
-    traction residual (1 - n x n)(grad w + gamma (grad w)^T) n - k w,
-    evaluated from the potential traces, measures how well the natural
-    condition is recovered and decays under refinement.
+    traction residual (:func:`wall_traction`), evaluated from the potential
+    traces, measures how well the natural condition is recovered and
+    decays under refinement.
     """
     area, kk, cache, lay = ops.geometry.area, params.k, ops.cache, ops.layout
     m, W_tor, W_pol = cache.row_bases
     e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
-    sgn = np.array([-1.0, 1.0])  # outward normal -e3 at z = 0, +e3 at z = H
     # wall traces, (rows, 2 walls) each
     ct, cp = rowmul(W_tor, u.psi), rowmul(W_pol, u.phi)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
     pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
     uw = velocity(e1, e2, m, tt[0], pt[1], pt[0])
-    # omega and d_z omega tangential components at the walls
-    Lp, DLp = pt[2] - m * pt[0], pt[3] - m * pt[1]
-    w1 = 1j * e1 * tt[1] - 1j * e2 * Lp
-    w2 = 1j * e2 * tt[1] + 1j * e1 * Lp
-    w3 = m * tt[0]
-    # (Gn)_j = sgn * (d_z w_j + gamma * i eta_j w3), j = 1, 2
-    r1 = sgn * (1j * e1 * tt[2] - 1j * e2 * DLp + params.gamma * 1j * e1 * w3) - kk * w1
-    r2 = sgn * (1j * e2 * tt[2] + 1j * e1 * DLp + params.gamma * 1j * e2 * w3) - kk * w2
+    r1, r2 = wall_traction(e1, e2, m, tt, pt, params.gamma, kk)
     # mean flow (U1, U2, 0): omega = (-U2', U1', 0); traces (2 walls, 2 comps)
     t = [cache.mean_tr[d] @ u.mean.T for d in range(3)]
-    r0 = sgn[:, None] * t[2] - kk * t[1]  # the mean residual up to signs
+    r0 = _SGN[:, None] * t[2] - kk * t[1]  # the mean residual up to signs
     dir_sq = area * (2.0 * float(np.sum(np.abs(uw) ** 2)) + float(np.sum(t[0] ** 2)))
     we_sq = area * (2.0 * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2))
                     + float(np.sum(r0 ** 2)))

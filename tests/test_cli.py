@@ -288,6 +288,9 @@ def _config_with(overrides):
                  False, id="convergence-N-2"),
     pytest.param("solve", {"resolution.N1": "2", "forcing.id": "manufactured"},
                  False, id="solve-manufactured-N1-2"),
+    # no nonzero mode is stored at N1 = N2 = 2 for u0.id = single_mode
+    pytest.param("evolve", {"resolution.N1": "2", "resolution.N2": "2",
+                            "u0.id": "single_mode"}, False, id="single-mode-N-2"),
     # found by tests/test_config_fuzz.py
     pytest.param("evolve", {"u0.seed": "-1"}, False, id="seed-negative"),
     pytest.param("evolve", {"model.beta": "1e-300"}, False, id="beta-squared-underflows"),
@@ -371,6 +374,9 @@ def test_usage_error_exits_2_in_one_line(cfgfile, tmp_path, args):
     ("eigs", {"setup", "eigenpairs", "garding", "write"}),
     ("evolve", {"setup", "integrate", "write"}),
     ("probe-uniqueness", {"setup", "integrate", "write"}),
+    ("verify-adn", {"ellipticity", "covering", "angles", "elimination", "write"}),
+    ("convergence", {"setup", "solve", "pressure", "errors", "bc_audit", "write"}),
+    ("sweep", {"setup", "integrate", "write"}),
 ])
 def test_manifest_records_stage_times(tmp_path, kind, stages):
     cfg = tmp_path / "run.cfg"
@@ -382,7 +388,8 @@ def test_manifest_records_stage_times(tmp_path, kind, stages):
     assert set(timings["stages"]) == stages
     assert all(st["calls"] >= 1 and st["s"] >= 0.0 for st in timings["stages"].values())
     assert sum(st["s"] for st in timings["stages"].values()) <= timings["total_s"]
-    assert timings["setup_s"] == timings["stages"]["setup"]["s"]
+    # verify-adn builds no operator set, so it has no setup stage
+    assert timings["setup_s"] == timings["stages"].get("setup", {"s": 0.0})["s"]
     assert man["cpu_count"] == os.cpu_count()
     assert man["libraries"]["numpy"] == np.__version__
     assert set(man["libraries"]) == {"numpy", "scipy"}

@@ -8,7 +8,8 @@ from nsab.field import random_field, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import (ConsistencyError, forcing_from_field,
-                             recover_pressure, solve_stationary, strong_bc_residual)
+                             recover_pressure, solve_stationary, strong_bc_residual,
+                             wall_traction)
 from nsab.manufactured import TrigProfile, default_case
 
 from conftest import (block_groups, gradient_forcing, params_with_k,
@@ -118,6 +119,42 @@ def test_manufactured_case_rejects_modes_without_a_row(ops, k1, k2, match):
                                     None, ops)):
         with pytest.raises(ValueError, match=match):
             use()
+
+
+def test_wall_traction_against_sympy():
+    """wall_traction is the tangential part of (grad w + gamma (grad w)^T) n
+    - k w, w = curl u, for one Fourier mode of u = curl(psi e3) +
+    curl curl(phi e3), with n = -e3 at z = 0 and +e3 at z = H."""
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z", real=True)
+    I, Rat = sympy.I, sympy.Rational
+    e1, e2, H, gamma, k = Rat(2), Rat(-3, 2), Rat(13, 10), Rat(-7, 10), Rat(19, 10)
+    psi_hat = (1 + 2 * I) + (Rat(1, 2) - I) * z + 3 * z**2 - (2 + I) * z**3
+    phi_hat = (Rat(-1, 3) + I) + 2 * z - (1 - 3 * I) * z**2 + Rat(5, 4) * z**3 + z**4
+    mode = sympy.exp(I * (e1 * x + e2 * y))
+    X = (x, y, z)
+
+    def curl(v):
+        return [sympy.diff(v[2], y) - sympy.diff(v[1], z),
+                sympy.diff(v[0], z) - sympy.diff(v[2], x),
+                sympy.diff(v[1], x) - sympy.diff(v[0], y)]
+
+    u = [a + b for a, b in zip(curl([0, 0, psi_hat * mode]),
+                               curl(curl([0, 0, phi_hat * mode])))]
+    w = curl(u)
+    t_jets = [[complex(sympy.diff(psi_hat, z, d).subs(z, zw)) for zw in (0, H)]
+             for d in range(4)]
+    p_jets = [[complex(sympy.diff(phi_hat, z, d).subs(z, zw)) for zw in (0, H)]
+             for d in range(4)]
+    m = float(e1**2 + e2**2)
+    r1, r2 = wall_traction(float(e1), float(e2), m, np.array(t_jets), np.array(p_jets),
+                           float(gamma), float(k))
+    for wall, (zw, sgn) in enumerate(((0, -1), (H, 1))):
+        for j, r in ((0, r1), (1, r2)):
+            # (G n)_j with n = sgn e3: sgn (d_3 w_j + gamma d_j w_3)
+            gn = sgn * (sympy.diff(w[j], z) + gamma * sympy.diff(w[2], X[j]))
+            ref = complex(sympy.simplify(((gn - k * w[j]) / mode).subs(z, zw)))
+            assert r[wall] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_manufactured_gamma_k_sweep(geo):
