@@ -1,14 +1,21 @@
-"""Set-up, integration time and peak memory of ``nsab evolve`` by size.
+"""Set-up, integration time, step rate and peak memory of ``nsab`` runs by size.
 
-Runs ``nsab evolve`` (Euler, dt 0.02, T 0.1: five steps) at N16/P32,
-N32/P48 and N64/P64 with one BLAS thread, each ``REPEATS`` times in a
-fresh process, and writes the medians of the manifest's ``setup`` and
-``integrate`` stage seconds and of ``peak_rss_mb`` to ``BENCH_setup.json``
-at the repository root.  The file holds no timestamps, so reruns on one
-machine differ only by timing noise.
+Runs each case ``REPEATS`` times in a fresh process with one BLAS thread and
+writes, per case, the medians of the manifest's ``setup`` and ``integrate``
+stage seconds, ``timings.steps_per_s`` and ``peak_rss_mb`` to a file at the
+repository root:
 
-    python benchmarks/bench_setup.py                  # all sizes, 3 runs each
-    python benchmarks/bench_setup.py --cases n16p32 --out /tmp/bench.json
+* ``BENCH_setup.json``: ``nsab evolve`` (Euler, dt 0.02, T 0.1: five steps)
+  at N16/P32, N32/P48 and N64/P64;
+* ``BENCH_probe.json``: ``nsab probe-uniqueness`` (cnab2, dt 0.02, T 0.5,
+  u0 amplitude 0.3: the config of the probe-n8p16 benchmark workload) at
+  N8/P16 and N16/P32, three trajectories per time step.
+
+The files hold no timestamps, so reruns on one machine differ only by
+timing noise.
+
+    python benchmarks/bench_setup.py                  # all cases, 3 runs each
+    python benchmarks/bench_setup.py --cases n16p32,probe-n8p16 --out-dir /tmp
 
 Exits 1 if any nsab run fails.  N64/P64 peaks near 1.2 GB.
 """
@@ -24,81 +31,93 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-#: case name -> (N, P); N1 = N2 = N on the default 2 pi x 2 pi x 1 box
-CASES = {"n16p32": (16, 32), "n32p48": (32, 48), "n64p64": (64, 64)}
 REPEATS = 3
-CONFIG = """model.alpha = 0.2
+MODEL = """model.alpha = 0.2
 model.beta = 0.1
 model.gamma = -1.0
 model.ell = 0.01
 resolution.N1 = {N}
 resolution.N2 = {N}
 resolution.P = {P}
-scheme.name = euler
-time.dt = 0.02
-time.T = 0.1
 u0.id = random
-u0.amplitude = 0.2
 u0.seed = 1
 """
+#: output file -> (subcommand, config lines on top of MODEL, description,
+#: case name -> (N, P)); N1 = N2 = N on the default 2 pi x 2 pi x 1 box
+BENCHES = {
+    "BENCH_setup.json": (
+        "evolve", "scheme.name = euler\ntime.dt = 0.02\ntime.T = 0.1\nu0.amplitude = 0.2\n",
+        "nsab evolve, Euler, dt 0.02, T 0.1, u0 amplitude 0.2, seed 1",
+        {"n16p32": (16, 32), "n32p48": (32, 48), "n64p64": (64, 64)}),
+    "BENCH_probe.json": (
+        "probe-uniqueness",
+        "scheme.name = cnab2\ntime.dt = 0.02\ntime.T = 0.5\nu0.amplitude = 0.3\nprobe.seed = 2\n",
+        "nsab probe-uniqueness, cnab2, dt 0.02, T 0.5, u0 amplitude 0.3, seeds 1 and 2",
+        {"probe-n8p16": (8, 16), "probe-n16p32": (16, 32)}),
+}
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_once(N, P, work):
-    """The manifest of one ``nsab evolve`` run in a fresh process."""
+def run_once(kind, config, work):
+    """The manifest of one ``nsab kind`` run in a fresh process."""
     cfg, out = work / "run.cfg", work / "out"
-    cfg.write_text(CONFIG.format(N=N, P=P))
+    cfg.write_text(config)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **dict.fromkeys(THREADS, "1"))
-    proc = subprocess.run([sys.executable, "-m", "nsab.cli", "evolve", "--config", str(cfg),
+    proc = subprocess.run([sys.executable, "-m", "nsab.cli", kind, "--config", str(cfg),
                            "--out", str(out)], env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"nsab evolve N{N}/P{P} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()}")
+        raise RuntimeError(f"nsab {kind} exited {proc.returncode}: {proc.stderr.strip()}")
     return json.loads((out / "manifest.json").read_text())
 
 
-def measure(N, P):
+def measure(kind, lines, N, P):
     runs = []
     for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as tmp:
-            runs.append(run_once(N, P, Path(tmp)))
-    stages = [r["timings"]["stages"] for r in runs]
+            runs.append(run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp)))
+    timings = [r["timings"] for r in runs]
     return {
         "N": N, "P": P, "repeats": REPEATS,
-        "setup_s": statistics.median(s["setup"]["s"] for s in stages),
-        "integrate_s": statistics.median(s["integrate"]["s"] for s in stages),
+        "setup_s": statistics.median(t["stages"]["setup"]["s"] for t in timings),
+        "integrate_s": statistics.median(t["stages"]["integrate"]["s"] for t in timings),
+        "steps_per_s": statistics.median(t["steps_per_s"] for t in timings),
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-        "steps": runs[0]["timings"]["steps"],
+        "steps": timings[0]["steps"],
     }, runs[0]["libraries"]
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--cases", default=",".join(CASES),
-                    help=f"comma-separated subset of {', '.join(CASES)}")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_setup.json")
+    every = [name for *_, cases in BENCHES.values() for name in cases]
+    ap.add_argument("--cases", default=",".join(every),
+                    help=f"comma-separated subset of {', '.join(every)}")
+    ap.add_argument("--out-dir", type=Path, default=ROOT,
+                    help="directory of the BENCH_*.json files written")
     args = ap.parse_args(argv)
     names = [c for c in args.cases.split(",") if c]
-    unknown = sorted(set(names) - set(CASES))
+    unknown = sorted(set(names) - set(every))
     if unknown:
         ap.error(f"unknown cases {unknown}")
-    results, libraries = {}, {}
-    try:
-        for name in names:
-            results[name], libraries = measure(*CASES[name])
-            print(name, json.dumps(results[name]), flush=True)
-    except RuntimeError as exc:
-        print(f"bench_setup: {exc}", file=sys.stderr)
-        return 1
-    report = {
-        "command": "nsab evolve, Euler, dt 0.02, T 0.1, u0 amplitude 0.2, seed 1",
-        "statistic": "median over repeats of fresh processes",
-        "blas_threads": 1,
-        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                    **libraries},
-        "cases": results,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    for fname, (kind, lines, command, cases) in BENCHES.items():
+        results, libraries = {}, {}
+        try:
+            for name in (n for n in names if n in cases):
+                results[name], libraries = measure(kind, lines, *cases[name])
+                print(name, json.dumps(results[name]), flush=True)
+        except RuntimeError as exc:
+            print(f"bench_setup: {exc}", file=sys.stderr)
+            return 1
+        if not results:
+            continue
+        report = {
+            "command": command,
+            "statistic": "median over repeats of fresh processes",
+            "blas_threads": 1,
+            "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                        **libraries},
+            "cases": results,
+        }
+        (args.out_dir / fname).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 

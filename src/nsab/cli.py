@@ -18,12 +18,14 @@ exit code), a run the experiment ends with exit 2 or 3 included.
 (``setup``, then e.g. ``solve``, ``pressure``, ``bc_audit``, ``errors``,
 ``write`` for ``solve``); the stages do not overlap, so they sum to at most
 ``total_s``.  ``timings.setup_s`` is the ``setup`` stage: building the
-experiment's operator sets (a sweep's per-level sets not included).
-``evolve`` and ``probe-uniqueness`` also record ``timings.steps``, the IMEX
-steps taken over all trajectories (three per time step for the probe's base
-run and two members), and ``timings.steps_per_s``, those steps per second
-of the ``integrate`` stage.  Data files carry no timestamps so reruns from
-the echoed config are byte-identical.
+experiment's operator sets, or the basis of ``sweep`` (which builds its
+per-level sets in ``integrate``).  ``evolve`` and ``probe-uniqueness`` also
+record ``timings.steps``, the IMEX steps taken over all trajectories (three
+per time step for the probe's base run and two members, stepped as one
+stacked state), and ``timings.steps_per_s``, those steps per second of the
+``integrate`` stage, where floating-point overflow prints no warning (the
+watchdog reports the non-finite field).  Data files carry no timestamps so
+reruns from the echoed config are byte-identical.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import numpy as np
 from . import __version__
 from .adn import (check_covering, check_ellipticity, eliminate_boundary_system,
                   ns_alpha_beta_system, stable_subspace_angle, MOMENTUM_ONLY)
+from .basis import BasisCache
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
 from .field import random_field, zero_field
@@ -148,7 +151,7 @@ def _library_versions():
     return versions
 
 
-def _initial_field(cfg, ops):
+def _initial_field(cfg, layout):
     kind = cfg["u0.id"]
     if kind == "zero":
         return zero_field(cfg.geometry, cfg.resolution)
@@ -156,12 +159,12 @@ def _initial_field(cfg, ops):
         return random_field(cfg.geometry, cfg.resolution, seed=cfg["u0.seed"],
                             amplitude=cfg["u0.amplitude"], decay=cfg["u0.decay"])
     if kind == "single_mode":
-        if not ops.layout.reps:
+        if not layout.reps:
             res = cfg.resolution
             raise ConfigError(f"u0.id = single_mode needs a nonzero mode, and N1 = "
                               f"{res.N1}, N2 = {res.N2} store none")
         f = zero_field(cfg.geometry, cfg.resolution)
-        f.psi[ops.layout.row[ops.layout.reps[0]], 0] = cfg["u0.amplitude"]
+        f.psi[layout.row[layout.reps[0]], 0] = cfg["u0.amplitude"]
         return f
     raise ConfigError(f"unknown u0.id {kind!r}")
 
@@ -293,8 +296,8 @@ _TS_HEADER = ["t", "E_Lambda", "a_uu", "grad_sq", "H1", "H3", "H5", "dE_balance"
 
 def _exp_evolve(cfg, out, operators, stage):
     ops = operators()
-    with stage("integrate"):
-        u0 = _initial_field(cfg, ops)
+    with stage("integrate"), np.errstate(over="ignore", invalid="ignore"):
+        u0 = _initial_field(cfg, ops.layout)
         inject = cfg["debug.inject_nan_step"] or None
         result = run_evolution(ops, u0, cfg["time.dt"], cfg["time.T"],
                                scheme=cfg["scheme.name"], cadence=cfg["output.cadence"],
@@ -319,12 +322,12 @@ def _watchdog_exit(out, event):
 
 
 def _exp_sweep(cfg, out, operators, stage):
-    ops = operators()
-    with stage("integrate"):
-        u0 = _initial_field(cfg, ops)
-        rows = vanishing_sweep(cfg.params, cfg.geometry, cfg.resolution, u0,
-                               cfg["sweep.levels"], cfg["time.T"], cfg["time.dt"],
-                               scheme=cfg["scheme.name"])
+    with stage("setup"):
+        cache = BasisCache(cfg.geometry, cfg.resolution)
+    with stage("integrate"), np.errstate(over="ignore", invalid="ignore"):
+        u0 = _initial_field(cfg, cache.layout)
+        rows = vanishing_sweep(cfg.params, cache, u0, cfg["sweep.levels"], cfg["time.T"],
+                               cfg["time.dt"], scheme=cfg["scheme.name"])
     with stage("write"):
         write_csv(out / "sweep.csv",
                   ["n", "alpha", "beta", "sup_l2", "int_h1_sq", "alpha_sup_grad",
@@ -343,8 +346,8 @@ def _exp_sweep(cfg, out, operators, stage):
 def _exp_probe(cfg, out, operators, stage):
     ops = operators()
     d1, d2 = cfg["probe.delta1"], cfg["probe.delta2"]
-    with stage("integrate"):
-        u0 = _initial_field(cfg, ops)
+    with stage("integrate"), np.errstate(over="ignore", invalid="ignore"):
+        u0 = _initial_field(cfg, ops.layout)
         pert = random_field(cfg.geometry, cfg.resolution, seed=cfg["probe.seed"],
                             amplitude=1.0, decay=cfg["u0.decay"])
         p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],

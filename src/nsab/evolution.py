@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisCache
 from .field import (SolenoidalField, layout_for, project_velocity, reconstruct, rowmul,
                     zero_field)
 from .operators import OperatorSet
@@ -83,17 +82,19 @@ def nonlinear_term(u, ops):
     Q >= (3P+1)/2 rule.  Returns dual coefficients (same container as
     fields) that own their arrays; the grid arrays in between are the
     padded grid's reused workspace (:class:`nsab.field.GridWorkspace`).
+    A stacked u gives the stacked duals, each member's bitwise equal to
+    its own call.
     """
     want = ("u", "curl_v")
-    work = layout_for(u.resolution).grid.workspace(want, u.resolution.Q)
+    work = layout_for(u.resolution).grid.workspace(want, u.resolution.Q, u.mean.shape[:-2])
     rec = reconstruct(u, ops.cache, want=want, alpha=ops.params.alpha, work=work)
-    w, v = rec["curl_v"], rec["u"]
-    prod, tmp = work.prod, work.scratch
+    w, v, prod = (np.moveaxis(a, -4, 0) for a in (rec["curl_v"], rec["u"], work.prod))
+    tmp = work.scratch
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(w[j], v[k], out=prod[i])
         np.multiply(w[k], v[j], out=tmp)
         np.subtract(prod[i], tmp, out=prod[i])
-    return project_velocity(prod, u.geometry, u.resolution, ops.cache, work)
+    return project_velocity(work.prod, u.geometry, u.resolution, ops.cache, work)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +223,14 @@ class EvolutionResult:
     steps: int = 0  # steps taken, fewer than T / dt when the watchdog fires
 
 
-def _watchdog_event(state, ceiling, snorm=None):
-    """The watchdog event of state, or None: non-finite coefficients, or
-    the fourth-order proxy A1 of snorm (its :meth:`a_scale_norms`, when
-    given) above ceiling."""
-    if not all(np.all(np.isfinite(c)) for c in state.field.potentials()):
-        return WatchdogEvent(state.time, "nan", np.inf, ceiling)
+def _watchdog_event(time, field, ceiling, snorm=None):
+    """The watchdog event of field at time, or None: non-finite
+    coefficients, or the fourth-order proxy A1 of snorm (its
+    :meth:`a_scale_norms`, when given) above ceiling."""
+    if not all(np.all(np.isfinite(c)) for c in field.potentials()):
+        return WatchdogEvent(time, "nan", np.inf, ceiling)
     if snorm is not None and snorm["A1"] > ceiling:
-        return WatchdogEvent(state.time, "h4_growth", snorm["A1"], ceiling)
+        return WatchdogEvent(time, "h4_growth", snorm["A1"], ceiling)
     return None
 
 
@@ -256,10 +257,10 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
         state, last = stepper.step(state), None
         if inject_nan_step is not None and n == inject_nan_step:
             state.field.psi[:] = np.nan
-        event = _watchdog_event(state, ceiling)
+        event = _watchdog_event(state.time, state.field, ceiling)
         if event is None:
             sn = ops.a_scale_norms(state.field)
-            event = _watchdog_event(state, ceiling, sn)
+            event = _watchdog_event(state.time, state.field, ceiling, sn)
             if event is not None or n % cadence == 0 or n == nsteps:
                 last = energy_report(ops, state, prev, dt, sn, prev_E)
                 reports.append(last)
@@ -292,18 +293,19 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
 
     perturbation is a unit-shape field; the member for delta starts from
     u0 + delta * perturbation and is compared with the base trajectory from
-    u0, which is integrated once and shared.  Each member equals a
-    single-delta run bit for bit; delta = 0 reproduces the base trajectory
-    (growth identically 1).  The watchdog of :func:`run_evolution` checks
-    the base run and the members' finite coefficients; when it fires the
-    probes end with the last step before it and carry the event.
+    u0, which is integrated once and shared: one stacked state holds the
+    base run (member 0) and the members.  Each member equals a single-delta
+    run bit for bit; delta = 0 reproduces the base trajectory (growth
+    identically 1).  The watchdog of :func:`run_evolution` checks the base
+    run, then the members' finite coefficients; when it fires the probes
+    end with the last step before it and carry the event.
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
-    base = EvolutionState(0.0, u0.copy(), None)
-    perts = [EvolutionState(0.0, u0 + d * perturbation, None) for d in deltas]
-    w0 = [_h1_norm(ops, p.field - base.field) if d != 0.0 else 1.0
-          for d, p in zip(deltas, perts)]
+    members = [u0] + [u0 + d * perturbation for d in deltas]
+    w0 = [_h1_norm(ops, p - u0) if d != 0.0 else 1.0 for d, p in zip(deltas, members[1:])]
+    state = EvolutionState(0.0, SolenoidalField(
+        u0.geometry, u0.resolution, *map(np.stack, zip(*(f.potentials() for f in members)))))
     if 0.0 in w0:
         raise ParameterError("a probe delta is too small to change u0 in floating point")
     times = [0.0]
@@ -314,21 +316,24 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     h3_prev = sn0["A_half"]
     acc, taken = 0.0, 0
     for n in range(nsteps):
-        base, taken = stepper.step(base), taken + 1
-        sn = ops.a_scale_norms(base.field)
-        event = _watchdog_event(base, ceiling, sn)
+        # the members are counted only for a step that passed the base's checks
+        state, taken = stepper.step(state), taken + 1
+        base = state.field[0]
+        sn = ops.a_scale_norms(base)
+        event = _watchdog_event(state.time, base, ceiling, sn)
         if event is None:
-            perts, taken = [stepper.step(p) for p in perts], taken + len(perts)
-            event = next(filter(None, (_watchdog_event(p, ceiling) for p in perts)), None)
+            taken += len(deltas)
+            event = next(filter(None, (_watchdog_event(state.time, state.field[j], ceiling)
+                                       for j in range(1, len(members)))), None)
         if event is not None:
             break
         h3_now = sn["A_half"]
         acc += 0.5 * dt * (h3_prev + h3_now)
         h3_prev = h3_now
-        times.append(base.time)
+        times.append(state.time)
         h3.append(acc)
         for j, d in enumerate(deltas):
-            wn = _h1_norm(ops, perts[j].field - base.field)
+            wn = _h1_norm(ops, state.field[j + 1] - base)
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)
     return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d, event, taken)
             for d, g in zip(deltas, growth)]
@@ -345,8 +350,7 @@ class SweepRow:
     watchdog: object = None
 
 
-def vanishing_sweep(base_params, geometry, resolution, u0, levels, T, dt,
-                    scheme="euler"):
+def vanishing_sweep(base_params, cache, u0, levels, T, dt, scheme="euler"):
     """Energy records along a sequence of halved regularization lengths.
 
     ell is scaled with beta^2 so the wall condition coefficient
@@ -356,13 +360,12 @@ def vanishing_sweep(base_params, geometry, resolution, u0, levels, T, dt,
     depend on the parameters, so one cache serves every level.
     """
     cadence = max(1, step_count(T, dt) // 50)
-    cache = BasisCache(geometry, resolution)
     rows = []
     for n in range(levels):
         al = base_params.alpha * 0.5**n
         be = base_params.beta * 0.5**n
         par = derive_params(al, be, base_params.gamma, base_params.k * be**2)
-        ops = OperatorSet(par, geometry, resolution, cache)
+        ops = OperatorSet(par, cache.geometry, cache.resolution, cache)
         result = run_evolution(ops, u0, dt, T, scheme=scheme, cadence=cadence)
         # sup of L2 and grad, trapezoids of the H1 square and of the
         # H2-proxy square L2^2 + grad^2 + a_uu (bilap^2 = a_uu - wall term

@@ -123,7 +123,8 @@ class PaddedGrid:
     coefficients of the stored modes.
 
     Both transforms write into a :class:`GridWorkspace` when given one
-    (:meth:`workspace`), into fresh arrays otherwise.
+    (:meth:`workspace`), into fresh arrays otherwise.  Leading member axes
+    of a stacked field stay batch axes of every gemm.
     """
 
     def __init__(self, k, N1, N2, shape):
@@ -148,49 +149,52 @@ class PaddedGrid:
         self.x_fwd = np.stack([cx.T, -sx.T], axis=1).reshape(2 * K1, M1) / M1
         self._work = {}
 
-    def workspace(self, want, Q):
-        """The :class:`GridWorkspace` of the quantities want at Q nodes,
-        built on first use and kept as long as the grid."""
-        key = (tuple(want), Q)
+    def workspace(self, want, Q, lead):
+        """The :class:`GridWorkspace` of the quantities want at Q nodes for
+        fields with leading member axes lead, built on first use and kept as
+        long as the grid."""
+        key = (tuple(want), Q, lead)
         if key not in self._work:
-            self._work[key] = GridWorkspace(self, want, Q)
+            self._work[key] = GridWorkspace(self, want, Q, lead)
         return self._work[key]
 
     def to_grid(self, profiles, work=None):
-        """Real (3 n, M1, M2, Q) samples of n (rows, mean) profile pairs,
-        complex (3, R, Q) rows and the real (3, Q) mean as
+        """Real (..., 3 n, M1, M2, Q) samples of n (rows, mean) profile
+        pairs, complex (..., 3, R, Q) rows and the real (..., 3, Q) mean as
         :func:`synthesize` returns them."""
         profiles = list(profiles)
-        B, Q = 3 * len(profiles), profiles[0][1].shape[-1]
+        *lead, _, Q = profiles[0][1].shape  # of a mean, (..., 3, Q)
+        B = 3 * len(profiles)
         (k1, j2), (zero, jp) = self.rows, self.partners
         # the writes below fill every slot of the box, so a reused one needs
         # no zeroing
-        box = np.empty((B,) + self.box + (Q,)) if work is None else work.box
-        for b, (rows, mean) in zip(np.split(box, len(profiles)), profiles):
-            b[:, k1, 0, j2] = rows.real
-            b[:, k1, 1, j2] = rows.imag
-            b[:, 0, 0, jp] = rows.real[:, zero]
-            b[:, 0, 1, jp] = -rows.imag[:, zero]
-            b[:, 0, 0, self.center] = mean
-            b[:, 0, 1, self.center] = 0.0  # the mean is real
-        K1 = self.box[0]
-        half = np.matmul(self.y_inv, box.reshape(B * K1, -1, Q), out=_slot(work, "half"))
-        grid = np.matmul(self.x_inv, half.reshape(B, 2 * K1, -1), out=_slot(work, "grid"))
-        return grid.reshape((B,) + self.shape + (Q,))
+        box = np.empty((*lead, B) + self.box + (Q,)) if work is None else work.box
+        for b, (rows, mean) in zip(np.split(box, len(profiles), axis=-5), profiles):
+            b[..., k1, 0, j2, :] = rows.real
+            b[..., k1, 1, j2, :] = rows.imag
+            b[..., 0, 0, jp, :] = rows.real[..., zero, :]
+            b[..., 0, 1, jp, :] = -rows.imag[..., zero, :]
+            b[..., 0, 0, self.center, :] = mean
+            b[..., 0, 1, self.center, :] = 0.0  # the mean is real
+        K1, n = self.box[0], math.prod(lead) * B
+        half = np.matmul(self.y_inv, box.reshape(n * K1, -1, Q), out=_slot(work, "half"))
+        grid = np.matmul(self.x_inv, half.reshape(n, 2 * K1, -1), out=_slot(work, "grid"))
+        return grid.reshape((*lead, B) + self.shape + (Q,))
 
     def from_grid(self, U, work=None):
-        """(rows, mean) Fourier coefficients of real (B, M1, M2, Q) samples:
-        complex (B, R, Q) rows of the stored modes and the real (B, Q) mean."""
-        B, M1, M2, Q = U.shape
-        K1 = self.box[0]
-        half = np.matmul(self.x_fwd, U.reshape(B, M1, M2 * Q), out=_slot(work, "fhalf"))
-        box = np.matmul(self.y_fwd, half.reshape(B * K1, 2 * M2, Q), out=_slot(work, "fbox"))
-        box = box.reshape(B, -1, Q)
+        """(rows, mean) Fourier coefficients of real (..., M1, M2, Q)
+        samples: complex (..., R, Q) rows of the stored modes and the real
+        (..., Q) mean."""
+        *lead, M1, M2, Q = U.shape
+        K1, n = self.box[0], math.prod(lead)
+        half = np.matmul(self.x_fwd, U.reshape(n, M1, M2 * Q), out=_slot(work, "fhalf"))
+        box = np.matmul(self.y_fwd, half.reshape(n * K1, 2 * M2, Q), out=_slot(work, "fbox"))
+        box = box.reshape(*lead, -1, Q)
         # take with mode="clip" writes into out directly (the indices are in range)
-        re, im = (np.take(box, idx, axis=1, out=_slot(work, name), mode="clip")
+        re, im = (np.take(box, idx, axis=-2, out=_slot(work, name), mode="clip")
                   for idx, name in zip(self.gather, ("re", "im")))
         rows = np.multiply(1j, im, out=_slot(work, "rows"))
-        return np.add(re, rows, out=rows), box[:, self.center]
+        return np.add(re, rows, out=rows), box[..., self.center, :]
 
 
 def _slot(work, name):
@@ -201,7 +205,8 @@ def _slot(work, name):
 class GridWorkspace:
     """Reused arrays of one product of synthesized quantities on the grid.
 
-    Serves :func:`nsab.evolution.nonlinear_term`: synthesis of the
+    Serves :func:`nsab.evolution.nonlinear_term` on fields with leading
+    member axes lead (E members; () for one field): synthesis of the
     quantities want (B = 3 len(want) components), :meth:`PaddedGrid.to_grid`,
     a (3, M1, M2, Q) pointwise product, :meth:`PaddedGrid.from_grid` and
     :func:`analyze`.  Every array is a view of one of two flat float64
@@ -217,25 +222,25 @@ class GridWorkspace:
     :func:`analyze` still reads).
     """
 
-    def __init__(self, grid, want, Q):
+    def __init__(self, grid, want, Q, lead):
         K1, _, J = grid.box
         M1, M2 = grid.shape
-        R, B = len(grid.rows[0]), 3 * len(want)
+        R, B, E = len(grid.rows[0]), 3 * len(want), math.prod(lead)
         nd = max(QUANTITIES[name] for name in want)
-        rows = ((3, R, Q), complex)
+        rq, rows = lead + (R, Q), (lead + (3, R, Q), complex)
         # per region, its stages in turn; the arrays of a stage lie end to end
         regions = (
-            [[("tvals", (nd, R, Q), complex), ("pvals", (nd + 1, R, Q), complex),
-              ("terms", (4, R, Q), complex)],
-             [("box", (B, K1, 2, J, Q), float)],
-             [("grid", (B, M1, M2 * Q), float)],
-             [("fhalf", (3, 2 * K1, M2 * Q), float)],
-             [("re", (3, R, Q), float), ("im", (3, R, Q), float)],
-             [("weighted",) + rows, ("mixed", (2, R, Q), complex)]],
-            [[("profiles", (len(want), 3, R, Q), complex)],
-             [("half", (B * K1, 2 * M2, Q), float)],
-             [("prod", (3, M1, M2, Q), float), ("scratch", (M1, M2, Q), float)],
-             [("fbox", (3 * K1, 2 * J, Q), float), ("rows",) + rows]])
+            [[("tvals", (nd,) + rq, complex), ("pvals", (nd + 1,) + rq, complex),
+              ("terms", (4,) + rq, complex)],
+             [("box", lead + (B, K1, 2, J, Q), float)],
+             [("grid", (E * B, M1, M2 * Q), float)],
+             [("fhalf", (E * 3, 2 * K1, M2 * Q), float)],
+             [("re", lead + (3, R, Q), float), ("im", lead + (3, R, Q), float)],
+             [("weighted",) + rows, ("mixed", (2,) + rq, complex)]],
+            [[("profiles", (len(want),) + lead + (3, R, Q), complex)],
+             [("half", (E * B * K1, 2 * M2, Q), float)],
+             [("prod", lead + (3, M1, M2, Q), float), ("scratch", lead + (M1, M2, Q), float)],
+             [("fbox", (E * 3 * K1, 2 * J, Q), float), ("rows",) + rows]])
         for region in regions:
             buf = np.empty(max(sum(_floats(shape, dtype) for _, shape, dtype in stage)
                                for stage in region))
@@ -265,7 +270,9 @@ def layout_for(resolution):
 
 @dataclass
 class SolenoidalField:
-    """Potential coefficients of one divergence-free field.
+    """Potential coefficients of one divergence-free field, or of a stack
+    of E member fields whose arrays carry a leading (E,) axis; ``f[j]`` is
+    member j, as views.
 
     The same container doubles as storage for Galerkin right-hand sides
     (projections of arbitrary fields onto the solenoidal test basis).
@@ -296,6 +303,10 @@ class SolenoidalField:
                                self.psi * s, self.phi * s, self.mean * s)
 
     __rmul__ = __mul__
+
+    def __getitem__(self, j):
+        return SolenoidalField(self.geometry, self.resolution,
+                               self.psi[j], self.phi[j], self.mean[j])
 
     def potentials(self):
         """(psi, phi, mean), the order of
@@ -397,10 +408,13 @@ def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
 
     def vel(td, pd1, pd0, name):
         # velocity-like triple from psi-derivs (order d) and phi-derivs (d+1, d)
-        v = np.empty((3,) + td.shape, complex) if into[name] is None else into[name]
-        _combine(ie2, td, ie1, pd1, v[0], s3)
-        _combine(-ie1, td, ie2, pd1, v[1], s3)
-        np.multiply(m, pd0, out=v[2])
+        v = into[name]
+        if v is None:
+            v = np.empty(td.shape[:-2] + (3,) + td.shape[-2:], complex)
+        v0, v1, v2 = np.moveaxis(v, -3, 0)
+        _combine(ie2, td, ie1, pd1, v0, s3)
+        _combine(-ie1, td, ie2, pd1, v1, s3)
+        np.multiply(m, pd0, out=v2)
         return v
 
     if "u" in want:
@@ -425,7 +439,9 @@ def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
 
 
 def _mean_profiles(E, mean, want, alpha, nd):
-    U = [np.stack([E[d] @ mean[0], E[d] @ mean[1], np.zeros(E[d].shape[0])])
+    # (..., 3, Q) derivatives of (U1, U2, 0): one gemv per mean row, as batches
+    zero = np.zeros(mean.shape[:-2] + (1, E[0].shape[0]))
+    U = [np.concatenate([np.matmul(E[d], mean[..., None])[..., 0], zero], axis=-2)
          for d in range(nd + 1)]
     out = {}
     if "u" in want:
@@ -433,7 +449,7 @@ def _mean_profiles(E, mean, want, alpha, nd):
     if "curl_v" in want:
         # curl (V1, V2, 0)(z) = (-V2', V1', 0) with V = U - alpha^2 U''
         dV = U[1] - alpha**2 * U[3]
-        out["curl_v"] = np.stack([-dV[1], dV[0], np.zeros_like(dV[0])])
+        out["curl_v"] = np.concatenate([-dV[..., 1:2, :], dV[..., :1, :], zero], axis=-2)
     if "bilap_u" in want:
         out["bilap_u"] = U[4]
     return out
@@ -446,8 +462,9 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
     filtered velocity v = (1 - alpha^2 Lap) u (this one needs alpha) and
     Lap^2 u.  Returns dict mapping names to (rows, mean): complex (3, R, Q)
     profiles of the representative modes in row order and the real (3, Q)
-    profile of the (0, 0) mode.  Conjugate partners are not formed.  With
-    a :class:`GridWorkspace` of the same want, the rows are views of it.
+    profile of the (0, 0) mode, behind the member axes of a stacked f.
+    Conjugate partners are not formed.  With a :class:`GridWorkspace` of the
+    same want, the rows are views of it.
     """
     lay = layout_for(f.resolution)
     if alpha is None and "curl_v" in want:
@@ -470,13 +487,13 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
 def reconstruct(f, cache, want=("u",), alpha=None, work=None):
     """Evaluate requested physical-space quantities on the padded grid.
 
-    Returns dict mapping names to real arrays of shape (3, M1, M2, Q),
+    Returns dict mapping names to real arrays of shape (..., 3, M1, M2, Q),
     all transformed in one :meth:`PaddedGrid.to_grid` call; views of the
     workspace work, if given.
     """
     profiles = synthesize(f, cache, want, alpha, work)
     grid = layout_for(f.resolution).grid.to_grid(profiles.values(), work)
-    return dict(zip(profiles, np.split(grid, len(profiles))))
+    return dict(zip(profiles, np.split(grid, len(profiles), axis=-4)))
 
 
 def potentials_to_velocity(f, cache):
@@ -502,7 +519,7 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     area, w = geometry.area, cache.w
     m, W_tor, W_pol = cache.row_bases
     e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
-    f1, f2, f3 = np.multiply(w, rows, out=_slot(work, "weighted"))
+    f1, f2, f3 = np.moveaxis(np.multiply(w, rows, out=_slot(work, "weighted")), -3, 0)
     a, b = (None, None) if work is None else work.mixed
     # adjoint of synthesize: raw-table gemms first, then the stacked W^T
     gt = _combine(-1j * e2, f1, 1j * e1, f2, a, b) @ cache.raw_T[0]
@@ -510,7 +527,7 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
           + m * (f3 @ cache.raw_C[0]))
     psi = area * rowmul(W_tor.transpose(0, 2, 1), gt)
     phi = area * rowmul(W_pol.transpose(0, 2, 1), gp)
-    mean0 = area * ((w * mean[:2]) @ cache.mean_E[0])
+    mean0 = area * ((w * mean[..., :2, :]) @ cache.mean_E[0])
     return SolenoidalField(geometry, resolution, psi, phi, mean0)
 
 
@@ -520,8 +537,8 @@ def project_velocity(U, geometry, resolution, cache, work=None):
     For fields inside the discrete space this inverts
     :func:`potentials_to_velocity`; in general it realizes the Leray-type
     projection (gradient parts drop out by construction of the test basis).
-    With a workspace, U is a (3, M1, M2, Q) array and the transforms write
-    into work.
+    With a workspace, U is a (..., 3, M1, M2, Q) array of the workspace's
+    member axes and the transforms write into work.
     """
     rows, mean = layout_for(resolution).grid.from_grid(U, work)
     return analyze(rows, mean, geometry, resolution, cache, work)

@@ -15,6 +15,7 @@ from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, check_covering,
                       check_ellipticity, eliminate_boundary_system,
                       ns_alpha_beta_system, stable_subspace_angle,
                       symbol_determinant)
+from nsab.basis import BasisCache
 from nsab.evolution import (EvolutionState, IMEXStepper,
                             linear_propagator_exact, nonlinear_term,
                             run_evolution, uniqueness_probe, vanishing_sweep)
@@ -347,7 +348,7 @@ def test_criterion_14_vanishing_sweep():
     par = derive_params(0.2, 0.1, 0.0, 0.01)
     res = Resolution(N1=4, N2=4, P=12)
     u0 = random_field(GEO, res, seed=3, amplitude=0.2, decay=1.0)
-    rows = vanishing_sweep(par, GEO, res, u0, 6, T=1.0, dt=0.01)  # 5 halvings
+    rows = vanishing_sweep(par, BasisCache(GEO, res), u0, 6, T=1.0, dt=0.01)  # 5 halvings
     ok = all(r.watchdog is None for r in rows)
     l2s = [r.sup_l2 for r in rows]
     h1s = [r.int_h1_sq for r in rows]

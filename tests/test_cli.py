@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nsab
+from nsab.basis import BasisCache
 from nsab.cli import main
 
 SMALL = """
@@ -158,6 +159,23 @@ watchdog.ceiling = 1e300
     assert "watchdog" in lines[0] and "h4_growth" in lines[0]
 
 
+@pytest.mark.parametrize("subcommand, overrides", [
+    pytest.param("probe-uniqueness", {"resolution.P": "8", "scheme.name": "cnab2",
+                                      "probe.delta2": "1e300"}, id="probe-delta2-1e300"),
+    pytest.param("evolve", {"u0.amplitude": "1e300"}, id="evolve-amplitude-1e300"),
+])
+def test_first_step_overflow_prints_one_line(tmp_path, subcommand, overrides):
+    # the first step overflows the nonlinear term and the grid transforms:
+    # the watchdog reports the non-finite field, numpy prints no warning
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_with(overrides))
+    proc = _run_cli(subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 4
+    assert len(lines) == 1 and "watchdog" in lines[0] and "nan" in lines[0]
+
+
 def test_probe_watchdog_exit_4_prints_one_line(tmp_path):
     # evolve on this config stops at t = 0.06 (h4_growth); the probe's base
     # run blows up the same way and must stop there too, before overflow
@@ -197,6 +215,16 @@ def test_mean_only_resolution_runs(tmp_path, kind):
     cfg.write_text(SMALL.replace("resolution.N1 = 4", "resolution.N1 = 2")
                    .replace("resolution.N2 = 4", "resolution.N2 = 2"))
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_sweep_builds_one_basis(cfgfile, tmp_path, monkeypatch):
+    """The sweep's levels share the one BasisCache built in its setup stage."""
+    built = []
+    init = BasisCache.__init__
+    monkeypatch.setattr(BasisCache, "__init__",
+                        lambda self, *a: (built.append(a), init(self, *a))[1])
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
 
 
 def test_solve_and_convergence(cfgfile, tmp_path):
