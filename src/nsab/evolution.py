@@ -34,7 +34,7 @@ import numpy as np
 
 from .field import (SolenoidalField, layout_for, project_velocity, reconstruct, rowmul,
                     zero_field)
-from .operators import OperatorSet
+from .operators import MULTIPLICITY, OperatorSet
 from .params import ParameterError, derive_params, step_count
 from .spectral import spectral_factors
 
@@ -193,26 +193,22 @@ class IMEXStepper:
 # trajectories, energy monitors, watchdog
 # ---------------------------------------------------------------------------
 
-def energy_report(ops, state, prev=None, dt=None, snorm=None, prev_E=None):
-    # M = I in the orthonormal bases, so ||u||^2 = u.dot(u) and
-    # E_L = <M_L u, u> / 2 = (||u||^2 + alpha^2 <K_grad u, u>) / 2;
-    # prev_E, when given, is E_L of prev (from its own report)
-    u = state.field
-    a2 = ops.params.alpha**2
-    l2sq = u.dot(u)
-    a_uu = ops.form_energy("K_a", u)
-    grad = ops.form_energy("K_grad", u)
-    E = 0.5 * (l2sq + a2 * grad)
-    sn = snorm if snorm is not None else ops.a_scale_norms(u)
+def energy_report(ops, state, prev=None, dt=None, snorm=None, prev_snorm=None):
+    # snorm and prev_snorm, when given, are the a_scale_norms of state and prev
+    sn = snorm if snorm is not None else ops.a_scale_norms(state.field)
+    E, a_uu, grad = _energy(ops, sn), sn["a_uu"], sn["grad_sq"]
     bal = np.nan
     if prev is not None and dt:
-        f0 = prev.field
-        E0 = prev_E if prev_E is not None else \
-            0.5 * (f0.dot(f0) + a2 * ops.form_energy("K_grad", f0))
+        E0 = _energy(ops, prev_snorm if prev_snorm is not None else ops.a_scale_norms(prev.field))
         bal = abs((E - E0) / dt + ops.params.beta**2 * a_uu + grad)
     return EnergyReport(state.time, E, a_uu, grad,
-                        float(np.sqrt(max(l2sq, 0.0) + max(grad, 0.0))),
+                        float(np.sqrt(max(sn["l2_sq"], 0.0) + max(grad, 0.0))),
                         sn["A_half"], sn["A1_lambda"], bal)
+
+
+def _energy(ops, sn):
+    """E_L = <M_L u, u> / 2 = (||u||^2 + alpha^2 <K_grad u, u>) / 2 (M = I)."""
+    return 0.5 * (sn["l2_sq"] + ops.params.alpha**2 * sn["grad_sq"])
 
 
 @dataclass
@@ -223,15 +219,22 @@ class EvolutionResult:
     steps: int = 0  # steps taken, fewer than T / dt when the watchdog fires
 
 
-def _watchdog_event(time, field, ceiling, snorm=None):
-    """The watchdog event of field at time, or None: non-finite
-    coefficients, or the fourth-order proxy A1 of snorm (its
-    :meth:`a_scale_norms`, when given) above ceiling."""
+def _nonfinite_event(time, field, ceiling):
+    """The watchdog event of non-finite coefficients of field, or None."""
     if not all(np.all(np.isfinite(c)) for c in field.potentials()):
         return WatchdogEvent(time, "nan", np.inf, ceiling)
-    if snorm is not None and snorm["A1"] > ceiling:
-        return WatchdogEvent(time, "h4_growth", snorm["A1"], ceiling)
     return None
+
+
+def _watchdog(ops, time, field, ceiling):
+    """(event, norms): the event of non-finite coefficients and no norms, else
+    the event of the proxy A1 above ceiling, or None, and the norms."""
+    event = _nonfinite_event(time, field, ceiling)
+    if event is not None:
+        return event, None
+    sn = ops.a_scale_norms(field)
+    return (WatchdogEvent(time, "h4_growth", sn["A1"], ceiling)
+            if sn["A1"] > ceiling else None), sn
 
 
 def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
@@ -248,22 +251,16 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
     state = EvolutionState(0.0, u0.copy(), None)
-    sn0 = ops.a_scale_norms(u0)
-    ceiling = watchdog_ceiling * max(sn0["A1"], 1e-300)
-    reports = [energy_report(ops, state, snorm=sn0)]
-    last = reports[0]  # the report of state, if it has one
+    sn = ops.a_scale_norms(u0)
+    ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
+    reports = [energy_report(ops, state, snorm=sn)]
     for n in range(1, nsteps + 1):
-        prev, prev_E = state, last.E_lambda if last else None
-        state, last = stepper.step(state), None
+        prev, prev_sn, state = state, sn, stepper.step(state)
         if inject_nan_step is not None and n == inject_nan_step:
             state.field.psi[:] = np.nan
-        event = _watchdog_event(state.time, state.field, ceiling)
-        if event is None:
-            sn = ops.a_scale_norms(state.field)
-            event = _watchdog_event(state.time, state.field, ceiling, sn)
-            if event is not None or n % cadence == 0 or n == nsteps:
-                last = energy_report(ops, state, prev, dt, sn, prev_E)
-                reports.append(last)
+        event, sn = _watchdog(ops, state.time, state.field, ceiling)
+        if sn is not None and (event is not None or n % cadence == 0 or n == nsteps):
+            reports.append(energy_report(ops, state, prev, dt, sn, prev_sn))
         if event is not None:
             return EvolutionResult(reports, state, event, n)
     return EvolutionResult(reports, state, None, nsteps)
@@ -283,8 +280,16 @@ class UniquenessProbe:
     steps: int = 0            # steps taken by the base run and all members
 
 
-def _h1_norm(ops, f):
-    return float(np.sqrt(max(f.dot(f) + ops.form_energy("K_grad", f), 0.0)))
+def _h1_norms(ops, w):
+    """H1 norm of each member w[j] of a stacked field, from one stacked K_grad
+    product; bitwise sqrt(w[j].dot(w[j]) + ops.form_inner("K_grad", w[j], w[j]))."""
+    gw = [rowmul(K, c) for K, c in zip(ops.form_rows("K_grad"), w.potentials())]
+    norms = []
+    for j in range(len(w.mean)):
+        grad = sum(mult * np.vdot(c[j], g[j]).real
+                   for mult, c, g in zip(MULTIPLICITY, w.potentials(), gw))
+        norms.append(float(np.sqrt(max(w[j].dot(w[j]) + grad, 0.0))))
+    return norms
 
 
 def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
@@ -303,37 +308,32 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
     members = [u0] + [u0 + d * perturbation for d in deltas]
-    w0 = [_h1_norm(ops, p - u0) if d != 0.0 else 1.0 for d, p in zip(deltas, members[1:])]
     state = EvolutionState(0.0, SolenoidalField(
         u0.geometry, u0.resolution, *map(np.stack, zip(*(f.potentials() for f in members)))))
+    w0 = [w if d != 0.0 else 1.0
+          for d, w in zip(deltas, _h1_norms(ops, state.field[1:] - u0))]
     if 0.0 in w0:
         raise ParameterError("a probe delta is too small to change u0 in floating point")
     times = [0.0]
     growth = [[1.0] for _ in deltas]
     h3 = [0.0]
-    sn0 = ops.a_scale_norms(u0)
-    ceiling = watchdog_ceiling * max(sn0["A1"], 1e-300)
-    h3_prev = sn0["A_half"]
+    sn = ops.a_scale_norms(u0)
+    ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
     acc, taken = 0.0, 0
     for n in range(nsteps):
         # the members are counted only for a step that passed the base's checks
-        state, taken = stepper.step(state), taken + 1
+        state, taken, h3_prev = stepper.step(state), taken + 1, sn["A_half"]
         base = state.field[0]
-        sn = ops.a_scale_norms(base)
-        event = _watchdog_event(state.time, base, ceiling, sn)
+        event, sn = _watchdog(ops, state.time, base, ceiling)
         if event is None:
             taken += len(deltas)
-            event = next(filter(None, (_watchdog_event(state.time, state.field[j], ceiling)
-                                       for j in range(1, len(members)))), None)
+            event = _nonfinite_event(state.time, state.field[1:], ceiling)
         if event is not None:
             break
-        h3_now = sn["A_half"]
-        acc += 0.5 * dt * (h3_prev + h3_now)
-        h3_prev = h3_now
+        acc += 0.5 * dt * (h3_prev + sn["A_half"])
         times.append(state.time)
         h3.append(acc)
-        for j, d in enumerate(deltas):
-            wn = _h1_norm(ops, state.field[j + 1] - base)
+        for j, (d, wn) in enumerate(zip(deltas, _h1_norms(ops, state.field[1:] - base))):
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)
     return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d, event, taken)
             for d, g in zip(deltas, growth)]

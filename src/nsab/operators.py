@@ -20,12 +20,13 @@ two decoupled Dirichlet profiles with volume term <U'' V''> and wall term
 -k[U'V'].
 
 All matrices are expressed in the M-orthonormalized block bases of
-:mod:`nsab.basis`, so M is the identity and symmetric generalized pencils
-become standard symmetric eigenproblems.  :func:`toroidal_forms`,
-:func:`poloidal_forms` and :func:`mean_forms` build the forms of all
-distinct blocks at once, one per distinct m = |eta|^2, as (U, n, n) stacks
-of Gram products of the tabulated block bases, with no per-block loop;
-``BasisCache.block`` gives each row's block.
+:mod:`nsab.basis`, so M is the identity: symmetric generalized pencils
+become standard symmetric eigenproblems, and the watchdog norms of
+:meth:`OperatorSet.a_scale_norms` are quadratic forms of K_a and K_grad.
+:func:`toroidal_forms`, :func:`poloidal_forms` and :func:`mean_forms`
+build the forms of all distinct blocks at once, one per distinct
+m = |eta|^2, as (U, n, n) stacks of Gram products of the tabulated block
+bases, with no per-block loop; ``BasisCache.block`` gives each row's block.
 """
 
 from __future__ import annotations
@@ -165,16 +166,16 @@ class OperatorSet:
             yield tuple(np.ascontiguousarray(a)[self.cache.block] for a in fn(stack))
         yield fn(mean)
 
+    def form_rows(self, form):
+        """The per-row stacks of one form, as :meth:`row_stacks` yields them."""
+        return self._cached(("form", form), lambda: [
+            K for (K,) in self.row_stacks(lambda b: (getattr(b, form),))])
+
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        stacks = self._cached(("form", form), lambda: list(
-            self.row_stacks(lambda b: (getattr(b, form),))))
         return sum(mult * np.vdot(cv, rowmul(K, cu)).real
-                   for mult, (K,), cu, cv in zip(MULTIPLICITY, stacks,
-                                                 u.potentials(), v.potentials()))
-
-    def form_energy(self, form, u):
-        return self.form_inner(form, u, u)
+                   for mult, K, cu, cv in zip(MULTIPLICITY, self.form_rows(form),
+                                              u.potentials(), v.potentials()))
 
     # -- spectral decomposition of the form operator ------------------------
 
@@ -189,33 +190,29 @@ class OperatorSet:
     def spectral_shift(self):
         """Shift making the stationary operator spectrum nonnegative."""
         return self._cached("shift", lambda: max(0.0, -min(
-            self.block_eig(b)[0][:, 0].min(initial=np.inf) for b in self.blocks)))
+            np.linalg.eigvalsh(b.K_a)[:, 0].min(initial=np.inf) for b in self.blocks)))
 
-    def a_scale_norms(self, f, shift=None):
-        """Norms ||(A + shift)^{j/2} u|| for j = 0, 1, 2 plus Lambda-weighted j=2.
+    def a_scale_norms(self, f):
+        """Norms ||(A + s)^{j/2} u||, j = 0, 1, 2, and the Lambda-weighted j = 2
+        norm, s = :meth:`spectral_shift`; with ||u||^2, a(u, u) and <K_grad u, u>
+        bitwise as ``u.dot(u)`` and :meth:`form_inner` give them.
 
-        The operator powers are realized through the per-block spectral
-        calculus of the stationary form, stacked per row; shift defaults to
-        the smallest value making the spectrum nonnegative.  A field too
-        large for the squares gives inf, the watchdog's blow-up signal.
+        As M = I, all are quadratic forms of the per-row K_a and K_grad: with
+        z = (K_a + s) c, A0^2 = ||u||^2, A_half^2 = a(u, u) + s A0^2, A1^2 =
+        ||z||^2 and A1_lambda^2 = <M_Lambda z, z> = A1^2 + alpha^2 <K_grad z, z>.
+        For finite c, a square that overflows (to inf, -inf or nan) gives an
+        inf norm: the watchdog's blow-up signal.
         """
-        if shift is None:
-            shift = self.spectral_shift()
-
-        def eig_stack(b):
-            lam, V = self.block_eig(b)
-            VT = np.swapaxes(V, 1, 2)
-            return lam, VT, VT @ b.M_lambda @ V
-
-        stacks = self._cached("norms", lambda: list(self.row_stacks(eig_stack)))
-        sums = np.zeros(4)
+        s, sums = self.spectral_shift(), np.zeros(4)  # a_uu, grad, ||z||^2, <K_grad z, z>
         with np.errstate(over="ignore", invalid="ignore"):
-            for mult, c, (lam, VT, G) in zip(MULTIPLICITY, f.potentials(), stacks):
-                d = rowmul(VT, c)  # rows of c @ V
-                lam_s = np.maximum(lam + shift, 0.0)
-                p, y = np.abs(d) ** 2, lam_s * d
-                sums += mult * np.array([p.sum(), (lam_s * p).sum(), (lam_s**2 * p).sum(),
-                                         np.vdot(y, rowmul(G, y)).real])
-            n0, n1, n2, n2L = np.sqrt(np.maximum(sums, 0.0))
-        return {"A0": n0, "A_half": n1, "A1": n2, "A1_lambda": n2L,
-                "shift": shift}
+            for mult, c, Ka, Kg in zip(MULTIPLICITY, f.potentials(),
+                                       self.form_rows("K_a"), self.form_rows("K_grad")):
+                kc = rowmul(Ka, c)
+                z = kc + s * c
+                sums += mult * np.array([np.vdot(c, kc).real, np.vdot(c, rowmul(Kg, c)).real,
+                                         np.vdot(z, z).real, np.vdot(z, rowmul(Kg, z)).real])
+            l2sq, (a_uu, grad, z2, zg) = f.dot(f), sums
+            sq = np.array([l2sq, a_uu + s * l2sq, z2, z2 + self.params.alpha**2 * zg])
+            n0, n1, n2, n2L = np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
+        return {"A0": n0, "A_half": n1, "A1": n2, "A1_lambda": n2L, "shift": s,
+                "l2_sq": l2sq, "a_uu": a_uu, "grad_sq": grad}

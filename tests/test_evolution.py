@@ -401,6 +401,21 @@ def test_vanishing_sweep_uniform_bounds(geo):
     assert max(h1s) <= 10 * h1s[0]
 
 
+def test_time_stepping_computes_no_eigenvectors(par, geo, monkeypatch):
+    """The watchdog norms are quadratic forms of the assembled K_a and
+    K_grad: evolve, probe and sweep run with eigh unavailable."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh on the time-step path")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    res = Resolution(N1=4, N2=4, P=12)
+    ops = OperatorSet(par, geo, res)
+    u0 = random_field(geo, res, seed=8, amplitude=0.3)
+    assert run_evolution(ops, u0, 0.01, 0.05).steps == 5
+    assert uniqueness_probe(ops, u0, u0, (1e-6,), 0.05, 0.01)[0].steps == 10
+    assert len(vanishing_sweep(par, ops.cache, u0, 2, 0.05, 0.01)) == 2
+
+
 def test_uniqueness_probe_members_match_single_delta_runs(ops, geo, res_small):
     """The shared base trajectory changes no member: each one is bitwise
     equal to a run with its delta alone."""

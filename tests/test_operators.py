@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
+from nsab.evolution import run_evolution
 from nsab.field import layout_for, potentials_to_velocity, \
     random_field, zero_field
 from nsab.operators import FORMS, OperatorSet, poloidal_forms, toroidal_forms
@@ -256,7 +257,7 @@ def test_mode_operator_invariants(setup):
 def test_sobolev_norms(setup, geo_odd, res_small):
     ops = setup
     z = zero_field(geo_odd, res_small)
-    assert all(ops.form_energy(form, z) == 0.0 for form in ("M", "K_grad", "K_bilap"))
+    assert all(ops.form_inner(form, z, z) == 0.0 for form in ("M", "K_grad", "K_bilap"))
     nz = ops.a_scale_norms(z)
     assert all(v == 0.0 for k, v in nz.items() if k != "shift")
     # single eigenvector: ||(A+shift)^{1/2} u|| = sqrt(lam + shift)
@@ -266,14 +267,14 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     lay = layout_for(res_small)
     f.psi[lay.groups[(1, 1)].start] = V[:, -1] / np.sqrt(2.0)  # unit L2 norm overall
     sn = ops.a_scale_norms(f)
-    assert np.sqrt(ops.form_energy("M", f)) == pytest.approx(1.0, rel=1e-12)
+    assert np.sqrt(ops.form_inner("M", f, f)) == pytest.approx(1.0, rel=1e-12)
     assert sn["A_half"] == pytest.approx(np.sqrt(lam[-1] + sn["shift"]), rel=1e-10)
     # Parseval: total L2 from the physical grid equals the form energy
     u = random_field(geo_odd, res_small, seed=21, amplitude=1.7)
     wq = grid_quadrature(ops.cache, res_small)
     U = potentials_to_velocity(u, ops.cache)
     phys = float(np.sum(U**2 * wq))
-    assert ops.form_energy("M", u) == pytest.approx(phys, rel=1e-12)
+    assert ops.form_inner("M", u, u) == pytest.approx(phys, rel=1e-12)
 
 
 def _a_scale_norms_by_block(ops, f, shift):
@@ -296,12 +297,55 @@ def _a_scale_norms_by_block(ops, f, shift):
                          ids=["4x4", "8x6"])
 def test_a_scale_norms_match_per_block_loop(geo_odd, res):
     ops = OperatorSet(derive_params(0.2, 0.1, 0.5, 0.05), geo_odd, res)
-    for seed, shift in ((2, None), (3, 0.0), (4, 7.5)):
+    for seed in (2, 3, 4):
         f = random_field(geo_odd, res, seed=seed, amplitude=1.3)
-        got = ops.a_scale_norms(f, shift)
+        got = ops.a_scale_norms(f)
         ref = _a_scale_norms_by_block(ops, f, got["shift"])
         for name, want in zip(("A0", "A_half", "A1", "A1_lambda"), ref):
             assert got[name] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_a_scale_norms_overflow_reads_inf(setup, geo_odd, res_small):
+    """Finite coefficients whose forms overflow give inf norms, never nan:
+    the watchdog's h4_growth signal."""
+    for amp in (1e150, 1e300):
+        sn = setup.a_scale_norms(random_field(geo_odd, res_small, seed=9, amplitude=amp))
+        assert sn["A1"] == sn["A1_lambda"] == np.inf
+    assert sn["A0"] == sn["A_half"] == np.inf
+
+
+def _a_scale_norms_longdouble(ops, f, shift):
+    """Reference: the watchdog norms as quadratic forms of the stored K_a and
+    K_grad rows, z = (K_a + shift) c, summed in extended precision."""
+    s, acc = np.longdouble(shift), np.zeros(4, np.longdouble)
+    for p, (c, mult) in enumerate(zip(f.potentials(), (2, 2, 1))):
+        blk = ops.blocks[p]
+        Ka, Kg = (np.asarray(K[ops.cache.block] if p < 2 else K, np.longdouble)
+                  for K in (blk.K_a, blk.K_grad))
+        for x in (c.real, c.imag) if p < 2 else (c,):
+            x = np.asarray(x, np.longdouble)
+            kx = np.einsum("rij,rj->ri", Ka, x)
+            z = kx + s * x
+            gz = np.einsum("rij,rj->ri", Kg, z)
+            acc += mult * np.array([(x * x).sum(), (x * kx).sum(), (z * z).sum(),
+                                    (z * gz).sum()])
+    a2 = np.longdouble(ops.params.alpha) ** 2
+    return np.sqrt([acc[0], acc[1] + s * acc[0], acc[2], acc[2] + a2 * acc[3]])
+
+
+def test_a_scale_norms_match_extended_precision(geo):
+    """At N16/P32 every watchdog norm agrees with the extended-precision
+    value of the same quadratic forms to 1e-13, for a random field and for
+    it after ten Euler steps."""
+    res = Resolution(N1=16, N2=16, P=32)
+    ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res)
+    u0 = random_field(geo, res, seed=3, amplitude=0.2)
+    stepped = run_evolution(ops, u0, 0.02, 0.2, cadence=10).final.field
+    for f in (u0, stepped):
+        got = ops.a_scale_norms(f)
+        want = _a_scale_norms_longdouble(ops, f, got["shift"])
+        for name, w in zip(("A0", "A_half", "A1", "A1_lambda"), want):
+            assert abs(np.longdouble(got[name]) - w) <= 1e-13 * w, name
 
 
 FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
@@ -335,9 +379,9 @@ def test_energy_identities_of_the_orthonormal_bases(request, geometry, res):
     for seed in (7, 8):
         u = random_field(g, res, seed=seed, amplitude=1.3)
         l2sq = u.dot(u)
-        assert ops.form_energy("M", u) == pytest.approx(l2sq, rel=1e-13, abs=0)
-        want = l2sq + par.alpha**2 * ops.form_energy("K_grad", u)
-        assert ops.form_energy("M_lambda", u) == pytest.approx(want, rel=1e-13, abs=0)
+        assert ops.form_inner("M", u, u) == pytest.approx(l2sq, rel=1e-13, abs=0)
+        want = l2sq + par.alpha**2 * ops.form_inner("K_grad", u, u)
+        assert ops.form_inner("M_lambda", u, u) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_mean_block_wall_coupling_can_lose_coercivity(geo):

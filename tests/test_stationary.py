@@ -47,7 +47,7 @@ def test_galerkin_orthogonality_and_energy(ops, geo, res_small):
     # residual of the linear system is the Galerkin-orthogonality defect
     assert rep.residual <= 1e-10 * rep.rhs_norm
     # a(u_h, u_h) = <f, u_h>
-    assert ops.form_energy("K_a", u) == pytest.approx(rhs.dot(u), rel=1e-12)
+    assert ops.form_inner("K_a", u, u) == pytest.approx(rhs.dot(u), rel=1e-12)
 
 
 def test_gradient_datum_recovers_pressure(ops, geo, res_small):
