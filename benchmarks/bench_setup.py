@@ -1,15 +1,19 @@
-"""Set-up, integration time, step rate and peak memory of ``nsab`` runs by size.
+"""Stage seconds, step rate and peak memory of ``nsab`` runs by size.
 
 Runs each case ``REPEATS`` times in a fresh process with one BLAS thread and
-writes, per case, the medians of the manifest's ``setup`` and ``integrate``
-stage seconds, ``timings.steps_per_s`` and ``peak_rss_mb`` to a file at the
-repository root:
+writes, per case, the medians of the manifest's stage seconds (the stages
+of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs) and
+``peak_rss_mb`` to a file at the repository root:
 
 * ``BENCH_setup.json``: ``nsab evolve`` (Euler, dt 0.02, T 0.1: five steps)
   at N16/P32, N32/P48 and N64/P64;
 * ``BENCH_probe.json``: ``nsab probe-uniqueness`` (cnab2, dt 0.02, T 0.5,
   u0 amplitude 0.3: the config of the probe-n8p16 benchmark workload) at
-  N8/P16 and N16/P32, three trajectories per time step.
+  N8/P16 and N16/P32, three trajectories per time step;
+* ``BENCH_stationary.json``: ``nsab eigs`` (20 eigenpairs and the Garding
+  constants) at N16, P 24/32/48/64, and the manufactured ``nsab solve`` at
+  N16, P 24/32/40 (from P48 up the solve still exits 3), the configs of the
+  stationary-n16 benchmark workload.
 
 The files hold no timestamps, so reruns on one machine differ only by
 timing noise.
@@ -42,19 +46,26 @@ resolution.P = {P}
 u0.id = random
 u0.seed = 1
 """
-#: output file -> (subcommand, config lines on top of MODEL, description,
-#: case name -> (N, P)); N1 = N2 = N on the default 2 pi x 2 pi x 1 box
+EVOLVE = "scheme.name = euler\ntime.dt = 0.02\ntime.T = 0.1\nu0.amplitude = 0.2\n"
+PROBE = "scheme.name = cnab2\ntime.dt = 0.02\ntime.T = 0.5\nu0.amplitude = 0.3\nprobe.seed = 2\n"
+#: output file -> (description, case name -> (subcommand, config lines on
+#: top of MODEL, N, P)); N1 = N2 = N on the default 2 pi x 2 pi x 1 box
 BENCHES = {
     "BENCH_setup.json": (
-        "evolve", "scheme.name = euler\ntime.dt = 0.02\ntime.T = 0.1\nu0.amplitude = 0.2\n",
         "nsab evolve, Euler, dt 0.02, T 0.1, u0 amplitude 0.2, seed 1",
-        {"n16p32": (16, 32), "n32p48": (32, 48), "n64p64": (64, 64)}),
+        {f"n{N}p{P}": ("evolve", EVOLVE, N, P) for N, P in ((16, 32), (32, 48), (64, 64))}),
     "BENCH_probe.json": (
-        "probe-uniqueness",
-        "scheme.name = cnab2\ntime.dt = 0.02\ntime.T = 0.5\nu0.amplitude = 0.3\nprobe.seed = 2\n",
         "nsab probe-uniqueness, cnab2, dt 0.02, T 0.5, u0 amplitude 0.3, seeds 1 and 2",
-        {"probe-n8p16": (8, 16), "probe-n16p32": (16, 32)}),
+        {f"probe-n{N}p{P}": ("probe-uniqueness", PROBE, N, P) for N, P in ((8, 16), (16, 32))}),
+    "BENCH_stationary.json": (
+        "nsab eigs (eigs.count 20) and nsab solve (forcing.id manufactured) at N16",
+        {**{f"eigs-n16p{P}": ("eigs", "eigs.count = 20\n", 16, P) for P in (24, 32, 48, 64)},
+         **{f"solve-n16p{P}": ("solve", "forcing.id = manufactured\n", 16, P)
+            for P in (24, 32, 40)}}),
 }
+#: subcommand -> the manifest stages whose seconds are recorded
+STAGES = {"evolve": ("setup", "integrate"), "probe-uniqueness": ("setup", "integrate"),
+          "eigs": ("setup", "eigenpairs", "garding"), "solve": ("setup", "solve", "pressure")}
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -76,14 +87,14 @@ def measure(kind, lines, N, P):
         with tempfile.TemporaryDirectory() as tmp:
             runs.append(run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp)))
     timings = [r["timings"] for r in runs]
-    return {
-        "N": N, "P": P, "repeats": REPEATS,
-        "setup_s": statistics.median(t["stages"]["setup"]["s"] for t in timings),
-        "integrate_s": statistics.median(t["stages"]["integrate"]["s"] for t in timings),
-        "steps_per_s": statistics.median(t["steps_per_s"] for t in timings),
-        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-        "steps": timings[0]["steps"],
-    }, runs[0]["libraries"]
+    result = {"N": N, "P": P, "repeats": REPEATS,
+              **{f"{s}_s": statistics.median(t["stages"][s]["s"] for t in timings)
+                 for s in STAGES[kind]},
+              "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
+    if "steps" in timings[0]:
+        result.update(steps_per_s=statistics.median(t["steps_per_s"] for t in timings),
+                      steps=timings[0]["steps"])
+    return result, runs[0]["libraries"]
 
 
 def main(argv=None):
@@ -98,11 +109,11 @@ def main(argv=None):
     unknown = sorted(set(names) - set(every))
     if unknown:
         ap.error(f"unknown cases {unknown}")
-    for fname, (kind, lines, command, cases) in BENCHES.items():
+    for fname, (command, cases) in BENCHES.items():
         results, libraries = {}, {}
         try:
             for name in (n for n in names if n in cases):
-                results[name], libraries = measure(kind, lines, *cases[name])
+                results[name], libraries = measure(*cases[name])
                 print(name, json.dumps(results[name]), flush=True)
         except RuntimeError as exc:
             print(f"bench_setup: {exc}", file=sys.stderr)

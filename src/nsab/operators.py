@@ -188,9 +188,16 @@ class OperatorSet:
         return np.linalg.eigh(blk.K_a)
 
     def spectral_shift(self):
-        """Shift making the stationary operator spectrum nonnegative."""
-        return self._cached("shift", lambda: max(0.0, -min(
-            np.linalg.eigvalsh(b.K_a)[:, 0].min(initial=np.inf) for b in self.blocks)))
+        """Shift making the stationary operator spectrum nonnegative.  A K_a
+        stack with a float64 Cholesky factor counts as nonnegative; only a
+        stack that does not factor has its lowest eigenvalues computed."""
+        def lowest(K):
+            try:
+                np.linalg.cholesky(K)
+                return 0.0
+            except np.linalg.LinAlgError:
+                return np.linalg.eigvalsh(K)[:, 0].min(initial=np.inf)
+        return self._cached("shift", lambda: max(0.0, -min(lowest(b.K_a) for b in self.blocks)))
 
     def a_scale_norms(self, f):
         """Norms ||(A + s)^{j/2} u||, j = 0, 1, 2, and the Lambda-weighted j = 2

@@ -12,10 +12,9 @@ loop:
                        (K_a + g0 M, M + K_grad + K_bilap), i.e. the largest
                        c0 with a(u,u) + g0 ||u||^2 >= c0 ||u||_{H2}^2 on the
                        discrete space, together with the smallest shift g0
-                       on a logarithmic search grid that makes it positive;
-                       each stack's pencil is reduced once, through the
-                       Cholesky factor of its H2 form, to C + g0 N, so a
-                       shift costs one batched eigvalsh per stack;
+                       on a logarithmic search grid that makes it positive,
+                       from the pencils reduced once to C + g0 N and solved,
+                       inside the grid, only where a chord bound can set c0;
 * ``spectral_factors`` square-root factors of the Helmholtz filter form
                        and the symmetrized dissipation generator
                        D = beta^2 L^{-1/2} A L^{-1/2} (optionally including
@@ -106,34 +105,67 @@ def _reduced_pencils(ops):
     return pencils
 
 
-def _c0_of_shift(pencils, shift):
-    return min(float(np.linalg.eigvalsh(C + shift * N)[:, 0].min(initial=np.inf))
-               for C, N in pencils)
+def _exact(pencils, shift):
+    """(shift, lowest eigenvalue, norm) of C + shift N per block, stacks concatenated."""
+    w = [np.linalg.eigvalsh(C + shift * N) for C, N in pencils]
+    return shift, np.concatenate([v[:, 0] for v in w]), np.concatenate([abs(v).max(1) for v in w])
+
+
+def _c0_between(pencils, lo, hi, shift):
+    """c0(shift) for lo[0] <= shift <= hi[0], from the exact ends lo and hi.
+
+    A block's lowest eigenvalue is concave in the shift, so it lies above the
+    chord through its end values (Horn & Johnson, Matrix Analysis, sec. 4.3).
+    The block with the lowest chord is solved first, then those whose chord,
+    less 1e-10 times the chord of ||C + s N||, is below the best value found;
+    eigvalsh works matrix by matrix, so c0 is bitwise the minimum over all."""
+    (a, lam_a, nrm_a), (b, lam_b, nrm_b) = lo, hi
+    if shift in (a, b):
+        return float((lam_a if shift == a else lam_b).min())
+    t = (shift - a) / (b - a)
+    bound = (1 - t) * lam_a + t * lam_b - 1e-10 * ((1 - t) * nrm_a + t * nrm_b)
+    split = np.cumsum([len(C) for C, _ in pencils])[:-1]
+
+    def lowest(solve):  # solve: a mask over the concatenated blocks
+        return min((np.linalg.eigvalsh(C[m] + shift * N[m])[:, 0].min()
+                    for (C, N), m in zip(pencils, np.split(solve, split)) if m.any()),
+                   default=np.inf)
+
+    first = bound == bound.min()
+    best = lowest(first)
+    return float(min(best, lowest((bound < best) & ~first)))
 
 
 def garding_constants(ops):
-    """Measure c0(shift) over the shift grid and locate the coercive range."""
-    grid = DEFAULT_SHIFT_GRID
-    pencils = _reduced_pencils(ops)
-    c0 = {g: _c0_of_shift(pencils, g) for g in grid}
-    passing = [g for g in grid if c0[g] > C0_THRESHOLD]
-    if not passing:
+    """Measure c0(shift) over the shift grid and locate the coercive range.
+
+    While the last shift fails, the grid goes on by decades, each a new end
+    for the bisection; as N > 0, by Weyl's inequality the first decade past
+    s* = max over blocks of (threshold - lambda_min(C)) / lambda_min(N) passes."""
+    pencils, g = _reduced_pencils(ops), DEFAULT_SHIFT_GRID[-1]
+    ends = (_exact(pencils, DEFAULT_SHIFT_GRID[0]), _exact(pencils, g))
+    c0 = {s: _c0_between(pencils, *ends, s) for s in DEFAULT_SHIFT_GRID}
+    if c0[g] <= C0_THRESHOLD:
+        n_min = np.concatenate([np.linalg.eigvalsh(N)[:, 0] for _, N in pencils])
+        s_star = np.max((C0_THRESHOLD - ends[0][1]) / n_min)
+        while c0[g] <= C0_THRESHOLD and g < s_star:
+            g *= 10.0
+            ends = (ends[1], _exact(pencils, g))
+            c0[g] = float(ends[1][1].min())
+    grid = tuple(c0)
+    i = next((i for i, s in enumerate(grid) if c0[s] > C0_THRESHOLD), None)
+    if i is None:
         return GardingReport(grid, c0, np.inf, np.inf, -np.inf, C0_THRESHOLD)
-    gmin = passing[0]
-    grefined = gmin
-    failing = [g for g in grid if g < gmin and c0[g] <= C0_THRESHOLD]
-    if failing:
-        lo, hi = max(failing), gmin
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if _c0_of_shift(pencils, mid) > C0_THRESHOLD:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-3 * max(hi, 1e-12):
-                break
-        grefined = hi
-    return GardingReport(grid, c0, gmin, grefined, c0[gmin], C0_THRESHOLD)
+    lo, hi = grid[max(i - 1, 0)], grid[i]
+    for _ in range(40 if i else 0):
+        mid = 0.5 * (lo + hi)
+        if _c0_between(pencils, *ends, mid) > C0_THRESHOLD:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-3 * max(hi, 1e-12):
+            break
+    return GardingReport(grid, c0, grid[i], hi, c0[grid[i]], C0_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

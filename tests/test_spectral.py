@@ -7,10 +7,12 @@ import scipy.optimize
 from nsab.field import potentials_to_velocity
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
+from nsab.spectral import (C0_THRESHOLD, DEFAULT_SHIFT_GRID, _c0_between, _exact,
+                           _reduced_pencils, eigenpairs_A, garding_constants,
+                           spectral_factors)
 
 from conftest import (distinct_blocks, eigenpair_field, grid_quadrature,
-                      pair_forms, params_with_k, reference_garding)
+                      pair_forms, params_with_k, reference_c0, reference_garding)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,59 @@ def test_garding_matches_per_block_reference(request, geometry, k, res_small):
     assert (g.gamma0_min, g.gamma0_refined) == (gmin, grefined)
     if k == 5.0:
         assert c0[0.0] < 0.0 and grefined < gmin
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_bracketed_search_is_bitwise_the_minimum_over_every_block(request, geometry, k):
+    """The chord bounds only choose which blocks to solve: c0 on the grid and
+    at shifts inside the bracket is the full per-block minimum, bit for bit."""
+    o = OperatorSet(params_with_k(1.0, k), request.getfixturevalue(geometry),
+                    Resolution(N1=8, N2=8, P=12))
+    pencils = _reduced_pencils(o)
+
+    def every_block(s):
+        return min(float(np.linalg.eigvalsh(C + s * N)[:, 0].min()) for C, N in pencils)
+
+    g = garding_constants(o)
+    assert g.grid == DEFAULT_SHIFT_GRID
+    assert all(g.c0[s] == every_block(s) for s in g.grid)
+    ends = (_exact(pencils, 0.0), _exact(pencils, DEFAULT_SHIFT_GRID[-1]))
+    for s in np.geomspace(1e-4, 5e3, 20):
+        assert _c0_between(pencils, *ends, s) == every_block(s)
+
+
+def test_garding_solves_at_most_four_eigenproblems_per_block(geo, monkeypatch):
+    """At N16/P32 the grid's ends solve all 67 blocks; the seven shifts
+    between them together solve fewer than the 9 x 67 of a full search."""
+    o = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo,
+                    Resolution(N1=16, N2=16, P=32))
+    blocks = sum(len(b.K_a) for b in o.blocks)
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(len(a) if a.ndim == 3 else 1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    garding_constants(o)
+    assert blocks == 67 and sum(solved) <= 4 * blocks
+
+
+def test_garding_goes_on_by_decades_until_a_shift_is_coercive(geo):
+    """At k = 50 no shift of the default grid is coercive, but by Weyl's
+    inequality a finite one is: the grid goes on past 1e4 and the bisection
+    runs between its last two decades."""
+    o = OperatorSet(params_with_k(1.0, 50.0), geo, Resolution(N1=4, N2=4, P=8))
+    g = garding_constants(o)
+    n = len(DEFAULT_SHIFT_GRID)
+    assert g.grid[:n] == DEFAULT_SHIFT_GRID and g.c0[DEFAULT_SHIFT_GRID[-1]] < 0.0
+    assert g.grid[n:] == tuple(10.0**j for j in range(5, len(g.grid) - n + 5))
+    assert np.isfinite(g.gamma0_min) and g.gamma0_min == g.grid[-1]
+    assert g.c0_at_min > C0_THRESHOLD and g.c0[g.grid[-2]] <= C0_THRESHOLD
+    assert g.grid[-2] < g.gamma0_refined < g.gamma0_min
+    ref = reference_c0(o, g.gamma0_min)
+    assert abs(g.c0_at_min - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_lambda1_exceeds_negative_shift(geo, res_small):
