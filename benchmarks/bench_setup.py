@@ -11,9 +11,10 @@ of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs) and
   u0 amplitude 0.3: the config of the probe-n8p16 benchmark workload) at
   N8/P16 and N16/P32, three trajectories per time step;
 * ``BENCH_stationary.json``: ``nsab eigs`` (20 eigenpairs and the Garding
-  constants) at N16, P 24/32/48/64, and the manufactured ``nsab solve`` at
-  N16, P 24/32/40 (from P48 up the solve still exits 3), the configs of the
-  stationary-n16 benchmark workload.
+  constants) at N16, P 24/32/48/64, and ``nsab solve`` with manufactured
+  and with random solenoidal forcing at N16, P 24/32/40 (from P48 up the
+  solve still exits 3), the configs of the stationary-n16 benchmark
+  workload.  The ``errors`` stage exists for the manufactured solves only.
 
 The files hold no timestamps, so reruns on one machine differ only by
 timing noise.
@@ -48,6 +49,7 @@ u0.seed = 1
 """
 EVOLVE = "scheme.name = euler\ntime.dt = 0.02\ntime.T = 0.1\nu0.amplitude = 0.2\n"
 PROBE = "scheme.name = cnab2\ntime.dt = 0.02\ntime.T = 0.5\nu0.amplitude = 0.3\nprobe.seed = 2\n"
+RANDOM_FORCING = "forcing.id = random_solenoidal\nforcing.seed = 11\n"
 #: output file -> (description, case name -> (subcommand, config lines on
 #: top of MODEL, N, P)); N1 = N2 = N on the default 2 pi x 2 pi x 1 box
 BENCHES = {
@@ -58,14 +60,17 @@ BENCHES = {
         "nsab probe-uniqueness, cnab2, dt 0.02, T 0.5, u0 amplitude 0.3, seeds 1 and 2",
         {f"probe-n{N}p{P}": ("probe-uniqueness", PROBE, N, P) for N, P in ((8, 16), (16, 32))}),
     "BENCH_stationary.json": (
-        "nsab eigs (eigs.count 20) and nsab solve (forcing.id manufactured) at N16",
+        "nsab eigs (eigs.count 20) and nsab solve (forcing.id manufactured, and "
+        "random_solenoidal with forcing.seed 11) at N16",
         {**{f"eigs-n16p{P}": ("eigs", "eigs.count = 20\n", 16, P) for P in (24, 32, 48, 64)},
          **{f"solve-n16p{P}": ("solve", "forcing.id = manufactured\n", 16, P)
-            for P in (24, 32, 40)}}),
+            for P in (24, 32, 40)},
+         **{f"solve-random-n16p{P}": ("solve", RANDOM_FORCING, 16, P) for P in (24, 32, 40)}}),
 }
-#: subcommand -> the manifest stages whose seconds are recorded
+#: subcommand -> the manifest stages whose seconds are recorded, where the
+#: run has them
 STAGES = {"evolve": ("setup", "integrate"), "probe-uniqueness": ("setup", "integrate"),
-          "eigs": ("setup", "eigenpairs", "garding"), "solve": ("setup", "solve", "pressure")}
+          "eigs": ("setup", "eigenpairs", "garding"), "solve": ("setup", "solve", "pressure", "errors")}
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -89,7 +94,7 @@ def measure(kind, lines, N, P):
     timings = [r["timings"] for r in runs]
     result = {"N": N, "P": P, "repeats": REPEATS,
               **{f"{s}_s": statistics.median(t["stages"][s]["s"] for t in timings)
-                 for s in STAGES[kind]},
+                 for s in STAGES[kind] if s in timings[0]["stages"]},
               "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
     if "steps" in timings[0]:
         result.update(steps_per_s=statistics.median(t["steps_per_s"] for t in timings),

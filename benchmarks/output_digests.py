@@ -11,6 +11,15 @@ the output of this script on the parent and on the change:
     python benchmarks/output_digests.py --src ../parent/src > parent.txt
     diff parent.txt change.txt
 
+A change meant to move some outputs declares how far they moved with
+``--diff``: every config is also run on a second source tree, and for each
+data file whose digest differs the script prints, per numeric JSON key and
+per CSV column, the largest relative change |this - other| / |other| (list
+items and rows share their key or column; non-numeric values are only said
+to differ, other files only to differ):
+
+    python benchmarks/output_digests.py --diff ../parent/src
+
 The ``full`` set (default) holds the 12 stationary-n16 benchmark operations
 (manufactured and random-forcing solves and ``eigs`` at N16, P 24-48), a
 solve and an ``eigs`` on an odd geometry, ``convergence``, ``verify-adn`` at
@@ -22,7 +31,10 @@ exit 3: their spurious kernel is a known open defect).
 """
 
 import argparse
+import csv
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -84,8 +96,10 @@ def config_text(lines):
 
 
 def run_one(src, name, kind, lines, work):
-    """Exit code and {file: sha256} of one nsab run in a fresh process."""
+    """Exit code and {file: sha256} of one nsab run in a fresh process; its
+    outputs stay in ``work / name``."""
     cfg, out = work / f"{name}.cfg", work / name
+    work.mkdir(exist_ok=True)
     cfg.write_text(config_text(lines))
     env = dict(os.environ, PYTHONPATH=str(src), **dict.fromkeys(THREADS, "1"))
     proc = subprocess.run([sys.executable, "-m", "nsab.cli", kind, "--config", str(cfg),
@@ -95,21 +109,109 @@ def run_one(src, name, kind, lines, work):
     return proc.returncode, digests
 
 
+def _leaves(value, key=""):
+    """(key, scalar) pairs of a JSON value; list items share their list's key."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v, key + "[]")
+    else:
+        yield key, value
+
+
+def columns(path):
+    """{JSON key or CSV column: its values} of a data file; None for a file
+    of another kind."""
+    if path.suffix == ".json":
+        cols = {}
+        for k, v in _leaves(json.loads(path.read_text())):
+            cols.setdefault(k, []).append(v)
+        return cols
+    if path.suffix == ".csv":
+        with path.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [[]]
+        return {h: [r[j] for r in rows] for j, h in enumerate(header)}
+    return None
+
+
+def _number(v):
+    try:
+        return None if isinstance(v, bool) else float(v)
+    except (TypeError, ValueError):
+        return None
+
+
+def largest_changes(old, new):
+    """{key: largest |new - old| / |old| over its values, or a note} for
+    the keys of two ``columns`` maps whose values differ."""
+    changes = {}
+    for key in dict.fromkeys([*old, *new]):
+        a, b = old.get(key, []), new.get(key, [])
+        if len(a) != len(b):
+            changes[key] = f"{len(a)} -> {len(b)} values"
+            continue
+        worst = 0.0
+        for x, y in zip(a, b):
+            fx, fy = _number(x), _number(y)
+            if fx is None or fy is None:
+                if x != y:
+                    worst = "non-numeric values differ"
+                    break
+            elif fx != fy and not (math.isnan(fx) and math.isnan(fy)):
+                worst = max(worst, abs(fy - fx) / abs(fx) if fx else math.inf)
+        if worst:
+            changes[key] = worst
+    return changes
+
+
+def diff_lines(name, ours, theirs, work, other):
+    """Lines naming each data file of run ``name`` whose digest differs
+    between the runs in ``work`` and ``other``, with ``largest_changes``."""
+    lines = []
+    for fname in dict.fromkeys([*theirs, *ours]):
+        if ours.get(fname) == theirs.get(fname):
+            continue
+        lines.append(f"  differs: {name}/{fname}")
+        if fname not in ours or fname not in theirs:
+            lines.append("    written by one tree only")
+            continue
+        new, old = columns(work / name / fname), columns(other / name / fname)
+        if new is None:
+            lines.append("    not JSON or CSV")
+            continue
+        for key, change in largest_changes(old, new).items():
+            lines.append(f"    {key}: " + (f"{change:.2g}" if isinstance(change, float)
+                                            else change))
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--set", choices=SETS, default="full")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the source tree to run (default: this checkout's src)")
+    ap.add_argument("--diff", type=Path, metavar="SRC",
+                    help="also run this source tree and print the relative changes "
+                         "of every data file whose digest differs")
     args = ap.parse_args(argv)
     unexpected = []
     with tempfile.TemporaryDirectory() as tmp:
+        work, other = Path(tmp) / "src", Path(tmp) / "diff"
         for name, kind, lines, expected in SETS[args.set]:
-            code, digests = run_one(args.src.resolve(), name, kind, lines, Path(tmp))
+            code, digests = run_one(args.src.resolve(), name, kind, lines, work)
             print(f"{name}: {kind} exit {code}", flush=True)
             for fname, digest in digests.items():
                 print(f"  {digest}  {name}/{fname}", flush=True)
             if code != expected:
                 unexpected.append(f"{name} exited {code}, expected {expected}")
+            if args.diff:
+                code_d, theirs = run_one(args.diff.resolve(), name, kind, lines, other)
+                if code_d != code:
+                    print(f"  exit {code_d} with --diff", flush=True)
+                for line in diff_lines(name, digests, theirs, work, other):
+                    print(line, flush=True)
     for line in unexpected:
         print(f"output_digests: {line}", file=sys.stderr)
     return 1 if unexpected else 0

@@ -44,7 +44,10 @@ def eigenpairs_A(ops, count):
 
     Eigenvalues of nonzero wavenumbers carry multiplicity 2 (the Hermitian
     partner); the returned list is nondecreasing in the eigenvalue and
-    contains each eigenpair once with its multiplicity recorded.
+    contains each eigenpair once with its multiplicity recorded.  Every
+    block's eigenvalues come first (eigvalsh); eigenvectors (eigh, matrix by
+    matrix) only for blocks whose lowest eigenvalue, less 1e-10 of the
+    block's norm, is at most the count-th smallest plus 1e-10 of its norm.
     """
     # candidates ordered by block group q (the mean comes last), toroidal
     # before poloidal: equal eigenvalues keep that order; a group's stored
@@ -53,11 +56,20 @@ def eigenpairs_A(ops, count):
     keys = list(ops.layout.groups) + [(0, 0)]
     mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
     block = ops.cache.block[[rows.start for rows in ops.layout.groups.values()]]
-    cols = []
-    for p, stack in enumerate(ops.blocks):
-        lam, V = ops.block_eig(stack)
-        res = (np.linalg.norm(stack.K_a @ V - V * lam[:, None, :], axis=1)
-               / (np.abs(lam).max(axis=1, keepdims=True) + np.abs(lam)))
+    bounds = [(v, 1e-10 * np.abs(v).max(axis=1, keepdims=True))
+              for v in (np.linalg.eigvalsh(stack.K_a) for stack in ops.blocks)]
+    cut = np.sort(np.concatenate([(v + t)[g].ravel() for (v, t), g in
+                                  zip(bounds, (block, block, [0]))]))[:count][-1]
+    cols, vectors = [], []
+    for p, (stack, (v, t)) in enumerate(zip(ops.blocks, bounds)):
+        need = v[:, 0] - t[:, 0] <= cut
+        K = stack.K_a[need]
+        w, X = np.linalg.eigh(K)
+        lam, res, V = np.full(v.shape, np.inf), np.zeros(v.shape), np.zeros(stack.K_a.shape)
+        lam[need], V[need] = w, X  # the blocks left out keep lam = inf
+        res[need] = (np.linalg.norm(K @ X - X * w[:, None, :], axis=1)
+                     / (np.abs(w).max(axis=1, keepdims=True) + np.abs(w)))
+        vectors.append(V)
         lam, res = (lam[block], res[block]) if p < 2 else (lam, res)
         b, i = np.indices(lam.shape)
         q = b if p < 2 else np.full(lam.shape, len(keys) - 1)
@@ -66,7 +78,7 @@ def eigenpairs_A(ops, count):
     found = []
     for j in np.lexsort((col, pot, pos, lam))[:count]:
         p, q, i = int(pot[j]), int(pos[j]), int(col[j])
-        V = ops.block_eig(ops.blocks[p])[1][block[q] if p < 2 else 0]
+        V = vectors[p][block[q] if p < 2 else 0]
         found.append(EigenPair(float(lam[j]), V[:, i].copy(), keys[q],
                                ops.blocks[p].name, mult[q], float(res[j])))
     return found

@@ -13,8 +13,8 @@ a component in the kernel.
 
 Pressure is recovered from the pointwise momentum residual r = f - Lap^2 u:
 tangentially r = (i eta1 p, i eta2 p, p')+curl-free defect, so a per-mode
-least-squares fit of a polynomial p against all three components (one
-batched QR per distinct block serves every mode of the block) both
+least-squares fit of a polynomial p against all three components (one QR
+and one SVD of the mode-independent design serve every mode) both
 determines p (up to the zero-mean gauge) and measures how far r is from a
 gradient; the explicit curl of r is also reported.
 """
@@ -220,30 +220,32 @@ def _legendre_design(geometry, z, degree, dmax=1):
     return [np.ascontiguousarray(T[d, :, :].T * scale**d) for d in range(dmax + 1)]
 
 
-def recover_pressure(u, forcing, ops, degree=None):
+def recover_pressure(u, forcing, ops):
     """Least-squares pressure from the momentum residual r = f - Lap^2 u.
 
-    Per mode, p is the polynomial minimizing the quadrature norm of
-    (i eta1 p - r1, i eta2 p - r2, p' - r3); the misfit is the gradient
-    defect of r and an explicit curl norm of r is also formed.  The
-    pressure is gauged to zero spatial mean.
+    Per mode, p is the polynomial of degree P + 1 minimizing the quadrature
+    norm of (i eta1 p - r1, i eta2 p - r2, p' - r3); the misfit is the
+    gradient defect of r and an explicit curl norm of r is also formed.
+    The pressure is gauged to zero spatial mean.
 
     The fit is batched.  Each row's tangential residual is split along
     eta/|eta| and its normal; the normal part cannot be matched by
     i eta p and counts whole as defect.  What remains is
-    min ||[|eta| S0; S1] c - [-i r_along; r3]|| with S0, S1 the weighted
-    design matrices of p and p', a real matrix that depends on the mode
-    only through m = |eta|^2: it is factored by one batched QR over the
-    distinct m and applied to every row of its block (``cache.block``).
+    min ||[|eta| S0; S1] c - [b_along; b_normal]|| with S0, S1 the weighted
+    design matrices of p and p'.  p' has lower degree, so S1 lies in the
+    column space of S0 = Q0 R0 (full column rank: Q >= P + 2 nodes), and
+    with the SVD (Q0^T S1) R0^-1 = U diag(s) V^T the fit is diagonal in
+    y = V^T R0 c: y = (|eta| V^T Q0^T b_along + s U^T Q0^T b_normal)
+    / (m + s^2) (Golub & Van Loan, Matrix Computations, secs. 5.5 and
+    6.1).  One QR and one SVD, both independent of the mode, serve every
+    row through a few matrix products.
 
     r is a difference of two large, nearly equal profiles, so the
     diagnostics derived from it (``gradient_defect``, ``curl_residual`` and
     a manufactured case's ``pressure_L2``) carry only about four
     significant digits.
     """
-    res = u.resolution
-    geo = u.geometry
-    degree = degree if degree is not None else res.P + 1
+    geo, degree = u.geometry, u.resolution.P + 1
     z, w = ops.cache.z, ops.cache.w
     Phi = _legendre_design(geo, z, degree)
     sw = np.sqrt(w)
@@ -253,30 +255,26 @@ def recover_pressure(u, forcing, ops, degree=None):
     r0 = forcing.mean - bilap_mean
     area = geo.area
     e1, e2 = ops.cache.wavenumber(ops.layout.k[:, :1], ops.layout.k[:, 1:])
+    Q0, R0 = np.linalg.qr(S0)
 
-    # curl of r, z-derivatives from a polynomial fit of each component
-    fit0 = np.linalg.pinv(S0)
-    dR = ((sw * R_reps) @ fit0.T) @ Phi[1].T
+    # curl of r, z-derivatives of r1, r2 from a polynomial fit of each
+    dR = ((sw * R_reps[:2]) @ Q0) @ np.linalg.solve(R0.T, Phi[1].T)
     curl = np.stack([1j * e2 * R_reps[2] - dR[1],
                      dR[0] - 1j * e1 * R_reps[2],
                      1j * e1 * R_reps[1] - 1j * e2 * R_reps[0]])
     curl_sq = 2.0 * area * float(np.sum(w * np.abs(curl) ** 2))
 
-    # per distinct m: the least-squares solution operator R^-1 Q^T of [|eta| S0; S1]
-    m = ops.cache.m
-    A = np.concatenate([np.sqrt(m)[:, None, None] * S0,
-                        np.broadcast_to(S1, m.shape + S1.shape)], axis=1)
-    Qf, Rf = np.linalg.qr(A)
-    fit = np.linalg.solve(Rf, np.swapaxes(Qf, -1, -2))
-    # per row: residual along eta (times -i, so the matrix stays real) and
-    # across it
+    # per row: residual along eta (times -i: the fit stays real) and across it
     eta = np.sqrt(e1 * e1 + e2 * e2)
-    r_along = sw * (e1 * R_reps[0] + e2 * R_reps[1]) / eta
+    b_along = -1j * sw * (e1 * R_reps[0] + e2 * R_reps[1]) / eta
+    b_normal = sw * R_reps[2]
     r_across = sw * (e2 * R_reps[0] - e1 * R_reps[1]) / eta
-    b = np.concatenate([-1j * r_along, sw * R_reps[2]], axis=1)
-    coeffs = rowmul(fit[ops.cache.block], b)
-    misfit = np.concatenate([eta * (coeffs @ S0.T), coeffs @ S1.T], axis=1) - b
-    defect_sq = 2.0 * area * float(np.sum(np.abs(misfit) ** 2)
+    U, s, Vt = np.linalg.svd(np.linalg.solve(R0.T, S1.T @ Q0).T)  # (Q0^T S1) R0^-1
+    y = ((eta * (b_along @ (Q0 @ Vt.T)) + s * (b_normal @ (Q0 @ U)))
+         / (eta * eta + s * s))
+    coeffs = y @ np.linalg.solve(R0, Vt.T).T  # rows of R0^-1 V y
+    defect_sq = 2.0 * area * float(np.sum(np.abs(eta * (coeffs @ S0.T) - b_along) ** 2)
+                                   + np.sum(np.abs(coeffs @ S1.T - b_normal) ** 2)
                                    + np.sum(np.abs(r_across) ** 2))
 
     # zero mode: only the normal component is a gradient; the tangential

@@ -355,6 +355,27 @@ def project_velocity_fft(U, geometry, resolution, cache):
 # per-block and per-row references of the stationary diagnostics
 # ---------------------------------------------------------------------------
 
+def reference_eigenpairs(ops, count):
+    """The ``count`` lowest (lam, vector, mode, block, multiplicity, residual)
+    from np.linalg.eigh of every block stack and the residuals of all its
+    pairs, candidates ordered like eigenpairs_A's: by eigenvalue, then block
+    group q (the mean last), potential and column."""
+    keys = list(ops.layout.groups) + [(0, 0)]
+    mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
+    block = [ops.cache.block[rows.start] for rows in ops.layout.groups.values()] + [0]
+    found = []
+    for p, stack in enumerate(ops.blocks):
+        lam, V = np.linalg.eigh(stack.K_a)
+        res = (np.linalg.norm(stack.K_a @ V - V * lam[:, None, :], axis=1)
+               / (np.abs(lam).max(axis=1, keepdims=True) + np.abs(lam)))
+        for q in (range(len(keys) - 1) if p < 2 else [len(keys) - 1]):
+            b = block[q]
+            found += [(lam[b, i], q, p, i, V[b][:, i], keys[q], stack.name, mult[q], res[b, i])
+                      for i in range(stack.n)]
+    found.sort(key=lambda f: f[:4])
+    return [f[:1] + f[4:] for f in found[:count]]
+
+
 def reference_c0(ops, shift):
     """c0(shift): the lowest eigenvalue of (K_a + shift M, M + K_grad +
     K_bilap), one generalized eigenproblem per distinct block."""

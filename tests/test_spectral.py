@@ -6,13 +6,14 @@ import scipy.optimize
 
 from nsab.field import potentials_to_velocity
 from nsab.operators import OperatorSet
-from nsab.params import Resolution, derive_params
+from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import (C0_THRESHOLD, DEFAULT_SHIFT_GRID, _c0_between, _exact,
                            _reduced_pencils, eigenpairs_A, garding_constants,
                            spectral_factors)
 
 from conftest import (distinct_blocks, eigenpair_field, grid_quadrature,
-                      pair_forms, params_with_k, reference_c0, reference_garding)
+                      pair_forms, params_with_k, reference_c0, reference_eigenpairs,
+                      reference_garding)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,55 @@ def test_eigenpairs_match_per_block_loop(request, geometry, res_small):
         assert (p.lam, p.mode, p.block, p.multiplicity) == (lv, key, name, mult)
         assert np.array_equal(p.vector, v)
         assert p.residual <= 1e-14 and abs(p.residual - res) <= 1e-15
+
+
+EIGS_CONFIGS = {
+    # the stationary-n16 benchmark model
+    "n16p24": (ChannelGeometry(), derive_params(0.2, 0.1, -1.0, 0.01),
+               Resolution(N1=16, N2=16, P=24), 20),
+    # benchmarks/output_digests.py eigs-odd-gamma1
+    "odd-gamma1": (ChannelGeometry(L2=1.7, H=1.3), derive_params(0.2, 0.1, 1.0, 0.05),
+                   Resolution(N1=8, N2=6, P=16), 12),
+    # k = 2/H: the mean block holds an exact zero eigenvalue
+    "kernel": (ChannelGeometry(), params_with_k(0.0, 2.0 / ChannelGeometry().H),
+               Resolution(N1=4, N2=4, P=12), 20),
+    # more pairs asked for than there are: all of them
+    "all": (ChannelGeometry(), derive_params(0.2, 0.1, 0.0, 0.01),
+            Resolution(N1=4, N2=4, P=8), 10**6),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGS_CONFIGS))
+def test_eigenpairs_bitwise_against_every_block_eigh(name):
+    """Eigenvectors only where the lowest pairs can live give bitwise the
+    pairs of an eigendecomposition and residuals of every block."""
+    geometry, params, resolution, count = EIGS_CONFIGS[name]
+    ops = OperatorSet(params, geometry, resolution)
+    want = reference_eigenpairs(ops, count)
+    got = eigenpairs_A(ops, count)
+    tor, pol, mean = ops.blocks
+    pairs = len(ops.layout.groups) * (tor.n + pol.n) + mean.n
+    assert len(got) == len(want) == min(count, pairs)
+    for p, (lam, v, key, block, mult, res) in zip(got, want):
+        assert (p.lam, p.mode, p.block, p.multiplicity, p.residual) == (
+            lam, key, block, mult, res)
+        assert np.array_equal(p.vector, v)
+
+
+def test_eigenpairs_take_eigenvectors_of_a_fifth_of_the_blocks(geo, monkeypatch):
+    """At N16/P32 the 20 lowest pairs need eigenvectors of 12 of the 67
+    blocks; eigvalsh alone bounds the rest out."""
+    o = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo,
+                    Resolution(N1=16, N2=16, P=32))
+    solved, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(len(a) if a.ndim == 3 else 1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert len(eigenpairs_A(o, 20)) == 20
+    assert sum(len(b.K_a) for b in o.blocks) == 67 and sum(solved) == 12
 
 
 def test_eigenpairs_orthonormal_by_quadrature(ops, geo, res_small):

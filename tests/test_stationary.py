@@ -89,6 +89,45 @@ def test_pressure_fit_matches_per_row_reference(request, geometry, forcing_id):
     assert abs(rep.gradient_defect - defect) <= 1e-10 * defect
 
 
+@pytest.fixture(scope="module")
+def ops_n16p40(geo):
+    """The stationary-n16 benchmark model at its largest passing solve."""
+    return OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo,
+                       Resolution(N1=16, N2=16, P=40))
+
+
+def _benchmark_solve(o, forcing_id):
+    if forcing_id == "manufactured":
+        case = default_case(o.geometry)
+        rhs, forc = case.rhs(o, o.params), case.forcing(o)
+    else:
+        forc = forcing_from_field(random_field(o.geometry, o.resolution, seed=11), o)
+        rhs = forc.dual(o)
+    return solve_stationary(o, rhs)[0], forc
+
+
+@pytest.mark.parametrize("forcing_id", ["manufactured", "random"])
+def test_pressure_fit_matches_per_row_reference_at_n16p40(ops_n16p40, forcing_id):
+    u, forc = _benchmark_solve(ops_n16p40, forcing_id)
+    press, rep = recover_pressure(u, forc, ops_n16p40)
+    coeffs, defect = reference_pressure(u, forc, ops_n16p40)
+    assert np.abs(press.coeffs - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+    assert abs(rep.gradient_defect - defect) <= 1e-10 * defect
+
+
+def test_pressure_fit_factors_only_the_mode_independent_design(ops_n16p40, monkeypatch):
+    """One QR and one SVD serve every row: no stacked factorization or solve."""
+    u, forc = _benchmark_solve(ops_n16p40, "random")
+    seen = []
+    for name in ("qr", "svd", "solve"):
+        def recording(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            seen.append(max(np.ndim(x) for x in (a, *args)))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    recover_pressure(u, forc, ops_n16p40)
+    assert seen and max(seen) == 2
+
+
 def test_manufactured_solution_and_pressure(geo):
     par = derive_params(0.2, 0.1, 0.0, 0.05)
     res = Resolution(N1=4, N2=4, P=20)
