@@ -102,12 +102,14 @@ class BasisCache:
 
     ``raw_T``/``raw_C`` tabulate the raw recombined bases and their
     z-derivatives at the quadrature nodes, ``raw_T_tr``/``raw_C_tr`` on the
-    walls.  Blocks depend on the wavenumber only through m = |eta|^2:
-    ``m`` (U,), ``W_tor`` and ``W_pol`` (U, n, n) stack one per distinct m,
-    in order of first appearance among the layout's block groups,
-    ``block`` (R,) gives each row's, and :attr:`row_bases` gathers them per
-    row on first use.  The mean block has ``mean_W`` and its own tables
-    ``mean_E``/``mean_tr`` (``raw_T``/``raw_T_tr`` times ``mean_W``).
+    walls, ``synth_T``/``synth_C`` those :func:`nsab.field.synthesize` reads;
+    ``row_wavenumbers`` are eta1, eta2 (R, 1) of the layout's rows.  Blocks
+    depend on the wavenumber only through m = |eta|^2: ``m`` (U,), ``W_tor``
+    and ``W_pol`` (U, n, n) stack one per distinct m, in order of first
+    appearance among the layout's block groups, ``block`` (R,) gives each
+    row's, and :attr:`row_bases` gathers them per row on first use.  The mean
+    block has ``mean_W`` and its own tables ``mean_E``/``mean_tr``
+    (``raw_T``/``raw_T_tr`` times ``mean_W``).
     """
 
     def __init__(self, geometry, resolution):
@@ -118,6 +120,8 @@ class BasisCache:
         self.z, self.w = gauss_legendre(resolution.Q, H)
         self.raw_T, self.raw_C = recombined_bases(P, self.z, H, MAX_DERIV)
         self.raw_T_tr, self.raw_C_tr = recombined_bases(P, [0.0, H], H, MAX_TRACE_DERIV)
+        self.synth_T, self.synth_C = (np.hstack([t.T for t in tabs]).astype(complex)
+                                      for tabs in (self.raw_T[:MAX_DERIV], self.raw_C))
         # mean block: plain L^2 mass, one copy shared by both components
         T0 = self.raw_T[0]
         self.mean_W = _inv_chol_T(area * (T0.T * self.w) @ T0)
@@ -125,6 +129,7 @@ class BasisCache:
         self.mean_tr = [t @ self.mean_W for t in self.raw_T_tr]
         # a block per distinct m, in first-appearance order; only bitwise-equal m merge
         e1, e2 = self.wavenumber(self.layout.k[:, 0], self.layout.k[:, 1])
+        self.row_wavenumbers = e1[:, None], e2[:, None]
         m, first, inv = np.unique(e1 * e1 + e2 * e2, return_index=True, return_inverse=True)
         order = np.argsort(first)
         self.m, self.block = m[order], np.argsort(order)[inv]

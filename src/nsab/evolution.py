@@ -88,7 +88,8 @@ def nonlinear_term(u, ops):
     want = ("u", "curl_v")
     work = layout_for(u.resolution).grid.workspace(want, u.resolution.Q, u.mean.shape[:-2])
     rec = reconstruct(u, ops.cache, want=want, alpha=ops.params.alpha, work=work)
-    w, v, prod = (np.moveaxis(a, -4, 0) for a in (rec["curl_v"], rec["u"], work.prod))
+    w, v, prod = ([a[..., i, :, :, :] for i in range(3)]
+                  for a in (rec["curl_v"], rec["u"], work.prod))
     tmp = work.scratch
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(w[j], v[k], out=prod[i])
@@ -194,7 +195,8 @@ class IMEXStepper:
 # ---------------------------------------------------------------------------
 
 def energy_report(ops, state, prev=None, dt=None, snorm=None, prev_snorm=None):
-    # snorm and prev_snorm, when given, are the a_scale_norms of state and prev
+    """The report of state from its a_scale_norms snorm (None: computed), and
+    of prev (prev_snorm) for the balance; their K_grad products run here."""
     sn = snorm if snorm is not None else ops.a_scale_norms(state.field)
     E, a_uu, grad = _energy(ops, sn), sn["a_uu"], sn["grad_sq"]
     bal = np.nan
@@ -219,20 +221,21 @@ class EvolutionResult:
     steps: int = 0  # steps taken, fewer than T / dt when the watchdog fires
 
 
-def _nonfinite_event(time, field, ceiling):
-    """The watchdog event of non-finite coefficients of field, or None."""
-    if not all(np.all(np.isfinite(c)) for c in field.potentials()):
-        return WatchdogEvent(time, "nan", np.inf, ceiling)
-    return None
+def _nonfinite_event(time, field, ceiling, norms):
+    """The watchdog event of non-finite coefficients of field, or None; only
+    non-finite norms of field, as any such coefficient gives, have it scanned."""
+    if np.isfinite(norms).all() or all(np.isfinite(c).all() for c in field.potentials()):
+        return None
+    return WatchdogEvent(time, "nan", np.inf, ceiling)
 
 
 def _watchdog(ops, time, field, ceiling):
     """(event, norms): the event of non-finite coefficients and no norms, else
     the event of the proxy A1 above ceiling, or None, and the norms."""
-    event = _nonfinite_event(time, field, ceiling)
+    sn = ops.a_scale_norms(field)
+    event = _nonfinite_event(time, field, ceiling, sn["l2_sq"])
     if event is not None:
         return event, None
-    sn = ops.a_scale_norms(field)
     return (WatchdogEvent(time, "h4_growth", sn["A1"], ceiling)
             if sn["A1"] > ceiling else None), sn
 
@@ -247,6 +250,8 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
     The watchdog monitors the fourth-order proxy ||(A + shift) u|| against
     ceiling times its initial value and also trips on non-finite
     coefficients; its firing is a structured outcome, not an exception.
+    Every step computes the proxy's K_a norms only; the K_grad products run
+    at report steps (every cadence-th, the last and a watchdog step).
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
@@ -303,7 +308,8 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     run bit for bit; delta = 0 reproduces the base trajectory (growth
     identically 1).  The watchdog of :func:`run_evolution` checks the base
     run, then the members' finite coefficients; when it fires the probes
-    end with the last step before it and carry the event.
+    end with the last step before it and carry the event.  A step computes the
+    base run's K_a norms and the members' H1 norms, nothing else.
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
@@ -314,9 +320,7 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
           for d, w in zip(deltas, _h1_norms(ops, state.field[1:] - u0))]
     if 0.0 in w0:
         raise ParameterError("a probe delta is too small to change u0 in floating point")
-    times = [0.0]
-    growth = [[1.0] for _ in deltas]
-    h3 = [0.0]
+    times, h3, growth = [0.0], [0.0], [[1.0] for _ in deltas]
     sn = ops.a_scale_norms(u0)
     ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
     acc, taken = 0.0, 0
@@ -327,13 +331,14 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
         event, sn = _watchdog(ops, state.time, base, ceiling)
         if event is None:
             taken += len(deltas)
-            event = _nonfinite_event(state.time, state.field[1:], ceiling)
+            h1 = _h1_norms(ops, state.field[1:] - base)
+            event = _nonfinite_event(state.time, state.field[1:], ceiling, h1)
         if event is not None:
             break
         acc += 0.5 * dt * (h3_prev + sn["A_half"])
         times.append(state.time)
         h3.append(acc)
-        for j, (d, wn) in enumerate(zip(deltas, _h1_norms(ops, state.field[1:] - base))):
+        for j, (d, wn) in enumerate(zip(deltas, h1)):
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)
     return [UniquenessProbe(np.array(times), np.array(g), np.array(h3), d, event, taken)
             for d, g in zip(deltas, growth)]

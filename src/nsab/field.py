@@ -25,11 +25,12 @@ that layout.
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
 the quadrature nodes in the same row layout - complex (3, R, Q) rows plus
 the real (3, Q) mean profile - in a few batched calls: a stacked per-row
-change of basis and one gemm per derivative order against the raw tables
-all blocks share.  :func:`synthesize` evaluates velocity (and, on request,
-the curl of the filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u);
-:func:`analyze`, its L2 adjoint, is the Galerkin projection onto the
-solenoidal test basis (a Leray projection when fed an arbitrary field).
+change of basis and one gemm per potential against the raw tables of its
+derivative orders side by side, which all blocks share.  :func:`synthesize`
+evaluates velocity (and, on request, the curl of the filtered velocity
+v = (1 - alpha^2 Lap) u and Lap^2 u); :func:`analyze`, its L2 adjoint, is
+the Galerkin projection onto the solenoidal test basis (a Leray projection
+when fed an arbitrary field).
 
 Only :func:`reconstruct` and :func:`project_velocity` know the padded
 grid, M1 x M2 x Q physical samples with M the smallest even count
@@ -169,7 +170,8 @@ class PaddedGrid:
         # the writes below fill every slot of the box, so a reused one needs
         # no zeroing
         box = np.empty((*lead, B) + self.box + (Q,)) if work is None else work.box
-        for b, (rows, mean) in zip(np.split(box, len(profiles), axis=-5), profiles):
+        for i, (rows, mean) in enumerate(profiles):
+            b = box[..., 3 * i:3 * i + 3, :, :, :, :]
             b[..., k1, 0, j2, :] = rows.real
             b[..., k1, 1, j2, :] = rows.imag
             b[..., 0, 0, jp, :] = rows.real[..., zero, :]
@@ -230,8 +232,8 @@ class GridWorkspace:
         rq, rows = lead + (R, Q), (lead + (3, R, Q), complex)
         # per region, its stages in turn; the arrays of a stage lie end to end
         regions = (
-            [[("tvals", (nd,) + rq, complex), ("pvals", (nd + 1,) + rq, complex),
-              ("terms", (4,) + rq, complex)],
+            [[("tvals", lead + (R, nd * Q), complex),
+              ("pvals", lead + (R, (nd + 1) * Q), complex), ("terms", (4,) + rq, complex)],
              [("box", lead + (B, K1, 2, J, Q), float)],
              [("grid", (E * B, M1, M2 * Q), float)],
              [("fhalf", (E * 3, 2 * K1, M2 * Q), float)],
@@ -397,10 +399,10 @@ def _combine(a, x, b, y, out, tmp):
 def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
     """Component profiles of the representative modes at quadrature nodes.
 
-    m, eta1, eta2: (R, 1) per-row data; tvals/pvals: lists of (R, Q)
-    arrays of potential derivative values; into: name -> (3, R, Q) array to
-    write, or None for a fresh one; tmp: (4, R, Q) scratch, or None for
-    fresh arrays.  Returns {"u": (3, R, Q), ...}.
+    m, eta1, eta2: (R, 1) per-row data; tvals/pvals: lists of (R, Q) views
+    of potential derivative values, one per order; into: name -> (3, R, Q)
+    array to write, or None for a fresh one; tmp: (4, R, Q) scratch, or None
+    for fresh arrays.  Returns {"u": (3, R, Q), ...}.
     """
     ie1, ie2 = 1j * eta1, 1j * eta2
     s0, s1, s2, s3 = [None] * 4 if tmp is None else tmp
@@ -411,7 +413,7 @@ def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
         v = into[name]
         if v is None:
             v = np.empty(td.shape[:-2] + (3,) + td.shape[-2:], complex)
-        v0, v1, v2 = np.moveaxis(v, -3, 0)
+        v0, v1, v2 = (v[..., i, :, :] for i in range(3))
         _combine(ie2, td, ie1, pd1, v0, s3)
         _combine(-ie1, td, ie2, pd1, v1, s3)
         np.multiply(m, pd0, out=v2)
@@ -466,19 +468,19 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
     Conjugate partners are not formed.  With a :class:`GridWorkspace` of the
     same want, the rows are views of it.
     """
-    lay = layout_for(f.resolution)
     if alpha is None and "curl_v" in want:
         raise ValueError("filtered quantities need the filter length alpha")
     # psi derivatives up to order nd - 1 and phi derivatives up to nd
     nd = max(QUANTITIES[name] for name in want)
     m, W_tor, W_pol = cache.row_bases
-    e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
-    # orthonormal -> raw recombined coefficients, then one gemm per order
+    (e1, e2), Q = cache.row_wavenumbers, f.resolution.Q
+    # orthonormal -> raw coefficients, one gemm per potential against its
+    # orders' tables side by side, then views per order
     ct, cp = rowmul(W_tor, f.psi), rowmul(W_pol, f.phi)
-    tv, pv, into = ((work.tvals, work.pvals, work.profiles) if work is not None
-                    else ([None] * nd, [None] * (nd + 1), dict.fromkeys(want)))
-    tvals = [np.matmul(ct, cache.raw_T[d].T, out=tv[d]) for d in range(nd)]
-    pvals = [np.matmul(cp, cache.raw_C[d].T, out=pv[d]) for d in range(nd + 1)]
+    into = work.profiles if work is not None else dict.fromkeys(want)
+    tv = np.matmul(ct, cache.synth_T[:, :nd * Q], out=_slot(work, "tvals"))
+    pv = np.matmul(cp, cache.synth_C[:, :(nd + 1) * Q], out=_slot(work, "pvals"))
+    tvals, pvals = ([v[..., d * Q:(d + 1) * Q] for d in range(v.shape[-1] // Q)] for v in (tv, pv))
     rows = _mode_profiles(m, e1, e2, tvals, pvals, want, alpha, into, _slot(work, "terms"))
     means = _mean_profiles(cache.mean_E, f.mean, want, alpha, nd)
     return {name: (rows[name], means[name]) for name in want}
@@ -493,7 +495,7 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
     """
     profiles = synthesize(f, cache, want, alpha, work)
     grid = layout_for(f.resolution).grid.to_grid(profiles.values(), work)
-    return dict(zip(profiles, np.split(grid, len(profiles), axis=-4)))
+    return {name: grid[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(profiles)}
 
 
 def potentials_to_velocity(f, cache):
@@ -515,11 +517,11 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     container as fields), which own their arrays also when the weighted
     rows go to the workspace work.
     """
-    lay = layout_for(resolution)
     area, w = geometry.area, cache.w
     m, W_tor, W_pol = cache.row_bases
-    e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
-    f1, f2, f3 = np.moveaxis(np.multiply(w, rows, out=_slot(work, "weighted")), -3, 0)
+    e1, e2 = cache.row_wavenumbers
+    weighted = np.multiply(w, rows, out=_slot(work, "weighted"))
+    f1, f2, f3 = (weighted[..., i, :, :] for i in range(3))
     a, b = (None, None) if work is None else work.mixed
     # adjoint of synthesize: raw-table gemms first, then the stacked W^T
     gt = _combine(-1j * e2, f1, 1j * e1, f2, a, b) @ cache.raw_T[0]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisCache
-from .field import rowmul
+from .field import SolenoidalField, rowmul
 
 #: multiplicity of each potential's rows in the full spectrum: a stored
 #: mode also stands for its conjugate partner; the mean stands alone
@@ -207,19 +207,36 @@ class OperatorSet:
         As M = I, all are quadratic forms of the per-row K_a and K_grad: with
         z = (K_a + s) c, A0^2 = ||u||^2, A_half^2 = a(u, u) + s A0^2, A1^2 =
         ||z||^2 and A1_lambda^2 = <M_Lambda z, z> = A1^2 + alpha^2 <K_grad z, z>.
+        The call runs one K_a product per potential; grad_sq and A1_lambda,
+        which only energy reports read, run a K_grad product per potential on
+        first read (:class:`ScaleNorms`).
         For finite c, a square that overflows (to inf, -inf or nan) gives an
         inf norm: the watchdog's blow-up signal.
         """
-        s, sums = self.spectral_shift(), np.zeros(4)  # a_uu, grad, ||z||^2, <K_grad z, z>
+        s, sums, z = self.spectral_shift(), np.zeros(2), []  # a_uu, ||z||^2
         with np.errstate(over="ignore", invalid="ignore"):
-            for mult, c, Ka, Kg in zip(MULTIPLICITY, f.potentials(),
-                                       self.form_rows("K_a"), self.form_rows("K_grad")):
+            for mult, c, Ka in zip(MULTIPLICITY, f.potentials(), self.form_rows("K_a")):
                 kc = rowmul(Ka, c)
-                z = kc + s * c
-                sums += mult * np.array([np.vdot(c, kc).real, np.vdot(c, rowmul(Kg, c)).real,
-                                         np.vdot(z, z).real, np.vdot(z, rowmul(Kg, z)).real])
-            l2sq, (a_uu, grad, z2, zg) = f.dot(f), sums
-            sq = np.array([l2sq, a_uu + s * l2sq, z2, z2 + self.params.alpha**2 * zg])
-            n0, n1, n2, n2L = np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
-        return {"A0": n0, "A_half": n1, "A1": n2, "A1_lambda": n2L, "shift": s,
-                "l2_sq": l2sq, "a_uu": a_uu, "grad_sq": grad}
+                z.append(kc + s * c)
+                sums += mult * np.array([np.vdot(c, kc).real, np.vdot(z[-1], z[-1]).real])
+            l2sq, (a_uu, z2) = f.dot(f), sums
+            n0, n1, n2 = _root(np.array([l2sq, a_uu + s * l2sq, z2]))
+        a2, z = self.params.alpha**2, SolenoidalField(f.geometry, f.resolution, *z)
+        sn = ScaleNorms(A0=n0, A_half=n1, A1=n2, shift=s, l2_sq=l2sq, a_uu=a_uu)
+        sn.later = {"grad_sq": lambda: self.form_inner("K_grad", f, f),
+                    "A1_lambda": lambda: _root(z2 + a2 * self.form_inner("K_grad", z, z))}
+        return sn
+
+
+def _root(sq):
+    """sqrt of squares of norms, inf where a square overflowed."""
+    return np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
+
+
+class ScaleNorms(dict):
+    """Norms whose entries in ``later`` (name -> function) are computed on first read."""
+
+    def __missing__(self, key):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self[key] = self.later[key]()
+        return self[key]

@@ -46,8 +46,9 @@ def eigenpairs_A(ops, count):
     partner); the returned list is nondecreasing in the eigenvalue and
     contains each eigenpair once with its multiplicity recorded.  Every
     block's eigenvalues come first (eigvalsh); eigenvectors (eigh, matrix by
-    matrix) only for blocks whose lowest eigenvalue, less 1e-10 of the
-    block's norm, is at most the count-th smallest plus 1e-10 of its norm.
+    matrix) only for blocks whose lowest eigenvalue, less t = 100 n eps ||K||
+    (n the order), is at most the count-th smallest plus its block's t: both
+    are backward stable, within ~n eps ||K|| (Golub & Van Loan, sec. 8.3).
     """
     # candidates ordered by block group q (the mean comes last), toroidal
     # before poloidal: equal eigenvalues keep that order; a group's stored
@@ -56,8 +57,8 @@ def eigenpairs_A(ops, count):
     keys = list(ops.layout.groups) + [(0, 0)]
     mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
     block = ops.cache.block[[rows.start for rows in ops.layout.groups.values()]]
-    bounds = [(v, 1e-10 * np.abs(v).max(axis=1, keepdims=True))
-              for v in (np.linalg.eigvalsh(stack.K_a) for stack in ops.blocks)]
+    bounds = [(v, 100 * stack.n * np.finfo(float).eps * np.abs(v).max(axis=1, keepdims=True))
+              for v, stack in ((np.linalg.eigvalsh(b.K_a), b) for b in ops.blocks)]
     cut = np.sort(np.concatenate([(v + t)[g].ravel() for (v, t), g in
                                   zip(bounds, (block, block, [0]))]))[:count][-1]
     cols, vectors = [], []

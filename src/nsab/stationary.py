@@ -177,9 +177,9 @@ def strong_bc_residual(u, params, ops):
     traces, measures how well the natural condition is recovered and
     decays under refinement.
     """
-    area, kk, cache, lay = ops.geometry.area, params.k, ops.cache, ops.layout
+    area, kk, cache = ops.geometry.area, params.k, ops.cache
     m, W_tor, W_pol = cache.row_bases
-    e1, e2 = cache.wavenumber(lay.k[:, :1], lay.k[:, 1:])
+    e1, e2 = cache.row_wavenumbers
     # wall traces, (rows, 2 walls) each
     ct, cp = rowmul(W_tor, u.psi), rowmul(W_pol, u.phi)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
@@ -254,7 +254,7 @@ def recover_pressure(u, forcing, ops):
     R_reps = forcing.rows - bilap_rows  # (3, rows, Q)
     r0 = forcing.mean - bilap_mean
     area = geo.area
-    e1, e2 = ops.cache.wavenumber(ops.layout.k[:, :1], ops.layout.k[:, 1:])
+    e1, e2 = ops.cache.row_wavenumbers
     Q0, R0 = np.linalg.qr(S0)
 
     # curl of r, z-derivatives of r1, r2 from a polynomial fit of each

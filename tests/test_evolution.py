@@ -11,11 +11,11 @@ import scipy.linalg
 from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
                             linear_propagator_exact, nonlinear_term,
                             run_evolution, uniqueness_probe, vanishing_sweep)
-from nsab import evolution
+from nsab import evolution, operators
 from nsab.basis import BasisCache
 from nsab.field import (SolenoidalField, layout_for, project_velocity, random_field,
-                        reconstruct, synthesize, zero_field)
-from nsab.operators import OperatorSet
+                        reconstruct, rowmul, synthesize, zero_field)
+from nsab.operators import MULTIPLICITY, OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import spectral_factors
 
@@ -461,6 +461,141 @@ def test_energy_reports_reuse_previous_energy_bitwise(ops, geo, res_small, caden
     assert len(got) == len(want) == 1 + 10 // cadence + (10 % cadence > 0)
     rows = [[dataclasses.astuple(r) for r in reps] for reps in (got, want)]
     np.testing.assert_array_equal(*rows)  # bitwise, NaN balance of t = 0 included
+
+
+# ---------------------------------------------------------------------------
+# the monitors compute only what the run reads
+# ---------------------------------------------------------------------------
+
+def _full_norms(ops, f):
+    """The watchdog norms and report terms with every K_a and K_grad product
+    formed on every call, summed as one array over the potentials."""
+    s, sums = ops.spectral_shift(), np.zeros(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mult, c, Ka, Kg in zip(MULTIPLICITY, f.potentials(), ops.form_rows("K_a"),
+                                   ops.form_rows("K_grad")):
+            kc = rowmul(Ka, c)
+            z = kc + s * c
+            sums += mult * np.array([np.vdot(c, kc).real, np.vdot(c, rowmul(Kg, c)).real,
+                                     np.vdot(z, z).real, np.vdot(z, rowmul(Kg, z)).real])
+        l2sq, (a_uu, grad, z2, zg) = f.dot(f), sums
+        sq = np.array([l2sq, a_uu + s * l2sq, z2, z2 + ops.params.alpha**2 * zg])
+        n0, n1, n2, n2L = np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
+    return {"A0": n0, "A_half": n1, "A1": n2, "A1_lambda": n2L, "l2_sq": l2sq,
+            "a_uu": a_uu, "grad_sq": grad}
+
+
+def _full_report(ops, t, sn, prev=None, dt=None):
+    energy = [0.5 * (x["l2_sq"] + ops.params.alpha**2 * x["grad_sq"]) for x in (sn, prev)
+              if x is not None]
+    bal = np.nan if prev is None else abs(
+        (energy[0] - energy[1]) / dt + ops.params.beta**2 * sn["a_uu"] + sn["grad_sq"])
+    return (t, energy[0], sn["a_uu"], sn["grad_sq"],
+            float(np.sqrt(max(sn["l2_sq"], 0.0) + max(sn["grad_sq"], 0.0))),
+            sn["A_half"], sn["A1_lambda"], bal)
+
+
+def _full_norm_run(ops, u0, dt, nsteps, scheme, cadence, watchdog_ceiling):
+    """(reports, (reason, time), steps) of run_evolution with every norm of
+    every step in full and the coefficients scanned on every step."""
+    stepper = IMEXStepper(ops, dt, scheme)
+    state = EvolutionState(0.0, u0.copy(), None)
+    sn = _full_norms(ops, u0)
+    ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
+    reports = [_full_report(ops, 0.0, sn)]
+    for n in range(1, nsteps + 1):
+        prev, state = sn, stepper.step(state)
+        if not all(np.isfinite(c).all() for c in state.field.potentials()):
+            return reports, ("nan", state.time), n
+        sn = _full_norms(ops, state.field)
+        if sn["A1"] > ceiling or n % cadence == 0 or n == nsteps:
+            reports.append(_full_report(ops, state.time, sn, prev, dt))
+        if sn["A1"] > ceiling:
+            return reports, ("h4_growth", state.time), n
+    return reports, None, nsteps
+
+
+@pytest.mark.parametrize("case", ["cadence1", "cadence3", "ceiling-step1", "blowup-step3"])
+def test_reports_match_full_norm_formula_bitwise(geo, case):
+    """Norms computed on demand give every report, event and step count
+    bitwise as the full formula of every step gives them, also on watchdog
+    steps off the cadence (step 1 at cadence 3, step 3 at cadence 4, whose
+    previous state was not reported)."""
+    o = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.01), geo, Resolution(N1=8, N2=8, P=16))
+    amplitude, scheme, cadence, ceiling, T = {
+        "cadence1": (0.3, "euler", 1, 1e6, 0.1),
+        "cadence3": (0.3, "cnab2", 3, 1e6, 0.2),
+        "ceiling-step1": (0.3, "euler", 3, 1e-12, 0.2),
+        "blowup-step3": (1e4, "cnab2", 4, 1e6, 0.2)}[case]
+    u0 = random_field(geo, o.resolution, seed=1, amplitude=amplitude, decay=1.0)
+    run = run_evolution(o, u0, 0.02, T, scheme=scheme, cadence=cadence,
+                        watchdog_ceiling=ceiling)
+    reports, event, steps = _full_norm_run(o, u0, 0.02, round(T / 0.02), scheme, cadence,
+                                           ceiling)
+    np.testing.assert_array_equal([dataclasses.astuple(r) for r in run.reports], reports)
+    assert run.steps == steps
+    assert (run.watchdog and (run.watchdog.reason, run.watchdog.time)) == (event or None)
+    if case.startswith(("ceiling", "blowup")):
+        assert run.watchdog is not None and steps % cadence != 0
+
+
+def test_probe_h3_integral_is_the_trapezoid_of_full_norms(ops, geo, res_small):
+    u0 = random_field(geo, res_small, seed=2, amplitude=0.1, decay=1.0)
+    pert = random_field(geo, res_small, seed=99, amplitude=1.0, decay=1.0)
+    p, = uniqueness_probe(ops, u0, pert, (1e-6,), 0.1, 0.01)
+    stepper, state = IMEXStepper(ops, 0.01, "cnab2"), EvolutionState(0.0, u0.copy())
+    prev, acc, want = _full_norms(ops, u0)["A_half"], 0.0, [0.0]
+    for _ in range(10):
+        state = stepper.step(state)
+        cur = _full_norms(ops, state.field)["A_half"]
+        acc += 0.5 * 0.01 * (prev + cur)
+        want.append(acc)
+        prev = cur
+    assert np.array_equal(p.h3_integral, want)
+
+
+def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkeypatch):
+    """The watchdog and the probe read A0, A_half and A1 only: one K_a
+    product per potential.  The K_grad products of grad_sq and A1_lambda run
+    for reported states, and grad_sq also for the state before a report."""
+    grad_rows, calls = ops.form_rows("K_grad"), []
+
+    def counting(W, c):
+        calls.append(any(W is K for K in grad_rows))
+        return rowmul(W, c)
+
+    monkeypatch.setattr(operators, "rowmul", counting)
+    u0 = random_field(geo, res_small, seed=2, amplitude=0.1)
+    uniqueness_probe(ops, u0, u0, (1e-6,), 0.1, 0.01)
+    assert len(calls) == 3 * 11 and not any(calls)
+    calls.clear()
+    run_evolution(ops, u0, 0.01, 0.1, cadence=5)
+    # reports at steps 0, 5, 10; grad_sq of steps 4 and 9 for the balance
+    assert sum(calls) == 3 * (2 + 3 + 3)
+    calls.clear()
+    run_evolution(ops, u0, 0.01, 0.04, cadence=1)
+    assert sum(calls) == 3 * 2 * 5  # no state's K_grad products twice
+
+
+def test_probe_member_scan_keeps_its_events(geo):
+    """Members are scanned only when one of their H1 norms is not finite:
+    a member that overflows to NaN stops the probe at the step and count it
+    did before; a finite member whose difference overflows gives a
+    non-finite growth (NaN: the overflowed form sums inf - inf) and no event."""
+    o = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.01), geo, Resolution(N1=8, N2=8, P=16))
+    u0 = random_field(geo, o.resolution, seed=2, amplitude=0.1, decay=1.0)
+    pert = random_field(geo, o.resolution, seed=7, amplitude=1.0, decay=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d2, time, steps in ((1e300, 0.02, 3), (1e150, 0.04, 6)):
+            small, big = uniqueness_probe(o, u0, pert, (1e-6, d2), 0.1, 0.02)
+            for p in (small, big):
+                assert (p.watchdog.reason, p.steps) == ("nan", steps)
+                assert p.watchdog.time == pytest.approx(time)
+                assert len(p.times) == steps // 3
+        small, big = uniqueness_probe(o, u0, pert, (1e-6, 1e63), 0.04, 0.02)
+    assert small.watchdog is big.watchdog is None and big.steps == 6
+    assert np.all(np.isfinite(small.growth)) and np.all(np.isfinite(big.growth[:2]))
+    assert not np.isfinite(big.growth[2])
 
 
 # ---------------------------------------------------------------------------
