@@ -22,7 +22,7 @@ timing noise.
     python benchmarks/bench_setup.py                  # all cases, 3 runs each
     python benchmarks/bench_setup.py --cases n16p32,probe-n8p16 --out-dir /tmp
 
-Exits 1 if any nsab run fails.  N64/P64 peaks near 1.2 GB.
+Exits 1 if any nsab run fails.  N64/P64 peaks near 420 MB.
 """
 
 import argparse

@@ -27,13 +27,13 @@ area * m <T, T> (toroidal) and area * (m <C', C'> + m^2 <C, C>)
 (poloidal).  :class:`BasisCache` builds the change of basis of every
 distinct m at once, as a (U, n, n) stack from one batched Cholesky
 factorization per potential, with no per-block loop: block groups (|k1|,
-|k2|) of bitwise-equal m, (a, b) and (b, a) on a square box, share a block,
-and ``BasisCache.block`` gives each row's, the one block numbering.
+|k2|) of bitwise-equal m, (a, b) and (b, a) on a square box, share a block.
+The field layout (:class:`nsab.field.ModeLayout`) owns the one block
+numbering and sorts a field's rows by it, so no stack is ever gathered per
+row.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -102,20 +102,20 @@ class BasisCache:
 
     ``raw_T``/``raw_C`` tabulate the raw recombined bases and their
     z-derivatives at the quadrature nodes, ``raw_T_tr``/``raw_C_tr`` on the
-    walls, ``synth_T``/``synth_C`` those :func:`nsab.field.synthesize` reads;
-    ``row_wavenumbers`` are eta1, eta2 (R, 1) of the layout's rows.  Blocks
-    depend on the wavenumber only through m = |eta|^2: ``m`` (U,), ``W_tor``
-    and ``W_pol`` (U, n, n) stack one per distinct m, in order of first
-    appearance among the layout's block groups, ``block`` (R,) gives each
-    row's, and :attr:`row_bases` gathers them per row on first use.  The mean
-    block has ``mean_W`` and its own tables ``mean_E``/``mean_tr``
+    walls, ``synth_T``/``synth_C`` those :func:`nsab.field.synthesize` reads.
+    Blocks depend on the wavenumber only through m = |eta|^2: ``W_tor`` and
+    ``W_pol`` (U, n, n) stack one per distinct m, ``m`` (U,), in the block
+    numbering of the layout (``layout.block`` gives each row's), and act on
+    a field's rows through :func:`nsab.field.blockmul`.  The mean block has
+    ``mean_W`` and its own tables ``mean_E``/``mean_tr``
     (``raw_T``/``raw_T_tr`` times ``mean_W``).
     """
 
     def __init__(self, geometry, resolution):
         self.geometry = geometry
         self.resolution = resolution
-        self.layout = layout_for(resolution)
+        self.layout = layout_for(geometry, resolution)
+        self.wavenumber = self.layout.wavenumber
         H, P, area = geometry.H, resolution.P, geometry.area
         self.z, self.w = gauss_legendre(resolution.Q, H)
         self.raw_T, self.raw_C = recombined_bases(P, self.z, H, MAX_DERIV)
@@ -125,14 +125,9 @@ class BasisCache:
         # mean block: plain L^2 mass, one copy shared by both components
         T0 = self.raw_T[0]
         self.mean_W = _inv_chol_T(area * (T0.T * self.w) @ T0)
-        self.mean_E = [t @ self.mean_W for t in self.raw_T]
+        self.mean_E = np.stack([t @ self.mean_W for t in self.raw_T])
         self.mean_tr = [t @ self.mean_W for t in self.raw_T_tr]
-        # a block per distinct m, in first-appearance order; only bitwise-equal m merge
-        e1, e2 = self.wavenumber(self.layout.k[:, 0], self.layout.k[:, 1])
-        self.row_wavenumbers = e1[:, None], e2[:, None]
-        m, first, inv = np.unique(e1 * e1 + e2 * e2, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        self.m, self.block = m[order], np.argsort(order)[inv]
+        self.m = self.layout.m
         self.W_tor, self.W_pol = self.bases(self.m)
 
     def bases(self, m):
@@ -144,14 +139,3 @@ class BasisCache:
         T0, (C0, C1) = self.raw_T[0], self.raw_C[:2]
         return (_inv_chol_T(m * area * (T0.T * w) @ T0),
                 _inv_chol_T(area * (m * (C1.T * w) @ C1 + m * m * (C0.T * w) @ C0)))
-
-    def wavenumber(self, k1, k2):
-        g = self.geometry
-        return 2.0 * np.pi * k1 / g.L1, 2.0 * np.pi * k2 / g.L2
-
-    @cached_property
-    def row_bases(self):
-        """m (R, 1) and the W stacks (R, n, n) of the toroidal and poloidal
-        blocks of every row of the layout."""
-        b = self.block
-        return self.m[b, None], self.W_tor[b], self.W_pol[b]

@@ -46,8 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adn import (check_covering, check_ellipticity, eliminate_boundary_system,
-                  ns_alpha_beta_system, stable_subspace_angle, MOMENTUM_ONLY)
 from .basis import BasisCache
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
@@ -174,6 +172,9 @@ def _initial_field(cfg, layout):
 # ---------------------------------------------------------------------------
 
 def _exp_verify_adn(cfg, out, operators, stage):
+    # imported here, as no other subcommand reads the symbol checks
+    from .adn import (check_covering, check_ellipticity, eliminate_boundary_system,
+                      ns_alpha_beta_system, stable_subspace_angle, MOMENTUM_ONLY)
     with stage("ellipticity"):
         ell_rep = check_ellipticity(ns_alpha_beta_system(gamma=cfg.params.gamma))
     rng = np.random.default_rng(cfg["covering.seed"])

@@ -18,9 +18,10 @@ Crank-Nicolson with Adams-Bashforth-2 (theta = 1/2, first step seeded with
 the initial slope).  A step solves A u' = (M_L - (1 - theta) dt S) u - dt G
 with A = M_L + theta dt S and G the explicit term.  As M_L - (1 - theta) dt S
 = M_L / theta - (1/theta - 1) A, it is applied as u' = P u / theta -
-(1/theta - 1) u - dt Q G through per-row stacks of the propagators
-P = A^{-1} M_L and Q = A^{-1}, formed with one LU per distinct block; this
-keeps the cancellation in M_L - dt S / 2 out of the step.  The linear
+(1/theta - 1) u - dt Q G through per-block stacks of the propagators
+P = A^{-1} M_L and Q = A^{-1}, formed with one LU per distinct block and
+applied to the block-major rows by :func:`nsab.field.blockmul`; this keeps
+the cancellation in M_L - dt S / 2 out of the step.  The linear
 flow also has an exact spectral propagator through the factorization
 u(t) = L^{-1/2} e^{-tD} L^{1/2} u0 (+ Duhamel term), which serves as the
 order oracle for the steppers.
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (SolenoidalField, layout_for, project_velocity, reconstruct, rowmul,
-                    zero_field)
-from .operators import MULTIPLICITY, OperatorSet
+from .field import SolenoidalField, blockmul, project_velocity, reconstruct, zero_field
+from .operators import MULTIPLICITY, OperatorSet, _root
 from .params import ParameterError, derive_params, step_count
 from .spectral import spectral_factors
 
@@ -86,7 +86,7 @@ def nonlinear_term(u, ops):
     its own call.
     """
     want = ("u", "curl_v")
-    work = layout_for(u.resolution).grid.workspace(want, u.resolution.Q, u.mean.shape[:-2])
+    work = ops.layout.grid.workspace(want, u.resolution.Q, u.mean.shape[:-2])
     rec = reconstruct(u, ops.cache, want=want, alpha=ops.params.alpha, work=work)
     w, v, prod = ([a[..., i, :, :, :] for i in range(3)]
                   for a in (rec["curl_v"], rec["u"], work.prod))
@@ -110,19 +110,16 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
     integral uses composite Gauss-Legendre quadrature with the given
     panel/node counts.
     """
-    def parts(b):
-        fb = spectral_factors(b, ops.params.beta, include_gradient=True)
-        return (fb.sqrt_lambda, fb.inv_sqrt_lambda, fb.d_eigvals,
-                np.swapaxes(fb.d_eigvecs, 1, 2))
+    factors = [spectral_factors(b, ops.params.beta, include_gradient=True) for b in ops.blocks]
 
-    stacks = list(ops.row_stacks(parts))
+    def flow(tau, f, right):
+        # L^{-1/2} e^{-tau D} right, per block, applied to f's rows
+        stacks = [fb.inv_sqrt_lambda @ (fb.d_eigvecs * np.exp(-tau * fb.d_eigvals)[:, None, :])
+                  @ np.swapaxes(fb.d_eigvecs, 1, 2) @ right(fb) for fb in factors]
+        return [blockmul(S, c, runs) for S, c, runs in
+                zip(stacks, f.potentials(), ops.layout.potential_buckets)]
 
-    def semigroup(tau, c, lam, VT):
-        # e^{-tau D} applied to every row of c
-        return rowmul(VT.transpose(0, 2, 1), np.exp(-tau * lam) * rowmul(VT, c))
-
-    out = [rowmul(isq, semigroup(t, rowmul(sq, c), lam, VT))
-           for c, (sq, isq, lam, VT) in zip(u0.potentials(), stacks)]
+    out = flow(t, u0, lambda fb: fb.sqrt_lambda)
     if forcing is not None and t > 0:
         x, wq = np.polynomial.legendre.leggauss(nodes)
         # panels graded geometrically toward tau = t, where the semigroup
@@ -133,9 +130,9 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
             taus = 0.5 * (b - a) * (x + 1.0) + a
             ws = 0.5 * (b - a) * wq
             for tau, wgt in zip(taus, ws):
-                for acc, c, (_, isq, lam, VT) in zip(out, forcing(tau).potentials(),
-                                                     stacks):
-                    acc += wgt * rowmul(isq, semigroup(t - tau, rowmul(isq, c), lam, VT))
+                for acc, part in zip(out, flow(t - tau, forcing(tau),
+                                               lambda fb: fb.inv_sqrt_lambda)):
+                    acc += wgt * part
     return SolenoidalField(u0.geometry, u0.resolution, *out)
 
 
@@ -169,9 +166,10 @@ class IMEXStepper:
             A = blk.M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad)
             eye = np.broadcast_to(np.eye(blk.n), A.shape)
             PQ = np.linalg.solve(A, np.concatenate([blk.M_lambda, eye], axis=-1))
-            return PQ[..., :blk.n], PQ[..., blk.n:]
+            # C order, so the step's gemms do not depend on the layout solve returns
+            return np.ascontiguousarray(PQ[..., :blk.n]), np.ascontiguousarray(PQ[..., blk.n:])
 
-        self._props = list(ops.row_stacks(propagators))
+        self._props = [propagators(b) for b in ops.blocks]
 
     def step(self, state):
         ops = self.ops
@@ -183,8 +181,9 @@ class IMEXStepper:
             Nprev = state.history if state.history is not None else N
             G = N * 1.5 - Nprev * 0.5
         a = self._inv_theta
-        out = [rowmul(P, c) * a - (a - 1.0) * c - dt * rowmul(Q, g)
-               for (P, Q), c, g in zip(self._props, u.potentials(), G.potentials())]
+        out = [blockmul(P, c, runs) * a - (a - 1.0) * c - dt * blockmul(Q, g, runs)
+               for (P, Q), runs, c, g in zip(self._props, ops.layout.potential_buckets,
+                                             u.potentials(), G.potentials())]
         return EvolutionState(state.time + dt,
                               SolenoidalField(u.geometry, u.resolution, *out),
                               N if self.scheme == "cnab2" else None)
@@ -287,13 +286,15 @@ class UniquenessProbe:
 
 def _h1_norms(ops, w):
     """H1 norm of each member w[j] of a stacked field, from one stacked K_grad
-    product; bitwise sqrt(w[j].dot(w[j]) + ops.form_inner("K_grad", w[j], w[j]))."""
-    gw = [rowmul(K, c) for K, c in zip(ops.form_rows("K_grad"), w.potentials())]
+    product; bitwise sqrt(w[j].dot(w[j]) + ops.form_inner("K_grad", w[j], w[j])),
+    and inf where that square overflowed, as the watchdog norms read it."""
+    gw = [blockmul(blk.K_grad, c, runs) for blk, c, runs in
+          zip(ops.blocks, w.potentials(), ops.layout.potential_buckets)]
     norms = []
     for j in range(len(w.mean)):
         grad = sum(mult * np.vdot(c[j], g[j]).real
                    for mult, c, g in zip(MULTIPLICITY, w.potentials(), gw))
-        norms.append(float(np.sqrt(max(w[j].dot(w[j]) + grad, 0.0))))
+        norms.append(float(_root(w[j].dot(w[j]) + grad)))
     return norms
 
 

@@ -7,12 +7,14 @@ so only the representative modes are stored: k1 > 0, or k1 = 0 < k2, for
 wavenumbers k in [-N/2, N/2) without the Nyquist values -N/2.  The
 potentials ``psi`` and ``phi`` are (R, n) arrays with one row per
 representative, R = ((N1 - 1)(N2 - 1) - 1) / 2; the (0,0) slot is carried
-separately as two real mean profiles (U1(z), U2(z), 0).  Rows are ordered by
-block group - the modes (k1, k2) sharing |k1|, |k2| and therefore one basis
-block - so each group is a contiguous (g, n) slice (:class:`ModeLayout`).
-A block depends on the wavenumber only through m = |eta|^2, so groups with
-bitwise-equal m share one: ``BasisCache.block`` gives each row's index into
-every per-block stack (bases, forms).
+separately as two real mean profiles (U1(z), U2(z), 0).  A basis block
+depends on the wavenumber only through m = |eta|^2, so all modes of
+bitwise-equal m share one, and the rows are stored block-major
+(:class:`ModeLayout`, one per geometry and resolution, as m depends on the
+periods): sorted by block, the blocks numbered by their row count, so the
+blocks with k rows each form one contiguous slice.  Every per-block stack
+(bases, forms, propagators, eigenvectors) acts on a field's rows through
+:func:`blockmul`, one matmul per such bucket; nothing is gathered per row.
 
 Coefficients are expressed in the per-block orthonormalized bases of
 :mod:`nsab.basis`, so the L2 inner product of two fields is the Hermitian
@@ -20,13 +22,15 @@ dot product of their rows, counted twice for the conjugate partners, plus
 the dot product of the mean rows.
 
 This module and the snapshot file boundary are the only places that know
-that layout.
+that layout; other modules reach rows through the layout's ``row``,
+``groups`` and ``buckets``.
 
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
 the quadrature nodes in the same row layout - complex (3, R, Q) rows plus
-the real (3, Q) mean profile - in a few batched calls: a stacked per-row
-change of basis and one gemm per potential against the raw tables of its
-derivative orders side by side, which all blocks share.  :func:`synthesize`
+the real (3, Q) mean profile - in a few batched calls: a per-block change
+of basis (:func:`blockmul`) and one gemm per potential against the raw
+tables of its derivative orders side by side, which all blocks share.
+:func:`synthesize`
 evaluates velocity (and, on request, the curl of the filtered velocity
 v = (1 - alpha^2 Lap) u and Lap^2 u); :func:`analyze`, its L2 adjoint, is
 the Galerkin projection onto the solenoidal test basis (a Leray projection
@@ -76,19 +80,28 @@ def _roots(M, j):
 
 
 class ModeLayout:
-    """Rows of the representative tangential modes.
+    """Block-major rows of the representative tangential modes.
 
-    ``reps`` lists the representatives (k1, k2) in fft traversal order;
-    ``groups`` maps each block key (|k1|, |k2|) to its slice of rows, in
-    order of first appearance in ``reps``; rows within a group keep the
-    ``reps`` order.  ``k`` is the (R, 2) array of row wavenumbers and
-    ``row`` the (k1, k2) -> row lookup.  ``grid`` is the transform to the
-    padded grid, built on first use.
+    ``reps`` lists the representatives (k1, k2) in fft traversal order.  A
+    block is one bitwise-distinct m = |eta|^2, eta from :meth:`wavenumber`:
+    ``m`` (U,) holds the blocks' m and ``block`` (R,) each row's block, the
+    one block numbering.  Blocks are numbered by their row count, then by
+    first appearance in ``reps``, and rows are sorted by block, so the nb
+    blocks with k rows each are one contiguous (nb k, n) slice of a
+    potential: ``buckets`` lists these runs as (rows, blocks, (nb, k)), the
+    form :func:`blockmul` reads, and ``potential_buckets`` those of psi, phi
+    and the mean.  ``groups`` maps each key (|k1|, |k2|) to its slice of
+    rows, in order of first appearance in ``reps``; within a group, rows
+    keep the ``reps`` order, and ``by_group`` lists the rows group after
+    group.  ``k`` is the (R, 2) array of row wavenumbers, ``row`` the
+    (k1, k2) -> row lookup, ``eta`` the (R, 1) columns eta1, eta2 and m of
+    the rows.  ``grid`` is the transform to the padded grid, built on first
+    use.
     """
 
-    def __init__(self, resolution):
+    def __init__(self, geometry, resolution):
         N1, N2 = resolution.N1, resolution.N2
-        self.N1, self.N2 = N1, N2
+        self.N1, self.N2, self.L = N1, N2, (geometry.L1, geometry.L2)
         self.padded_shape = resolution.padded_shape
         self.reps = [(int(k1), int(k2))
                      for k1 in _int_freqs(N1) if 2 * k1 != -N1
@@ -97,12 +110,29 @@ class ModeLayout:
         members = {}
         for k1, k2 in self.reps:
             members.setdefault((abs(k1), abs(k2)), []).append((k1, k2))
-        rows, self.groups = [], {}
-        for key, modes in members.items():
-            self.groups[key] = slice(len(rows), len(rows) + len(modes))
-            rows += modes
-        self.k = np.array(rows, int).reshape(-1, 2)
-        self.row = {k: r for r, k in enumerate(rows)}
+        k = np.array([mode for modes in members.values() for mode in modes], int).reshape(-1, 2)
+        e1, e2 = self.wavenumber(*k.T)
+        m, first, inv, count = np.unique(e1 * e1 + e2 * e2, return_index=True,
+                                         return_inverse=True, return_counts=True)
+        order = np.lexsort((first, count))  # (rows per block, first appearance)
+        block = np.argsort(order)[inv]
+        rows = np.argsort(block, kind="stable")
+        self.m, self.block, self.k = m[order], block[rows], k[rows]
+        self.by_group = np.argsort(rows)
+        self.row = {(int(k1), int(k2)): r for r, (k1, k2) in enumerate(self.k)}
+        self.groups = {key: slice(self.row[modes[0]], self.row[modes[0]] + len(modes))
+                       for key, modes in members.items()}
+        e1, e2 = e1[rows, None], e2[rows, None]
+        self.eta = e1, e2, e1 * e1 + e2 * e2
+        size, nb = (a.tolist() for a in np.unique(count, return_counts=True))
+        ends = zip(np.cumsum(np.multiply(size, nb)).tolist(), np.cumsum(nb).tolist())
+        self.buckets = [(slice(r - s * n, r), slice(b - n, b), (n, s))
+                        for s, n, (r, b) in zip(size, nb, ends)]
+        self.potential_buckets = (self.buckets, self.buckets, MEAN_BUCKETS)
+
+    def wavenumber(self, k1, k2):
+        L1, L2 = self.L
+        return 2.0 * np.pi * k1 / L1, 2.0 * np.pi * k2 / L2
 
     @cached_property
     def grid(self):
@@ -162,22 +192,24 @@ class PaddedGrid:
     def to_grid(self, profiles, work=None):
         """Real (..., 3 n, M1, M2, Q) samples of n (rows, mean) profile
         pairs, complex (..., 3, R, Q) rows and the real (..., 3, Q) mean as
-        :func:`synthesize` returns them."""
+        :func:`synthesize` returns them; with a workspace, the rows are read
+        from its profiles, all quantities at once, which synthesize given the
+        same workspace has written."""
         profiles = list(profiles)
-        *lead, _, Q = profiles[0][1].shape  # of a mean, (..., 3, Q)
-        B = 3 * len(profiles)
+        rows = (np.concatenate([r for r, _ in profiles], axis=-3) if work is None
+                else work.all_profiles)
+        mean = np.concatenate([m for _, m in profiles], axis=-2)
+        *lead, B, _, Q = rows.shape
         (k1, j2), (zero, jp) = self.rows, self.partners
         # the writes below fill every slot of the box, so a reused one needs
         # no zeroing
         box = np.empty((*lead, B) + self.box + (Q,)) if work is None else work.box
-        for i, (rows, mean) in enumerate(profiles):
-            b = box[..., 3 * i:3 * i + 3, :, :, :, :]
-            b[..., k1, 0, j2, :] = rows.real
-            b[..., k1, 1, j2, :] = rows.imag
-            b[..., 0, 0, jp, :] = rows.real[..., zero, :]
-            b[..., 0, 1, jp, :] = -rows.imag[..., zero, :]
-            b[..., 0, 0, self.center, :] = mean
-            b[..., 0, 1, self.center, :] = 0.0  # the mean is real
+        box[..., k1, 0, j2, :] = rows.real
+        box[..., k1, 1, j2, :] = rows.imag
+        box[..., 0, 0, jp, :] = rows.real[..., zero, :]
+        box[..., 0, 1, jp, :] = -rows.imag[..., zero, :]
+        box[..., 0, 0, self.center, :] = mean
+        box[..., 0, 1, self.center, :] = 0.0  # the mean is real
         K1, n = self.box[0], math.prod(lead) * B
         half = np.matmul(self.y_inv, box.reshape(n * K1, -1, Q), out=_slot(work, "half"))
         grid = np.matmul(self.x_inv, half.reshape(n, 2 * K1, -1), out=_slot(work, "grid"))
@@ -219,7 +251,8 @@ class GridWorkspace:
     terms), ``box``, ``grid``, ``fhalf``, ``re``/``im`` (gathered parts),
     ``weighted``/``mixed`` (rows times the quadrature weights, their sums);
 
-    region B: ``profiles``, ``half``, ``prod`` and its ``scratch``,
+    region B: ``profiles`` (``all_profiles``: every quantity's, as
+    lead + (3 q, R, Q)), ``half``, ``prod`` and its ``scratch``,
     ``fbox`` and the gathered ``rows`` (after ``fbox``, whose mean slot
     :func:`analyze` still reads).
     """
@@ -239,7 +272,7 @@ class GridWorkspace:
              [("fhalf", (E * 3, 2 * K1, M2 * Q), float)],
              [("re", lead + (3, R, Q), float), ("im", lead + (3, R, Q), float)],
              [("weighted",) + rows, ("mixed", (2,) + rq, complex)]],
-            [[("profiles", (len(want),) + lead + (3, R, Q), complex)],
+            [[("profiles", lead + (len(want), 3, R, Q), complex)],
              [("half", (E * B * K1, 2 * M2, Q), float)],
              [("prod", lead + (3, M1, M2, Q), float), ("scratch", lead + (M1, M2, Q), float)],
              [("fbox", (E * 3 * K1, 2 * J, Q), float), ("rows",) + rows]])
@@ -252,7 +285,8 @@ class GridWorkspace:
                     n = _floats(shape, dtype)
                     setattr(self, name, buf[at:at + n].view(dtype).reshape(shape))
                     at += n
-        self.profiles = dict(zip(want, self.profiles))
+        self.all_profiles = self.profiles.reshape(lead + (B, R, Q))
+        self.profiles = {name: self.profiles[..., i, :, :, :] for i, name in enumerate(want)}
 
 
 def _floats(shape, dtype):
@@ -263,10 +297,10 @@ def _floats(shape, dtype):
 _layouts = {}
 
 
-def layout_for(resolution):
-    key = (resolution.N1, resolution.N2)
+def layout_for(geometry, resolution):
+    key = (resolution.N1, resolution.N2, geometry.L1, geometry.L2)
     if key not in _layouts:
-        _layouts[key] = ModeLayout(resolution)
+        _layouts[key] = ModeLayout(geometry, resolution)
     return _layouts[key]
 
 
@@ -312,7 +346,7 @@ class SolenoidalField:
 
     def potentials(self):
         """(psi, phi, mean), the order of
-        :meth:`nsab.operators.OperatorSet.row_stacks`."""
+        :attr:`nsab.operators.OperatorSet.blocks`."""
         return self.psi, self.phi, self.mean
 
     def dot(self, other):
@@ -326,7 +360,7 @@ class SolenoidalField:
 
 
 def zero_field(geometry, resolution):
-    R = len(layout_for(resolution).reps)
+    R = len(layout_for(geometry, resolution).reps)
     return SolenoidalField(
         geometry, resolution,
         np.zeros((R, resolution.n_toroidal), complex),
@@ -341,7 +375,7 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     per basis index; decay=0 gives white coefficients.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lay = layout_for(resolution)
+    lay = layout_for(geometry, resolution)
     n_t, n_p = resolution.n_toroidal, resolution.n_poloidal
     # one draw in reps order, per representative the real and imaginary
     # parts of psi, then of phi; then moved to row order
@@ -355,7 +389,10 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     mean = np.exp(-decay * np.arange(n_t)) * rng.standard_normal((2, n_t))
     f = SolenoidalField(geometry, resolution, wt * (re_t + 1j * im_t),
                         wp * (re_p + 1j * im_p), mean)
-    nrm = f.norm_l2()
+    # the norm sums the rows in block-group order, which the storage order
+    # of the blocks does not change
+    g = lay.by_group
+    nrm = SolenoidalField(geometry, resolution, f.psi[g], f.phi[g], mean).norm_l2()
     if nrm > 0:
         f = f * (amplitude / nrm)
     return f
@@ -370,13 +407,26 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 QUANTITIES = {"u": 1, "curl_v": 4, "bilap_u": 5}
 
 
-def rowmul(W, c):
-    """Row-wise W[r] @ c[r] for a real (R, n, n) stack (or one (n, n)
-    matrix); complex rows go as (n, 2) real blocks, so W is never cast."""
+#: the bucket of the mean block: its two rows U1, U2 share the one block
+MEAN_BUCKETS = ((slice(0, 2), slice(0, 1), (1, 2)),)
+
+
+def blockmul(W, c, buckets):
+    """W[b] @ c[r] for every row r of each block b of the (U, n_out, n) stack
+    W, behind any member axes of c: per bucket of buckets
+    (:attr:`ModeLayout.buckets`) one matmul of the blocks' real (nb, n_out, n)
+    stack against their rows as an (nb, k, n, 2) array, the complex rows as
+    real pairs, so W is never cast.  Each row is the same (n_out, n) @ (n, 2)
+    gemm however the blocks are bucketed."""
     c = np.ascontiguousarray(c)
-    if not np.iscomplexobj(c):
-        return np.matmul(W, c[..., None])[..., 0]
-    return np.matmul(W, c.view(np.float64).reshape(*c.shape, 2)).view(complex)[..., 0]
+    *lead, R, n = c.shape
+    t, L = (2 if c.dtype.kind == "c" else 1), math.prod(lead)
+    x = c.view(np.float64).reshape(L, R, n * t)
+    y = np.empty((L, R, W.shape[-2] * t))
+    for rows, blocks, (nb, k) in buckets:
+        np.matmul(W[blocks, None], x[:, rows].reshape(L, nb, k, n, t),
+                  out=y[:, rows].reshape(L, nb, k, -1, t))
+    return y.view(c.dtype).reshape(*lead, R, W.shape[-2])
 
 
 def velocity(e1, e2, m, t, p1, p0):
@@ -441,19 +491,19 @@ def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
 
 
 def _mean_profiles(E, mean, want, alpha, nd):
-    # (..., 3, Q) derivatives of (U1, U2, 0): one gemv per mean row, as batches
-    zero = np.zeros(mean.shape[:-2] + (1, E[0].shape[0]))
-    U = [np.concatenate([np.matmul(E[d], mean[..., None])[..., 0], zero], axis=-2)
-         for d in range(nd + 1)]
+    # (..., 3, Q) derivatives of (U1, U2, 0): one gemv per order and mean row,
+    # in one batched product over the stacked orders E
+    U = np.zeros(mean.shape[:-2] + (nd + 1, 3, E.shape[1]))
+    np.matmul(E[:nd + 1, None], mean[..., None, :, :, None], out=U[..., :2, :, None])
     out = {}
     if "u" in want:
-        out["u"] = U[0]
+        out["u"] = U[..., 0, :, :]
     if "curl_v" in want:
         # curl (V1, V2, 0)(z) = (-V2', V1', 0) with V = U - alpha^2 U''
-        dV = U[1] - alpha**2 * U[3]
-        out["curl_v"] = np.concatenate([-dV[..., 1:2, :], dV[..., :1, :], zero], axis=-2)
+        dV = U[..., 1, :, :] - alpha**2 * U[..., 3, :, :]
+        out["curl_v"] = dV[..., [1, 0, 2], :] * np.array([[-1.0], [1.0], [1.0]])
     if "bilap_u" in want:
-        out["bilap_u"] = U[4]
+        out["bilap_u"] = U[..., 4, :, :]
     return out
 
 
@@ -472,11 +522,10 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
         raise ValueError("filtered quantities need the filter length alpha")
     # psi derivatives up to order nd - 1 and phi derivatives up to nd
     nd = max(QUANTITIES[name] for name in want)
-    m, W_tor, W_pol = cache.row_bases
-    (e1, e2), Q = cache.row_wavenumbers, f.resolution.Q
+    (e1, e2, m), Q, buckets = cache.layout.eta, f.resolution.Q, cache.layout.buckets
     # orthonormal -> raw coefficients, one gemm per potential against its
     # orders' tables side by side, then views per order
-    ct, cp = rowmul(W_tor, f.psi), rowmul(W_pol, f.phi)
+    ct, cp = blockmul(cache.W_tor, f.psi, buckets), blockmul(cache.W_pol, f.phi, buckets)
     into = work.profiles if work is not None else dict.fromkeys(want)
     tv = np.matmul(ct, cache.synth_T[:, :nd * Q], out=_slot(work, "tvals"))
     pv = np.matmul(cp, cache.synth_C[:, :(nd + 1) * Q], out=_slot(work, "pvals"))
@@ -494,7 +543,7 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
     workspace work, if given.
     """
     profiles = synthesize(f, cache, want, alpha, work)
-    grid = layout_for(f.resolution).grid.to_grid(profiles.values(), work)
+    grid = cache.layout.grid.to_grid(profiles.values(), work)
     return {name: grid[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(profiles)}
 
 
@@ -518,8 +567,7 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     rows go to the workspace work.
     """
     area, w = geometry.area, cache.w
-    m, W_tor, W_pol = cache.row_bases
-    e1, e2 = cache.row_wavenumbers
+    (e1, e2, m), buckets = cache.layout.eta, cache.layout.buckets
     weighted = np.multiply(w, rows, out=_slot(work, "weighted"))
     f1, f2, f3 = (weighted[..., i, :, :] for i in range(3))
     a, b = (None, None) if work is None else work.mixed
@@ -527,8 +575,8 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     gt = _combine(-1j * e2, f1, 1j * e1, f2, a, b) @ cache.raw_T[0]
     gp = (_combine(-1j * e1, f1, -1j * e2, f2, a, b) @ cache.raw_C[1]
           + m * (f3 @ cache.raw_C[0]))
-    psi = area * rowmul(W_tor.transpose(0, 2, 1), gt)
-    phi = area * rowmul(W_pol.transpose(0, 2, 1), gp)
+    psi = area * blockmul(cache.W_tor.transpose(0, 2, 1), gt, buckets)
+    phi = area * blockmul(cache.W_pol.transpose(0, 2, 1), gp, buckets)
     mean0 = area * ((w * mean[..., :2, :]) @ cache.mean_E[0])
     return SolenoidalField(geometry, resolution, psi, phi, mean0)
 
@@ -542,5 +590,5 @@ def project_velocity(U, geometry, resolution, cache, work=None):
     With a workspace, U is a (..., 3, M1, M2, Q) array of the workspace's
     member axes and the transforms write into work.
     """
-    rows, mean = layout_for(resolution).grid.from_grid(U, work)
+    rows, mean = cache.layout.grid.from_grid(U, work)
     return analyze(rows, mean, geometry, resolution, cache, work)

@@ -143,7 +143,7 @@ class ManufacturedCase:
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
         row = self.row(ops)
-        g = ops.cache.block[row]
+        g = ops.layout.block[row]
         Et, Ep = recombined_bases(res.P, z2, geo.H, 3)
         th = np.stack([(E @ ops.cache.W_tor[g]) @ u.psi[row] for E in Et])
         ph = np.stack([(E @ ops.cache.W_pol[g]) @ u.phi[row] for E in Ep])

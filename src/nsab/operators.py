@@ -26,7 +26,7 @@ become standard symmetric eigenproblems, and the watchdog norms of
 :func:`toroidal_forms`, :func:`poloidal_forms` and :func:`mean_forms`
 build the forms of all distinct blocks at once, one per distinct
 m = |eta|^2, as (U, n, n) stacks of Gram products of the tabulated block
-bases, with no per-block loop; ``BasisCache.block`` gives each row's block.
+bases, with no per-block loop; ``ModeLayout.block`` gives each row's block.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisCache
-from .field import SolenoidalField, rowmul
+from .field import SolenoidalField, blockmul
 
 #: multiplicity of each potential's rows in the full spectrum: a stored
 #: mode also stands for its conjugate partner; the mean stands alone
@@ -128,7 +128,8 @@ class OperatorSet:
 
     ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
     distinct m, in the order of :meth:`SolenoidalField.potentials`;
-    ``blocks[p][cache.block[row]]`` is the block of a row.
+    ``blocks[p][layout.block[row]]`` is the block of a row, and every form
+    acts on a field's rows per block through :func:`nsab.field.blockmul`.
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
@@ -148,34 +149,12 @@ class OperatorSet:
             self._memo[key] = build()
         return self._memo[key]
 
-    # -- per-row stacks of block operators ---------------------------------
-
-    def row_stacks(self, fn):
-        """Per-row stacks of fn(blocks), one potential at a time.
-
-        fn maps a stacked BlockOperators to a tuple of (U, ...) arrays
-        (matmul, eigh and solve accept stacks) and runs once per potential.
-        Yields the tuple gathered over rows for the toroidal (R, ...),
-        poloidal (R, ...) and mean (1, ...) blocks, in the order of
-        :meth:`SolenoidalField.potentials`.
-        """
-        tor, pol, mean = self.blocks
-        for stack in (tor, pol):
-            # gathered in C order: the BLAS path of the row-wise matmuls, and
-            # so their rounding, does not depend on the layout fn returns
-            yield tuple(np.ascontiguousarray(a)[self.cache.block] for a in fn(stack))
-        yield fn(mean)
-
-    def form_rows(self, form):
-        """The per-row stacks of one form, as :meth:`row_stacks` yields them."""
-        return self._cached(("form", form), lambda: [
-            K for (K,) in self.row_stacks(lambda b: (getattr(b, form),))])
-
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        return sum(mult * np.vdot(cv, rowmul(K, cu)).real
-                   for mult, K, cu, cv in zip(MULTIPLICITY, self.form_rows(form),
-                                              u.potentials(), v.potentials()))
+        return sum(mult * np.vdot(cv, blockmul(getattr(blk, form), cu, runs)).real
+                   for mult, blk, runs, cu, cv in zip(MULTIPLICITY, self.blocks,
+                                                      self.layout.potential_buckets,
+                                                      u.potentials(), v.potentials()))
 
     # -- spectral decomposition of the form operator ------------------------
 
@@ -204,7 +183,7 @@ class OperatorSet:
         norm, s = :meth:`spectral_shift`; with ||u||^2, a(u, u) and <K_grad u, u>
         bitwise as ``u.dot(u)`` and :meth:`form_inner` give them.
 
-        As M = I, all are quadratic forms of the per-row K_a and K_grad: with
+        As M = I, all are quadratic forms of the per-block K_a and K_grad: with
         z = (K_a + s) c, A0^2 = ||u||^2, A_half^2 = a(u, u) + s A0^2, A1^2 =
         ||z||^2 and A1_lambda^2 = <M_Lambda z, z> = A1^2 + alpha^2 <K_grad z, z>.
         The call runs one K_a product per potential; grad_sq and A1_lambda,
@@ -215,8 +194,9 @@ class OperatorSet:
         """
         s, sums, z = self.spectral_shift(), np.zeros(2), []  # a_uu, ||z||^2
         with np.errstate(over="ignore", invalid="ignore"):
-            for mult, c, Ka in zip(MULTIPLICITY, f.potentials(), self.form_rows("K_a")):
-                kc = rowmul(Ka, c)
+            for mult, c, blk, runs in zip(MULTIPLICITY, f.potentials(), self.blocks,
+                                          self.layout.potential_buckets):
+                kc = blockmul(blk.K_a, c, runs)
                 z.append(kc + s * c)
                 sums += mult * np.array([np.vdot(c, kc).real, np.vdot(z[-1], z[-1]).real])
             l2sq, (a_uu, z2) = f.dot(f), sums

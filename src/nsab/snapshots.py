@@ -82,7 +82,7 @@ def write_snapshot(path, field, params=None, extra=None):
                       separators=(",", ":")).encode("utf-8")
     header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
     header = header.ljust(HEADER_LEN, b"\0")
-    lay = layout_for(field.resolution)
+    lay = layout_for(field.geometry, field.resolution)
     payload = (_expand(field.psi, lay).view(np.float64).astype("<f8").tobytes()
                + _expand(field.phi, lay).view(np.float64).astype("<f8").tobytes()
                + np.ascontiguousarray(field.mean, dtype=np.float64)
@@ -118,7 +118,7 @@ def read_snapshot(path):
     phi = np.frombuffer(buf[16 * npsi:16 * (npsi + nphi)],
                         dtype="<c16").reshape(res.N1, res.N2, n_p)
     mean = np.frombuffer(buf[16 * (npsi + nphi):], dtype="<f8").reshape(2, n_t)
-    lay = layout_for(res)
+    lay = layout_for(g, res)
     field = SolenoidalField(g, res, _pack(psi, lay, path, "psi"),
                             _pack(phi, lay, path, "phi"), mean.copy())
     params = None

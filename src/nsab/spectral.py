@@ -56,7 +56,7 @@ def eigenpairs_A(ops, count):
     # x 2.  Groups of equal m read the eigenpairs of their block[q].
     keys = list(ops.layout.groups) + [(0, 0)]
     mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
-    block = ops.cache.block[[rows.start for rows in ops.layout.groups.values()]]
+    block = ops.layout.block[[rows.start for rows in ops.layout.groups.values()]]
     bounds = [(v, 100 * stack.n * np.finfo(float).eps * np.abs(v).max(axis=1, keepdims=True))
               for v, stack in ((np.linalg.eigvalsh(b.K_a), b) for b in ops.blocks)]
     cut = np.sort(np.concatenate([(v + t)[g].ravel() for (v, t), g in

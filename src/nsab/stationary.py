@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import (SolenoidalField, analyze, layout_for, rowmul, synthesize,
+from .field import (SolenoidalField, analyze, blockmul, layout_for, synthesize,
                     velocity, zero_field)
 from .operators import MULTIPLICITY
 
@@ -54,7 +54,7 @@ class ModalForcing:
 
     def __init__(self, geometry, resolution, rows=None, mean=None):
         self.geometry, self.resolution = geometry, resolution
-        self.layout = layout_for(resolution)
+        self.layout = layout_for(geometry, resolution)
         R, Q = len(self.layout.reps), resolution.Q
         self.rows = np.zeros((3, R, Q), complex) if rows is None else rows
         self.mean = np.zeros((3, Q)) if mean is None else mean
@@ -93,26 +93,26 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
     Raises ConsistencyError when a singular block sees data along its
     kernel beyond consistency_rtol times the data norm.
     """
-    kernel_dim = 0
-    violation = 0.0
-    res_sq = 0.0
+    kernel_dim, violation, res_sq, parts = 0, 0.0, 0.0, []
     rhs_norm = rhs.norm_l2()
-    parts = []
-    stacks = ops.row_stacks(lambda b: ops.block_eig(b) + (b.K_a,))
-    for mult, c in zip(MULTIPLICITY, rhs.potentials()):
-        lam, V, K = next(stacks)
-        # kernel: |lam| <= kernel_rtol * max|lam| of the row's block; the
-        # mean's one stack row serves both mean components
-        scale = np.abs(lam).max(axis=1, keepdims=True, initial=0.0)
-        d = rowmul(V.transpose(0, 2, 1), c)  # rows of c @ V
-        kernel = np.broadcast_to(np.abs(lam) <= kernel_rtol * scale, d.shape)
-        kernel_dim += int(kernel.sum())
-        along = np.sum(np.abs(np.where(kernel, d, 0.0)) ** 2, axis=1)
-        violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
-        sol = rowmul(V, np.divide(d, lam, out=np.zeros_like(d), where=~kernel))
-        res_sq += mult * float(np.sum(np.abs(rowmul(K, sol) - c) ** 2))
+    for mult, c, blk, runs in zip(MULTIPLICITY, rhs.potentials(), ops.blocks,
+                                  ops.layout.potential_buckets):
+        lam, V = ops.block_eig(blk)
+        # kernel: |lam| <= kernel_rtol * max|lam| of the block
+        kernel = np.abs(lam) <= kernel_rtol * np.abs(lam).max(axis=1, keepdims=True, initial=0.0)
+        d = blockmul(V.transpose(0, 2, 1), c, runs)  # rows of c @ V
+        sol = np.zeros_like(d)
+        for rows, blocks, (nb, k) in runs:
+            # the bucket's rows as (nb, k, n), each row against its block's lam
+            shape, on = (nb, k, -1), kernel[blocks, None]
+            db = d[rows].reshape(shape)
+            kernel_dim += k * int(on.sum())
+            along = np.sum(np.abs(np.where(on, db, 0.0)) ** 2, axis=-1)
+            violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
+            np.divide(db, lam[blocks, None], out=sol[rows].reshape(shape), where=~on)
+        sol = blockmul(V, sol, runs)
+        res_sq += mult * float(np.sum(np.abs(blockmul(blk.K_a, sol, runs) - c) ** 2))
         parts.append(sol)
-        del lam, V, K  # hold one potential's stacks at a time
     if violation > consistency_rtol * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
     u = SolenoidalField(ops.geometry, ops.resolution, *parts)
@@ -127,7 +127,7 @@ def wall_dual(ops, row, gb, gt):
     """Dual vector of phi -> sum_walls g . conj(d_n phi) on one stored row,
     with tangential 2-vectors gb at z = 0 and gt at z = H."""
     out = zero_field(ops.geometry, ops.resolution)
-    area, cache, b = ops.geometry.area, ops.cache, ops.cache.block[row]
+    area, cache, b = ops.geometry.area, ops.cache, ops.layout.block[row]
     e1, e2 = cache.wavenumber(*ops.layout.k[row])
     ttr = cache.raw_T_tr[1] @ cache.W_tor[b]  # first-derivative traces, rows (z=0, z=H)
     ptr = cache.raw_C_tr[2] @ cache.W_pol[b]  # second-derivative traces
@@ -178,10 +178,9 @@ def strong_bc_residual(u, params, ops):
     decays under refinement.
     """
     area, kk, cache = ops.geometry.area, params.k, ops.cache
-    m, W_tor, W_pol = cache.row_bases
-    e1, e2 = cache.row_wavenumbers
+    (e1, e2, m), buckets = ops.layout.eta, ops.layout.buckets
     # wall traces, (rows, 2 walls) each
-    ct, cp = rowmul(W_tor, u.psi), rowmul(W_pol, u.phi)
+    ct, cp = blockmul(cache.W_tor, u.psi, buckets), blockmul(cache.W_pol, u.phi, buckets)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
     pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
     uw = velocity(e1, e2, m, tt[0], pt[1], pt[0])
@@ -254,7 +253,7 @@ def recover_pressure(u, forcing, ops):
     R_reps = forcing.rows - bilap_rows  # (3, rows, Q)
     r0 = forcing.mean - bilap_mean
     area = geo.area
-    e1, e2 = ops.cache.row_wavenumbers
+    e1, e2, _ = ops.layout.eta
     Q0, R0 = np.linalg.qr(S0)
 
     # curl of r, z-derivatives of r1, r2 from a polynomial fit of each

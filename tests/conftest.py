@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre, recombined_bases
-from nsab.field import (analyze, layout_for, project_velocity, reconstruct,
+from nsab.field import (SolenoidalField, analyze, layout_for, project_velocity, reconstruct,
                         synthesize, zero_field)
 from nsab.operators import poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
@@ -69,10 +69,10 @@ def params_with_k(gamma, k, alpha=0.2, beta=0.1):
 def distinct_blocks(ops):
     """The block of every distinct |k| pair of ops, one at a time: toroidal
     and poloidal per block group (groups of equal m read the block they
-    share, through ops.cache.block), then the mean."""
+    share, through ops.layout.block), then the mean."""
     tor, pol, mean = ops.blocks
     for rows in ops.layout.groups.values():
-        b = ops.cache.block[rows.start]
+        b = ops.layout.block[rows.start]
         yield tor[b]
         yield pol[b]
     yield mean[0]
@@ -81,10 +81,10 @@ def distinct_blocks(ops):
 def block_groups(ops, f):
     """(block, (g, n) writable view of f's rows, multiplicity) per block group
     and potential, then the mean: a per-group traversal that does not go
-    through OperatorSet.row_stacks."""
+    through the block-major products of nsab.field.blockmul."""
     tor, pol, mean = ops.blocks
-    for rows in layout_for(f.resolution).groups.values():
-        b = ops.cache.block[rows.start]
+    for rows in layout_for(f.geometry, f.resolution).groups.values():
+        b = ops.layout.block[rows.start]
         yield tor[b], f.psi[rows], 2.0
         yield pol[b], f.phi[rows], 2.0
     yield mean[0], f.mean, 1.0
@@ -104,7 +104,7 @@ def pair_forms(ops, k1, k2):
     the stacks for a stored one, assembled on their own otherwise."""
     key = (abs(k1), abs(k2))
     if key in ops.layout.groups:
-        b = ops.cache.block[ops.layout.groups[key].start]
+        b = ops.layout.block[ops.layout.groups[key].start]
         return ops.blocks[0][b], ops.blocks[1][b]
     m, W_tor, W_pol = pair_bases(ops.cache, k1, k2)
     m = np.array([m])
@@ -132,7 +132,7 @@ def mean_tables(cache, z, dmax):
 
 def hermitian_modes(f):
     """(k1, k2, psi, phi) of every stored mode and of its conjugate partner."""
-    for r, (k1, k2) in enumerate(layout_for(f.resolution).k):
+    for r, (k1, k2) in enumerate(layout_for(f.geometry, f.resolution).k):
         yield k1, k2, f.psi[r], f.phi[r]
         yield -k1, -k2, np.conj(f.psi[r]), np.conj(f.phi[r])
 
@@ -270,7 +270,7 @@ def random_field_loop(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     real and imaginary parts, then phi's, in ``reps`` order, then the mean."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f = zero_field(geometry, resolution)
-    lay = layout_for(resolution)
+    lay = layout_for(geometry, resolution)
     n_t, n_p = resolution.n_toroidal, resolution.n_poloidal
     jt, jp = np.arange(n_t), np.arange(n_p)
     for (k1, k2) in lay.reps:
@@ -281,7 +281,9 @@ def random_field_loop(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
         f.psi[r] = wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
         f.phi[r] = wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
     f.mean[:] = np.exp(-decay * jt) * rng.standard_normal((2, n_t))
-    nrm = f.norm_l2()
+    # the norm sums the rows in block-group order, as random_field's does
+    g = lay.by_group
+    nrm = SolenoidalField(geometry, resolution, f.psi[g], f.phi[g], f.mean).norm_l2()
     if nrm > 0:
         f = f * (amplitude / nrm)
     return f
@@ -328,7 +330,7 @@ def reconstruct_fft(f, cache, want=("u",), alpha=None):
     half spectrum (3, M1/2 + 1, M2, Q) taken to the grid by irfft2."""
     res = f.resolution
     M1, M2 = res.padded_shape
-    k1, k2 = layout_for(res).k.T
+    k1, k2 = layout_for(f.geometry, res).k.T
     k1_zero = k1 == 0
     out = {}
     for name, (rows, mean) in synthesize(f, cache, want, alpha).items():
@@ -345,7 +347,7 @@ def project_velocity_fft(U, geometry, resolution, cache):
     """field.project_velocity through numpy's real FFT: rfft2 of the grid,
     then the stored rows and the mean gathered from the half spectrum."""
     M2 = resolution.padded_shape[1]
-    k1, k2 = layout_for(resolution).k.T
+    k1, k2 = layout_for(geometry, resolution).k.T
     Uh = np.fft.rfft2(U, axes=(-2, -3), norm="forward")
     return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, geometry, resolution,
                    cache)
@@ -362,7 +364,7 @@ def reference_eigenpairs(ops, count):
     group q (the mean last), potential and column."""
     keys = list(ops.layout.groups) + [(0, 0)]
     mult = [2 * (rows.stop - rows.start) for rows in ops.layout.groups.values()] + [2]
-    block = [ops.cache.block[rows.start] for rows in ops.layout.groups.values()] + [0]
+    block = [ops.layout.block[rows.start] for rows in ops.layout.groups.values()] + [0]
     found = []
     for p, stack in enumerate(ops.blocks):
         lam, V = np.linalg.eigh(stack.K_a)

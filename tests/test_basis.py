@@ -84,7 +84,7 @@ def test_block_orthonormalization(geo_odd, res_small):
 
 def test_evaluate_consistent_with_tables(geo, res_small):
     cache = BasisCache(geo, res_small)
-    W = cache.W_tor[cache.block[cache.layout.row[(1, 1)]]]
+    W = cache.W_tor[cache.layout.block[cache.layout.row[(1, 1)]]]
     again = recombined_bases(res_small.P, cache.z, geo.H, 2)[0]
     for d in range(3):
         assert np.allclose(again[d] @ W, cache.raw_T[d] @ W, atol=1e-13)

@@ -452,3 +452,13 @@ def test_cli_import_does_not_load_scipy_linalg():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_symbol_checks_unloaded():
+    """Only verify-adn reads nsab.adn, which it imports when it runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nsab.cli; print('nsab.adn' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

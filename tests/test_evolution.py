@@ -13,11 +13,11 @@ from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
                             run_evolution, uniqueness_probe, vanishing_sweep)
 from nsab import evolution, operators
 from nsab.basis import BasisCache
-from nsab.field import (SolenoidalField, layout_for, project_velocity, random_field,
-                        reconstruct, rowmul, synthesize, zero_field)
-from nsab.operators import MULTIPLICITY, OperatorSet
+from nsab.field import (SolenoidalField, blockmul, layout_for, project_velocity,
+                        random_field, reconstruct, synthesize, zero_field)
+from nsab.operators import FORMS, MULTIPLICITY, OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.spectral import spectral_factors
+from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
 
 from conftest import (block_groups, distinct_blocks, hermitian_modes, mean_tables,
                       mode_velocity_profiles, nonlinear_term_fresh,
@@ -99,7 +99,7 @@ def test_nonlinear_matches_convective_form(request, geometry, par, res_small):
 def test_nonlinear_single_mode_support(ops, geo, res_small):
     """A single-mode field interacts only into wavenumbers {0, +-2 eta}:
     verified against a brute-force convolution of the tangential series."""
-    lay = layout_for(res_small)
+    lay = layout_for(geo, res_small)
     u = zero_field(geo, res_small)
     k1, k2 = 1, 1
     u.psi[lay.row[(k1, k2)], 0] = 0.7 + 0.4j
@@ -157,12 +157,12 @@ def test_propagator_identity_and_eigen_decay(ops, geo, res_small, par):
     u0 = random_field(geo, res_small, seed=6, amplitude=0.3, decay=1.0)
     assert (linear_propagator_exact(u0, 0.0, ops) - u0).norm_l2() <= 1e-13
     # an eigenvector of D: u = L^{-1/2} e, decays like e^{-mu t} in L norm
-    g = ops.cache.block[ops.layout.row[(1, 0)]]
+    g = ops.layout.block[ops.layout.row[(1, 0)]]
     fb = spectral_factors(ops.blocks[0][g], par.beta, include_gradient=True)
     mu = fb.d_eigvals[0]
     c0 = fb.inv_sqrt_lambda @ fb.d_eigvecs[:, 0]
     f = zero_field(geo, res_small)
-    f.psi[layout_for(res_small).row[(1, 0)]] = c0
+    f.psi[layout_for(geo, res_small).row[(1, 0)]] = c0
     for t in (0.1, 1.0):
         ft = linear_propagator_exact(f, t, ops)
         want = np.exp(-mu * t) * f
@@ -472,12 +472,14 @@ def _full_norms(ops, f):
     formed on every call, summed as one array over the potentials."""
     s, sums = ops.spectral_shift(), np.zeros(4)
     with np.errstate(over="ignore", invalid="ignore"):
-        for mult, c, Ka, Kg in zip(MULTIPLICITY, f.potentials(), ops.form_rows("K_a"),
-                                   ops.form_rows("K_grad")):
-            kc = rowmul(Ka, c)
+        for mult, c, blk, runs in zip(MULTIPLICITY, f.potentials(), ops.blocks,
+                                      ops.layout.potential_buckets):
+            kc = blockmul(blk.K_a, c, runs)
             z = kc + s * c
-            sums += mult * np.array([np.vdot(c, kc).real, np.vdot(c, rowmul(Kg, c)).real,
-                                     np.vdot(z, z).real, np.vdot(z, rowmul(Kg, z)).real])
+            sums += mult * np.array([np.vdot(c, kc).real,
+                                     np.vdot(c, blockmul(blk.K_grad, c, runs)).real,
+                                     np.vdot(z, z).real,
+                                     np.vdot(z, blockmul(blk.K_grad, z, runs)).real])
         l2sq, (a_uu, grad, z2, zg) = f.dot(f), sums
         sq = np.array([l2sq, a_uu + s * l2sq, z2, z2 + ops.params.alpha**2 * zg])
         n0, n1, n2, n2L = np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
@@ -558,13 +560,13 @@ def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkey
     """The watchdog and the probe read A0, A_half and A1 only: one K_a
     product per potential.  The K_grad products of grad_sq and A1_lambda run
     for reported states, and grad_sq also for the state before a report."""
-    grad_rows, calls = ops.form_rows("K_grad"), []
+    grad_stacks, calls = [b.K_grad for b in ops.blocks], []
 
-    def counting(W, c):
-        calls.append(any(W is K for K in grad_rows))
-        return rowmul(W, c)
+    def counting(W, c, runs):
+        calls.append(any(W is K for K in grad_stacks))
+        return blockmul(W, c, runs)
 
-    monkeypatch.setattr(operators, "rowmul", counting)
+    monkeypatch.setattr(operators, "blockmul", counting)
     u0 = random_field(geo, res_small, seed=2, amplitude=0.1)
     uniqueness_probe(ops, u0, u0, (1e-6,), 0.1, 0.01)
     assert len(calls) == 3 * 11 and not any(calls)
@@ -580,8 +582,9 @@ def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkey
 def test_probe_member_scan_keeps_its_events(geo):
     """Members are scanned only when one of their H1 norms is not finite:
     a member that overflows to NaN stops the probe at the step and count it
-    did before; a finite member whose difference overflows gives a
-    non-finite growth (NaN: the overflowed form sums inf - inf) and no event."""
+    did before; a finite member whose difference overflows gives an inf
+    growth (its H1 square sums inf - inf, which reads as overflow) and no
+    event."""
     o = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.01), geo, Resolution(N1=8, N2=8, P=16))
     u0 = random_field(geo, o.resolution, seed=2, amplitude=0.1, decay=1.0)
     pert = random_field(geo, o.resolution, seed=7, amplitude=1.0, decay=1.0)
@@ -595,7 +598,7 @@ def test_probe_member_scan_keeps_its_events(geo):
         small, big = uniqueness_probe(o, u0, pert, (1e-6, 1e63), 0.04, 0.02)
     assert small.watchdog is big.watchdog is None and big.steps == 6
     assert np.all(np.isfinite(small.growth)) and np.all(np.isfinite(big.growth[:2]))
-    assert not np.isfinite(big.growth[2])
+    assert big.growth[2] == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +678,32 @@ def test_warm_nonlinear_term_allocates_under_350kb(par, geo):
     finally:
         tracemalloc.stop()
     assert peak < 3.5e5
+
+
+def test_no_operator_stack_is_copied_per_row(par, geo):
+    """The forms, bases and propagators are held per block: every stack's
+    leading axis runs over the distinct m (one block for the mean), never
+    over the layout's rows, and the basis cache gathers nothing per row, also
+    after eigs.  Building the stepper at N16/P32 peaks below the 3.4 MB its
+    per-row P and Q took."""
+    res = Resolution(N1=16, N2=16, P=32)
+    o = OperatorSet(par, geo, res)
+    U = len(o.cache.m)
+    assert U < len(o.layout.reps)
+    tracemalloc.start()
+    try:
+        stepper = IMEXStepper(o, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4e6
+    eigenpairs_A(o, 5)
+    garding_constants(o)
+    assert not hasattr(o.cache, "row_bases")
+    assert o.cache.W_tor.shape[0] == o.cache.W_pol.shape[0] == U
+    for blk, props, size in zip(o.blocks, stepper._props, (U, U, 1)):
+        for a in [getattr(blk, form) for form in FORMS] + list(props):
+            assert a.shape[0] == size
 
 
 # ---------------------------------------------------------------------------

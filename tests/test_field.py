@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache
-from nsab.field import (layout_for, potentials_to_velocity, project_velocity,
-                        random_field, reconstruct, synthesize, zero_field)
+from nsab.field import (MEAN_BUCKETS, blockmul, layout_for, potentials_to_velocity,
+                        project_velocity, random_field, reconstruct, synthesize,
+                        zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
@@ -22,7 +23,7 @@ def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
 
 def test_single_toroidal_mode_is_horizontal(geo, res_small, cache_small):
     f = zero_field(geo, res_small)
-    lay = layout_for(res_small)
+    lay = layout_for(geo, res_small)
     k1, k2 = lay.reps[2]
     f.psi[lay.row[(k1, k2)], 0] = 1.0 + 0.3j
     U = potentials_to_velocity(f, cache_small)
@@ -66,7 +67,7 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
     alpha = 0.2
     f = random_field(g, res, seed=17, amplitude=1.0)
     got = synthesize(f, cache, ("u", "curl_v", "bilap_u"), alpha)
-    lay = layout_for(res)
+    lay = layout_for(g, res)
     want = {name: np.zeros((3, len(lay.reps), res.Q), complex)
             for name in ("u", "curl_v", "bilap_u")}
     for r, (k1, k2) in enumerate(lay.k):
@@ -129,7 +130,7 @@ def test_spectral_divergence_near_roundoff(geo_odd, res_small):
     # values; the analytic cancellation must survive at the roundoff level
     cache = BasisCache(geo_odd, res_small)
     f = random_field(geo_odd, res_small, seed=4, amplitude=1.0)
-    lay = layout_for(res_small)
+    lay = layout_for(geo_odd, res_small)
     scale = 0.0
     worst = 0.0
     for (k1, k2) in lay.reps[:6]:
@@ -193,7 +194,7 @@ def test_round_trip_projection(geo_odd, res_small):
 
 def test_essential_wall_values(geo, res_small, cache_small):
     f = random_field(geo, res_small, seed=9, amplitude=1.0)
-    lay = layout_for(res_small)
+    lay = layout_for(geo, res_small)
     interior = np.abs(potentials_to_velocity(f, cache_small)).max()
     worst = 0.0
     for r, (k1, k2) in enumerate(lay.k):
@@ -228,7 +229,7 @@ def test_random_field_draws_in_rep_order(geo):
     f = random_field(geo, res, seed=seed, amplitude=1.0, decay=decay)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_t, n_p = res.n_toroidal, res.n_poloidal
-    lay = layout_for(res)
+    lay = layout_for(geo, res)
     assert [tuple(k) for k in lay.k] != lay.reps
     psi, phi = [], []
     for (k1, k2) in lay.reps:
@@ -273,19 +274,56 @@ def test_mismatched_cache_rejected(geo, geo_odd, res_small):
 @pytest.mark.parametrize("N1, N2", [(16, 16), (8, 12), (12, 8), (2, 4)])
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
 def test_layout_block_numbers_the_basis_stacks(request, geometry, N1, N2):
-    """BasisCache.block numbers the stacks of the layout's rows: every row
-    of a block group reads one block, whose m = |eta(k)|^2 is the row's
-    own; blocks are the distinct m in order of first appearance among the
-    groups, so where no m repeats block u is group u."""
+    """The layout's block numbers the stacks of its rows: every row of a
+    block group reads one block, whose m = |eta(k)|^2 is the row's own.
+    Blocks are the distinct m, numbered by their row count, then by first
+    appearance among the groups, and rows are sorted by block, so the
+    buckets of blocks with k rows each tile the rows in order."""
     g = request.getfixturevalue(geometry)
     cache = BasisCache(g, Resolution(N1=N1, N2=N2, P=8))
     lay = cache.layout
-    assert lay is layout_for(cache.resolution)
+    assert lay is layout_for(g, cache.resolution)
     e1, e2 = cache.wavenumber(lay.k[:, 0], lay.k[:, 1])
-    assert np.array_equal(cache.m[cache.block], e1 * e1 + e2 * e2)
-    assert cache.block.shape == (len(lay.reps),)
-    firsts = [int(cache.block[rows.start]) for rows in lay.groups.values()]
+    assert np.array_equal(cache.m[lay.block], e1 * e1 + e2 * e2)
+    assert np.array_equal(lay.eta[2][:, 0], e1 * e1 + e2 * e2)
+    assert lay.block.shape == (len(lay.reps),)
+    firsts = [int(lay.block[rows.start]) for rows in lay.groups.values()]
     for block, rows in zip(firsts, lay.groups.values()):
-        assert np.all(cache.block[rows] == block)
-    assert list(dict.fromkeys(firsts)) == list(range(len(cache.m)))
+        assert np.all(lay.block[rows] == block)
+    count = np.bincount(lay.block)
+    first = [firsts.index(b) for b in range(len(cache.m))]
+    U = len(cache.m)
+    assert sorted(range(U), key=lambda b: (count[b], first[b])) == list(range(U))
+    at = 0
+    for rows, blocks, (nb, k) in lay.buckets:
+        assert rows.start == at and blocks.stop - blocks.start == nb
+        assert np.all(count[blocks] == k)
+        assert np.array_equal(lay.block[rows], np.repeat(np.arange(blocks.start, blocks.stop), k))
+        at = rows.stop
+    assert at == len(lay.reps) and len(lay.buckets) == len(set(count.tolist()))
     assert len(cache.m) == len(set((e1 * e1 + e2 * e2).tolist()))
+
+
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_blockmul_is_the_per_row_product(request, geometry):
+    """blockmul gives every row its block's (n, n) @ (n, 2) product bit for
+    bit, as a loop over the rows does: complex and real rows, with and
+    without member axes, transposed stacks, and the mean's one block."""
+    g = request.getfixturevalue(geometry)
+    res = Resolution(N1=8, N2=6, P=12)
+    cache = BasisCache(g, res)
+    lay, f = cache.layout, random_field(g, res, seed=5)
+    for W, c, runs in ((cache.W_tor, f.psi, lay.buckets),
+                       (cache.W_pol.transpose(0, 2, 1), f.phi, lay.buckets),
+                       (cache.mean_W[None], f.mean, MEAN_BUCKETS)):
+        for x in (c, np.stack([c, 2.0 * c, -c])):
+            got = blockmul(W, x, runs)
+            for r in range(x.shape[-2]):
+                Wr = W[lay.block[r] if len(W) > 1 else 0]
+                xr = x[..., r, :]
+                if np.iscomplexobj(xr):
+                    want = Wr @ np.stack([xr.real, xr.imag], axis=-1)
+                    want = want[..., 0] + 1j * want[..., 1]
+                else:
+                    want = (Wr @ xr[..., None])[..., 0]
+                assert np.array_equal(got[..., r, :], want)

@@ -115,7 +115,7 @@ def test_cross_mode_forms_vanish(geo_odd, res_small, cache_odd):
     ops = OperatorSet(par, geo_odd, res_small, cache_odd)
     f = zero_field(geo_odd, res_small)
     g = zero_field(geo_odd, res_small)
-    lay = layout_for(res_small)
+    lay = layout_for(geo_odd, res_small)
     (k1, k2), (q1, q2) = lay.reps[0], lay.reps[3]
     rf, rg = lay.row[(k1, k2)], lay.row[(q1, q2)]
     f.psi[rf, 0] = 1.0
@@ -264,7 +264,7 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     blk = pair_forms(ops, 1, 1)[0]
     lam, V = ops.block_eig(blk)
     f = zero_field(geo_odd, res_small)
-    lay = layout_for(res_small)
+    lay = layout_for(geo_odd, res_small)
     f.psi[lay.groups[(1, 1)].start] = V[:, -1] / np.sqrt(2.0)  # unit L2 norm overall
     sn = ops.a_scale_norms(f)
     assert np.sqrt(ops.form_inner("M", f, f)) == pytest.approx(1.0, rel=1e-12)
@@ -320,7 +320,7 @@ def _a_scale_norms_longdouble(ops, f, shift):
     s, acc = np.longdouble(shift), np.zeros(4, np.longdouble)
     for p, (c, mult) in enumerate(zip(f.potentials(), (2, 2, 1))):
         blk = ops.blocks[p]
-        Ka, Kg = (np.asarray(K[ops.cache.block] if p < 2 else K, np.longdouble)
+        Ka, Kg = (np.asarray(K[ops.layout.block] if p < 2 else K, np.longdouble)
                   for K in (blk.K_a, blk.K_grad))
         for x in (c.real, c.imag) if p < 2 else (c,):
             x = np.asarray(x, np.longdouble)
@@ -409,10 +409,10 @@ def test_stacked_assembly_matches_per_block_reference(request, geometry, res):
     ops = OperatorSet(par, g, res)
     checked = 0
     (tor, pol, mean), c = ops.blocks, ops.cache
-    groups = layout_for(res).groups
+    groups = ops.layout.groups
     for key in list(groups) + [(0, 0)]:
         forms, bases = reference_forms(par, c, *key)
-        b = c.block[groups[key].start] if key != (0, 0) else None
+        b = ops.layout.block[groups[key].start] if key != (0, 0) else None
         blocks, Ws = (({"mean": mean[0]}, {"mean": c.mean_W}) if key == (0, 0) else
                       ({"toroidal": tor[b], "poloidal": pol[b]},
                        {"toroidal": c.W_tor[b], "poloidal": c.W_pol[b]}))
@@ -424,7 +424,7 @@ def test_stacked_assembly_matches_per_block_reference(request, geometry, res):
                 checked += 1
             W = Ws[name]
             assert np.abs(W - bases[name]).max() <= 1e-13 * np.abs(bases[name]).max()
-    assert checked == 5 * (2 * len(layout_for(res).groups) + 1)
+    assert checked == 5 * (2 * len(groups) + 1)
 
 
 @ASSEMBLY_RESOLUTIONS
@@ -457,12 +457,12 @@ def test_one_block_per_distinct_m(request, geometry, N1, N2):
     assert U < G if geometry == "geo" and N1 > 2 else U == G
     for r, (k1, k2) in enumerate(ops.layout.k):
         e1, e2 = c.wavenumber(k1, k2)
-        assert c.m[c.block[r]] == e1 * e1 + e2 * e2
+        assert c.m[ops.layout.block[r]] == e1 * e1 + e2 * e2
     for (k1, k2), rows in groups.items():
         e1, e2 = c.wavenumber(k1, k2)
         m = np.array([e1 * e1 + e2 * e2])
         W_tor, W_pol = c.bases(m)
-        b = c.block[rows.start]
+        b = ops.layout.block[rows.start]
         assert np.array_equal(c.W_tor[b], W_tor[0])
         assert np.array_equal(c.W_pol[b], W_pol[0])
         for got, want in ((ops.blocks[0][b], toroidal_forms(par, c, m, W_tor)[0]),

@@ -84,9 +84,9 @@ def _payload(path):
     return raw[:start], np.frombuffer(raw[start:], dtype="<f8").copy()
 
 
-def _full_spectrum(rows, res):
+def _full_spectrum(rows, geo, res):
     """(N1, N2, n) fft-order array holding each stored mode and its partner."""
-    lay = layout_for(res)
+    lay = layout_for(geo, res)
     full = np.zeros((res.N1, res.N2, rows.shape[1]), complex)
     for k1, k2 in lay.reps:
         full[k1 % res.N1, k2 % res.N2] = rows[lay.row[(k1, k2)]]
@@ -99,8 +99,8 @@ def test_payload_is_full_hermitian_spectrum(tmp_path, geo, res_small):
     p = tmp_path / "f.snap"
     write_snapshot(p, f)
     _, payload = _payload(p)
-    expect = np.concatenate([_full_spectrum(f.psi, res_small).view(np.float64).ravel(),
-                             _full_spectrum(f.phi, res_small).view(np.float64).ravel(),
+    expect = np.concatenate([_full_spectrum(f.psi, geo, res_small).view(np.float64).ravel(),
+                             _full_spectrum(f.phi, geo, res_small).view(np.float64).ravel(),
                              f.mean.ravel()])
     assert np.array_equal(payload, expect)
 
@@ -112,7 +112,7 @@ def test_rejects_non_hermitian_payload(tmp_path, geo, res_small, where):
     write_snapshot(good, f)
     head, payload = _payload(good)
     N1, N2, n_t = res_small.N1, res_small.N2, res_small.n_toroidal
-    k1, k2 = layout_for(res_small).reps[0]
+    k1, k2 = layout_for(geo, res_small).reps[0]
     i1, i2 = {"partner": (-k1 % N1, -k2 % N2), "nyquist": (N1 // 2, 1),
               "zero-mode": (0, 0)}[where]
     psi = payload[:2 * N1 * N2 * n_t].reshape(N1, N2, n_t, 2)

@@ -42,7 +42,7 @@ def test_eigenpairs_match_per_block_loop(request, geometry, res_small):
     # the mean's rows: its two components
     groups = list(ops.layout.groups.items()) + [((0, 0), slice(0, 1))]
     for key, rows in groups:
-        b = ops.cache.block[rows.start]
+        b = ops.layout.block[rows.start]
         for blk in ((tor[b], pol[b]) if key != (0, 0) else (mean[0],)):
             lam, V = np.linalg.eigh(blk.K_a)
             for i, lv in enumerate(lam):
@@ -326,12 +326,3 @@ def test_views_taken_in_a_loop_get_their_own_eigenpairs_and_factors(geo):
             assert np.abs(fb.d_eigvals - want).max() <= 1e-10 * np.abs(want).max()
             sq_err = np.linalg.norm(fb.sqrt_lambda @ fb.sqrt_lambda - blk.M_lambda)
             assert sq_err <= 1e-11 * np.linalg.norm(blk.M_lambda)
-
-
-def test_eigs_leaves_the_per_row_bases_unbuilt(geo, res_small):
-    """The spectra work on the distinct-block stacks: the per-row gather of
-    the bases is built on first use only, so eigs does not pay for it."""
-    o = OperatorSet(params_with_k(1.0, 5.0), geo, res_small)
-    eigenpairs_A(o, 5)
-    garding_constants(o)
-    assert "row_bases" not in vars(o.cache)
