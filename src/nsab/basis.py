@@ -29,8 +29,8 @@ distinct m at once, as a (U, n, n) stack from one batched Cholesky
 factorization per potential, with no per-block loop: block groups (|k1|,
 |k2|) of bitwise-equal m, (a, b) and (b, a) on a square box, share a block.
 The field layout (:class:`nsab.field.ModeLayout`) owns the one block
-numbering and sorts a field's rows by it, so no stack is ever gathered per
-row.
+numbering and sorts a field's rows by it, and a field applies any stack
+itself (:meth:`nsab.field.SolenoidalField.apply`), with no per-row gather.
 """
 
 from __future__ import annotations

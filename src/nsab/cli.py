@@ -8,7 +8,8 @@ output directory that cannot be written), 3 numerical failure, 4
 watchdog/blow-up event; every non-zero exit prints one line on stderr, a
 malformed command line (exit 2) included.  The output directory defaults to
 ``nsab_out``; the environment variable ``NSAB_OUT_DIR`` overrides it when
---out is absent.  Execution is always deterministic and serial.
+--out is absent.  Execution is always deterministic and serial.  ``--seed N``
+replaces the four catalog seeds by distinct ones, ``SeedSequence(N).generate_state(4)``.
 
 Every run writes ``manifest.json`` (config echo, package version, seed,
 timings, peak resident memory, numpy/scipy versions, CPU count, timestamp,
@@ -492,9 +493,11 @@ def main(argv=None):
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=None)
     ap.add_argument("--seed", type=int, default=None,
-                    help="override every catalog seed")
+                    help="derive every catalog seed from this one")
     try:
         args = ap.parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            ap.error(f"--seed must be nonnegative, got {args.seed}")
     except _UsageError as exc:
         _fail(f"usage error: {' '.join(str(exc).split())} (see nsab --help)")
         return EXIT_CONFIG
@@ -509,9 +512,9 @@ def main(argv=None):
     except ConfigError as exc:
         _fail(f"config error: {exc}")
         return EXIT_CONFIG
-    if args.seed is not None:
-        for key in ("u0.seed", "forcing.seed", "covering.seed", "probe.seed"):
-            cfg.values[key] = args.seed
+    if args.seed is not None:  # distinct seeds: with one for all, the probe perturbs along u0
+        keys = ("u0.seed", "forcing.seed", "covering.seed", "probe.seed")
+        cfg.values.update(zip(keys, np.random.SeedSequence(args.seed).generate_state(4).tolist()))
 
     out_dir = args.out or os.environ.get("NSAB_OUT_DIR") or "nsab_out"
     try:

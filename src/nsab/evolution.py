@@ -20,8 +20,8 @@ with A = M_L + theta dt S and G the explicit term.  As M_L - (1 - theta) dt S
 = M_L / theta - (1/theta - 1) A, it is applied as u' = P u / theta -
 (1/theta - 1) u - dt Q G through per-block stacks of the propagators
 P = A^{-1} M_L and Q = A^{-1}, formed with one LU per distinct block and
-applied to the block-major rows by :func:`nsab.field.blockmul`; this keeps
-the cancellation in M_L - dt S / 2 out of the step.  The linear
+applied by :meth:`nsab.field.SolenoidalField.apply`; this keeps the
+cancellation in M_L - dt S / 2 out of the step.  The linear
 flow also has an exact spectral propagator through the factorization
 u(t) = L^{-1/2} e^{-tD} L^{1/2} u0 (+ Duhamel term), which serves as the
 order oracle for the steppers.
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SolenoidalField, blockmul, project_velocity, reconstruct, zero_field
-from .operators import MULTIPLICITY, OperatorSet, _root
+from .field import SolenoidalField, project_velocity, reconstruct, zero_field
+from .operators import OperatorSet, _root
 from .params import ParameterError, derive_params, step_count
 from .spectral import spectral_factors
 
@@ -113,11 +113,10 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
     factors = [spectral_factors(b, ops.params.beta, include_gradient=True) for b in ops.blocks]
 
     def flow(tau, f, right):
-        # L^{-1/2} e^{-tau D} right, per block, applied to f's rows
-        stacks = [fb.inv_sqrt_lambda @ (fb.d_eigvecs * np.exp(-tau * fb.d_eigvals)[:, None, :])
-                  @ np.swapaxes(fb.d_eigvecs, 1, 2) @ right(fb) for fb in factors]
-        return [blockmul(S, c, runs) for S, c, runs in
-                zip(stacks, f.potentials(), ops.layout.potential_buckets)]
+        # L^{-1/2} e^{-tau D} right, per block, applied to f
+        return f.apply([fb.inv_sqrt_lambda
+                        @ (fb.d_eigvecs * np.exp(-tau * fb.d_eigvals)[:, None, :])
+                        @ np.swapaxes(fb.d_eigvecs, 1, 2) @ right(fb) for fb in factors])
 
     out = flow(t, u0, lambda fb: fb.sqrt_lambda)
     if forcing is not None and t > 0:
@@ -130,10 +129,8 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
             taus = 0.5 * (b - a) * (x + 1.0) + a
             ws = 0.5 * (b - a) * wq
             for tau, wgt in zip(taus, ws):
-                for acc, part in zip(out, flow(t - tau, forcing(tau),
-                                               lambda fb: fb.inv_sqrt_lambda)):
-                    acc += wgt * part
-    return SolenoidalField(u0.geometry, u0.resolution, *out)
+                out = out + flow(t - tau, forcing(tau), lambda fb: fb.inv_sqrt_lambda) * wgt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +166,17 @@ class IMEXStepper:
             # C order, so the step's gemms do not depend on the layout solve returns
             return np.ascontiguousarray(PQ[..., :blk.n]), np.ascontiguousarray(PQ[..., blk.n:])
 
-        self._props = [propagators(b) for b in ops.blocks]
+        self._P, self._Q = zip(*map(propagators, ops.blocks))
 
     def step(self, state):
-        ops = self.ops
-        dt = self.dt
-        u = state.field
-        N = nonlinear_term(u, ops) if self.nonlinear else zero_field(u.geometry, u.resolution)
+        dt, u, a = self.dt, state.field, self._inv_theta
+        N = nonlinear_term(u, self.ops) if self.nonlinear else zero_field(u.geometry, u.resolution)
         G = N
         if self.scheme == "cnab2":
             Nprev = state.history if state.history is not None else N
             G = N * 1.5 - Nprev * 0.5
-        a = self._inv_theta
-        out = [blockmul(P, c, runs) * a - (a - 1.0) * c - dt * blockmul(Q, g, runs)
-               for (P, Q), runs, c, g in zip(self._props, ops.layout.potential_buckets,
-                                             u.potentials(), G.potentials())]
         return EvolutionState(state.time + dt,
-                              SolenoidalField(u.geometry, u.resolution, *out),
+                              u.apply(self._P) * a - u * (a - 1.0) - G.apply(self._Q) * dt,
                               N if self.scheme == "cnab2" else None)
 
 
@@ -288,14 +279,8 @@ def _h1_norms(ops, w):
     """H1 norm of each member w[j] of a stacked field, from one stacked K_grad
     product; bitwise sqrt(w[j].dot(w[j]) + ops.form_inner("K_grad", w[j], w[j])),
     and inf where that square overflowed, as the watchdog norms read it."""
-    gw = [blockmul(blk.K_grad, c, runs) for blk, c, runs in
-          zip(ops.blocks, w.potentials(), ops.layout.potential_buckets)]
-    norms = []
-    for j in range(len(w.mean)):
-        grad = sum(mult * np.vdot(c[j], g[j]).real
-                   for mult, c, g in zip(MULTIPLICITY, w.potentials(), gw))
-        norms.append(float(_root(w[j].dot(w[j]) + grad)))
-    return norms
+    gw = w.apply([blk.K_grad for blk in ops.blocks])
+    return [float(_root(w[j].dot(w[j]) + gw[j].dot(w[j]))) for j in range(len(w.mean))]
 
 
 def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
@@ -314,9 +299,8 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
-    members = [u0] + [u0 + d * perturbation for d in deltas]
-    state = EvolutionState(0.0, SolenoidalField(
-        u0.geometry, u0.resolution, *map(np.stack, zip(*(f.potentials() for f in members)))))
+    state = EvolutionState(0.0, SolenoidalField.stack(
+        [u0] + [u0 + d * perturbation for d in deltas]))
     w0 = [w if d != 0.0 else 1.0
           for d, w in zip(deltas, _h1_norms(ops, state.field[1:] - u0))]
     if 0.0 in w0:

@@ -22,8 +22,8 @@ dot product of their rows, counted twice for the conjugate partners, plus
 the dot product of the mean rows.
 
 This module and the snapshot file boundary are the only places that know
-that layout; other modules reach rows through the layout's ``row``,
-``groups`` and ``buckets``.
+that layout; other modules apply stacks with :meth:`SolenoidalField.apply`
+and reach rows through the layout's ``row``, ``groups`` and ``block``.
 
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
 the quadrature nodes in the same row layout - complex (3, R, Q) rows plus
@@ -89,14 +89,14 @@ class ModeLayout:
     first appearance in ``reps``, and rows are sorted by block, so the nb
     blocks with k rows each are one contiguous (nb k, n) slice of a
     potential: ``buckets`` lists these runs as (rows, blocks, (nb, k)), the
-    form :func:`blockmul` reads, and ``potential_buckets`` those of psi, phi
-    and the mean.  ``groups`` maps each key (|k1|, |k2|) to its slice of
-    rows, in order of first appearance in ``reps``; within a group, rows
-    keep the ``reps`` order, and ``by_group`` lists the rows group after
-    group.  ``k`` is the (R, 2) array of row wavenumbers, ``row`` the
-    (k1, k2) -> row lookup, ``eta`` the (R, 1) columns eta1, eta2 and m of
-    the rows.  ``grid`` is the transform to the padded grid, built on first
-    use.
+    form :func:`blockmul` reads, ``potential_buckets`` and ``potential_blocks``
+    the runs and row blocks of psi, phi and the mean.  ``groups`` maps each
+    key (|k1|, |k2|) to its slice of rows, in order of first appearance in
+    ``reps``; within a group, rows keep the ``reps`` order, and ``by_group``
+    lists the rows group after group.  ``k`` is the (R, 2) array of row
+    wavenumbers, ``row`` the (k1, k2) -> row lookup, ``eta`` the (R, 1)
+    columns eta1, eta2 and m of the rows.  ``grid`` is the transform to the
+    padded grid, built on first use.
     """
 
     def __init__(self, geometry, resolution):
@@ -129,6 +129,7 @@ class ModeLayout:
         self.buckets = [(slice(r - s * n, r), slice(b - n, b), (n, s))
                         for s, n, (r, b) in zip(size, nb, ends)]
         self.potential_buckets = (self.buckets, self.buckets, MEAN_BUCKETS)
+        self.potential_blocks = (self.block, self.block, np.zeros(2, int))
 
     def wavenumber(self, k1, k2):
         L1, L2 = self.L
@@ -320,37 +321,46 @@ class SolenoidalField:
     phi: np.ndarray  # (R, P-3) complex poloidal coefficients
     mean: np.ndarray  # (2, P-1) real mean-profile coefficients
 
-    def copy(self):
+    def _map(self, fn, *parts):
+        """The field of fn(c, *entries) per potential c and its entries of parts."""
         return SolenoidalField(self.geometry, self.resolution,
-                               self.psi.copy(), self.phi.copy(), self.mean.copy())
+                               *map(fn, self.potentials(), *parts))
+
+    def copy(self):
+        return self._map(np.copy)
 
     def __add__(self, other):
-        return SolenoidalField(self.geometry, self.resolution,
-                               self.psi + other.psi, self.phi + other.phi,
-                               self.mean + other.mean)
+        return self._map(np.add, other.potentials())
 
     def __sub__(self, other):
-        return SolenoidalField(self.geometry, self.resolution,
-                               self.psi - other.psi, self.phi - other.phi,
-                               self.mean - other.mean)
+        return self._map(np.subtract, other.potentials())
 
     def __mul__(self, s):
-        return SolenoidalField(self.geometry, self.resolution,
-                               self.psi * s, self.phi * s, self.mean * s)
+        return self._map(lambda c: c * s)
 
     __rmul__ = __mul__
 
     def __getitem__(self, j):
-        return SolenoidalField(self.geometry, self.resolution,
-                               self.psi[j], self.phi[j], self.mean[j])
+        return self._map(lambda c: c[j])
+
+    @staticmethod
+    def stack(fields):
+        """The stacked field whose member j is fields[j]."""
+        return fields[0]._map(lambda *cs: np.stack(cs), *(f.potentials() for f in fields[1:]))
 
     def potentials(self):
-        """(psi, phi, mean), the order of
-        :attr:`nsab.operators.OperatorSet.blocks`."""
+        """(psi, phi, mean), the order of :attr:`nsab.operators.OperatorSet.blocks`."""
         return self.psi, self.phi, self.mean
 
+    def apply(self, stacks):
+        """The (toroidal, poloidal, mean) per-block stacks applied to the
+        potentials' rows by :func:`blockmul`, behind any member axes."""
+        runs = layout_for(self.geometry, self.resolution).potential_buckets
+        return self._map(lambda c, W, b: blockmul(W, c, b), stacks, runs)
+
     def dot(self, other):
-        """L2 inner product over the full (Hermitian) spectrum; real."""
+        """L2 inner product over the full (Hermitian) spectrum and any member
+        axes; real.  A stored mode counts twice, for its conjugate partner."""
         return (2.0 * (np.vdot(other.psi, self.psi).real
                        + np.vdot(other.phi, self.phi).real)
                 + float(np.vdot(other.mean, self.mean)))

@@ -26,21 +26,18 @@ become standard symmetric eigenproblems, and the watchdog norms of
 :func:`toroidal_forms`, :func:`poloidal_forms` and :func:`mean_forms`
 build the forms of all distinct blocks at once, one per distinct
 m = |eta|^2, as (U, n, n) stacks of Gram products of the tabulated block
-bases, with no per-block loop; ``ModeLayout.block`` gives each row's block.
+bases, with no per-block loop; ``ModeLayout.block`` gives each row's block,
+and :meth:`nsab.field.SolenoidalField.apply` applies the stacks to a field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .basis import BasisCache
-from .field import SolenoidalField, blockmul
-
-#: multiplicity of each potential's rows in the full spectrum: a stored
-#: mode also stands for its conjugate partner; the mean stands alone
-MULTIPLICITY = (2.0, 2.0, 1.0)
 
 
 FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
@@ -128,8 +125,8 @@ class OperatorSet:
 
     ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
     distinct m, in the order of :meth:`SolenoidalField.potentials`;
-    ``blocks[p][layout.block[row]]`` is the block of a row, and every form
-    acts on a field's rows per block through :func:`nsab.field.blockmul`.
+    ``blocks[p][layout.block[row]]`` is the block of a row, and a field
+    applies a form's stacks itself: ``u.apply([b.K_a for b in ops.blocks])``.
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
@@ -141,32 +138,18 @@ class OperatorSet:
         self.blocks = (toroidal_forms(params, c, c.m, c.W_tor),
                        poloidal_forms(params, c, c.m, c.W_pol),
                        mean_forms(params, c))
-        self._memo = {}
-
-    def _cached(self, key, build):
-        """build(), computed once per key for this operator set."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        return sum(mult * np.vdot(cv, blockmul(getattr(blk, form), cu, runs)).real
-                   for mult, blk, runs, cu, cv in zip(MULTIPLICITY, self.blocks,
-                                                      self.layout.potential_buckets,
-                                                      u.potentials(), v.potentials()))
+        return u.apply([getattr(blk, form) for blk in self.blocks]).dot(v)
 
-    # -- spectral decomposition of the form operator ------------------------
+    @cached_property
+    def eig(self):
+        """Eigenpairs (lam, V) of each K_a stack of ``blocks`` (M = I)."""
+        return tuple(np.linalg.eigh(blk.K_a) for blk in self.blocks)
 
-    def block_eig(self, blk):
-        """Eigendecomposition of K_a (a block or a stack) in the orthonormal
-        basis (M = I); computed once for each of the stacks of ``blocks``."""
-        for p, stack in enumerate(self.blocks):
-            if blk is stack:
-                return self._cached(("eig", p), lambda: np.linalg.eigh(blk.K_a))
-        return np.linalg.eigh(blk.K_a)
-
-    def spectral_shift(self):
+    @cached_property
+    def shift(self):
         """Shift making the stationary operator spectrum nonnegative.  A K_a
         stack with a float64 Cholesky factor counts as nonnegative; only a
         stack that does not factor has its lowest eigenvalues computed."""
@@ -176,32 +159,27 @@ class OperatorSet:
                 return 0.0
             except np.linalg.LinAlgError:
                 return np.linalg.eigvalsh(K)[:, 0].min(initial=np.inf)
-        return self._cached("shift", lambda: max(0.0, -min(lowest(b.K_a) for b in self.blocks)))
+        return max(0.0, -min(lowest(b.K_a) for b in self.blocks))
 
     def a_scale_norms(self, f):
         """Norms ||(A + s)^{j/2} u||, j = 0, 1, 2, and the Lambda-weighted j = 2
-        norm, s = :meth:`spectral_shift`; with ||u||^2, a(u, u) and <K_grad u, u>
+        norm, s = :attr:`shift`; with ||u||^2, a(u, u) and <K_grad u, u>
         bitwise as ``u.dot(u)`` and :meth:`form_inner` give them.
 
         As M = I, all are quadratic forms of the per-block K_a and K_grad: with
         z = (K_a + s) c, A0^2 = ||u||^2, A_half^2 = a(u, u) + s A0^2, A1^2 =
         ||z||^2 and A1_lambda^2 = <M_Lambda z, z> = A1^2 + alpha^2 <K_grad z, z>.
-        The call runs one K_a product per potential; grad_sq and A1_lambda,
-        which only energy reports read, run a K_grad product per potential on
-        first read (:class:`ScaleNorms`).
+        The call applies K_a once; grad_sq and A1_lambda, which only energy
+        reports read, apply K_grad on first read (:class:`ScaleNorms`).
         For finite c, a square that overflows (to inf, -inf or nan) gives an
         inf norm: the watchdog's blow-up signal.
         """
-        s, sums, z = self.spectral_shift(), np.zeros(2), []  # a_uu, ||z||^2
+        s, a2 = self.shift, self.params.alpha**2
         with np.errstate(over="ignore", invalid="ignore"):
-            for mult, c, blk, runs in zip(MULTIPLICITY, f.potentials(), self.blocks,
-                                          self.layout.potential_buckets):
-                kc = blockmul(blk.K_a, c, runs)
-                z.append(kc + s * c)
-                sums += mult * np.array([np.vdot(c, kc).real, np.vdot(z[-1], z[-1]).real])
-            l2sq, (a_uu, z2) = f.dot(f), sums
+            kf = f.apply([blk.K_a for blk in self.blocks])
+            z = kf + f * s
+            l2sq, a_uu, z2 = f.dot(f), kf.dot(f), z.dot(z)
             n0, n1, n2 = _root(np.array([l2sq, a_uu + s * l2sq, z2]))
-        a2, z = self.params.alpha**2, SolenoidalField(f.geometry, f.resolution, *z)
         sn = ScaleNorms(A0=n0, A_half=n1, A1=n2, shift=s, l2_sq=l2sq, a_uu=a_uu)
         sn.later = {"grad_sq": lambda: self.form_inner("K_grad", f, f),
                     "A1_lambda": lambda: _root(z2 + a2 * self.form_inner("K_grad", z, z))}

@@ -101,11 +101,14 @@ def read_snapshot(path):
         version, meta_len = struct.unpack("<IQ", header[8:20])
         if version != VERSION:
             raise SnapshotError(f"{path}: unsupported snapshot version {version}")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        g = ChannelGeometry(**meta["geometry"])
-        rr = meta["resolution"]
-        # files from before the fixed 3/2-rule grid also carry a "pad" entry
-        res = Resolution(rr["N1"], rr["N2"], rr["P"], rr["Q"])
+        try:
+            meta = json.loads(fh.read(meta_len).decode("utf-8"))
+            g = ChannelGeometry(**meta["geometry"])
+            rr = meta["resolution"]
+            # files from before the fixed 3/2-rule grid also carry a "pad" entry
+            res = Resolution(rr["N1"], rr["N2"], rr["P"], rr["Q"])
+        except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8, JSON or entries
+            raise SnapshotError(f"{path}: malformed metadata: {exc!r}") from exc
         n_t, n_p = res.n_toroidal, res.n_poloidal
         npsi = res.N1 * res.N2 * n_t
         nphi = res.N1 * res.N2 * n_p

@@ -28,7 +28,6 @@ import numpy as np
 from .basis import legendre_table
 from .field import (SolenoidalField, analyze, blockmul, layout_for, synthesize,
                     velocity, zero_field)
-from .operators import MULTIPLICITY
 
 
 class ConsistencyError(RuntimeError):
@@ -93,30 +92,23 @@ def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
     Raises ConsistencyError when a singular block sees data along its
     kernel beyond consistency_rtol times the data norm.
     """
-    kernel_dim, violation, res_sq, parts = 0, 0.0, 0.0, []
+    lam, V = zip(*ops.eig)
+    d = rhs.apply([v.transpose(0, 2, 1) for v in V])  # rows of c @ V
+    kernel_dim, violation, parts = 0, 0.0, []
+    for lam_p, c, block in zip(lam, d.potentials(), ops.layout.potential_blocks):
+        # kernel: |lam| <= kernel_rtol * max|lam| of the block, read per row
+        top = np.abs(lam_p).max(axis=1, keepdims=True, initial=0.0)
+        kernel = (np.abs(lam_p) <= kernel_rtol * top)[block]
+        kernel_dim += int(kernel.sum())
+        along = np.sum(np.abs(np.where(kernel, c, 0.0)) ** 2, axis=-1)
+        violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
+        parts.append(np.divide(c, lam_p[block], out=np.zeros_like(c), where=~kernel))
     rhs_norm = rhs.norm_l2()
-    for mult, c, blk, runs in zip(MULTIPLICITY, rhs.potentials(), ops.blocks,
-                                  ops.layout.potential_buckets):
-        lam, V = ops.block_eig(blk)
-        # kernel: |lam| <= kernel_rtol * max|lam| of the block
-        kernel = np.abs(lam) <= kernel_rtol * np.abs(lam).max(axis=1, keepdims=True, initial=0.0)
-        d = blockmul(V.transpose(0, 2, 1), c, runs)  # rows of c @ V
-        sol = np.zeros_like(d)
-        for rows, blocks, (nb, k) in runs:
-            # the bucket's rows as (nb, k, n), each row against its block's lam
-            shape, on = (nb, k, -1), kernel[blocks, None]
-            db = d[rows].reshape(shape)
-            kernel_dim += k * int(on.sum())
-            along = np.sum(np.abs(np.where(on, db, 0.0)) ** 2, axis=-1)
-            violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
-            np.divide(db, lam[blocks, None], out=sol[rows].reshape(shape), where=~on)
-        sol = blockmul(V, sol, runs)
-        res_sq += mult * float(np.sum(np.abs(blockmul(blk.K_a, sol, runs) - c) ** 2))
-        parts.append(sol)
     if violation > consistency_rtol * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
-    u = SolenoidalField(ops.geometry, ops.resolution, *parts)
-    return u, SolveReport(kernel_dim, violation, np.sqrt(res_sq), rhs_norm)
+    u = SolenoidalField(ops.geometry, ops.resolution, *parts).apply(V)
+    residual = (u.apply([blk.K_a for blk in ops.blocks]) - rhs).norm_l2()
+    return u, SolveReport(kernel_dim, violation, residual, rhs_norm)
 
 
 # ---------------------------------------------------------------------------

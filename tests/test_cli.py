@@ -12,6 +12,8 @@ import pytest
 import nsab
 from nsab.basis import BasisCache
 from nsab.cli import main
+from nsab.config import parse_config
+from nsab.field import random_field
 
 SMALL = """
 model.alpha = 0.2
@@ -284,6 +286,20 @@ def test_seed_override_changes_data(cfgfile, tmp_path):
         (outb / "timeseries.csv").read_text()
 
 
+def test_seed_override_derives_a_seed_per_key(cfgfile, tmp_path):
+    """--seed N gives the four catalog keys distinct seeds, so the probe's
+    perturbation is not u0's own direction, as one seed for both made it."""
+    out = tmp_path / "p"
+    assert main(["probe-uniqueness", "--config", str(cfgfile), "--out", str(out),
+                 "--seed", "5"]) == 0
+    seeds = json.loads((out / "manifest.json").read_text())["seed"]
+    assert len(set(seeds.values())) == 4
+    cfg = parse_config(SMALL, kind_override="probe-uniqueness")
+    u0, pert = (random_field(cfg.geometry, cfg.resolution, seed=seeds[key], decay=1.5)
+                for key in ("u0", "probe"))
+    assert abs(u0.dot(pert)) < 0.9 * u0.norm_l2() * pert.norm_l2()
+
+
 def test_out_dir_env_override(cfgfile, tmp_path, monkeypatch):
     target = tmp_path / "via_env"
     monkeypatch.setenv("NSAB_OUT_DIR", str(target))
@@ -385,8 +401,9 @@ def test_failed_run_writes_manifest(tmp_path, overrides, kind):
     assert man["peak_rss_mb"] > 0.0
 
 
-@pytest.mark.parametrize("args", [["--bogus"], ["--serial"], ["--seed", "x"]],
-                         ids=["unknown-flag", "retired-serial", "bad-seed"])
+@pytest.mark.parametrize("args", [["--bogus"], ["--serial"], ["--seed", "x"],
+                                  ["--seed", "-1"]],
+                         ids=["unknown-flag", "retired-serial", "bad-seed", "negative-seed"])
 def test_usage_error_exits_2_in_one_line(cfgfile, tmp_path, args):
     argv = ["evolve", "--config", str(cfgfile), "--out", str(tmp_path / "o"), *args]
     proc = _run_cli(*argv)

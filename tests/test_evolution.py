@@ -11,11 +11,11 @@ import scipy.linalg
 from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
                             linear_propagator_exact, nonlinear_term,
                             run_evolution, uniqueness_probe, vanishing_sweep)
-from nsab import evolution, operators
+from nsab import evolution, field
 from nsab.basis import BasisCache
 from nsab.field import (SolenoidalField, blockmul, layout_for, project_velocity,
                         random_field, reconstruct, synthesize, zero_field)
-from nsab.operators import FORMS, MULTIPLICITY, OperatorSet
+from nsab.operators import FORMS, OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
 
@@ -470,9 +470,9 @@ def test_energy_reports_reuse_previous_energy_bitwise(ops, geo, res_small, caden
 def _full_norms(ops, f):
     """The watchdog norms and report terms with every K_a and K_grad product
     formed on every call, summed as one array over the potentials."""
-    s, sums = ops.spectral_shift(), np.zeros(4)
+    s, sums = ops.shift, np.zeros(4)
     with np.errstate(over="ignore", invalid="ignore"):
-        for mult, c, blk, runs in zip(MULTIPLICITY, f.potentials(), ops.blocks,
+        for mult, c, blk, runs in zip((2.0, 2.0, 1.0), f.potentials(), ops.blocks,
                                       ops.layout.potential_buckets):
             kc = blockmul(blk.K_a, c, runs)
             z = kc + s * c
@@ -559,24 +559,30 @@ def test_probe_h3_integral_is_the_trapezoid_of_full_norms(ops, geo, res_small):
 def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkeypatch):
     """The watchdog and the probe read A0, A_half and A1 only: one K_a
     product per potential.  The K_grad products of grad_sq and A1_lambda run
-    for reported states, and grad_sq also for the state before a report."""
-    grad_stacks, calls = [b.K_grad for b in ops.blocks], []
+    for reported states, and grad_sq also for the state before a report.
+    Every K_a and K_grad stack product is counted, as (form, on stacked
+    members); the probe's members take one stacked K_grad product per
+    potential for their H1 norms."""
+    forms, calls = [(name, getattr(b, name)) for name in ("K_a", "K_grad")
+                    for b in ops.blocks], []
 
     def counting(W, c, runs):
-        calls.append(any(W is K for K in grad_stacks))
+        calls.extend((name, c.ndim > 2) for name, K in forms if W is K)
         return blockmul(W, c, runs)
 
-    monkeypatch.setattr(operators, "blockmul", counting)
+    monkeypatch.setattr(field, "blockmul", counting)
     u0 = random_field(geo, res_small, seed=2, amplitude=0.1)
     uniqueness_probe(ops, u0, u0, (1e-6,), 0.1, 0.01)
-    assert len(calls) == 3 * 11 and not any(calls)
+    assert calls.count(("K_a", False)) == calls.count(("K_grad", True)) == 3 * 11
+    assert len(calls) == 2 * 3 * 11
     calls.clear()
     run_evolution(ops, u0, 0.01, 0.1, cadence=5)
     # reports at steps 0, 5, 10; grad_sq of steps 4 and 9 for the balance
-    assert sum(calls) == 3 * (2 + 3 + 3)
+    assert calls.count(("K_grad", False)) == 3 * (2 + 3 + 3)
+    assert calls.count(("K_a", False)) == 3 * 11 and len(calls) == 3 * (11 + 8)
     calls.clear()
     run_evolution(ops, u0, 0.01, 0.04, cadence=1)
-    assert sum(calls) == 3 * 2 * 5  # no state's K_grad products twice
+    assert calls.count(("K_grad", False)) == 3 * 2 * 5  # no state's K_grad products twice
 
 
 def test_probe_member_scan_keeps_its_events(geo):
@@ -701,20 +707,14 @@ def test_no_operator_stack_is_copied_per_row(par, geo):
     garding_constants(o)
     assert not hasattr(o.cache, "row_bases")
     assert o.cache.W_tor.shape[0] == o.cache.W_pol.shape[0] == U
-    for blk, props, size in zip(o.blocks, stepper._props, (U, U, 1)):
-        for a in [getattr(blk, form) for form in FORMS] + list(props):
+    for blk, P, Q, size in zip(o.blocks, stepper._P, stepper._Q, (U, U, 1)):
+        for a in [getattr(blk, form) for form in FORMS] + [P, Q]:
             assert a.shape[0] == size
 
 
 # ---------------------------------------------------------------------------
 # stacked members: a leading (E,) axis on every coefficient array
 # ---------------------------------------------------------------------------
-
-def _stack(fields):
-    f = fields[0]
-    return SolenoidalField(f.geometry, f.resolution,
-                           *map(np.stack, zip(*(g.potentials() for g in fields))))
-
 
 @pytest.mark.parametrize("N1, N2, P", [(16, 16, 32), (8, 12, 16)], ids=["N16P32", "N8x12P16"])
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
@@ -728,12 +728,13 @@ def test_stacked_members_equal_their_own_calls(par, geometry, scheme, N1, N2, P,
     o = OperatorSet(par, g, res)
     fields = [random_field(g, res, seed=s, amplitude=a)
               for s, a in ((1, 0.3), (2, 1.0), (3, 5.0))]
-    N = nonlinear_term(_stack(fields), o)
+    N = nonlinear_term(SolenoidalField.stack(fields), o)
     assert N.psi.shape[0] == 3
     for j, u in enumerate(fields):
         assert _same_field(N[j], nonlinear_term(u, o))
     stepper = IMEXStepper(o, 0.02, scheme)
-    state, singles = EvolutionState(0.0, _stack(fields)), [EvolutionState(0.0, u) for u in fields]
+    state = EvolutionState(0.0, SolenoidalField.stack(fields))
+    singles = [EvolutionState(0.0, u) for u in fields]
     for _ in range(2):
         state, singles = stepper.step(state), [stepper.step(s) for s in singles]
         for j, single in enumerate(singles):
@@ -747,7 +748,7 @@ def test_warm_stacked_nonlinear_term_allocates_under_1050kb(par, geo):
     times the single-field bound of 0.35 MB."""
     res = Resolution(N1=16, N2=16, P=32)
     o = OperatorSet(par, geo, res)
-    u = _stack([random_field(geo, res, seed=s, amplitude=0.2) for s in (8, 9, 10)])
+    u = SolenoidalField.stack([random_field(geo, res, seed=s, amplitude=0.2) for s in (8, 9, 10)])
     nonlinear_term(u, o)
     tracemalloc.start()
     try:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache
-from nsab.field import (MEAN_BUCKETS, blockmul, layout_for, potentials_to_velocity,
-                        project_velocity, random_field, reconstruct, synthesize,
-                        zero_field)
+from nsab.field import (MEAN_BUCKETS, SolenoidalField, blockmul, layout_for,
+                        potentials_to_velocity, project_velocity, random_field,
+                        reconstruct, synthesize, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import forcing_from_field
@@ -327,3 +327,25 @@ def test_blockmul_is_the_per_row_product(request, geometry):
                 else:
                     want = (Wr @ xr[..., None])[..., 0]
                 assert np.array_equal(got[..., r, :], want)
+
+
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_apply_and_dot_are_the_per_potential_sums(request, geometry):
+    """SolenoidalField.apply gives each potential its own stack through
+    blockmul, and dot is the vdot sum weighted 2 for the stored modes (each
+    stands for its conjugate partner) and 1 for the mean, bit for bit: for
+    one field and for a stack of three members."""
+    g = request.getfixturevalue(geometry)
+    res = Resolution(N1=8, N2=6, P=12)
+    cache = BasisCache(g, res)
+    lay, stacks = cache.layout, (cache.W_tor, cache.W_pol, cache.mean_W[None])
+    f, h = random_field(g, res, seed=5), random_field(g, res, seed=6, decay=0.2)
+    for u, v in ((f, h), (SolenoidalField.stack([f, h, f * -2.0]),
+                          SolenoidalField.stack([h, f * 3.0, h]))):
+        got = u.apply(stacks)
+        for c, W, cu, runs in zip(got.potentials(), stacks, u.potentials(),
+                                  (lay.buckets, lay.buckets, MEAN_BUCKETS)):
+            assert np.array_equal(c, blockmul(W, cu, runs))
+        want = sum(mult * np.vdot(cv, cu).real for mult, cu, cv in
+                   zip((2.0, 2.0, 1.0), got.potentials(), v.potentials()))
+        assert got.dot(v) == want

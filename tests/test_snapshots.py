@@ -1,6 +1,7 @@
 """Snapshot format: byte-exact round trips and validation."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -75,6 +76,15 @@ def test_rejects_corrupt_files(tmp_path, geo, res_small):
     (tmp_path / "trunc.snap").write_bytes(data[:-16])
     with pytest.raises(SnapshotError, match="payload"):
         read_snapshot(tmp_path / "trunc.snap")
+
+
+@pytest.mark.parametrize("meta", [b"{not json", b'{"geometry":{"L1":1,"L2":1,"H":1}}',
+                                  b"\xff\xfe"], ids=["not-json", "no-resolution", "not-utf8"])
+def test_rejects_malformed_metadata(tmp_path, meta):
+    bad = tmp_path / "meta.snap"
+    bad.write_bytes((MAGIC + struct.pack("<IQ", 1, len(meta))).ljust(HEADER_LEN, b"\0") + meta)
+    with pytest.raises(SnapshotError, match=re.escape(f"{bad}: malformed metadata")):
+        read_snapshot(bad)
 
 
 def _payload(path):
