@@ -95,7 +95,7 @@ def nonlinear_term(u, ops):
         np.multiply(w[j], v[k], out=prod[i])
         np.multiply(w[k], v[j], out=tmp)
         np.subtract(prod[i], tmp, out=prod[i])
-    return project_velocity(work.prod, u.geometry, u.resolution, ops.cache, work)
+    return project_velocity(work.prod, ops.cache, work)
 
 
 # ---------------------------------------------------------------------------

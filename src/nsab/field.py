@@ -54,8 +54,8 @@ quantities and node count Q, so it lives as long as the grid, which
 would hand the pages back to the OS and take the page faults again in the
 next run.  Arrays carved from a workspace are overwritten by the next call
 that uses it, so the path is not reentrant (nsab is serial); the public
-:func:`synthesize`, :func:`reconstruct`, :func:`potentials_to_velocity`
-and :func:`project_velocity` return fresh arrays unless given a workspace.
+:func:`synthesize`, :func:`reconstruct` and :func:`project_velocity`
+return fresh arrays unless given a workspace.
 """
 
 from __future__ import annotations
@@ -557,26 +557,19 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
     return {name: grid[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(profiles)}
 
 
-def potentials_to_velocity(f, cache):
-    """Physical velocity samples on the padded tangential grid x z-nodes."""
-    if cache.geometry != f.geometry or cache.resolution != f.resolution:
-        raise ValueError("basis cache resolution/geometry do not match the field")
-    return reconstruct(f, cache, want=("u",))["u"]
-
-
 # ---------------------------------------------------------------------------
 # analysis: Fourier-side profiles -> Galerkin duals (the L2 adjoint)
 # ---------------------------------------------------------------------------
 
-def analyze(rows, mean, geometry, resolution, cache, work=None):
+def analyze(rows, mean, cache, work=None):
     """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
 
     rows/mean: profiles of the representative modes and of (0, 0), as
-    :func:`synthesize` returns them.  Returns the dual coefficients (same
-    container as fields), which own their arrays also when the weighted
-    rows go to the workspace work.
+    :func:`synthesize` returns them for the cache.  Returns the dual
+    coefficients (same container as fields), which own their arrays also
+    when the weighted rows go to the workspace work.
     """
-    area, w = geometry.area, cache.w
+    area, w = cache.geometry.area, cache.w
     (e1, e2, m), buckets = cache.layout.eta, cache.layout.buckets
     weighted = np.multiply(w, rows, out=_slot(work, "weighted"))
     f1, f2, f3 = (weighted[..., i, :, :] for i in range(3))
@@ -588,17 +581,17 @@ def analyze(rows, mean, geometry, resolution, cache, work=None):
     psi = area * blockmul(cache.W_tor.transpose(0, 2, 1), gt, buckets)
     phi = area * blockmul(cache.W_pol.transpose(0, 2, 1), gp, buckets)
     mean0 = area * ((w * mean[..., :2, :]) @ cache.mean_E[0])
-    return SolenoidalField(geometry, resolution, psi, phi, mean0)
+    return SolenoidalField(cache.geometry, cache.resolution, psi, phi, mean0)
 
 
-def project_velocity(U, geometry, resolution, cache, work=None):
+def project_velocity(U, cache, work=None):
     """L2 projection of a gridded vector field onto the solenoidal basis.
 
-    For fields inside the discrete space this inverts
-    :func:`potentials_to_velocity`; in general it realizes the Leray-type
+    For fields inside the discrete space this inverts the velocity of
+    :func:`reconstruct`; in general it realizes the Leray-type
     projection (gradient parts drop out by construction of the test basis).
     With a workspace, U is a (..., 3, M1, M2, Q) array of the workspace's
     member axes and the transforms write into work.
     """
     rows, mean = cache.layout.grid.from_grid(U, work)
-    return analyze(rows, mean, geometry, resolution, cache, work)
+    return analyze(rows, mean, cache, work)

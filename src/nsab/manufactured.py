@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import gauss_legendre, legendre_table, recombined_bases
-from .field import velocity
 from .params import ParameterError
-from .stationary import ModalForcing, wall_dual, wall_traction
+from .field import analyze, velocity
+from .stationary import wall_dual, wall_traction
 
 
 class TrigProfile:
@@ -101,8 +101,9 @@ class ManufacturedCase:
     # -- data for the corrected weak problem --------------------------------
 
     def forcing(self, ops):
-        """f = Lap^2 u* + grad p* as per-mode profiles."""
-        self.row(ops)  # the mode must be stored at this resolution
+        """f = Lap^2 u* + grad p* as a (rows, mean) profile pair: zero but
+        for the case's row, and a zero mean."""
+        row = self.row(ops)
         z = ops.cache.z
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         m = e1 * e1 + e2 * e2
@@ -112,9 +113,9 @@ class ManufacturedCase:
         prof = velocity(e1, e2, m, t[4] - 2 * m * t[2] + m * m * t[0],
                         p[5] - 2 * m * p[3] + m * m * p[1],
                         p[4] - 2 * m * p[2] + m * m * p[0]) + grad_p
-        out = ModalForcing(ops.geometry, ops.resolution)
-        out.set_mode(self.k1, self.k2, prof)
-        return out
+        rows = np.zeros((3, len(ops.layout.reps), len(z)), complex)
+        rows[:, row] = prof
+        return rows, np.zeros((3, len(z)))
 
     def wall_defect_dual(self, ops, params):
         """Wall functional absorbing the traction mismatch of u*: wall data
@@ -127,15 +128,17 @@ class ManufacturedCase:
         return wall_dual(ops, row, np.array([-r2[0], r1[0]]), np.array([r2[1], -r1[1]]))
 
     def rhs(self, ops, params):
-        return self.forcing(ops).dual(ops) + self.wall_defect_dual(ops, params)
+        return analyze(*self.forcing(ops), ops.cache) + self.wall_defect_dual(ops, params)
 
     # -- error measurement ----------------------------------------------------
 
     def errors(self, u, pressure, ops):
         """L2/H1/H2 errors of a discrete solution against u*, p*.
 
-        Uses an independent refined quadrature and the analytic profiles;
-        pressure is compared modulo its spatial mean.
+        ``L2_rel``, ``H1_rel`` and ``H2_rel`` divide each by the matching
+        norm of u*, which is bitwise the error of the zero field.  Uses an
+        independent refined quadrature and the analytic profiles; pressure
+        is compared modulo its spatial mean.
         """
         res = ops.resolution
         geo = ops.geometry
@@ -148,19 +151,21 @@ class ManufacturedCase:
         th = np.stack([(E @ ops.cache.W_tor[g]) @ u.psi[row] for E in Et])
         ph = np.stack([(E @ ops.cache.W_pol[g]) @ u.phi[row] for E in Ep])
         ts, ps = self.mode_potentials(z2, 4)
-        dt = th - ts[:4]
-        dp = ph - ps[:4]
-
-        e0 = velocity(e1, e2, m, dt[0], dp[1], dp[0])
-        e1v = velocity(e1, e2, m, dt[1], dp[2], dp[1])
-        lap = velocity(e1, e2, m, dt[2] - m * dt[0], dp[3] - m * dp[1],
-                       dp[2] - m * dp[0])
         area = geo.area
-        l2 = 2 * area * float(np.sum(w2 * np.abs(e0) ** 2))
-        h1 = l2 + 2 * area * float(np.sum(w2 * (m * np.abs(e0) ** 2
-                                                + np.abs(e1v) ** 2)))
-        h2 = h1 + 2 * area * float(np.sum(w2 * np.abs(lap) ** 2))
-        out = {"L2": np.sqrt(l2), "H1": np.sqrt(h1), "H2": np.sqrt(h2)}
+
+        def norms(dt, dp):
+            e0 = velocity(e1, e2, m, dt[0], dp[1], dp[0])
+            e1v = velocity(e1, e2, m, dt[1], dp[2], dp[1])
+            lap = velocity(e1, e2, m, dt[2] - m * dt[0], dp[3] - m * dp[1],
+                           dp[2] - m * dp[0])
+            l2 = 2 * area * float(np.sum(w2 * np.abs(e0) ** 2))
+            h1 = l2 + 2 * area * float(np.sum(w2 * (m * np.abs(e0) ** 2
+                                                    + np.abs(e1v) ** 2)))
+            h2 = h1 + 2 * area * float(np.sum(w2 * np.abs(lap) ** 2))
+            return np.sqrt([l2, h1, h2])
+
+        err, ref = norms(th - ts[:4], ph - ps[:4]), norms(-ts[:4], -ps[:4])
+        out = dict(zip(("L2", "H1", "H2", "L2_rel", "H1_rel", "H2_rel"), [*err, *err / ref]))
         if pressure is not None:
             zeta = 2.0 * z2 / geo.H - 1.0
             tab = legendre_table(zeta, pressure.degree, 0)[0].T

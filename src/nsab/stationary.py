@@ -5,6 +5,8 @@ the Galerkin projection of the data onto the solenoidal test basis plus,
 optionally, a wall functional (used by the manufactured-solution studies to
 absorb the tangential traction mismatch of an arbitrary manufactured field,
 so that any smooth divergence-free u* can serve as the exact solution).
+The data f is the (rows, mean) profile pair of :func:`nsab.field.synthesize`
+and its projection ``analyze(rows, mean, ops.cache)``.
 
 If a block operator is singular - the form operator genuinely admits a
 kernel for suitable wall coefficients - the solve restricts to the
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import (SolenoidalField, analyze, blockmul, layout_for, synthesize,
-                    velocity, zero_field)
+from .field import SolenoidalField, blockmul, synthesize, velocity, zero_field
 
 
 class ConsistencyError(RuntimeError):
@@ -37,41 +38,6 @@ class ConsistencyError(RuntimeError):
         super().__init__(f"forcing not orthogonal to the operator kernel "
                          f"(violation {magnitude:.3e})")
         self.magnitude = magnitude
-
-
-# ---------------------------------------------------------------------------
-# forcing data
-# ---------------------------------------------------------------------------
-
-class ModalForcing:
-    """Vector-field data held as Fourier-side profiles at the quadrature nodes.
-
-    ``rows`` is complex (3, R, Q), one profile per representative mode of
-    the field layout in row order (the other modes are their conjugates);
-    ``mean`` is the real (3, Q) profile of the (0, 0) mode.
-    """
-
-    def __init__(self, geometry, resolution, rows=None, mean=None):
-        self.geometry, self.resolution = geometry, resolution
-        self.layout = layout_for(geometry, resolution)
-        R, Q = len(self.layout.reps), resolution.Q
-        self.rows = np.zeros((3, R, Q), complex) if rows is None else rows
-        self.mean = np.zeros((3, Q)) if mean is None else mean
-
-    def set_mode(self, k1, k2, profiles):
-        """Install profiles (3, Q) at the representative mode (k1, k2)."""
-        self.rows[:, self.layout.row[(k1, k2)]] = profiles
-
-    def dual(self, ops):
-        """Galerkin right-hand side: projection onto the solenoidal basis."""
-        return analyze(self.rows, self.mean, self.geometry, self.resolution,
-                       ops.cache)
-
-
-def forcing_from_field(f, ops):
-    """Velocity profiles of a solenoidal field, packaged as forcing data."""
-    rows, mean = synthesize(f, ops.cache)["u"]
-    return ModalForcing(f.geometry, f.resolution, rows, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -86,25 +52,31 @@ class SolveReport:
     rhs_norm: float
 
 
-def solve_stationary(ops, rhs, kernel_rtol=1e-10, consistency_rtol=1e-8):
+#: a block's eigenvalues |lam| <= KERNEL_RTOL * max|lam| span its kernel
+KERNEL_RTOL = 1e-10
+#: data along the kernel beyond CONSISTENCY_RTOL * its norm is inconsistent
+CONSISTENCY_RTOL = 1e-8
+
+
+def solve_stationary(ops, rhs):
     """Solve K_a u = rhs per block; least-squares on the kernel complement.
 
     Raises ConsistencyError when a singular block sees data along its
-    kernel beyond consistency_rtol times the data norm.
+    kernel beyond CONSISTENCY_RTOL times the data norm.
     """
     lam, V = zip(*ops.eig)
     d = rhs.apply([v.transpose(0, 2, 1) for v in V])  # rows of c @ V
     kernel_dim, violation, parts = 0, 0.0, []
     for lam_p, c, block in zip(lam, d.potentials(), ops.layout.potential_blocks):
-        # kernel: |lam| <= kernel_rtol * max|lam| of the block, read per row
+        # the kernel (KERNEL_RTOL), read per row
         top = np.abs(lam_p).max(axis=1, keepdims=True, initial=0.0)
-        kernel = (np.abs(lam_p) <= kernel_rtol * top)[block]
+        kernel = (np.abs(lam_p) <= KERNEL_RTOL * top)[block]
         kernel_dim += int(kernel.sum())
         along = np.sum(np.abs(np.where(kernel, c, 0.0)) ** 2, axis=-1)
         violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
         parts.append(np.divide(c, lam_p[block], out=np.zeros_like(c), where=~kernel))
     rhs_norm = rhs.norm_l2()
-    if violation > consistency_rtol * max(rhs_norm, 1e-300):
+    if violation > CONSISTENCY_RTOL * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
     u = SolenoidalField(ops.geometry, ops.resolution, *parts).apply(V)
     residual = (u.apply([blk.K_a for blk in ops.blocks]) - rhs).norm_l2()
@@ -212,7 +184,8 @@ def _legendre_design(geometry, z, degree, dmax=1):
 
 
 def recover_pressure(u, forcing, ops):
-    """Least-squares pressure from the momentum residual r = f - Lap^2 u.
+    """Least-squares pressure from the momentum residual r = f - Lap^2 u,
+    forcing f the (rows, mean) profile pair of :func:`nsab.field.synthesize`.
 
     Per mode, p is the polynomial of degree P + 1 minimizing the quadrature
     norm of (i eta1 p - r1, i eta2 p - r2, p' - r3); the misfit is the
@@ -241,9 +214,8 @@ def recover_pressure(u, forcing, ops):
     Phi = _legendre_design(geo, z, degree)
     sw = np.sqrt(w)
     S0, S1 = sw[:, None] * Phi[0], sw[:, None] * Phi[1]
-    bilap_rows, bilap_mean = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
-    R_reps = forcing.rows - bilap_rows  # (3, rows, Q)
-    r0 = forcing.mean - bilap_mean
+    bilap = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
+    R_reps, r0 = (f - b for f, b in zip(forcing, bilap))  # (3, rows, Q), (3, Q)
     area = geo.area
     e1, e2, _ = ops.layout.eta
     Q0, R0 = np.linalg.qr(S0)

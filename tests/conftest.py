@@ -16,7 +16,7 @@ from nsab.field import (SolenoidalField, analyze, layout_for, project_velocity, 
 from nsab.operators import poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
-from nsab.stationary import ModalForcing, _legendre_design
+from nsab.stationary import _legendre_design
 
 
 def pytest_configure(config):
@@ -302,7 +302,7 @@ def nonlinear_term_fresh(u, ops):
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(w[j], v[k], out=prod[i])
         prod[i] -= w[k] * v[j]
-    return project_velocity(prod, u.geometry, u.resolution, ops.cache)
+    return project_velocity(prod, ops.cache)
 
 
 def nonlinear_term_on_grid(u, ops, shape):
@@ -321,8 +321,7 @@ def nonlinear_term_on_grid(u, ops, shape):
         grid[name] = np.fft.ifft2(spec, axes=(1, 2), norm="forward").real
     prod = np.cross(grid["curl_v"], grid["u"], axis=0)
     spec = np.fft.fft2(prod, axes=(1, 2), norm="forward")
-    return analyze(spec[:, k1 % M1, k2 % M2], spec[:, 0, 0].real, u.geometry,
-                   u.resolution, ops.cache)
+    return analyze(spec[:, k1 % M1, k2 % M2], spec[:, 0, 0].real, ops.cache)
 
 
 def reconstruct_fft(f, cache, want=("u",), alpha=None):
@@ -343,14 +342,19 @@ def reconstruct_fft(f, cache, want=("u",), alpha=None):
     return out
 
 
-def project_velocity_fft(U, geometry, resolution, cache):
+def project_velocity_fft(U, cache):
     """field.project_velocity through numpy's real FFT: rfft2 of the grid,
     then the stored rows and the mean gathered from the half spectrum."""
-    M2 = resolution.padded_shape[1]
-    k1, k2 = layout_for(geometry, resolution).k.T
+    M2 = cache.resolution.padded_shape[1]
+    k1, k2 = cache.layout.k.T
     Uh = np.fft.rfft2(U, axes=(-2, -3), norm="forward")
-    return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, geometry, resolution,
-                   cache)
+    return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, cache)
+
+
+def velocity_dual(f, ops):
+    """Galerkin dual of the velocity profiles of f: the data f posed as
+    forcing."""
+    return analyze(*synthesize(f, ops.cache)["u"], ops.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +424,8 @@ def reference_pressure(u, forcing, ops):
     Phi = _legendre_design(geo, ops.cache.z, degree)
     sw = np.sqrt(w)
     bilap_rows, bilap_mean = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
-    R_reps, r0 = forcing.rows - bilap_rows, forcing.mean - bilap_mean
+    f_rows, f_mean = forcing
+    R_reps, r0 = f_rows - bilap_rows, f_mean - bilap_mean
     coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
     defect_sq = 0.0
     for r, (k1, k2) in enumerate(ops.layout.k):
@@ -461,19 +466,21 @@ def grid_quadrature(cache, resolution):
 
 
 def gradient_forcing(ops, scalar_modes):
-    """f = grad q for per-mode scalar profiles {(k1, k2): (value, z-deriv)}.
+    """f = grad q for per-mode scalar profiles {(k1, k2): (value, z-deriv)},
+    as a (rows, mean) profile pair.
 
     scalar_modes maps representative wavenumbers to a pair of (Q,) arrays;
     the zero mode, if present, uses key (0, 0) with real profiles.
     """
-    out = ModalForcing(ops.geometry, ops.resolution)
+    Q = ops.resolution.Q
+    rows, mean = np.zeros((3, len(ops.layout.reps), Q), complex), np.zeros((3, Q))
     for (k1, k2), (q0, q1) in scalar_modes.items():
         if (k1, k2) == (0, 0):
-            out.mean[2] = q1
+            mean[2] = q1
             continue
         e1, e2 = ops.cache.wavenumber(k1, k2)
-        out.set_mode(k1, k2, np.stack([1j * e1 * q0, 1j * e2 * q0, q1]))
-    return out
+        rows[:, ops.layout.row[(k1, k2)]] = np.stack([1j * e1 * q0, 1j * e2 * q0, q1])
+    return rows, mean
 
 
 def eigenpair_field(ops, pair, component=0):

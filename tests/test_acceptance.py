@@ -25,10 +25,9 @@ from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.polynomial import GaussQ, norm_sq_poly
 from nsab.spectral import eigenpairs_A, garding_constants
-from nsab.stationary import (forcing_from_field, recover_pressure,
-                             solve_stationary, strong_bc_residual)
+from nsab.stationary import recover_pressure, solve_stationary, strong_bc_residual
 
-from conftest import distinct_blocks, eigenpair_field, params_with_k
+from conftest import distinct_blocks, eigenpair_field, params_with_k, velocity_dual
 from fractions import Fraction
 
 GEO = ChannelGeometry()  # 2pi x 2pi x 1
@@ -212,7 +211,7 @@ def test_criterion_08_stationary_convergence():
         h2[P] = errs["H2"] / ref["H2"]
         prs[P] = errs["pressure_L2"] / max(ref["L2"], 1.0)
         f = random_field(GEO, res, seed=3, amplitude=1.0, decay=1.0)
-        uf, _ = solve_stationary(ops, forcing_from_field(f, ops).dual(ops))
+        uf, _ = solve_stationary(ops, velocity_dual(f, ops))
         wall[P] = strong_bc_residual(uf, par, ops).wall_eddy_res
     ok = True
     for a, b in ((8, 16), (16, 24), (24, 32)):

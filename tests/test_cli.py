@@ -212,11 +212,31 @@ u0.amplitude = 1e4
 
 @pytest.mark.parametrize("kind", ["evolve", "solve", "probe-uniqueness", "eigs"])
 def test_mean_only_resolution_runs(tmp_path, kind):
-    # at N1 = N2 = 2 no representative mode is stored, only the mean rows
+    # at N1 = N2 = 2 no representative mode is stored, only the mean rows,
+    # whose P - 1 = 9 eigenpairs are the whole discrete spectrum
     cfg = tmp_path / "n2.cfg"
-    cfg.write_text(SMALL.replace("resolution.N1 = 4", "resolution.N1 = 2")
-                   .replace("resolution.N2 = 4", "resolution.N2 = 2"))
+    cfg.write_text(_config_with({"resolution.N1": "2", "resolution.N2": "2",
+                                 "eigs.count": "9"}))
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("overrides, count, available", [
+    pytest.param({"resolution.N1": "2", "resolution.N2": "2"}, 12, 9, id="mean-only"),
+    pytest.param({"resolution.P": "8", "eigs.count": "100000"}, 100000, 43, id="N4-P8"),
+])
+def test_eigs_count_above_the_spectrum_exits_2(tmp_path, overrides, count, available):
+    """A count the discrete spectrum cannot fill is a configuration error,
+    not a short eigs.csv."""
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(_config_with(overrides))
+    out = tmp_path / "out"
+    proc = _run_cli("eigs", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert f"eigs.count = {count} exceeds the {available} eigenpairs" in lines[0]
+    assert not (out / "eigs.csv").exists()
 
 
 def test_sweep_builds_one_basis(cfgfile, tmp_path, monkeypatch):
@@ -381,6 +401,22 @@ def test_overflowing_forcing_exits_3_in_one_line(tmp_path):
     assert json.loads((out / "error.json").read_text())["type"] == "numerical"
 
 
+def test_eigs_overflow_exits_3_in_one_line(tmp_path):
+    """k = 1e302 is admissible, but the eigenpair residuals overflow: the run
+    stops with exit 3 instead of writing inf residuals."""
+    cfg = tmp_path / "huge_k.cfg"
+    cfg.write_text(_config_with({"model.gamma": "1.0", "model.ell": "1e300",
+                                 "resolution.P": "8"}))
+    out = tmp_path / "out"
+    proc = _run_cli("eigs", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "overflow" in lines[0]
+    assert not (out / "eigs.csv").exists()
+    assert json.loads((out / "error.json").read_text())["type"] == "numerical"
+
+
 @pytest.mark.parametrize("overrides, kind", [
     pytest.param({"forcing.amplitude": "1e300"}, "numerical", id="overflow"),
     # k = 2/H, the singular wall coefficient of test_numerical_failure_exit_code
@@ -428,6 +464,9 @@ def test_manifest_records_stage_times(tmp_path, kind, stages):
     cfg.write_text(_config_with({"forcing.id": "manufactured"}))
     out = tmp_path / kind
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    if kind == "solve":  # errors absolute and relative to the exact norm
+        errs = json.loads((out / "residuals.json").read_text())["manufactured_errors"]
+        assert {"L2", "H1", "H2", "L2_rel", "H1_rel", "H2_rel", "pressure_L2"} == set(errs)
     man = json.loads((out / "manifest.json").read_text())
     timings = man["timings"]
     assert set(timings["stages"]) == stages

@@ -90,8 +90,7 @@ def test_nonlinear_matches_convective_form(request, geometry, par, res_small):
     o = OperatorSet(par, g, res_small)
     for seed in (3, 17):
         u = random_field(g, res_small, seed=seed, amplitude=1.0, decay=0.5)
-        ref = project_velocity(convective_form(u, o.cache, par.alpha), g,
-                               res_small, o.cache)
+        ref = project_velocity(convective_form(u, o.cache, par.alpha), o.cache)
         N = nonlinear_term(u, o)
         assert (N - ref).norm_l2() <= 1e-12 * ref.norm_l2()
 
@@ -148,8 +147,7 @@ def test_nonlinear_term_matches_fft_oracle(par, geometry, N1, N2, P, request):
     o = OperatorSet(par, g, res)
     u = random_field(g, res, seed=17, amplitude=1.0, decay=0.3)
     rec = reconstruct_fft(u, o.cache, want=("u", "curl_v"), alpha=par.alpha)
-    ref = project_velocity_fft(np.cross(rec["curl_v"], rec["u"], axis=0), g,
-                               res, o.cache)
+    ref = project_velocity_fft(np.cross(rec["curl_v"], rec["u"], axis=0), o.cache)
     assert (nonlinear_term(u, o) - ref).norm_l2() <= 1e-13 * ref.norm_l2()
 
 
@@ -642,7 +640,7 @@ def test_nonlinear_workspace_does_not_alias_returned_arrays(par, geo_odd):
     want = ("u", "curl_v")
     rec = reconstruct(u, o.cache, want=want, alpha=par.alpha)
     syn = synthesize(u, o.cache, want=want, alpha=par.alpha)
-    proj = project_velocity(rec["u"], geo_odd, res, o.cache)
+    proj = project_velocity(rec["u"], o.cache)
     N = nonlinear_term(u, o)
     held = [*rec.values(), *(a for pair in syn.values() for a in pair),
             *proj.potentials(), *N.potentials(), *u.potentials()]

@@ -5,19 +5,18 @@ import pytest
 
 from nsab.basis import BasisCache
 from nsab.field import (MEAN_BUCKETS, SolenoidalField, blockmul, layout_for,
-                        potentials_to_velocity, project_velocity, random_field,
-                        reconstruct, synthesize, zero_field)
+                        project_velocity, random_field, reconstruct, synthesize,
+                        zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.stationary import forcing_from_field
 
 from conftest import (grid_quadrature, hermitian_modes, mean_tables,
                       mode_velocity_profiles, pair_bases, project_velocity_fft,
-                      random_field_loop, reconstruct_fft)
+                      random_field_loop, reconstruct_fft, velocity_dual)
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):
-    U = potentials_to_velocity(zero_field(geo, res_small), cache_small)
+    U = reconstruct(zero_field(geo, res_small), cache_small)["u"]
     assert np.all(U == 0.0)
 
 
@@ -26,7 +25,7 @@ def test_single_toroidal_mode_is_horizontal(geo, res_small, cache_small):
     lay = layout_for(geo, res_small)
     k1, k2 = lay.reps[2]
     f.psi[lay.row[(k1, k2)], 0] = 1.0 + 0.3j
-    U = potentials_to_velocity(f, cache_small)
+    U = reconstruct(f, cache_small)["u"]
     assert np.abs(U[2]).max() < 1e-14 * np.abs(U).max()   # u3 == 0
     # horizontal divergence i eta . u_h == 0 pointwise: check spectrally
     M1, M2 = res_small.padded_shape
@@ -50,7 +49,7 @@ def test_reconstruction_is_real(geo, res_small, cache_small):
     U = np.fft.ifft2(spec, axes=(1, 2)) * (M1 * M2)
     assert np.abs(U.imag).max() <= 1e-13 * np.abs(U.real).max()
     # and it agrees with the production reconstruction
-    assert np.allclose(U.real, potentials_to_velocity(f, cache_small),
+    assert np.allclose(U.real, reconstruct(f, cache_small)["u"],
                        atol=1e-12 * np.abs(U.real).max())
 
 
@@ -121,7 +120,7 @@ def test_grid_transforms_match_fft_oracle(geometry, res, shape, request):
         assert np.abs(got[name] - ref[name]).max() <= 1e-13 * np.abs(ref[name]).max()
     # an arbitrary grid field: the modes the box does not hold are dropped
     U = np.random.default_rng(4).standard_normal((3,) + shape + (res.Q,))
-    got, ref = project_velocity(U, g, res, cache), project_velocity_fft(U, g, res, cache)
+    got, ref = project_velocity(U, cache), project_velocity_fft(U, cache)
     assert (got - ref).norm_l2() <= 1e-13 * ref.norm_l2()
 
 
@@ -182,20 +181,20 @@ def test_finite_difference_divergence_oracle(geo, res_small, cache_small):
 def test_round_trip_projection(geo_odd, res_small):
     cache = BasisCache(geo_odd, res_small)
     f = random_field(geo_odd, res_small, seed=5, amplitude=3.0)
-    U = potentials_to_velocity(f, cache)
-    f2 = project_velocity(U, geo_odd, res_small, cache)
+    U = reconstruct(f, cache)["u"]
+    f2 = project_velocity(U, cache)
     assert (f2 - f).norm_l2() <= 1e-12 * f.norm_l2()
     # the same projection read from profiles on the N1 x N2 storage grid
     ops = OperatorSet(derive_params(0.2, 0.1, 0.0, 0.05), geo_odd, res_small,
                       cache)
-    f3 = forcing_from_field(f, ops).dual(ops)
+    f3 = velocity_dual(f, ops)
     assert (f3 - f).norm_l2() <= 1e-12 * f.norm_l2()
 
 
 def test_essential_wall_values(geo, res_small, cache_small):
     f = random_field(geo, res_small, seed=9, amplitude=1.0)
     lay = layout_for(geo, res_small)
-    interior = np.abs(potentials_to_velocity(f, cache_small)).max()
+    interior = np.abs(reconstruct(f, cache_small)["u"]).max()
     worst = 0.0
     for r, (k1, k2) in enumerate(lay.k):
         prof = mode_velocity_profiles(cache_small, k1, k2, f.psi[r],
@@ -209,7 +208,7 @@ def test_essential_wall_values(geo, res_small, cache_small):
 def test_parseval_between_grid_and_coefficients(geo_odd, res_small):
     cache = BasisCache(geo_odd, res_small)
     f = random_field(geo_odd, res_small, seed=13, amplitude=2.0)
-    U = potentials_to_velocity(f, cache)
+    U = reconstruct(f, cache)["u"]
     wq = grid_quadrature(cache, res_small)
     phys = np.sqrt(float(np.sum(U**2 * wq)))
     assert phys == pytest.approx(f.norm_l2(), rel=1e-12)
@@ -260,14 +259,6 @@ def test_random_field_matches_per_representative_draws(geometry, res, request):
         ref = random_field_loop(g, res, seed=seed, amplitude=amplitude, decay=decay)
         for a, b in zip(got.potentials(), ref.potentials()):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_mismatched_cache_rejected(geo, geo_odd, res_small):
-    from nsab.basis import BasisCache
-    f = random_field(geo, res_small, seed=1)
-    wrong = BasisCache(geo_odd, res_small)
-    with pytest.raises(ValueError, match="do not match"):
-        potentials_to_velocity(f, wrong)
 
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
 from nsab.evolution import run_evolution
-from nsab.field import layout_for, potentials_to_velocity, \
-    random_field, zero_field
+from nsab.field import layout_for, random_field, reconstruct, zero_field
 from nsab.operators import FORMS, OperatorSet, poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
@@ -272,7 +271,7 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     # Parseval: total L2 from the physical grid equals the form energy
     u = random_field(geo_odd, res_small, seed=21, amplitude=1.7)
     wq = grid_quadrature(ops.cache, res_small)
-    U = potentials_to_velocity(u, ops.cache)
+    U = reconstruct(u, ops.cache)["u"]
     phys = float(np.sum(U**2 * wq))
     assert ops.form_inner("M", u, u) == pytest.approx(phys, rel=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from nsab.field import potentials_to_velocity
+from nsab.field import reconstruct
 from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import (C0_THRESHOLD, DEFAULT_SHIFT_GRID, _c0_between, _exact,
@@ -118,9 +118,9 @@ def test_eigenpairs_orthonormal_by_quadrature(ops, geo, res_small):
     wq = grid_quadrature(ops.cache, res_small)
     fields = [eigenpair_field(ops, p) for p in pairs[:4]]
     for i, fi in enumerate(fields):
-        Ui = potentials_to_velocity(fi, ops.cache)
+        Ui = reconstruct(fi, ops.cache)["u"]
         for j, fj in enumerate(fields):
-            Uj = potentials_to_velocity(fj, ops.cache)
+            Uj = reconstruct(fj, ops.cache)["u"]
             val = float(np.sum(Ui * Uj * wq))
             ref = fi.dot(fj)
             assert val == pytest.approx(ref, abs=1e-10 * (1 + abs(ref)))

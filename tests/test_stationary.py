@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from nsab.basis import legendre_table
-from nsab.field import random_field, zero_field
+from nsab.field import analyze, random_field, synthesize, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
-from nsab.stationary import (ConsistencyError, forcing_from_field,
-                             recover_pressure, solve_stationary, strong_bc_residual,
-                             wall_traction)
+from nsab.stationary import (ConsistencyError, recover_pressure, solve_stationary,
+                             strong_bc_residual, wall_traction)
 from nsab.manufactured import TrigProfile, default_case
 
 from conftest import (block_groups, gradient_forcing, params_with_k,
-                      reference_pressure)
+                      reference_pressure, velocity_dual)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def test_discrete_manufactured_recovery(ops, geo, res_small):
 
 def test_galerkin_orthogonality_and_energy(ops, geo, res_small):
     f = random_field(geo, res_small, seed=17, amplitude=1.0)
-    rhs = forcing_from_field(f, ops).dual(ops)
+    rhs = velocity_dual(f, ops)
     u, rep = solve_stationary(ops, rhs)
     # residual of the linear system is the Galerkin-orthogonality defect
     assert rep.residual <= 1e-10 * rep.rhs_norm
@@ -56,7 +55,7 @@ def test_gradient_datum_recovers_pressure(ops, geo, res_small):
     z = ops.cache.z
     forc = gradient_forcing(ops, {(1, 0): (q(z).astype(complex),
                                            q(z, 1).astype(complex))})
-    rhs = forc.dual(ops)
+    rhs = analyze(*forc, ops.cache)
     assert rhs.norm_l2() <= 1e-12          # gradient is orthogonal to the basis
     u, _ = solve_stationary(ops, rhs)
     assert u.norm_l2() <= 1e-12
@@ -80,8 +79,8 @@ def test_pressure_fit_matches_per_row_reference(request, geometry, forcing_id):
         case = default_case(g)
         rhs, forc = case.rhs(o, o.params), case.forcing(o)
     else:
-        forc = forcing_from_field(random_field(g, o.resolution, seed=5), o)
-        rhs = forc.dual(o)
+        forc = synthesize(random_field(g, o.resolution, seed=5), o.cache)["u"]
+        rhs = analyze(*forc, o.cache)
     u, _ = solve_stationary(o, rhs)
     press, rep = recover_pressure(u, forc, o)
     coeffs, defect = reference_pressure(u, forc, o)
@@ -101,8 +100,8 @@ def _benchmark_solve(o, forcing_id):
         case = default_case(o.geometry)
         rhs, forc = case.rhs(o, o.params), case.forcing(o)
     else:
-        forc = forcing_from_field(random_field(o.geometry, o.resolution, seed=11), o)
-        rhs = forc.dual(o)
+        forc = synthesize(random_field(o.geometry, o.resolution, seed=11), o.cache)["u"]
+        rhs = analyze(*forc, o.cache)
     return solve_stationary(o, rhs)[0], forc
 
 
@@ -136,10 +135,26 @@ def test_manufactured_solution_and_pressure(geo):
     u, rep = solve_stationary(o, case.rhs(o, par))
     press, prep = recover_pressure(u, case.forcing(o), o)
     errs = case.errors(u, press, o)
-    ref = case.errors(zero_field(geo, res), None, o)
-    assert errs["H2"] <= 1e-5 * ref["H2"]
+    assert errs["H2_rel"] <= 1e-5
     assert errs["pressure_L2"] <= 1e-4
     assert rep.residual <= 1e-10 * rep.rhs_norm
+
+
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_relative_errors_divide_by_the_exact_norm(request, geometry):
+    """L2_rel, H1_rel and H2_rel are the errors over the norms of u*, which
+    are bitwise the errors of the zero field."""
+    g = request.getfixturevalue(geometry)
+    res = Resolution(N1=4, N2=4, P=12)
+    o = OperatorSet(derive_params(0.2, 0.1, 0.3, 0.015), g, res)
+    case = default_case(g)
+    u, _ = solve_stationary(o, case.rhs(o, o.params))
+    errs = case.errors(u, None, o)
+    ref = case.errors(zero_field(g, res), None, o)
+    for name in ("L2", "H1", "H2"):
+        assert errs[name + "_rel"] == errs[name] / ref[name]
+        assert ref[name + "_rel"] == 1.0
+    assert 0.0 < errs["H2_rel"] < 1e-3
 
 
 @pytest.mark.parametrize("k1, k2, match", [
@@ -204,9 +219,7 @@ def test_manufactured_gamma_k_sweep(geo):
         o = OperatorSet(par, geo, res)
         case = default_case(geo)
         u, _ = solve_stationary(o, case.rhs(o, par))
-        errs = case.errors(u, None, o)
-        ref = case.errors(zero_field(geo, res), None, o)
-        assert errs["H2"] <= 1e-4 * ref["H2"]
+        assert case.errors(u, None, o)["H2_rel"] <= 1e-4
 
 
 def test_strong_bc_residual_refinement(geo):
@@ -218,7 +231,7 @@ def test_strong_bc_residual_refinement(geo):
         res = Resolution(N1=4, N2=4, P=P)
         o = OperatorSet(par, geo, res)
         f = random_field(geo, res, seed=3, amplitude=1.0, decay=1.0)
-        u, _ = solve_stationary(o, forcing_from_field(f, o).dual(o))
+        u, _ = solve_stationary(o, velocity_dual(f, o))
         bc = strong_bc_residual(u, par, o)
         assert bc.dirichlet_res <= 1e-12 * max(u.norm_l2(), 1e-30)
         vals[P] = bc.wall_eddy_res
@@ -232,7 +245,7 @@ def test_k_zero_traction_residual_also_decays(geo):
         res = Resolution(N1=4, N2=4, P=P)
         o = OperatorSet(par, geo, res)
         f = random_field(geo, res, seed=5, amplitude=1.0, decay=1.0)
-        u, _ = solve_stationary(o, forcing_from_field(f, o).dual(o))
+        u, _ = solve_stationary(o, velocity_dual(f, o))
         vals[P] = strong_bc_residual(u, par, o).wall_eddy_res
     assert vals[12] / vals[24] >= 10.0
 
