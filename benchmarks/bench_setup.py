@@ -2,8 +2,10 @@
 
 Runs each case ``REPEATS`` times in a fresh process with one BLAS thread and
 writes, per case, the medians of the manifest's stage seconds (the stages
-of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs) and
-``peak_rss_mb`` to a file at the repository root:
+of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs),
+``peak_rss_mb`` and ``process_s``, the wall time of the whole
+``python -m nsab.cli`` process (interpreter start-up and imports included),
+to a file at the repository root:
 
 * ``BENCH_setup.json``: ``nsab evolve`` (Euler, dt 0.02, T 0.1: five steps)
   at N16/P32, N32/P48 and N64/P64;
@@ -16,8 +18,9 @@ of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs) and
   solve still exits 3), the configs of the stationary-n16 benchmark
   workload.  The ``errors`` stage exists for the manufactured solves only.
 
-The files hold no timestamps, so reruns on one machine differ only by
-timing noise.
+``machine`` records the numpy and scipy installed for this interpreter; a
+run's manifest names scipy only when the run loaded it.  The files hold no
+timestamps, so reruns on one machine differ only by timing noise.
 
     python benchmarks/bench_setup.py                  # all cases, 3 runs each
     python benchmarks/bench_setup.py --cases n16p32,probe-n8p16 --out-dir /tmp
@@ -26,6 +29,7 @@ Exits 1 if any nsab run fails.  N64/P64 peaks near 420 MB.
 """
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -33,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,31 +80,37 @@ THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_once(kind, config, work):
-    """The manifest of one ``nsab kind`` run in a fresh process."""
+    """The manifest of one ``nsab kind`` run in a fresh process, and the
+    process's wall seconds."""
     cfg, out = work / "run.cfg", work / "out"
     cfg.write_text(config)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **dict.fromkeys(THREADS, "1"))
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "nsab.cli", kind, "--config", str(cfg),
                            "--out", str(out)], env=env, capture_output=True, text=True)
+    process_s = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"nsab {kind} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads((out / "manifest.json").read_text())
+    return json.loads((out / "manifest.json").read_text()), process_s
 
 
 def measure(kind, lines, N, P):
-    runs = []
+    runs, process_s = [], []
     for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as tmp:
-            runs.append(run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp)))
+            manifest, seconds = run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp))
+        runs.append(manifest)
+        process_s.append(seconds)
     timings = [r["timings"] for r in runs]
     result = {"N": N, "P": P, "repeats": REPEATS,
               **{f"{s}_s": statistics.median(t["stages"][s]["s"] for t in timings)
                  for s in STAGES[kind] if s in timings[0]["stages"]},
-              "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
+              "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+              "process_s": statistics.median(process_s)}
     if "steps" in timings[0]:
         result.update(steps_per_s=statistics.median(t["steps_per_s"] for t in timings),
                       steps=timings[0]["steps"])
-    return result, runs[0]["libraries"]
+    return result
 
 
 def main(argv=None):
@@ -115,10 +126,10 @@ def main(argv=None):
     if unknown:
         ap.error(f"unknown cases {unknown}")
     for fname, (command, cases) in BENCHES.items():
-        results, libraries = {}, {}
+        results = {}
         try:
             for name in (n for n in names if n in cases):
-                results[name], libraries = measure(*cases[name])
+                results[name] = measure(*cases[name])
                 print(name, json.dumps(results[name]), flush=True)
         except RuntimeError as exc:
             print(f"bench_setup: {exc}", file=sys.stderr)
@@ -130,7 +141,7 @@ def main(argv=None):
             "statistic": "median over repeats of fresh processes",
             "blas_threads": 1,
             "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                        **libraries},
+                        **{lib: importlib.metadata.version(lib) for lib in ("numpy", "scipy")}},
             "cases": results,
         }
         (args.out_dir / fname).write_text(json.dumps(report, indent=2) + "\n")

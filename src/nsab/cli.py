@@ -11,19 +11,22 @@ malformed command line (exit 2) included.  The output directory defaults to
 --out is absent.  Execution is always deterministic and serial.  ``--seed N``
 replaces the four catalog seeds by distinct ones, ``SeedSequence(N).generate_state(4)``.
 
-Every run writes ``manifest.json`` (config echo, package version, seed,
-timings, peak resident memory, numpy/scipy versions, CPU count, timestamp,
-exit code), a run the experiment ends with exit 2 or 3 included.
-``timings.stages`` holds seconds, calls and minor page faults
+Importing this module loads numpy and the time-stepping modules only;
+verify-adn loads nsab.adn and scipy, solve and convergence nsab.stationary and
+nsab.manufactured, and eigs nsab.spectral, each when it runs.  Every run writes
+``manifest.json`` (config echo, package version, seed, timings, peak resident
+memory, CPU count, timestamp, exit code, and ``libraries``: numpy's version and
+scipy's, null unless the process loaded scipy), a run the experiment ends with exit
+2 or 3 included.  ``timings.stages`` holds seconds, calls and minor page faults
 (``minor_faults``, the ``ru_minflt`` delta) per stage of the experiment
 (``setup``, then e.g. ``solve``, ``pressure``, ``bc_audit``, ``errors``,
 ``write`` for ``solve``); the stages do not overlap, so they sum to at most
 ``total_s``.  ``timings.setup_s`` is the ``setup`` stage: building the
 experiment's operator sets, or the basis of ``sweep`` (which builds its
 per-level sets in ``integrate``).  ``evolve`` and ``probe-uniqueness`` also
-record ``timings.steps``, the IMEX steps taken over all trajectories (three
-per time step for the probe's base run and two members, stepped as one
-stacked state), and ``timings.steps_per_s``, those steps per second of the
+record ``timings.steps``, the IMEX steps taken over all trajectories (three per
+time step for the probe's base run and two members, stepped as one stacked
+state), and ``timings.steps_per_s``, those steps per second of the
 ``integrate`` stage, where floating-point overflow prints no warning (the
 watchdog reports the non-finite field).  Data files carry no timestamps so
 reruns from the echoed config are byte-identical.
@@ -32,8 +35,6 @@ reruns from the echoed config are byte-identical.
 from __future__ import annotations
 
 import argparse
-import functools
-import importlib.metadata
 import json
 import os
 import resource
@@ -51,13 +52,9 @@ from .basis import BasisCache
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
 from .field import analyze, random_field, synthesize, zero_field
-from .manufactured import default_case
 from .operators import OperatorSet
 from .params import ParameterError, Resolution
-from .spectral import eigenpairs_A, garding_constants
 from .snapshots import write_snapshot
-from .stationary import (ConsistencyError, recover_pressure, solve_stationary,
-                         strong_bc_residual)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -138,18 +135,6 @@ class StageTimer:
         return out
 
 
-@functools.cache
-def _library_versions():
-    # from the installed metadata, which does not import the packages
-    versions = {}
-    for name in ("numpy", "scipy"):
-        try:
-            versions[name] = importlib.metadata.version(name)
-        except importlib.metadata.PackageNotFoundError:
-            versions[name] = None
-    return versions
-
-
 def _initial_field(cfg, layout):
     kind = cfg["u0.id"]
     if kind == "zero":
@@ -225,6 +210,8 @@ def _exp_verify_adn(cfg, out, operators, stage):
 # norms: stop with exit 3 rather than report NaN or inf diagnostics
 @np.errstate(over="raise", invalid="raise")
 def _exp_solve(cfg, out, operators, stage):
+    from .manufactured import default_case
+    from .stationary import recover_pressure, solve_stationary, strong_bc_residual
     ops = operators()
     fid = cfg["forcing.id"]
     pressure_info = {}
@@ -272,6 +259,7 @@ def _exp_solve(cfg, out, operators, stage):
 
 @np.errstate(over="raise", invalid="raise")
 def _exp_eigs(cfg, out, operators, stage):
+    from .spectral import eigenpairs_A, garding_constants
     ops = operators()
     with stage("eigenpairs"):
         pairs = eigenpairs_A(ops, cfg["eigs.count"])
@@ -382,6 +370,8 @@ def _exp_probe(cfg, out, operators, stage):
 
 
 def _exp_convergence(cfg, out, operators, stage):
+    from .manufactured import default_case
+    from .stationary import recover_pressure, solve_stationary, strong_bc_residual
     rows = []
     for P in cfg["convergence.p_values"]:
         res = Resolution(cfg.resolution.N1, cfg.resolution.N2, P)
@@ -432,7 +422,8 @@ def _failure(exc, out):
         # a catalog id the experiment does not know, or a resolution too
         # coarse for the manufactured mode
         return EXIT_CONFIG, f"config error: {exc}"
-    if isinstance(exc, ConsistencyError):
+    # a ConsistencyError comes only from a run that loaded nsab.stationary
+    if isinstance(exc, getattr(sys.modules.get("nsab.stationary"), "ConsistencyError", ())):
         write_json(out / "error.json", {"error": str(exc), "type": "consistency"})
         return EXIT_NUMERICAL, str(exc)
     write_json(out / "error.json", {"error": str(exc), "type": "numerical"})
@@ -467,7 +458,9 @@ def run(cfg, out_dir):
         "timings": stage.timings(elapsed),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "libraries": dict(_library_versions()),
+        # the libraries this process loaded: in a fresh one, scipy only for verify-adn
+        "libraries": {"numpy": np.__version__,
+                      "scipy": getattr(sys.modules.get("scipy"), "__version__", None)},
         "cpu_count": os.cpu_count(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "exit_code": code,

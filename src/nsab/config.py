@@ -136,8 +136,9 @@ def parse_config(text, kind_override=None):
         try:
             values[key] = caster(val)
         except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse value {val!r} for {key!r} "
-                              f"as {caster.__name__}", line=ln)
+            what = ("a comma-separated list of integers" if caster is _parse_int_list
+                    else caster.__name__)
+            raise ConfigError(f"cannot parse value {val!r} for {key!r} as {what}", line=ln)
 
     kind = kind_override or values["experiment.kind"]
     if not kind:

@@ -36,7 +36,6 @@ import numpy as np
 from .field import SolenoidalField, project_velocity, reconstruct, zero_field
 from .operators import OperatorSet, _root
 from .params import ParameterError, derive_params, step_count
-from .spectral import spectral_factors
 
 
 @dataclass
@@ -110,6 +109,7 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
     integral uses composite Gauss-Legendre quadrature with the given
     panel/node counts.
     """
+    from .spectral import spectral_factors  # imported here: no stepper needs it
     factors = [spectral_factors(b, ops.params.beta, include_gradient=True) for b in ops.blocks]
 
     def flow(tau, f, right):

@@ -66,6 +66,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .params import ParameterError
+
 
 def _int_freqs(N):
     """Integer wavenumbers of an N-point DFT in fft order: 0, 1, ..., -1."""
@@ -382,7 +384,8 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     """Seeded random field with smoothly decaying spectrum, ||u||_L2 = amplitude.
 
     decay sets the exponential falloff rate per unit wavenumber index and
-    per basis index; decay=0 gives white coefficients.
+    per basis index; decay=0 gives white coefficients.  A decay so far below
+    0 that the drawn field's norm overflows raises ParameterError.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     lay = layout_for(geometry, resolution)
@@ -403,6 +406,8 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     # of the blocks does not change
     g = lay.by_group
     nrm = SolenoidalField(geometry, resolution, f.psi[g], f.phi[g], mean).norm_l2()
+    if not np.isfinite(nrm):
+        raise ParameterError(f"decay = {decay!r} overflows the random field's L2 norm")
     if nrm > 0:
         f = f * (amplitude / nrm)
     return f

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import nsab
 from nsab.basis import BasisCache
@@ -366,6 +367,14 @@ def _config_with(overrides):
     pytest.param("eigs", {"geometry.H": "1e-100"}, False, id="H-tiny"),
     # the padded grid is fixed by the 3/2 rule
     pytest.param("evolve", {"resolution.padding": "2"}, False, id="padding-retired"),
+    # the line says what the value should be, not which Python function parses it
+    pytest.param("convergence", {"convergence.p_values": "[10, 12]"}, False,
+                 id="p-values-unparsable"),
+    # the drawn field's norm overflows: it used to be left unscaled, with a
+    # NaN first row in timeseries.csv and the watchdog blamed (exit 4)
+    pytest.param("evolve", {"u0.decay": "-50"}, False, id="u0-decay-overflows"),
+    pytest.param("probe-uniqueness", {"u0.id": "zero", "u0.decay": "-50"}, False,
+                 id="probe-perturbation-decay-overflows"),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
                                             out_under_file):
@@ -384,6 +393,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
         assert "N1 = 2, N2 = " in proc.stderr
     if "resolution.padding" in overrides:  # the line names the fixed rule
         assert "M >= 3N/2" in proc.stderr
+    if overrides.get("convergence.p_values") == "[10, 12]":
+        assert "as a comma-separated list of integers" in proc.stderr
+        assert "_parse" not in proc.stderr
+    if "u0.decay" in overrides:  # the line names the decay
+        assert "decay = -50.0" in proc.stderr
 
 
 def test_overflowing_forcing_exits_3_in_one_line(tmp_path):
@@ -511,10 +525,27 @@ def test_cli_import_does_not_load_scipy_linalg():
 
 
 def test_cli_import_leaves_the_symbol_checks_unloaded():
-    """Only verify-adn reads nsab.adn, which it imports when it runs."""
+    """Only verify-adn reads nsab.adn, only solve, convergence and eigs the
+    stationary and spectral modules; each experiment imports them when it
+    runs.  Library versions are read without importlib.metadata."""
+    unused = ["nsab.adn", "nsab.stationary", "nsab.manufactured", "nsab.spectral",
+              "importlib.metadata"]
     env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nsab.cli; print('nsab.adn' in sys.modules)"],
+        [sys.executable, "-c", "import sys; before = set(sys.modules); import nsab.cli; "
+         f"print(sorted(set({unused!r}) & (set(sys.modules) - before)))"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["evolve", "verify-adn"])
+def test_manifest_records_the_libraries_the_run_loaded(cfgfile, tmp_path, kind):
+    """In a fresh process (this one has scipy loaded) only verify-adn loads
+    scipy, so only its manifest carries scipy's version."""
+    out = tmp_path / kind
+    proc = _run_cli(kind, "--config", str(cfgfile), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    libraries = json.loads((out / "manifest.json").read_text())["libraries"]
+    scipy_version = scipy.__version__ if kind == "verify-adn" else None
+    assert libraries == {"numpy": np.__version__, "scipy": scipy_version}
