@@ -1,7 +1,10 @@
 """Stage seconds, step rate and peak memory of ``nsab`` runs by size.
 
-Runs each case ``REPEATS`` times in a fresh process with one BLAS thread and
-writes, per case, the medians of the manifest's stage seconds (the stages
+Runs each case ``REPEATS`` times in a fresh process with one BLAS thread,
+round-robin over the selected cases (repeat r of every case before repeat
+r + 1, so a burst of load on a shared host hits one repeat of each case
+rather than every repeat of one), and writes, per case, the medians of the
+manifest's stage seconds (the stages
 of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs),
 ``peak_rss_mb`` and ``process_s``, the wall time of the whole
 ``python -m nsab.cli`` process (interpreter start-up and imports included),
@@ -22,7 +25,7 @@ to a file at the repository root:
 run's manifest names scipy only when the run loaded it.  The files hold no
 timestamps, so reruns on one machine differ only by timing noise.
 
-    python benchmarks/bench_setup.py                  # all cases, 3 runs each
+    python benchmarks/bench_setup.py                  # all cases, 5 runs each
     python benchmarks/bench_setup.py --cases n16p32,probe-n8p16 --out-dir /tmp
 
 Exits 1 if any nsab run fails.  N64/P64 peaks near 420 MB.
@@ -41,7 +44,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEATS = 3
+REPEATS = 5
 MODEL = """model.alpha = 0.2
 model.beta = 0.1
 model.gamma = -1.0
@@ -94,13 +97,9 @@ def run_once(kind, config, work):
     return json.loads((out / "manifest.json").read_text()), process_s
 
 
-def measure(kind, lines, N, P):
-    runs, process_s = [], []
-    for _ in range(REPEATS):
-        with tempfile.TemporaryDirectory() as tmp:
-            manifest, seconds = run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp))
-        runs.append(manifest)
-        process_s.append(seconds)
+def summarize(kind, N, P, runs):
+    """The medians of a case's (manifest, process seconds) runs."""
+    runs, process_s = zip(*runs)
     timings = [r["timings"] for r in runs]
     result = {"N": N, "P": P, "repeats": REPEATS,
               **{f"{s}_s": statistics.median(t["stages"][s]["s"] for t in timings)
@@ -115,30 +114,37 @@ def measure(kind, lines, N, P):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    every = [name for *_, cases in BENCHES.values() for name in cases]
-    ap.add_argument("--cases", default=",".join(every),
-                    help=f"comma-separated subset of {', '.join(every)}")
+    spec = {name: case for *_, cases in BENCHES.values() for name, case in cases.items()}
+    ap.add_argument("--cases", default=",".join(spec),
+                    help=f"comma-separated subset of {', '.join(spec)}")
     ap.add_argument("--out-dir", type=Path, default=ROOT,
                     help="directory of the BENCH_*.json files written")
     args = ap.parse_args(argv)
     names = [c for c in args.cases.split(",") if c]
-    unknown = sorted(set(names) - set(every))
+    unknown = sorted(set(names) - set(spec))
     if unknown:
         ap.error(f"unknown cases {unknown}")
+    runs = {name: [] for name in names}
+    try:
+        for _ in range(REPEATS):
+            for name in runs:
+                kind, lines, N, P = spec[name]
+                with tempfile.TemporaryDirectory() as tmp:
+                    runs[name].append(run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp)))
+    except RuntimeError as exc:
+        print(f"bench_setup: {exc}", file=sys.stderr)
+        return 1
     for fname, (command, cases) in BENCHES.items():
         results = {}
-        try:
-            for name in (n for n in names if n in cases):
-                results[name] = measure(*cases[name])
-                print(name, json.dumps(results[name]), flush=True)
-        except RuntimeError as exc:
-            print(f"bench_setup: {exc}", file=sys.stderr)
-            return 1
+        for name in (n for n in runs if n in cases):
+            kind, _, N, P = cases[name]
+            results[name] = summarize(kind, N, P, runs[name])
+            print(name, json.dumps(results[name]), flush=True)
         if not results:
             continue
         report = {
             "command": command,
-            "statistic": "median over repeats of fresh processes",
+            "statistic": "median over round-robin repeats of fresh processes",
             "blas_threads": 1,
             "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                         **{lib: importlib.metadata.version(lib) for lib in ("numpy", "scipy")}},

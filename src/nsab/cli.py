@@ -218,7 +218,7 @@ def _exp_solve(cfg, out, operators, stage):
     with stage("solve"):
         if fid == "manufactured":
             case = default_case(cfg.geometry)
-            rhs = case.rhs(ops, cfg.params)
+            rhs = case.rhs(ops)
             forcing = case.forcing(ops)
         elif fid == "random_solenoidal":
             f = random_field(cfg.geometry, cfg.resolution, seed=cfg["forcing.seed"],
@@ -238,7 +238,7 @@ def _exp_solve(cfg, out, operators, stage):
         pressure_info = {"gradient_defect": prep.gradient_defect,
                          "curl_residual": prep.curl_residual}
     with stage("bc_audit"):
-        bc = strong_bc_residual(u, cfg.params, ops)
+        bc = strong_bc_residual(u, ops)
     report = {
         "kernel_dim": rep.kernel_dim,
         "kernel_violation": rep.max_kernel_violation,
@@ -378,7 +378,7 @@ def _exp_convergence(cfg, out, operators, stage):
         ops = operators(res)
         case = default_case(cfg.geometry)
         with stage("solve"):
-            u, rep = solve_stationary(ops, case.rhs(ops, cfg.params))
+            u, rep = solve_stationary(ops, case.rhs(ops))
             # natural-condition recovery on a plain smooth solve (no correction)
             f = random_field(cfg.geometry, res, seed=cfg["forcing.seed"],
                              amplitude=1.0, decay=1.0)
@@ -388,7 +388,7 @@ def _exp_convergence(cfg, out, operators, stage):
         with stage("errors"):
             errs = case.errors(u, press, ops)
         with stage("bc_audit"):
-            bc = strong_bc_residual(uf, cfg.params, ops)
+            bc = strong_bc_residual(uf, ops)
         rows.append((P, errs["H2_rel"], errs["pressure_L2"],
                      prep.gradient_defect, prep.curl_residual,
                      bc.wall_eddy_res))

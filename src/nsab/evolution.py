@@ -84,9 +84,8 @@ def nonlinear_term(u, ops):
     A stacked u gives the stacked duals, each member's bitwise equal to
     its own call.
     """
-    want = ("u", "curl_v")
-    work = ops.layout.grid.workspace(want, u.resolution.Q, u.mean.shape[:-2])
-    rec = reconstruct(u, ops.cache, want=want, alpha=ops.params.alpha, work=work)
+    work = ops.layout.grid.workspace(u.resolution.Q, u.mean.shape[:-2])
+    rec = reconstruct(u, ops.cache, want=work.want, alpha=ops.params.alpha, work=work)
     w, v, prod = ([a[..., i, :, :, :] for i in range(3)]
                   for a in (rec["curl_v"], rec["u"], work.prod))
     tmp = work.scratch
@@ -230,6 +229,17 @@ def _watchdog(ops, time, field, ceiling):
             if sn["A1"] > ceiling else None), sn
 
 
+def _initial_norms(ops, u0, watchdog_ceiling):
+    """(norms, ceiling): the a_scale_norms of u0 and the watchdog ceiling,
+    watchdog_ceiling times A1(u0).  ParameterError when A1(u0) overflows, as
+    the watchdog could then never fire."""
+    sn = ops.a_scale_norms(u0)
+    if not np.isfinite(sn["A1"]):
+        raise ParameterError(f"the initial field's norm A1 = {float(sn['A1'])!r} is not "
+                             f"finite, so no watchdog ceiling can be set")
+    return sn, watchdog_ceiling * max(sn["A1"], 1e-300)
+
+
 def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
                   watchdog_ceiling=1e6, inject_nan_step=None):
     """Integrate to T or until the blow-up watchdog fires.
@@ -239,15 +249,15 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
 
     The watchdog monitors the fourth-order proxy ||(A + shift) u|| against
     ceiling times its initial value and also trips on non-finite
-    coefficients; its firing is a structured outcome, not an exception.
+    coefficients; its firing is a structured outcome, not an exception.  An
+    initial proxy that overflows raises ParameterError before any step.
     Every step computes the proxy's K_a norms only; the K_grad products run
     at report steps (every cadence-th, the last and a watchdog step).
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
+    sn, ceiling = _initial_norms(ops, u0, watchdog_ceiling)
     state = EvolutionState(0.0, u0.copy(), None)
-    sn = ops.a_scale_norms(u0)
-    ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
     reports = [energy_report(ops, state, snorm=sn)]
     for n in range(1, nsteps + 1):
         prev, prev_sn, state = state, sn, stepper.step(state)
@@ -299,6 +309,7 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
+    sn, ceiling = _initial_norms(ops, u0, watchdog_ceiling)
     state = EvolutionState(0.0, SolenoidalField.stack(
         [u0] + [u0 + d * perturbation for d in deltas]))
     w0 = [w if d != 0.0 else 1.0
@@ -306,8 +317,6 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     if 0.0 in w0:
         raise ParameterError("a probe delta is too small to change u0 in floating point")
     times, h3, growth = [0.0], [0.0], [[1.0] for _ in deltas]
-    sn = ops.a_scale_norms(u0)
-    ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
     acc, taken = 0.0, 0
     for n in range(nsteps):
         # the members are counted only for a step that passed the base's checks

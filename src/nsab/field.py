@@ -48,8 +48,8 @@ tables built once per (N1, N2).
 The time step evaluates the nonlinear term through :class:`GridWorkspace`,
 the arrays of one product of synthesized quantities (profiles, spectral box,
 grid, product, forward halves and gathered rows) reused from call to call
-instead of allocated afresh.  The grid owns one workspace per requested
-quantities and node count Q, so it lives as long as the grid, which
+instead of allocated afresh.  The grid owns one workspace per node count Q
+and leading member axes, so it lives as long as the grid, which
 :func:`layout_for` keeps for the whole process: a run that freed it on exit
 would hand the pages back to the OS and take the page faults again in the
 next run.  Arrays carved from a workspace are overwritten by the next call
@@ -183,36 +183,33 @@ class PaddedGrid:
         self.x_fwd = np.stack([cx.T, -sx.T], axis=1).reshape(2 * K1, M1) / M1
         self._work = {}
 
-    def workspace(self, want, Q, lead):
-        """The :class:`GridWorkspace` of the quantities want at Q nodes for
-        fields with leading member axes lead, built on first use and kept as
-        long as the grid."""
-        key = (tuple(want), Q, lead)
-        if key not in self._work:
-            self._work[key] = GridWorkspace(self, want, Q, lead)
-        return self._work[key]
+    def workspace(self, Q, lead):
+        """The :class:`GridWorkspace` at Q nodes for fields with leading
+        member axes lead, built on first use and kept as long as the grid."""
+        if (Q, lead) not in self._work:
+            self._work[Q, lead] = GridWorkspace(self, Q, lead)
+        return self._work[Q, lead]
 
     def to_grid(self, profiles, work=None):
         """Real (..., 3 n, M1, M2, Q) samples of n (rows, mean) profile
         pairs, complex (..., 3, R, Q) rows and the real (..., 3, Q) mean as
-        :func:`synthesize` returns them; with a workspace, the rows are read
-        from its profiles, all quantities at once, which synthesize given the
-        same workspace has written."""
+        :func:`synthesize` returns them; into the workspace work, if given,
+        which holds the grid of its quantities."""
         profiles = list(profiles)
-        rows = (np.concatenate([r for r, _ in profiles], axis=-3) if work is None
-                else work.all_profiles)
-        mean = np.concatenate([m for _, m in profiles], axis=-2)
-        *lead, B, _, Q = rows.shape
+        *lead, _, _, Q = profiles[0][0].shape
+        B = 3 * len(profiles)
         (k1, j2), (zero, jp) = self.rows, self.partners
         # the writes below fill every slot of the box, so a reused one needs
         # no zeroing
         box = np.empty((*lead, B) + self.box + (Q,)) if work is None else work.box
-        box[..., k1, 0, j2, :] = rows.real
-        box[..., k1, 1, j2, :] = rows.imag
-        box[..., 0, 0, jp, :] = rows.real[..., zero, :]
-        box[..., 0, 1, jp, :] = -rows.imag[..., zero, :]
-        box[..., 0, 0, self.center, :] = mean
-        box[..., 0, 1, self.center, :] = 0.0  # the mean is real
+        for i, (rows, mean) in enumerate(profiles):
+            part = box[..., 3 * i:3 * i + 3, :, :, :, :]
+            part[..., k1, 0, j2, :] = rows.real
+            part[..., k1, 1, j2, :] = rows.imag
+            part[..., 0, 0, jp, :] = rows.real[..., zero, :]
+            part[..., 0, 1, jp, :] = -rows.imag[..., zero, :]
+            part[..., 0, 0, self.center, :] = mean
+            part[..., 0, 1, self.center, :] = 0.0  # the mean is real
         K1, n = self.box[0], math.prod(lead) * B
         half = np.matmul(self.y_inv, box.reshape(n * K1, -1, Q), out=_slot(work, "half"))
         grid = np.matmul(self.x_inv, half.reshape(n, 2 * K1, -1), out=_slot(work, "grid"))
@@ -244,9 +241,9 @@ class GridWorkspace:
 
     Serves :func:`nsab.evolution.nonlinear_term` on fields with leading
     member axes lead (E members; () for one field): synthesis of the
-    quantities want (B = 3 len(want) components), :meth:`PaddedGrid.to_grid`,
-    a (3, M1, M2, Q) pointwise product, :meth:`PaddedGrid.from_grid` and
-    :func:`analyze`.  Every array is a view of one of two flat float64
+    quantities :attr:`want` (B = 3 len(want) components),
+    :meth:`PaddedGrid.to_grid`, a (3, M1, M2, Q) pointwise product,
+    :meth:`PaddedGrid.from_grid` and :func:`analyze`.  Every array is a view of one of two flat float64
     regions.  Each step of the chain reads one region and writes the other,
     so the arrays of a region take turns:
 
@@ -254,13 +251,16 @@ class GridWorkspace:
     terms), ``box``, ``grid``, ``fhalf``, ``re``/``im`` (gathered parts),
     ``weighted``/``mixed`` (rows times the quadrature weights, their sums);
 
-    region B: ``profiles`` (``all_profiles``: every quantity's, as
-    lead + (3 q, R, Q)), ``half``, ``prod`` and its ``scratch``,
-    ``fbox`` and the gathered ``rows`` (after ``fbox``, whose mean slot
-    :func:`analyze` still reads).
+    region B: ``profiles`` (name -> lead + (3, R, Q)), ``half``, ``prod``
+    and its ``scratch``, ``fbox`` and the gathered ``rows`` (after ``fbox``,
+    whose mean slot :func:`analyze` still reads).
     """
 
-    def __init__(self, grid, want, Q, lead):
+    #: the quantities of the nonlinear term, velocity and filtered vorticity
+    want = ("u", "curl_v")
+
+    def __init__(self, grid, Q, lead):
+        want = self.want
         K1, _, J = grid.box
         M1, M2 = grid.shape
         R, B, E = len(grid.rows[0]), 3 * len(want), math.prod(lead)
@@ -288,7 +288,6 @@ class GridWorkspace:
                     n = _floats(shape, dtype)
                     setattr(self, name, buf[at:at + n].view(dtype).reshape(shape))
                     at += n
-        self.all_profiles = self.profiles.reshape(lead + (B, R, Q))
         self.profiles = {name: self.profiles[..., i, :, :, :] for i, name in enumerate(want)}
 
 

@@ -117,18 +117,18 @@ class ManufacturedCase:
         rows[:, row] = prof
         return rows, np.zeros((3, len(z)))
 
-    def wall_defect_dual(self, ops, params):
-        """Wall functional absorbing the traction mismatch of u*: wall data
-        -n x r for u*'s traction defect r, (-r2, r1) at z = 0 and (r2, -r1)
-        at z = H."""
-        row = self.row(ops)
+    def wall_defect_dual(self, ops):
+        """Wall functional absorbing the traction mismatch of u* under the
+        wall coefficients of ops.params: wall data -n x r for u*'s traction
+        defect r, (-r2, r1) at z = 0 and (r2, -r1) at z = H."""
+        row, params = self.row(ops), ops.params
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
         t, p = self.mode_potentials(np.array([0.0, ops.geometry.H]), 3)
         r1, r2 = wall_traction(e1, e2, e1 * e1 + e2 * e2, t, p, params.gamma, params.k)
         return wall_dual(ops, row, np.array([-r2[0], r1[0]]), np.array([r2[1], -r1[1]]))
 
-    def rhs(self, ops, params):
-        return analyze(*self.forcing(ops), ops.cache) + self.wall_defect_dual(ops, params)
+    def rhs(self, ops):
+        return analyze(*self.forcing(ops), ops.cache) + self.wall_defect_dual(ops)
 
     # -- error measurement ----------------------------------------------------
 

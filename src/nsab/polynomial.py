@@ -46,9 +46,6 @@ class GaussQ:
         o = GaussQ.of(o)
         return GaussQ(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, o):
-        return GaussQ.of(o) - self
-
     def __neg__(self):
         return GaussQ(-self.re, -self.im)
 
@@ -68,9 +65,6 @@ class GaussQ:
             raise ZeroDivisionError("division by zero GaussQ")
         return GaussQ((self.re * o.re + self.im * o.im) / d,
                       (self.im * o.re - self.re * o.im) / d)
-
-    def conj(self):
-        return GaussQ(self.re, -self.im)
 
     @property
     def is_zero(self):
@@ -139,11 +133,6 @@ class TriPoly:
     def __sub__(self, other):
         return self._combine(self._coerce(other), -1)
 
-    def __neg__(self):
-        p = TriPoly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = {}
@@ -195,9 +184,6 @@ class TriPoly:
     def __eq__(self, other):
         other = self._coerce(other)
         return self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash(frozenset(self.terms.items()))
 
     # -- evaluation ---------------------------------------------------------
 

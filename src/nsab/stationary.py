@@ -17,7 +17,7 @@ Pressure is recovered from the pointwise momentum residual r = f - Lap^2 u:
 tangentially r = (i eta1 p, i eta2 p, p')+curl-free defect, so a per-mode
 least-squares fit of a polynomial p against all three components (one QR
 and one SVD of the mode-independent design serve every mode) both
-determines p (up to the zero-mean gauge) and measures how far r is from a
+determines p on the stored modes and measures how far r is from a
 gradient; the explicit curl of r is also reported.
 """
 
@@ -133,22 +133,22 @@ def wall_traction(e1, e2, m, t, p, gamma, k):
     return r1, r2
 
 
-def strong_bc_residual(u, params, ops):
+def strong_bc_residual(u, ops):
     """Wall traces of the solution: no-slip and tangential traction defect.
 
     The Dirichlet trace is structurally zero (essential basis); the
     traction residual (:func:`wall_traction`), evaluated from the potential
     traces, measures how well the natural condition is recovered and
-    decays under refinement.
+    decays under refinement.  The wall coefficients are those of ops.params.
     """
-    area, kk, cache = ops.geometry.area, params.k, ops.cache
+    area, kk, cache = ops.geometry.area, ops.params.k, ops.cache
     (e1, e2, m), buckets = ops.layout.eta, ops.layout.buckets
     # wall traces, (rows, 2 walls) each
     ct, cp = blockmul(cache.W_tor, u.psi, buckets), blockmul(cache.W_pol, u.phi, buckets)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
     pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
     uw = velocity(e1, e2, m, tt[0], pt[1], pt[0])
-    r1, r2 = wall_traction(e1, e2, m, tt, pt, params.gamma, kk)
+    r1, r2 = wall_traction(e1, e2, m, tt, pt, ops.params.gamma, kk)
     # mean flow (U1, U2, 0): omega = (-U2', U1', 0); traces (2 walls, 2 comps)
     t = [cache.mean_tr[d] @ u.mean.T for d in range(3)]
     r0 = _SGN[:, None] * t[2] - kk * t[1]  # the mean residual up to signs
@@ -166,14 +166,12 @@ def strong_bc_residual(u, params, ops):
 class PressureField:
     degree: int
     coeffs: np.ndarray  # (R, degree+1) Legendre coefficients on [0, H], per row
-    mean_profile: np.ndarray  # zero mode at the quadrature nodes
 
 
 @dataclass
 class PressureReport:
     gradient_defect: float
     curl_residual: float
-    residual_norm: float
 
 
 def _legendre_design(geometry, z, degree, dmax=1):
@@ -190,7 +188,8 @@ def recover_pressure(u, forcing, ops):
     Per mode, p is the polynomial of degree P + 1 minimizing the quadrature
     norm of (i eta1 p - r1, i eta2 p - r2, p' - r3); the misfit is the
     gradient defect of r and an explicit curl norm of r is also formed.
-    The pressure is gauged to zero spatial mean.
+    The pressure is returned for the stored rows; the zero mode is fitted
+    only for its share of the defect.
 
     The fit is batched.  Each row's tangential residual is split along
     eta/|eta| and its normal; the normal part cannot be matched by
@@ -245,11 +244,5 @@ def recover_pressure(u, forcing, ops):
     c0, *_ = np.linalg.lstsq(S1, sw * r0[2], rcond=None)
     defect_sq += area * float(np.linalg.norm(S1 @ c0 - sw * r0[2]) ** 2)
     defect_sq += area * float(np.sum(w * (np.abs(r0[0]) ** 2 + np.abs(r0[1]) ** 2)))
-    # gauge: zero spatial mean
-    zmean = float(np.real(np.sum(w * (Phi[0] @ c0)))) / geo.H
-
-    rnorm_sq = area * (2.0 * float(np.sum(w * np.abs(R_reps) ** 2))
-                       + float(np.sum(w * np.abs(r0) ** 2)))
-    press = PressureField(degree, coeffs, np.real(Phi[0] @ c0) - zmean)
-    return press, PressureReport(np.sqrt(defect_sq), np.sqrt(curl_sq),
-                                 np.sqrt(rnorm_sq))
+    return (PressureField(degree, coeffs),
+            PressureReport(np.sqrt(defect_sq), np.sqrt(curl_sq)))

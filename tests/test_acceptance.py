@@ -204,7 +204,7 @@ def test_criterion_08_stationary_convergence():
     for P in (8, 16, 24, 32):
         res = Resolution(N1=4, N2=4, P=P)
         ops = OperatorSet(par, GEO, res)
-        u, _ = solve_stationary(ops, case.rhs(ops, par))
+        u, _ = solve_stationary(ops, case.rhs(ops))
         press, _ = recover_pressure(u, case.forcing(ops), ops)
         errs = case.errors(u, press, ops)
         ref = case.errors(zero_field(GEO, res), None, ops)
@@ -212,7 +212,7 @@ def test_criterion_08_stationary_convergence():
         prs[P] = errs["pressure_L2"] / max(ref["L2"], 1.0)
         f = random_field(GEO, res, seed=3, amplitude=1.0, decay=1.0)
         uf, _ = solve_stationary(ops, velocity_dual(f, ops))
-        wall[P] = strong_bc_residual(uf, par, ops).wall_eddy_res
+        wall[P] = strong_bc_residual(uf, ops).wall_eddy_res
     ok = True
     for a, b in ((8, 16), (16, 24), (24, 32)):
         ok &= (h2[b] <= h2[a] / 10.0) or (h2[b] <= 1e-10)

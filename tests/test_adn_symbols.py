@@ -77,12 +77,41 @@ def test_ellipticity_hyperbolic_symbol():
 
 
 def test_ellipticity_positive_non_sos_residual():
-    # anisotropic but elliptic: xi1^4 + xi2^4 + xi3^4 has no real zeros
-    x = [TriPoly.var(i) for i in range(3)]
-    rep = check_ellipticity(DNSystem(L=[[x[0]**4 + x[1]**4 + x[2]**4]],
-                                     s=(4,), t=(0,)))
-    assert rep.passed
-    assert rep.method == "sampled positivity"
+    # anisotropic but elliptic: xi1^4 + xi2^4 + xi3^4 has no real zeros, and
+    # neither has its negative
+    x = _x()
+    for sign in (1, -1):
+        rep = check_ellipticity(DNSystem(L=[[sign * (x[0]**4 + x[1]**4 + x[2]**4)]],
+                                         s=(4,), t=(0,)))
+        assert rep.passed
+        assert rep.method == "exact one-signed even form"
+        assert rep.residual_degree == 4 and rep.witness is None
+
+
+def _x():
+    return [TriPoly.var(i) for i in range(3)]
+
+
+@pytest.mark.parametrize("symbol, method", [
+    # vanishes at (sqrt 2, 1, 0), off the integer lattice, yet positive at
+    # every sample of a sphere scan: only an exact certificate may pass it
+    pytest.param(lambda x: (x[0]**2 - 2 * x[1]**2)**2 + x[2]**4,
+                 "no exact certificate", id="irrational-zero"),
+    # vanishes on the cone xi1^2 + xi2^2 = 3 xi3^2, which misses the lattice
+    pytest.param(lambda x: x[0]**2 + x[1]**2 - 3 * x[2]**2,
+                 "no exact certificate", id="cone-off-lattice"),
+    # even and one-signed, but without xi1^4 it vanishes at (1, 0, 0)
+    pytest.param(lambda x: x[0]**2 * x[1]**2 + x[2]**4,
+                 "exact lattice zero", id="pure-power-missing"),
+])
+def test_ellipticity_without_certificate_fails(symbol, method):
+    poly = symbol(_x())
+    d = poly.total_degree()
+    rep = check_ellipticity(DNSystem(L=[[poly]], s=(d,), t=(0,)))
+    assert not rep.passed
+    assert rep.method == method
+    if rep.witness is not None:
+        assert poly.evaluate(rep.witness) == 0
 
 
 def test_poly_determinant_against_numeric():

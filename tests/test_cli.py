@@ -165,11 +165,12 @@ watchdog.ceiling = 1e300
 @pytest.mark.parametrize("subcommand, overrides", [
     pytest.param("probe-uniqueness", {"resolution.P": "8", "scheme.name": "cnab2",
                                       "probe.delta2": "1e300"}, id="probe-delta2-1e300"),
-    pytest.param("evolve", {"u0.amplitude": "1e300"}, id="evolve-amplitude-1e300"),
 ])
 def test_first_step_overflow_prints_one_line(tmp_path, subcommand, overrides):
     # the first step overflows the nonlinear term and the grid transforms:
-    # the watchdog reports the non-finite field, numpy prints no warning
+    # the watchdog reports the non-finite field, numpy prints no warning (an
+    # initial field whose own norms overflow exits 2 before any step:
+    # test_bad_input_exits_2_without_traceback)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_config_with(overrides))
     proc = _run_cli(subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"))
@@ -375,6 +376,12 @@ def _config_with(overrides):
     pytest.param("evolve", {"u0.decay": "-50"}, False, id="u0-decay-overflows"),
     pytest.param("probe-uniqueness", {"u0.id": "zero", "u0.decay": "-50"}, False,
                  id="probe-perturbation-decay-overflows"),
+    # u0's norms overflow, so the watchdog ceiling would be inf: evolve used
+    # to step once and blame the watchdog (exit 4), sweep to write zero rows
+    # (exit 3) and the probe to blame its delta
+    *(pytest.param(sub, {"u0.amplitude": "1e200"}, False, id=f"{sub}-u0-norm-overflows")
+      for sub in ("evolve", "sweep", "probe-uniqueness")),
+    pytest.param("evolve", {"u0.amplitude": "1e300"}, False, id="evolve-amplitude-1e300"),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
                                             out_under_file):
@@ -398,6 +405,9 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
         assert "_parse" not in proc.stderr
     if "u0.decay" in overrides:  # the line names the decay
         assert "decay = -50.0" in proc.stderr
+    if "u0.amplitude" in overrides:  # the line names the norm; only the manifest is written
+        assert "A1 = inf" in proc.stderr
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def test_overflowing_forcing_exits_3_in_one_line(tmp_path):

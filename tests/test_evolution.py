@@ -1,6 +1,7 @@
 """Nonlinear term, exact propagator, IMEX stepping, monitors, probes."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import mpmath
@@ -647,6 +648,24 @@ def test_nonlinear_workspace_does_not_alias_returned_arrays(par, geo_odd):
     copies = [a.copy() for a in held]
     nonlinear_term(u2, o)
     assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+
+
+@pytest.mark.parametrize("members", [(), (3,)], ids=["single", "stack-3"])
+def test_to_grid_with_workspace_reads_the_profiles_given(par, geo, members):
+    """Given a workspace, to_grid transforms the profiles handed to it, not
+    those a synthesis last wrote into the workspace."""
+    res = Resolution(N1=8, N2=8, P=16)
+    o = OperatorSet(par, geo, res)
+    grid = o.layout.grid
+    work = grid.workspace(res.Q, members)
+
+    def draw(seed):
+        fields = [random_field(geo, res, seed=seed + j) for j in range(math.prod(members))]
+        return SolenoidalField.stack(fields) if members else fields[0]
+
+    synthesize(draw(1), o.cache, work.want, par.alpha, work)
+    given = synthesize(draw(7), o.cache, work.want, par.alpha).values()
+    np.testing.assert_array_equal(grid.to_grid(given, work), grid.to_grid(given))
 
 
 def test_cnab2_history_owns_its_arrays(par, geo, monkeypatch):

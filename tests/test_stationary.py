@@ -77,7 +77,7 @@ def test_pressure_fit_matches_per_row_reference(request, geometry, forcing_id):
     assert (o.layout.k == 0).any(axis=0).all()
     if forcing_id == "manufactured":
         case = default_case(g)
-        rhs, forc = case.rhs(o, o.params), case.forcing(o)
+        rhs, forc = case.rhs(o), case.forcing(o)
     else:
         forc = synthesize(random_field(g, o.resolution, seed=5), o.cache)["u"]
         rhs = analyze(*forc, o.cache)
@@ -98,7 +98,7 @@ def ops_n16p40(geo):
 def _benchmark_solve(o, forcing_id):
     if forcing_id == "manufactured":
         case = default_case(o.geometry)
-        rhs, forc = case.rhs(o, o.params), case.forcing(o)
+        rhs, forc = case.rhs(o), case.forcing(o)
     else:
         forc = synthesize(random_field(o.geometry, o.resolution, seed=11), o.cache)["u"]
         rhs = analyze(*forc, o.cache)
@@ -132,7 +132,7 @@ def test_manufactured_solution_and_pressure(geo):
     res = Resolution(N1=4, N2=4, P=20)
     o = OperatorSet(par, geo, res)
     case = default_case(geo)
-    u, rep = solve_stationary(o, case.rhs(o, par))
+    u, rep = solve_stationary(o, case.rhs(o))
     press, prep = recover_pressure(u, case.forcing(o), o)
     errs = case.errors(u, press, o)
     assert errs["H2_rel"] <= 1e-5
@@ -148,7 +148,7 @@ def test_relative_errors_divide_by_the_exact_norm(request, geometry):
     res = Resolution(N1=4, N2=4, P=12)
     o = OperatorSet(derive_params(0.2, 0.1, 0.3, 0.015), g, res)
     case = default_case(g)
-    u, _ = solve_stationary(o, case.rhs(o, o.params))
+    u, _ = solve_stationary(o, case.rhs(o))
     errs = case.errors(u, None, o)
     ref = case.errors(zero_field(g, res), None, o)
     for name in ("L2", "H1", "H2"):
@@ -168,7 +168,7 @@ def test_relative_errors_divide_by_the_exact_norm(request, geometry):
 def test_manufactured_case_rejects_modes_without_a_row(ops, k1, k2, match):
     case = default_case(ops.geometry, k1=k1, k2=k2)
     for use in (lambda: case.forcing(ops),
-                lambda: case.wall_defect_dual(ops, ops.params),
+                lambda: case.wall_defect_dual(ops),
                 lambda: case.errors(zero_field(ops.geometry, ops.resolution),
                                     None, ops)):
         with pytest.raises(ValueError, match=match):
@@ -218,7 +218,7 @@ def test_manufactured_gamma_k_sweep(geo):
         par = params_with_k(gamma, k)
         o = OperatorSet(par, geo, res)
         case = default_case(geo)
-        u, _ = solve_stationary(o, case.rhs(o, par))
+        u, _ = solve_stationary(o, case.rhs(o))
         assert case.errors(u, None, o)["H2_rel"] <= 1e-4
 
 
@@ -232,7 +232,7 @@ def test_strong_bc_residual_refinement(geo):
         o = OperatorSet(par, geo, res)
         f = random_field(geo, res, seed=3, amplitude=1.0, decay=1.0)
         u, _ = solve_stationary(o, velocity_dual(f, o))
-        bc = strong_bc_residual(u, par, o)
+        bc = strong_bc_residual(u, o)
         assert bc.dirichlet_res <= 1e-12 * max(u.norm_l2(), 1e-30)
         vals[P] = bc.wall_eddy_res
     assert vals[12] / vals[24] >= 10.0
@@ -246,7 +246,7 @@ def test_k_zero_traction_residual_also_decays(geo):
         o = OperatorSet(par, geo, res)
         f = random_field(geo, res, seed=5, amplitude=1.0, decay=1.0)
         u, _ = solve_stationary(o, velocity_dual(f, o))
-        vals[P] = strong_bc_residual(u, par, o).wall_eddy_res
+        vals[P] = strong_bc_residual(u, o).wall_eddy_res
     assert vals[12] / vals[24] >= 10.0
 
 
@@ -257,7 +257,7 @@ def test_curl_consistency_decreases(geo):
     for P in (10, 14, 18):
         res = Resolution(N1=4, N2=4, P=P)
         o = OperatorSet(par, geo, res)
-        u, _ = solve_stationary(o, case.rhs(o, par))
+        u, _ = solve_stationary(o, case.rhs(o))
         _, prep = recover_pressure(u, case.forcing(o), o)
         curls.append(prep.curl_residual)
     assert curls[0] > curls[1] > curls[2]
