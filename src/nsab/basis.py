@@ -102,7 +102,7 @@ class BasisCache:
 
     ``raw_T``/``raw_C`` tabulate the raw recombined bases and their
     z-derivatives at the quadrature nodes, ``raw_T_tr``/``raw_C_tr`` on the
-    walls, ``synth_T``/``synth_C`` those :func:`nsab.field.synthesize` reads.
+    walls, ``synth_T``/``synth_C`` those synthesis and analysis read.
     Blocks depend on the wavenumber only through m = |eta|^2: ``W_tor`` and
     ``W_pol`` (U, n, n) stack one per distinct m, ``m`` (U,), in the block
     numbering of the layout (``layout.block`` gives each row's), and act on

@@ -321,7 +321,8 @@ def _exp_sweep(cfg, out, operators, stage):
     with stage("integrate"), np.errstate(over="ignore", invalid="ignore"):
         u0 = _initial_field(cfg, cache.layout)
         rows = vanishing_sweep(cfg.params, cache, u0, cfg["sweep.levels"], cfg["time.T"],
-                               cfg["time.dt"], scheme=cfg["scheme.name"])
+                               cfg["time.dt"], scheme=cfg["scheme.name"],
+                               watchdog_ceiling=cfg["watchdog.ceiling"])
     with stage("write"):
         write_csv(out / "sweep.csv",
                   ["n", "alpha", "beta", "sup_l2", "int_h1_sq", "alpha_sup_grad",

@@ -16,12 +16,12 @@ Steppers treat the stiff fourth-order linear part S = beta^2 K_a + K_grad
 implicitly and N explicitly: backward-Euler/forward-Euler (theta = 1), or
 Crank-Nicolson with Adams-Bashforth-2 (theta = 1/2, first step seeded with
 the initial slope).  A step solves A u' = (M_L - (1 - theta) dt S) u - dt G
-with A = M_L + theta dt S and G the explicit term.  As M_L - (1 - theta) dt S
-= M_L / theta - (1/theta - 1) A, it is applied as u' = P u / theta -
-(1/theta - 1) u - dt Q G through per-block stacks of the propagators
-P = A^{-1} M_L and Q = A^{-1}, formed with one LU per distinct block and
-applied by :meth:`nsab.field.SolenoidalField.apply`; this keeps the
-cancellation in M_L - dt S / 2 out of the step.  The linear
+with A = M_L + theta dt S and G = N or 1.5 N - 0.5 N_prev.  As M_L - (1 -
+theta) dt S = M_L / theta - (1/theta - 1) A, u' = E u - dt Q G with Q = A^{-1}
+and E = Q M_L / theta - (1/theta - 1) I, free of the cancellation in M_L -
+dt S / 2: per potential one per-block stack [E | -dt Q] or [E | -1.5 dt Q |
+0.5 dt Q] (E alone without N), applied to the rows [u | N | N_prev] side by
+side by one :meth:`nsab.field.SolenoidalField.apply`.  The linear
 flow also has an exact spectral propagator through the factorization
 u(t) = L^{-1/2} e^{-tD} L^{1/2} u0 (+ Duhamel term), which serves as the
 order oracle for the steppers.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SolenoidalField, project_velocity, reconstruct, zero_field
+from .field import SolenoidalField, project_velocity, reconstruct
 from .operators import OperatorSet, _root
 from .params import ParameterError, derive_params, step_count
 
@@ -154,28 +154,27 @@ class IMEXStepper:
         self.dt = dt
         self.scheme = scheme
         self.nonlinear = nonlinear
-        theta = 1.0 if scheme == "euler" else 0.5
-        self._inv_theta = 1.0 / theta
-        b2 = ops.params.beta**2
+        theta, b2 = (1.0 if scheme == "euler" else 0.5), ops.params.beta**2
+        weights = ((-1.0,) if scheme == "euler" else (-1.5, 0.5)) if nonlinear else ()
 
-        def propagators(blk):
-            A = blk.M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad)
-            eye = np.broadcast_to(np.eye(blk.n), A.shape)
-            PQ = np.linalg.solve(A, np.concatenate([blk.M_lambda, eye], axis=-1))
-            # C order, so the step's gemms do not depend on the layout solve returns
-            return np.ascontiguousarray(PQ[..., :blk.n]), np.ascontiguousarray(PQ[..., blk.n:])
+        def stack(blk):
+            Q = np.linalg.inv(blk.M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad))
+            E = (Q @ blk.M_lambda) / theta - (1.0 / theta - 1.0) * np.eye(blk.n)
+            return np.concatenate([E] + [w * dt * Q for w in weights], axis=-1)
 
-        self._P, self._Q = zip(*map(propagators, ops.blocks))
+        self._stacks = [stack(blk) for blk in ops.blocks]
 
     def step(self, state):
-        dt, u, a = self.dt, state.field, self._inv_theta
-        N = nonlinear_term(u, self.ops) if self.nonlinear else zero_field(u.geometry, u.resolution)
-        G = N
-        if self.scheme == "cnab2":
-            Nprev = state.history if state.history is not None else N
-            G = N * 1.5 - Nprev * 0.5
-        return EvolutionState(state.time + dt,
-                              u.apply(self._P) * a - u * (a - 1.0) - G.apply(self._Q) * dt,
+        u, N = state.field, None
+        parts = [u]
+        if self.nonlinear:
+            N = nonlinear_term(u, self.ops)
+            parts.append(N)
+            if self.scheme == "cnab2":
+                parts.append(state.history if state.history is not None else N)
+        rows = (np.concatenate(cs, axis=-1) for cs in zip(*(f.potentials() for f in parts)))
+        return EvolutionState(state.time + self.dt,
+                              SolenoidalField(u.geometry, u.resolution, *rows).apply(self._stacks),
                               N if self.scheme == "cnab2" else None)
 
 
@@ -231,13 +230,15 @@ def _watchdog(ops, time, field, ceiling):
 
 def _initial_norms(ops, u0, watchdog_ceiling):
     """(norms, ceiling): the a_scale_norms of u0 and the watchdog ceiling,
-    watchdog_ceiling times A1(u0).  ParameterError when A1(u0) overflows, as
-    the watchdog could then never fire."""
+    watchdog_ceiling times A1(u0).  ParameterError when A1(u0) or the
+    ceiling overflows, as the watchdog could then never fire."""
     sn = ops.a_scale_norms(u0)
-    if not np.isfinite(sn["A1"]):
-        raise ParameterError(f"the initial field's norm A1 = {float(sn['A1'])!r} is not "
-                             f"finite, so no watchdog ceiling can be set")
-    return sn, watchdog_ceiling * max(sn["A1"], 1e-300)
+    with np.errstate(over="ignore"):
+        ceiling = watchdog_ceiling * max(sn["A1"], 1e-300)
+    if not np.isfinite(ceiling):
+        raise ParameterError(f"the watchdog ceiling {watchdog_ceiling!r} times the initial field's "
+                             f"norm A1 = {float(sn['A1'])!r} is not finite: it could never fire")
+    return sn, ceiling
 
 
 def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
@@ -286,11 +287,11 @@ class UniquenessProbe:
 
 
 def _h1_norms(ops, w):
-    """H1 norm of each member w[j] of a stacked field, from one stacked K_grad
-    product; bitwise sqrt(w[j].dot(w[j]) + ops.form_inner("K_grad", w[j], w[j])),
-    and inf where that square overflowed, as the watchdog norms read it."""
-    gw = w.apply([blk.K_grad for blk in ops.blocks])
-    return [float(_root(w[j].dot(w[j]) + gw[j].dot(w[j]))) for j in range(len(w.mean))]
+    """H1 norm sqrt(<w[j] + K_grad w[j], w[j]>) of each member w[j] of a
+    stacked field, each member's as its own; inf where the square overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = w + w.apply([blk.K_grad for blk in ops.blocks])
+        return _root(x.dot(w, per_member=True)).tolist()
 
 
 def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
@@ -349,7 +350,7 @@ class SweepRow:
     watchdog: object = None
 
 
-def vanishing_sweep(base_params, cache, u0, levels, T, dt, scheme="euler"):
+def vanishing_sweep(base_params, cache, u0, levels, T, dt, scheme="euler", watchdog_ceiling=1e6):
     """Energy records along a sequence of halved regularization lengths.
 
     ell is scaled with beta^2 so the wall condition coefficient
@@ -365,7 +366,8 @@ def vanishing_sweep(base_params, cache, u0, levels, T, dt, scheme="euler"):
         be = base_params.beta * 0.5**n
         par = derive_params(al, be, base_params.gamma, base_params.k * be**2)
         ops = OperatorSet(par, cache.geometry, cache.resolution, cache)
-        result = run_evolution(ops, u0, dt, T, scheme=scheme, cadence=cadence)
+        result = run_evolution(ops, u0, dt, T, scheme=scheme, cadence=cadence,
+                               watchdog_ceiling=watchdog_ceiling)
         # sup of L2 and grad, trapezoids of the H1 square and of the
         # H2-proxy square L2^2 + grad^2 + a_uu (bilap^2 = a_uu - wall term
         # is not recoverable from the reports: the conservative pieces)

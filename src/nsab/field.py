@@ -26,15 +26,17 @@ that layout; other modules apply stacks with :meth:`SolenoidalField.apply`
 and reach rows through the layout's ``row``, ``groups`` and ``block``.
 
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
-the quadrature nodes in the same row layout - complex (3, R, Q) rows plus
-the real (3, Q) mean profile - in a few batched calls: a per-block change
-of basis (:func:`blockmul`) and one gemm per potential against the raw
-tables of its derivative orders side by side, which all blocks share.
-:func:`synthesize`
-evaluates velocity (and, on request, the curl of the filtered velocity
-v = (1 - alpha^2 Lap) u and Lap^2 u); :func:`analyze`, its L2 adjoint, is
-the Galerkin projection onto the solenoidal test basis (a Leray projection
-when fed an arbitrary field).
+the quadrature nodes - complex (C, R, Q) rows of the C components asked
+for, plus the real (C, Q) mean profile - in a few batched calls: a
+per-block change of basis (:func:`blockmul`), one gemm per potential
+against the raw tables of its derivative orders side by side, shared by
+all blocks, and one product with per-row (C, orders) mixing matrices of
+i eta1, i eta2, m and the filter (:meth:`ModeLayout.mixing`).
+:func:`synthesize` evaluates velocity (and, on request, the curl of the
+filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u); :func:`analyze`,
+its L2 adjoint (the same steps transposed), is the Galerkin projection
+onto the solenoidal test basis (a Leray projection when fed an arbitrary
+field).
 
 Only :func:`reconstruct` and :func:`project_velocity` know the padded
 grid, M1 x M2 x Q physical samples with M the smallest even count
@@ -98,7 +100,8 @@ class ModeLayout:
     lists the rows group after group.  ``k`` is the (R, 2) array of row
     wavenumbers, ``row`` the (k1, k2) -> row lookup, ``eta`` the (R, 1)
     columns eta1, eta2 and m of the rows.  ``grid`` is the transform to the
-    padded grid, built on first use.
+    padded grid, built on first use, and :meth:`mixing` the synthesis
+    matrices of the rows, kept as long as the layout.
     """
 
     def __init__(self, geometry, resolution):
@@ -132,6 +135,7 @@ class ModeLayout:
                         for s, n, (r, b) in zip(size, nb, ends)]
         self.potential_buckets = (self.buckets, self.buckets, MEAN_BUCKETS)
         self.potential_blocks = (self.block, self.block, np.zeros(2, int))
+        self._mixing = {}
 
     def wavenumber(self, k1, k2):
         L1, L2 = self.L
@@ -141,20 +145,68 @@ class ModeLayout:
     def grid(self):
         return PaddedGrid(self.k, self.N1, self.N2, self.padded_shape)
 
+    def mixing(self, want, alpha=None):
+        """The products of synthesis after the table gemms, (rows, mean), of
+        the quantities want at filter length alpha (read by curl_v only),
+        kept per want for the last alpha asked.  rows is the complex (R, C, O)
+        stack of per-row matrices, C = 3 len(want) components in want order,
+        O = 2 nd + 1 derivative orders (psi's 0..nd-1, then phi's 0..nd):
+        each quantity is vel(t, p) = (i eta2 t + i eta1 p', -i eta1 t + i
+        eta2 p', m p) of D-polynomials t, p of the potentials, Lap = D^2 - m,
+        F = 1 - alpha^2 Lap: u = vel(psi, phi), curl v = vel(-F Lap phi, F
+        psi) (the curl commutes with F) and Lap^2 u = vel(Lap^2 psi, Lap^2
+        phi).  mean (C, 2 nd + 2) mixes the mean's orders 0..nd of (U1, U2)
+        alike into (U1, U2, 0), (-V2', V1', 0) with V = F U, and (U1^(4),
+        U2^(4), 0).
+        """
+        want, alpha = tuple(want), (alpha if "curl_v" in want else None)
+        if want in self._mixing and self._mixing[want][0] == alpha:
+            return self._mixing[want][1:]
+        nd = max(QUANTITIES[name] for name in want)
+        e1, e2, m = (x[:, 0] for x in self.eta)
+        a2, one = (0.0 if alpha is None else alpha**2), np.ones_like(m)
+        # coefficients of D^0, D^1, ...: F, -F Lap and Lap^2
+        f0 = 1.0 + a2 * m
+        filt, curl, bilap = ([f0, 0.0, -a2 * one], [m * f0, 0.0, -(f0 + a2 * m), 0.0, a2 * one],
+                             [m * m, 0.0, -2.0 * m, 0.0, one])
+        # per quantity, (potential, D-polynomial) of t and of p: 0 psi, 1 phi;
+        # for the mean, the D-polynomial and its 2 x 2 map of (U1, U2)
+        parts = {"u": ((0, [one]), (1, [one]), [1.0], np.eye(2)),
+                 "curl_v": ((1, curl), (0, filt), [0.0, 1.0, 0.0, -a2],
+                            np.array([[0.0, -1.0], [1.0, 0.0]])),
+                 "bilap_u": ((0, bilap), (1, bilap), [0.0] * 4 + [1.0], np.eye(2))}
+        rows = np.zeros((len(m), 3 * len(want), 2 * nd + 1), complex)
+        mean = np.zeros((3 * len(want), nd + 1, 2))
+        for i, name in enumerate(want):
+            (pt, t), (pp, p), mean_poly, S = parts[name]
+            for d, c in enumerate(t):
+                rows[:, 3 * i, pt * nd + d] += 1j * e2 * c
+                rows[:, 3 * i + 1, pt * nd + d] -= 1j * e1 * c
+            for d, c in enumerate(p):
+                rows[:, 3 * i, pp * nd + d + 1] += 1j * e1 * c
+                rows[:, 3 * i + 1, pp * nd + d + 1] += 1j * e2 * c
+                rows[:, 3 * i + 2, pp * nd + d] += m * c
+            for d, c in enumerate(mean_poly):
+                mean[3 * i:3 * i + 2, d] = c * S
+        self._mixing[want] = alpha, rows, mean.reshape(len(mean), -1)
+        return self._mixing[want][1:]
+
 
 class PaddedGrid:
     """Matrix DFT between the stored modes and the padded M1 x M2 grid.
 
     The spectral side is the box of stored wavenumbers, 0 <= k1 <= K1 - 1
-    (K1 = N1/2) and |k2| <= K2 = N2/2 - 1, as a real (B, K1, 2, 2 K2 + 1, Q)
-    array with the real and imaginary parts in separate planes.  The
-    inverse applies the complex (M2, 2 K2 + 1) DFT along k2 as one real
-    (2 M2, 2 (2 K2 + 1)) block, then one real (M1, 2 K1) gemm along k1 that
+    (K1 = N1/2) and |k2| <= K2 = N2/2 - 1, as a real (..., C, K1, 2, J, Q)
+    array, J = 2 K2 + 1, with the real and imaginary parts in separate
+    planes.  The inverse applies the complex (M2, J) DFT along k2 as one
+    real (2 M2, 2 J) block, then one real (M1, 2 K1) gemm along k1 that
     writes the grid: u = Re sum_k1 c_k1 G_k1(y) exp(2 pi i k1 x / M1), with
     c = 2 for k1 > 0 (the conjugate partners k1 < 0) and c = 1 for k1 = 0,
     whose column holds its partners itself.  :meth:`from_grid` is the
     adjoint, scaled by 1/(M1 M2), so it returns the grid's Fourier
-    coefficients of the stored modes.
+    coefficients of the stored modes.  Each row's real and imaginary part
+    have a flat (k1, plane, k2) box index, ``slots``: one indexed copy per
+    plane moves the rows of all C components.
 
     Both transforms write into a :class:`GridWorkspace` when given one
     (:meth:`workspace`), into fresh arrays otherwise.  Leading member axes
@@ -164,16 +216,15 @@ class PaddedGrid:
     def __init__(self, k, N1, N2, shape):
         M1, M2 = shape
         K1, K2 = N1 // 2, N2 // 2 - 1
-        k1, k2 = k.T
-        zero = k1 == 0
-        self.rows = (k1, k2 + K2)
-        self.partners = (zero, K2 - k2[zero])
-        self.center = K2
-        self.box = (K1, 2, 2 * K2 + 1)
-        self.shape = (M1, M2)
-        # flat (k1, plane, k2) box index of each row's real and imaginary part
         J = 2 * K2 + 1
-        self.gather = ((2 * k1) * J + k2 + K2, (2 * k1 + 1) * J + k2 + K2)
+        k1, k2 = k.T
+        zero = np.flatnonzero(k1 == 0)
+        self.slots = ((2 * k1) * J + k2 + K2, (2 * k1 + 1) * J + k2 + K2)
+        # rows k1 = 0 also fill their partners' slots -k2, conjugated
+        self.partners = (zero, K2 - k2[zero], J + K2 - k2[zero])
+        self.center = K2
+        self.box = (K1, 2, J)
+        self.shape = (M1, M2)
         cy, sy = _roots(M2, np.arange(M2)[:, None] * np.arange(-K2, K2 + 1))
         self.y_inv = np.block([[cy, -sy], [sy, cy]])
         self.y_fwd = np.ascontiguousarray(self.y_inv.T / M2)
@@ -190,30 +241,26 @@ class PaddedGrid:
             self._work[Q, lead] = GridWorkspace(self, Q, lead)
         return self._work[Q, lead]
 
-    def to_grid(self, profiles, work=None):
-        """Real (..., 3 n, M1, M2, Q) samples of n (rows, mean) profile
-        pairs, complex (..., 3, R, Q) rows and the real (..., 3, Q) mean as
-        :func:`synthesize` returns them; into the workspace work, if given,
-        which holds the grid of its quantities."""
-        profiles = list(profiles)
-        *lead, _, _, Q = profiles[0][0].shape
-        B = 3 * len(profiles)
-        (k1, j2), (zero, jp) = self.rows, self.partners
+    def to_grid(self, rows, mean, work=None):
+        """Real (..., C, M1, M2, Q) samples of the complex (..., C, R, Q)
+        rows and real (..., C, Q) mean of :func:`synthesize_rows`; into the
+        workspace work, if given, which holds the grid of its quantities."""
+        *lead, C, R, Q = rows.shape
+        K1, _, J = self.box
+        (re, im), (zero, pre, pim) = self.slots, self.partners
         # the writes below fill every slot of the box, so a reused one needs
         # no zeroing
-        box = np.empty((*lead, B) + self.box + (Q,)) if work is None else work.box
-        for i, (rows, mean) in enumerate(profiles):
-            part = box[..., 3 * i:3 * i + 3, :, :, :, :]
-            part[..., k1, 0, j2, :] = rows.real
-            part[..., k1, 1, j2, :] = rows.imag
-            part[..., 0, 0, jp, :] = rows.real[..., zero, :]
-            part[..., 0, 1, jp, :] = -rows.imag[..., zero, :]
-            part[..., 0, 0, self.center, :] = mean
-            part[..., 0, 1, self.center, :] = 0.0  # the mean is real
-        K1, n = self.box[0], math.prod(lead) * B
-        half = np.matmul(self.y_inv, box.reshape(n * K1, -1, Q), out=_slot(work, "half"))
+        box = np.empty((*lead, C, 2 * K1 * J, Q)) if work is None else work.box
+        box[..., re, :] = rows.real
+        box[..., im, :] = rows.imag
+        box[..., pre, :] = rows.real[..., zero, :]
+        box[..., pim, :] = -rows.imag[..., zero, :]
+        box[..., self.center, :] = mean
+        box[..., self.center + J, :] = 0.0  # the mean is real
+        n = math.prod(lead) * C
+        half = np.matmul(self.y_inv, box.reshape(n * K1, 2 * J, Q), out=_slot(work, "half"))
         grid = np.matmul(self.x_inv, half.reshape(n, 2 * K1, -1), out=_slot(work, "grid"))
-        return grid.reshape((*lead, B) + self.shape + (Q,))
+        return grid.reshape(*lead, C, *self.shape, Q)
 
     def from_grid(self, U, work=None):
         """(rows, mean) Fourier coefficients of real (..., M1, M2, Q)
@@ -226,7 +273,7 @@ class PaddedGrid:
         box = box.reshape(*lead, -1, Q)
         # take with mode="clip" writes into out directly (the indices are in range)
         re, im = (np.take(box, idx, axis=-2, out=_slot(work, name), mode="clip")
-                  for idx, name in zip(self.gather, ("re", "im")))
+                  for idx, name in zip(self.slots, ("re", "im")))
         rows = np.multiply(1j, im, out=_slot(work, "rows"))
         return np.add(re, rows, out=rows), box[..., self.center, :]
 
@@ -240,19 +287,18 @@ class GridWorkspace:
     """Reused arrays of one product of synthesized quantities on the grid.
 
     Serves :func:`nsab.evolution.nonlinear_term` on fields with leading
-    member axes lead (E members; () for one field): synthesis of the
-    quantities :attr:`want` (B = 3 len(want) components),
+    member axes lead (E members; () for one field): :func:`synthesize_rows`
+    of the quantities :attr:`want` (C = 3 len(want) components),
     :meth:`PaddedGrid.to_grid`, a (3, M1, M2, Q) pointwise product,
-    :meth:`PaddedGrid.from_grid` and :func:`analyze`.  Every array is a view of one of two flat float64
-    regions.  Each step of the chain reads one region and writes the other,
-    so the arrays of a region take turns:
+    :meth:`PaddedGrid.from_grid` and :func:`analyze`.  Every array is a view
+    of one of two flat float64 regions.  Each step of the chain reads one
+    region and writes the other, so the arrays of a region take turns:
 
-    region A: ``tvals``/``pvals``/``terms`` (derivative values, profile
-    terms), ``box``, ``grid``, ``fhalf``, ``re``/``im`` (gathered parts),
-    ``weighted``/``mixed`` (rows times the quadrature weights, their sums);
+    region A: ``values`` (derivative values), ``box``, ``grid``, ``fhalf``,
+    ``re``/``im`` (gathered parts), ``mixed`` (the analysis mixing);
 
-    region B: ``profiles`` (name -> lead + (3, R, Q)), ``half``, ``prod``
-    and its ``scratch``, ``fbox`` and the gathered ``rows`` (after ``fbox``,
+    region B: ``profiles`` (lead + (C, R, Q) rows), ``half``, ``prod`` and
+    its ``scratch``, ``fbox`` and the gathered ``rows`` (after ``fbox``,
     whose mean slot :func:`analyze` still reads).
     """
 
@@ -260,25 +306,23 @@ class GridWorkspace:
     want = ("u", "curl_v")
 
     def __init__(self, grid, Q, lead):
-        want = self.want
         K1, _, J = grid.box
         M1, M2 = grid.shape
-        R, B, E = len(grid.rows[0]), 3 * len(want), math.prod(lead)
-        nd = max(QUANTITIES[name] for name in want)
-        rq, rows = lead + (R, Q), (lead + (3, R, Q), complex)
+        R, C, E = len(grid.slots[0]), 3 * len(self.want), math.prod(lead)
+        O = 2 * max(QUANTITIES[name] for name in self.want) + 1
+        rows = lead + (3, R, Q)
         # per region, its stages in turn; the arrays of a stage lie end to end
         regions = (
-            [[("tvals", lead + (R, nd * Q), complex),
-              ("pvals", lead + (R, (nd + 1) * Q), complex), ("terms", (4,) + rq, complex)],
-             [("box", lead + (B, K1, 2, J, Q), float)],
-             [("grid", (E * B, M1, M2 * Q), float)],
+            [[("values", lead + (R, O * Q), complex)],
+             [("box", lead + (C, 2 * K1 * J, Q), float)],
+             [("grid", (E * C, M1, M2 * Q), float)],
              [("fhalf", (E * 3, 2 * K1, M2 * Q), float)],
-             [("re", lead + (3, R, Q), float), ("im", lead + (3, R, Q), float)],
-             [("weighted",) + rows, ("mixed", (2,) + rq, complex)]],
-            [[("profiles", lead + (len(want), 3, R, Q), complex)],
-             [("half", (E * B * K1, 2 * M2, Q), float)],
+             [("re", rows, float), ("im", rows, float)],
+             [("mixed", lead + (R, 3, Q), complex)]],
+            [[("profiles", lead + (C, R, Q), complex)],
+             [("half", (E * C * K1, 2 * M2, Q), float)],
              [("prod", lead + (3, M1, M2, Q), float), ("scratch", lead + (M1, M2, Q), float)],
-             [("fbox", (E * 3 * K1, 2 * J, Q), float), ("rows",) + rows]])
+             [("fbox", (E * 3 * K1, 2 * J, Q), float), ("rows", rows, complex)]])
         for region in regions:
             buf = np.empty(max(sum(_floats(shape, dtype) for _, shape, dtype in stage)
                                for stage in region))
@@ -288,7 +332,6 @@ class GridWorkspace:
                     n = _floats(shape, dtype)
                     setattr(self, name, buf[at:at + n].view(dtype).reshape(shape))
                     at += n
-        self.profiles = {name: self.profiles[..., i, :, :, :] for i, name in enumerate(want)}
 
 
 def _floats(shape, dtype):
@@ -359,9 +402,15 @@ class SolenoidalField:
         runs = layout_for(self.geometry, self.resolution).potential_buckets
         return self._map(lambda c, W, b: blockmul(W, c, b), stacks, runs)
 
-    def dot(self, other):
+    def dot(self, other, per_member=False):
         """L2 inner product over the full (Hermitian) spectrum and any member
-        axes; real.  A stored mode counts twice, for its conjugate partner."""
+        axes; real.  A stored mode counts twice, for its conjugate partner.
+        per_member: the (E,) products of stacked fields' members, each summed
+        as its own, as dot products of float views."""
+        if per_member:
+            E = len(self.mean)
+            return sum(k * np.einsum("ej,ej->e", *(c.reshape(E, -1).view(float) for c in cs))
+                       for k, *cs in zip((2.0, 2.0, 1.0), other.potentials(), self.potentials()))
         return (2.0 * (np.vdot(other.psi, self.psi).real
                        + np.vdot(other.phi, self.phi).real)
                 + float(np.vdot(other.mean, self.mean)))
@@ -443,82 +492,28 @@ def blockmul(W, c, buckets):
     return y.view(c.dtype).reshape(*lead, R, W.shape[-2])
 
 
-def velocity(e1, e2, m, t, p1, p0):
-    """Velocity (3, ...) of toroidal t and poloidal p0, p1 = p0' at (e1, e2)."""
-    return np.stack([1j * e2 * t + 1j * e1 * p1, -1j * e1 * t + 1j * e2 * p1, m * p0])
-
-
-def _minus(a, x, y, out):
-    """y - a * x, written to out (None: a fresh array)."""
-    out = np.multiply(a, x, out=out)
-    return np.subtract(y, out, out=out)
-
-
-def _combine(a, x, b, y, out, tmp):
-    """a * x + b * y, written to out with tmp as scratch (None: fresh arrays)."""
-    out = np.multiply(a, x, out=out)
-    return np.add(out, np.multiply(b, y, out=tmp), out=out)
-
-
-def _mode_profiles(m, eta1, eta2, tvals, pvals, want, alpha, into, tmp):
-    """Component profiles of the representative modes at quadrature nodes.
-
-    m, eta1, eta2: (R, 1) per-row data; tvals/pvals: lists of (R, Q) views
-    of potential derivative values, one per order; into: name -> (3, R, Q)
-    array to write, or None for a fresh one; tmp: (4, R, Q) scratch, or None
-    for fresh arrays.  Returns {"u": (3, R, Q), ...}.
-    """
-    ie1, ie2 = 1j * eta1, 1j * eta2
-    s0, s1, s2, s3 = [None] * 4 if tmp is None else tmp
-    out = {}
-
-    def vel(td, pd1, pd0, name):
-        # velocity-like triple from psi-derivs (order d) and phi-derivs (d+1, d)
-        v = into[name]
-        if v is None:
-            v = np.empty(td.shape[:-2] + (3,) + td.shape[-2:], complex)
-        v0, v1, v2 = (v[..., i, :, :] for i in range(3))
-        _combine(ie2, td, ie1, pd1, v0, s3)
-        _combine(-ie1, td, ie2, pd1, v1, s3)
-        np.multiply(m, pd0, out=v2)
-        return v
-
-    if "u" in want:
-        out["u"] = vel(tvals[0], pvals[1], pvals[0], "u")
-    if "curl_v" in want:
-        # curl u = vel(-Lap phi, D psi, psi), and curl commutes with the
-        # filter: curl v = vel(T, D P, P) with T = -(1 - a^2 Lap) Lap phi,
-        # P = (1 - a^2 Lap) psi and Lap = D^2 - m
-        a2 = alpha**2
-        T = _minus(2 * m, pvals[2], pvals[4], s0)
-        np.add(T, np.multiply(m * m, pvals[0], out=s3), out=T)
-        np.subtract(np.multiply(a2, T, out=T), _minus(m, pvals[0], pvals[2], s3), out=T)
-        P0 = _minus(a2, _minus(m, tvals[0], tvals[2], s1), tvals[0], s1)
-        P1 = _minus(a2, _minus(m, tvals[1], tvals[3], s2), tvals[1], s2)
-        out["curl_v"] = vel(T, P1, P0, "curl_v")
-    if "bilap_u" in want:
-        out["bilap_u"] = vel(tvals[4] - 2 * m * tvals[2] + m * m * tvals[0],
-                             pvals[5] - 2 * m * pvals[3] + m * m * pvals[1],
-                             pvals[4] - 2 * m * pvals[2] + m * m * pvals[0],
-                             "bilap_u")
-    return out
-
-
-def _mean_profiles(E, mean, want, alpha, nd):
-    # (..., 3, Q) derivatives of (U1, U2, 0): one gemv per order and mean row,
-    # in one batched product over the stacked orders E
-    U = np.zeros(mean.shape[:-2] + (nd + 1, 3, E.shape[1]))
-    np.matmul(E[:nd + 1, None], mean[..., None, :, :, None], out=U[..., :2, :, None])
-    out = {}
-    if "u" in want:
-        out["u"] = U[..., 0, :, :]
-    if "curl_v" in want:
-        # curl (V1, V2, 0)(z) = (-V2', V1', 0) with V = U - alpha^2 U''
-        dV = U[..., 1, :, :] - alpha**2 * U[..., 3, :, :]
-        out["curl_v"] = dV[..., [1, 0, 2], :] * np.array([[-1.0], [1.0], [1.0]])
-    if "bilap_u" in want:
-        out["bilap_u"] = U[..., 4, :, :]
-    return out
+def synthesize_rows(f, cache, want=("u",), alpha=None, work=None):
+    """The profiles of :func:`synthesize` as one block, the layout
+    :meth:`PaddedGrid.to_grid` reads: complex (..., C, R, Q) rows, C =
+    3 len(want) components in want order, and the real (..., C, Q) mean
+    profile; the rows are a view of the :class:`GridWorkspace` work of the
+    same want, if given.  The (..., R, O, Q) derivative values the table
+    gemms write are mixed by :meth:`ModeLayout.mixing`."""
+    if alpha is None and "curl_v" in want:
+        raise ValueError("filtered quantities need the filter length alpha")
+    mix, mean_mix = cache.layout.mixing(want, alpha)
+    _, C, O = mix.shape
+    nd, Q, buckets = O // 2, f.resolution.Q, cache.layout.buckets
+    ct, cp = blockmul(cache.W_tor, f.psi, buckets), blockmul(cache.W_pol, f.phi, buckets)
+    *lead, R, _ = ct.shape
+    values = np.empty((*lead, R, O * Q), complex) if work is None else work.values
+    np.matmul(ct, cache.synth_T[:, :nd * Q], out=values[..., :nd * Q])
+    np.matmul(cp, cache.synth_C[:, :(nd + 1) * Q], out=values[..., nd * Q:])
+    rows = np.empty((*lead, C, R, Q), complex) if work is None else work.profiles
+    # each row's (C, Q) product is written in place, strided, into its rows
+    np.matmul(mix, values.reshape(*lead, R, O, Q), out=np.swapaxes(rows, -3, -2))
+    mean = np.matmul(f.mean[..., None, :, :], cache.mean_E[:nd + 1].swapaxes(-1, -2))
+    return rows, np.matmul(mean_mix, mean.reshape(*lead, -1, Q))
 
 
 def synthesize(f, cache, want=("u",), alpha=None, work=None):
@@ -528,25 +523,13 @@ def synthesize(f, cache, want=("u",), alpha=None, work=None):
     filtered velocity v = (1 - alpha^2 Lap) u (this one needs alpha) and
     Lap^2 u.  Returns dict mapping names to (rows, mean): complex (3, R, Q)
     profiles of the representative modes in row order and the real (3, Q)
-    profile of the (0, 0) mode, behind the member axes of a stacked f.
-    Conjugate partners are not formed.  With a :class:`GridWorkspace` of the
-    same want, the rows are views of it.
+    profile of the (0, 0) mode, behind the member axes of a stacked f:
+    slices of the :func:`synthesize_rows` block.  Conjugate partners are not
+    formed.
     """
-    if alpha is None and "curl_v" in want:
-        raise ValueError("filtered quantities need the filter length alpha")
-    # psi derivatives up to order nd - 1 and phi derivatives up to nd
-    nd = max(QUANTITIES[name] for name in want)
-    (e1, e2, m), Q, buckets = cache.layout.eta, f.resolution.Q, cache.layout.buckets
-    # orthonormal -> raw coefficients, one gemm per potential against its
-    # orders' tables side by side, then views per order
-    ct, cp = blockmul(cache.W_tor, f.psi, buckets), blockmul(cache.W_pol, f.phi, buckets)
-    into = work.profiles if work is not None else dict.fromkeys(want)
-    tv = np.matmul(ct, cache.synth_T[:, :nd * Q], out=_slot(work, "tvals"))
-    pv = np.matmul(cp, cache.synth_C[:, :(nd + 1) * Q], out=_slot(work, "pvals"))
-    tvals, pvals = ([v[..., d * Q:(d + 1) * Q] for d in range(v.shape[-1] // Q)] for v in (tv, pv))
-    rows = _mode_profiles(m, e1, e2, tvals, pvals, want, alpha, into, _slot(work, "terms"))
-    means = _mean_profiles(cache.mean_E, f.mean, want, alpha, nd)
-    return {name: (rows[name], means[name]) for name in want}
+    rows, mean = synthesize_rows(f, cache, want, alpha, work)
+    return {name: (rows[..., 3 * i:3 * i + 3, :, :], mean[..., 3 * i:3 * i + 3, :])
+            for i, name in enumerate(want)}
 
 
 def reconstruct(f, cache, want=("u",), alpha=None, work=None):
@@ -556,9 +539,9 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
     all transformed in one :meth:`PaddedGrid.to_grid` call; views of the
     workspace work, if given.
     """
-    profiles = synthesize(f, cache, want, alpha, work)
-    grid = cache.layout.grid.to_grid(profiles.values(), work)
-    return {name: grid[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(profiles)}
+    rows, mean = synthesize_rows(f, cache, want, alpha, work)
+    grid = cache.layout.grid.to_grid(rows, mean, work)
+    return {name: grid[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(want)}
 
 
 # ---------------------------------------------------------------------------
@@ -569,23 +552,22 @@ def analyze(rows, mean, cache, work=None):
     """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
 
     rows/mean: profiles of the representative modes and of (0, 0), as
-    :func:`synthesize` returns them for the cache.  Returns the dual
-    coefficients (same container as fields), which own their arrays also
-    when the weighted rows go to the workspace work.
+    :func:`synthesize` returns them for the cache.  Velocity synthesis
+    transposed step by step: the mixing matrices, quadrature weights (and
+    area), the tables of psi's value and of phi's value and derivative, W.
+    Returns the dual coefficients (same container as fields), which own
+    their arrays also when the mixed rows go to the workspace work.
     """
-    area, w = cache.geometry.area, cache.w
-    (e1, e2, m), buckets = cache.layout.eta, cache.layout.buckets
-    weighted = np.multiply(w, rows, out=_slot(work, "weighted"))
-    f1, f2, f3 = (weighted[..., i, :, :] for i in range(3))
-    a, b = (None, None) if work is None else work.mixed
-    # adjoint of synthesize: raw-table gemms first, then the stacked W^T
-    gt = _combine(-1j * e2, f1, 1j * e1, f2, a, b) @ cache.raw_T[0]
-    gp = (_combine(-1j * e1, f1, -1j * e2, f2, a, b) @ cache.raw_C[1]
-          + m * (f3 @ cache.raw_C[0]))
-    psi = area * blockmul(cache.W_tor.transpose(0, 2, 1), gt, buckets)
-    phi = area * blockmul(cache.W_pol.transpose(0, 2, 1), gp, buckets)
-    mean0 = area * ((w * mean[..., :2, :]) @ cache.mean_E[0])
-    return SolenoidalField(cache.geometry, cache.resolution, psi, phi, mean0)
+    wa, Q, buckets = cache.geometry.area * cache.w, cache.resolution.Q, cache.layout.buckets
+    adjoint = np.swapaxes(cache.layout.mixing(("u",))[0].conj(), -1, -2)
+    g = np.matmul(adjoint, np.swapaxes(rows, -3, -2), out=_slot(work, "mixed"))
+    np.multiply(g, wa, out=g)
+    gt = g[..., 0, :] @ cache.synth_T[:, :Q].T
+    gp = g[..., 1:, :].reshape(*g.shape[:-2], 2 * Q) @ cache.synth_C[:, :2 * Q].T
+    return SolenoidalField(cache.geometry, cache.resolution,
+                           blockmul(cache.W_tor.transpose(0, 2, 1), gt, buckets),
+                           blockmul(cache.W_pol.transpose(0, 2, 1), gp, buckets),
+                           (wa * mean[..., :2, :]) @ cache.mean_E[0])
 
 
 def project_velocity(U, cache, work=None):

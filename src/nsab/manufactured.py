@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import gauss_legendre, legendre_table, recombined_bases
 from .params import ParameterError
-from .field import analyze, velocity
+from .field import analyze
 from .stationary import wall_dual, wall_traction
 
 
@@ -106,13 +106,11 @@ class ManufacturedCase:
         row = self.row(ops)
         z = ops.cache.z
         e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
-        m = e1 * e1 + e2 * e2
         t, p = self.mode_potentials(z, 5)
         q0 = self.pressure_profile(z)
         grad_p = np.stack([1j * e1 * q0, 1j * e2 * q0, self.pressure_profile(z, 1)])
-        prof = velocity(e1, e2, m, t[4] - 2 * m * t[2] + m * m * t[0],
-                        p[5] - 2 * m * p[3] + m * m * p[1],
-                        p[4] - 2 * m * p[2] + m * m * p[0]) + grad_p
+        bilap = ops.layout.mixing(("bilap_u",))[0][row]
+        prof = bilap @ np.concatenate([t[:5], p]) + grad_p
         rows = np.zeros((3, len(ops.layout.reps), len(z)), complex)
         rows[:, row] = prof
         return rows, np.zeros((3, len(z)))
@@ -143,21 +141,23 @@ class ManufacturedCase:
         res = ops.resolution
         geo = ops.geometry
         z2, w2 = gauss_legendre(2 * res.Q + 12, geo.H)
-        e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
-        m = e1 * e1 + e2 * e2
         row = self.row(ops)
-        g = ops.layout.block[row]
+        g, m = ops.layout.block[row], ops.layout.eta[2][row, 0]
         Et, Ep = recombined_bases(res.P, z2, geo.H, 3)
         th = np.stack([(E @ ops.cache.W_tor[g]) @ u.psi[row] for E in Et])
         ph = np.stack([(E @ ops.cache.W_pol[g]) @ u.phi[row] for E in Ep])
         ts, ps = self.mode_potentials(z2, 4)
         area = geo.area
 
+        mix = ops.layout.mixing(("u",))[0][row]
+
+        def velocity(t, p):
+            # of potential derivative stacks t (psi) and p (phi), orders 0 up
+            return mix @ np.stack([t[0], p[0], p[1]])
+
         def norms(dt, dp):
-            e0 = velocity(e1, e2, m, dt[0], dp[1], dp[0])
-            e1v = velocity(e1, e2, m, dt[1], dp[2], dp[1])
-            lap = velocity(e1, e2, m, dt[2] - m * dt[0], dp[3] - m * dp[1],
-                           dp[2] - m * dp[0])
+            e0, e1v = velocity(dt, dp), velocity(dt[1:], dp[1:])
+            lap = velocity(dt[2:] - m * dt[:2], dp[2:] - m * dp[:2])
             l2 = 2 * area * float(np.sum(w2 * np.abs(e0) ** 2))
             h1 = l2 + 2 * area * float(np.sum(w2 * (m * np.abs(e0) ** 2
                                                     + np.abs(e1v) ** 2)))

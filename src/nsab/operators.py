@@ -170,7 +170,8 @@ class OperatorSet:
         z = (K_a + s) c, A0^2 = ||u||^2, A_half^2 = a(u, u) + s A0^2, A1^2 =
         ||z||^2 and A1_lambda^2 = <M_Lambda z, z> = A1^2 + alpha^2 <K_grad z, z>.
         The call applies K_a once; grad_sq and A1_lambda, which only energy
-        reports read, apply K_grad on first read (:class:`ScaleNorms`).
+        reports read, apply K_grad on first read (:class:`ScaleNorms`), the
+        latter to z with some rows rounded once (:meth:`_rounded_once`).
         For finite c, a square that overflows (to inf, -inf or nan) gives an
         inf norm: the watchdog's blow-up signal.
         """
@@ -182,8 +183,21 @@ class OperatorSet:
             n0, n1, n2 = _root(np.array([l2sq, a_uu + s * l2sq, z2]))
         sn = ScaleNorms(A0=n0, A_half=n1, A1=n2, shift=s, l2_sq=l2sq, a_uu=a_uu)
         sn.later = {"grad_sq": lambda: self.form_inner("K_grad", f, f),
-                    "A1_lambda": lambda: _root(z2 + a2 * self.form_inner("K_grad", z, z))}
+                    "A1_lambda": lambda: _root(z2 + a2 * self.form_inner(
+                        "K_grad", self._rounded_once(f, z), z))}
         return sn
+
+    def _rounded_once(self, f, z):
+        """z = (K_a + s) c of :meth:`a_scale_norms`, in place, with the rows
+        where its roundoff weighs most in <K_grad z, z>, the mean's and the
+        smallest-m toroidal block's, rounded once from long double."""
+        m, block, s = self.layout.m, self.layout.block, np.longdouble(self.shift)
+        low = np.flatnonzero(m[block] == m.min(initial=np.inf))
+        for c, zc, rows, K in ((f.mean, z.mean, [0, 1], self.blocks[2].K_a[[0, 0]]),
+                               (f.psi, z.psi, low, self.blocks[0].K_a[block[low]])):
+            x = c[..., rows, :].astype(np.clongdouble if c.dtype.kind == "c" else np.longdouble)
+            zc[..., rows, :] = (K.astype(np.longdouble) @ x[..., None])[..., 0] + s * x
+        return z
 
 
 def _root(sq):

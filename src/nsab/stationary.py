@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import SolenoidalField, blockmul, synthesize, velocity, zero_field
+from .field import SolenoidalField, blockmul, synthesize, zero_field
 
 
 class ConsistencyError(RuntimeError):
@@ -147,7 +147,7 @@ def strong_bc_residual(u, ops):
     ct, cp = blockmul(cache.W_tor, u.psi, buckets), blockmul(cache.W_pol, u.phi, buckets)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
     pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
-    uw = velocity(e1, e2, m, tt[0], pt[1], pt[0])
+    uw = ops.layout.mixing(("u",))[0] @ np.stack([tt[0], pt[0], pt[1]], axis=-2)
     r1, r2 = wall_traction(e1, e2, m, tt, pt, ops.params.gamma, kk)
     # mean flow (U1, U2, 0): omega = (-U2', U1', 0); traces (2 walls, 2 comps)
     t = [cache.mean_tr[d] @ u.mean.T for d in range(3)]

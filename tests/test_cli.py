@@ -382,6 +382,11 @@ def _config_with(overrides):
     *(pytest.param(sub, {"u0.amplitude": "1e200"}, False, id=f"{sub}-u0-norm-overflows")
       for sub in ("evolve", "sweep", "probe-uniqueness")),
     pytest.param("evolve", {"u0.amplitude": "1e300"}, False, id="evolve-amplitude-1e300"),
+    # A1(u0) is finite but the ceiling, its multiple, overflows: evolve used
+    # to write a row of NaN at t = 0.02 and exit 4 at t = 0.04
+    *(pytest.param(sub, {"u0.amplitude": "1e100", "watchdog.ceiling": "1e300"}, False,
+                   id=f"{sub}-ceiling-overflows")
+      for sub in ("evolve", "sweep", "probe-uniqueness")),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
                                             out_under_file):
@@ -406,7 +411,10 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
     if "u0.decay" in overrides:  # the line names the decay
         assert "decay = -50.0" in proc.stderr
     if "u0.amplitude" in overrides:  # the line names the norm; only the manifest is written
-        assert "A1 = inf" in proc.stderr
+        if "watchdog.ceiling" in overrides:
+            assert "watchdog ceiling 1e+300 times" in proc.stderr and "A1 = " in proc.stderr
+        else:
+            assert "A1 = inf" in proc.stderr
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 

@@ -15,7 +15,8 @@ from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
 from nsab import evolution, field
 from nsab.basis import BasisCache
 from nsab.field import (SolenoidalField, blockmul, layout_for, project_velocity,
-                        random_field, reconstruct, synthesize, zero_field)
+                        random_field, reconstruct, synthesize, synthesize_rows,
+                        zero_field)
 from nsab.operators import FORMS, OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
@@ -273,6 +274,46 @@ def test_step_matches_high_precision_solve(request, geometry, res_small):
         assert err <= 1e-14 * cmax
 
 
+def _textbook_step(ops, dt, theta, u, G):
+    """A x = (M_L - (1 - theta) dt S) u - dt G solved row by row with
+    np.linalg.solve on the assembled forms, A = M_L + theta dt S, behind
+    any member axes."""
+    b2, out = ops.params.beta**2, []
+    for blk, c, g, blocks in zip(ops.blocks, u.potentials(), G.potentials(),
+                                 ops.layout.potential_blocks):
+        S = b2 * blk.K_a + blk.K_grad
+        A, B = ((blk.M_lambda + w * dt * S)[blocks] for w in (theta, theta - 1.0))
+        rhs = (B @ c[..., None])[..., 0] - dt * g
+        out.append(np.linalg.solve(A, rhs[..., None])[..., 0])
+    return SolenoidalField(u.geometry, u.resolution, *out)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("members", [1, 3], ids=["single", "stack-3"])
+@pytest.mark.parametrize("scheme, theta", [("euler", 1.0), ("cnab2", 0.5)])
+def test_step_is_the_textbook_solve(par, geo, scheme, theta, members, nonlinear):
+    """The step's one product per potential, [P | -dt Q] or
+    [2 P - I | -1.5 dt Q | 0.5 dt Q] applied to [u | N | N_prev], equals
+    the solve of A u' = (M_L - (1 - theta) dt S) u - dt G to 1e-13
+    relative, G = N (euler), 1.5 N - 0.5 N_prev (cnab2) or 0 (nonlinear
+    off), for one field and for a 3-member stack."""
+    res = Resolution(N1=8, N2=8, P=16)
+    o = OperatorSet(par, geo, res)
+
+    def draw(seed):
+        fields = [random_field(geo, res, seed=seed + j, amplitude=0.5) for j in range(members)]
+        return SolenoidalField.stack(fields) if members > 1 else fields[0]
+
+    u, Nprev = draw(1), nonlinear_term(draw(11), o)
+    got = IMEXStepper(o, 0.02, scheme, nonlinear).step(EvolutionState(0.0, u, Nprev)).field
+    N = nonlinear_term(u, o)
+    G = (N if scheme == "euler" else N * 1.5 - Nprev * 0.5) if nonlinear else u * 0.0
+    want = _textbook_step(o, 0.02, theta, u, G)
+    for a, b in zip(got.potentials(), want.potentials()):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
 def test_zero_state_is_fixed_point(ops, geo, res_small):
     st = EvolutionState(0.0, zero_field(geo, res_small))
     stepper = IMEXStepper(ops, 0.01, "euler")
@@ -468,17 +509,21 @@ def test_energy_reports_reuse_previous_energy_bitwise(ops, geo, res_small, caden
 
 def _full_norms(ops, f):
     """The watchdog norms and report terms with every K_a and K_grad product
-    formed on every call, summed as one array over the potentials."""
-    s, sums = ops.shift, np.zeros(4)
+    formed on every call, summed as one array over the potentials; the
+    <K_grad z, z> of A1_lambda takes z with the rows a_scale_norms rounds
+    once from long double."""
+    s, sums, zs = ops.shift, np.zeros(4), []
+    runs = ops.layout.potential_buckets
     with np.errstate(over="ignore", invalid="ignore"):
-        for mult, c, blk, runs in zip((2.0, 2.0, 1.0), f.potentials(), ops.blocks,
-                                      ops.layout.potential_buckets):
-            kc = blockmul(blk.K_a, c, runs)
-            z = kc + s * c
+        for mult, c, blk, run in zip((2.0, 2.0, 1.0), f.potentials(), ops.blocks, runs):
+            kc = blockmul(blk.K_a, c, run)
+            zs.append(kc + s * c)
             sums += mult * np.array([np.vdot(c, kc).real,
-                                     np.vdot(c, blockmul(blk.K_grad, c, runs)).real,
-                                     np.vdot(z, z).real,
-                                     np.vdot(z, blockmul(blk.K_grad, z, runs)).real])
+                                     np.vdot(c, blockmul(blk.K_grad, c, run)).real,
+                                     np.vdot(zs[-1], zs[-1]).real, 0.0])
+        zr = ops._rounded_once(f, SolenoidalField(f.geometry, f.resolution, *zs))
+        for mult, z, blk, run in zip((2.0, 2.0, 1.0), zr.potentials(), ops.blocks, runs):
+            sums[3] += mult * np.vdot(z, blockmul(blk.K_grad, z, run)).real
         l2sq, (a_uu, grad, z2, zg) = f.dot(f), sums
         sq = np.array([l2sq, a_uu + s * l2sq, z2, z2 + ops.params.alpha**2 * zg])
         n0, n1, n2, n2L = np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
@@ -664,8 +709,8 @@ def test_to_grid_with_workspace_reads_the_profiles_given(par, geo, members):
         return SolenoidalField.stack(fields) if members else fields[0]
 
     synthesize(draw(1), o.cache, work.want, par.alpha, work)
-    given = synthesize(draw(7), o.cache, work.want, par.alpha).values()
-    np.testing.assert_array_equal(grid.to_grid(given, work), grid.to_grid(given))
+    given = synthesize_rows(draw(7), o.cache, work.want, par.alpha)
+    np.testing.assert_array_equal(grid.to_grid(*given, work), grid.to_grid(*given))
 
 
 def test_cnab2_history_owns_its_arrays(par, geo, monkeypatch):
@@ -724,8 +769,8 @@ def test_no_operator_stack_is_copied_per_row(par, geo):
     garding_constants(o)
     assert not hasattr(o.cache, "row_bases")
     assert o.cache.W_tor.shape[0] == o.cache.W_pol.shape[0] == U
-    for blk, P, Q, size in zip(o.blocks, stepper._P, stepper._Q, (U, U, 1)):
-        for a in [getattr(blk, form) for form in FORMS] + [P, Q]:
+    for blk, stack, size in zip(o.blocks, stepper._stacks, (U, U, 1)):
+        for a in [getattr(blk, form) for form in FORMS] + [stack]:
             assert a.shape[0] == size
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
 from nsab.evolution import run_evolution
-from nsab.field import layout_for, random_field, reconstruct, zero_field
+from nsab.field import SolenoidalField, layout_for, random_field, reconstruct, zero_field
 from nsab.operators import FORMS, OperatorSet, poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
@@ -345,6 +345,28 @@ def test_a_scale_norms_match_extended_precision(geo):
         want = _a_scale_norms_longdouble(ops, f, got["shift"])
         for name, w in zip(("A0", "A_half", "A1", "A1_lambda"), want):
             assert abs(np.longdouble(got[name]) - w) <= 1e-13 * w, name
+
+
+def test_a_scale_norms_hold_their_bound_under_roundoff_noise(geo):
+    """A1_lambda weights the float64 roundoff of z = (K_a + s) c toward the
+    high modes; rounded once from long double on the rows where it weighs
+    most, every norm of the stepped state of
+    test_a_scale_norms_match_extended_precision and of ten copies with
+    1e-15 relative noise stays within the same 1e-13 (in float64 alone
+    about a third of such copies missed it, by up to 2.4e-13)."""
+    res = Resolution(N1=16, N2=16, P=32)
+    ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res)
+    u0 = random_field(geo, res, seed=3, amplitude=0.2)
+    stepped = run_evolution(ops, u0, 0.02, 0.2, cadence=10).final.field
+    rng = np.random.default_rng(5)
+    for copy in range(11):
+        noise = [1.0 + (copy > 0) * 1e-15 * rng.standard_normal(c.shape)
+                 for c in stepped.potentials()]
+        f = SolenoidalField(geo, res, *(c * e for c, e in zip(stepped.potentials(), noise)))
+        got = ops.a_scale_norms(f)
+        want = _a_scale_norms_longdouble(ops, f, got["shift"])
+        for name, w in zip(("A0", "A_half", "A1", "A1_lambda"), want):
+            assert abs(np.longdouble(got[name]) - w) <= 1e-13 * w, (name, copy)
 
 
 FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
