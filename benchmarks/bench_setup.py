@@ -22,7 +22,7 @@ to a file at the repository root:
   workload.  The ``errors`` stage exists for the manufactured solves only.
 
 ``machine`` records the numpy and scipy installed for this interpreter; a
-run's manifest names scipy only when the run loaded it.  The files hold no
+run's manifest names numpy alone, as no nsab run loads scipy.  The files hold no
 timestamps, so reruns on one machine differ only by timing noise.
 
     python benchmarks/bench_setup.py                  # all cases, 5 runs each

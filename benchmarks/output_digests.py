@@ -71,7 +71,7 @@ SMALL = [
     *_stationary(24),
     ("solve-odd", "solve", ODD + _res(6, 8, 16) + ("forcing.seed = 5",), 0),
     ("convergence", "convergence", _res(8, 8, 12) + ("convergence.p_values = 12,16,20",), 0),
-    ("verify-adn", "verify-adn", ("covering.n_circle = 8", "covering.n_magnitude = 4"), 0),
+    ("verify-adn", "verify-adn", (), 0),
     ("evolve-odd-cnab2", "evolve", ODD + _trajectory(8, 12, 16, "cnab2", 0.1), 0),
     ("probe", "probe-uniqueness", _trajectory(8, 8, 16, "cnab2", 0.1) + ("probe.seed = 4",), 0),
     ("sweep", "sweep", _trajectory(4, 4, 12, "euler", 0.1) + ("sweep.levels = 3",), 0),
@@ -80,8 +80,7 @@ FULL = SMALL + [
     *_stationary(32), *_stationary(40), *_stationary(48),
     ("eigs-odd-gamma1", "eigs", ODD + _res(8, 6, 16) + (
         "model.gamma = 1.0", "model.ell = 0.05", "eigs.count = 12"), 0),
-    ("verify-adn-gamma0.5", "verify-adn", (
-        "model.gamma = 0.5", "covering.n_circle = 8", "covering.n_magnitude = 4"), 0),
+    ("verify-adn-gamma0.5", "verify-adn", ("model.gamma = 0.5",), 0),
     ("evolve-n16p32", "evolve", _trajectory(16, 16, 32, "euler", 0.2) + (
         "output.cadence = 5",), 0),
 ]

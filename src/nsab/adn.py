@@ -30,16 +30,20 @@ wall distance t whose decaying solutions form the five-parameter family
 with the divergence constraints b3 = i(eta.b_h)/|eta| and
 a3 = (i(eta.a_h) + b3)/|eta|.  Two variants of the particular solution
 vpart are provided: ``divergence_free`` (third component proportional to
-|eta|^2 t^2 + 2|eta| t + 2, an actual solution of the full system, used by
-every numeric check here) and ``momentum_only`` (third component
+|eta|^2 t^2 + 2|eta| t + 2, an actual solution of the full system, the one
+the covering certificate uses) and ``momentum_only`` (third component
 proportional to |eta|^2 t^2 - 2|eta| t - 2, which solves the momentum and
 pressure equations but carries divergence t e^{-|eta|t}/(2|eta|); it is
 kept because the classical elimination constants a3 = +a0/(4|eta|^3) and
 the reduced wall rows 2|eta| b_j + i eta_j b3 = 0 belong to this
 normalization).  The covering condition holds iff applying the five
-boundary rows to the family gives an invertible 5x5 system; both variants
-yield a nonzero determinant, and the conclusion a0 = 0, a = 0, b = 0 is
-reproduced in exact rational arithmetic by ``eliminate_boundary_system``.
+boundary rows to the family gives an invertible 5x5 system.
+:func:`certify_covering` decides it for every eta at once: the family code
+is generic over its scalar type and runs over polynomials in eta1, eta2
+and |eta| (with 1/|eta| a negative exponent), where det B is exactly
+3/(2|eta|) for every gamma (-1/(2|eta|) for the momentum-only variant).
+``eliminate_boundary_system`` reproduces the conclusion a0 = 0, a = 0,
+b = 0 step by step in exact rational arithmetic at one integer |eta|.
 """
 
 from __future__ import annotations
@@ -235,7 +239,7 @@ def check_ellipticity(system):
 def _expderiv(poly, lam):
     """t-polynomial q with d/dt (e^{-lam t} poly(t)) = e^{-lam t} q(t).
 
-    Works for float/complex and for GaussQ/Fraction scalars alike.
+    Works for float/complex, GaussQ/Fraction and TriPoly scalars alike.
     """
     dpoly = [(i + 1) * c for i, c in enumerate(poly[1:])] + [0 * lam]
     return [d - lam * p for d, p in zip(dpoly, poly)]
@@ -248,14 +252,6 @@ def _expjet(coeffs, lam, order):
         jets.append(poly[0] if poly else 0 * lam)
         poly = _expderiv(poly, lam)
     return jets
-
-
-def _expeval(coeffs, lam, t, order=0):
-    """Value of the order-th t-derivative of e^{-lam t} poly(t) at real t."""
-    poly = list(coeffs)
-    for _ in range(order):
-        poly = _expderiv(poly, lam)
-    return sum((c * t**i for i, c in enumerate(poly)), 0.0j) * np.exp(-lam * t)
 
 
 def _particular_polys(eta1, eta2, lam, variant, one=1.0, imag=1j):
@@ -287,74 +283,37 @@ def _member_polys(a, b, a0, part):
             for j in range(3)]
 
 
-@dataclass
-class DecayingSolutionFamily:
-    """One member of the decaying half-space solution family."""
-
-    eta: tuple
-    a: np.ndarray   # complex 3-vector, horizontal parts free
-    b: np.ndarray
-    a0: complex
-    variant: str = DIVERGENCE_FREE
-
-    @property
-    def lam(self):
-        return float(np.hypot(self.eta[0], self.eta[1]))
-
-    def component_polys(self):
-        """Per-component t-polynomials multiplying e^{-|eta| t}."""
-        part = _particular_polys(self.eta[0], self.eta[1], self.lam, self.variant)
-        return _member_polys(self.a, self.b, self.a0, part)
-
-    def u_jet(self, order):
-        polys = self.component_polys()
-        return np.array([_expjet(p, self.lam, order) for p in polys])
-
-    def p_jet(self, order):
-        return np.array(_expjet([self.a0], self.lam, order))
-
-    def u_at(self, t, deriv=0):
-        return np.array([_expeval(p, self.lam, t, deriv)
-                         for p in self.component_polys()])
-
-    def p_at(self, t, deriv=0):
-        return _expeval([self.a0], self.lam, t, deriv)
-
-    def ode_residual(self, t):
-        """Max residual of the half-space system at time t (momentum,
-        pressure-forced third component, divergence)."""
-        e1, e2 = self.eta
-        m = self.lam**2
-        u = [self.u_at(t, d) for d in range(5)]
-        p0 = self.p_at(t)
-        p1 = self.p_at(t, 1)
-        bih = u[4] - 2 * m * u[2] + m * m * u[0]
-        res = [bih[0] + 1j * e1 * p0, bih[1] + 1j * e2 * p0, bih[2] + p1,
-               u[1][2] + 1j * e1 * u[0][0] + 1j * e2 * u[0][1]]
-        return float(np.max(np.abs(res)))
-
-
-def closed_form_family(eta, a1=0.0, a2=0.0, b1=0.0, b2=0.0, a0=0.0,
-                       variant=DIVERGENCE_FREE):
-    """Member of the decaying family, a3 and b3 completed by
-    :func:`_completion`."""
-    e1, e2 = float(eta[0]), float(eta[1])
-    lam = np.hypot(e1, e2)
-    if lam == 0.0:
-        raise ValueError("eta must be nonzero")
-    a, b = _completion(e1, e2, lam, 1j, a1, a2, b1, b2)
-    return DecayingSolutionFamily((e1, e2), np.array(a, complex), np.array(b, complex),
-                                  complex(a0), variant)
-
-
-def family_basis(eta, variant=DIVERGENCE_FREE):
-    """The five canonical family members (unit a1, a2, b1, b2, a0)."""
-    out = []
+def _family_members(eta1, eta2, lam, variant, one=1.0, imag=1j):
+    """Per-component t-polynomials of the five family basis members (unit
+    a1, a2, b1, b2, a0 in turn), for any scalar type: floats, GaussQ, or
+    TriPoly in (eta1, eta2, |eta|)."""
+    part = _particular_polys(eta1, eta2, lam, variant, one=one, imag=imag)
+    members = []
     for k in range(5):
-        args = [0.0] * 5
-        args[k] = 1.0
-        out.append(closed_form_family(eta, *args, variant=variant))
-    return out
+        free = [0 * one] * 5
+        free[k] = one
+        a, b = _completion(eta1, eta2, lam, imag, *free[:4])
+        members.append(_member_polys(a, b, free[4], part))
+    return members
+
+
+def _ode_residual(eta1, eta2, lam, imag, polys, a0):
+    """t-polynomials multiplying e^{-|eta| t} in the four rows of the
+    half-space system (momentum 1-3 with the pressure a0 e^{-|eta| t},
+    divergence) for the member with component polynomials polys."""
+    m = lam * lam
+    d = [polys]
+    for _ in range(4):
+        d.append([_expderiv(p, lam) for p in d[-1]])
+
+    def bih_plus(j, c):  # (d_t^2 - |eta|^2)^2 u_j + c e^{-|eta| t}
+        row = [u4 - 2 * m * u2 + m * m * u0 for u0, u2, u4 in zip(d[0][j], d[2][j], d[4][j])]
+        return [row[0] + c] + row[1:]
+
+    return [bih_plus(0, imag * eta1 * a0), bih_plus(1, imag * eta2 * a0),
+            bih_plus(2, -lam * a0),
+            [w + imag * eta1 * u + imag * eta2 * v
+             for w, u, v in zip(d[1][2], d[0][0], d[0][1])]]
 
 
 # ---------------------------------------------------------------------------
@@ -377,154 +336,95 @@ def _boundary_rows(eta1, eta2, jets, gamma, imag=1j):
     return [jets[0][0], jets[1][0], jets[2][0], r4, r5]
 
 
-def boundary_system(eta, gamma=0.0, variant=DIVERGENCE_FREE):
-    """5x5 matrix of the boundary conditions acting on (a1, a2, b1, b2, a0).
+def _boundary_matrix(eta1, eta2, lam, gamma, members, imag=1j):
+    """Row-major 5x5 boundary matrix acting on (a1, a2, b1, b2, a0): column
+    k holds the five rows applied to member k.  a3 and b3 are eliminated
+    through the divergence constraints inside the family; the gamma terms act
+    on u(0) and drop out after the Dirichlet rows, so the determinant is
+    gamma-independent."""
+    cols = [_boundary_rows(eta1, eta2, [_expjet(p, lam, 2) for p in member], gamma, imag)
+            for member in members]
+    return [list(row) for row in zip(*cols)]
 
-    Dirichlet rows plus the two tangential traction rows; a3, b3 are
-    eliminated through the divergence constraints inside the family.  The
-    gamma terms act on u(0) and drop out after the Dirichlet rows, so the
-    determinant and kernel are gamma-independent.
-    """
-    if np.hypot(*eta) == 0.0:
-        raise ValueError("eta must be nonzero")
-    cols = []
-    for fam in family_basis(eta, variant):
-        jets = fam.u_jet(2)
-        cols.append(_boundary_rows(eta[0], eta[1], jets, gamma))
-    return np.array(cols, complex).T
+
+def _mod_lambda(p):
+    """Normal form of p in x1 = eta1, x2 = eta2, x3 = |eta| modulo
+    |eta|^2 = eta1^2 + eta2^2: each eta1^2 becomes |eta|^2 - eta2^2, leaving
+    eta1 degree at most 1.  The relation is monic in eta1, so the form is
+    unique: p vanishes for every eta iff its normal form is zero."""
+    swap = TriPoly.var(2, 2) - TriPoly.var(1, 2)
+    out = TriPoly()
+    for (a, b, c), coef in p.terms.items():
+        out = out + TriPoly({(a % 2, b, c): coef}) * swap ** (a // 2)
+    return out
+
+
+#: the family's free parameters and the half-space system's rows
+MEMBERS = ("a1", "a2", "b1", "b2", "a0")
+ODE_ROWS = ("momentum 1", "momentum 2", "momentum 3", "divergence")
 
 
 @dataclass
-class CoveringReport:
-    eta: tuple
-    det: complex
-    kernel_dim: int
+class CoveringCertificate:
     passed: bool
-    sigma_ratio: float
+    method: str
+    determinant: TriPoly = None  # det B, normal form in x1 = eta1, x2 = eta2, x3 = |eta|
+    residual: tuple = None       # first nonzero ODE residual: (member, row, t-coefficients)
+
+    @property
+    def ode_residual(self):
+        """The first nonzero ODE residual as text, "0" when there is none."""
+        if self.residual is None:
+            return "0"
+        member, row, coeffs = self.residual
+        terms = " + ".join(f"({c})*t^{k}" for k, c in enumerate(coeffs) if not c.is_zero)
+        return f"{member} member, {row} row: ({terms})*exp(-x3*t)"
 
 
-def check_covering(eta, gamma=0.0):
-    """Covering condition of the divergence-free system at one tangential
-    frequency.
+def certify_covering(ellipticity, gamma=0, variant=DIVERGENCE_FREE):
+    """Decide the covering condition at every eta != 0 at once, exactly.
 
-    The kernel dimension is decided on the row/column-equilibrated matrix
-    (the raw matrix has columns scaling like |eta|^0, |eta|^-1, |eta|^-3,
-    so equilibration keeps the singular-value test meaningful across
-    magnitudes): singular values below 1e-8 of the largest."""
-    B = boundary_system(eta, gamma=gamma)
-    det = complex(np.linalg.det(B))
-    Bs = B / np.linalg.norm(B, axis=0, keepdims=True)
-    Bs = Bs / np.linalg.norm(Bs, axis=1, keepdims=True)
-    sv = np.linalg.svd(Bs, compute_uv=False)
-    ratio = float(sv[-1] / sv[0])
-    kdim = int(np.sum(sv <= 1e-8 * sv[0]))
-    return CoveringReport(tuple(float(x) for x in eta), det, kdim, kdim == 0, ratio)
+    The family code runs over TriPoly in x1 = eta1, x2 = eta2, x3 = |eta|
+    (1/|eta| is the exponent -1), reduced by :func:`_mod_lambda`.  It passes
+    on three exact facts:
 
+    * the decaying space has dimension 5: ``ellipticity`` (the report of
+      :func:`check_ellipticity` for this system) found the determinant
+      c |xi|^10, so det L(eta, tau) = c (|eta|^2 + tau^2)^5 has five roots
+      tau = i|eta| in the upper half plane;
+    * the five members solve the half-space system: every ODE residual
+      reduces to zero;
+    * det B reduces to one monomial c |eta|^k, c != 0, nonzero at every
+      eta != 0: the members are independent, hence a basis of the decaying
+      space, and the boundary map on it is invertible.
 
-# ---------------------------------------------------------------------------
-# numeric stable subspace (independent of the closed form)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StableSubspace:
-    eta: tuple
-    dim: int
-    jets: np.ndarray  # (14, dim): u-jets through order 3, then p(0), p'(0)
-
-
-def _companion_matrix(eta):
-    e1, e2 = eta
-    m = e1 * e1 + e2 * e2
-    C = np.zeros((14, 14), complex)
-    for i in range(9):
-        C[i, i + 3] = 1.0
-    C[9, 6] = 2 * m
-    C[9, 0] = -(m * m)
-    C[9, 12] = -1j * e1
-    C[10, 7] = 2 * m
-    C[10, 1] = -(m * m)
-    C[10, 12] = -1j * e2
-    C[11, 8] = 2 * m
-    C[11, 2] = -(m * m)
-    C[11, 13] = -1.0
-    C[12, 13] = 1.0
-    C[13, 12] = m
-    return C
-
-
-def jet_scale(eta):
-    """(14,) |eta|-scaling of the jet coordinates (u, u', u'', u''', p, p'):
-    |eta|^-d on the d-th derivative of u, |eta|^-3 on p and |eta|^-4 on p'.
-    The decaying solutions are O(1) in every scaled coordinate, and the
-    scaled companion matrix has entries O(|eta|) where the raw one reaches
-    |eta|^4; at |eta| = 1 the scaling is the identity."""
-    order = np.array([0] * 3 + [1] * 3 + [2] * 3 + [3] * 3 + [3, 4], float)
-    return np.hypot(*eta) ** -order
-
-
-def numeric_stable_subspace(eta):
-    """Decaying solution jets computed generically from the first-order form.
-
-    State vector (u, u', u'', u''', p, p').  The ordered Schur form isolates
-    the invariant subspace of eigenvalues with negative real part (dimension
-    7: Jordan chains at -|eta| plus the pressure root); imposing the two
-    divergence jets div(0) = div'(0) = 0 cuts it to the physical dimension 5.
-    The subspace is computed in the scaled coordinates of :func:`jet_scale`,
-    so its error does not grow with |eta|; the jets are returned unscaled.
+    det B is computed whatever the residual.  A determinant that reduces to
+    zero fails with "zero determinant", any other form with "no exact
+    certificate": no sampled eta stands in for the identity.
     """
-    if np.hypot(*eta) == 0.0:
-        raise ValueError("eta must be nonzero")
-    # imported here, not at module level, so that importing nsab (and the
-    # CLI) does not load scipy.linalg; only these verify-adn checks use it
-    import scipy.linalg as sla
-
-    d = jet_scale(eta)
-    C = d[:, None] * _companion_matrix(eta) / d
-    try:
-        T, Z, sdim = sla.schur(C, output="complex", sort=lambda z: z.real < 0)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise RuntimeError(f"Schur decomposition failed for eta={eta}: {exc}")
-    if sdim != 7:
-        raise RuntimeError(f"expected a 7-dimensional decaying subspace, got {sdim}")
-    Z7 = Z[:, :7]
-    e1, e2 = eta
-    Acon = np.zeros((2, 14), complex)
-    Acon[0, 5] = 1.0
-    Acon[0, 0] = 1j * e1
-    Acon[0, 1] = 1j * e2
-    Acon[1, 8] = 1.0
-    Acon[1, 3] = 1j * e1
-    Acon[1, 4] = 1j * e2
-    M = (Acon / d) @ Z7
-    _, sv, Vh = np.linalg.svd(M)
-    null = Vh.conj().T[:, 2:]
-    jets = (Z7 @ null) / d[:, None]
-    return StableSubspace(tuple(eta), jets.shape[1], jets)
-
-
-def closed_form_jets(eta, variant=DIVERGENCE_FREE):
-    """(14, 5) jet matrix of the closed-form family, companion layout."""
-    cols = []
-    for fam in family_basis(eta, variant):
-        uj = fam.u_jet(3)   # (3, 4): components x derivative order
-        pj = fam.p_jet(1)
-        cols.append(np.concatenate([uj.T.ravel(), pj]))
-    return np.array(cols, complex).T
-
-
-def stable_subspace_angle(eta, variant=DIVERGENCE_FREE):
-    """Largest principal angle between numeric and closed-form jet spaces,
-    both in the scaled coordinates of :func:`jet_scale`, where the angle
-    stays at roundoff for every |eta| (in raw coordinates the |eta|^4
-    companion entries lift it to ~5e-8 at |eta| ~ 480)."""
-    import scipy.linalg as sla
-
-    d = jet_scale(eta)[:, None]
-    num = numeric_stable_subspace(eta)
-    cf = closed_form_jets(eta, variant)
-    ang = sla.subspace_angles(d * num.jets, d * cf)
-    return float(np.max(ang)) if ang.size else 0.0
-
+    if not (ellipticity.passed and ellipticity.residual_degree == 0
+            and ellipticity.sos_exponent == len(MEMBERS)):
+        return CoveringCertificate(False, "no decaying space of dimension 5")
+    one, i = TriPoly.const(1), TriPoly.const(GaussQ.i())
+    e1, e2, lam = (TriPoly.var(k) for k in range(3))
+    members = _family_members(e1, e2, lam, variant, one=one, imag=i)
+    residual = None
+    for name, polys, a0 in zip(MEMBERS, members, (0, 0, 0, 0, 1)):
+        rows = _ode_residual(e1, e2, lam, i, polys, a0 * one)
+        for row, coeffs in zip(ODE_ROWS, rows):
+            coeffs = [_mod_lambda(c) for c in coeffs]
+            if residual is None and not all(c.is_zero for c in coeffs):
+                residual = (name, row, coeffs)
+    B = _boundary_matrix(e1, e2, lam, GaussQ(Fraction(gamma)), members, imag=i)
+    det = _mod_lambda(poly_determinant(B))
+    found = dict(determinant=det, residual=residual)
+    if det.is_zero:
+        return CoveringCertificate(False, "zero determinant", **found)
+    if len(det.terms) != 1 or next(iter(det.terms))[:2] != (0, 0):
+        return CoveringCertificate(False, "no exact certificate", **found)
+    if residual is not None:
+        return CoveringCertificate(False, "nonzero ODE residual", **found)
+    return CoveringCertificate(True, "exact c*|eta|^k determinant", **found)
 
 # ---------------------------------------------------------------------------
 # exact symbolic elimination of the boundary system
@@ -550,25 +450,6 @@ class EliminationRecord:
     det5: GaussQ
 
 
-def _exact_family_jets(eta, variant):
-    """Exact jets of the five family basis members (integer |eta| required),
-    with the particular solution's polynomials."""
-    e1, e2 = eta
-    lam_int = _int_sqrt(e1 * e1 + e2 * e2)
-    if lam_int is None:
-        raise ValueError("exact elimination needs integer |eta|")
-    lam, one, i = GaussQ.of(lam_int), GaussQ.of(1), GaussQ.i()
-    E1, E2 = GaussQ.of(e1), GaussQ.of(e2)
-    part = _particular_polys(E1, E2, lam, variant, one=one, imag=i)
-    cols = []
-    for k in range(5):
-        free = [GaussQ.of(0)] * 5
-        free[k] = one
-        a, b = _completion(E1, E2, lam, i, *free[:4])
-        cols.append([_expjet(p, lam, 2) for p in _member_polys(a, b, free[4], part)])
-    return cols, part, lam, i, E1, E2
-
-
 def eliminate_boundary_system(eta, gamma=0, variant=MOMENTUM_ONLY):
     """Step-by-step exact elimination of the five boundary conditions.
 
@@ -579,17 +460,21 @@ def eliminate_boundary_system(eta, gamma=0, variant=MOMENTUM_ONLY):
     +-(2|eta| b_j + i eta_j b3) - whose invertibility forces b = 0, after
     which a3 = b3/|eta| = 0 and a0 = 0 follow.
     """
-    jets, part, lam, i, E1, E2 = _exact_family_jets(eta, variant)
-    g = GaussQ(Fraction(gamma))
-    rows = [_boundary_rows(E1, E2, jets[k], g, imag=i) for k in range(5)]
-    Bx = [[rows[k][r] for k in range(5)] for r in range(5)]  # 5x5, row-major
+    lam_int = _int_sqrt(eta[0] * eta[0] + eta[1] * eta[1])
+    if lam_int is None:
+        raise ValueError("exact elimination needs integer |eta|")
+    lam, one, i = GaussQ.of(lam_int), GaussQ.of(1), GaussQ.i()
+    E1, E2 = GaussQ.of(eta[0]), GaussQ.of(eta[1])
+    members = _family_members(E1, E2, lam, variant, one=one, imag=i)
+    Bx = _boundary_matrix(E1, E2, lam, GaussQ(Fraction(gamma)), members, imag=i)
     det5 = poly_determinant(Bx)
+    vpart3 = members[4][2][0]  # u_3(0) of the a0 member: vpart_3(0)
 
     # rows 0,1 must read a1 = 0 and a2 = 0 exactly
     assert Bx[0][0] == GaussQ.of(1) and all(Bx[0][j].is_zero for j in (1, 2, 3, 4))
     assert Bx[1][1] == GaussQ.of(1) and all(Bx[1][j].is_zero for j in (0, 2, 3, 4))
-    a3_over_a0 = -part[2][0]              # a3 = -a0 * vpart_3(0)
-    a0_over_b3 = -(GaussQ.of(1)) / (lam * part[2][0])  # row 3: b3/|eta| + a0 vpart_3(0) = 0
+    a3_over_a0 = -vpart3                  # a3 = -a0 * vpart_3(0)
+    a0_over_b3 = -one / (lam * vpart3)    # row 3: b3/|eta| + a0 vpart_3(0) = 0
 
     # traction rows with a1 = a2 = 0: columns (b1, b2, a0)
     wall = [[Bx[r][2], Bx[r][3], Bx[r][4]] for r in (3, 4)]

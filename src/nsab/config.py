@@ -5,10 +5,9 @@ Unknown keys, retired keys (with the reason they went), duplicate keys
 violations (constraint named) are all rejected at parse time: every real
 value must be finite, the time step, horizon and watchdog ceiling
 positive, the output cadence, eigenvalue count and sweep levels at least
-1, seeds and covering sample counts nonnegative, and the horizon a whole
-number of time steps.  Physical and resolution parameters, including
-every convergence degree, are re-validated by constructing the typed
-objects.
+1, seeds nonnegative, and the horizon a whole number of time steps.
+Physical and resolution parameters, including every convergence degree,
+are re-validated by constructing the typed objects.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ _SCHEMA = {
     "probe.delta1": (float, 1e-8),
     "probe.delta2": (float, 1e-6),
     "probe.seed": (int, 7),
-    "covering.n_circle": (int, 100),
-    "covering.n_magnitude": (int, 20),
-    "covering.seed": (int, 0),
     "eigs.count": (int, 20),
     "convergence.p_values": (_parse_int_list, (8, 16, 24, 32)),
     "debug.inject_nan_step": (int, 0),
@@ -78,6 +74,9 @@ _SCHEMA = {
 _RETIRED = {
     "resolution.padding": "the padded grid is fixed to the smallest even "
                           "M >= 3N/2 per direction",
+    **dict.fromkeys(("covering.n_circle", "covering.n_magnitude", "covering.seed"),
+                    "verify-adn decides the covering condition for every eta "
+                    "exactly, sampling none"),
 }
 
 
@@ -186,8 +185,7 @@ def _check_domain(values, seen):
         if values[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {values[key]!r}",
                               line=seen.get(key))
-    for key in ("u0.seed", "forcing.seed", "probe.seed", "covering.seed",
-                "covering.n_circle", "covering.n_magnitude"):
+    for key in ("u0.seed", "forcing.seed", "probe.seed"):
         if values[key] < 0:
             raise ConfigError(f"{key} must be nonnegative, got {values[key]!r}",
                               line=seen.get(key))

@@ -1,10 +1,11 @@
 """Exact trivariate polynomials with Gaussian-rational coefficients.
 
-Supports the symbol calculus of the ellipticity checks: cofactor
-determinants, homogeneous-part extraction, exact evaluation, and exact
-single-divisor division (a single generator is a Groebner basis of the
-principal ideal it generates, so reduction has zero remainder iff the
-dividend is a multiple).
+Supports the symbol calculus of the ellipticity and covering checks:
+cofactor determinants, homogeneous-part extraction, exact evaluation,
+exact single-divisor division (a single generator is a Groebner basis of
+the principal ideal it generates, so reduction has zero remainder iff the
+dividend is a multiple), and division by a monomial, which may leave
+negative (Laurent) exponents.
 """
 
 from __future__ import annotations
@@ -150,6 +151,23 @@ class TriPoly:
 
     __rmul__ = __mul__
 
+    def __neg__(self):
+        p = TriPoly()
+        p.terms = {m: -c for m, c in self.terms.items()}
+        return p
+
+    def __truediv__(self, other):
+        """Division by a monomial: exponents subtract, so they may turn
+        negative.  Any other divisor raises ValueError."""
+        other = self._coerce(other)
+        if len(other.terms) != 1:
+            raise ValueError(f"TriPoly divides by a monomial only, not by {other}")
+        (dm, dc), = other.terms.items()
+        p = TriPoly()
+        p.terms = {tuple(e - d for e, d in zip(m, dm)): c / dc
+                   for m, c in self.terms.items()}
+        return p
+
     def __pow__(self, n):
         out = TriPoly.const(1)
         base = self
@@ -236,7 +254,7 @@ class TriPoly:
         parts = []
         for mono in sorted(self.terms, reverse=True):
             c = self.terms[mono]
-            body = "*".join(f"{v}^{e}" if e > 1 else v
+            body = "*".join(f"{v}^{e}" if e != 1 else v
                             for v, e in zip(_VARS, mono) if e)
             parts.append(f"{c}" + (f"*{body}" if body else ""))
         return " + ".join(parts)

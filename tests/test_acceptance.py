@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, check_covering,
+from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, certify_covering,
                       check_ellipticity, eliminate_boundary_system,
-                      ns_alpha_beta_system, stable_subspace_angle,
-                      symbol_determinant)
+                      ns_alpha_beta_system, symbol_determinant)
 from nsab.basis import BasisCache
 from nsab.evolution import (EvolutionState, IMEXStepper,
                             linear_propagator_exact, nonlinear_term,
@@ -28,6 +27,7 @@ from nsab.spectral import eigenpairs_A, garding_constants
 from nsab.stationary import recover_pressure, solve_stationary, strong_bc_residual
 
 from conftest import distinct_blocks, eigenpair_field, params_with_k, velocity_dual
+from covering_oracle import check_covering, stable_subspace_angle
 from fractions import Fraction
 
 GEO = ChannelGeometry()  # 2pi x 2pi x 1
@@ -56,7 +56,11 @@ def test_criterion_01_exact_ellipticity():
 # -- 2 -----------------------------------------------------------------------
 
 def test_criterion_02_covering_condition():
+    """The exact certificate for every eta != 0, cross-checked by the float
+    oracle at 120 sampled frequencies."""
     t0 = time.perf_counter()
+    cert = certify_covering(check_ellipticity(ns_alpha_beta_system()))
+    exact = cert.passed and str(cert.determinant) == "3/2*x3^-1"
     rng = np.random.default_rng(0)
     ok = True
     for th in rng.uniform(0, 2 * np.pi, 100):
@@ -70,8 +74,9 @@ def test_criterion_02_covering_condition():
         worst = max(worst, stable_subspace_angle((np.cos(th), np.sin(th))))
     worst = max(worst, stable_subspace_angle((1.0, 0.0)))
     dt = time.perf_counter() - t0
-    _report(2, "covering holds for 120 frequencies; jets agree to 1e-8",
-            ok and worst <= 1e-8 and dt < 10.0,
+    _report(2, "det B = 3/(2|eta|) exactly; covering holds for 120 frequencies; "
+               "jets agree to 1e-8",
+            exact and ok and worst <= 1e-8 and dt < 10.0,
             f"max angle {worst:.2e}, runtime {dt:.2f}s")
 
 

@@ -1,15 +1,82 @@
-"""Half-space decaying solutions and the covering condition."""
+"""Half-space decaying solutions and the covering condition: the exact
+certificate, and the float oracle of ``covering_oracle`` at sampled eta."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, boundary_system,
-                      check_covering, closed_form_family, closed_form_jets,
-                      eliminate_boundary_system, family_basis,
-                      numeric_stable_subspace, stable_subspace_angle)
-from nsab.polynomial import GaussQ
+from nsab import adn
+from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, certify_covering,
+                      check_ellipticity, eliminate_boundary_system,
+                      ns_alpha_beta_system)
+from nsab.polynomial import GaussQ, TriPoly
+
+from covering_oracle import (boundary_system, check_covering, closed_form_family,
+                             numeric_stable_subspace, stable_subspace_angle)
+
+GAMMAS = (0, 0.5, -1.0, 1e-300)
+
+
+def _certify(gamma=0, variant=DIVERGENCE_FREE):
+    return certify_covering(check_ellipticity(ns_alpha_beta_system(gamma)), gamma, variant)
+
+
+def _inv_lam(c):
+    """c / |eta| in the certificate's variables x3 = |eta|."""
+    return TriPoly({(0, 0, -1): c})
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_certificate_divergence_free_family(gamma):
+    cert = _certify(gamma)
+    assert cert.passed and cert.method == "exact c*|eta|^k determinant"
+    assert cert.determinant == _inv_lam(Fraction(3, 2))
+    assert cert.residual is None and cert.ode_residual == "0"
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_certificate_momentum_only_family(gamma):
+    """det B is -1/(2|eta|), but the a0 member leaves exactly
+    t e^{-|eta| t}/(2|eta|) in the divergence row."""
+    cert = _certify(gamma, MOMENTUM_ONLY)
+    assert not cert.passed and cert.method == "nonzero ODE residual"
+    assert cert.determinant == _inv_lam(Fraction(-1, 2))
+    member, row, coeffs = cert.residual
+    assert (member, row) == ("a0", "divergence")
+    assert coeffs == [TriPoly.zero(), _inv_lam(Fraction(1, 2)), TriPoly.zero()]
+
+
+def _with_second_traction_row(monkeypatch, change):
+    rows = adn._boundary_rows
+
+    def patched(eta1, eta2, jets, gamma, imag=1j):
+        out = rows(eta1, eta2, jets, gamma, imag)
+        return out[:4] + [change(eta1, eta2, out)]
+
+    monkeypatch.setattr(adn, "_boundary_rows", patched)
+
+
+def test_certificate_fails_on_a_vanishing_determinant_form(monkeypatch):
+    # (eta1 - eta2) det B vanishes on the diagonal eta1 = eta2 only
+    _with_second_traction_row(monkeypatch, lambda e1, e2, out: (e1 - e2) * out[4])
+    cert = _certify()
+    assert not cert.passed and cert.method == "no exact certificate"
+    assert len(cert.determinant.terms) == 2
+
+
+def test_certificate_fails_on_a_zero_determinant(monkeypatch):
+    _with_second_traction_row(monkeypatch, lambda e1, e2, out: out[3])
+    cert = _certify()
+    assert not cert.passed and cert.method == "zero determinant"
+    assert cert.determinant.is_zero
+
+
+def test_certificate_needs_five_decaying_solutions():
+    ell = check_ellipticity(ns_alpha_beta_system())
+    ell.sos_exponent = 4
+    cert = certify_covering(ell)
+    assert not cert.passed and cert.determinant is None
 
 
 def test_divergence_constraints():
@@ -132,6 +199,16 @@ def test_numeric_subspace_dimension_and_agreement():
     assert stable_subspace_angle((1.0, 0.0)) <= 1e-8
     assert stable_subspace_angle((0.3, -0.7)) <= 1e-8
     assert stable_subspace_angle((4.0, 3.0)) <= 1e-8
+
+
+def test_subspace_angle_at_large_eta():
+    """|eta| ~ 480, where the companion entries reach |eta|^4 ~ 5e10: the
+    scaled stable-subspace angle stays far below 1e-8."""
+    etas = [(-0.5249048971596284, 0.8511608831107312),
+            (-0.9661891324520125, 0.25783436607951876),
+            (440.23933710439536, -190.486074588291), (1.0, 0.0), (0.0, 1.0)]
+    assert np.hypot(*etas[2]) > 400
+    assert max(stable_subspace_angle(eta) for eta in etas) <= 1e-12
 
 
 def test_numeric_subspace_detects_continuity_defect():

@@ -132,6 +132,21 @@ def test_exact_division():
     assert (p + TriPoly.var(0)).divide_exact(nsq) is None
 
 
+def test_monomial_division_gives_laurent_exponents():
+    lam = TriPoly.var(2)
+    p = (TriPoly.var(0) + 2 * lam) / (4 * lam ** 2)
+    assert p == TriPoly({(1, 0, -2): Fraction(1, 4), (0, 0, -1): Fraction(1, 2)})
+    assert p * (4 * lam ** 2) == TriPoly.var(0) + 2 * lam
+    assert -p + p == TriPoly.zero()
+    with pytest.raises(ValueError, match="monomial"):
+        p / norm_sq_poly()
+
+
+def test_str_prints_every_exponent_but_one():
+    assert str(TriPoly({(0, 0, -1): 1})) == "1*x3^-1"
+    assert str(TriPoly({(1, 0, 0): 2, (0, 2, -3): Fraction(-1, 2)})) == "2*x1 + -1/2*x2^2*x3^-3"
+
+
 def test_symbol_calculus_against_sympy():
     """Apply L(d) to a random polynomial field symbolically and compare with
     the stored operator polynomials term by term."""

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import nsab
 from nsab.basis import BasisCache
 from nsab.cli import main
-from nsab.config import parse_config
+from nsab.config import EXPERIMENTS, parse_config
 from nsab.field import random_field
 
 SMALL = """
@@ -24,8 +23,6 @@ model.ell = 0.01
 resolution.N1 = 4
 resolution.N2 = 4
 resolution.P = 10
-covering.n_circle = 8
-covering.n_magnitude = 3
 eigs.count = 12
 time.dt = 0.02
 time.T = 0.1
@@ -49,25 +46,14 @@ def test_verify_adn_run(cfgfile, tmp_path):
     assert main(["verify-adn", "--config", str(cfgfile), "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["ellipticity"]["pass"]
-    assert all(c["pass"] for c in rep["covering"])
-    assert len(rep["covering"]) == 11
+    # one exact verdict for every eta != 0: det B = 3/(2|eta|), zero ODE residual
+    assert rep["covering"] == {"pass": True, "method": "exact c*|eta|^k determinant",
+                               "variables": "x1 = eta1, x2 = eta2, x3 = |eta|",
+                               "determinant": "3/2*x3^-1", "ode_residual": "0"}
+    assert "subspace_angles" not in rep
     assert rep["all_pass"]
     man = json.loads((out / "manifest.json").read_text())
     assert man["exit_code"] == 0 and "timestamp" in man
-
-
-def test_verify_adn_large_eta_subspace_angle(tmp_path):
-    """Seed 35 samples |eta| ~ 480, where the companion entries reach
-    |eta|^4 ~ 5e10: the scaled stable-subspace angle stays far below 1e-8."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(_config_with({"covering.seed": "35", "covering.n_circle": "2",
-                                 "covering.n_magnitude": "1"}))
-    out = tmp_path / "adn"
-    assert main(["verify-adn", "--config", str(cfg), "--out", str(out)]) == 0
-    rep = json.loads((out / "report.json").read_text())
-    etas = [np.hypot(*map(float, k.split(","))) for k in rep["subspace_angles"]]
-    assert max(etas) > 400
-    assert rep["all_pass"] and max(rep["subspace_angles"].values()) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["evolve", "solve", "convergence"])
@@ -309,13 +295,17 @@ def test_seed_override_changes_data(cfgfile, tmp_path):
 
 
 def test_seed_override_derives_a_seed_per_key(cfgfile, tmp_path):
-    """--seed N gives the four catalog keys distinct seeds, so the probe's
-    perturbation is not u0's own direction, as one seed for both made it."""
+    """--seed N gives the three catalog keys distinct seeds, so the probe's
+    perturbation is not u0's own direction, as one seed for both made it.
+    They are words 0, 1 and 3 of SeedSequence(N).generate_state(4): word 2
+    seeded the retired covering.seed, and skipping it keeps each key's seed."""
     out = tmp_path / "p"
     assert main(["probe-uniqueness", "--config", str(cfgfile), "--out", str(out),
                  "--seed", "5"]) == 0
     seeds = json.loads((out / "manifest.json").read_text())["seed"]
-    assert len(set(seeds.values())) == 4
+    words = np.random.SeedSequence(5).generate_state(4).tolist()
+    assert seeds == {"u0": words[0], "forcing": words[1], "probe": words[3]}
+    assert len(set(seeds.values())) == 3
     cfg = parse_config(SMALL, kind_override="probe-uniqueness")
     u0, pert = (random_field(cfg.geometry, cfg.resolution, seed=seeds[key], decay=1.5)
                 for key in ("u0", "probe"))
@@ -368,6 +358,9 @@ def _config_with(overrides):
     pytest.param("eigs", {"geometry.H": "1e-100"}, False, id="H-tiny"),
     # the padded grid is fixed by the 3/2 rule
     pytest.param("evolve", {"resolution.padding": "2"}, False, id="padding-retired"),
+    # the covering condition is certified for every eta, not sampled
+    *(pytest.param("verify-adn", {key: "8"}, False, id=f"{key}-retired")
+      for key in ("covering.n_circle", "covering.n_magnitude", "covering.seed")),
     # the line says what the value should be, not which Python function parses it
     pytest.param("convergence", {"convergence.p_values": "[10, 12]"}, False,
                  id="p-values-unparsable"),
@@ -405,6 +398,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
         assert "N1 = 2, N2 = " in proc.stderr
     if "resolution.padding" in overrides:  # the line names the fixed rule
         assert "M >= 3N/2" in proc.stderr
+    if any(key.startswith("covering.") for key in overrides):  # and the reason
+        assert "is retired: verify-adn decides the covering condition" in proc.stderr
     if overrides.get("convergence.p_values") == "[10, 12]":
         assert "as a comma-separated list of integers" in proc.stderr
         assert "_parse" not in proc.stderr
@@ -487,7 +482,7 @@ def test_usage_error_exits_2_in_one_line(cfgfile, tmp_path, args):
     ("eigs", {"setup", "eigenpairs", "garding", "write"}),
     ("evolve", {"setup", "integrate", "write"}),
     ("probe-uniqueness", {"setup", "integrate", "write"}),
-    ("verify-adn", {"ellipticity", "covering", "angles", "elimination", "write"}),
+    ("verify-adn", {"ellipticity", "covering", "elimination", "write"}),
     ("convergence", {"setup", "solve", "pressure", "errors", "bc_audit", "write"}),
     ("sweep", {"setup", "integrate", "write"}),
 ])
@@ -507,8 +502,7 @@ def test_manifest_records_stage_times(tmp_path, kind, stages):
     # verify-adn builds no operator set, so it has no setup stage
     assert timings["setup_s"] == timings["stages"].get("setup", {"s": 0.0})["s"]
     assert man["cpu_count"] == os.cpu_count()
-    assert man["libraries"]["numpy"] == np.__version__
-    assert set(man["libraries"]) == {"numpy", "scipy"}
+    assert man["libraries"] == {"numpy": np.__version__}
 
 
 @pytest.mark.parametrize("kind, steps", [("evolve", 5), ("probe-uniqueness", 15)])
@@ -559,11 +553,21 @@ def test_cli_import_leaves_the_symbol_checks_unloaded():
 
 @pytest.mark.parametrize("kind", ["evolve", "verify-adn"])
 def test_manifest_records_the_libraries_the_run_loaded(cfgfile, tmp_path, kind):
-    """In a fresh process (this one has scipy loaded) only verify-adn loads
-    scipy, so only its manifest carries scipy's version."""
+    """No run loads scipy, so a fresh process's manifest names numpy alone."""
     out = tmp_path / kind
     proc = _run_cli(kind, "--config", str(cfgfile), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     libraries = json.loads((out / "manifest.json").read_text())["libraries"]
-    scipy_version = scipy.__version__ if kind == "verify-adn" else None
-    assert libraries == {"numpy": np.__version__, "scipy": scipy_version}
+    assert libraries == {"numpy": np.__version__}
+
+
+def test_every_subcommand_runs_without_scipy(cfgfile, tmp_path):
+    """With scipy unimportable each subcommand exits as with it, here 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
+    script = ("import sys; sys.modules['scipy'] = None; from nsab.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    for kind in EXPERIMENTS:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, kind, "--config", str(cfgfile), "--out",
+             str(tmp_path / kind)], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, (kind, proc.stderr)

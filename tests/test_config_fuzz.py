@@ -26,8 +26,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 BASE = {
     "model.alpha": "0.2", "model.beta": "0.1", "model.gamma": "-1.0",
     "model.ell": "0.01", "resolution.N1": "4", "resolution.N2": "4",
-    "resolution.P": "8", "covering.n_circle": "2", "covering.n_magnitude": "1",
-    "eigs.count": "4", "output.cadence": "1", "sweep.levels": "1",
+    "resolution.P": "8", "eigs.count": "4", "output.cadence": "1", "sweep.levels": "1",
     "convergence.p_values": "6,8",
 }
 
@@ -35,7 +34,8 @@ BAD_FLOATS = ["nan", "inf", "-inf", "-1.0", "0.0", "1e-300", "1e300", "-1e-300"]
 BAD_INTS = ["-1", "0", "-7", "3", "5"]
 MALFORMED = ["", "abc", "1.5.2", "0x10", "1e", "--1", "1,2", "[1]", "a=b", "None"]
 # keys of earlier schemas: any value exits 2
-RETIRED = ["resolution.padding"]
+RETIRED = ["resolution.padding", "covering.n_circle", "covering.n_magnitude",
+           "covering.seed"]
 
 # in-range values, kept tiny: the cost of a run must not depend on the draw
 VALID = {
@@ -56,8 +56,7 @@ VALID = {
     "watchdog.ceiling": st.floats(1e-3, 1e6), "sweep.levels": st.integers(1, 2),
     "probe.delta1": st.floats(1e-8, 1e-2), "probe.delta2": st.floats(1e-8, 1e-2),
     "probe.seed": st.integers(0, 2**31),
-    "covering.n_circle": st.integers(0, 3), "covering.n_magnitude": st.integers(0, 2),
-    "covering.seed": st.integers(0, 2**31), "eigs.count": st.integers(1, 30),
+    "eigs.count": st.integers(1, 30),
     "convergence.p_values": st.lists(st.integers(6, 8), min_size=1, max_size=2).map(
         lambda ps: ",".join(map(str, ps))),
     "debug.inject_nan_step": st.integers(-2, 3),
@@ -97,7 +96,7 @@ def configs(draw):
     bad = draw(st.one_of(st.none(), st.sampled_from(sorted(_SCHEMA))))
     if bad is not None:
         values[bad] = draw(_bad(bad, dt))
-    retired = draw(st.sampled_from([None] * 7 + RETIRED))
+    retired = draw(st.sampled_from([None] * (7 * len(RETIRED)) + RETIRED))
     if retired is not None:
         values[retired] = draw(_bad(retired, dt))
     return values
