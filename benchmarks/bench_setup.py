@@ -21,14 +21,16 @@ to a file at the repository root:
   solve still exits 3), the configs of the stationary-n16 benchmark
   workload.  The ``errors`` stage exists for the manufactured solves only.
 
-``machine`` records the numpy and scipy installed for this interpreter; a
-run's manifest names numpy alone, as no nsab run loads scipy.  The files hold no
-timestamps, so reruns on one machine differ only by timing noise.
+``machine`` records the numpy installed for this interpreter, the one
+library a run's manifest names (no nsab run loads scipy).  A ``--cases``
+subset rewrites only its own rows of a file and keeps the others.  The
+files hold no timestamps, so reruns on one machine differ only by timing
+noise.
 
     python benchmarks/bench_setup.py                  # all cases, 5 runs each
     python benchmarks/bench_setup.py --cases n16p32,probe-n8p16 --out-dir /tmp
 
-Exits 1 if any nsab run fails.  N64/P64 peaks near 420 MB.
+Exits 1 if any nsab run fails.  N64/P64 peaks near 390 MB.
 """
 
 import argparse
@@ -142,15 +144,18 @@ def main(argv=None):
             print(name, json.dumps(results[name]), flush=True)
         if not results:
             continue
+        path = args.out_dir / fname
+        kept = json.loads(path.read_text())["cases"] if path.exists() else {}
         report = {
             "command": command,
             "statistic": "median over round-robin repeats of fresh processes",
             "blas_threads": 1,
             "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                        **{lib: importlib.metadata.version(lib) for lib in ("numpy", "scipy")}},
-            "cases": results,
+                        "numpy": importlib.metadata.version("numpy")},
+            "cases": {name: results.get(name, kept.get(name)) for name in cases
+                      if name in results or name in kept},
         }
-        (args.out_dir / fname).write_text(json.dumps(report, indent=2) + "\n")
+        path.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 

@@ -47,7 +47,6 @@ _SCHEMA = {
     "resolution.N1": (int, 16),
     "resolution.N2": (int, 16),
     "resolution.P": (int, 32),
-    "resolution.Q": (int, 0),
     "experiment.kind": (str, ""),
     "forcing.id": (str, "random_solenoidal"),
     "forcing.amplitude": (float, 1.0),
@@ -74,6 +73,7 @@ _SCHEMA = {
 _RETIRED = {
     "resolution.padding": "the padded grid is fixed to the smallest even "
                           "M >= 3N/2 per direction",
+    "resolution.Q": "the quadrature node count follows from P: Q = ceil((3P+1)/2)",
     **dict.fromkeys(("covering.n_circle", "covering.n_magnitude", "covering.seed"),
                     "verify-adn decides the covering condition for every eta "
                     "exactly, sampling none"),
@@ -161,7 +161,7 @@ def parse_config(text, kind_override=None):
         geometry = ChannelGeometry(values["geometry.L1"], values["geometry.L2"],
                                    values["geometry.H"])
         resolution = Resolution(values["resolution.N1"], values["resolution.N2"],
-                                values["resolution.P"], values["resolution.Q"])
+                                values["resolution.P"])
         if not values["convergence.p_values"]:
             raise ParameterError("convergence.p_values lists no degree")
         for P in values["convergence.p_values"]:

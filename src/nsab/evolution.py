@@ -157,12 +157,12 @@ class IMEXStepper:
         theta, b2 = (1.0 if scheme == "euler" else 0.5), ops.params.beta**2
         weights = ((-1.0,) if scheme == "euler" else (-1.5, 0.5)) if nonlinear else ()
 
-        def stack(blk):
-            Q = np.linalg.inv(blk.M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad))
-            E = (Q @ blk.M_lambda) / theta - (1.0 / theta - 1.0) * np.eye(blk.n)
+        def stack(blk, M_lambda):
+            Q = np.linalg.inv(M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad))
+            E = (Q @ M_lambda) / theta - (1.0 / theta - 1.0) * np.eye(blk.n)
             return np.concatenate([E] + [w * dt * Q for w in weights], axis=-1)
 
-        self._stacks = [stack(blk) for blk in ops.blocks]
+        self._stacks = [stack(blk, blk.M_lambda) for blk in ops.blocks]
 
     def step(self, state):
         u, N = state.field, None

@@ -1,4 +1,4 @@
-"""Per-wavenumber assembly of the mass, filter, gradient and stationary forms.
+"""Per-wavenumber assembly of the gradient and stationary forms.
 
 For a tangential wavenumber eta (m = |eta|^2 > 0) the toroidal and poloidal
 potential blocks decouple in every form appearing in the model.  With
@@ -20,9 +20,10 @@ two decoupled Dirichlet profiles with volume term <U'' V''> and wall term
 -k[U'V'].
 
 All matrices are expressed in the M-orthonormalized block bases of
-:mod:`nsab.basis`, so M is the identity: symmetric generalized pencils
-become standard symmetric eigenproblems, and the watchdog norms of
-:meth:`OperatorSet.a_scale_norms` are quadratic forms of K_a and K_grad.
+:mod:`nsab.basis`, so M is the identity by construction and is not stored:
+symmetric generalized pencils become standard symmetric eigenproblems,
+M_Lambda = I + alpha^2 K_grad is formed where it is read, and the watchdog
+norms of :meth:`OperatorSet.a_scale_norms` are quadratic forms of K_a and K_grad.
 :func:`toroidal_forms`, :func:`poloidal_forms` and :func:`mean_forms`
 build the forms of all distinct blocks at once, one per distinct
 m = |eta|^2, as (U, n, n) stacks of Gram products of the tabulated block
@@ -40,24 +41,28 @@ import numpy as np
 from .basis import BasisCache
 
 
-FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
+FORMS = ("K_a", "K_grad", "K_bilap")
 
 
 @dataclass
 class BlockOperators:
-    """Assembled forms of one scalar block in its orthonormal basis, or of a
-    stack of blocks: then each form is a (U, n, n) array."""
+    """Assembled forms of one scalar block in its orthonormal basis (M = I),
+    or of a stack of blocks: then each form is a (U, n, n) array."""
 
     name: str
     n: int
-    M: np.ndarray
-    M_lambda: np.ndarray
+    alpha2: float
     K_a: np.ndarray
     K_grad: np.ndarray
     K_bilap: np.ndarray  # volume part of a (k = 0); equals <Lap u, Lap w>
 
+    @property
+    def M_lambda(self):
+        """The filter form I + alpha^2 K_grad, formed on each read."""
+        return np.eye(self.n) + self.alpha2 * self.K_grad
+
     def h2_form(self):
-        return self.M + self.K_grad + self.K_bilap
+        return np.eye(self.n) + self.K_grad + self.K_bilap
 
     def __getitem__(self, g):
         """Block g of a stack, as views."""
@@ -71,11 +76,6 @@ def _gram(w, A, B):
 def _wall_sum(t):
     # sum over the two walls of the outer products of (..., 2, n) traces
     return t[..., 0, :, None] * t[..., 0, None, :] + t[..., 1, :, None] * t[..., 1, None, :]
-
-
-def _block(params, name, M, K_a, K_grad, K_bilap):
-    return BlockOperators(name, M.shape[-1], M, M + params.alpha**2 * K_grad,
-                          K_a, K_grad, K_bilap)
 
 
 def toroidal_forms(params, cache, m, W):
@@ -95,7 +95,7 @@ def toroidal_forms(params, cache, m, W):
     K_trans = s * params.gamma * m * m * (2 * G11 + _gram(w, E[0], E[2])
                                           + _gram(w, E[2], E[0]))
     K_a = K_bilap + K_trans - params.k * s * m * _wall_sum(cache.raw_T_tr[1] @ W)
-    return _block(params, "toroidal", s * m * G00, K_a, K_grad, K_bilap)
+    return BlockOperators("toroidal", W.shape[-1], params.alpha**2, K_a, K_grad, K_bilap)
 
 
 def poloidal_forms(params, cache, m, W):
@@ -108,7 +108,7 @@ def poloidal_forms(params, cache, m, W):
     K_grad = s * m * (_gram(w, E[2], E[2]) + 2 * m * G11 + m**2 * G00)
     K_bilap = s * m * (_gram(w, L1, L1) + m * _gram(w, L0, L0))
     K_a = K_bilap - params.k * s * m * _wall_sum(cache.raw_C_tr[2] @ W)
-    return _block(params, "poloidal", s * m * (G11 + m * G00), K_a, K_grad, K_bilap)
+    return BlockOperators("poloidal", W.shape[-1], params.alpha**2, K_a, K_grad, K_bilap)
 
 
 def mean_forms(params, cache):
@@ -116,8 +116,8 @@ def mean_forms(params, cache):
     s, w, E = cache.geometry.area, cache.w, cache.mean_E
     K_bilap = s * _gram(w, E[2], E[2])
     K_a = K_bilap - params.k * s * _wall_sum(cache.mean_tr[1])
-    return _block(params, "mean", s * _gram(w, E[0], E[0])[None], K_a[None],
-                  s * _gram(w, E[1], E[1])[None], K_bilap[None])
+    return BlockOperators("mean", K_a.shape[-1], params.alpha**2, K_a[None],
+                          s * _gram(w, E[1], E[1])[None], K_bilap[None])
 
 
 class OperatorSet:

@@ -106,9 +106,8 @@ class Resolution:
 
     N1, N2   even tangential Fourier mode counts (wavenumbers k in [-N/2, N/2);
              Nyquist wavenumbers -N/2 are not stored),
-    P        wall-normal polynomial degree,
-    Q        Gauss-Legendre node count; Q >= ceil((3P+1)/2) so that triple
-             products of degree-P polynomials are integrated exactly.
+    P        wall-normal polynomial degree; the Gauss rule has Q = ceil((3P+1)/2)
+             nodes, the fewest that integrate degree-P triple products exactly.
 
     The padded tangential grid is fixed by the 3/2 rule (Orszag 1971): in
     each direction it has the smallest even point count M >= 3N/2.  The
@@ -120,19 +119,17 @@ class Resolution:
     N1: int = 16
     N2: int = 16
     P: int = 32
-    Q: int = 0  # 0 means "minimal admissible", resolved in __post_init__
 
     def __post_init__(self):
         if self.N1 < 2 or self.N2 < 2 or self.N1 % 2 or self.N2 % 2:
             raise ParameterError("N1, N2 must be even and >= 2")
         if self.P < 6:
             raise ParameterError("wall-normal degree P must be at least 6")
-        if self.Q == 0:
-            object.__setattr__(self, "Q", min_quadrature_nodes(self.P))
-        if self.Q < min_quadrature_nodes(self.P):
-            raise ParameterError(
-                f"Q={self.Q} too small: need Q >= ceil((3P+1)/2) = "
-                f"{min_quadrature_nodes(self.P)} for exact triple products")
+
+    @property
+    def Q(self):
+        """Gauss-Legendre node count ceil((3P+1)/2)."""
+        return min_quadrature_nodes(self.P)
 
     @property
     def n_toroidal(self):

@@ -40,7 +40,7 @@ class SnapshotError(RuntimeError):
     pass
 
 
-def _metadata(field, params=None, extra=None):
+def _metadata(field, params=None):
     g, r = field.geometry, field.resolution
     meta = {
         "format": "nsab-snapshot",
@@ -53,8 +53,6 @@ def _metadata(field, params=None, extra=None):
     if params is not None:
         meta["params"] = {"alpha": params.alpha, "beta": params.beta,
                           "gamma": params.gamma, "ell": params.ell, "k": params.k}
-    if extra:
-        meta["extra"] = extra
     return meta
 
 
@@ -77,8 +75,8 @@ def _pack(full, lay, path, name):
     return rows
 
 
-def write_snapshot(path, field, params=None, extra=None):
-    meta = json.dumps(_metadata(field, params, extra), sort_keys=True,
+def write_snapshot(path, field, params=None):
+    meta = json.dumps(_metadata(field, params), sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
     header = header.ljust(HEADER_LEN, b"\0")
@@ -106,9 +104,12 @@ def read_snapshot(path):
             g = ChannelGeometry(**meta["geometry"])
             rr = meta["resolution"]
             # files from before the fixed 3/2-rule grid also carry a "pad" entry
-            res = Resolution(rr["N1"], rr["N2"], rr["P"], rr["Q"])
+            res, q = Resolution(rr["N1"], rr["N2"], rr["P"]), rr["Q"]
         except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8, JSON or entries
             raise SnapshotError(f"{path}: malformed metadata: {exc!r}") from exc
+        if q != res.Q:
+            raise SnapshotError(f"{path}: Q = {q!r}, but P = {res.P} has "
+                                f"Q = ceil((3P+1)/2) = {res.Q} nodes")
         n_t, n_p = res.n_toroidal, res.n_poloidal
         npsi = res.N1 * res.N2 * n_t
         nphi = res.N1 * res.N2 * n_p

@@ -1,22 +1,22 @@
 """Spectrum of the stationary form operator and its coercivity constants.
 
 Everything here works on the stacks of wavenumber blocks in the
-M-orthonormal bases, with batched numpy linear algebra and no per-block
-loop:
+M-orthonormal bases, where M = I (no M is stored), with batched numpy
+linear algebra and no per-block loop:
 
 * ``eigenpairs_A``     lowest eigenvalues of the form operator, merged and
                        sorted across blocks (each nonzero wavenumber counts
                        its Hermitian partner through multiplicity 2);
 * ``garding_constants`` the discrete shifted-coercivity constant
                        c0(g0) = min eig of the pencil
-                       (K_a + g0 M, M + K_grad + K_bilap), i.e. the largest
+                       (K_a + g0 I, I + K_grad + K_bilap), i.e. the largest
                        c0 with a(u,u) + g0 ||u||^2 >= c0 ||u||_{H2}^2 on the
                        discrete space, together with the smallest shift g0
                        on a logarithmic search grid that makes it positive,
                        from the pencils reduced once to C + g0 N and solved,
                        inside the grid, only where a chord bound can set c0;
 * ``spectral_factors`` square-root factors of the Helmholtz filter form
-                       and the symmetrized dissipation generator
+                       I + alpha^2 K_grad and the symmetrized dissipation generator
                        D = beta^2 L^{-1/2} A L^{-1/2} (optionally including
                        the viscous gradient form, which the evolution
                        equation adds to the stiff linear part).
@@ -105,16 +105,16 @@ class GardingReport:
 
 
 def _reduced_pencils(ops):
-    """(C, N) per stack: the pencil (K_a + s M, B) with the H2 form
-    B = M + K_grad + K_bilap = L L^T reduced to the standard symmetric
-    problem C + s N, C = L^-1 K_a L^-T, N = L^-1 M L^-T (Golub & Van Loan,
+    """(C, N) per stack: the pencil (K_a + s I, B) with the H2 form
+    B = I + K_grad + K_bilap = L L^T reduced to the standard symmetric
+    problem C + s N, C = L^-1 K_a L^-T, N = L^-1 L^-T (Golub & Van Loan,
     Matrix Computations, sec. 8.7).  B does not depend on the shift, so one
     batched Cholesky factorization per stack serves every shift."""
     pencils = []
     for stack in ops.blocks:
         Li = np.linalg.inv(np.linalg.cholesky(stack.h2_form()))
         LiT = np.swapaxes(Li, -1, -2)
-        pencils.append((Li @ stack.K_a @ LiT, Li @ stack.M @ LiT))
+        pencils.append((Li @ stack.K_a @ LiT, Li @ LiT))
     return pencils
 
 
@@ -196,7 +196,7 @@ class BlockFactors:
 
 def spectral_factors(blk, beta, include_gradient=False):
     """Filter square roots and generator eigendecomposition of a block or a
-    stack of blocks.
+    stack of blocks, from M_Lambda = I + alpha^2 K_grad, read once.
 
     include_gradient=True builds the generator of the full stiff linear
     part beta^2 A - Lap (the form the time stepper treats implicitly);

@@ -234,7 +234,8 @@ def reference_forms(params, cache, k1, k2):
         return np.outer(t[0], t[0]) + np.outer(t[1], t[1])
 
     def forms(M, K_a, K_grad, K_bilap):
-        return {"M": M, "M_lambda": M + params.alpha**2 * K_grad, "K_a": K_a,
+        # M, the block's Gram mass in its own basis, is I to roundoff
+        return {"M_lambda": M + params.alpha**2 * K_grad, "K_a": K_a,
                 "K_grad": K_grad, "K_bilap": K_bilap}
 
     if (k1, k2) == (0, 0):
@@ -383,9 +384,9 @@ def reference_eigenpairs(ops, count):
 
 
 def reference_c0(ops, shift):
-    """c0(shift): the lowest eigenvalue of (K_a + shift M, M + K_grad +
-    K_bilap), one generalized eigenproblem per distinct block."""
-    return min(float(scipy.linalg.eigh(blk.K_a + shift * blk.M, blk.h2_form(),
+    """c0(shift): the lowest eigenvalue of (K_a + shift I, I + K_grad +
+    K_bilap) (M = I), one generalized eigenproblem per distinct block."""
+    return min(float(scipy.linalg.eigh(blk.K_a + shift * np.eye(blk.n), blk.h2_form(),
                                        eigvals_only=True,
                                        subset_by_index=[0, 0])[0])
                for blk in distinct_blocks(ops))

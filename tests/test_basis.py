@@ -12,8 +12,7 @@ import nsab
 
 from nsab.basis import (BasisCache, gauss_legendre, legendre_table,
                         recombined_bases)
-
-from conftest import pair_bases
+from nsab.params import Resolution
 
 
 def test_legendre_values_match_numpy():
@@ -70,16 +69,24 @@ def test_clamped_basis_boundary_values():
 
 
 def test_block_orthonormalization(geo_odd, res_small):
-    cache = BasisCache(geo_odd, res_small)
-    m, W_tor, W_pol = pair_bases(cache, 2, 1)
-    w = cache.w
-    area = geo_odd.area
-    Et = [t @ W_tor for t in cache.raw_T]
-    Ep = [t @ W_pol for t in cache.raw_C]
-    Mt = m * area * (Et[0].T * w) @ Et[0]
-    Mp = area * (m * (Ep[1].T * w) @ Ep[1] + m * m * (Ep[0].T * w) @ Ep[0])
-    assert np.abs(Mt - np.eye(res_small.n_toroidal)).max() < 1e-12
-    assert np.abs(Mp - np.eye(res_small.n_poloidal)).max() < 1e-12
+    """M = I is the invariant the operator set relies on in place of a stored
+    M: W^T M_raw W is the identity for every toroidal and poloidal block and
+    for the mean block, with M_raw the Gram mass of the raw tables."""
+    for res in (res_small, Resolution(N1=16, N2=16, P=48)):
+        cache = BasisCache(geo_odd, res)
+        w, area, m = cache.w, geo_odd.area, cache.m[:, None, None]
+
+        def gram(A, B):
+            return (np.swapaxes(A, -1, -2) * w) @ B
+
+        Et, E0 = cache.raw_T[0] @ cache.W_tor, cache.raw_T[0] @ cache.mean_W
+        Ep = [t @ cache.W_pol for t in cache.raw_C[:2]]
+        masses = (area * m * gram(Et, Et),
+                  area * (m * gram(Ep[1], Ep[1]) + m * m * gram(Ep[0], Ep[0])),
+                  area * gram(E0, E0)[None])
+        assert len(masses[0]) == len(cache.m) > 1
+        for M in masses:
+            assert np.abs(M - np.eye(M.shape[-1])).max() <= 1e-13
 
 
 def test_evaluate_consistent_with_tables(geo, res_small):

@@ -358,6 +358,8 @@ def _config_with(overrides):
     pytest.param("eigs", {"geometry.H": "1e-100"}, False, id="H-tiny"),
     # the padded grid is fixed by the 3/2 rule
     pytest.param("evolve", {"resolution.padding": "2"}, False, id="padding-retired"),
+    # the node count follows from P; 16 is the value P = 10 has anyway
+    pytest.param("solve", {"resolution.Q": "16"}, False, id="Q-retired"),
     # the covering condition is certified for every eta, not sampled
     *(pytest.param("verify-adn", {key: "8"}, False, id=f"{key}-retired")
       for key in ("covering.n_circle", "covering.n_magnitude", "covering.seed")),
@@ -398,6 +400,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, subcommand, overrides,
         assert "N1 = 2, N2 = " in proc.stderr
     if "resolution.padding" in overrides:  # the line names the fixed rule
         assert "M >= 3N/2" in proc.stderr
+    if "resolution.Q" in overrides:
+        assert "is retired: the quadrature node count follows from P" in proc.stderr
     if any(key.startswith("covering.") for key in overrides):  # and the reason
         assert "is retired: verify-adn decides the covering condition" in proc.stderr
     if overrides.get("convergence.p_values") == "[10, 12]":

@@ -34,8 +34,8 @@ BAD_FLOATS = ["nan", "inf", "-inf", "-1.0", "0.0", "1e-300", "1e300", "-1e-300"]
 BAD_INTS = ["-1", "0", "-7", "3", "5"]
 MALFORMED = ["", "abc", "1.5.2", "0x10", "1e", "--1", "1,2", "[1]", "a=b", "None"]
 # keys of earlier schemas: any value exits 2
-RETIRED = ["resolution.padding", "covering.n_circle", "covering.n_magnitude",
-           "covering.seed"]
+RETIRED = ["resolution.padding", "resolution.Q", "covering.n_circle",
+           "covering.n_magnitude", "covering.seed"]
 
 # in-range values, kept tiny: the cost of a run must not depend on the draw
 VALID = {
@@ -44,7 +44,7 @@ VALID = {
     "geometry.L1": st.floats(0.5, 10.0), "geometry.L2": st.floats(0.5, 10.0),
     "geometry.H": st.floats(0.5, 3.0),
     "resolution.N1": st.sampled_from([2, 4]), "resolution.N2": st.sampled_from([2, 4]),
-    "resolution.P": st.integers(6, 8), "resolution.Q": st.sampled_from([0, 13, 16]),
+    "resolution.P": st.integers(6, 8),
     "experiment.kind": st.sampled_from(("",) + EXPERIMENTS),
     "forcing.id": st.sampled_from(["manufactured", "random_solenoidal", "zero"]),
     "forcing.amplitude": st.floats(0.0, 2.0), "forcing.seed": st.integers(0, 2**31),

@@ -228,12 +228,12 @@ def test_apply_form_examples(setup):
     for j in (0, n // 2, n - 1):
         e = np.zeros(n)
         e[j] = 1.0
-        assert apply_form(bt.M, e, e).real > 0.0
+        assert apply_form(bt.M_lambda, e, e).real >= 1.0
     rng = np.random.default_rng(3)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    # filter form dominates the mass form for alpha > 0
-    assert apply_form(bt.M_lambda, u, u).real >= apply_form(bt.M, u, u).real
+    # filter form dominates the mass form I for alpha > 0
+    assert apply_form(bt.M_lambda, u, u).real >= np.vdot(u, u).real
     # Hermitian symmetry of the a-form
     assert apply_form(bt.K_a, u, v) == pytest.approx(
         np.conj(apply_form(bt.K_a, v, u)), rel=1e-12)
@@ -245,7 +245,6 @@ def test_mode_operator_invariants(setup):
     ops = setup
     for kk in ((1, 0), (1, 1), (2, -1)):
         for blk in pair_forms(ops, *kk):
-            assert np.linalg.eigvalsh(blk.M)[0] > 0.99
             assert np.linalg.eigvalsh(blk.M_lambda)[0] > 0.99
             assert np.linalg.eigvalsh(blk.K_grad)[0] > 0.0
     for blk in pair_forms(ops, 1, 1):
@@ -256,7 +255,8 @@ def test_mode_operator_invariants(setup):
 def test_sobolev_norms(setup, geo_odd, res_small):
     ops = setup
     z = zero_field(geo_odd, res_small)
-    assert all(ops.form_inner(form, z, z) == 0.0 for form in ("M", "K_grad", "K_bilap"))
+    assert z.dot(z) == 0.0
+    assert all(ops.form_inner(form, z, z) == 0.0 for form in ("M_lambda", "K_grad", "K_bilap"))
     nz = ops.a_scale_norms(z)
     assert all(v == 0.0 for k, v in nz.items() if k != "shift")
     # single eigenvector: ||(A+shift)^{1/2} u|| = sqrt(lam + shift)
@@ -266,14 +266,14 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     lay = layout_for(geo_odd, res_small)
     f.psi[lay.groups[(1, 1)].start] = V[:, -1] / np.sqrt(2.0)  # unit L2 norm overall
     sn = ops.a_scale_norms(f)
-    assert np.sqrt(ops.form_inner("M", f, f)) == pytest.approx(1.0, rel=1e-12)
+    assert np.sqrt(f.dot(f)) == pytest.approx(1.0, rel=1e-12)
     assert sn["A_half"] == pytest.approx(np.sqrt(lam[-1] + sn["shift"]), rel=1e-10)
     # Parseval: total L2 from the physical grid equals the form energy
     u = random_field(geo_odd, res_small, seed=21, amplitude=1.7)
     wq = grid_quadrature(ops.cache, res_small)
     U = reconstruct(u, ops.cache)["u"]
     phys = float(np.sum(U**2 * wq))
-    assert ops.form_inner("M", u, u) == pytest.approx(phys, rel=1e-12)
+    assert u.dot(u) == pytest.approx(phys, rel=1e-12)
 
 
 def _a_scale_norms_by_block(ops, f, shift):
@@ -369,7 +369,6 @@ def test_a_scale_norms_hold_their_bound_under_roundoff_noise(geo):
             assert abs(np.longdouble(got[name]) - w) <= 1e-13 * w, (name, copy)
 
 
-FORMS = ("M", "M_lambda", "K_a", "K_grad", "K_bilap")
 RESOLUTIONS = pytest.mark.parametrize(
     "res", [Resolution(N1=4, N2=4, P=12), Resolution(N1=8, N2=6, P=16)],
     ids=["4x4", "8x6"])
@@ -380,7 +379,7 @@ def test_form_inner_matches_per_group_loop(geo_odd, res):
     ops = OperatorSet(derive_params(0.2, 0.1, 0.5, 0.05), geo_odd, res)
     u = random_field(geo_odd, res, seed=5, amplitude=1.3)
     v = random_field(geo_odd, res, seed=6, amplitude=0.7)
-    for form in FORMS:
+    for form in FORMS + ("M_lambda",):
         for a, b in ((u, u), (u, v), (v, u)):
             terms = [mult * np.vdot(cb, ca @ getattr(blk, form).T).real
                      for (blk, ca, mult), (_, cb, _) in zip(block_groups(ops, a),
@@ -392,15 +391,18 @@ def test_form_inner_matches_per_group_loop(geo_odd, res):
 @RESOLUTIONS
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
 def test_energy_identities_of_the_orthonormal_bases(request, geometry, res):
-    """M = I, so ||u||^2 = u.dot(u) and <M_L u, u> = ||u||^2 + alpha^2
-    <K_grad u, u>: the identities energy_report relies on."""
+    """M = I, so ||u||^2 = u.dot(u) (against the physical-grid L2 norm) and
+    <M_L u, u> = ||u||^2 + alpha^2 <K_grad u, u>: the identities
+    energy_report relies on."""
     g = request.getfixturevalue(geometry)
     par = derive_params(0.2, 0.1, 0.5, 0.05)
     ops = OperatorSet(par, g, res)
+    wq = grid_quadrature(ops.cache, res)
     for seed in (7, 8):
         u = random_field(g, res, seed=seed, amplitude=1.3)
         l2sq = u.dot(u)
-        assert ops.form_inner("M", u, u) == pytest.approx(l2sq, rel=1e-13, abs=0)
+        phys = float(np.sum(reconstruct(u, ops.cache)["u"] ** 2 * wq))
+        assert l2sq == pytest.approx(phys, rel=1e-13, abs=0)
         want = l2sq + par.alpha**2 * ops.form_inner("K_grad", u, u)
         assert ops.form_inner("M_lambda", u, u) == pytest.approx(want, rel=1e-13, abs=0)
 
@@ -445,7 +447,7 @@ def test_stacked_assembly_matches_per_block_reference(request, geometry, res):
                 checked += 1
             W = Ws[name]
             assert np.abs(W - bases[name]).max() <= 1e-13 * np.abs(bases[name]).max()
-    assert checked == 5 * (2 * len(groups) + 1)
+    assert checked == 4 * (2 * len(groups) + 1)
 
 
 @ASSEMBLY_RESOLUTIONS

@@ -50,10 +50,12 @@ def test_geometry_positive():
 
 
 def test_resolution_quadrature_invariant():
-    r = Resolution(N1=4, N2=4, P=12)
-    assert r.Q == min_quadrature_nodes(12) == math.ceil((3 * 12 + 1) / 2)
-    with pytest.raises(ParameterError, match="exact triple products"):
-        Resolution(N1=4, N2=4, P=12, Q=10)
+    """Q follows from P alone: no Resolution has another node count."""
+    for P in (6, 7, 12, 48):
+        r = Resolution(N1=4, N2=4, P=P)
+        assert r.Q == min_quadrature_nodes(P) == math.ceil((3 * P + 1) / 2)
+    with pytest.raises(TypeError):
+        Resolution(N1=4, N2=4, P=12, Q=19)
 
 
 def test_resolution_basic_constraints():

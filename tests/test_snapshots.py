@@ -18,9 +18,9 @@ def test_round_trip_byte_identical(tmp_path, geo, res_small):
     f = random_field(geo, res_small, seed=12, amplitude=1.0)
     p1 = tmp_path / "a.snap"
     p2 = tmp_path / "b.snap"
-    write_snapshot(p1, f, par, extra={"note": "test"})
+    write_snapshot(p1, f, par)
     g, meta, par2 = read_snapshot(p1)
-    write_snapshot(p2, g, par2, extra=meta.get("extra"))
+    write_snapshot(p2, g, par2)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(f.psi, g.psi)
     assert np.array_equal(f.phi, g.phi)
@@ -39,6 +39,7 @@ def test_header_layout(tmp_path, geo, res_small):
     assert raw[20:HEADER_LEN] == bytes(HEADER_LEN - 20)
     meta = json.loads(raw[HEADER_LEN:HEADER_LEN + meta_len])
     assert meta["resolution"]["P"] == res_small.P
+    assert meta["resolution"]["Q"] == res_small.Q == 19
     assert "layout" in meta
 
 
@@ -62,6 +63,26 @@ def test_reads_files_that_carry_a_padding_factor(tmp_path, geo, res_small):
     assert g.resolution == res_small
     assert np.array_equal(f.psi, g.psi) and np.array_equal(f.phi, g.phi)
     assert np.array_equal(f.mean, g.mean)
+
+
+@pytest.mark.parametrize("dq", [-1, 1], ids=["below", "above"])
+def test_rejects_a_node_count_other_than_the_rule(tmp_path, geo, res_small, dq):
+    # Q = ceil((3P+1)/2) always; a file naming another Q was not written
+    # on the grid every reader builds
+    f = random_field(geo, res_small, seed=5)
+    p = tmp_path / "new.snap"
+    write_snapshot(p, f)
+    raw = p.read_bytes()
+    _, meta_len = struct.unpack("<IQ", raw[8:20])
+    meta = json.loads(raw[HEADER_LEN:HEADER_LEN + meta_len])
+    meta["resolution"]["Q"] += dq
+    other = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / "other_q.snap"
+    bad.write_bytes((MAGIC + struct.pack("<IQ", 1, len(other))).ljust(HEADER_LEN, b"\0")
+                    + other + raw[HEADER_LEN + meta_len:])
+    with pytest.raises(SnapshotError, match=re.escape(
+            f"{bad}: Q = {19 + dq}, but P = 12 has Q = ceil((3P+1)/2) = 19 nodes")):
+        read_snapshot(bad)
 
 
 def test_rejects_corrupt_files(tmp_path, geo, res_small):

@@ -286,13 +286,14 @@ def test_factor_identities(geo, res_small):
 
 def test_alpha_zero_degenerates_to_identity_filter(geo, res_small):
     # alpha = 0 exactly is outside the admissible range; realize the limit
-    # by replacing the filter form with the mass form: then the square roots
-    # are the identity and D = beta^2 K_a on the orthonormal basis
+    # by setting the block's alpha^2 to 0, so the filter form is the mass
+    # form I: then the square roots are the identity and D = beta^2 K_a on
+    # the orthonormal basis
     import dataclasses
     par = derive_params(0.2, 0.1, 0.0, 0.05)
     o = OperatorSet(par, geo, res_small)
     blk = pair_forms(o, 1, 0)[0]
-    blk0 = dataclasses.replace(blk, M_lambda=blk.M)
+    blk0 = dataclasses.replace(blk, alpha2=0.0)
     fb = spectral_factors(blk0, par.beta)
     assert np.allclose(fb.sqrt_lambda, np.eye(blk.n), atol=1e-10)
     assert np.allclose(fb.D, par.beta**2 * blk.K_a, atol=1e-9)
