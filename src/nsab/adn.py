@@ -52,8 +52,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .polynomial import GaussQ, TriPoly, norm_sq_poly, poly_determinant
 
 DIVERGENCE_FREE = "divergence_free"
@@ -129,17 +127,6 @@ def ns_alpha_beta_system(gamma=0):
         [x3**2 + (-g) * x2**2, g * x1 * x2, (-1) * x1 * x3, z],
     ]
     return DNSystem(L=L, s=(4, 4, 4, 1), t=(0, 0, 0, -3), B=B, r=(0, 0, 0, 2, 2))
-
-
-def principal_symbol(system, xi):
-    """Principal symbol matrix at i*xi (complex entries)."""
-    n = system.size
-    ixi = (1j * xi[0], 1j * xi[1], 1j * xi[2])
-    out = np.zeros((n, n), complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = system.principal_entry(i, j).evaluate(ixi)
-    return out
 
 
 def symbol_determinant(system):

@@ -167,7 +167,7 @@ def _exp_verify_adn(cfg, out, operators, stage):
     with stage("covering"):
         cov = certify_covering(ell_rep, gamma=cfg.params.gamma)
     with stage("elimination"):
-        elim = eliminate_boundary_system((1, 0), variant=MOMENTUM_ONLY)
+        elim = eliminate_boundary_system((1, 0), gamma=cfg.params.gamma, variant=MOMENTUM_ONLY)
     failed = [name for name, ok in (
         ("ellipticity", ell_rep.passed),
         ("covering", cov.passed),

@@ -150,16 +150,8 @@ class OperatorSet:
 
     @cached_property
     def shift(self):
-        """Shift making the stationary operator spectrum nonnegative.  A K_a
-        stack with a float64 Cholesky factor counts as nonnegative; only a
-        stack that does not factor has its lowest eigenvalues computed."""
-        def lowest(K):
-            try:
-                np.linalg.cholesky(K)
-                return 0.0
-            except np.linalg.LinAlgError:
-                return np.linalg.eigvalsh(K)[:, 0].min(initial=np.inf)
-        return max(0.0, -min(lowest(b.K_a) for b in self.blocks))
+        """Shift making the stationary operator spectrum nonnegative."""
+        return max(0.0, -lowest_eigenvalue(b.K_a for b in self.blocks))
 
     def a_scale_norms(self, f):
         """Norms ||(A + s)^{j/2} u||, j = 0, 1, 2, and the Lambda-weighted j = 2
@@ -198,6 +190,20 @@ class OperatorSet:
             x = c[..., rows, :].astype(np.clongdouble if c.dtype.kind == "c" else np.longdouble)
             zc[..., rows, :] = (K.astype(np.longdouble) @ x[..., None])[..., 0] + s * x
         return z
+
+
+def lowest_eigenvalue(stacks):
+    """The lowest eigenvalue over symmetric (U, n, n) stacks where one is
+    negative, else a number >= 0.  A stack with a float64 Cholesky factor
+    (an empty stack too) counts as 0.0; only a stack that does not factor
+    has its lowest eigenvalues computed."""
+    def lowest(K):
+        try:
+            np.linalg.cholesky(K)
+            return 0.0
+        except np.linalg.LinAlgError:
+            return np.linalg.eigvalsh(K)[:, 0].min(initial=np.inf)
+    return min(lowest(K) for K in stacks)
 
 
 def _root(sq):

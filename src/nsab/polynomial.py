@@ -71,9 +71,6 @@ class GaussQ:
     def is_zero(self):
         return self.re == 0 and self.im == 0
 
-    def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -204,13 +201,6 @@ class TriPoly:
         return self.terms == other.terms
 
     # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, xi):
-        """Numeric evaluation at a complex/real triple."""
-        acc = 0j
-        for (a, b, c), coef in self.terms.items():
-            acc += coef.to_complex() * xi[0] ** a * xi[1] ** b * xi[2] ** c
-        return acc
 
     def evaluate_exact(self, xi):
         """Exact evaluation at a triple of ints/Fractions/GaussQ."""

@@ -11,10 +11,11 @@ linear algebra and no per-block loop:
                        c0(g0) = min eig of the pencil
                        (K_a + g0 I, I + K_grad + K_bilap), i.e. the largest
                        c0 with a(u,u) + g0 ||u||^2 >= c0 ||u||_{H2}^2 on the
-                       discrete space, together with the smallest shift g0
-                       on a logarithmic search grid that makes it positive,
-                       from the pencils reduced once to C + g0 N and solved,
+                       discrete space, on a logarithmic shift grid, from
+                       the pencils reduced once to C + g0 N and solved,
                        inside the grid, only where a chord bound can set c0;
+                       and the transition shift s* = -lambda_min(K_a - t B)
+                       past which c0 > t, read from one spectrum;
 * ``spectral_factors`` square-root factors of the Helmholtz filter form
                        I + alpha^2 K_grad and the symmetrized dissipation generator
                        D = beta^2 L^{-1/2} A L^{-1/2} (optionally including
@@ -27,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .operators import lowest_eigenvalue
 
 
 @dataclass
@@ -98,9 +101,8 @@ class GardingReport:
     grid: tuple
     c0: dict                 # shift -> c0(shift)
     gamma0_min: float        # smallest grid shift with c0 > threshold
-    gamma0_refined: float    # bisection-refined transition shift (or gamma0_min)
+    gamma0_refined: float    # transition shift s*, within the grid bracket of gamma0_min
     c0_at_min: float
-    threshold: float
     norm_definition: str = H2_NORM_DEFINITION
 
 
@@ -152,33 +154,26 @@ def _c0_between(pencils, lo, hi, shift):
 def garding_constants(ops):
     """Measure c0(shift) over the shift grid and locate the coercive range.
 
-    While the last shift fails, the grid goes on by decades, each a new end
-    for the bisection; as N > 0, by Weyl's inequality the first decade past
-    s* = max over blocks of (threshold - lambda_min(C)) / lambda_min(N) passes."""
+    As M = I, c0(s) > t exactly when K_a + s I - t B is positive definite in
+    every block, so the transition shift is s* = -lambda_min(K_a - t B), t the
+    threshold, one spectrum read by :func:`lowest_eigenvalue` when c0(0) fails.
+    While the last shift fails, the grid goes on by decades, at most to the
+    first decade past s*; gamma0_refined is s* within its grid bracket."""
     pencils, g = _reduced_pencils(ops), DEFAULT_SHIFT_GRID[-1]
     ends = (_exact(pencils, DEFAULT_SHIFT_GRID[0]), _exact(pencils, g))
     c0 = {s: _c0_between(pencils, *ends, s) for s in DEFAULT_SHIFT_GRID}
-    if c0[g] <= C0_THRESHOLD:
-        n_min = np.concatenate([np.linalg.eigvalsh(N)[:, 0] for _, N in pencils])
-        s_star = np.max((C0_THRESHOLD - ends[0][1]) / n_min)
+    s_star = DEFAULT_SHIFT_GRID[0]
+    if c0[s_star] <= C0_THRESHOLD:
+        s_star = -lowest_eigenvalue(b.K_a - C0_THRESHOLD * b.h2_form() for b in ops.blocks)
         while c0[g] <= C0_THRESHOLD and g < s_star:
             g *= 10.0
-            ends = (ends[1], _exact(pencils, g))
-            c0[g] = float(ends[1][1].min())
+            c0[g] = float(_exact(pencils, g)[1].min())
     grid = tuple(c0)
     i = next((i for i, s in enumerate(grid) if c0[s] > C0_THRESHOLD), None)
     if i is None:
-        return GardingReport(grid, c0, np.inf, np.inf, -np.inf, C0_THRESHOLD)
-    lo, hi = grid[max(i - 1, 0)], grid[i]
-    for _ in range(40 if i else 0):
-        mid = 0.5 * (lo + hi)
-        if _c0_between(pencils, *ends, mid) > C0_THRESHOLD:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-3 * max(hi, 1e-12):
-            break
-    return GardingReport(grid, c0, grid[i], hi, c0[grid[i]], C0_THRESHOLD)
+        return GardingReport(grid, c0, np.inf, np.inf, -np.inf)
+    refined = float(np.clip(s_star, grid[max(i - 1, 0)], grid[i]))
+    return GardingReport(grid, c0, grid[i], refined, c0[grid[i]])
 
 
 # ---------------------------------------------------------------------------

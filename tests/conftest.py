@@ -393,27 +393,16 @@ def reference_c0(ops, shift):
 
 
 def reference_garding(ops, threshold=1e-10):
-    """(c0 on the default shift grid, gamma0_min, gamma0_refined) from
-    reference_c0, with the grid search and bisection of garding_constants."""
+    """(c0 on the default shift grid, gamma0_min, s*) from reference_c0 and,
+    for the transition shift s*, the largest top eigenvalue of
+    threshold * (I + K_grad + K_bilap) - K_a over the distinct blocks: the
+    smallest shift s with K_a + s I - threshold * B positive semidefinite."""
     grid = tuple(sorted(set(DEFAULT_SHIFT_GRID)))
     c0 = {g: reference_c0(ops, g) for g in grid}
     passing = [g for g in grid if c0[g] > threshold]
-    if not passing:
-        return c0, np.inf, np.inf
-    gmin = grefined = passing[0]
-    failing = [g for g in grid if g < gmin and c0[g] <= threshold]
-    if failing:
-        lo, hi = max(failing), gmin
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if reference_c0(ops, mid) > threshold:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-3 * max(hi, 1e-12):
-                break
-        grefined = hi
-    return c0, gmin, grefined
+    s_star = max(float(scipy.linalg.eigvalsh(threshold * blk.h2_form() - blk.K_a)[-1])
+                 for blk in distinct_blocks(ops))
+    return c0, passing[0] if passing else np.inf, s_star
 
 
 def reference_pressure(u, forcing, ops):

@@ -5,8 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nsab.adn import (DNSystem, check_ellipticity, ns_alpha_beta_system,
-                      principal_symbol, symbol_determinant)
+from nsab.adn import DNSystem, check_ellipticity, ns_alpha_beta_system, symbol_determinant
 from nsab.polynomial import GaussQ, TriPoly, norm_sq_poly, poly_determinant
 
 
@@ -27,26 +26,29 @@ def test_system_orders():
         assert row[3].is_zero
 
 
+def _principal_symbol(system, xi):
+    """The principal symbol at i xi, xi integer, in exact arithmetic."""
+    ixi = [GaussQ.i() * x for x in xi]
+    return [[system.principal_entry(i, j).evaluate_exact(ixi) for j in range(system.size)]
+            for i in range(system.size)]
+
+
 def test_principal_symbol_examples():
     sys_ = ns_alpha_beta_system()
-    S = principal_symbol(sys_, (1.0, 0.0, 0.0))
-    expect = np.array([[1, 0, 0, 1j], [0, 1, 0, 0],
-                       [0, 0, 1, 0], [1j, 0, 0, 0]], complex)
-    assert np.allclose(S, expect, atol=1e-14)
-    assert np.abs(principal_symbol(sys_, (0.0, 0.0, 0.0))).max() == 0.0
-    S3 = principal_symbol(sys_, (1.0, 1.0, 1.0))
-    assert S3[0, 0] == pytest.approx(9.0)     # |xi|^4 = 9
-    assert S3[1, 1] == pytest.approx(9.0)
+    o, i, z = GaussQ.of(1), GaussQ.i(), GaussQ()
+    assert _principal_symbol(sys_, (1, 0, 0)) == [[o, z, z, i], [z, o, z, z],
+                                                  [z, z, o, z], [i, z, z, z]]
+    assert all(e.is_zero for row in _principal_symbol(sys_, (0, 0, 0)) for e in row)
+    S3 = _principal_symbol(sys_, (1, 1, 1))
+    assert S3[0][0] == S3[1][1] == GaussQ.of(9)     # |xi|^4 = 9
 
 
 def test_symbol_determinant_exact():
     sys_ = ns_alpha_beta_system(gamma=Fraction(1, 3))
     det = symbol_determinant(sys_)
     assert det == norm_sq_poly() ** 5          # coefficient-by-coefficient
-    assert det.evaluate((0.0, 2.0, 0.0)) == pytest.approx(1024.0)
-    assert det.evaluate((1.0, 0.0, 0.0)) == pytest.approx(1.0)
-    # exact evaluation on integers as well
     assert det.evaluate_exact((0, 2, 0)) == GaussQ.of(1024)
+    assert det.evaluate_exact((1, 0, 0)) == GaussQ.of(1)
 
 
 def test_ellipticity_main_system():
@@ -111,7 +113,7 @@ def test_ellipticity_without_certificate_fails(symbol, method):
     assert not rep.passed
     assert rep.method == method
     if rep.witness is not None:
-        assert poly.evaluate(rep.witness) == 0
+        assert poly.evaluate_exact([Fraction(x) for x in rep.witness]).is_zero
 
 
 def test_poly_determinant_against_numeric():
@@ -119,9 +121,9 @@ def test_poly_determinant_against_numeric():
     rows = [[TriPoly.const(int(c)) for c in row]
             for row in rng.integers(-4, 5, (4, 4))]
     det = poly_determinant(rows)
-    num = np.linalg.det(np.array([[float(e.evaluate((0, 0, 0)).real)
+    num = np.linalg.det(np.array([[float(e.evaluate_exact((0, 0, 0)).re)
                                    for e in row] for row in rows]))
-    assert det.evaluate((0.0, 0.0, 0.0)).real == pytest.approx(num, rel=1e-10)
+    assert float(det.evaluate_exact((0, 0, 0)).re) == pytest.approx(num, rel=1e-10)
 
 
 def test_exact_division():

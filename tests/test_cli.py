@@ -208,6 +208,20 @@ def test_mean_only_resolution_runs(tmp_path, kind):
     assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_mean_only_eigs_past_the_first_shift(tmp_path):
+    """gamma = 1, k = ell / beta^2 = 5: c0(0) < 0, so the Garding shift is
+    read from the spectra of stacks of which two hold no block."""
+    cfg, out = tmp_path / "n2.cfg", tmp_path / "out"
+    cfg.write_text(_config_with({"resolution.N1": "2", "resolution.N2": "2",
+                                 "model.gamma": "1.0", "model.ell": "0.05",
+                                 "eigs.count": "9"}))
+    proc = _run_cli("eigs", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    g = json.loads((out / "garding.json").read_text())
+    assert g["c0"]["0.0"] < 0.0
+    assert isinstance(g["gamma0_refined"], float) and 0.0 < g["gamma0_refined"] < g["gamma0_min"]
+
+
 @pytest.mark.parametrize("overrides, count, available", [
     pytest.param({"resolution.N1": "2", "resolution.N2": "2"}, 12, 9, id="mean-only"),
     pytest.param({"resolution.P": "8", "eigs.count": "100000"}, 100000, 43, id="N4-P8"),

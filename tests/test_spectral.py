@@ -195,17 +195,56 @@ def test_garding_cases(geo, res_small):
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
 def test_garding_matches_per_block_reference(request, geometry, k, res_small):
     """The reduced pencils against one generalized eigenproblem per block;
-    at k = 5 c0(0) is negative and the bisection runs."""
+    at k = 5 c0(0) is negative and gamma0_refined is the transition s*,
+    inside the bracket of the grid; otherwise it is the first shift, 0."""
     o = OperatorSet(params_with_k(1.0, k), request.getfixturevalue(geometry),
                     res_small)
     g = garding_constants(o)
-    c0, gmin, grefined = reference_garding(o)
+    c0, gmin, s_star = reference_garding(o)
     assert g.grid == tuple(c0)
     for s in g.grid:
         assert abs(g.c0[s] - c0[s]) <= 1e-12 * max(1.0, abs(c0[s]))
-    assert (g.gamma0_min, g.gamma0_refined) == (gmin, grefined)
+    assert g.gamma0_min == gmin
     if k == 5.0:
-        assert c0[0.0] < 0.0 and grefined < gmin
+        assert c0[0.0] < 0.0 and 0.0 < s_star < gmin
+        assert abs(g.gamma0_refined - s_star) <= 1e-12 * s_star
+    else:
+        assert s_star < 0.0 and g.gamma0_refined == 0.0
+
+
+@pytest.mark.parametrize("k", [5.0, 50.0])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+def test_garding_shift_is_the_transition(request, geometry, k, res_small):
+    """gamma0_refined is s* = -lambda_min(K_a - t B) of the oracle to 1e-12:
+    c0 crosses the threshold t between s* (1 - 1e-6) and s* (1 + 1e-6).  As
+    lambda_min(K_a - t B) <= v1^T (K_a - t B) v1, s* lies at least t v1^T B v1
+    above -lambda1 (v1 the lowest eigenpair of K_a), and to first order in t
+    at most that: within roundoff of the K_a stacks at this size."""
+    o = OperatorSet(params_with_k(1.0, k), request.getfixturevalue(geometry),
+                    res_small)
+    g = garding_constants(o)
+    s_star = reference_garding(o)[2]
+    assert abs(g.gamma0_refined - s_star) <= 1e-12 * s_star
+    assert reference_c0(o, s_star * (1 - 1e-6)) < C0_THRESHOLD < reference_c0(o, s_star * (1 + 1e-6))
+    pair = eigenpairs_A(o, 1)[0]
+    tor, pol, mean = o.blocks
+    blk = mean[0] if pair.mode == (0, 0) else {"toroidal": tor, "poloidal": pol}[pair.block][
+        o.layout.block[o.layout.groups[pair.mode].start]]
+    first_order = C0_THRESHOLD * (pair.vector @ blk.h2_form() @ pair.vector)
+    roundoff = 10 * np.finfo(float).eps * max(np.abs(b.K_a).max(initial=0.0) for b in o.blocks)
+    gap = g.gamma0_refined + pair.lam
+    assert gap > 0.0 and abs(gap - first_order) <= roundoff
+
+
+def test_garding_with_empty_stacks(geo):
+    """At N1 = N2 = 2 only the mean block is stored: the toroidal and
+    poloidal stacks hold no block, and s* comes from the mean alone."""
+    o = OperatorSet(params_with_k(1.0, 5.0), geo, Resolution(N1=2, N2=2, P=10))
+    assert [len(b.K_a) for b in o.blocks] == [0, 0, 1]
+    g = garding_constants(o)
+    s_star = reference_garding(o)[2]
+    assert np.isfinite(g.gamma0_min) and g.c0[0.0] < 0.0
+    assert abs(g.gamma0_refined - s_star) <= 1e-12 * s_star
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0, 5.0])
@@ -246,9 +285,9 @@ def test_garding_solves_at_most_four_eigenproblems_per_block(geo, monkeypatch):
 
 
 def test_garding_goes_on_by_decades_until_a_shift_is_coercive(geo):
-    """At k = 50 no shift of the default grid is coercive, but by Weyl's
-    inequality a finite one is: the grid goes on past 1e4 and the bisection
-    runs between its last two decades."""
+    """At k = 50 no shift of the default grid is coercive, but every shift
+    past s* = -lambda_min(K_a - t B) is: the grid goes on past 1e4 to the
+    first decade above s*, and gamma0_refined is s*, between the last two."""
     o = OperatorSet(params_with_k(1.0, 50.0), geo, Resolution(N1=4, N2=4, P=8))
     g = garding_constants(o)
     n = len(DEFAULT_SHIFT_GRID)
