@@ -15,8 +15,9 @@ decides it in exact arithmetic only, passing a symbol just on a certificate:
 here the 10th-order determinant is exactly |xi|^10 for every gamma, which
 enters the boundary rows alone.
 
-Boundary operator.  Five scalar wall conditions: three Dirichlet rows and
-the two tangential components of the vorticity-gradient traction
+Boundary operator.  Five scalar wall conditions, stored once as the rows
+B of :func:`ns_alpha_beta_system`: three Dirichlet rows and the two
+tangential components of the vorticity-gradient traction
 (grad w + gamma (grad w)^T) n, whose principal parts are
 d3 w_1 + gamma d1 w_3 and d3 w_2 + gamma d2 w_3 (w = curl u); boundary row
 orders r = (0,0,0,2,2).
@@ -36,19 +37,19 @@ proportional to |eta|^2 t^2 - 2|eta| t - 2, which solves the momentum and
 pressure equations but carries divergence t e^{-|eta|t}/(2|eta|); it is
 kept because the classical elimination constants a3 = +a0/(4|eta|^3) and
 the reduced wall rows 2|eta| b_j + i eta_j b3 = 0 belong to this
-normalization).  The covering condition holds iff applying the five
-boundary rows to the family gives an invertible 5x5 system.
+normalization).  The covering condition holds iff applying the rows of B
+to the family (xi1 -> i eta1, xi2 -> i eta2, xi3^c -> the c-th
+t-derivative at t = 0) gives an invertible 5x5 system.
 :func:`certify_covering` decides it for every eta at once: the family code
 is generic over its scalar type and runs over polynomials in eta1, eta2
 and |eta| (with 1/|eta| a negative exponent), where det B is exactly
 3/(2|eta|) for every gamma (-1/(2|eta|) for the momentum-only variant).
-``eliminate_boundary_system`` reproduces the conclusion a0 = 0, a = 0,
-b = 0 step by step in exact rational arithmetic at one integer |eta|.
+:func:`eliminate_boundary_system` reproduces the conclusion a0 = 0, a = 0,
+b = 0 step by step on the same polynomials, so at every eta too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,7 +227,7 @@ def check_ellipticity(system):
 def _expderiv(poly, lam):
     """t-polynomial q with d/dt (e^{-lam t} poly(t)) = e^{-lam t} q(t).
 
-    Works for float/complex, GaussQ/Fraction and TriPoly scalars alike.
+    Works for float/complex and TriPoly scalars alike.
     """
     dpoly = [(i + 1) * c for i, c in enumerate(poly[1:])] + [0 * lam]
     return [d - lam * p for d, p in zip(dpoly, poly)]
@@ -272,8 +273,8 @@ def _member_polys(a, b, a0, part):
 
 def _family_members(eta1, eta2, lam, variant, one=1.0, imag=1j):
     """Per-component t-polynomials of the five family basis members (unit
-    a1, a2, b1, b2, a0 in turn), for any scalar type: floats, GaussQ, or
-    TriPoly in (eta1, eta2, |eta|)."""
+    a1, a2, b1, b2, a0 in turn), for any scalar type: floats or TriPoly
+    in (eta1, eta2, |eta|)."""
     part = _particular_polys(eta1, eta2, lam, variant, one=one, imag=imag)
     members = []
     for k in range(5):
@@ -307,31 +308,22 @@ def _ode_residual(eta1, eta2, lam, imag, polys, a0):
 # boundary system and covering condition
 # ---------------------------------------------------------------------------
 
-def _boundary_rows(eta1, eta2, jets, gamma, imag=1j):
-    """Apply the five principal boundary rows to a component jet table.
-
-    jets[j][c] is the c-th t-derivative of u_j at t=0.  Rows follow the
-    raw traction components d3 w_1 + gamma d1 w_3 and d3 w_2 + gamma d2 w_3
-    transcribed with d_t -> i eta_t tangentially.
-    """
-    ie1 = imag * eta1
-    ie2 = imag * eta2
-    r4 = (ie2 * jets[2][1] - jets[1][2]
-          + gamma * (eta1 * eta2 * jets[0][0] - eta1 * eta1 * jets[1][0]))
-    r5 = (jets[0][2] - ie1 * jets[2][1]
-          + gamma * (eta2 * eta2 * jets[0][0] - eta1 * eta2 * jets[1][0]))
-    return [jets[0][0], jets[1][0], jets[2][0], r4, r5]
-
-
-def _boundary_matrix(eta1, eta2, lam, gamma, members, imag=1j):
-    """Row-major 5x5 boundary matrix acting on (a1, a2, b1, b2, a0): column
-    k holds the five rows applied to member k.  a3 and b3 are eliminated
-    through the divergence constraints inside the family; the gamma terms act
-    on u(0) and drop out after the Dirichlet rows, so the determinant is
-    gamma-independent."""
-    cols = [_boundary_rows(eta1, eta2, [_expjet(p, lam, 2) for p in member], gamma, imag)
-            for member in members]
-    return [list(row) for row in zip(*cols)]
+def _boundary_matrix(B, eta1, eta2, lam, members, one=1.0, imag=1j):
+    """Row-major boundary matrix acting on (a1, a2, b1, b2, a0), for any
+    scalar type: entry (r, k) applies the symbol row B[r] to member k at
+    t = 0, with xi1 -> i eta1, xi2 -> i eta2 and xi3^c -> the c-th
+    t-derivative (the pressure column of B is zero, as the DNSystem orders
+    force).  a3 and b3 are eliminated through the divergence constraints
+    inside the family.  Each row's factors k (i eta1)^a (i eta2)^b are built
+    once, for all members."""
+    order = max((m[2] for row in B for entry in row for m in entry.terms), default=0)
+    jets = [[_expjet(p, lam, order) for p in member] for member in members]
+    ie1, ie2 = imag * eta1, imag * eta2
+    rows = [[(j, c, (k.re * one + k.im * imag) * ie1**a * ie2**b)
+             for j, entry in enumerate(row) for (a, b, c), k in entry.terms.items()]
+            for row in B]
+    return [[sum((f * jet[j][c] for j, c, f in terms), 0 * one) for jet in jets]
+            for terms in rows]
 
 
 def _mod_lambda(p):
@@ -346,6 +338,9 @@ def _mod_lambda(p):
     return out
 
 
+#: the certificate's variables x1 = eta1, x2 = eta2, x3 = |eta|, and 1 and i
+_ETA = tuple(TriPoly.var(k) for k in range(3))
+_ONE, _I = TriPoly.const(1), TriPoly.const(GaussQ.i())
 #: the family's free parameters and the half-space system's rows
 MEMBERS = ("a1", "a2", "b1", "b2", "a0")
 ODE_ROWS = ("momentum 1", "momentum 2", "momentum 3", "divergence")
@@ -368,12 +363,29 @@ class CoveringCertificate:
         return f"{member} member, {row} row: ({terms})*exp(-x3*t)"
 
 
-def certify_covering(ellipticity, gamma=0, variant=DIVERGENCE_FREE):
-    """Decide the covering condition at every eta != 0 at once, exactly.
+def _half_space(system, variant):
+    """The five family members, the boundary matrix of system.B and its
+    determinant over TriPoly in x1 = eta1, x2 = eta2, x3 = |eta|, the
+    matrix entries and the determinant in normal form."""
+    members = _family_members(*_ETA, variant, one=_ONE, imag=_I)
+    B = [[_mod_lambda(c) for c in row]
+         for row in _boundary_matrix(system.B, *_ETA, members, one=_ONE, imag=_I)]
+    return members, B, _mod_lambda(poly_determinant(B))
 
-    The family code runs over TriPoly in x1 = eta1, x2 = eta2, x3 = |eta|
-    (1/|eta| is the exponent -1), reduced by :func:`_mod_lambda`.  It passes
-    on three exact facts:
+
+def _nonzero_everywhere(p):
+    """p (in normal form) is one monomial c |eta|^k, c != 0, so it vanishes
+    at no eta != 0."""
+    return len(p.terms) == 1 and next(iter(p.terms))[:2] == (0, 0)
+
+
+def certify_covering(system, ellipticity, variant=DIVERGENCE_FREE):
+    """Decide the covering condition of system (its wall rows system.B) at
+    every eta != 0 at once, exactly.
+
+    The family code and the rows of B run over TriPoly in x1 = eta1,
+    x2 = eta2, x3 = |eta| (1/|eta| is the exponent -1), reduced by
+    :func:`_mod_lambda`.  It passes on three exact facts:
 
     * the decaying space has dimension 5: ``ellipticity`` (the report of
       :func:`check_ellipticity` for this system) found the determinant
@@ -392,22 +404,18 @@ def certify_covering(ellipticity, gamma=0, variant=DIVERGENCE_FREE):
     if not (ellipticity.passed and ellipticity.residual_degree == 0
             and ellipticity.sos_exponent == len(MEMBERS)):
         return CoveringCertificate(False, "no decaying space of dimension 5")
-    one, i = TriPoly.const(1), TriPoly.const(GaussQ.i())
-    e1, e2, lam = (TriPoly.var(k) for k in range(3))
-    members = _family_members(e1, e2, lam, variant, one=one, imag=i)
+    members, _, det = _half_space(system, variant)
     residual = None
     for name, polys, a0 in zip(MEMBERS, members, (0, 0, 0, 0, 1)):
-        rows = _ode_residual(e1, e2, lam, i, polys, a0 * one)
+        rows = _ode_residual(*_ETA, _I, polys, a0 * _ONE)
         for row, coeffs in zip(ODE_ROWS, rows):
             coeffs = [_mod_lambda(c) for c in coeffs]
             if residual is None and not all(c.is_zero for c in coeffs):
                 residual = (name, row, coeffs)
-    B = _boundary_matrix(e1, e2, lam, GaussQ(Fraction(gamma)), members, imag=i)
-    det = _mod_lambda(poly_determinant(B))
     found = dict(determinant=det, residual=residual)
     if det.is_zero:
         return CoveringCertificate(False, "zero determinant", **found)
-    if len(det.terms) != 1 or next(iter(det.terms))[:2] != (0, 0):
+    if not _nonzero_everywhere(det):
         return CoveringCertificate(False, "no exact certificate", **found)
     if residual is not None:
         return CoveringCertificate(False, "nonzero ODE residual", **found)
@@ -417,80 +425,66 @@ def certify_covering(ellipticity, gamma=0, variant=DIVERGENCE_FREE):
 # exact symbolic elimination of the boundary system
 # ---------------------------------------------------------------------------
 
-def _int_sqrt(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 @dataclass
 class EliminationRecord:
-    eta: tuple
+    """The elimination's quantities, TriPoly in normal form in x1 = eta1,
+    x2 = eta2, x3 = |eta|, valid at every eta != 0."""
+
     variant: str
-    a3_over_a0: GaussQ       # Dirichlet elimination: a3 = (this) * a0
-    a0_over_b3: GaussQ       # third Dirichlet row: a0 = (this) * b3
-    wall_rows: list          # raw 2 x 3 GaussQ rows acting on (b1, b2, a0)
+    a3_over_a0: TriPoly      # Dirichlet elimination: a3 = (this) * a0
+    a0_over_b3: TriPoly      # third Dirichlet row: a0 = (this) * b3
     reduced_rows: list       # 2 x 2 rows on (b1, b2) after eliminating a0
     reduced_rows_classical: bool  # rows equal +-(2|eta| b_j + i eta_j b3(b))
     b_forced_zero: bool
     a_and_a0_forced_zero: bool
     kernel_trivial: bool
-    det5: GaussQ
+    det5: TriPoly
 
 
-def eliminate_boundary_system(eta, gamma=0, variant=MOMENTUM_ONLY):
-    """Step-by-step exact elimination of the five boundary conditions.
+def eliminate_boundary_system(system, variant=MOMENTUM_ONLY):
+    """Step-by-step exact elimination of the five wall rows system.B, for
+    every eta != 0 at once (the polynomials of :func:`certify_covering`).
 
     Classical order: the Dirichlet rows pin a1 = a2 = 0 and determine a3
     (hence, via the third row, a0) from b3; eliminating a0 from the
     traction rows leaves a homogeneous 2x2 system on (b1, b2) - for the
     momentum-only normalization exactly the rows
     +-(2|eta| b_j + i eta_j b3) - whose invertibility forces b = 0, after
-    which a3 = b3/|eta| = 0 and a0 = 0 follow.
+    which a3 = b3/|eta| = 0 and a0 = 0 follow.  The 2x2 determinant and
+    det5 pass, as det B does, only as one monomial c |eta|^k, c != 0.
     """
-    lam_int = _int_sqrt(eta[0] * eta[0] + eta[1] * eta[1])
-    if lam_int is None:
-        raise ValueError("exact elimination needs integer |eta|")
-    lam, one, i = GaussQ.of(lam_int), GaussQ.of(1), GaussQ.i()
-    E1, E2 = GaussQ.of(eta[0]), GaussQ.of(eta[1])
-    members = _family_members(E1, E2, lam, variant, one=one, imag=i)
-    Bx = _boundary_matrix(E1, E2, lam, GaussQ(Fraction(gamma)), members, imag=i)
-    det5 = poly_determinant(Bx)
+    members, Bx, det5 = _half_space(system, variant)
+    (E1, E2, lam), i = _ETA, _I
     vpart3 = members[4][2][0]  # u_3(0) of the a0 member: vpart_3(0)
 
     # rows 0,1 must read a1 = 0 and a2 = 0 exactly
-    assert Bx[0][0] == GaussQ.of(1) and all(Bx[0][j].is_zero for j in (1, 2, 3, 4))
-    assert Bx[1][1] == GaussQ.of(1) and all(Bx[1][j].is_zero for j in (0, 2, 3, 4))
+    assert Bx[0][0] == 1 and all(Bx[0][j].is_zero for j in (1, 2, 3, 4))
+    assert Bx[1][1] == 1 and all(Bx[1][j].is_zero for j in (0, 2, 3, 4))
     a3_over_a0 = -vpart3                  # a3 = -a0 * vpart_3(0)
-    a0_over_b3 = -one / (lam * vpart3)    # row 3: b3/|eta| + a0 vpart_3(0) = 0
+    a0_over_b3 = -_ONE / (lam * vpart3)   # row 3: b3/|eta| + a0 vpart_3(0) = 0
 
-    # traction rows with a1 = a2 = 0: columns (b1, b2, a0)
-    wall = [[Bx[r][2], Bx[r][3], Bx[r][4]] for r in (3, 4)]
-
-    # eliminate a0 through the third Dirichlet row: a0 = a0_over_b3 * b3(b),
-    # b3(b) = i (eta . b)/|eta|
+    # eliminate a0 from the traction rows (columns b1, b2, a0) through the
+    # third Dirichlet row: a0 = a0_over_b3 * b3(b), b3(b) = i (eta . b)/|eta|
     def reduce(row):
-        s1 = row[2] * a0_over_b3 * (i * E1 / lam)
-        s2 = row[2] * a0_over_b3 * (i * E2 / lam)
-        return [row[0] + s1, row[1] + s2]
+        return [_mod_lambda(row[2 + j] + row[4] * a0_over_b3 * (i * E / lam))
+                for j, E in enumerate((E1, E2))]
 
-    red = [reduce(wall[0]), reduce(wall[1])]
+    red = [reduce(Bx[3]), reduce(Bx[4])]
 
     # classical reduced form: +(2|eta| b2 + i eta2 b3), -(2|eta| b1 + i eta1 b3)
     # in the raw traction-row sign convention
-    two_lam = GaussQ.of(2) * lam
-    ref4 = [(i * E2) * (i * E1) / lam, two_lam + (i * E2) * (i * E2) / lam]
-    ref5 = [-(two_lam + (i * E1) * (i * E1) / lam), -((i * E1) * (i * E2) / lam)]
-    classical = (red[0][0] == ref4[0] and red[0][1] == ref4[1]
-                 and red[1][0] == ref5[0] and red[1][1] == ref5[1])
+    ref4 = [(i * E2) * (i * E1) / lam, 2 * lam + (i * E2) * (i * E2) / lam]
+    ref5 = [-(2 * lam + (i * E1) * (i * E1) / lam), -((i * E1) * (i * E2) / lam)]
+    classical = all(_mod_lambda(got - ref).is_zero
+                    for got, ref in zip(red[0] + red[1], ref4 + ref5))
 
-    det2 = red[0][0] * red[1][1] - red[0][1] * red[1][0]
-    b_forced_zero = not det2.is_zero
+    det2 = _mod_lambda(red[0][0] * red[1][1] - red[0][1] * red[1][0])
+    b_forced_zero = _nonzero_everywhere(det2)
     # with b = 0: b3 = 0, a0 = a0_over_b3 * 0 = 0, a3 = a3_over_a0 * 0 = 0
     a_forced = b_forced_zero and not a0_over_b3.is_zero
 
     return EliminationRecord(
-        eta=tuple(eta), variant=variant, a3_over_a0=a3_over_a0,
-        a0_over_b3=a0_over_b3, wall_rows=wall, reduced_rows=red,
-        reduced_rows_classical=classical, b_forced_zero=b_forced_zero,
-        a_and_a0_forced_zero=a_forced,
-        kernel_trivial=not det5.is_zero, det5=det5)
+        variant=variant, a3_over_a0=a3_over_a0, a0_over_b3=a0_over_b3,
+        reduced_rows=red, reduced_rows_classical=classical,
+        b_forced_zero=b_forced_zero, a_and_a0_forced_zero=a_forced,
+        kernel_trivial=_nonzero_everywhere(det5), det5=det5)

@@ -162,26 +162,30 @@ def _exp_verify_adn(cfg, out, operators, stage):
     # imported here, as no other subcommand reads the symbol checks
     from .adn import (certify_covering, check_ellipticity, eliminate_boundary_system,
                       ns_alpha_beta_system, MOMENTUM_ONLY)
+    system = ns_alpha_beta_system(gamma=cfg.params.gamma)
     with stage("ellipticity"):
-        ell_rep = check_ellipticity(ns_alpha_beta_system(gamma=cfg.params.gamma))
+        ell_rep = check_ellipticity(system)
     with stage("covering"):
-        cov = certify_covering(ell_rep, gamma=cfg.params.gamma)
+        cov = certify_covering(system, ell_rep)
     with stage("elimination"):
-        elim = eliminate_boundary_system((1, 0), gamma=cfg.params.gamma, variant=MOMENTUM_ONLY)
+        elim = eliminate_boundary_system(system, variant=MOMENTUM_ONLY)
     failed = [name for name, ok in (
         ("ellipticity", ell_rep.passed),
         ("covering", cov.passed),
         ("classical elimination", elim.kernel_trivial)) if not ok]
+    variables = "x1 = eta1, x2 = eta2, x3 = |eta|"
     with stage("write"):
         write_json(out / "report.json", {
             "ellipticity": {"pass": ell_rep.passed, "method": ell_rep.method,
                             "determinant": str(ell_rep.determinant),
                             "sos_exponent": ell_rep.sos_exponent},
             "covering": {"pass": cov.passed, "method": cov.method,
-                         "variables": "x1 = eta1, x2 = eta2, x3 = |eta|",
+                         "variables": variables,
                          "determinant": str(cov.determinant),
                          "ode_residual": cov.ode_residual},
             "classical_elimination": {
+                "variables": variables,
+                "determinant": str(elim.det5),
                 "a3_over_a0": str(elim.a3_over_a0),
                 "reduced_rows_classical": elim.reduced_rows_classical,
                 "b_forced_zero": elim.b_forced_zero,

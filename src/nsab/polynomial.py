@@ -203,14 +203,15 @@ class TriPoly:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate_exact(self, xi):
-        """Exact evaluation at a triple of ints/Fractions/GaussQ."""
+        """Exact evaluation at a triple of ints/Fractions/GaussQ; a negative
+        exponent divides by the value."""
         acc = GaussQ()
         xi = [v if isinstance(v, GaussQ) else GaussQ.of(v) for v in xi]
         for (a, b, c), coef in self.terms.items():
             term = coef
             for v, e in zip(xi, (a, b, c)):
-                for _ in range(e):
-                    term = term * v
+                for _ in range(abs(e)):
+                    term = term * v if e > 0 else term / v
             acc = acc + term
         return acc
 

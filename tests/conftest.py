@@ -18,6 +18,10 @@ from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
 from nsab.stationary import _legendre_design
 
+#: gamma values of the exact covering and elimination checks; 1e-300 keeps
+#: a float gamma whose exact Fraction has a huge denominator
+GAMMAS = (0, 0.5, -1.0, 1e-300)
+
 
 def pytest_configure(config):
     config.addinivalue_line("markers",

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from nsab.adn import (DIVERGENCE_FREE, _boundary_matrix, _completion, _expderiv,
-                      _expjet, _family_members, _member_polys, _particular_polys)
+                      _expjet, _family_members, _member_polys, _particular_polys,
+                      ns_alpha_beta_system)
 
 
 def _expeval(coeffs, lam, t, order=0):
@@ -91,9 +92,11 @@ def _members(eta, variant):
 
 
 def boundary_system(eta, gamma=0.0, variant=DIVERGENCE_FREE):
-    """Complex 5x5 boundary matrix acting on (a1, a2, b1, b2, a0) at one eta."""
+    """Complex 5x5 boundary matrix acting on (a1, a2, b1, b2, a0) at one eta:
+    the wall rows of ``ns_alpha_beta_system(gamma)`` applied in floats."""
     lam, members = _members(eta, variant)
-    return np.array(_boundary_matrix(eta[0], eta[1], lam, gamma, members), complex)
+    B = ns_alpha_beta_system(gamma).B
+    return np.array(_boundary_matrix(B, eta[0], eta[1], lam, members), complex)
 
 
 @dataclass

@@ -22,12 +22,12 @@ from nsab.field import random_field, zero_field
 from nsab.manufactured import default_case
 from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
-from nsab.polynomial import GaussQ, norm_sq_poly
+from nsab.polynomial import GaussQ, TriPoly, norm_sq_poly
 from nsab.spectral import eigenpairs_A, garding_constants
 from nsab.stationary import recover_pressure, solve_stationary, strong_bc_residual
 
-from conftest import distinct_blocks, eigenpair_field, params_with_k, velocity_dual
-from covering_oracle import check_covering, stable_subspace_angle
+from conftest import GAMMAS, distinct_blocks, eigenpair_field, params_with_k, velocity_dual
+from covering_oracle import boundary_system, check_covering, stable_subspace_angle
 from fractions import Fraction
 
 GEO = ChannelGeometry()  # 2pi x 2pi x 1
@@ -59,7 +59,8 @@ def test_criterion_02_covering_condition():
     """The exact certificate for every eta != 0, cross-checked by the float
     oracle at 120 sampled frequencies."""
     t0 = time.perf_counter()
-    cert = certify_covering(check_ellipticity(ns_alpha_beta_system()))
+    system = ns_alpha_beta_system()
+    cert = certify_covering(system, check_ellipticity(system))
     exact = cert.passed and str(cert.determinant) == "3/2*x3^-1"
     rng = np.random.default_rng(0)
     ok = True
@@ -83,15 +84,28 @@ def test_criterion_02_covering_condition():
 # -- 3 -----------------------------------------------------------------------
 
 def test_criterion_03_classical_elimination_exact():
+    """The elimination runs on polynomials in (eta1, eta2, |eta|), so its
+    identities hold at every eta != 0; the record is also read at the
+    integer point (3, 4, 5) and against the float boundary matrix."""
     ok = True
-    for eta in ((1, 0), (0, 1)):
-        rec = eliminate_boundary_system(eta, variant=MOMENTUM_ONLY)
-        ok &= rec.a3_over_a0 == GaussQ.of(Fraction(1, 4))   # a3 = a0/(4|eta|^3)
+    x3 = TriPoly.var(2)
+    for gamma in GAMMAS:
+        system = ns_alpha_beta_system(gamma)
+        rec = eliminate_boundary_system(system, variant=MOMENTUM_ONLY)
+        cert = certify_covering(system, check_ellipticity(system), MOMENTUM_ONLY)
+        ok &= rec.a3_over_a0 == TriPoly.const(Fraction(1, 4)) / x3**3  # a3 = a0/(4|eta|^3)
         ok &= rec.reduced_rows_classical                    # 2|eta| b_j + i eta_j b3
         ok &= rec.b_forced_zero and rec.a_and_a0_forced_zero
-        ok &= rec.kernel_trivial
+        ok &= rec.kernel_trivial and rec.det5 == cert.determinant
+        ok &= rec.a3_over_a0.evaluate_exact((3, 4, 5)) == GaussQ.of(Fraction(1, 500))
+        ok &= rec.det5.evaluate_exact((3, 4, 5)) == GaussQ.of(Fraction(-1, 10))
+        for point in ((3, 4, 5), (5, 12, 13)):
+            exact = rec.det5.evaluate_exact(point)
+            det5 = complex(float(exact.re), float(exact.im))
+            B = boundary_system(point[:2], gamma=gamma, variant=MOMENTUM_ONLY)
+            ok &= abs(np.linalg.det(B) - det5) <= 1e-10 * abs(det5)
     _report(3, "exact elimination reproduces a3 = a0/(4|eta|^3), b = 0, "
-               "then a = a0 = 0", ok)
+               "then a = a0 = 0, at every eta", ok)
 
 
 # -- 4 -----------------------------------------------------------------------

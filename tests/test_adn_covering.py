@@ -6,25 +6,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nsab import adn
-from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, certify_covering,
+from nsab.adn import (DIVERGENCE_FREE, MOMENTUM_ONLY, DNSystem, certify_covering,
                       check_ellipticity, eliminate_boundary_system,
                       ns_alpha_beta_system)
 from nsab.polynomial import GaussQ, TriPoly
 
+from conftest import GAMMAS
 from covering_oracle import (boundary_system, check_covering, closed_form_family,
                              numeric_stable_subspace, stable_subspace_angle)
 
-GAMMAS = (0, 0.5, -1.0, 1e-300)
-
 
 def _certify(gamma=0, variant=DIVERGENCE_FREE):
-    return certify_covering(check_ellipticity(ns_alpha_beta_system(gamma)), gamma, variant)
+    system = ns_alpha_beta_system(gamma)
+    return certify_covering(system, check_ellipticity(system), variant)
 
 
-def _inv_lam(c):
-    """c / |eta| in the certificate's variables x3 = |eta|."""
-    return TriPoly({(0, 0, -1): c})
+def _inv_lam(c, power=1):
+    """c / |eta|^power in the certificate's variables x3 = |eta|."""
+    return TriPoly({(0, 0, -power): c})
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -47,35 +46,35 @@ def test_certificate_momentum_only_family(gamma):
     assert coeffs == [TriPoly.zero(), _inv_lam(Fraction(1, 2)), TriPoly.zero()]
 
 
-def _with_second_traction_row(monkeypatch, change):
-    rows = adn._boundary_rows
-
-    def patched(eta1, eta2, jets, gamma, imag=1j):
-        out = rows(eta1, eta2, jets, gamma, imag)
-        return out[:4] + [change(eta1, eta2, out)]
-
-    monkeypatch.setattr(adn, "_boundary_rows", patched)
+def _certify_rows(B, r):
+    """The certificate for the model's interior system with wall rows B."""
+    base = ns_alpha_beta_system()
+    system = DNSystem(L=base.L, s=base.s, t=base.t, B=B, r=r)
+    return certify_covering(system, check_ellipticity(system))
 
 
-def test_certificate_fails_on_a_vanishing_determinant_form(monkeypatch):
-    # (eta1 - eta2) det B vanishes on the diagonal eta1 = eta2 only
-    _with_second_traction_row(monkeypatch, lambda e1, e2, out: (e1 - e2) * out[4])
-    cert = _certify()
+def test_certificate_fails_on_a_vanishing_determinant_form():
+    # (xi1 - xi2) times the last row: det B gains the factor i (eta1 - eta2),
+    # which vanishes on the diagonal eta1 = eta2 only
+    B = ns_alpha_beta_system().B
+    factor = TriPoly.var(0) - TriPoly.var(1)
+    cert = _certify_rows(B[:4] + [[factor * e for e in B[4]]], (0, 0, 0, 2, 3))
     assert not cert.passed and cert.method == "no exact certificate"
     assert len(cert.determinant.terms) == 2
 
 
-def test_certificate_fails_on_a_zero_determinant(monkeypatch):
-    _with_second_traction_row(monkeypatch, lambda e1, e2, out: out[3])
-    cert = _certify()
+def test_certificate_fails_on_a_zero_determinant():
+    B = ns_alpha_beta_system().B
+    cert = _certify_rows(B[:4] + [B[3]], (0, 0, 0, 2, 2))
     assert not cert.passed and cert.method == "zero determinant"
     assert cert.determinant.is_zero
 
 
 def test_certificate_needs_five_decaying_solutions():
-    ell = check_ellipticity(ns_alpha_beta_system())
+    system = ns_alpha_beta_system()
+    ell = check_ellipticity(system)
     ell.sos_exponent = 4
-    cert = certify_covering(ell)
+    cert = certify_covering(system, ell)
     assert not cert.passed and cert.determinant is None
 
 
@@ -226,41 +225,51 @@ def test_pressure_jets_decay_like_single_exponential():
             assert abs(Y[13] + lam * Y[12]) <= 1e-10 * np.linalg.norm(Y)
 
 
+def _eliminations(variant=MOMENTUM_ONLY):
+    """(gamma, system, elimination record) at every gamma of GAMMAS."""
+    for gamma in GAMMAS:
+        system = ns_alpha_beta_system(gamma)
+        yield gamma, system, eliminate_boundary_system(system, variant=variant)
+
+
 def test_exact_elimination_classical_constants():
-    for eta in ((1, 0), (0, 1)):
-        rec = eliminate_boundary_system(eta, variant=MOMENTUM_ONLY)
-        lam = 1
-        assert rec.a3_over_a0 == GaussQ.of(Fraction(1, 4 * lam**3))
+    """The classical identities hold as polynomials, so at every eta != 0."""
+    for _, system, rec in _eliminations():
+        assert rec.a3_over_a0 == _inv_lam(Fraction(1, 4), 3)   # a3 = a0/(4|eta|^3)
         assert rec.reduced_rows_classical
         assert rec.b_forced_zero
         assert rec.a_and_a0_forced_zero
         assert rec.kernel_trivial
-        assert rec.det5 == GaussQ.of(Fraction(-1, 2))
+        assert rec.det5 == _inv_lam(Fraction(-1, 2))
+        cert = certify_covering(system, check_ellipticity(system), MOMENTUM_ONLY)
+        assert rec.det5 == cert.determinant
 
 
 def test_exact_elimination_gamma_terms_drop():
-    r0 = eliminate_boundary_system((1, 0), gamma=0, variant=MOMENTUM_ONLY)
-    r1 = eliminate_boundary_system((1, 0), gamma=1, variant=MOMENTUM_ONLY)
-    assert r0.det5 == r1.det5
-    assert r0.reduced_rows == r1.reduced_rows
+    (_, _, r0), *others = _eliminations()
+    for _, _, rec in others:
+        assert rec.det5 == r0.det5
+        assert rec.reduced_rows == r0.reduced_rows
 
 
 def test_exact_elimination_divergence_free_variant():
-    rec = eliminate_boundary_system((1, 0), variant=DIVERGENCE_FREE)
-    assert rec.a3_over_a0 == GaussQ.of(Fraction(-1, 4))
-    assert not rec.reduced_rows_classical     # b3 coefficient flips sign
-    assert rec.b_forced_zero and rec.a_and_a0_forced_zero
-    assert rec.kernel_trivial
-    assert rec.det5 == GaussQ.of(Fraction(3, 2))
+    for _, system, rec in _eliminations(DIVERGENCE_FREE):
+        assert rec.a3_over_a0 == _inv_lam(Fraction(-1, 4), 3)
+        assert not rec.reduced_rows_classical     # b3 coefficient flips sign
+        assert rec.b_forced_zero and rec.a_and_a0_forced_zero
+        assert rec.kernel_trivial
+        assert rec.det5 == _inv_lam(Fraction(3, 2))
+        assert rec.det5 == certify_covering(system, check_ellipticity(system)).determinant
 
 
 def test_exact_elimination_matches_numeric_determinant():
-    rec = eliminate_boundary_system((3, 4), variant=DIVERGENCE_FREE)
-    B = boundary_system((3.0, 4.0))
-    det5 = complex(float(rec.det5.re), float(rec.det5.im))
-    assert complex(np.linalg.det(B)) == pytest.approx(det5, rel=1e-10)
-
-
-def test_exact_elimination_requires_integer_modulus():
-    with pytest.raises(ValueError, match="integer"):
-        eliminate_boundary_system((1, 1))
+    """The record evaluated at integer points (eta1, eta2, |eta|) against
+    the float boundary matrix there."""
+    for gamma, _, rec in _eliminations():
+        assert rec.a3_over_a0.evaluate_exact((3, 4, 5)) == GaussQ.of(Fraction(1, 500))
+        assert rec.det5.evaluate_exact((3, 4, 5)) == GaussQ.of(Fraction(-1, 10))
+        for point in ((3, 4, 5), (5, 12, 13)):
+            exact = rec.det5.evaluate_exact(point)
+            det5 = complex(float(exact.re), float(exact.im))
+            B = boundary_system(point[:2], gamma=gamma, variant=MOMENTUM_ONLY)
+            assert complex(np.linalg.det(B)) == pytest.approx(det5, rel=1e-10)

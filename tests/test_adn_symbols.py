@@ -144,6 +144,12 @@ def test_monomial_division_gives_laurent_exponents():
         p / norm_sq_poly()
 
 
+def test_evaluate_exact_divides_for_negative_exponents():
+    assert (TriPoly.const(3) / TriPoly.var(2)).evaluate_exact((1, 1, 2)) == GaussQ.of(Fraction(3, 2))
+    p = TriPoly({(1, 0, -2): Fraction(1, 4), (0, -1, -1): GaussQ.i()})
+    assert p.evaluate_exact((3, 2, 5)) == GaussQ(Fraction(3, 100), Fraction(1, 10))
+
+
 def test_str_prints_every_exponent_but_one():
     assert str(TriPoly({(0, 0, -1): 1})) == "1*x3^-1"
     assert str(TriPoly({(1, 0, 0): 2, (0, 2, -3): Fraction(-1, 2)})) == "2*x1 + -1/2*x2^2*x3^-3"

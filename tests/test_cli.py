@@ -50,6 +50,11 @@ def test_verify_adn_run(cfgfile, tmp_path):
     assert rep["covering"] == {"pass": True, "method": "exact c*|eta|^k determinant",
                                "variables": "x1 = eta1, x2 = eta2, x3 = |eta|",
                                "determinant": "3/2*x3^-1", "ode_residual": "0"}
+    # the classical elimination holds at every eta, in the same variables
+    elim = rep["classical_elimination"]
+    assert elim["variables"] == rep["covering"]["variables"]
+    assert (elim["determinant"], elim["a3_over_a0"]) == ("-1/2*x3^-1", "1/4*x3^-3")
+    assert elim["kernel_trivial"] and elim["reduced_rows_classical"]
     assert "subspace_angles" not in rep
     assert rep["all_pass"]
     man = json.loads((out / "manifest.json").read_text())
