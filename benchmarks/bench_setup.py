@@ -21,6 +21,16 @@ to a file at the repository root:
   solve still exits 3), the configs of the stationary-n16 benchmark
   workload.  The ``errors`` stage exists for the manufactured solves only.
 
+Raw seconds record the host's speed as much as the code's: on a shared
+host the same tree's medians drift by tens of percent between runs.  So
+every run is followed by samples of perfbench's nsab-independent kernel
+(``perfbench/calibration.py``, imported as is), and each case also records
+``speed_factor``, the median of ``REFERENCE_S`` over the kernel seconds
+timed after its runs (above 1: a host faster than the one the reference
+was measured on), and ``calibrated``, the medians of its runs' stage and
+process seconds each scaled by the factor of its own run: seconds at the
+reference host's speed, comparable across runs and hosts.
+
 ``machine`` records the numpy installed for this interpreter, the one
 library a run's manifest names (no nsab run loads scipy).  A ``--cases``
 subset rewrites only its own rows of a file and keeps the others.  The
@@ -30,7 +40,7 @@ noise.
     python benchmarks/bench_setup.py                  # all cases, 5 runs each
     python benchmarks/bench_setup.py --cases n16p32,probe-n8p16 --out-dir /tmp
 
-Exits 1 if any nsab run fails.  N64/P64 peaks near 390 MB.
+Exits 1 if any nsab run fails.  N64/P64 peaks near 425 MB.
 """
 
 import argparse
@@ -46,7 +56,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import calibration  # noqa: E402  (perfbench's kernel, read only)
+
 REPEATS = 5
+#: calibration kernel samples after each run, at least: one sample reads
+#: the host's speed at one instant, and on a shared host it drifts within
+#: seconds (with one sample a case's calibrated medians spread up to 11%
+#: over three runs, with three up to 8%)
+MIN_KERNEL_SAMPLES = 3
 MODEL = """model.alpha = 0.2
 model.beta = 0.1
 model.gamma = -1.0
@@ -85,8 +103,9 @@ THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_once(kind, config, work):
-    """The manifest of one ``nsab kind`` run in a fresh process, and the
-    process's wall seconds."""
+    """The manifest of one ``nsab kind`` run in a fresh process, the
+    process's wall seconds and the median seconds of the calibration
+    kernel samples taken right after it."""
     cfg, out = work / "run.cfg", work / "out"
     cfg.write_text(config)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **dict.fromkeys(THREADS, "1"))
@@ -96,18 +115,24 @@ def run_once(kind, config, work):
     process_s = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"nsab {kind} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads((out / "manifest.json").read_text()), process_s
+    kernel_s = calibration.sample(max(MIN_KERNEL_SAMPLES, calibration.samples_after(process_s)))
+    return json.loads((out / "manifest.json").read_text()), process_s, kernel_s
 
 
 def summarize(kind, N, P, runs):
-    """The medians of a case's (manifest, process seconds) runs."""
-    runs, process_s = zip(*runs)
+    """The medians of a case's (manifest, process seconds, kernel seconds)
+    runs, raw and calibrated."""
+    runs, process_s, kernel_s = zip(*runs)
     timings = [r["timings"] for r in runs]
+    seconds = {**{f"{s}_s": [t["stages"][s]["s"] for t in timings]
+                  for s in STAGES[kind] if s in timings[0]["stages"]},
+               "process_s": process_s}
     result = {"N": N, "P": P, "repeats": REPEATS,
-              **{f"{s}_s": statistics.median(t["stages"][s]["s"] for t in timings)
-                 for s in STAGES[kind] if s in timings[0]["stages"]},
+              **{name: statistics.median(raw) for name, raw in seconds.items()},
               "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-              "process_s": statistics.median(process_s)}
+              "speed_factor": statistics.median(calibration.REFERENCE_S / k for k in kernel_s),
+              "calibrated": {name: statistics.median(map(calibration.calibrated, raw, kernel_s))
+                             for name, raw in seconds.items()}}
     if "steps" in timings[0]:
         result.update(steps_per_s=statistics.median(t["steps_per_s"] for t in timings),
                       steps=timings[0]["steps"])

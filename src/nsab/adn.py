@@ -430,9 +430,7 @@ class EliminationRecord:
     """The elimination's quantities, TriPoly in normal form in x1 = eta1,
     x2 = eta2, x3 = |eta|, valid at every eta != 0."""
 
-    variant: str
     a3_over_a0: TriPoly      # Dirichlet elimination: a3 = (this) * a0
-    a0_over_b3: TriPoly      # third Dirichlet row: a0 = (this) * b3
     reduced_rows: list       # 2 x 2 rows on (b1, b2) after eliminating a0
     reduced_rows_classical: bool  # rows equal +-(2|eta| b_j + i eta_j b3(b))
     b_forced_zero: bool
@@ -480,11 +478,9 @@ def eliminate_boundary_system(system, variant=MOMENTUM_ONLY):
 
     det2 = _mod_lambda(red[0][0] * red[1][1] - red[0][1] * red[1][0])
     b_forced_zero = _nonzero_everywhere(det2)
-    # with b = 0: b3 = 0, a0 = a0_over_b3 * 0 = 0, a3 = a3_over_a0 * 0 = 0
-    a_forced = b_forced_zero and not a0_over_b3.is_zero
-
+    # with b = 0: b3 = 0, a0 = a0_over_b3 * 0 = 0 and a3 = a3_over_a0 * 0 = 0,
+    # whatever a0_over_b3 is
     return EliminationRecord(
-        variant=variant, a3_over_a0=a3_over_a0, a0_over_b3=a0_over_b3,
-        reduced_rows=red, reduced_rows_classical=classical,
-        b_forced_zero=b_forced_zero, a_and_a0_forced_zero=a_forced,
+        a3_over_a0=a3_over_a0, reduced_rows=red, reduced_rows_classical=classical,
+        b_forced_zero=b_forced_zero, a_and_a0_forced_zero=b_forced_zero,
         kernel_trivial=_nonzero_everywhere(det5), det5=det5)

@@ -106,7 +106,9 @@ class BasisCache:
     Blocks depend on the wavenumber only through m = |eta|^2: ``W_tor`` and
     ``W_pol`` (U, n, n) stack one per distinct m, ``m`` (U,), in the block
     numbering of the layout (``layout.block`` gives each row's), and act on
-    a field's rows through :func:`nsab.field.blockmul`.  The mean block has
+    a field's rows through :func:`nsab.field.blockmul`, which multiplies
+    the rows from the right: analysis reads W, synthesis the contiguous
+    transposes ``W_tor_T``/``W_pol_T``.  The mean block has
     ``mean_W`` and its own tables ``mean_E``/``mean_tr``
     (``raw_T``/``raw_T_tr`` times ``mean_W``).
     """
@@ -120,7 +122,7 @@ class BasisCache:
         self.z, self.w = gauss_legendre(resolution.Q, H)
         self.raw_T, self.raw_C = recombined_bases(P, self.z, H, MAX_DERIV)
         self.raw_T_tr, self.raw_C_tr = recombined_bases(P, [0.0, H], H, MAX_TRACE_DERIV)
-        self.synth_T, self.synth_C = (np.hstack([t.T for t in tabs]).astype(complex)
+        self.synth_T, self.synth_C = (np.hstack([t.T for t in tabs])
                                       for tabs in (self.raw_T[:MAX_DERIV], self.raw_C))
         # mean block: plain L^2 mass, one copy shared by both components
         T0 = self.raw_T[0]
@@ -129,6 +131,8 @@ class BasisCache:
         self.mean_tr = [t @ self.mean_W for t in self.raw_T_tr]
         self.m = self.layout.m
         self.W_tor, self.W_pol = self.bases(self.m)
+        self.W_tor_T, self.W_pol_T = (np.ascontiguousarray(np.swapaxes(W, 1, 2))
+                                      for W in (self.W_tor, self.W_pol))
 
     def bases(self, m):
         """Toroidal and poloidal W stacks (U, n, n) of the blocks with

@@ -52,7 +52,7 @@ from . import __version__
 from .basis import BasisCache
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
-from .field import analyze, random_field, synthesize, zero_field
+from .field import analyze, analyze_rows, random_field, synthesize, synthesize_rows, zero_field
 from .operators import OperatorSet
 from .params import ParameterError, Resolution
 from .snapshots import write_snapshot
@@ -149,7 +149,7 @@ def _initial_field(cfg, layout):
             raise ConfigError(f"u0.id = single_mode needs a nonzero mode, and N1 = "
                               f"{res.N1}, N2 = {res.N2} store none")
         f = zero_field(cfg.geometry, cfg.resolution)
-        f.psi[layout.row[layout.reps[0]], 0] = cfg["u0.amplitude"]
+        f.psi[layout.row[layout.reps[0]], 0, 0] = cfg["u0.amplitude"]  # plane 0: real parts
         return f
     raise ConfigError(f"unknown u0.id {kind!r}")
 
@@ -376,7 +376,7 @@ def _exp_convergence(cfg, out, operators, stage):
             # natural-condition recovery on a plain smooth solve (no correction)
             f = random_field(cfg.geometry, res, seed=cfg["forcing.seed"],
                              amplitude=1.0, decay=1.0)
-            uf, _ = solve_stationary(ops, analyze(*synthesize(f, ops.cache)["u"], ops.cache))
+            uf, _ = solve_stationary(ops, analyze_rows(*synthesize_rows(f, ops.cache), ops.cache))
         with stage("pressure"):
             press, prep = recover_pressure(u, case.forcing(ops), ops)
         with stage("errors"):

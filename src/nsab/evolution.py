@@ -112,10 +112,12 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
     factors = [spectral_factors(b, ops.params.beta, include_gradient=True) for b in ops.blocks]
 
     def flow(tau, f, right):
-        # L^{-1/2} e^{-tau D} right, per block, applied to f
-        return f.apply([fb.inv_sqrt_lambda
-                        @ (fb.d_eigvecs * np.exp(-tau * fb.d_eigvals)[:, None, :])
-                        @ np.swapaxes(fb.d_eigvecs, 1, 2) @ right(fb) for fb in factors])
+        # L^{-1/2} e^{-tau D} right, per block, applied to f: its transpose,
+        # contiguous, multiplies f's rows from the right
+        return f.apply([np.swapaxes(fb.inv_sqrt_lambda
+                                    @ (fb.d_eigvecs * np.exp(-tau * fb.d_eigvals)[:, None, :])
+                                    @ np.swapaxes(fb.d_eigvecs, 1, 2) @ right(fb), 1, 2).copy()
+                        for fb in factors])
 
     out = flow(t, u0, lambda fb: fb.sqrt_lambda)
     if forcing is not None and t > 0:
@@ -158,9 +160,12 @@ class IMEXStepper:
         weights = ((-1.0,) if scheme == "euler" else (-1.5, 0.5)) if nonlinear else ()
 
         def stack(blk, M_lambda):
+            # [E | w dt Q ...] stored transposed: a step multiplies the rows
+            # [u | N | N_prev] by it from the left
             Q = np.linalg.inv(M_lambda + theta * dt * (b2 * blk.K_a + blk.K_grad))
             E = (Q @ M_lambda) / theta - (1.0 / theta - 1.0) * np.eye(blk.n)
-            return np.concatenate([E] + [w * dt * Q for w in weights], axis=-1)
+            parts = [E] + [w * dt * Q for w in weights]
+            return np.swapaxes(np.concatenate(parts, axis=-1), 1, 2).copy()
 
         self._stacks = [stack(blk, blk.M_lambda) for blk in ops.blocks]
 
@@ -290,7 +295,7 @@ def _h1_norms(ops, w):
     """H1 norm sqrt(<w[j] + K_grad w[j], w[j]>) of each member w[j] of a
     stacked field, each member's as its own; inf where the square overflowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = w + w.apply([blk.K_grad for blk in ops.blocks])
+        x = w + w.apply(ops.stacks("K_grad"))
         return _root(x.dot(w, per_member=True)).tolist()
 
 

@@ -5,38 +5,47 @@ Storage layout
 A real field's tangential spectrum is Hermitian, coef(-k) = conj(coef(k)),
 so only the representative modes are stored: k1 > 0, or k1 = 0 < k2, for
 wavenumbers k in [-N/2, N/2) without the Nyquist values -N/2.  The
-potentials ``psi`` and ``phi`` are (R, n) arrays with one row per
-representative, R = ((N1 - 1)(N2 - 1) - 1) / 2; the (0,0) slot is carried
-separately as two real mean profiles (U1(z), U2(z), 0).  A basis block
-depends on the wavenumber only through m = |eta|^2, so all modes of
+potentials ``psi`` and ``phi`` are real (R, 2, n) arrays with one row per
+representative, R = ((N1 - 1)(N2 - 1) - 1) / 2, each row's real and
+imaginary coefficient vectors as two adjacent planes; the (0,0) slot is
+carried separately as two real mean profiles (U1(z), U2(z), 0).  A basis
+block depends on the wavenumber only through m = |eta|^2, so all modes of
 bitwise-equal m share one, and the rows are stored block-major
 (:class:`ModeLayout`, one per geometry and resolution, as m depends on the
 periods): sorted by block, the blocks numbered by their row count, so the
 blocks with k rows each form one contiguous slice.  Every per-block stack
 (bases, forms, propagators, eigenvectors) acts on a field's rows through
-:func:`blockmul`, one matmul per such bucket; nothing is gathered per row.
+:func:`blockmul`: a block's 2 k plane rows times its stack, one gemm per
+block; nothing is gathered per row.
 
 Coefficients are expressed in the per-block orthonormalized bases of
-:mod:`nsab.basis`, so the L2 inner product of two fields is the Hermitian
-dot product of their rows, counted twice for the conjugate partners, plus
-the dot product of the mean rows.
+:mod:`nsab.basis`, so the L2 inner product of two fields is the dot product
+of their planes, counted twice for the conjugate partners, plus the dot
+product of the mean rows.
 
 This module and the snapshot file boundary are the only places that know
 that layout; other modules apply stacks with :meth:`SolenoidalField.apply`
 and reach rows through the layout's ``row``, ``groups`` and ``block``.
+Complex numbers appear only at the edges - the snapshot file, the public
+:func:`synthesize` and :func:`analyze`, one row's mixing
+(:meth:`ModeLayout.mix_row`), the wall audits - through one conversion
+pair, :func:`as_complex` and :func:`as_planes`; the time step runs in real
+arithmetic end to end.
 
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
-the quadrature nodes - complex (C, R, Q) rows of the C components asked
+the quadrature nodes - real (R, 2, C, Q) planes of the C components asked
 for, plus the real (C, Q) mean profile - in a few batched calls: a
-per-block change of basis (:func:`blockmul`), one gemm per potential
+per-block change of basis (:func:`blockmul`), one real gemm per potential
 against the raw tables of its derivative orders side by side, shared by
-all blocks, and one product with per-row (C, orders) mixing matrices of
-i eta1, i eta2, m and the filter (:meth:`ModeLayout.mixing`).
-:func:`synthesize` evaluates velocity (and, on request, the curl of the
-filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u); :func:`analyze`,
-its L2 adjoint (the same steps transposed), is the Galerkin projection
-onto the solenoidal test basis (a Leray projection when fed an arbitrary
-field).
+all blocks, and one real product per plane with per-row (C, orders)
+mixing matrices of eta1, eta2, m and the filter (:meth:`ModeLayout.mixing`):
+a tangential component is i times a real combination, so its two products
+are its imaginary and real part, swapped (:func:`tangential_swap`).
+:func:`synthesize_rows` evaluates velocity (and, on request, the curl of
+the filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u);
+:func:`analyze_rows`, its L2 adjoint (the same steps transposed), is the
+Galerkin projection onto the solenoidal test basis (a Leray projection when
+fed an arbitrary field).
 
 Only :func:`reconstruct` and :func:`project_velocity` know the padded
 grid, M1 x M2 x Q physical samples with M the smallest even count
@@ -48,16 +57,16 @@ a matrix DFT pruned to the box of stored wavenumbers (0 <= k1 < N1/2,
 tables built once per (N1, N2).
 
 The time step evaluates the nonlinear term through :class:`GridWorkspace`,
-the arrays of one product of synthesized quantities (profiles, spectral box,
-grid, product, forward halves and gathered rows) reused from call to call
-instead of allocated afresh.  The grid owns one workspace per node count Q
-and leading member axes, so it lives as long as the grid, which
-:func:`layout_for` keeps for the whole process: a run that freed it on exit
-would hand the pages back to the OS and take the page faults again in the
-next run.  Arrays carved from a workspace are overwritten by the next call
-that uses it, so the path is not reentrant (nsab is serial); the public
-:func:`synthesize`, :func:`reconstruct` and :func:`project_velocity`
-return fresh arrays unless given a workspace.
+the arrays of one product of synthesized quantities (derivative values,
+profiles, spectral box, grid, product, forward halves and gathered planes)
+reused from call to call instead of allocated afresh.  The grid owns one
+workspace per node count Q and leading member axes, so it lives as long as
+the grid, which :func:`layout_for` keeps for the whole process: a run that
+freed it on exit would hand the pages back to the OS and take the page
+faults again in the next run.  Arrays carved from a workspace are
+overwritten by the next call that uses it, so the path is not reentrant
+(nsab is serial); the public :func:`synthesize` returns fresh arrays, and
+:func:`reconstruct` and :func:`project_velocity` do unless given a workspace.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ class ModeLayout:
     ``m`` (U,) holds the blocks' m and ``block`` (R,) each row's block, the
     one block numbering.  Blocks are numbered by their row count, then by
     first appearance in ``reps``, and rows are sorted by block, so the nb
-    blocks with k rows each are one contiguous (nb k, n) slice of a
+    blocks with k rows each are one contiguous (nb k, 2, n) slice of a
     potential: ``buckets`` lists these runs as (rows, blocks, (nb, k)), the
     form :func:`blockmul` reads, ``potential_buckets`` and ``potential_blocks``
     the runs and row blocks of psi, phi and the mean.  ``groups`` maps each
@@ -146,18 +155,23 @@ class ModeLayout:
         return PaddedGrid(self.k, self.N1, self.N2, self.padded_shape)
 
     def mixing(self, want, alpha=None):
-        """The products of synthesis after the table gemms, (rows, mean), of
-        the quantities want at filter length alpha (read by curl_v only),
-        kept per want for the last alpha asked.  rows is the complex (R, C, O)
-        stack of per-row matrices, C = 3 len(want) components in want order,
-        O = 2 nd + 1 derivative orders (psi's 0..nd-1, then phi's 0..nd):
-        each quantity is vel(t, p) = (i eta2 t + i eta1 p', -i eta1 t + i
-        eta2 p', m p) of D-polynomials t, p of the potentials, Lap = D^2 - m,
-        F = 1 - alpha^2 Lap: u = vel(psi, phi), curl v = vel(-F Lap phi, F
-        psi) (the curl commutes with F) and Lap^2 u = vel(Lap^2 psi, Lap^2
-        phi).  mean (C, 2 nd + 2) mixes the mean's orders 0..nd of (U1, U2)
-        alike into (U1, U2, 0), (-V2', V1', 0) with V = F U, and (U1^(4),
-        U2^(4), 0).
+        """The products of synthesis after the table gemms, (rows, mean,
+        adjoint), of the quantities want at filter length alpha (read by
+        curl_v only), kept per want for the last alpha asked.  Each quantity
+        is vel(t, p) = (i eta2 t + i eta1 p', -i eta1 t + i eta2 p', m p) of
+        D-polynomials t, p of the potentials, Lap = D^2 - m, F = 1 - alpha^2
+        Lap: u = vel(psi, phi), curl v = vel(-F Lap phi, F psi) (the curl
+        commutes with F) and Lap^2 u = vel(Lap^2 psi, Lap^2 phi).  A row's
+        complex (C, O) matrix, C = 3 len(want) components in want order, O =
+        2 nd + 1 derivative orders (psi's 0..nd-1, then phi's 0..nd), is i K
+        in the tangential components and K in the normal one, K real.  So
+        rows is the real (R, 2, C, O) pair (K, sign K) that multiplies the
+        values' real and imaginary planes, sign = -1 in the tangential
+        components, where the two products are the imaginary and the real
+        part, in that order (:func:`tangential_swap`); adjoint is its
+        transpose, (R, 2, O, C).  mean (C, 2 nd + 2) mixes the mean's orders
+        0..nd of (U1, U2) alike into (U1, U2, 0), (-V2', V1', 0) with V = F
+        U, and (U1^(4), U2^(4), 0).
         """
         want, alpha = tuple(want), (alpha if "curl_v" in want else None)
         if want in self._mixing and self._mixing[want][0] == alpha:
@@ -175,21 +189,29 @@ class ModeLayout:
                  "curl_v": ((1, curl), (0, filt), [0.0, 1.0, 0.0, -a2],
                             np.array([[0.0, -1.0], [1.0, 0.0]])),
                  "bilap_u": ((0, bilap), (1, bilap), [0.0] * 4 + [1.0], np.eye(2))}
-        rows = np.zeros((len(m), 3 * len(want), 2 * nd + 1), complex)
+        K = np.zeros((len(m), 3 * len(want), 2 * nd + 1))
         mean = np.zeros((3 * len(want), nd + 1, 2))
         for i, name in enumerate(want):
             (pt, t), (pp, p), mean_poly, S = parts[name]
             for d, c in enumerate(t):
-                rows[:, 3 * i, pt * nd + d] += 1j * e2 * c
-                rows[:, 3 * i + 1, pt * nd + d] -= 1j * e1 * c
+                K[:, 3 * i, pt * nd + d] += e2 * c
+                K[:, 3 * i + 1, pt * nd + d] -= e1 * c
             for d, c in enumerate(p):
-                rows[:, 3 * i, pp * nd + d + 1] += 1j * e1 * c
-                rows[:, 3 * i + 1, pp * nd + d + 1] += 1j * e2 * c
-                rows[:, 3 * i + 2, pp * nd + d] += m * c
+                K[:, 3 * i, pp * nd + d + 1] += e1 * c
+                K[:, 3 * i + 1, pp * nd + d + 1] += e2 * c
+                K[:, 3 * i + 2, pp * nd + d] += m * c
             for d, c in enumerate(mean_poly):
                 mean[3 * i:3 * i + 2, d] = c * S
-        self._mixing[want] = alpha, rows, mean.reshape(len(mean), -1)
+        rows = np.stack([K, np.where(_tangential(len(mean)), -1.0, 1.0)[:, None] * K], axis=1)
+        self._mixing[want] = (alpha, rows, mean.reshape(len(mean), -1),
+                              np.ascontiguousarray(np.swapaxes(rows, -1, -2)))
         return self._mixing[want][1:]
+
+    def mix_row(self, row, want, values, alpha=None):
+        """The complex (C, Q) profiles synthesis mixes from one row's complex
+        (O, Q) derivative values, as :meth:`mixing` orders them."""
+        planes = self.mixing(want, alpha)[0][row] @ as_planes(values, axis=0)
+        return as_complex(tangential_swap(planes), axis=0)
 
 
 class PaddedGrid:
@@ -200,13 +222,14 @@ class PaddedGrid:
     array, J = 2 K2 + 1, with the real and imaginary parts in separate
     planes.  The inverse applies the complex (M2, J) DFT along k2 as one
     real (2 M2, 2 J) block, then one real (M1, 2 K1) gemm along k1 that
-    writes the grid: u = Re sum_k1 c_k1 G_k1(y) exp(2 pi i k1 x / M1), with
-    c = 2 for k1 > 0 (the conjugate partners k1 < 0) and c = 1 for k1 = 0,
-    whose column holds its partners itself.  :meth:`from_grid` is the
-    adjoint, scaled by 1/(M1 M2), so it returns the grid's Fourier
-    coefficients of the stored modes.  Each row's real and imaginary part
-    have a flat (k1, plane, k2) box index, ``slots``: one indexed copy per
-    plane moves the rows of all C components.
+    writes the grid: u = 2 Re sum_k1 G_k1(y) exp(2 pi i k1 x / M1), each
+    k1 > 0 counting twice for its conjugate partners k1 < 0.  Column k1 = 0
+    counts twice as well: it holds the stored rows k2 > 0, zeros for k2 < 0
+    and half the mean, so 2 Re G_0 adds the rows' partners -k2.
+    :meth:`from_grid` is the adjoint, scaled by 1/(M1 M2), so it returns
+    the grid's Fourier coefficients of the stored modes.  One flat box
+    index per component count (:meth:`index`) scatters the mixed planes of
+    all rows and components at once, and gathers them back.
 
     Both transforms write into a :class:`GridWorkspace` when given one
     (:meth:`workspace`), into fresh arrays otherwise.  Leading member axes
@@ -218,10 +241,7 @@ class PaddedGrid:
         K1, K2 = N1 // 2, N2 // 2 - 1
         J = 2 * K2 + 1
         k1, k2 = k.T
-        zero = np.flatnonzero(k1 == 0)
-        self.slots = ((2 * k1) * J + k2 + K2, (2 * k1 + 1) * J + k2 + K2)
-        # rows k1 = 0 also fill their partners' slots -k2, conjugated
-        self.partners = (zero, K2 - k2[zero], J + K2 - k2[zero])
+        self.slots = (2 * k1) * J + k2 + K2  # each row's real part; its imaginary part is J on
         self.center = K2
         self.box = (K1, 2, J)
         self.shape = (M1, M2)
@@ -229,10 +249,21 @@ class PaddedGrid:
         self.y_inv = np.block([[cy, -sy], [sy, cy]])
         self.y_fwd = np.ascontiguousarray(self.y_inv.T / M2)
         cx, sx = _roots(M1, np.arange(M1)[:, None] * np.arange(K1))
-        c = np.where(np.arange(K1) > 0, 2.0, 1.0)
-        self.x_inv = np.stack([c * cx, -c * sx], axis=-1).reshape(M1, 2 * K1)
+        self.x_inv = np.stack([2.0 * cx, -2.0 * sx], axis=-1).reshape(M1, 2 * K1)
         self.x_fwd = np.stack([cx.T, -sx.T], axis=1).reshape(2 * K1, M1) / M1
-        self._work = {}
+        self._work, self._index = {}, {}
+
+    def index(self, C):
+        """The flat (component, k1, plane, k2) box slot of each of the mixed
+        planes (R, 2, C) of C components, in C order: a tangential
+        component's planes hold (imaginary, real) parts
+        (:meth:`ModeLayout.mixing`)."""
+        if C not in self._index:
+            plane = (np.arange(2)[:, None] + _tangential(C)) % 2  # (2, C)
+            size = math.prod(self.box)
+            self._index[C] = (self.slots[:, None, None] + plane * self.box[2]
+                              + np.arange(C) * size).ravel()
+        return self._index[C]
 
     def workspace(self, Q, lead):
         """The :class:`GridWorkspace` at Q nodes for fields with leading
@@ -242,40 +273,38 @@ class PaddedGrid:
         return self._work[Q, lead]
 
     def to_grid(self, rows, mean, work=None):
-        """Real (..., C, M1, M2, Q) samples of the complex (..., C, R, Q)
-        rows and real (..., C, Q) mean of :func:`synthesize_rows`; into the
+        """Real (..., C, M1, M2, Q) samples of the mixed (..., R, 2, C, Q)
+        planes and real (..., C, Q) mean of :func:`synthesize_rows`; into the
         workspace work, if given, which holds the grid of its quantities."""
-        *lead, C, R, Q = rows.shape
+        *lead, R, _, C, Q = rows.shape
         K1, _, J = self.box
-        (re, im), (zero, pre, pim) = self.slots, self.partners
+        K2 = self.center
         # the writes below fill every slot of the box, so a reused one needs
-        # no zeroing
+        # no zeroing: column k1 = 0 has zeros at k2 < 0 and at the mean's
+        # imaginary part, and half the mean (it counts twice)
         box = np.empty((*lead, C, 2 * K1 * J, Q)) if work is None else work.box
-        box[..., re, :] = rows.real
-        box[..., im, :] = rows.imag
-        box[..., pre, :] = rows.real[..., zero, :]
-        box[..., pim, :] = -rows.imag[..., zero, :]
-        box[..., self.center, :] = mean
-        box[..., self.center + J, :] = 0.0  # the mean is real
+        box[..., :K2, :] = 0.0
+        box[..., J:J + K2 + 1, :] = 0.0
+        np.multiply(mean, 0.5, out=box[..., K2, :])
+        box.reshape(*lead, -1, Q)[..., self.index(C), :] = rows.reshape(*lead, -1, Q)
         n = math.prod(lead) * C
         half = np.matmul(self.y_inv, box.reshape(n * K1, 2 * J, Q), out=_slot(work, "half"))
         grid = np.matmul(self.x_inv, half.reshape(n, 2 * K1, -1), out=_slot(work, "grid"))
         return grid.reshape(*lead, C, *self.shape, Q)
 
     def from_grid(self, U, work=None):
-        """(rows, mean) Fourier coefficients of real (..., M1, M2, Q)
-        samples: complex (..., R, Q) rows of the stored modes and the real
-        (..., Q) mean."""
-        *lead, M1, M2, Q = U.shape
-        K1, n = self.box[0], math.prod(lead)
+        """(rows, mean) Fourier coefficients of real (..., C, M1, M2, Q)
+        samples: the mixed (..., R, 2, C, Q) planes of the stored modes, as
+        :meth:`to_grid` reads them, and the real (..., C, Q) mean."""
+        *lead, C, M1, M2, Q = U.shape
+        K1, n = self.box[0], math.prod(lead) * C
         half = np.matmul(self.x_fwd, U.reshape(n, M1, M2 * Q), out=_slot(work, "fhalf"))
         box = np.matmul(self.y_fwd, half.reshape(n * K1, 2 * M2, Q), out=_slot(work, "fbox"))
-        box = box.reshape(*lead, -1, Q)
+        out = None if work is None else work.rows.reshape(*lead, -1, Q)
         # take with mode="clip" writes into out directly (the indices are in range)
-        re, im = (np.take(box, idx, axis=-2, out=_slot(work, name), mode="clip")
-                  for idx, name in zip(self.slots, ("re", "im")))
-        rows = np.multiply(1j, im, out=_slot(work, "rows"))
-        return np.add(re, rows, out=rows), box[..., self.center, :]
+        rows = np.take(box.reshape(*lead, -1, Q), self.index(C), axis=-2, out=out, mode="clip")
+        return (rows.reshape(*lead, len(self.slots), 2, C, Q),
+                box.reshape(*lead, C, -1, Q)[..., self.center, :])
 
 
 def _slot(work, name):
@@ -290,16 +319,16 @@ class GridWorkspace:
     member axes lead (E members; () for one field): :func:`synthesize_rows`
     of the quantities :attr:`want` (C = 3 len(want) components),
     :meth:`PaddedGrid.to_grid`, a (3, M1, M2, Q) pointwise product,
-    :meth:`PaddedGrid.from_grid` and :func:`analyze`.  Every array is a view
-    of one of two flat float64 regions.  Each step of the chain reads one
-    region and writes the other, so the arrays of a region take turns:
+    :meth:`PaddedGrid.from_grid` and :func:`analyze_rows`.  Every array is a
+    view of one of two flat float64 regions.  Each step of the chain reads
+    one region and writes the other, so the arrays of a region take turns:
 
     region A: ``values`` (derivative values), ``box``, ``grid``, ``fhalf``,
-    ``re``/``im`` (gathered parts), ``mixed`` (the analysis mixing);
+    ``rows`` (the gathered planes);
 
-    region B: ``profiles`` (lead + (C, R, Q) rows), ``half``, ``prod`` and
-    its ``scratch``, ``fbox`` and the gathered ``rows`` (after ``fbox``,
-    whose mean slot :func:`analyze` still reads).
+    region B: ``profiles`` (lead + (R, 2, C, Q) mixed planes), ``half``,
+    ``prod`` and its ``scratch``, ``fbox`` and the analysis mixing ``mixed``
+    (after ``fbox``, whose mean slot :func:`analyze_rows` still reads).
     """
 
     #: the quantities of the nonlinear term, velocity and filtered vorticity
@@ -308,35 +337,28 @@ class GridWorkspace:
     def __init__(self, grid, Q, lead):
         K1, _, J = grid.box
         M1, M2 = grid.shape
-        R, C, E = len(grid.slots[0]), 3 * len(self.want), math.prod(lead)
+        R, C, E = len(grid.slots), 3 * len(self.want), math.prod(lead)
         O = 2 * max(QUANTITIES[name] for name in self.want) + 1
-        rows = lead + (3, R, Q)
+        rows = lead + (R, 2, 3, Q)
         # per region, its stages in turn; the arrays of a stage lie end to end
         regions = (
-            [[("values", lead + (R, O * Q), complex)],
-             [("box", lead + (C, 2 * K1 * J, Q), float)],
-             [("grid", (E * C, M1, M2 * Q), float)],
-             [("fhalf", (E * 3, 2 * K1, M2 * Q), float)],
-             [("re", rows, float), ("im", rows, float)],
-             [("mixed", lead + (R, 3, Q), complex)]],
-            [[("profiles", lead + (C, R, Q), complex)],
-             [("half", (E * C * K1, 2 * M2, Q), float)],
-             [("prod", lead + (3, M1, M2, Q), float), ("scratch", lead + (M1, M2, Q), float)],
-             [("fbox", (E * 3 * K1, 2 * J, Q), float), ("rows", rows, complex)]])
+            [[("values", lead + (R, 2, O * Q))],
+             [("box", lead + (C, 2 * K1 * J, Q))],
+             [("grid", (E * C, M1, M2 * Q))],
+             [("fhalf", (E * 3, 2 * K1, M2 * Q))],
+             [("rows", rows)]],
+            [[("profiles", lead + (R, 2, C, Q))],
+             [("half", (E * C * K1, 2 * M2, Q))],
+             [("prod", lead + (3, M1, M2, Q)), ("scratch", lead + (M1, M2, Q))],
+             [("fbox", (E * 3 * K1, 2 * J, Q)), ("mixed", rows)]])
         for region in regions:
-            buf = np.empty(max(sum(_floats(shape, dtype) for _, shape, dtype in stage)
-                               for stage in region))
+            buf = np.empty(max(sum(math.prod(shape) for _, shape in stage) for stage in region))
             for stage in region:
                 at = 0
-                for name, shape, dtype in stage:
-                    n = _floats(shape, dtype)
-                    setattr(self, name, buf[at:at + n].view(dtype).reshape(shape))
+                for name, shape in stage:
+                    n = math.prod(shape)
+                    setattr(self, name, buf[at:at + n].reshape(shape))
                     at += n
-
-
-def _floats(shape, dtype):
-    """Number of float64 slots an array of this shape and dtype takes."""
-    return math.prod(shape) * np.dtype(dtype).itemsize // 8
 
 
 _layouts = {}
@@ -355,15 +377,21 @@ class SolenoidalField:
     of E member fields whose arrays carry a leading (E,) axis; ``f[j]`` is
     member j, as views.
 
+    The coefficients are real: each stored row of ``psi`` and ``phi`` keeps
+    its real and its imaginary coefficient vector as two adjacent planes,
+    (R, 2, n), and the mean's two profiles are two real rows.  Complex
+    numbers appear only at the edges, through :func:`as_complex` and
+    :func:`as_planes`.
+
     The same container doubles as storage for Galerkin right-hand sides
     (projections of arbitrary fields onto the solenoidal test basis).
     """
 
     geometry: object
     resolution: object
-    psi: np.ndarray  # (R, P-1) complex toroidal coefficients, one row per mode
-    phi: np.ndarray  # (R, P-3) complex poloidal coefficients
-    mean: np.ndarray  # (2, P-1) real mean-profile coefficients
+    psi: np.ndarray  # (R, 2, P-1) toroidal coefficients: re/im planes per mode
+    phi: np.ndarray  # (R, 2, P-3) poloidal coefficients
+    mean: np.ndarray  # (2, P-1) mean-profile coefficients
 
     def _map(self, fn, *parts):
         """The field of fn(c, *entries) per potential c and its entries of parts."""
@@ -397,34 +425,49 @@ class SolenoidalField:
         return self.psi, self.phi, self.mean
 
     def apply(self, stacks):
-        """The (toroidal, poloidal, mean) per-block stacks applied to the
-        potentials' rows by :func:`blockmul`, behind any member axes."""
+        """The rows of the potentials times their (toroidal, poloidal, mean)
+        per-block stacks, by :func:`blockmul`, behind any member axes."""
         runs = layout_for(self.geometry, self.resolution).potential_buckets
-        return self._map(lambda c, W, b: blockmul(W, c, b), stacks, runs)
+        return self._map(lambda c, S, b: blockmul(S, c, b), stacks, runs)
 
     def dot(self, other, per_member=False):
         """L2 inner product over the full (Hermitian) spectrum and any member
-        axes; real.  A stored mode counts twice, for its conjugate partner.
+        axes.  A stored mode counts twice, for its conjugate partner.
         per_member: the (E,) products of stacked fields' members, each summed
-        as its own, as dot products of float views."""
+        as its own."""
         if per_member:
             E = len(self.mean)
-            return sum(k * np.einsum("ej,ej->e", *(c.reshape(E, -1).view(float) for c in cs))
+            return sum(k * np.einsum("ej,ej->e", *(c.reshape(E, -1) for c in cs))
                        for k, *cs in zip((2.0, 2.0, 1.0), other.potentials(), self.potentials()))
-        return (2.0 * (np.vdot(other.psi, self.psi).real
-                       + np.vdot(other.phi, self.phi).real)
+        return (2.0 * (np.vdot(other.psi, self.psi) + np.vdot(other.phi, self.phi))
                 + float(np.vdot(other.mean, self.mean)))
 
     def norm_l2(self):
         return np.sqrt(max(self.dot(self), 0.0))
 
 
+def as_complex(x, axis=-2):
+    """The complex array of the real and imaginary planes of x along axis
+    (which it drops): a field's rows, or (with :func:`tangential_swap`) a
+    synthesis's profiles, at the edges where complex numbers are read."""
+    re, im = np.moveaxis(x, axis, 0)
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def as_planes(z, axis=-2):
+    """The real and imaginary planes of complex z, stacked along axis: the
+    inverse of :func:`as_complex`."""
+    return np.stack([z.real, z.imag], axis=axis)
+
+
 def zero_field(geometry, resolution):
     R = len(layout_for(geometry, resolution).reps)
     return SolenoidalField(
         geometry, resolution,
-        np.zeros((R, resolution.n_toroidal), complex),
-        np.zeros((R, resolution.n_poloidal), complex),
+        np.zeros((R, 2, resolution.n_toroidal)),
+        np.zeros((R, 2, resolution.n_poloidal)),
         np.zeros((2, resolution.n_toroidal)))
 
 
@@ -443,13 +486,12 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
     draw = rng.standard_normal((len(lay.reps), 2 * (n_t + n_p)))
     z = np.empty_like(draw)
     z[[lay.row[k] for k in lay.reps]] = draw
-    re_t, im_t, re_p, im_p = np.split(z, np.cumsum([n_t, n_t, n_p]), axis=1)
-    kmag = np.hypot(lay.k[:, :1], lay.k[:, 1:])
-    wt = np.exp(-decay * (kmag + np.arange(n_t)))
-    wp = np.exp(-decay * (kmag + np.arange(n_p)))
+    psi, phi = np.split(z, [2 * n_t], axis=1)
+    kmag = np.hypot(lay.k[:, :1], lay.k[:, 1:])[:, None]
+    psi = np.exp(-decay * (kmag + np.arange(n_t))) * psi.reshape(-1, 2, n_t)
+    phi = np.exp(-decay * (kmag + np.arange(n_p))) * phi.reshape(-1, 2, n_p)
     mean = np.exp(-decay * np.arange(n_t)) * rng.standard_normal((2, n_t))
-    f = SolenoidalField(geometry, resolution, wt * (re_t + 1j * im_t),
-                        wp * (re_p + 1j * im_p), mean)
+    f = SolenoidalField(geometry, resolution, psi, phi, mean)
     # the norm sums the rows in block-group order, which the storage order
     # of the blocks does not change
     g = lay.by_group
@@ -470,64 +512,83 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 QUANTITIES = {"u": 1, "curl_v": 4, "bilap_u": 5}
 
 
-#: the bucket of the mean block: its two rows U1, U2 share the one block
-MEAN_BUCKETS = ((slice(0, 2), slice(0, 1), (1, 2)),)
+#: the bucket of the mean block: its two rows U1, U2 go as one row's planes
+MEAN_BUCKETS = ((slice(0, 1), slice(0, 1), (1, 1)),)
 
 
-def blockmul(W, c, buckets):
-    """W[b] @ c[r] for every row r of each block b of the (U, n_out, n) stack
-    W, behind any member axes of c: per bucket of buckets
-    (:attr:`ModeLayout.buckets`) one matmul of the blocks' real (nb, n_out, n)
-    stack against their rows as an (nb, k, n, 2) array, the complex rows as
-    real pairs, so W is never cast.  Each row is the same (n_out, n) @ (n, 2)
-    gemm however the blocks are bucketed."""
-    c = np.ascontiguousarray(c)
-    *lead, R, n = c.shape
-    t, L = (2 if c.dtype.kind == "c" else 1), math.prod(lead)
-    x = c.view(np.float64).reshape(L, R, n * t)
-    y = np.empty((L, R, W.shape[-2] * t))
+def _tangential(C):
+    """(C,) mask of the tangential components of C = 3 q components, the
+    first two of each quantity's three."""
+    return np.arange(C) % 3 < 2
+
+
+def tangential_swap(x):
+    """x (..., 2, C, Q) with the two planes of each tangential component
+    exchanged, between (real, imaginary) and the (imaginary, real) order in
+    which synthesis mixes them (:meth:`ModeLayout.mixing`); its own inverse."""
+    return np.where(_tangential(x.shape[-2])[:, None], x[..., ::-1, :, :], x)
+
+
+def blockmul(S, c, buckets):
+    """x @ S[b] for the two planes x (2, n) of every row of each block b of
+    the (U, n, n_out) stack S, behind any member axes of c (..., R, 2, n),
+    R rows as in buckets (:attr:`ModeLayout.buckets`; the mean (..., 2, n)
+    is one row, :data:`MEAN_BUCKETS`): per bucket one matmul of its blocks'
+    (nb, 2 k, n) plane rows against their (nb, n, n_out) stacks, one gemm
+    per block.  S is read as given, so a caller that applies a matrix from
+    the left passes its transpose, contiguous."""
+    c, n_out = np.ascontiguousarray(c), S.shape[-1]
+    y = np.empty(c.shape[:-1] + (n_out,))
+    if not buckets:
+        return y
+    R, n = buckets[-1][0].stop, c.shape[-1]
+    x, out = c.reshape(-1, R, 2 * n), y.reshape(-1, R, 2 * n_out)
     for rows, blocks, (nb, k) in buckets:
-        np.matmul(W[blocks, None], x[:, rows].reshape(L, nb, k, n, t),
-                  out=y[:, rows].reshape(L, nb, k, -1, t))
-    return y.view(c.dtype).reshape(*lead, R, W.shape[-2])
+        np.matmul(x[:, rows].reshape(-1, nb, 2 * k, n), S[blocks],
+                  out=out[:, rows].reshape(-1, nb, 2 * k, n_out))
+    return y
 
 
 def synthesize_rows(f, cache, want=("u",), alpha=None, work=None):
     """The profiles of :func:`synthesize` as one block, the layout
-    :meth:`PaddedGrid.to_grid` reads: complex (..., C, R, Q) rows, C =
-    3 len(want) components in want order, and the real (..., C, Q) mean
-    profile; the rows are a view of the :class:`GridWorkspace` work of the
-    same want, if given.  The (..., R, O, Q) derivative values the table
-    gemms write are mixed by :meth:`ModeLayout.mixing`."""
+    :meth:`PaddedGrid.to_grid` reads: the mixed real (..., R, 2, C, Q)
+    planes, C = 3 len(want) components in want order, a tangential
+    component's planes in (imaginary, real) order, and the real (..., C,
+    Q) mean profile; the planes are a view of the :class:`GridWorkspace`
+    work of the same want, if given.  The (..., R, 2, O, Q) derivative
+    values the table gemms write are mixed by :meth:`ModeLayout.mixing`,
+    one real product per plane."""
     if alpha is None and "curl_v" in want:
         raise ValueError("filtered quantities need the filter length alpha")
-    mix, mean_mix = cache.layout.mixing(want, alpha)
-    _, C, O = mix.shape
-    nd, Q, buckets = O // 2, f.resolution.Q, cache.layout.buckets
-    ct, cp = blockmul(cache.W_tor, f.psi, buckets), blockmul(cache.W_pol, f.phi, buckets)
-    *lead, R, _ = ct.shape
-    values = np.empty((*lead, R, O * Q), complex) if work is None else work.values
-    np.matmul(ct, cache.synth_T[:, :nd * Q], out=values[..., :nd * Q])
-    np.matmul(cp, cache.synth_C[:, :(nd + 1) * Q], out=values[..., nd * Q:])
-    rows = np.empty((*lead, C, R, Q), complex) if work is None else work.profiles
-    # each row's (C, Q) product is written in place, strided, into its rows
-    np.matmul(mix, values.reshape(*lead, R, O, Q), out=np.swapaxes(rows, -3, -2))
+    mix, mean_mix, _ = cache.layout.mixing(want, alpha)
+    R, _, C, O = mix.shape
+    nd, Q, buckets, lead = O // 2, f.resolution.Q, cache.layout.buckets, f.mean.shape[:-2]
+    ct, cp = blockmul(cache.W_tor_T, f.psi, buckets), blockmul(cache.W_pol_T, f.phi, buckets)
+    values = np.empty((*lead, R, 2, O * Q)) if work is None else work.values
+    planes = (*lead, 2 * R)  # the plane rows, one real gemm per potential
+    v = values.reshape(*planes, O * Q)
+    np.matmul(ct.reshape(*planes, ct.shape[-1]), cache.synth_T[:, :nd * Q], out=v[..., :nd * Q])
+    np.matmul(cp.reshape(*planes, cp.shape[-1]), cache.synth_C[:, :(nd + 1) * Q],
+              out=v[..., nd * Q:])
+    rows = np.empty((*lead, R, 2, C, Q)) if work is None else work.profiles
+    np.matmul(mix, values.reshape(*lead, R, 2, O, Q), out=rows)
     mean = np.matmul(f.mean[..., None, :, :], cache.mean_E[:nd + 1].swapaxes(-1, -2))
     return rows, np.matmul(mean_mix, mean.reshape(*lead, -1, Q))
 
 
-def synthesize(f, cache, want=("u",), alpha=None, work=None):
+def synthesize(f, cache, want=("u",), alpha=None):
     """Fourier-side profiles of the requested quantities at the quadrature nodes.
 
     Names are those of :data:`QUANTITIES`: velocity, the curl of the
     filtered velocity v = (1 - alpha^2 Lap) u (this one needs alpha) and
     Lap^2 u.  Returns dict mapping names to (rows, mean): complex (3, R, Q)
     profiles of the representative modes in row order and the real (3, Q)
-    profile of the (0, 0) mode, behind the member axes of a stacked f:
-    slices of the :func:`synthesize_rows` block.  Conjugate partners are not
-    formed.
+    profile of the (0, 0) mode, behind the member axes of a stacked f,
+    fresh arrays (the :func:`synthesize_rows` planes, made complex).
+    Conjugate partners are not formed.
     """
-    rows, mean = synthesize_rows(f, cache, want, alpha, work)
+    rows, mean = synthesize_rows(f, cache, want, alpha)
+    rows = np.swapaxes(as_complex(tangential_swap(rows), axis=-3), -3, -2)
     return {name: (rows[..., 3 * i:3 * i + 3, :, :], mean[..., 3 * i:3 * i + 3, :])
             for i, name in enumerate(want)}
 
@@ -548,26 +609,36 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
 # analysis: Fourier-side profiles -> Galerkin duals (the L2 adjoint)
 # ---------------------------------------------------------------------------
 
-def analyze(rows, mean, cache, work=None):
-    """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
-
-    rows/mean: profiles of the representative modes and of (0, 0), as
-    :func:`synthesize` returns them for the cache.  Velocity synthesis
-    transposed step by step: the mixing matrices, quadrature weights (and
+def analyze_rows(rows, mean, cache, work=None):
+    """Galerkin projection of velocity profiles given as the mixed planes
+    rows (..., R, 2, 3, Q) of :meth:`PaddedGrid.from_grid` and the real
+    (..., 3, Q) mean: velocity synthesis transposed step by step, the
+    mixing adjoint (one real product per plane), quadrature weights (and
     area), the tables of psi's value and of phi's value and derivative, W.
     Returns the dual coefficients (same container as fields), which own
-    their arrays also when the mixed rows go to the workspace work.
+    their arrays also when the mixing writes into the workspace work.
     """
     wa, Q, buckets = cache.geometry.area * cache.w, cache.resolution.Q, cache.layout.buckets
-    adjoint = np.swapaxes(cache.layout.mixing(("u",))[0].conj(), -1, -2)
-    g = np.matmul(adjoint, np.swapaxes(rows, -3, -2), out=_slot(work, "mixed"))
+    g = np.matmul(cache.layout.mixing(("u",))[2], rows, out=_slot(work, "mixed"))
     np.multiply(g, wa, out=g)
-    gt = g[..., 0, :] @ cache.synth_T[:, :Q].T
-    gp = g[..., 1:, :].reshape(*g.shape[:-2], 2 * Q) @ cache.synth_C[:, :2 * Q].T
+    *lead, R, _, _, _ = g.shape
+    gt = g[..., 0, :].reshape(*lead, 2 * R, Q) @ cache.synth_T[:, :Q].T
+    gp = g[..., 1:, :].reshape(*lead, 2 * R, 2 * Q) @ cache.synth_C[:, :2 * Q].T
     return SolenoidalField(cache.geometry, cache.resolution,
-                           blockmul(cache.W_tor.transpose(0, 2, 1), gt, buckets),
-                           blockmul(cache.W_pol.transpose(0, 2, 1), gp, buckets),
+                           blockmul(cache.W_tor, gt.reshape(*lead, R, 2, gt.shape[-1]), buckets),
+                           blockmul(cache.W_pol, gp.reshape(*lead, R, 2, gp.shape[-1]), buckets),
                            (wa * mean[..., :2, :]) @ cache.mean_E[0])
+
+
+def analyze(rows, mean, cache):
+    """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
+
+    rows/mean: complex (..., 3, R, Q) profiles of the representative modes
+    and the real (..., 3, Q) profile of (0, 0), as :func:`synthesize`
+    returns them for the cache; :func:`analyze_rows` of their planes.
+    """
+    planes = as_planes(np.swapaxes(rows, -3, -2), axis=-3)
+    return analyze_rows(tangential_swap(planes), mean, cache)
 
 
 def project_velocity(U, cache, work=None):
@@ -580,4 +651,4 @@ def project_velocity(U, cache, work=None):
     member axes and the transforms write into work.
     """
     rows, mean = cache.layout.grid.from_grid(U, work)
-    return analyze(rows, mean, cache, work)
+    return analyze_rows(rows, mean, cache, work)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import gauss_legendre, legendre_table, recombined_bases
 from .params import ParameterError
-from .field import analyze
+from .field import analyze, as_complex
 from .stationary import wall_dual, wall_traction
 
 
@@ -109,8 +109,7 @@ class ManufacturedCase:
         t, p = self.mode_potentials(z, 5)
         q0 = self.pressure_profile(z)
         grad_p = np.stack([1j * e1 * q0, 1j * e2 * q0, self.pressure_profile(z, 1)])
-        bilap = ops.layout.mixing(("bilap_u",))[0][row]
-        prof = bilap @ np.concatenate([t[:5], p]) + grad_p
+        prof = ops.layout.mix_row(row, ("bilap_u",), np.concatenate([t[:5], p])) + grad_p
         rows = np.zeros((3, len(ops.layout.reps), len(z)), complex)
         rows[:, row] = prof
         return rows, np.zeros((3, len(z)))
@@ -144,16 +143,14 @@ class ManufacturedCase:
         row = self.row(ops)
         g, m = ops.layout.block[row], ops.layout.eta[2][row, 0]
         Et, Ep = recombined_bases(res.P, z2, geo.H, 3)
-        th = np.stack([(E @ ops.cache.W_tor[g]) @ u.psi[row] for E in Et])
-        ph = np.stack([(E @ ops.cache.W_pol[g]) @ u.phi[row] for E in Ep])
+        th = np.stack([(E @ ops.cache.W_tor[g]) @ as_complex(u.psi[row]) for E in Et])
+        ph = np.stack([(E @ ops.cache.W_pol[g]) @ as_complex(u.phi[row]) for E in Ep])
         ts, ps = self.mode_potentials(z2, 4)
         area = geo.area
 
-        mix = ops.layout.mixing(("u",))[0][row]
-
         def velocity(t, p):
             # of potential derivative stacks t (psi) and p (phi), orders 0 up
-            return mix @ np.stack([t[0], p[0], p[1]])
+            return ops.layout.mix_row(row, ("u",), np.stack([t[0], p[0], p[1]]))
 
         def norms(dt, dp):
             e0, e1v = velocity(dt, dp), velocity(dt[1:], dp[1:])

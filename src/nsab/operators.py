@@ -126,7 +126,7 @@ class OperatorSet:
     ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
     distinct m, in the order of :meth:`SolenoidalField.potentials`;
     ``blocks[p][layout.block[row]]`` is the block of a row, and a field
-    applies a form's stacks itself: ``u.apply([b.K_a for b in ops.blocks])``.
+    applies a form through :meth:`stacks`: ``u.apply(ops.stacks("K_a"))``.
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
@@ -138,10 +138,21 @@ class OperatorSet:
         self.blocks = (toroidal_forms(params, c, c.m, c.W_tor),
                        poloidal_forms(params, c, c.m, c.W_pol),
                        mean_forms(params, c))
+        self._transposed = {}
+
+    def stacks(self, form):
+        """The (toroidal, poloidal, mean) stacks of form, each transposed and
+        contiguous, as :meth:`SolenoidalField.apply` reads them: x @ K^T
+        applies K to each row x with the products of K @ x (a stored form is
+        symmetric only to its rounding).  Built on first read of a form."""
+        if form not in self._transposed:
+            self._transposed[form] = [np.swapaxes(getattr(blk, form), 1, 2).copy()
+                                      for blk in self.blocks]
+        return self._transposed[form]
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        return u.apply([getattr(blk, form) for blk in self.blocks]).dot(v)
+        return u.apply(self.stacks(form)).dot(v)
 
     @cached_property
     def eig(self):
@@ -169,7 +180,7 @@ class OperatorSet:
         """
         s, a2 = self.shift, self.params.alpha**2
         with np.errstate(over="ignore", invalid="ignore"):
-            kf = f.apply([blk.K_a for blk in self.blocks])
+            kf = f.apply(self.stacks("K_a"))
             z = kf + f * s
             l2sq, a_uu, z2 = f.dot(f), kf.dot(f), z.dot(z)
             n0, n1, n2 = _root(np.array([l2sq, a_uu + s * l2sq, z2]))
@@ -185,10 +196,13 @@ class OperatorSet:
         smallest-m toroidal block's, rounded once from long double."""
         m, block, s = self.layout.m, self.layout.block, np.longdouble(self.shift)
         low = np.flatnonzero(m[block] == m.min(initial=np.inf))
-        for c, zc, rows, K in ((f.mean, z.mean, [0, 1], self.blocks[2].K_a[[0, 0]]),
-                               (f.psi, z.psi, low, self.blocks[0].K_a[block[low]])):
-            x = c[..., rows, :].astype(np.clongdouble if c.dtype.kind == "c" else np.longdouble)
-            zc[..., rows, :] = (K.astype(np.longdouble) @ x[..., None])[..., 0] + s * x
+        K_tor, _, K_mean = self.stacks("K_a")
+        # rows as blockmul multiplies them: the mean's two rows U1, U2 as
+        # the two planes of one row
+        for c, zc, rows, KT in ((f.mean[..., None, :, :], z.mean[..., None, :, :], [0], K_mean),
+                                (f.psi, z.psi, low, K_tor[block[low]])):
+            x = c[..., rows, :, :].astype(np.longdouble)
+            zc[..., rows, :, :] = x @ KT.astype(np.longdouble) + s * x
         return z
 
 

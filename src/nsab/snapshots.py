@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .field import SolenoidalField, layout_for
+from .field import SolenoidalField, as_complex, as_planes, layout_for
 from .params import ChannelGeometry, Resolution, derive_params
 
 MAGIC = b"NSABSNP1"
@@ -81,8 +81,8 @@ def write_snapshot(path, field, params=None):
     header = MAGIC + struct.pack("<IQ", VERSION, len(meta))
     header = header.ljust(HEADER_LEN, b"\0")
     lay = layout_for(field.geometry, field.resolution)
-    payload = (_expand(field.psi, lay).view(np.float64).astype("<f8").tobytes()
-               + _expand(field.phi, lay).view(np.float64).astype("<f8").tobytes()
+    payload = (_expand(as_complex(field.psi), lay).view(np.float64).astype("<f8").tobytes()
+               + _expand(as_complex(field.phi), lay).view(np.float64).astype("<f8").tobytes()
                + np.ascontiguousarray(field.mean, dtype=np.float64)
                .astype("<f8").tobytes())
     with open(path, "wb") as fh:
@@ -123,8 +123,8 @@ def read_snapshot(path):
                         dtype="<c16").reshape(res.N1, res.N2, n_p)
     mean = np.frombuffer(buf[16 * (npsi + nphi):], dtype="<f8").reshape(2, n_t)
     lay = layout_for(g, res)
-    field = SolenoidalField(g, res, _pack(psi, lay, path, "psi"),
-                            _pack(phi, lay, path, "phi"), mean.copy())
+    field = SolenoidalField(g, res, as_planes(_pack(psi, lay, path, "psi")),
+                            as_planes(_pack(phi, lay, path, "phi")), mean.copy())
     params = None
     if "params" in meta:
         p = meta["params"]

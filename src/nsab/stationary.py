@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import SolenoidalField, blockmul, synthesize, zero_field
+from .field import SolenoidalField, as_complex, as_planes, blockmul, synthesize, zero_field
 
 
 class ConsistencyError(RuntimeError):
@@ -65,21 +65,25 @@ def solve_stationary(ops, rhs):
     kernel beyond CONSISTENCY_RTOL times the data norm.
     """
     lam, V = zip(*ops.eig)
-    d = rhs.apply([v.transpose(0, 2, 1) for v in V])  # rows of c @ V
+    d = rhs.apply(V)  # rows of c @ V
     kernel_dim, violation, parts = 0, 0.0, []
     for lam_p, c, block in zip(lam, d.potentials(), ops.layout.potential_blocks):
+        # (rows, planes, n): a row's re/im planes, or one mean row U1 or U2
+        x = c if c.ndim == 3 else c[:, None, :]
         # the kernel (KERNEL_RTOL), read per row
         top = np.abs(lam_p).max(axis=1, keepdims=True, initial=0.0)
-        kernel = (np.abs(lam_p) <= KERNEL_RTOL * top)[block]
+        kernel = (np.abs(lam_p) <= KERNEL_RTOL * top)[block][:, None, :]
         kernel_dim += int(kernel.sum())
-        along = np.sum(np.abs(np.where(kernel, c, 0.0)) ** 2, axis=-1)
+        along = np.sum(np.where(kernel, x, 0.0) ** 2, axis=(-2, -1))
         violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
-        parts.append(np.divide(c, lam_p[block], out=np.zeros_like(c), where=~kernel))
+        parts.append(np.divide(x, lam_p[block][:, None, :], out=np.zeros_like(x),
+                               where=~kernel).reshape(c.shape))
     rhs_norm = rhs.norm_l2()
     if violation > CONSISTENCY_RTOL * max(rhs_norm, 1e-300):
         raise ConsistencyError(violation)
-    u = SolenoidalField(ops.geometry, ops.resolution, *parts).apply(V)
-    residual = (u.apply([blk.K_a for blk in ops.blocks]) - rhs).norm_l2()
+    u = SolenoidalField(ops.geometry, ops.resolution, *parts).apply(
+        [np.swapaxes(v, 1, 2).copy() for v in V])
+    residual = (u.apply(ops.stacks("K_a")) - rhs).norm_l2()
     return u, SolveReport(kernel_dim, violation, residual, rhs_norm)
 
 
@@ -96,10 +100,10 @@ def wall_dual(ops, row, gb, gt):
     ttr = cache.raw_T_tr[1] @ cache.W_tor[b]  # first-derivative traces, rows (z=0, z=H)
     ptr = cache.raw_C_tr[2] @ cache.W_pol[b]  # second-derivative traces
     # d_n phi at bottom = -(i e2 T', -i e1 T', 0) tor / -(i e1 C'', i e2 C'', .) pol
-    out.psi[row] = area * ((gb[0] * 1j * e2 - gb[1] * 1j * e1) * ttr[0]
-                           + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1])
-    out.phi[row] = area * ((gb[0] * 1j * e1 + gb[1] * 1j * e2) * ptr[0]
-                           + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1])
+    out.psi[row] = as_planes(area * ((gb[0] * 1j * e2 - gb[1] * 1j * e1) * ttr[0]
+                                     + (-gt[0] * 1j * e2 + gt[1] * 1j * e1) * ttr[1]))
+    out.phi[row] = as_planes(area * ((gb[0] * 1j * e1 + gb[1] * 1j * e2) * ptr[0]
+                                     + (-gt[0] * 1j * e1 - gt[1] * 1j * e2) * ptr[1]))
     return out
 
 
@@ -143,16 +147,18 @@ def strong_bc_residual(u, ops):
     """
     area, kk, cache = ops.geometry.area, ops.params.k, ops.cache
     (e1, e2, m), buckets = ops.layout.eta, ops.layout.buckets
-    # wall traces, (rows, 2 walls) each
-    ct, cp = blockmul(cache.W_tor, u.psi, buckets), blockmul(cache.W_pol, u.phi, buckets)
+    # wall traces, (rows, 2 planes, 2 walls) each; the velocity's mixed
+    # planes (rows, 2, 3, 2 walls) hold its real and imaginary parts
+    ct, cp = blockmul(cache.W_tor_T, u.psi, buckets), blockmul(cache.W_pol_T, u.phi, buckets)
     tt = [ct @ cache.raw_T_tr[d].T for d in range(4)]
     pt = [cp @ cache.raw_C_tr[d].T for d in range(4)]
     uw = ops.layout.mixing(("u",))[0] @ np.stack([tt[0], pt[0], pt[1]], axis=-2)
-    r1, r2 = wall_traction(e1, e2, m, tt, pt, ops.params.gamma, kk)
+    r1, r2 = wall_traction(e1, e2, m, [as_complex(t) for t in tt], [as_complex(p) for p in pt],
+                           ops.params.gamma, kk)
     # mean flow (U1, U2, 0): omega = (-U2', U1', 0); traces (2 walls, 2 comps)
     t = [cache.mean_tr[d] @ u.mean.T for d in range(3)]
     r0 = _SGN[:, None] * t[2] - kk * t[1]  # the mean residual up to signs
-    dir_sq = area * (2.0 * float(np.sum(np.abs(uw) ** 2)) + float(np.sum(t[0] ** 2)))
+    dir_sq = area * (2.0 * float(np.sum(uw ** 2)) + float(np.sum(t[0] ** 2)))
     we_sq = area * (2.0 * float(np.sum(np.abs(r1) ** 2 + np.abs(r2) ** 2))
                     + float(np.sum(r0 ** 2)))
     return BCResidual(np.sqrt(dir_sq), np.sqrt(we_sq))

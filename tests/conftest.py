@@ -11,8 +11,8 @@ import pytest
 import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre, recombined_bases
-from nsab.field import (SolenoidalField, analyze, layout_for, project_velocity, reconstruct,
-                        synthesize, zero_field)
+from nsab.field import (SolenoidalField, analyze, as_complex, as_planes, layout_for,
+                        project_velocity, reconstruct, synthesize, zero_field)
 from nsab.operators import poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
@@ -83,14 +83,15 @@ def distinct_blocks(ops):
 
 
 def block_groups(ops, f):
-    """(block, (g, n) writable view of f's rows, multiplicity) per block group
-    and potential, then the mean: a per-group traversal that does not go
-    through the block-major products of nsab.field.blockmul."""
+    """(block, (2 g, n) writable view of the re/im planes of f's g rows,
+    multiplicity) per block group and potential, then the mean: a per-group
+    traversal that does not go through the block-major products of
+    nsab.field.blockmul."""
     tor, pol, mean = ops.blocks
     for rows in layout_for(f.geometry, f.resolution).groups.values():
         b = ops.layout.block[rows.start]
-        yield tor[b], f.psi[rows], 2.0
-        yield pol[b], f.phi[rows], 2.0
+        yield tor[b], f.psi[rows].reshape(-1, tor.n), 2.0
+        yield pol[b], f.phi[rows].reshape(-1, pol.n), 2.0
     yield mean[0], f.mean, 1.0
 
 
@@ -137,8 +138,9 @@ def mean_tables(cache, z, dmax):
 def hermitian_modes(f):
     """(k1, k2, psi, phi) of every stored mode and of its conjugate partner."""
     for r, (k1, k2) in enumerate(layout_for(f.geometry, f.resolution).k):
-        yield k1, k2, f.psi[r], f.phi[r]
-        yield -k1, -k2, np.conj(f.psi[r]), np.conj(f.phi[r])
+        ct, cp = as_complex(f.psi[r]), as_complex(f.phi[r])
+        yield k1, k2, ct, cp
+        yield -k1, -k2, np.conj(ct), np.conj(cp)
 
 
 def mode_velocity_profiles(cache, k1, k2, ct, cp, z, dmax=0):
@@ -283,8 +285,8 @@ def random_field_loop(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
         kmag = np.hypot(k1, k2)
         wt = np.exp(-decay * (kmag + jt))
         wp = np.exp(-decay * (kmag + jp))
-        f.psi[r] = wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t))
-        f.phi[r] = wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
+        f.psi[r] = as_planes(wt * (rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)))
+        f.phi[r] = as_planes(wp * (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p)))
     f.mean[:] = np.exp(-decay * jt) * rng.standard_normal((2, n_t))
     # the norm sums the rows in block-group order, as random_field's does
     g = lay.by_group
@@ -492,5 +494,5 @@ def eigenpair_field(ops, pair, component=0):
         raise ValueError(f"no stored representative for mode {pair.mode}")
     row = ops.layout.groups[pair.mode].start
     coeffs = f.psi if pair.block == "toroidal" else f.phi
-    coeffs[row] = pair.vector / np.sqrt(2.0)  # unit L2 norm with the partner
+    coeffs[row] = as_planes(pair.vector / np.sqrt(2.0))  # unit L2 norm with the partner
     return f

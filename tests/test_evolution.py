@@ -14,9 +14,9 @@ from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
                             run_evolution, uniqueness_probe, vanishing_sweep)
 from nsab import evolution, field
 from nsab.basis import BasisCache
-from nsab.field import (SolenoidalField, blockmul, layout_for, project_velocity,
-                        random_field, reconstruct, synthesize, synthesize_rows,
-                        zero_field)
+from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
+                        layout_for, project_velocity, random_field, reconstruct, synthesize,
+                        synthesize_rows, zero_field)
 from nsab.operators import FORMS, OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
@@ -103,8 +103,8 @@ def test_nonlinear_single_mode_support(ops, geo, res_small):
     lay = layout_for(geo, res_small)
     u = zero_field(geo, res_small)
     k1, k2 = 1, 1
-    u.psi[lay.row[(k1, k2)], 0] = 0.7 + 0.4j
-    u.phi[lay.row[(k1, k2)], 0] = 0.2 - 0.1j
+    u.psi[lay.row[(k1, k2)]] = as_planes(np.eye(1, res_small.n_toroidal)[0] * (0.7 + 0.4j))
+    u.phi[lay.row[(k1, k2)]] = as_planes(np.eye(1, res_small.n_poloidal)[0] * (0.2 - 0.1j))
     N = nonlinear_term(u, ops)
     allowed = {(0, 0), (2 * k1, 2 * k2), (-2 * k1, -2 * k2)}
     top = max(np.abs(N.psi).max(), np.abs(N.phi).max(), np.abs(N.mean).max())
@@ -279,12 +279,15 @@ def _textbook_step(ops, dt, theta, u, G):
     np.linalg.solve on the assembled forms, A = M_L + theta dt S, behind
     any member axes."""
     b2, out = ops.params.beta**2, []
-    for blk, c, g, blocks in zip(ops.blocks, u.potentials(), G.potentials(),
-                                 ops.layout.potential_blocks):
+    for p, (blk, c, g, blocks) in enumerate(zip(ops.blocks, u.potentials(), G.potentials(),
+                                                ops.layout.potential_blocks)):
+        if p < 2:
+            c, g = as_complex(c), as_complex(g)
         S = b2 * blk.K_a + blk.K_grad
         A, B = ((blk.M_lambda + w * dt * S)[blocks] for w in (theta, theta - 1.0))
         rhs = (B @ c[..., None])[..., 0] - dt * g
-        out.append(np.linalg.solve(A, rhs[..., None])[..., 0])
+        x = np.linalg.solve(A, rhs[..., None])[..., 0]
+        out.append(as_planes(x) if p < 2 else x)
     return SolenoidalField(u.geometry, u.resolution, *out)
 
 
@@ -514,16 +517,19 @@ def _full_norms(ops, f):
     once from long double."""
     s, sums, zs = ops.shift, np.zeros(4), []
     runs = ops.layout.potential_buckets
+    # blockmul multiplies rows x @ S: K applies to each row as its transpose
+    Ka, Kg = ([np.swapaxes(getattr(blk, name), 1, 2).copy() for blk in ops.blocks]
+              for name in ("K_a", "K_grad"))
     with np.errstate(over="ignore", invalid="ignore"):
-        for mult, c, blk, run in zip((2.0, 2.0, 1.0), f.potentials(), ops.blocks, runs):
-            kc = blockmul(blk.K_a, c, run)
+        for mult, c, ka, kg, run in zip((2.0, 2.0, 1.0), f.potentials(), Ka, Kg, runs):
+            kc = blockmul(ka, c, run)
             zs.append(kc + s * c)
             sums += mult * np.array([np.vdot(c, kc).real,
-                                     np.vdot(c, blockmul(blk.K_grad, c, run)).real,
+                                     np.vdot(c, blockmul(kg, c, run)).real,
                                      np.vdot(zs[-1], zs[-1]).real, 0.0])
         zr = ops._rounded_once(f, SolenoidalField(f.geometry, f.resolution, *zs))
-        for mult, z, blk, run in zip((2.0, 2.0, 1.0), zr.potentials(), ops.blocks, runs):
-            sums[3] += mult * np.vdot(z, blockmul(blk.K_grad, z, run)).real
+        for mult, z, kg, run in zip((2.0, 2.0, 1.0), zr.potentials(), Kg, runs):
+            sums[3] += mult * np.vdot(z, blockmul(kg, z, run)).real
         l2sq, (a_uu, grad, z2, zg) = f.dot(f), sums
         sq = np.array([l2sq, a_uu + s * l2sq, z2, z2 + ops.params.alpha**2 * zg])
         n0, n1, n2, n2L = np.sqrt(np.where(np.isfinite(sq), np.maximum(sq, 0.0), np.inf))
@@ -607,11 +613,12 @@ def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkey
     Every K_a and K_grad stack product is counted, as (form, on stacked
     members); the probe's members take one stacked K_grad product per
     potential for their H1 norms."""
-    forms, calls = [(name, getattr(b, name)) for name in ("K_a", "K_grad")
-                    for b in ops.blocks], []
+    forms, calls = [(name, K) for name in ("K_a", "K_grad") for K in ops.stacks(name)], []
 
     def counting(W, c, runs):
-        calls.extend((name, c.ndim > 2) for name, K in forms if W is K)
+        # member axes lead the rows (R, 2, n), or the mean's (2, n)
+        calls.extend((name, c.ndim > (2 if runs is MEAN_BUCKETS else 3))
+                     for name, K in forms if W is K)
         return blockmul(W, c, runs)
 
     monkeypatch.setattr(field, "blockmul", counting)
@@ -627,6 +634,42 @@ def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkey
     calls.clear()
     run_evolution(ops, u0, 0.01, 0.04, cadence=1)
     assert calls.count(("K_grad", False)) == 3 * 2 * 5  # no state's K_grad products twice
+
+
+def test_probe_arithmetic_is_the_full_fft_nonlinear_term(geo, monkeypatch):
+    """At probe-n8p16's model (N8/P16, cnab2, dt 0.02, amplitude 0.3), five
+    probe steps give h3_integral and the final stacked state (base run and
+    both members) within 1e-12 relative of a run whose nonlinear term is
+    formed member by member through full complex FFTs on the padded grid
+    (conftest.nonlinear_term_on_grid).  The same run with that term scaled
+    by 1 + 1e-9 misses the bound: its state moves by about 3e-12, while
+    h3_integral, which depends on N only weakly here, moves by about
+    1e-15."""
+    rtol = 1e-12
+    res = Resolution(N1=8, N2=8, P=16)
+    o = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res)
+    u0 = random_field(geo, res, seed=1, amplitude=0.3)
+    pert = random_field(geo, res, seed=2, amplitude=1.0)
+    states, step = [], IMEXStepper.step
+    monkeypatch.setattr(IMEXStepper, "step",
+                        lambda self, state: states.append(step(self, state)) or states[-1])
+
+    def probe():
+        h3 = uniqueness_probe(o, u0, pert, (1e-8, 1e-6), 0.1, 0.02)[0].h3_integral[1:]
+        return [h3, *states[-1].field.potentials()]
+
+    def on_grid(scale):
+        def term(u, ops):
+            return SolenoidalField.stack([nonlinear_term_on_grid(u[j], ops, res.padded_shape)
+                                          * scale for j in range(len(u.mean))])
+        return term
+
+    got = probe()
+    for scale, within in ((1.0, True), (1.0 + 1e-9, False)):
+        monkeypatch.setattr(evolution, "nonlinear_term", on_grid(scale))
+        want = probe()
+        err = max(np.abs(a - b).max() / np.abs(b).max() for a, b in zip(got, want))
+        assert (err <= rtol) == within
 
 
 def test_probe_member_scan_keeps_its_events(geo):
@@ -708,7 +751,7 @@ def test_to_grid_with_workspace_reads_the_profiles_given(par, geo, members):
         fields = [random_field(geo, res, seed=seed + j) for j in range(math.prod(members))]
         return SolenoidalField.stack(fields) if members else fields[0]
 
-    synthesize(draw(1), o.cache, work.want, par.alpha, work)
+    synthesize_rows(draw(1), o.cache, work.want, par.alpha, work)
     given = synthesize_rows(draw(7), o.cache, work.want, par.alpha)
     np.testing.assert_array_equal(grid.to_grid(*given, work), grid.to_grid(*given))
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nsab.basis import BasisCache
-from nsab.field import (MEAN_BUCKETS, SolenoidalField, blockmul, layout_for,
-                        project_velocity, random_field, reconstruct, synthesize,
-                        zero_field)
+from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
+                        layout_for, project_velocity, random_field, reconstruct,
+                        synthesize, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 
@@ -24,7 +24,7 @@ def test_single_toroidal_mode_is_horizontal(geo, res_small, cache_small):
     f = zero_field(geo, res_small)
     lay = layout_for(geo, res_small)
     k1, k2 = lay.reps[2]
-    f.psi[lay.row[(k1, k2)], 0] = 1.0 + 0.3j
+    f.psi[lay.row[(k1, k2)]] = as_planes(np.eye(1, res_small.n_toroidal)[0] * (1.0 + 0.3j))
     U = reconstruct(f, cache_small)["u"]
     assert np.abs(U[2]).max() < 1e-14 * np.abs(U).max()   # u3 == 0
     # horizontal divergence i eta . u_h == 0 pointwise: check spectrally
@@ -72,8 +72,8 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
     for r, (k1, k2) in enumerate(lay.k):
         m, W_tor, W_pol = pair_bases(cache, k1, k2)
         e1, e2 = cache.wavenumber(k1, k2)
-        t = [E @ (W_tor @ f.psi[r]) for E in cache.raw_T]
-        p = [E @ (W_pol @ f.phi[r]) for E in cache.raw_C]
+        t = [E @ (W_tor @ as_complex(f.psi[r])) for E in cache.raw_T]
+        p = [E @ (W_pol @ as_complex(f.phi[r])) for E in cache.raw_C]
         U = [np.stack([1j * e2 * t[d] + 1j * e1 * p[d + 1],
                        -1j * e1 * t[d] + 1j * e2 * p[d + 1],
                        m * p[d]]) for d in range(5)]
@@ -135,8 +135,8 @@ def test_spectral_divergence_near_roundoff(geo_odd, res_small):
     for (k1, k2) in lay.reps[:6]:
         e1, e2 = cache.wavenumber(k1, k2)
         r = lay.row[(k1, k2)]
-        prof = mode_velocity_profiles(cache, k1, k2, f.psi[r],
-                                      f.phi[r], cache.z, dmax=1)
+        prof = mode_velocity_profiles(cache, k1, k2, as_complex(f.psi[r]),
+                                      as_complex(f.phi[r]), cache.z, dmax=1)
         div = prof[1][2] + 1j * e1 * prof[0][0] + 1j * e2 * prof[0][1]
         worst = max(worst, np.abs(div).max())
         scale = max(scale, np.abs(prof[0]).max())
@@ -197,8 +197,8 @@ def test_essential_wall_values(geo, res_small, cache_small):
     interior = np.abs(reconstruct(f, cache_small)["u"]).max()
     worst = 0.0
     for r, (k1, k2) in enumerate(lay.k):
-        prof = mode_velocity_profiles(cache_small, k1, k2, f.psi[r],
-                                      f.phi[r], np.array([0.0, geo.H]))[0]
+        prof = mode_velocity_profiles(cache_small, k1, k2, as_complex(f.psi[r]),
+                                      as_complex(f.phi[r]), np.array([0.0, geo.H]))[0]
         worst = max(worst, np.abs(prof).max())
     Em = mean_tables(cache_small, np.array([0.0, geo.H]), 0)
     worst = max(worst, np.abs(Em[0] @ f.mean.T).max())
@@ -240,8 +240,8 @@ def test_random_field_draws_in_rep_order(geo):
     mean = np.exp(-decay * np.arange(n_t)) * rng.standard_normal((2, n_t))
     scale = f.mean[0, 0] / mean[0, 0]
     rows = [lay.row[k] for k in lay.reps]
-    assert np.allclose(f.psi[rows], scale * np.array(psi), rtol=1e-14, atol=0)
-    assert np.allclose(f.phi[rows], scale * np.array(phi), rtol=1e-14, atol=0)
+    assert np.allclose(as_complex(f.psi[rows]), scale * np.array(psi), rtol=1e-14, atol=0)
+    assert np.allclose(as_complex(f.phi[rows]), scale * np.array(phi), rtol=1e-14, atol=0)
     assert np.allclose(f.mean, scale * mean, rtol=1e-14, atol=0)
 
 
@@ -296,28 +296,28 @@ def test_layout_block_numbers_the_basis_stacks(request, geometry, N1, N2):
 
 
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
-def test_blockmul_is_the_per_row_product(request, geometry):
-    """blockmul gives every row its block's (n, n) @ (n, 2) product bit for
-    bit, as a loop over the rows does: complex and real rows, with and
-    without member axes, transposed stacks, and the mean's one block."""
+def test_blockmul_is_the_per_block_product(request, geometry):
+    """blockmul gives the re/im plane rows of every block their (2 k, n) @
+    (n, n) product with the block's stack bit for bit, as a loop over the
+    members and blocks does: with and without member axes, for the
+    transposed stacks synthesis reads, for W, and for the mean's one block,
+    whose two rows are one row's planes."""
     g = request.getfixturevalue(geometry)
     res = Resolution(N1=8, N2=6, P=12)
     cache = BasisCache(g, res)
     lay, f = cache.layout, random_field(g, res, seed=5)
-    for W, c, runs in ((cache.W_tor, f.psi, lay.buckets),
-                       (cache.W_pol.transpose(0, 2, 1), f.phi, lay.buckets),
-                       (cache.mean_W[None], f.mean, MEAN_BUCKETS)):
+    for S, c, runs, block in ((cache.W_tor_T, f.psi, lay.buckets, lay.block),
+                              (cache.W_pol, f.phi, lay.buckets, lay.block),
+                              (cache.mean_W[None], f.mean, MEAN_BUCKETS, np.zeros(1, int))):
         for x in (c, np.stack([c, 2.0 * c, -c])):
-            got = blockmul(W, x, runs)
-            for r in range(x.shape[-2]):
-                Wr = W[lay.block[r] if len(W) > 1 else 0]
-                xr = x[..., r, :]
-                if np.iscomplexobj(xr):
-                    want = Wr @ np.stack([xr.real, xr.imag], axis=-1)
-                    want = want[..., 0] + 1j * want[..., 1]
-                else:
-                    want = (Wr @ xr[..., None])[..., 0]
-                assert np.array_equal(got[..., r, :], want)
+            got = blockmul(S, x, runs)
+            assert got.shape == x.shape
+            xs, gs = (a.reshape(-1, len(block), 2, a.shape[-1]) for a in (x, got))
+            for xm, gm in zip(xs, gs):
+                for b in range(len(S)):
+                    rows = np.flatnonzero(block == b)
+                    want = xm[rows].reshape(-1, x.shape[-1]) @ S[b]
+                    assert np.array_equal(gm[rows].reshape(want.shape), want)
 
 
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])

@@ -5,7 +5,8 @@ import pytest
 
 from nsab.basis import BasisCache, gauss_legendre
 from nsab.evolution import run_evolution
-from nsab.field import SolenoidalField, layout_for, random_field, reconstruct, zero_field
+from nsab.field import (SolenoidalField, as_complex, as_planes, layout_for, random_field,
+                        reconstruct, zero_field)
 from nsab.operators import FORMS, OperatorSet, poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 
@@ -117,15 +118,16 @@ def test_cross_mode_forms_vanish(geo_odd, res_small, cache_odd):
     lay = layout_for(geo_odd, res_small)
     (k1, k2), (q1, q2) = lay.reps[0], lay.reps[3]
     rf, rg = lay.row[(k1, k2)], lay.row[(q1, q2)]
-    f.psi[rf, 0] = 1.0
-    f.phi[rf, 0] = 0.5
-    g.psi[rg, 1] = 1.0
+    f.psi[rf] = as_planes(np.eye(1, res_small.n_toroidal)[0])
+    f.phi[rf] = as_planes(0.5 * np.eye(1, res_small.n_poloidal)[0])
+    g.psi[rg] = as_planes(np.eye(1, res_small.n_toroidal, 1)[0])
     # volume integrand G(f) : grad(omega(g)) on the padded physical grid:
     # the tangential factor int e^{i(eta_f - eta_g).x} is evaluated as an
     # actual grid sum (exact for distinct stored modes)
     z = cache_odd.z
-    _, Gf = mode_vorticity_gradient(cache_odd, k1, k2, f.psi[rf], f.phi[rf], z)
-    _, Gg = mode_vorticity_gradient(cache_odd, q1, q2, g.psi[rg],
+    _, Gf = mode_vorticity_gradient(cache_odd, k1, k2, as_complex(f.psi[rf]),
+                                    as_complex(f.phi[rf]), z)
+    _, Gg = mode_vorticity_gradient(cache_odd, q1, q2, as_complex(g.psi[rg]),
                                     np.zeros(res_small.n_poloidal, complex), z)
     M1, M2 = res_small.padded_shape
     x = np.arange(M1) * geo_odd.L1 / M1
@@ -264,7 +266,7 @@ def test_sobolev_norms(setup, geo_odd, res_small):
     lam, V = np.linalg.eigh(blk.K_a)
     f = zero_field(geo_odd, res_small)
     lay = layout_for(geo_odd, res_small)
-    f.psi[lay.groups[(1, 1)].start] = V[:, -1] / np.sqrt(2.0)  # unit L2 norm overall
+    f.psi[lay.groups[(1, 1)].start] = as_planes(V[:, -1] / np.sqrt(2.0))  # unit L2 norm overall
     sn = ops.a_scale_norms(f)
     assert np.sqrt(f.dot(f)) == pytest.approx(1.0, rel=1e-12)
     assert sn["A_half"] == pytest.approx(np.sqrt(lam[-1] + sn["shift"]), rel=1e-10)
@@ -321,7 +323,7 @@ def _a_scale_norms_longdouble(ops, f, shift):
         blk = ops.blocks[p]
         Ka, Kg = (np.asarray(K[ops.layout.block] if p < 2 else K, np.longdouble)
                   for K in (blk.K_a, blk.K_grad))
-        for x in (c.real, c.imag) if p < 2 else (c,):
+        for x in (c[:, 0], c[:, 1]) if p < 2 else (c,):
             x = np.asarray(x, np.longdouble)
             kx = np.einsum("rij,rj->ri", Ka, x)
             z = kx + s * x

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from nsab.field import layout_for, random_field
+from nsab.field import as_complex, layout_for, random_field
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.snapshots import (HEADER_LEN, MAGIC, SnapshotError, read_snapshot,
                             write_snapshot)
@@ -130,8 +130,10 @@ def test_payload_is_full_hermitian_spectrum(tmp_path, geo, res_small):
     p = tmp_path / "f.snap"
     write_snapshot(p, f)
     _, payload = _payload(p)
-    expect = np.concatenate([_full_spectrum(f.psi, geo, res_small).view(np.float64).ravel(),
-                             _full_spectrum(f.phi, geo, res_small).view(np.float64).ravel(),
+    expect = np.concatenate([_full_spectrum(as_complex(f.psi), geo, res_small)
+                             .view(np.float64).ravel(),
+                             _full_spectrum(as_complex(f.phi), geo, res_small)
+                             .view(np.float64).ravel(),
                              f.mean.ravel()])
     assert np.array_equal(payload, expect)
 
