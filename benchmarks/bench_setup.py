@@ -6,12 +6,16 @@ r + 1, so a burst of load on a shared host hits one repeat of each case
 rather than every repeat of one), and writes, per case, the medians of the
 manifest's stage seconds (the stages
 of ``STAGES``), ``timings.steps_per_s`` (time-stepping runs),
-``peak_rss_mb`` and ``process_s``, the wall time of the whole
-``python -m nsab.cli`` process (interpreter start-up and imports included),
-to a file at the repository root:
+``peak_rss_mb`` and ``process_s``, the wall time of the whole process
+(interpreter start-up and imports included), to a file at the repository
+root:
 
 * ``BENCH_setup.json``: ``nsab evolve`` (Euler, dt 0.02, T 0.1: five steps)
-  at N16/P32, N32/P48 and N64/P64;
+  at N16/P32, N32/P48 and N64/P64, and ``n16p32-warm``: one process runs
+  the N16/P32 evolve twice and the case records the second run's manifest,
+  a run that finds the layout, grid tables and workspaces the first one
+  left and builds its own basis and operator sets (its ``process_s``
+  covers both runs);
 * ``BENCH_probe.json``: ``nsab probe-uniqueness`` (cnab2, dt 0.02, T 0.5,
   u0 amplitude 0.3: the config of the probe-n8p16 benchmark workload) at
   N8/P16 and N16/P32, three trajectories per time step;
@@ -79,39 +83,49 @@ EVOLVE = "scheme.name = euler\ntime.dt = 0.02\ntime.T = 0.1\nu0.amplitude = 0.2\
 PROBE = "scheme.name = cnab2\ntime.dt = 0.02\ntime.T = 0.5\nu0.amplitude = 0.3\nprobe.seed = 2\n"
 RANDOM_FORCING = "forcing.id = random_solenoidal\nforcing.seed = 11\n"
 #: output file -> (description, case name -> (subcommand, config lines on
-#: top of MODEL, N, P)); N1 = N2 = N on the default 2 pi x 2 pi x 1 box
+#: top of MODEL, N, P, runs in the process, the last one recorded)); N1 =
+#: N2 = N on the default 2 pi x 2 pi x 1 box
 BENCHES = {
     "BENCH_setup.json": (
         "nsab evolve, Euler, dt 0.02, T 0.1, u0 amplitude 0.2, seed 1",
-        {f"n{N}p{P}": ("evolve", EVOLVE, N, P) for N, P in ((16, 32), (32, 48), (64, 64))}),
+        {**{f"n{N}p{P}": ("evolve", EVOLVE, N, P, 1)
+            for N, P in ((16, 32), (32, 48), (64, 64))},
+         "n16p32-warm": ("evolve", EVOLVE, 16, 32, 2)}),
     "BENCH_probe.json": (
         "nsab probe-uniqueness, cnab2, dt 0.02, T 0.5, u0 amplitude 0.3, seeds 1 and 2",
-        {f"probe-n{N}p{P}": ("probe-uniqueness", PROBE, N, P) for N, P in ((8, 16), (16, 32))}),
+        {f"probe-n{N}p{P}": ("probe-uniqueness", PROBE, N, P, 1)
+         for N, P in ((8, 16), (16, 32))}),
     "BENCH_stationary.json": (
         "nsab eigs (eigs.count 20) and nsab solve (forcing.id manufactured, and "
         "random_solenoidal with forcing.seed 11) at N16",
-        {**{f"eigs-n16p{P}": ("eigs", "eigs.count = 20\n", 16, P) for P in (24, 32, 48, 64)},
-         **{f"solve-n16p{P}": ("solve", "forcing.id = manufactured\n", 16, P)
+        {**{f"eigs-n16p{P}": ("eigs", "eigs.count = 20\n", 16, P, 1)
+            for P in (24, 32, 48, 64)},
+         **{f"solve-n16p{P}": ("solve", "forcing.id = manufactured\n", 16, P, 1)
             for P in (24, 32, 40)},
-         **{f"solve-random-n16p{P}": ("solve", RANDOM_FORCING, 16, P) for P in (24, 32, 40)}}),
+         **{f"solve-random-n16p{P}": ("solve", RANDOM_FORCING, 16, P, 1) for P in (24, 32, 40)}}),
 }
 #: subcommand -> the manifest stages whose seconds are recorded, where the
 #: run has them
 STAGES = {"evolve": ("setup", "integrate"), "probe-uniqueness": ("setup", "integrate"),
           "eigs": ("setup", "eigenpairs", "garding"), "solve": ("setup", "solve", "pressure", "errors")}
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: the program of a case's process: ``nsab`` (argv after n) run n times into
+#: one output directory, so the manifest left is the last run's; exits with
+#: the worst code
+REPEAT = "import sys; from nsab.cli import main; sys.exit(max(main(sys.argv[2:]) " \
+         "for _ in range(int(sys.argv[1]))))"
 
 
-def run_once(kind, config, work):
-    """The manifest of one ``nsab kind`` run in a fresh process, the
-    process's wall seconds and the median seconds of the calibration
-    kernel samples taken right after it."""
+def run_once(kind, config, work, runs):
+    """The manifest of the last of runs ``nsab kind`` runs in one fresh
+    process, the process's wall seconds and the median seconds of the
+    calibration kernel samples taken right after it."""
     cfg, out = work / "run.cfg", work / "out"
     cfg.write_text(config)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **dict.fromkeys(THREADS, "1"))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "nsab.cli", kind, "--config", str(cfg),
-                           "--out", str(out)], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", REPEAT, str(runs), kind, "--config",
+                           str(cfg), "--out", str(out)], env=env, capture_output=True, text=True)
     process_s = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"nsab {kind} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -155,16 +169,17 @@ def main(argv=None):
     try:
         for _ in range(REPEATS):
             for name in runs:
-                kind, lines, N, P = spec[name]
+                kind, lines, N, P, count = spec[name]
                 with tempfile.TemporaryDirectory() as tmp:
-                    runs[name].append(run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp)))
+                    runs[name].append(run_once(kind, MODEL.format(N=N, P=P) + lines, Path(tmp),
+                                               count))
     except RuntimeError as exc:
         print(f"bench_setup: {exc}", file=sys.stderr)
         return 1
     for fname, (command, cases) in BENCHES.items():
         results = {}
         for name in (n for n in runs if n in cases):
-            kind, _, N, P = cases[name]
+            kind, _, N, P, _ = cases[name]
             results[name] = summarize(kind, N, P, runs[name])
             print(name, json.dumps(results[name]), flush=True)
         if not results:

@@ -39,11 +39,9 @@ import numpy as np
 
 from .field import layout_for
 
-#: highest z-derivative order tabulated for interior evaluation; order 5 is
-#: needed for the bilaplacian of poloidal-generated velocity components.
+#: highest z-derivative order tabulated, at the nodes and on the walls; order
+#: 5 is needed for the bilaplacian of poloidal-generated velocity components.
 MAX_DERIV = 5
-#: highest derivative order tabulated on the walls (boundary tractions).
-MAX_TRACE_DERIV = 3
 
 
 def legendre_table(x, nmax, dmax):
@@ -100,9 +98,9 @@ def _inv_chol_T(mass):
 class BasisCache:
     """All basis data shared by assembly, reconstruction and projection.
 
-    ``raw_T``/``raw_C`` tabulate the raw recombined bases and their
-    z-derivatives at the quadrature nodes, ``raw_T_tr``/``raw_C_tr`` on the
-    walls, ``synth_T``/``synth_C`` those synthesis and analysis read.
+    ``raw_T``/``raw_C`` tabulate the recombined bases and z-derivatives
+    0..MAX_DERIV, (orders, points, n), at the nodes, ``raw_T_tr``/``raw_C_tr``
+    on the walls, ``synth_T``/``synth_C`` those synthesis and analysis read.
     Blocks depend on the wavenumber only through m = |eta|^2: ``W_tor`` and
     ``W_pol`` (U, n, n) stack one per distinct m, ``m`` (U,), in the block
     numbering of the layout (``layout.block`` gives each row's), and act on
@@ -117,11 +115,13 @@ class BasisCache:
         self.geometry = geometry
         self.resolution = resolution
         self.layout = layout_for(geometry, resolution)
-        self.wavenumber = self.layout.wavenumber
-        H, P, area = geometry.H, resolution.P, geometry.area
-        self.z, self.w = gauss_legendre(resolution.Q, H)
-        self.raw_T, self.raw_C = recombined_bases(P, self.z, H, MAX_DERIV)
-        self.raw_T_tr, self.raw_C_tr = recombined_bases(P, [0.0, H], H, MAX_TRACE_DERIV)
+        H, P, Q, area = geometry.H, resolution.P, resolution.Q, geometry.area
+        self.z, self.w = gauss_legendre(Q, H)
+        # nodes and walls in one table: the recurrence is pointwise, so each
+        # row is bitwise the row of a table of its own points
+        T, C = map(np.stack, recombined_bases(P, np.append(self.z, (0.0, H)), H, MAX_DERIV))
+        self.raw_T, self.raw_T_tr = T[:, :Q], T[:, Q:]
+        self.raw_C, self.raw_C_tr = C[:, :Q], C[:, Q:]
         self.synth_T, self.synth_C = (np.hstack([t.T for t in tabs])
                                       for tabs in (self.raw_T[:MAX_DERIV], self.raw_C))
         # mean block: plain L^2 mass, one copy shared by both components

@@ -59,14 +59,16 @@ tables built once per (N1, N2).
 The time step evaluates the nonlinear term through :class:`GridWorkspace`,
 the arrays of one product of synthesized quantities (derivative values,
 profiles, spectral box, grid, product, forward halves and gathered planes)
-reused from call to call instead of allocated afresh.  The grid owns one
-workspace per node count Q and leading member axes, so it lives as long as
-the grid, which :func:`layout_for` keeps for the whole process: a run that
-freed it on exit would hand the pages back to the OS and take the page
-faults again in the next run.  Arrays carved from a workspace are
-overwritten by the next call that uses it, so the path is not reentrant
-(nsab is serial); the public :func:`synthesize` returns fresh arrays, and
-:func:`reconstruct` and :func:`project_velocity` do unless given a workspace.
+reused from call to call instead of allocated afresh.  Arrays carved from
+a workspace are overwritten by the next call that uses it, so the path is
+not reentrant (nsab is serial); the public :func:`synthesize` returns fresh
+arrays, and :func:`reconstruct` and :func:`project_velocity` do unless
+given a workspace.  The process keeps what its runs share, as a run that
+freed it would rebuild it and take its page faults again: each layout
+(:func:`layout_for`, per N1, N2, L1, L2), its grid tables and workspaces
+(one per Q and member-axes shape, so a stacked probe keeps its own beside
+the single field's), never replaced; and a layout's mixing matrices, for
+the last alpha asked.  Each run builds its own basis and operator sets.
 """
 
 from __future__ import annotations

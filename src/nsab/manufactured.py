@@ -105,7 +105,7 @@ class ManufacturedCase:
         for the case's row, and a zero mean."""
         row = self.row(ops)
         z = ops.cache.z
-        e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
+        e1, e2 = ops.layout.wavenumber(self.k1, self.k2)
         t, p = self.mode_potentials(z, 5)
         q0 = self.pressure_profile(z)
         grad_p = np.stack([1j * e1 * q0, 1j * e2 * q0, self.pressure_profile(z, 1)])
@@ -119,7 +119,7 @@ class ManufacturedCase:
         wall coefficients of ops.params: wall data -n x r for u*'s traction
         defect r, (-r2, r1) at z = 0 and (r2, -r1) at z = H."""
         row, params = self.row(ops), ops.params
-        e1, e2 = ops.cache.wavenumber(self.k1, self.k2)
+        e1, e2 = ops.layout.wavenumber(self.k1, self.k2)
         t, p = self.mode_potentials(np.array([0.0, ops.geometry.H]), 3)
         r1, r2 = wall_traction(e1, e2, e1 * e1 + e2 * e2, t, p, params.gamma, params.k)
         return wall_dual(ops, row, np.array([-r2[0], r1[0]]), np.array([r2[1], -r1[1]]))

@@ -96,7 +96,7 @@ def wall_dual(ops, row, gb, gt):
     with tangential 2-vectors gb at z = 0 and gt at z = H."""
     out = zero_field(ops.geometry, ops.resolution)
     area, cache, b = ops.geometry.area, ops.cache, ops.layout.block[row]
-    e1, e2 = cache.wavenumber(*ops.layout.k[row])
+    e1, e2 = ops.layout.wavenumber(*ops.layout.k[row])
     ttr = cache.raw_T_tr[1] @ cache.W_tor[b]  # first-derivative traces, rows (z=0, z=H)
     ptr = cache.raw_C_tr[2] @ cache.W_pol[b]  # second-derivative traces
     # d_n phi at bottom = -(i e2 T', -i e1 T', 0) tor / -(i e1 C'', i e2 C'', .) pol

@@ -98,7 +98,7 @@ def block_groups(ops, f):
 def pair_bases(cache, k1, k2):
     """m = |eta|^2 and the toroidal and poloidal W (n, n) of any nonzero
     wavenumber pair, stored or not, built on their own."""
-    e1, e2 = cache.wavenumber(k1, k2)
+    e1, e2 = cache.layout.wavenumber(k1, k2)
     m = e1 * e1 + e2 * e2
     W_tor, W_pol = cache.bases(np.array([m]))
     return m, W_tor[0], W_pol[0]
@@ -145,7 +145,7 @@ def hermitian_modes(f):
 
 def mode_velocity_profiles(cache, k1, k2, ct, cp, z, dmax=0):
     """u-hat derivative stacks (dmax+1, 3, len(z)) from potential coefficients."""
-    e1, e2 = cache.wavenumber(k1, k2)
+    e1, e2 = cache.layout.wavenumber(k1, k2)
     m, Et, Ep = pair_tables(cache, k1, k2, z, dmax + 1)
     t = [Et[d] @ ct for d in range(dmax + 1)]
     p = [Ep[d] @ cp for d in range(dmax + 2)]
@@ -157,7 +157,7 @@ def mode_velocity_profiles(cache, k1, k2, ct, cp, z, dmax=0):
 
 def mode_vorticity_gradient(cache, k1, k2, ct, cp, z):
     """(omega-hat, grad omega-hat) at the given z points, componentwise."""
-    e1, e2 = cache.wavenumber(k1, k2)
+    e1, e2 = cache.layout.wavenumber(k1, k2)
     m, Et, Ep = pair_tables(cache, k1, k2, z, 3)
     t = [Et[d] @ ct for d in range(4)]
     p = [Ep[d] @ cp for d in range(4)]
@@ -249,7 +249,7 @@ def reference_forms(params, cache, k1, k2):
         Kb = s * gram(E[2], E[2])
         return ({"mean": forms(s * gram(E[0], E[0]), Kb - kk * s * wall(t[1]),
                                s * gram(E[1], E[1]), Kb)}, {"mean": W})
-    e1, e2 = cache.wavenumber(k1, k2)
+    e1, e2 = cache.layout.wavenumber(k1, k2)
     m = e1 * e1 + e2 * e2
     Wt, E, t = reference_block(m * s * gram(T[0], T[0]), T, Ttr)
     Kb = s * m * (gram(E[2], E[2]) + 2 * m * gram(E[1], E[1]) + m**2 * gram(E[0], E[0]))
@@ -425,7 +425,7 @@ def reference_pressure(u, forcing, ops):
     coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
     defect_sq = 0.0
     for r, (k1, k2) in enumerate(ops.layout.k):
-        e1, e2 = ops.cache.wavenumber(k1, k2)
+        e1, e2 = ops.layout.wavenumber(k1, k2)
         A = np.vstack([1j * e1 * (sw[:, None] * Phi[0]),
                        1j * e2 * (sw[:, None] * Phi[0]),
                        sw[:, None] * Phi[1]])
@@ -474,7 +474,7 @@ def gradient_forcing(ops, scalar_modes):
         if (k1, k2) == (0, 0):
             mean[2] = q1
             continue
-        e1, e2 = ops.cache.wavenumber(k1, k2)
+        e1, e2 = ops.layout.wavenumber(k1, k2)
         rows[:, ops.layout.row[(k1, k2)]] = np.stack([1j * e1 * q0, 1j * e2 * q0, q1])
     return rows, mean
 

@@ -12,7 +12,7 @@ import nsab
 
 from nsab.basis import (BasisCache, gauss_legendre, legendre_table,
                         recombined_bases)
-from nsab.params import Resolution
+from nsab.params import ChannelGeometry, Resolution
 
 
 def test_legendre_values_match_numpy():
@@ -104,3 +104,24 @@ def test_basis_imports_first_in_a_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", "import nsab.basis"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_nodes_and_walls_tabulated_together_are_the_separate_tables():
+    """The basis tabulates nodes and walls in one call and splits the rows:
+    each table equals its points tabulated alone, bit for bit."""
+    for P, Q, H in ((12, 19, 2.0), (32, 49, 2.0), (48, 73, 1.3), (64, 97, 1e6), (24, 37, 1e-6)):
+        z = gauss_legendre(Q, H)[0]
+        together = recombined_bases(P, np.append(z, (0.0, H)), H, 5)
+        for tabs, nodes, walls in zip(together, recombined_bases(P, z, H, 5),
+                                      recombined_bases(P, [0.0, H], H, 3)):
+            for d, t in enumerate(tabs):
+                assert np.array_equal(t[:Q], nodes[d])
+                assert np.signbit(t[:Q]).tolist() == np.signbit(nodes[d]).tolist()
+                if d < len(walls):
+                    assert np.array_equal(t[Q:], walls[d])
+                    assert np.signbit(t[Q:]).tolist() == np.signbit(walls[d]).tolist()
+    cache = BasisCache(ChannelGeometry(H=2.0), Resolution(N1=4, N2=4, P=12))
+    for split, alone in ((cache.raw_T, recombined_bases(12, cache.z, 2.0, 5)[0]),
+                         (cache.raw_T_tr, recombined_bases(12, [0.0, 2.0], 2.0, 3)[0]),
+                         (cache.raw_C_tr, recombined_bases(12, [0.0, 2.0], 2.0, 3)[1])):
+        assert all(np.array_equal(a, b) for a, b in zip(split, alone))

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -254,6 +255,34 @@ def test_sweep_builds_one_basis(cfgfile, tmp_path, monkeypatch):
                         lambda self, *a: (built.append(a), init(self, *a))[1])
     assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 0
     assert len(built) == 1
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_interleaved_runs_in_one_process_match_fresh_processes(tmp_path):
+    """Runs that share a process, and so its layouts, grid workspaces and
+    mixing matrices, write the data files of fresh processes byte for byte:
+    evolve, solve with random forcing and eigs, alternating N4/P10 and
+    N8/P16, so each run reads what the previous ones left."""
+    files = {"evolve": ("final.snap", "timeseries.csv"), "solve": ("solution.snap",),
+             "eigs": ("eigs.csv",)}
+    runs = [(kind, N, P) for kind in files for N, P in ((4, 10), (8, 16))]
+    runs += runs[::-1]
+    for n, (kind, N, P) in enumerate(runs):
+        cfg = tmp_path / f"{n}.cfg"
+        cfg.write_text(_config_with({"resolution.N1": N, "resolution.N2": N,
+                                     "resolution.P": P, "forcing.id": "random_solenoidal",
+                                     "eigs.count": 8}))
+        warm, fresh = tmp_path / f"warm{n}", tmp_path / f"fresh{n}"
+        assert main([kind, "--config", str(cfg), "--out", str(warm)]) == 0
+        if n < len(runs) // 2:
+            assert _run_cli(kind, "--config", str(cfg), "--out", str(fresh)).returncode == 0
+        else:  # the same config again, later in the sequence
+            fresh = tmp_path / f"fresh{len(runs) - 1 - n}"
+        for name in files[kind]:
+            assert _sha256(warm / name) == _sha256(fresh / name), (kind, N, P, name)
 
 
 def test_solve_and_convergence(cfgfile, tmp_path):

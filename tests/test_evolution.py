@@ -59,7 +59,7 @@ def convective_form(u, cache, alpha):
     GU, GV = (np.zeros((3, 3, M1, M2, res.Q), complex) for _ in range(2))
     for k1, k2, ct, cp in hermitian_modes(u):
         d = mode_velocity_profiles(cache, k1, k2, ct, cp, cache.z, dmax=3)
-        e1, e2 = cache.wavenumber(k1, k2)
+        e1, e2 = cache.layout.wavenumber(k1, k2)
         m = e1 * e1 + e2 * e2
         u_hat = d[0]
         v_hat = d[0] - a2 * (d[2] - m * d[0])

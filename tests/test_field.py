@@ -30,7 +30,7 @@ def test_single_toroidal_mode_is_horizontal(geo, res_small, cache_small):
     # horizontal divergence i eta . u_h == 0 pointwise: check spectrally
     M1, M2 = res_small.padded_shape
     Uh = np.fft.fft2(U, axes=(-3, -2)) / (M1 * M2)
-    e1, e2 = cache_small.wavenumber(k1, k2)
+    e1, e2 = cache_small.layout.wavenumber(k1, k2)
     div_h = 1j * e1 * Uh[0, k1 % M1, k2 % M2] + 1j * e2 * Uh[1, k1 % M1, k2 % M2]
     assert np.abs(div_h).max() < 1e-14 * np.abs(Uh).max()
 
@@ -71,7 +71,7 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
             for name in ("u", "curl_v", "bilap_u")}
     for r, (k1, k2) in enumerate(lay.k):
         m, W_tor, W_pol = pair_bases(cache, k1, k2)
-        e1, e2 = cache.wavenumber(k1, k2)
+        e1, e2 = cache.layout.wavenumber(k1, k2)
         t = [E @ (W_tor @ as_complex(f.psi[r])) for E in cache.raw_T]
         p = [E @ (W_pol @ as_complex(f.phi[r])) for E in cache.raw_C]
         U = [np.stack([1j * e2 * t[d] + 1j * e1 * p[d + 1],
@@ -133,7 +133,7 @@ def test_spectral_divergence_near_roundoff(geo_odd, res_small):
     scale = 0.0
     worst = 0.0
     for (k1, k2) in lay.reps[:6]:
-        e1, e2 = cache.wavenumber(k1, k2)
+        e1, e2 = cache.layout.wavenumber(k1, k2)
         r = lay.row[(k1, k2)]
         prof = mode_velocity_profiles(cache, k1, k2, as_complex(f.psi[r]),
                                       as_complex(f.phi[r]), cache.z, dmax=1)
@@ -274,7 +274,7 @@ def test_layout_block_numbers_the_basis_stacks(request, geometry, N1, N2):
     cache = BasisCache(g, Resolution(N1=N1, N2=N2, P=8))
     lay = cache.layout
     assert lay is layout_for(g, cache.resolution)
-    e1, e2 = cache.wavenumber(lay.k[:, 0], lay.k[:, 1])
+    e1, e2 = cache.layout.wavenumber(lay.k[:, 0], lay.k[:, 1])
     assert np.array_equal(cache.m[lay.block], e1 * e1 + e2 * e2)
     assert np.array_equal(lay.eta[2][:, 0], e1 * e1 + e2 * e2)
     assert lay.block.shape == (len(lay.reps),)

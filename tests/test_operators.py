@@ -132,8 +132,8 @@ def test_cross_mode_forms_vanish(geo_odd, res_small, cache_odd):
     M1, M2 = res_small.padded_shape
     x = np.arange(M1) * geo_odd.L1 / M1
     y = np.arange(M2) * geo_odd.L2 / M2
-    e1f, e2f = cache_odd.wavenumber(k1, k2)
-    e1g, e2g = cache_odd.wavenumber(q1, q2)
+    e1f, e2f = cache_odd.layout.wavenumber(k1, k2)
+    e1g, e2g = cache_odd.layout.wavenumber(q1, q2)
     phase = np.exp(1j * ((e1f - e1g) * x[:, None] + (e2f - e2g) * y[None, :]))
     tang = phase.sum() * (geo_odd.L1 / M1) * (geo_odd.L2 / M2)
     zprof = np.sum(cache_odd.w * np.einsum("ijq,ijq->q", Gf, np.conj(Gg)))
@@ -146,7 +146,7 @@ def _wall_pieces(cache, k1, k2, gamma, ct, cp, zw, sgn):
     """(n x omega, n x Gn, d_n u) for one wall, from pointwise profiles."""
     zp = np.array([zw])
     wv, Gt = mode_vorticity_gradient(cache, k1, k2, ct, cp, zp)
-    e1, e2 = cache.wavenumber(k1, k2)
+    e1, e2 = cache.layout.wavenumber(k1, k2)
     # Gn = sgn*(d_z w + gamma * grad w3) rows 1..3 at the wall
     Gn = sgn * (Gt[:, 2, 0] + gamma * np.array([1j * e1, 1j * e2, 0.0]) * wv[2, 0])
     nxw = np.array([-sgn * wv[1, 0], sgn * wv[0, 0], 0.0])
@@ -171,7 +171,7 @@ def test_strong_form_integration_by_parts(geo_odd, res_small, cache_odd, gamma, 
     # volume: bilaplacian of the trial against the test velocity
     z2, w2 = gauss_legendre(3 * res_small.Q, geo_odd.H)
     m, Et, Ep = pair_tables(cache_odd, k1, k2, z2, 5)
-    e1, e2 = cache_odd.wavenumber(k1, k2)
+    e1, e2 = cache_odd.layout.wavenumber(k1, k2)
     t = [Et[d] @ ct for d in range(5)]
     p = [Ep[d] @ cp for d in range(6)]
     LLt = t[4] - 2 * m * t[2] + m * m * t[0]
@@ -481,10 +481,10 @@ def test_one_block_per_distinct_m(request, geometry, N1, N2):
     U, G = len(c.m), len(groups)
     assert U < G if geometry == "geo" and N1 > 2 else U == G
     for r, (k1, k2) in enumerate(ops.layout.k):
-        e1, e2 = c.wavenumber(k1, k2)
+        e1, e2 = c.layout.wavenumber(k1, k2)
         assert c.m[ops.layout.block[r]] == e1 * e1 + e2 * e2
     for (k1, k2), rows in groups.items():
-        e1, e2 = c.wavenumber(k1, k2)
+        e1, e2 = c.layout.wavenumber(k1, k2)
         m = np.array([e1 * e1 + e2 * e2])
         W_tor, W_pol = c.bases(m)
         b = ops.layout.block[rows.start]
