@@ -14,8 +14,8 @@ root:
   at N16/P32, N32/P48 and N64/P64, and ``n16p32-warm``: one process runs
   the N16/P32 evolve twice and the case records the second run's manifest,
   a run that finds the layout, grid tables and workspaces the first one
-  left and builds its own basis and operator sets (its ``process_s``
-  covers both runs);
+  left and builds its own plans, basis and operator sets (its
+  ``process_s`` covers both runs);
 * ``BENCH_probe.json``: ``nsab probe-uniqueness`` (cnab2, dt 0.02, T 0.5,
   u0 amplitude 0.3: the config of the probe-n8p16 benchmark workload) at
   N8/P16 and N16/P32, three trajectories per time step;

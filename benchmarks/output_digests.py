@@ -23,7 +23,9 @@ to differ, other files only to differ):
 The ``full`` set (default) holds the 12 stationary-n16 benchmark operations
 (manufactured and random-forcing solves and ``eigs`` at N16, P 24-48), a
 solve and an ``eigs`` on an odd geometry, ``convergence``, ``verify-adn`` at
-two gamma, and short ``evolve``, ``probe-uniqueness`` and ``sweep`` runs.
+two gamma, short ``evolve``, ``probe-uniqueness`` and ``sweep`` runs, and
+the configs of the benchmark's two trajectory workloads (evolve at N16/P32,
+Euler, T 0.2, cadence 5; the cnab2 probe at N8/P16, T 0.5, amplitude 0.3).
 The ``small`` set keeps one of each kind at the smallest sizes, and the
 odd-geometry ``eigs`` at gamma = 1, k = 5, whose c0(0) is negative: the
 only run whose Garding search goes past the first grid shift.  Digests
@@ -63,9 +65,9 @@ def _stationary(P):
             (f"eigs-p{P}", "eigs", res + ("eigs.count = 20",), 0)]
 
 
-def _trajectory(n1, n2, p, scheme, T):
+def _trajectory(n1, n2, p, scheme, T, amplitude=0.2):
     return _res(n1, n2, p) + (f"scheme.name = {scheme}", "time.dt = 0.02",
-                              f"time.T = {T}", "u0.amplitude = 0.2", "u0.seed = 3")
+                              f"time.T = {T}", f"u0.amplitude = {amplitude}", "u0.seed = 3")
 
 
 #: (name, subcommand, config lines on top of MODEL, expected exit code)
@@ -85,6 +87,7 @@ FULL = SMALL + [
     ("verify-adn-gamma0.5", "verify-adn", ("model.gamma = 0.5",), 0),
     ("evolve-n16p32", "evolve", _trajectory(16, 16, 32, "euler", 0.2) + (
         "output.cadence = 5",), 0),
+    ("probe-n8p16", "probe-uniqueness", _trajectory(8, 8, 16, "cnab2", 0.5, amplitude=0.3), 0),
 ]
 SETS = {"small": SMALL, "full": FULL}
 

@@ -104,7 +104,7 @@ class BasisCache:
     Blocks depend on the wavenumber only through m = |eta|^2: ``W_tor`` and
     ``W_pol`` (U, n, n) stack one per distinct m, ``m`` (U,), in the block
     numbering of the layout (``layout.block`` gives each row's), and act on
-    a field's rows through :func:`nsab.field.blockmul`, which multiplies
+    a field's rows through :class:`nsab.field.BlockProduct`, which multiplies
     the rows from the right: analysis reads W, synthesis the contiguous
     transposes ``W_tor_T``/``W_pol_T``.  The mean block has
     ``mean_W`` and its own tables ``mean_E``/``mean_tr``

@@ -342,10 +342,12 @@ def _exp_probe(cfg, out, operators, stage):
                                   cfg["time.dt"], scheme=cfg["scheme.name"],
                                   watchdog_ceiling=cfg["watchdog.ceiling"])
     stage.steps = p1.steps
-    mask = p1.times >= 0.25 * cfg["time.T"]
+    # the Gronwall rate log(growth) / h3_integral, fitted over the points of
+    # the window where h3_integral > 0 (a base run at rest has none: nan)
+    fit = (p1.times >= 0.25 * cfg["time.T"]) & (p1.h3_integral > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cfit = np.nanmax(np.where(mask, np.log(np.maximum(p1.growth, 1e-300))
-                                  / np.maximum(p1.h3_integral, 1e-300), -np.inf))
+        rates = np.log(np.maximum(p1.growth[fit], 1e-300)) / p1.h3_integral[fit]
+    cfit = np.nanmax(rates) if fit.any() else np.nan
     rel = abs(p1.growth[-1] - p2.growth[-1]) / max(abs(p1.growth[-1]), 1e-300)
     with stage("write"):
         write_csv(out / "probe.csv",

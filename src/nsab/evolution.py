@@ -21,19 +21,31 @@ theta) dt S = M_L / theta - (1/theta - 1) A, u' = E u - dt Q G with Q = A^{-1}
 and E = Q M_L / theta - (1/theta - 1) I, free of the cancellation in M_L -
 dt S / 2: per potential one per-block stack [E | -dt Q] or [E | -1.5 dt Q |
 0.5 dt Q] (E alone without N), applied to the rows [u | N | N_prev] side by
-side by one :meth:`nsab.field.SolenoidalField.apply`.  The linear
-flow also has an exact spectral propagator through the factorization
-u(t) = L^{-1/2} e^{-tD} L^{1/2} u0 (+ Duhamel term), which serves as the
-order oracle for the steppers.
+side by one block product.  The linear flow also has an exact spectral
+propagator through the factorization u(t) = L^{-1/2} e^{-tD} L^{1/2} u0
+(+ Duhamel term), which serves as the order oracle for the steppers.
+
+The step is planned once per run (the plan/execute split of FFTW, Frigo
+and Johnson 2005): every buffer and view it touches is built on the first
+step of a member shape, so a step is a fixed list of numpy calls with its
+arithmetic that of the one-off functions, bit for bit.  The stepper owns
+the rows [u | N | N_prev] and their products with its stacks
+(:class:`IMEXStepper`); the operator set keeps the nonlinear term's calls
+over the padded grid's workspace (:class:`NonlinearPlan`) and the monitors'
+K_a and K_grad products (:meth:`nsab.operators.OperatorSet.apply`).  A
+step copies u, N and N_prev into the rows and returns fresh arrays, so the
+states it returned keep their values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .field import SolenoidalField, project_velocity, reconstruct
+from .field import (BlockProduct, GridWorkspace, SolenoidalField, plan_analysis, plan_synthesis,
+                    reconstruct, run)
 from .operators import OperatorSet, _root
 from .params import ParameterError, derive_params, step_count
 
@@ -79,21 +91,55 @@ def nonlinear_term(u, ops):
     products.  Quadratic tangential interactions are exact on the 3/2-rule
     padded grid; wall-normal triple products are exact by the
     Q >= (3P+1)/2 rule.  Returns dual coefficients (same container as
-    fields) that own their arrays; the grid arrays in between are the
-    padded grid's reused workspace (:class:`nsab.field.GridWorkspace`).
-    A stacked u gives the stacked duals, each member's bitwise equal to
-    its own call.
+    fields) that own their arrays; the arrays in between are the padded
+    grid's reused workspace (:class:`nsab.field.GridWorkspace`), and the
+    calls that fill them are planned once per run and member shape
+    (:class:`NonlinearPlan`, kept by ops).  A stacked u gives the stacked
+    duals, each member's bitwise equal to its own call.
     """
-    work = ops.layout.grid.workspace(u.resolution.Q, u.mean.shape[:-2])
-    rec = reconstruct(u, ops.cache, want=work.want, alpha=ops.params.alpha, work=work)
-    w, v, prod = ([a[..., i, :, :, :] for i in range(3)]
-                  for a in (rec["curl_v"], rec["u"], work.prod))
-    tmp = work.scratch
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(w[j], v[k], out=prod[i])
-        np.multiply(w[k], v[j], out=tmp)
-        np.subtract(prod[i], tmp, out=prod[i])
-    return project_velocity(work.prod, ops.cache, work)
+    lead = u.mean.shape[:-2]
+    plan = ops.plan(("nonlinear", lead), lambda: NonlinearPlan(ops, lead))
+    reconstruct(u, ops.cache, GridWorkspace.want, ops.params.alpha, plan)
+    run(plan.backward)
+    return SolenoidalField(u.geometry, u.resolution, *(d.copy() for d in plan.duals))
+
+
+class NonlinearPlan:
+    """The calls of :func:`nonlinear_term` for the run of ops and fields
+    with member axes lead, planned once over the padded grid's workspace
+    (the plan/execute split of FFTW, Frigo and Johnson 2005): each a numpy
+    call of the one-off functions, every view bound to the workspace arrays
+    and to the run's basis tables, stacks and mixing matrices.
+    :meth:`reconstruct` copies a field's potentials into the workspace and
+    synthesizes its grids; ``backward`` forms (curl v) x u into ``prod`` and
+    projects it onto the duals."""
+
+    def __init__(self, ops, lead):
+        cache, grid = ops.cache, ops.layout.grid
+        work = grid.workspace(ops.resolution, lead)
+        self.fields = (work.psi, work.phi, work.mean)
+        synthesis, (rows, mean) = plan_synthesis(self.fields, cache, work.want, ops.params.alpha,
+                                                 work)
+        to_grid, U = grid.plan_to_grid(rows, mean, work)
+        self.forward, self.grid = synthesis + to_grid, {
+            name: U[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(work.want)}
+        w, v, prod = ([a[..., i, :, :, :] for i in range(3)]
+                      for a in (self.grid["curl_v"], self.grid["u"], work.prod))
+        self.backward = []
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            self.backward += [partial(np.multiply, w[j], v[k], out=prod[i]),
+                              partial(np.multiply, w[k], v[j], out=work.scratch),
+                              partial(np.subtract, prod[i], work.scratch, out=prod[i])]
+        from_grid, (rows, mean) = grid.plan_from_grid(work.prod, work)
+        analysis, self.duals = plan_analysis(rows, mean, cache, work)
+        self.backward += from_grid + analysis
+
+    def reconstruct(self, f):
+        """The grids of the workspace's quantities of f, as
+        :func:`nsab.field.reconstruct` returns them: views of the workspace."""
+        for x, c in zip(self.fields, f.potentials()):
+            np.copyto(x, c)
+        return run(self.forward, dict(self.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +191,11 @@ class IMEXStepper:
     scheme="cnab2": Crank-Nicolson / Adams-Bashforth 2 (second order,
     first step seeded with the initial nonlinear slope).
     nonlinear=False freezes N to 0 (linear order studies).
+
+    The stepper owns the buffers of its step, built on its first step of
+    each member shape: per potential, the rows [u | N | N_prev] side by
+    side and their planned product with the propagator stack.  A step
+    copies into the rows, runs the products and returns fresh arrays.
     """
 
     def __init__(self, ops, dt, scheme="euler", nonlinear=True):
@@ -168,18 +219,35 @@ class IMEXStepper:
             return np.swapaxes(np.concatenate(parts, axis=-1), 1, 2).copy()
 
         self._stacks = [stack(blk, blk.M_lambda) for blk in ops.blocks]
+        self._parts = 1 + len(weights)
+        self._plans = {}
+
+    def _plan(self, u):
+        """(slots, products) of u's member shape, per potential: its rows
+        split into the parts u, N, N_prev, and their planned product."""
+        lead = u.mean.shape[:-2]
+        if lead not in self._plans:
+            rows = [np.empty(c.shape[:-1] + (self._parts * c.shape[-1],)) for c in u.potentials()]
+            self._plans[lead] = [np.split(x, self._parts, axis=-1) for x in rows], [
+                BlockProduct(S, x, np.empty(c.shape), runs) for S, x, c, runs
+                in zip(self._stacks, rows, u.potentials(), self.ops.layout.potential_buckets)]
+        return self._plans[lead]
 
     def step(self, state):
         u, N = state.field, None
+        slots, products = self._plan(u)
         parts = [u]
         if self.nonlinear:
             N = nonlinear_term(u, self.ops)
             parts.append(N)
             if self.scheme == "cnab2":
                 parts.append(state.history if state.history is not None else N)
-        rows = (np.concatenate(cs, axis=-1) for cs in zip(*(f.potentials() for f in parts)))
+        for slot, cs in zip(slots, zip(*(f.potentials() for f in parts))):
+            for x, c in zip(slot, cs):
+                np.copyto(x, c)
         return EvolutionState(state.time + self.dt,
-                              SolenoidalField(u.geometry, u.resolution, *rows).apply(self._stacks),
+                              SolenoidalField(u.geometry, u.resolution,
+                                              *(product().copy() for product in products)),
                               N if self.scheme == "cnab2" else None)
 
 
@@ -295,7 +363,7 @@ def _h1_norms(ops, w):
     """H1 norm sqrt(<w[j] + K_grad w[j], w[j]>) of each member w[j] of a
     stacked field, each member's as its own; inf where the square overflowed."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x = w + w.apply(ops.stacks("K_grad"))
+        x = w + ops.apply("K_grad", w)
         return _root(x.dot(w, per_member=True)).tolist()
 
 

@@ -15,7 +15,7 @@ bitwise-equal m share one, and the rows are stored block-major
 periods): sorted by block, the blocks numbered by their row count, so the
 blocks with k rows each form one contiguous slice.  Every per-block stack
 (bases, forms, propagators, eigenvectors) acts on a field's rows through
-:func:`blockmul`: a block's 2 k plane rows times its stack, one gemm per
+:class:`BlockProduct`: a block's 2 k plane rows times its stack, one gemm per
 block; nothing is gathered per row.
 
 Coefficients are expressed in the per-block orthonormalized bases of
@@ -35,9 +35,9 @@ arithmetic end to end.
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
 the quadrature nodes - real (R, 2, C, Q) planes of the C components asked
 for, plus the real (C, Q) mean profile - in a few batched calls: a
-per-block change of basis (:func:`blockmul`), one real gemm per potential
-against the raw tables of its derivative orders side by side, shared by
-all blocks, and one real product per plane with per-row (C, orders)
+per-block change of basis (:class:`BlockProduct`), one real gemm per
+potential against the raw tables of its derivative orders side by side,
+shared by all blocks, and one real product per plane with per-row (C, orders)
 mixing matrices of eta1, eta2, m and the filter (:meth:`ModeLayout.mixing`):
 a tangential component is i times a real combination, so its two products
 are its imaginary and real part, swapped (:func:`tangential_swap`).
@@ -57,25 +57,32 @@ a matrix DFT pruned to the box of stored wavenumbers (0 <= k1 < N1/2,
 tables built once per (N1, N2).
 
 The time step evaluates the nonlinear term through :class:`GridWorkspace`,
-the arrays of one product of synthesized quantities (derivative values,
-profiles, spectral box, grid, product, forward halves and gathered planes)
-reused from call to call instead of allocated afresh.  Arrays carved from
-a workspace are overwritten by the next call that uses it, so the path is
-not reentrant (nsab is serial); the public :func:`synthesize` returns fresh
-arrays, and :func:`reconstruct` and :func:`project_velocity` do unless
-given a workspace.  The process keeps what its runs share, as a run that
-freed it would rebuild it and take its page faults again: each layout
-(:func:`layout_for`, per N1, N2, L1, L2), its grid tables and workspaces
-(one per Q and member-axes shape, so a stacked probe keeps its own beside
-the single field's), never replaced; and a layout's mixing matrices, for
-the last alpha asked.  Each run builds its own basis and operator sets.
+the arrays of one product of synthesized quantities (input and coefficient
+rows, derivative values, profiles, spectral box, grid, product, forward
+halves, gathered planes and dual rows) reused from call to call instead of
+allocated afresh.  Each stage - :class:`BlockProduct`, the synthesis, the
+grid scatter and gather, the analysis - is one builder of its numpy calls
+over given arrays (``plan_*``): a one-off call builds them over fresh
+arrays and runs them once, and a run's time step builds them once over the
+workspace (:class:`nsab.evolution.NonlinearPlan`) and runs that fixed list
+every step.  Arrays carved from a workspace are overwritten by the next
+call that uses it, so the path is not reentrant (nsab is serial); the
+public functions return fresh arrays.  The process keeps what its runs
+share, as a run that freed it would rebuild it and take its page faults
+again: each layout (:func:`layout_for`, per N1, N2, L1, L2), its grid
+tables and the workspace arrays (one per resolution and member-axes shape,
+so a stacked probe keeps its own beside the single field's), never
+replaced; and a layout's mixing matrices, for the last alpha asked.  Each
+run builds its own plans, basis and operator sets, which go with it: no
+workspace holds a plan.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -104,13 +111,13 @@ class ModeLayout:
     first appearance in ``reps``, and rows are sorted by block, so the nb
     blocks with k rows each are one contiguous (nb k, 2, n) slice of a
     potential: ``buckets`` lists these runs as (rows, blocks, (nb, k)), the
-    form :func:`blockmul` reads, ``potential_buckets`` and ``potential_blocks``
-    the runs and row blocks of psi, phi and the mean.  ``groups`` maps each
-    key (|k1|, |k2|) to its slice of rows, in order of first appearance in
-    ``reps``; within a group, rows keep the ``reps`` order, and ``by_group``
-    lists the rows group after group.  ``k`` is the (R, 2) array of row
-    wavenumbers, ``row`` the (k1, k2) -> row lookup, ``eta`` the (R, 1)
-    columns eta1, eta2 and m of the rows.  ``grid`` is the transform to the
+    form :class:`BlockProduct` reads, ``potential_buckets`` and
+    ``potential_blocks`` the runs and row blocks of psi, phi and the mean.
+    ``groups`` maps each key (|k1|, |k2|) to its slice of rows, in order of
+    first appearance in ``reps``; within a group, rows keep the ``reps``
+    order, and ``by_group`` lists the rows group after group.  ``k`` is the
+    (R, 2) array of row wavenumbers, ``row`` the (k1, k2) -> row lookup,
+    ``eta`` the (R, 1) columns eta1, eta2 and m of the rows.  ``grid`` is the transform to the
     padded grid, built on first use, and :meth:`mixing` the synthesis
     matrices of the rows, kept as long as the layout.
     """
@@ -267,92 +274,135 @@ class PaddedGrid:
                               + np.arange(C) * size).ravel()
         return self._index[C]
 
-    def workspace(self, Q, lead):
-        """The :class:`GridWorkspace` at Q nodes for fields with leading
-        member axes lead, built on first use and kept as long as the grid."""
-        if (Q, lead) not in self._work:
-            self._work[Q, lead] = GridWorkspace(self, Q, lead)
-        return self._work[Q, lead]
+    def workspace(self, resolution, lead):
+        """The :class:`GridWorkspace` of resolution's Q nodes and basis sizes
+        for fields with leading member axes lead, built on first use and
+        kept as long as the grid."""
+        key = (resolution.P, lead)
+        if key not in self._work:
+            self._work[key] = GridWorkspace(self, resolution, lead)
+        return self._work[key]
 
-    def to_grid(self, rows, mean, work=None):
+    def to_grid(self, rows, mean):
         """Real (..., C, M1, M2, Q) samples of the mixed (..., R, 2, C, Q)
-        planes and real (..., C, Q) mean of :func:`synthesize_rows`; into the
-        workspace work, if given, which holds the grid of its quantities."""
+        planes and real (..., C, Q) mean of :func:`synthesize_rows`."""
+        return run(*self.plan_to_grid(np.ascontiguousarray(rows), mean, None))
+
+    def plan_to_grid(self, rows, mean, work):
+        """(calls, grid) of :meth:`to_grid` of contiguous rows, into work."""
         *lead, R, _, C, Q = rows.shape
         K1, _, J = self.box
-        K2 = self.center
+        K2, n = self.center, math.prod(lead) * C
+        box = _array(work, "box", (*lead, C, 2 * K1 * J, Q))
+        half = _array(work, "half", (n * K1, 2 * self.shape[1], Q))
+        grid = _array(work, "grid", (n, self.shape[0], self.shape[1] * Q))
         # the writes below fill every slot of the box, so a reused one needs
         # no zeroing: column k1 = 0 has zeros at k2 < 0 and at the mean's
         # imaginary part, and half the mean (it counts twice)
-        box = np.empty((*lead, C, 2 * K1 * J, Q)) if work is None else work.box
-        box[..., :K2, :] = 0.0
-        box[..., J:J + K2 + 1, :] = 0.0
-        np.multiply(mean, 0.5, out=box[..., K2, :])
-        box.reshape(*lead, -1, Q)[..., self.index(C), :] = rows.reshape(*lead, -1, Q)
-        n = math.prod(lead) * C
-        half = np.matmul(self.y_inv, box.reshape(n * K1, 2 * J, Q), out=_slot(work, "half"))
-        grid = np.matmul(self.x_inv, half.reshape(n, 2 * K1, -1), out=_slot(work, "grid"))
-        return grid.reshape(*lead, C, *self.shape, Q)
+        calls = [partial(box[..., :K2, :].fill, 0.0),
+                 partial(box[..., J:J + K2 + 1, :].fill, 0.0),
+                 partial(np.multiply, mean, 0.5, out=box[..., K2, :]),
+                 partial(operator.setitem, _view(box, (*lead, -1, Q)),
+                         (..., self.index(C), slice(None)), _view(rows, (*lead, -1, Q))),
+                 partial(np.matmul, self.y_inv, _view(box, (n * K1, 2 * J, Q)), out=half),
+                 partial(np.matmul, self.x_inv, _view(half, (n, 2 * K1, -1)), out=grid)]
+        return calls, _view(grid, (*lead, C, *self.shape, Q))
 
-    def from_grid(self, U, work=None):
+    def from_grid(self, U):
         """(rows, mean) Fourier coefficients of real (..., C, M1, M2, Q)
         samples: the mixed (..., R, 2, C, Q) planes of the stored modes, as
         :meth:`to_grid` reads them, and the real (..., C, Q) mean."""
+        return run(*self.plan_from_grid(np.ascontiguousarray(U), None))
+
+    def plan_from_grid(self, U, work):
+        """(calls, (rows, mean)) of :meth:`from_grid` of contiguous U, into work."""
         *lead, C, M1, M2, Q = U.shape
-        K1, n = self.box[0], math.prod(lead) * C
-        half = np.matmul(self.x_fwd, U.reshape(n, M1, M2 * Q), out=_slot(work, "fhalf"))
-        box = np.matmul(self.y_fwd, half.reshape(n * K1, 2 * M2, Q), out=_slot(work, "fbox"))
-        out = None if work is None else work.rows.reshape(*lead, -1, Q)
-        # take with mode="clip" writes into out directly (the indices are in range)
-        rows = np.take(box.reshape(*lead, -1, Q), self.index(C), axis=-2, out=out, mode="clip")
-        return (rows.reshape(*lead, len(self.slots), 2, C, Q),
-                box.reshape(*lead, C, -1, Q)[..., self.center, :])
+        K1, _, J = self.box
+        n = math.prod(lead) * C
+        half = _array(work, "fhalf", (n, 2 * K1, M2 * Q))
+        box = _array(work, "fbox", (n * K1, 2 * J, Q))
+        rows = _array(work, "rows", (*lead, len(self.slots), 2, C, Q))
+        # take with mode="clip" writes into rows directly (the indices are in range)
+        calls = [partial(np.matmul, self.x_fwd, _view(U, (n, M1, M2 * Q)), out=half),
+                 partial(np.matmul, self.y_fwd, _view(half, (n * K1, 2 * M2, Q)), out=box),
+                 partial(np.take, _view(box, (*lead, -1, Q)), self.index(C), axis=-2,
+                         out=_view(rows, (*lead, -1, Q)), mode="clip")]
+        return calls, (rows, _view(box, (*lead, C, -1, Q))[..., self.center, :])
 
 
-def _slot(work, name):
-    """The workspace array name, or None (a fresh result) without one."""
-    return None if work is None else getattr(work, name)
+def _view(a, shape):
+    """a reshaped without a copy (ValueError where that needs one): a
+    plan's calls must read and write the arrays it was built over."""
+    v = a.reshape(shape)
+    if v.size and not np.may_share_memory(v, a):
+        raise ValueError(f"a {a.shape} array of strides {a.strides} has no {shape} view")
+    return v
+
+
+def run(calls, result=None):
+    """Run the planned calls in turn; returns result."""
+    for call in calls:
+        call()
+    return result
+
+
+def _array(work, name, shape):
+    """The workspace array name as a view of shape, or a fresh array
+    without a workspace (the one-off calls)."""
+    return np.empty(shape) if work is None else _view(getattr(work, name), shape)
 
 
 class GridWorkspace:
     """Reused arrays of one product of synthesized quantities on the grid.
 
-    Serves :func:`nsab.evolution.nonlinear_term` on fields with leading
-    member axes lead (E members; () for one field): :func:`synthesize_rows`
-    of the quantities :attr:`want` (C = 3 len(want) components),
-    :meth:`PaddedGrid.to_grid`, a (3, M1, M2, Q) pointwise product,
-    :meth:`PaddedGrid.from_grid` and :func:`analyze_rows`.  Every array is a
-    view of one of two flat float64 regions.  Each step of the chain reads
-    one region and writes the other, so the arrays of a region take turns:
+    Serves :func:`nsab.evolution.nonlinear_term` on fields of one
+    resolution with leading member axes lead (E members; () for one
+    field): :func:`synthesize_rows` of the quantities :attr:`want` (C = 3
+    len(want) components), :meth:`PaddedGrid.to_grid`, a (3, M1, M2, Q)
+    pointwise product, :meth:`PaddedGrid.from_grid` and :func:`analyze_rows`,
+    the coefficient rows included.  The workspace holds arrays only; each
+    run plans its calls over them (:class:`nsab.evolution.NonlinearPlan`).
+    Every array is a view of one of two flat float64 regions.  Each step of
+    the chain reads one region and writes the other, so the arrays of a
+    region take turns:
 
-    region A: ``values`` (derivative values), ``box``, ``grid``, ``fhalf``,
-    ``rows`` (the gathered planes);
+    region A: ``values`` (table outputs) and ``meanvals``, ``box``,
+    ``grid``, ``fhalf``, ``rows`` (the gathered planes), the analysis table
+    outputs ``gt``, ``gp`` and the mean's ``wmean`` and dual ``dmean``;
 
-    region B: ``profiles`` (lead + (R, 2, C, Q) mixed planes), ``half``,
-    ``prod`` and its ``scratch``, ``fbox`` and the analysis mixing ``mixed``
-    (after ``fbox``, whose mean slot :func:`analyze_rows` still reads).
+    region B: the input potentials ``psi``, ``phi``, ``mean`` and their
+    W^T products ``ct``, ``cp``; ``profiles`` (lead + (R, 2, C, Q) mixed
+    planes) and ``meanprof``, ``half``, ``prod`` and its ``scratch``, ``fbox``
+    and the analysis mixing ``mixed`` (after ``fbox``, whose mean slot the
+    analysis still reads), and the dual rows ``dpsi``, ``dphi``.
     """
 
     #: the quantities of the nonlinear term, velocity and filtered vorticity
     want = ("u", "curl_v")
 
-    def __init__(self, grid, Q, lead):
+    def __init__(self, grid, resolution, lead):
         K1, _, J = grid.box
         M1, M2 = grid.shape
         R, C, E = len(grid.slots), 3 * len(self.want), math.prod(lead)
-        O = 2 * max(QUANTITIES[name] for name in self.want) + 1
+        Q, n_t, n_p = resolution.Q, resolution.n_toroidal, resolution.n_poloidal
+        nd = max(QUANTITIES[name] for name in self.want)
         rows = lead + (R, 2, 3, Q)
         # per region, its stages in turn; the arrays of a stage lie end to end
         regions = (
-            [[("values", lead + (R, 2, O * Q))],
+            [[("values", lead + (R, 2, (2 * nd + 1) * Q)), ("meanvals", lead + (nd + 1, 2, Q))],
              [("box", lead + (C, 2 * K1 * J, Q))],
              [("grid", (E * C, M1, M2 * Q))],
              [("fhalf", (E * 3, 2 * K1, M2 * Q))],
-             [("rows", rows)]],
-            [[("profiles", lead + (R, 2, C, Q))],
+             [("rows", rows)],
+             [("gt", lead + (R, 2, n_t)), ("gp", lead + (R, 2, n_p)),
+              ("wmean", lead + (2, Q)), ("dmean", lead + (2, n_t))]],
+            [[("psi", lead + (R, 2, n_t)), ("phi", lead + (R, 2, n_p)),
+              ("mean", lead + (2, n_t)), ("ct", lead + (R, 2, n_t)), ("cp", lead + (R, 2, n_p))],
+             [("profiles", lead + (R, 2, C, Q)), ("meanprof", lead + (C, Q))],
              [("half", (E * C * K1, 2 * M2, Q))],
              [("prod", lead + (3, M1, M2, Q)), ("scratch", lead + (M1, M2, Q))],
-             [("fbox", (E * 3 * K1, 2 * J, Q)), ("mixed", rows)]])
+             [("fbox", (E * 3 * K1, 2 * J, Q)), ("mixed", rows)],
+             [("dpsi", lead + (R, 2, n_t)), ("dphi", lead + (R, 2, n_p))]])
         for region in regions:
             buf = np.empty(max(sum(math.prod(shape) for _, shape in stage) for stage in region))
             for stage in region:
@@ -531,51 +581,80 @@ def tangential_swap(x):
     return np.where(_tangential(x.shape[-2])[:, None], x[..., ::-1, :, :], x)
 
 
-def blockmul(S, c, buckets):
+class BlockProduct:
     """x @ S[b] for the two planes x (2, n) of every row of each block b of
-    the (U, n, n_out) stack S, behind any member axes of c (..., R, 2, n),
-    R rows as in buckets (:attr:`ModeLayout.buckets`; the mean (..., 2, n)
-    is one row, :data:`MEAN_BUCKETS`): per bucket one matmul of its blocks'
-    (nb, 2 k, n) plane rows against their (nb, n, n_out) stacks, one gemm
-    per block.  S is read as given, so a caller that applies a matrix from
-    the left passes its transpose, contiguous."""
-    c, n_out = np.ascontiguousarray(c), S.shape[-1]
-    y = np.empty(c.shape[:-1] + (n_out,))
-    if not buckets:
-        return y
-    R, n = buckets[-1][0].stop, c.shape[-1]
-    x, out = c.reshape(-1, R, 2 * n), y.reshape(-1, R, 2 * n_out)
-    for rows, blocks, (nb, k) in buckets:
-        np.matmul(x[:, rows].reshape(-1, nb, 2 * k, n), S[blocks],
-                  out=out[:, rows].reshape(-1, nb, 2 * k, n_out))
-    return y
+    the (U, n, n_out) stack S, written into out, behind any member axes of x
+    (..., R, 2, n), R rows as in buckets (:attr:`ModeLayout.buckets`; the
+    mean (..., 2, n) is one row, :data:`MEAN_BUCKETS`).  Planned: the
+    per-bucket views of the (nb, 2 k, n) plane rows of x, of their (nb, n,
+    n_out) stacks and of out are built once, over x and out as given, so a
+    call is one matmul per bucket (one gemm per block) and returns out.  S
+    is read as given, so a product that applies a matrix from the left
+    takes its transpose, contiguous."""
+
+    def __init__(self, S, x, out, buckets):
+        self.S, self.x, self.out, self.buckets, self.calls = S, x, out, buckets, ()
+        if buckets:
+            R, n, n_out = buckets[-1][0].stop, x.shape[-1], S.shape[-1]
+            # views of the whole arrays, so each bucket's rows are views too
+            xs, ys = _view(x, (-1, R, 2 * n)), _view(out, (-1, R, 2 * n_out))
+            self.calls = [(xs[:, rows].reshape(-1, nb, 2 * k, n), S[blocks],
+                           ys[:, rows].reshape(-1, nb, 2 * k, n_out))
+                          for rows, blocks, (nb, k) in buckets]
+
+    def __call__(self):
+        for x, S, out in self.calls:
+            np.matmul(x, S, out=out)
+        return self.out
 
 
-def synthesize_rows(f, cache, want=("u",), alpha=None, work=None):
+def blockmul(S, c, buckets):
+    """The :class:`BlockProduct` of S and the rows c, into a fresh array."""
+    c = np.ascontiguousarray(c)
+    return BlockProduct(S, c, np.empty(c.shape[:-1] + S.shape[-1:]), buckets)()
+
+
+def synthesize_rows(f, cache, want=("u",), alpha=None):
     """The profiles of :func:`synthesize` as one block, the layout
     :meth:`PaddedGrid.to_grid` reads: the mixed real (..., R, 2, C, Q)
     planes, C = 3 len(want) components in want order, a tangential
     component's planes in (imaginary, real) order, and the real (..., C,
-    Q) mean profile; the planes are a view of the :class:`GridWorkspace`
-    work of the same want, if given.  The (..., R, 2, O, Q) derivative
-    values the table gemms write are mixed by :meth:`ModeLayout.mixing`,
-    one real product per plane."""
+    Q) mean profile.  The (..., R, 2, O, Q) derivative values the table
+    gemms write are mixed by :meth:`ModeLayout.mixing`, one real product
+    per plane."""
+    potentials = (np.ascontiguousarray(f.psi), np.ascontiguousarray(f.phi), f.mean)
+    return run(*plan_synthesis(potentials, cache, want, alpha, None))
+
+
+def plan_synthesis(potentials, cache, want, alpha, work):
+    """(calls, (rows, mean)) of :func:`synthesize_rows` of the potentials
+    (psi, phi, mean), psi and phi contiguous, into work."""
     if alpha is None and "curl_v" in want:
         raise ValueError("filtered quantities need the filter length alpha")
+    psi, phi, mean = potentials
     mix, mean_mix, _ = cache.layout.mixing(want, alpha)
     R, _, C, O = mix.shape
-    nd, Q, buckets, lead = O // 2, f.resolution.Q, cache.layout.buckets, f.mean.shape[:-2]
-    ct, cp = blockmul(cache.W_tor_T, f.psi, buckets), blockmul(cache.W_pol_T, f.phi, buckets)
-    values = np.empty((*lead, R, 2, O * Q)) if work is None else work.values
+    nd, Q, buckets, lead = O // 2, cache.resolution.Q, cache.layout.buckets, mean.shape[:-2]
+    ct = _array(work, "ct", psi.shape[:-1] + cache.W_tor_T.shape[-1:])
+    cp = _array(work, "cp", phi.shape[:-1] + cache.W_pol_T.shape[-1:])
+    values = _array(work, "values", (*lead, R, 2, O * Q))
     planes = (*lead, 2 * R)  # the plane rows, one real gemm per potential
-    v = values.reshape(*planes, O * Q)
-    np.matmul(ct.reshape(*planes, ct.shape[-1]), cache.synth_T[:, :nd * Q], out=v[..., :nd * Q])
-    np.matmul(cp.reshape(*planes, cp.shape[-1]), cache.synth_C[:, :(nd + 1) * Q],
-              out=v[..., nd * Q:])
-    rows = np.empty((*lead, R, 2, C, Q)) if work is None else work.profiles
-    np.matmul(mix, values.reshape(*lead, R, 2, O, Q), out=rows)
-    mean = np.matmul(f.mean[..., None, :, :], cache.mean_E[:nd + 1].swapaxes(-1, -2))
-    return rows, np.matmul(mean_mix, mean.reshape(*lead, -1, Q))
+    v = _view(values, (*planes, O * Q))
+    rows = _array(work, "profiles", (*lead, R, 2, C, Q))
+    mean_values = _array(work, "meanvals", (*lead, nd + 1, 2, Q))
+    mean_rows = _array(work, "meanprof", (*lead, C, Q))
+    # every input is read before the mixing writes rows (GridWorkspace)
+    calls = [BlockProduct(cache.W_tor_T, psi, ct, buckets),
+             BlockProduct(cache.W_pol_T, phi, cp, buckets),
+             partial(np.matmul, mean[..., None, :, :], cache.mean_E[:nd + 1].swapaxes(-1, -2),
+                     out=mean_values),
+             partial(np.matmul, _view(ct, (*planes, ct.shape[-1])), cache.synth_T[:, :nd * Q],
+                     out=v[..., :nd * Q]),
+             partial(np.matmul, _view(cp, (*planes, cp.shape[-1])),
+                     cache.synth_C[:, :(nd + 1) * Q], out=v[..., nd * Q:]),
+             partial(np.matmul, mix, _view(values, (*lead, R, 2, O, Q)), out=rows),
+             partial(np.matmul, mean_mix, _view(mean_values, (*lead, -1, Q)), out=mean_rows)]
+    return calls, (rows, mean_rows)
 
 
 def synthesize(f, cache, want=("u",), alpha=None):
@@ -595,15 +674,18 @@ def synthesize(f, cache, want=("u",), alpha=None):
             for i, name in enumerate(want)}
 
 
-def reconstruct(f, cache, want=("u",), alpha=None, work=None):
+def reconstruct(f, cache, want=("u",), alpha=None, plan=None):
     """Evaluate requested physical-space quantities on the padded grid.
 
     Returns dict mapping names to real arrays of shape (..., 3, M1, M2, Q),
-    all transformed in one :meth:`PaddedGrid.to_grid` call; views of the
-    workspace work, if given.
+    all transformed in one :meth:`PaddedGrid.to_grid` call: fresh arrays,
+    or, given the plan of this cache, want and alpha
+    (:class:`nsab.evolution.NonlinearPlan`), views of its workspace.
     """
-    rows, mean = synthesize_rows(f, cache, want, alpha, work)
-    grid = cache.layout.grid.to_grid(rows, mean, work)
+    if plan is not None:
+        return plan.reconstruct(f)
+    rows, mean = synthesize_rows(f, cache, want, alpha)
+    grid = cache.layout.grid.to_grid(rows, mean)
     return {name: grid[..., 3 * i:3 * i + 3, :, :, :] for i, name in enumerate(want)}
 
 
@@ -611,25 +693,40 @@ def reconstruct(f, cache, want=("u",), alpha=None, work=None):
 # analysis: Fourier-side profiles -> Galerkin duals (the L2 adjoint)
 # ---------------------------------------------------------------------------
 
-def analyze_rows(rows, mean, cache, work=None):
+def analyze_rows(rows, mean, cache):
     """Galerkin projection of velocity profiles given as the mixed planes
     rows (..., R, 2, 3, Q) of :meth:`PaddedGrid.from_grid` and the real
     (..., 3, Q) mean: velocity synthesis transposed step by step, the
     mixing adjoint (one real product per plane), quadrature weights (and
     area), the tables of psi's value and of phi's value and derivative, W.
-    Returns the dual coefficients (same container as fields), which own
-    their arrays also when the mixing writes into the workspace work.
+    Returns the dual coefficients (same container as fields), fresh arrays.
     """
+    duals = run(*plan_analysis(rows, mean, cache, None))
+    return SolenoidalField(cache.geometry, cache.resolution, *duals)
+
+
+def plan_analysis(rows, mean, cache, work):
+    """(calls, (psi, phi, mean)) of :func:`analyze_rows`, into work."""
     wa, Q, buckets = cache.geometry.area * cache.w, cache.resolution.Q, cache.layout.buckets
-    g = np.matmul(cache.layout.mixing(("u",))[2], rows, out=_slot(work, "mixed"))
-    np.multiply(g, wa, out=g)
-    *lead, R, _, _, _ = g.shape
-    gt = g[..., 0, :].reshape(*lead, 2 * R, Q) @ cache.synth_T[:, :Q].T
-    gp = g[..., 1:, :].reshape(*lead, 2 * R, 2 * Q) @ cache.synth_C[:, :2 * Q].T
-    return SolenoidalField(cache.geometry, cache.resolution,
-                           blockmul(cache.W_tor, gt.reshape(*lead, R, 2, gt.shape[-1]), buckets),
-                           blockmul(cache.W_pol, gp.reshape(*lead, R, 2, gp.shape[-1]), buckets),
-                           (wa * mean[..., :2, :]) @ cache.mean_E[0])
+    *lead, R, _, _, _ = rows.shape
+    n_t, n_p = cache.W_tor.shape[-1], cache.W_pol.shape[-1]
+    g = _array(work, "mixed", rows.shape)
+    gt, gp = _array(work, "gt", (*lead, R, 2, n_t)), _array(work, "gp", (*lead, R, 2, n_p))
+    wmean, dmean = _array(work, "wmean", (*lead, 2, Q)), _array(work, "dmean", (*lead, 2, n_t))
+    psi, phi = _array(work, "dpsi", gt.shape), _array(work, "dphi", gp.shape)
+    # the mean goes before the W products, which may overwrite its slot of
+    # the from_grid box (GridWorkspace)
+    calls = [partial(np.matmul, cache.layout.mixing(("u",))[2], rows, out=g),
+             partial(np.multiply, g, wa, out=g),
+             partial(np.matmul, _view(g[..., 0, :], (*lead, 2 * R, Q)), cache.synth_T[:, :Q].T,
+                     out=_view(gt, (*lead, 2 * R, n_t))),
+             partial(np.matmul, _view(g[..., 1:, :], (*lead, 2 * R, 2 * Q)),
+                     cache.synth_C[:, :2 * Q].T, out=_view(gp, (*lead, 2 * R, n_p))),
+             partial(np.multiply, mean[..., :2, :], wa, out=wmean),
+             partial(np.matmul, wmean, cache.mean_E[0], out=dmean),
+             BlockProduct(cache.W_tor, gt, psi, buckets),
+             BlockProduct(cache.W_pol, gp, phi, buckets)]
+    return calls, (psi, phi, dmean)
 
 
 def analyze(rows, mean, cache):
@@ -643,14 +740,12 @@ def analyze(rows, mean, cache):
     return analyze_rows(tangential_swap(planes), mean, cache)
 
 
-def project_velocity(U, cache, work=None):
+def project_velocity(U, cache):
     """L2 projection of a gridded vector field onto the solenoidal basis.
 
     For fields inside the discrete space this inverts the velocity of
     :func:`reconstruct`; in general it realizes the Leray-type
     projection (gradient parts drop out by construction of the test basis).
-    With a workspace, U is a (..., 3, M1, M2, Q) array of the workspace's
-    member axes and the transforms write into work.
     """
-    rows, mean = cache.layout.grid.from_grid(U, work)
-    return analyze_rows(rows, mean, cache, work)
+    rows, mean = cache.layout.grid.from_grid(U)
+    return analyze_rows(rows, mean, cache)

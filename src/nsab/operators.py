@@ -39,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisCache
+from .field import BlockProduct, SolenoidalField
 
 
 FORMS = ("K_a", "K_grad", "K_bilap")
@@ -126,7 +127,10 @@ class OperatorSet:
     ``blocks`` holds the (toroidal, poloidal, mean) forms as stacks over the
     distinct m, in the order of :meth:`SolenoidalField.potentials`;
     ``blocks[p][layout.block[row]]`` is the block of a row, and a field
-    applies a form through :meth:`stacks`: ``u.apply(ops.stacks("K_a"))``.
+    applies a form through :meth:`stacks`: ``u.apply(ops.stacks("K_a"))``,
+    or through the set's planned products, :meth:`apply`.  The set keeps
+    the plans of its run (:meth:`plan`): they bind its basis and stacks,
+    and go with it.
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
@@ -138,7 +142,30 @@ class OperatorSet:
         self.blocks = (toroidal_forms(params, c, c.m, c.W_tor),
                        poloidal_forms(params, c, c.m, c.W_pol),
                        mean_forms(params, c))
-        self._transposed = {}
+        self._transposed, self._plans = {}, {}
+
+    def plan(self, key, build):
+        """The plan of this set under key, build() on first use."""
+        if key not in self._plans:
+            self._plans[key] = build()
+        return self._plans[key]
+
+    def apply(self, form, f):
+        """f times form, bitwise as ``f.apply(self.stacks(form))``, by this
+        set's planned products for f's member axes: f is copied into input
+        rows that the products of all forms share, and the result views their
+        shared output rows, so it holds until the next :meth:`apply` to
+        fields of f's shape."""
+        lead = f.mean.shape[:-2]
+        rows = self.plan(("rows", lead),
+                         lambda: [(np.empty(c.shape), np.empty(c.shape)) for c in f.potentials()])
+        products = self.plan((form, lead), lambda: [
+            BlockProduct(S, x, y, runs)
+            for S, (x, y), runs in zip(self.stacks(form), rows, self.layout.potential_buckets)])
+        for product, c in zip(products, f.potentials()):
+            np.copyto(product.x, c)
+            product()
+        return SolenoidalField(f.geometry, f.resolution, *(p.out for p in products))
 
     def stacks(self, form):
         """The (toroidal, poloidal, mean) stacks of form, each transposed and
@@ -152,7 +179,7 @@ class OperatorSet:
 
     def form_inner(self, form, u, v):
         """<form u, v> summed over the full Hermitian spectrum; real output."""
-        return u.apply(self.stacks(form)).dot(v)
+        return self.apply(form, u).dot(v)
 
     @cached_property
     def eig(self):
@@ -180,7 +207,7 @@ class OperatorSet:
         """
         s, a2 = self.shift, self.params.alpha**2
         with np.errstate(over="ignore", invalid="ignore"):
-            kf = f.apply(self.stacks("K_a"))
+            kf = self.apply("K_a", f)
             z = kf + f * s
             l2sq, a_uu, z2 = f.dot(f), kf.dot(f), z.dot(z)
             n0, n1, n2 = _root(np.array([l2sq, a_uu + s * l2sq, z2]))

@@ -311,6 +311,33 @@ def test_sweep_and_probe(cfgfile, tmp_path):
     assert rep["relative_difference"] < 0.01
 
 
+def test_probe_of_a_base_run_at_rest_fits_no_rate(tmp_path):
+    """From u0 = 0 the base run stays at rest, so h3_integral is 0 over the
+    whole fit window: probe.json writes the Gronwall rate as nan, not as
+    log(growth) over a floor of 1e-300 (which read -2.5e299 here)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("""
+model.alpha = 0.2
+model.beta = 0.1
+model.gamma = -1.0
+model.ell = 0.01
+resolution.N1 = 8
+resolution.N2 = 8
+resolution.P = 16
+scheme.name = cnab2
+time.dt = 0.02
+time.T = 0.04
+u0.amplitude = 0.0
+""")
+    out = tmp_path / "out"
+    assert main(["probe-uniqueness", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "probe.csv").read_text().strip().splitlines()[1:]]
+    assert [float(r[3]) for r in rows] == [0.0, 0.0, 0.0]
+    assert all(float(r[1]) != 1.0 for r in rows[1:])  # the members do move apart
+    rep = json.loads((out / "probe.json").read_text())
+    assert rep["gronwall_rate_fit"] == "nan"
+
+
 def test_config_error_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("model.alpha = 0.1\nmodel.beta = 0.2\n")

@@ -612,16 +612,18 @@ def test_k_grad_products_run_only_for_energy_reports(ops, geo, res_small, monkey
     for reported states, and grad_sq also for the state before a report.
     Every K_a and K_grad stack product is counted, as (form, on stacked
     members); the probe's members take one stacked K_grad product per
-    potential for their H1 norms."""
+    potential for their H1 norms.  Planned and one-off products alike run
+    field.BlockProduct."""
     forms, calls = [(name, K) for name in ("K_a", "K_grad") for K in ops.stacks(name)], []
+    product = field.BlockProduct.__call__
 
-    def counting(W, c, runs):
+    def counting(self):
         # member axes lead the rows (R, 2, n), or the mean's (2, n)
-        calls.extend((name, c.ndim > (2 if runs is MEAN_BUCKETS else 3))
-                     for name, K in forms if W is K)
-        return blockmul(W, c, runs)
+        calls.extend((name, self.x.ndim > (2 if self.buckets is MEAN_BUCKETS else 3))
+                     for name, K in forms if self.S is K)
+        return product(self)
 
-    monkeypatch.setattr(field, "blockmul", counting)
+    monkeypatch.setattr(field.BlockProduct, "__call__", counting)
     u0 = random_field(geo, res_small, seed=2, amplitude=0.1)
     uniqueness_probe(ops, u0, u0, (1e-6,), 0.1, 0.01)
     assert calls.count(("K_a", False)) == calls.count(("K_grad", True)) == 3 * 11
@@ -740,20 +742,21 @@ def test_nonlinear_workspace_does_not_alias_returned_arrays(par, geo_odd):
 
 @pytest.mark.parametrize("members", [(), (3,)], ids=["single", "stack-3"])
 def test_to_grid_with_workspace_reads_the_profiles_given(par, geo, members):
-    """Given a workspace, to_grid transforms the profiles handed to it, not
-    those a synthesis last wrote into the workspace."""
+    """Planned over a workspace, to_grid transforms the profiles handed to
+    it, not those a planned synthesis last wrote into the workspace."""
     res = Resolution(N1=8, N2=8, P=16)
     o = OperatorSet(par, geo, res)
     grid = o.layout.grid
-    work = grid.workspace(res.Q, members)
+    work = grid.workspace(res, members)
 
     def draw(seed):
         fields = [random_field(geo, res, seed=seed + j) for j in range(math.prod(members))]
         return SolenoidalField.stack(fields) if members else fields[0]
 
-    synthesize_rows(draw(1), o.cache, work.want, par.alpha, work)
+    field.run(*field.plan_synthesis(draw(1).potentials(), o.cache, work.want, par.alpha, work))
     given = synthesize_rows(draw(7), o.cache, work.want, par.alpha)
-    np.testing.assert_array_equal(grid.to_grid(*given, work), grid.to_grid(*given))
+    np.testing.assert_array_equal(field.run(*grid.plan_to_grid(*given, work)),
+                                  grid.to_grid(*given))
 
 
 def test_cnab2_history_owns_its_arrays(par, geo, monkeypatch):
@@ -844,6 +847,101 @@ def test_stacked_members_equal_their_own_calls(par, geometry, scheme, N1, N2, P,
         state, singles = stepper.step(state), [stepper.step(s) for s in singles]
         for j, single in enumerate(singles):
             assert _same_field(state.field[j], single.field)
+
+
+# ---------------------------------------------------------------------------
+# the planned step: buffers and views built with the stepper
+# ---------------------------------------------------------------------------
+
+def _one_off_step(stepper, state):
+    """A step composed of one-off calls on fresh arrays: reconstruct, the
+    cross product, project_velocity, the rows [u | N | N_prev] concatenated
+    and SolenoidalField.apply of the stepper's propagator stacks."""
+    u, ops, N = state.field, stepper.ops, None
+    parts = [u]
+    if stepper.nonlinear:
+        rec = reconstruct(u, ops.cache, want=("u", "curl_v"), alpha=ops.params.alpha)
+        w, v = ([a[..., i, :, :, :] for i in range(3)] for a in (rec["curl_v"], rec["u"]))
+        prod = np.empty_like(rec["u"])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            prod[..., i, :, :, :] = w[j] * v[k] - w[k] * v[j]
+        N = project_velocity(prod, ops.cache)
+        parts.append(N)
+        if stepper.scheme == "cnab2":
+            parts.append(state.history if state.history is not None else N)
+    rows = [np.concatenate(cs, axis=-1) for cs in zip(*(f.potentials() for f in parts))]
+    return EvolutionState(state.time + stepper.dt,
+                          SolenoidalField(u.geometry, u.resolution, *rows).apply(stepper._stacks),
+                          N if stepper.scheme == "cnab2" else None)
+
+
+@pytest.mark.parametrize("N, P", [(8, 16), (16, 32)], ids=["N8P16", "N16P32"])
+@pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
+@pytest.mark.parametrize("members", [0, 3], ids=["single", "stack-3"])
+@pytest.mark.parametrize("scheme", ["euler", "cnab2"])
+def test_planned_step_is_the_one_off_composition(par, geometry, members, scheme, N, P, request):
+    """Five planned steps give every state, and the cnab2 history, bit for
+    bit as the same steps composed of one-off calls on fresh arrays."""
+    g = request.getfixturevalue(geometry)
+    res = Resolution(N1=N, N2=N, P=P)
+    o = OperatorSet(par, g, res)
+    fields = [random_field(g, res, seed=s, amplitude=a) for s, a in ((1, 0.3), (2, 1.0), (3, 5.0))]
+    u0 = SolenoidalField.stack(fields) if members else fields[0]
+    stepper = IMEXStepper(o, 0.02, scheme)
+    got = want = EvolutionState(0.0, u0)
+    for _ in range(5):
+        got, want = stepper.step(got), _one_off_step(stepper, want)
+        assert got.time == want.time and _same_field(got.field, want.field)
+        assert (got.history is None) == (want.history is None) == (scheme == "euler")
+        assert scheme == "euler" or _same_field(got.history, want.history)
+
+
+def test_states_returned_by_step_are_left_alone(par, geo):
+    """The stepper's rows are its own: the states and histories it returned
+    keep their values through later steps of the stack and of a single
+    field, which reuse the stepper's buffers."""
+    res = Resolution(N1=8, N2=8, P=16)
+    o = OperatorSet(par, geo, res)
+    fields = [random_field(geo, res, seed=s, amplitude=0.3) for s in (1, 2, 3)]
+    stepper = IMEXStepper(o, 0.02, "cnab2")
+    stack = EvolutionState(0.0, SolenoidalField.stack(fields))
+    single = EvolutionState(0.0, fields[0])
+    held = []
+    for _ in range(4):
+        stack, single = stepper.step(stack), stepper.step(single)
+        held += [(a, a.copy()) for s in (stack, single)
+                 for a in (*s.field.potentials(), *s.history.potentials())]
+    assert all(np.array_equal(a, c) for a, c in held)
+
+
+def test_warm_probe_step_allocates_under_1300kb(par, geo):
+    """A warm step of the probe on a 3-member stack at N16/P32 - the IMEX
+    step, the watchdog's norms of the base run and the members' H1 norms -
+    writes into the rows and workspace planned for its run: its traced
+    allocation peak, the returned state and duals (0.32 MB each) and the
+    monitors' sums, measured at 1.09 MB (1.62 MB when every product took
+    fresh rows), stays under 1.3 MB."""
+    res = Resolution(N1=16, N2=16, P=32)
+    o = OperatorSet(par, geo, res)
+    u0, pert = (random_field(geo, res, seed=s, amplitude=a) for s, a in ((1, 0.3), (7, 1.0)))
+    stepper = IMEXStepper(o, 0.02, "cnab2")
+    state = EvolutionState(0.0, SolenoidalField.stack([u0, u0 + 1e-8 * pert, u0 + 1e-6 * pert]))
+
+    def probe_step(state):
+        state = stepper.step(state)
+        base = state.field[0]
+        evolution._watchdog(o, state.time, base, 1e300)
+        evolution._h1_norms(o, state.field[1:] - base)
+        return state
+
+    state = probe_step(probe_step(state))
+    tracemalloc.start()
+    try:
+        probe_step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3e6
 
 
 def test_warm_stacked_nonlinear_term_allocates_under_1050kb(par, geo):
