@@ -52,7 +52,7 @@ from . import __version__
 from .basis import BasisCache
 from .config import ConfigError, EXPERIMENTS, parse_config
 from .evolution import run_evolution, uniqueness_probe, vanishing_sweep
-from .field import analyze, analyze_rows, random_field, synthesize, synthesize_rows, zero_field
+from .field import analyze_rows, random_field, synthesize_rows, zero_field
 from .operators import OperatorSet
 from .params import ParameterError, Resolution
 from .snapshots import write_snapshot
@@ -216,8 +216,8 @@ def _exp_solve(cfg, out, operators, stage):
         elif fid == "random_solenoidal":
             f = random_field(cfg.geometry, cfg.resolution, seed=cfg["forcing.seed"],
                              amplitude=cfg["forcing.amplitude"])
-            forcing = synthesize(f, ops.cache)["u"]
-            rhs = analyze(*forcing, ops.cache)
+            forcing = synthesize_rows(f, ops.cache)
+            rhs = analyze_rows(*forcing, ops.cache)
         elif fid == "zero":
             forcing = None
             rhs = zero_field(cfg.geometry, cfg.resolution)

@@ -26,11 +26,11 @@ product of the mean rows.
 This module and the snapshot file boundary are the only places that know
 that layout; other modules apply stacks with :meth:`SolenoidalField.apply`
 and reach rows through the layout's ``row``, ``groups`` and ``block``.
-Complex numbers appear only at the edges - the snapshot file, the public
-:func:`synthesize` and :func:`analyze`, one row's mixing
-(:meth:`ModeLayout.mix_row`), the wall audits - through one conversion
-pair, :func:`as_complex` and :func:`as_planes`; the time step runs in real
-arithmetic end to end.
+Complex numbers appear only at the edges - the snapshot file, one row's
+mixing (:meth:`ModeLayout.mix_row`), the wall functionals and audits, the
+pressure fit after its one conversion - through one conversion pair,
+:func:`as_complex` and :func:`as_planes`; the time step and the stationary
+data run in real arithmetic end to end.
 
 One synthesis/analysis pair maps coefficients to Fourier-side profiles at
 the quadrature nodes - real (R, 2, C, Q) planes of the C components asked
@@ -559,7 +559,7 @@ def random_field(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 # synthesis: coefficients -> Fourier-side profiles -> padded physical grid
 # ---------------------------------------------------------------------------
 
-#: quantities synthesize can evaluate, each with the highest phi derivative
+#: quantities synthesis can evaluate, each with the highest phi derivative
 #: it needs (psi derivatives go one order lower)
 QUANTITIES = {"u": 1, "curl_v": 4, "bilap_u": 5}
 
@@ -615,13 +615,16 @@ def blockmul(S, c, buckets):
 
 
 def synthesize_rows(f, cache, want=("u",), alpha=None):
-    """The profiles of :func:`synthesize` as one block, the layout
-    :meth:`PaddedGrid.to_grid` reads: the mixed real (..., R, 2, C, Q)
-    planes, C = 3 len(want) components in want order, a tangential
-    component's planes in (imaginary, real) order, and the real (..., C,
-    Q) mean profile.  The (..., R, 2, O, Q) derivative values the table
-    gemms write are mixed by :meth:`ModeLayout.mixing`, one real product
-    per plane."""
+    """Fourier-side profiles at the quadrature nodes of the quantities want
+    of :data:`QUANTITIES` - velocity, the curl of the filtered velocity
+    v = (1 - alpha^2 Lap) u (needs alpha), Lap^2 u - behind any member axes
+    of f, fresh arrays, in the layout :meth:`PaddedGrid.to_grid` reads: the
+    mixed real (..., R, 2, C, Q) planes of the representative modes in row
+    order (no conjugate partners), C = 3 len(want) components in want
+    order, a tangential component's planes in (imaginary, real) order
+    (:func:`tangential_swap`), and the real (..., C, Q) profile of (0, 0).
+    The (..., R, 2, O, Q) derivative values the table gemms write are mixed
+    by :meth:`ModeLayout.mixing`, one real product per plane."""
     potentials = (np.ascontiguousarray(f.psi), np.ascontiguousarray(f.phi), f.mean)
     return run(*plan_synthesis(potentials, cache, want, alpha, None))
 
@@ -655,23 +658,6 @@ def plan_synthesis(potentials, cache, want, alpha, work):
              partial(np.matmul, mix, _view(values, (*lead, R, 2, O, Q)), out=rows),
              partial(np.matmul, mean_mix, _view(mean_values, (*lead, -1, Q)), out=mean_rows)]
     return calls, (rows, mean_rows)
-
-
-def synthesize(f, cache, want=("u",), alpha=None):
-    """Fourier-side profiles of the requested quantities at the quadrature nodes.
-
-    Names are those of :data:`QUANTITIES`: velocity, the curl of the
-    filtered velocity v = (1 - alpha^2 Lap) u (this one needs alpha) and
-    Lap^2 u.  Returns dict mapping names to (rows, mean): complex (3, R, Q)
-    profiles of the representative modes in row order and the real (3, Q)
-    profile of the (0, 0) mode, behind the member axes of a stacked f,
-    fresh arrays (the :func:`synthesize_rows` planes, made complex).
-    Conjugate partners are not formed.
-    """
-    rows, mean = synthesize_rows(f, cache, want, alpha)
-    rows = np.swapaxes(as_complex(tangential_swap(rows), axis=-3), -3, -2)
-    return {name: (rows[..., 3 * i:3 * i + 3, :, :], mean[..., 3 * i:3 * i + 3, :])
-            for i, name in enumerate(want)}
 
 
 def reconstruct(f, cache, want=("u",), alpha=None, plan=None):
@@ -727,17 +713,6 @@ def plan_analysis(rows, mean, cache, work):
              BlockProduct(cache.W_tor, gt, psi, buckets),
              BlockProduct(cache.W_pol, gp, phi, buckets)]
     return calls, (psi, phi, dmean)
-
-
-def analyze(rows, mean, cache):
-    """Galerkin projection of Fourier-side profiles onto the solenoidal basis.
-
-    rows/mean: complex (..., 3, R, Q) profiles of the representative modes
-    and the real (..., 3, Q) profile of (0, 0), as :func:`synthesize`
-    returns them for the cache; :func:`analyze_rows` of their planes.
-    """
-    planes = as_planes(np.swapaxes(rows, -3, -2), axis=-3)
-    return analyze_rows(tangential_swap(planes), mean, cache)
 
 
 def project_velocity(U, cache):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import gauss_legendre, legendre_table, recombined_bases
 from .params import ParameterError
-from .field import analyze, as_complex
+from .field import analyze_rows, as_complex, as_planes, tangential_swap
 from .stationary import wall_dual, wall_traction
 
 
@@ -101,17 +101,19 @@ class ManufacturedCase:
     # -- data for the corrected weak problem --------------------------------
 
     def forcing(self, ops):
-        """f = Lap^2 u* + grad p* as a (rows, mean) profile pair: zero but
-        for the case's row, and a zero mean."""
+        """f = Lap^2 u* + grad p* as the (rows, mean) planes pair of
+        :func:`nsab.field.synthesize_rows`: zero but for the case's row,
+        Lap^2 u* mixed from the closed-form potentials and grad p* converted
+        once, and a zero mean."""
         row = self.row(ops)
         z = ops.cache.z
         e1, e2 = ops.layout.wavenumber(self.k1, self.k2)
         t, p = self.mode_potentials(z, 5)
         q0 = self.pressure_profile(z)
         grad_p = np.stack([1j * e1 * q0, 1j * e2 * q0, self.pressure_profile(z, 1)])
-        prof = ops.layout.mix_row(row, ("bilap_u",), np.concatenate([t[:5], p])) + grad_p
-        rows = np.zeros((3, len(ops.layout.reps), len(z)), complex)
-        rows[:, row] = prof
+        bilap = ops.layout.mixing(("bilap_u",))[0][row] @ as_planes(np.concatenate([t[:5], p]), 0)
+        rows = np.zeros((len(ops.layout.reps), 2, 3, len(z)))
+        rows[row] = bilap + tangential_swap(as_planes(grad_p, axis=0))
         return rows, np.zeros((3, len(z)))
 
     def wall_defect_dual(self, ops):
@@ -125,7 +127,7 @@ class ManufacturedCase:
         return wall_dual(ops, row, np.array([-r2[0], r1[0]]), np.array([r2[1], -r1[1]]))
 
     def rhs(self, ops):
-        return analyze(*self.forcing(ops), ops.cache) + self.wall_defect_dual(ops)
+        return analyze_rows(*self.forcing(ops), ops.cache) + self.wall_defect_dual(ops)
 
     # -- error measurement ----------------------------------------------------
 

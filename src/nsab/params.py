@@ -64,7 +64,10 @@ def _validate_model(alpha, beta, gamma, ell):
         raise ParameterError("|gamma| <= 1 required")
     if ell <= 0.0:
         raise ParameterError("ell must be positive")
-    if beta**2 == 0.0 or not math.isfinite(ell / beta**2):
+    # products, not powers: a float power that overflows raises OverflowError
+    if not math.isfinite(alpha * alpha):
+        raise ParameterError(f"alpha^2 must be finite, got alpha = {alpha!r}")
+    if beta * beta == 0.0 or not math.isfinite(ell / (beta * beta)):
         raise ParameterError("k = ell / beta^2 must be finite")
 
 

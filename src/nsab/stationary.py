@@ -5,8 +5,8 @@ the Galerkin projection of the data onto the solenoidal test basis plus,
 optionally, a wall functional (used by the manufactured-solution studies to
 absorb the tangential traction mismatch of an arbitrary manufactured field,
 so that any smooth divergence-free u* can serve as the exact solution).
-The data f is the (rows, mean) profile pair of :func:`nsab.field.synthesize`
-and its projection ``analyze(rows, mean, ops.cache)``.
+The data f is the (rows, mean) planes pair of :func:`nsab.field.synthesize_rows`
+and its projection ``analyze_rows(rows, mean, ops.cache)``.
 
 If a block operator is singular - the form operator genuinely admits a
 kernel for suitable wall coefficients - the solve restricts to the
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import legendre_table
-from .field import SolenoidalField, as_complex, as_planes, blockmul, synthesize, zero_field
+from .field import (SolenoidalField, as_complex, as_planes, blockmul, synthesize_rows,
+                    tangential_swap, zero_field)
 
 
 class ConsistencyError(RuntimeError):
@@ -189,7 +190,8 @@ def _legendre_design(geometry, z, degree, dmax=1):
 
 def recover_pressure(u, forcing, ops):
     """Least-squares pressure from the momentum residual r = f - Lap^2 u,
-    forcing f the (rows, mean) profile pair of :func:`nsab.field.synthesize`.
+    forcing f the (rows, mean) planes pair of :func:`nsab.field.synthesize_rows`
+    of velocity; r is formed in planes and made complex once.
 
     Per mode, p is the polynomial of degree P + 1 minimizing the quadrature
     norm of (i eta1 p - r1, i eta2 p - r2, p' - r3); the misfit is the
@@ -219,8 +221,9 @@ def recover_pressure(u, forcing, ops):
     Phi = _legendre_design(geo, z, degree)
     sw = np.sqrt(w)
     S0, S1 = sw[:, None] * Phi[0], sw[:, None] * Phi[1]
-    bilap = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
-    R_reps, r0 = (f - b for f, b in zip(forcing, bilap))  # (3, rows, Q), (3, Q)
+    (f_rows, f_mean), (b_rows, b_mean) = forcing, synthesize_rows(u, ops.cache, ("bilap_u",))
+    r0 = f_mean - b_mean  # (3, Q); the rows' residual (3, rows, Q), made complex once
+    R_reps = np.swapaxes(as_complex(tangential_swap(f_rows - b_rows), axis=-3), 0, 1)
     area = geo.area
     e1, e2, _ = ops.layout.eta
     Q0, R0 = np.linalg.qr(S0)

@@ -11,8 +11,9 @@ import pytest
 import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre, recombined_bases
-from nsab.field import (SolenoidalField, analyze, as_complex, as_planes, layout_for,
-                        project_velocity, reconstruct, synthesize, zero_field)
+from nsab.field import (SolenoidalField, analyze_rows, as_complex, as_planes, layout_for,
+                        project_velocity, reconstruct, synthesize_rows, tangential_swap,
+                        zero_field)
 from nsab.operators import poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
@@ -300,6 +301,16 @@ def random_field_loop(geometry, resolution, seed=0, amplitude=1.0, decay=0.5):
 # reference nonlinear term on a chosen tangential grid
 # ---------------------------------------------------------------------------
 
+def convert_rows(rows):
+    """Synthesis rows in the other form: the mixed real (..., R, 2, C, Q)
+    planes of synthesize_rows and analyze_rows as the complex (..., C, R,
+    Q) profiles of the representative modes, in row order, which the FFT
+    oracles place on the spectrum; complex profiles back as planes."""
+    if np.iscomplexobj(rows):
+        return tangential_swap(as_planes(np.swapaxes(rows, -3, -2), axis=-3))
+    return np.swapaxes(as_complex(tangential_swap(rows), axis=-3), -3, -2)
+
+
 def nonlinear_term_fresh(u, ops):
     """N(u) composed from the public functions, every array fresh:
     reconstruct -> (curl v) x u -> project_velocity."""
@@ -318,17 +329,16 @@ def nonlinear_term_on_grid(u, ops, shape):
     full complex FFTs, with no half spectrum and no Resolution.padded_shape."""
     M1, M2 = shape
     k1, k2 = ops.layout.k.T
-    grid = {}
-    for name, (rows, mean) in synthesize(u, ops.cache, want=("u", "curl_v"),
-                                         alpha=ops.params.alpha).items():
-        spec = np.zeros((3, M1, M2, u.resolution.Q), complex)
-        spec[:, k1 % M1, k2 % M2] = rows
-        spec[:, -k1 % M1, -k2 % M2] = np.conj(rows)
-        spec[:, 0, 0] = mean
-        grid[name] = np.fft.ifft2(spec, axes=(1, 2), norm="forward").real
-    prod = np.cross(grid["curl_v"], grid["u"], axis=0)
+    rows, mean = synthesize_rows(u, ops.cache, ("u", "curl_v"), ops.params.alpha)
+    rows = convert_rows(rows)
+    spec = np.zeros((6, M1, M2, u.resolution.Q), complex)
+    spec[:, k1 % M1, k2 % M2] = rows
+    spec[:, -k1 % M1, -k2 % M2] = np.conj(rows)
+    spec[:, 0, 0] = mean
+    u_grid, curl_v = np.split(np.fft.ifft2(spec, axes=(1, 2), norm="forward").real, 2)
+    prod = np.cross(curl_v, u_grid, axis=0)
     spec = np.fft.fft2(prod, axes=(1, 2), norm="forward")
-    return analyze(spec[:, k1 % M1, k2 % M2], spec[:, 0, 0].real, ops.cache)
+    return analyze_rows(convert_rows(spec[:, k1 % M1, k2 % M2]), spec[:, 0, 0].real, ops.cache)
 
 
 def reconstruct_fft(f, cache, want=("u",), alpha=None):
@@ -338,15 +348,14 @@ def reconstruct_fft(f, cache, want=("u",), alpha=None):
     M1, M2 = res.padded_shape
     k1, k2 = layout_for(f.geometry, res).k.T
     k1_zero = k1 == 0
-    out = {}
-    for name, (rows, mean) in synthesize(f, cache, want, alpha).items():
-        half = np.zeros((3, M1 // 2 + 1, M2, res.Q), complex)
-        half[:, k1, k2 % M2] = rows
-        half[:, 0, -k2[k1_zero] % M2] = np.conj(rows[:, k1_zero])
-        half[:, 0, 0] = mean
-        out[name] = np.fft.irfft2(half, s=(M2, M1), axes=(-2, -3),
-                                  norm="forward")
-    return out
+    rows, mean = synthesize_rows(f, cache, want, alpha)
+    rows = convert_rows(rows)
+    half = np.zeros((len(mean), M1 // 2 + 1, M2, res.Q), complex)
+    half[:, k1, k2 % M2] = rows
+    half[:, 0, -k2[k1_zero] % M2] = np.conj(rows[:, k1_zero])
+    half[:, 0, 0] = mean
+    grid = np.fft.irfft2(half, s=(M2, M1), axes=(-2, -3), norm="forward")
+    return dict(zip(want, np.split(grid, len(want))))
 
 
 def project_velocity_fft(U, cache):
@@ -355,13 +364,13 @@ def project_velocity_fft(U, cache):
     M2 = cache.resolution.padded_shape[1]
     k1, k2 = cache.layout.k.T
     Uh = np.fft.rfft2(U, axes=(-2, -3), norm="forward")
-    return analyze(Uh[:, k1, k2 % M2], Uh[:, 0, 0].real, cache)
+    return analyze_rows(convert_rows(Uh[:, k1, k2 % M2]), Uh[:, 0, 0].real, cache)
 
 
 def velocity_dual(f, ops):
     """Galerkin dual of the velocity profiles of f: the data f posed as
     forcing."""
-    return analyze(*synthesize(f, ops.cache)["u"], ops.cache)
+    return analyze_rows(*synthesize_rows(f, ops.cache), ops.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +428,9 @@ def reference_pressure(u, forcing, ops):
     degree = u.resolution.P + 1
     Phi = _legendre_design(geo, ops.cache.z, degree)
     sw = np.sqrt(w)
-    bilap_rows, bilap_mean = synthesize(u, ops.cache, ("bilap_u",))["bilap_u"]
+    bilap_rows, bilap_mean = synthesize_rows(u, ops.cache, ("bilap_u",))
     f_rows, f_mean = forcing
-    R_reps, r0 = f_rows - bilap_rows, f_mean - bilap_mean
+    R_reps, r0 = convert_rows(f_rows) - convert_rows(bilap_rows), f_mean - bilap_mean
     coeffs = np.zeros((len(ops.layout.reps), degree + 1), complex)
     defect_sq = 0.0
     for r, (k1, k2) in enumerate(ops.layout.k):
@@ -463,7 +472,7 @@ def grid_quadrature(cache, resolution):
 
 def gradient_forcing(ops, scalar_modes):
     """f = grad q for per-mode scalar profiles {(k1, k2): (value, z-deriv)},
-    as a (rows, mean) profile pair.
+    as the (rows, mean) planes pair of synthesize_rows.
 
     scalar_modes maps representative wavenumbers to a pair of (Q,) arrays;
     the zero mode, if present, uses key (0, 0) with real profiles.
@@ -476,7 +485,7 @@ def gradient_forcing(ops, scalar_modes):
             continue
         e1, e2 = ops.layout.wavenumber(k1, k2)
         rows[:, ops.layout.row[(k1, k2)]] = np.stack([1j * e1 * q0, 1j * e2 * q0, q1])
-    return rows, mean
+    return convert_rows(rows), mean
 
 
 def eigenpair_field(ops, pair, component=0):

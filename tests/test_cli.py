@@ -425,6 +425,11 @@ def _config_with(overrides):
     # found by tests/test_config_fuzz.py
     pytest.param("evolve", {"u0.seed": "-1"}, False, id="seed-negative"),
     pytest.param("evolve", {"model.beta": "1e-300"}, False, id="beta-squared-underflows"),
+    # a square of alpha or beta overflowed: an OverflowError traceback (exit
+    # 1, no manifest) in the block forms, or in the config parse itself
+    pytest.param("evolve", {"model.alpha": "1e200"}, False, id="alpha-squared-overflows"),
+    pytest.param("solve", {"model.alpha": "1e201", "model.beta": "1e200"}, False,
+                 id="beta-squared-overflows"),
     pytest.param("probe-uniqueness", {"probe.delta1": "1e-300"}, False,
                  id="probe-delta-below-roundoff"),
     # far out of range, the lengths overflowed the block forms (numpy

@@ -15,7 +15,7 @@ from nsab.evolution import (EvolutionState, IMEXStepper, energy_report,
 from nsab import evolution, field
 from nsab.basis import BasisCache
 from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
-                        layout_for, project_velocity, random_field, reconstruct, synthesize,
+                        layout_for, project_velocity, random_field, reconstruct,
                         synthesize_rows, zero_field)
 from nsab.operators import FORMS, OperatorSet
 from nsab.params import Resolution, derive_params
@@ -722,7 +722,7 @@ def test_nonlinear_workspace_bitwise_equals_public_composition(par, geometry, N,
 
 
 def test_nonlinear_workspace_does_not_alias_returned_arrays(par, geo_odd):
-    """Arrays handed out earlier - public reconstruct, synthesize and
+    """Arrays handed out earlier - public reconstruct, synthesize_rows and
     project_velocity results, a previous N and its input - are not touched
     by a later nonlinear_term call."""
     res = Resolution(N1=8, N2=6, P=14)
@@ -730,10 +730,10 @@ def test_nonlinear_workspace_does_not_alias_returned_arrays(par, geo_odd):
     u, u2 = (random_field(geo_odd, res, seed=s) for s in (4, 5))
     want = ("u", "curl_v")
     rec = reconstruct(u, o.cache, want=want, alpha=par.alpha)
-    syn = synthesize(u, o.cache, want=want, alpha=par.alpha)
+    syn = synthesize_rows(u, o.cache, want=want, alpha=par.alpha)
     proj = project_velocity(rec["u"], o.cache)
     N = nonlinear_term(u, o)
-    held = [*rec.values(), *(a for pair in syn.values() for a in pair),
+    held = [*rec.values(), *syn,
             *proj.potentials(), *N.potentials(), *u.potentials()]
     copies = [a.copy() for a in held]
     nonlinear_term(u2, o)

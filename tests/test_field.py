@@ -6,11 +6,11 @@ import pytest
 from nsab.basis import BasisCache
 from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
                         layout_for, project_velocity, random_field, reconstruct,
-                        synthesize, zero_field)
+                        synthesize_rows, tangential_swap, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 
-from conftest import (grid_quadrature, hermitian_modes, mean_tables,
+from conftest import (convert_rows, grid_quadrature, hermitian_modes, mean_tables,
                       mode_velocity_profiles, pair_bases, project_velocity_fft,
                       random_field_loop, reconstruct_fft, velocity_dual)
 
@@ -65,10 +65,13 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
     cache = BasisCache(g, res)
     alpha = 0.2
     f = random_field(g, res, seed=17, amplitude=1.0)
-    got = synthesize(f, cache, ("u", "curl_v", "bilap_u"), alpha)
+    names = ("u", "curl_v", "bilap_u")
+    rows, mean = synthesize_rows(f, cache, names, alpha)
+    rows = convert_rows(rows)
+    got = {name: (rows[3 * i:3 * i + 3], mean[3 * i:3 * i + 3]) for i, name in enumerate(names)}
     lay = layout_for(g, res)
     want = {name: np.zeros((3, len(lay.reps), res.Q), complex)
-            for name in ("u", "curl_v", "bilap_u")}
+            for name in names}
     for r, (k1, k2) in enumerate(lay.k):
         m, W_tor, W_pol = pair_bases(cache, k1, k2)
         e1, e2 = cache.layout.wavenumber(k1, k2)
@@ -94,6 +97,26 @@ def test_synthesize_matches_per_mode_oracle(geometry, res, request):
         assert np.abs(rows - want[name]).max() <= 1e-13 * np.abs(want[name]).max()
         assert np.abs(mean - want_mean[name]).max() <= \
             1e-13 * np.abs(want_mean[name]).max()
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 3, 4), (3, 7, 2, 9, 2)], ids=["rows", "stack-3"])
+def test_plane_conversions_keep_every_bit(shape):
+    """tangential_swap is its own inverse, and synthesis planes made complex
+    and back (the pressure fit's one conversion) are the planes given, bit
+    for bit, signed zeros, infinities and NaNs included."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    x.flat[rng.choice(x.size, x.size // 3, replace=False)] = rng.choice(special, x.size // 3)
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    swapped = tangential_swap(x)
+    assert not np.array_equal(bits(swapped), bits(x))
+    np.testing.assert_array_equal(bits(tangential_swap(swapped)), bits(x))
+    round_trip = tangential_swap(as_planes(as_complex(swapped, axis=-3), axis=-3))
+    np.testing.assert_array_equal(bits(round_trip), bits(x))
 
 
 @pytest.mark.parametrize("res, shape", [

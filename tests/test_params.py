@@ -23,7 +23,8 @@ def test_gamma_range():
 
 
 @pytest.mark.parametrize("args", [(0.2, -0.1, 0.0, 0.05), (0.2, 0.1, 0.0, 0.0),
-                                  (0.2, 0.1, 0.0, -1.0), (0.2, 0.2, 0.0, 0.05)])
+                                  (0.2, 0.1, 0.0, -1.0), (0.2, 0.2, 0.0, 0.05),
+                                  (1e200, 0.1, 0.0, 0.05), (1e201, 1e200, 0.0, 0.05)])
 def test_other_rejections(args):
     with pytest.raises(ParameterError):
         derive_params(*args)

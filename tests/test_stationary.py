@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsab.basis import legendre_table
-from nsab.field import analyze, random_field, synthesize, zero_field
+from nsab.field import analyze_rows, random_field, synthesize_rows, zero_field
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 from nsab.stationary import (ConsistencyError, recover_pressure, solve_stationary,
@@ -55,7 +55,7 @@ def test_gradient_datum_recovers_pressure(ops, geo, res_small):
     z = ops.cache.z
     forc = gradient_forcing(ops, {(1, 0): (q(z).astype(complex),
                                            q(z, 1).astype(complex))})
-    rhs = analyze(*forc, ops.cache)
+    rhs = analyze_rows(*forc, ops.cache)
     assert rhs.norm_l2() <= 1e-12          # gradient is orthogonal to the basis
     u, _ = solve_stationary(ops, rhs)
     assert u.norm_l2() <= 1e-12
@@ -79,8 +79,8 @@ def test_pressure_fit_matches_per_row_reference(request, geometry, forcing_id):
         case = default_case(g)
         rhs, forc = case.rhs(o), case.forcing(o)
     else:
-        forc = synthesize(random_field(g, o.resolution, seed=5), o.cache)["u"]
-        rhs = analyze(*forc, o.cache)
+        forc = synthesize_rows(random_field(g, o.resolution, seed=5), o.cache)
+        rhs = analyze_rows(*forc, o.cache)
     u, _ = solve_stationary(o, rhs)
     press, rep = recover_pressure(u, forc, o)
     coeffs, defect = reference_pressure(u, forc, o)
@@ -100,8 +100,8 @@ def _benchmark_solve(o, forcing_id):
         case = default_case(o.geometry)
         rhs, forc = case.rhs(o), case.forcing(o)
     else:
-        forc = synthesize(random_field(o.geometry, o.resolution, seed=11), o.cache)["u"]
-        rhs = analyze(*forc, o.cache)
+        forc = synthesize_rows(random_field(o.geometry, o.resolution, seed=11), o.cache)
+        rhs = analyze_rows(*forc, o.cache)
     return solve_stationary(o, rhs)[0], forc
 
 
