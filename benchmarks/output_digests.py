@@ -26,12 +26,13 @@ solve and an ``eigs`` on an odd geometry, ``convergence``, ``verify-adn`` at
 two gamma, short ``evolve``, ``probe-uniqueness`` and ``sweep`` runs, and
 the configs of the benchmark's two trajectory workloads (evolve at N16/P32,
 Euler, T 0.2, cadence 5; the cnab2 probe at N8/P16, T 0.5, amplitude 0.3).
-The ``small`` set keeps one of each kind at the smallest sizes, and the
+The ``small`` set keeps one of each kind at the smallest sizes, a probe
+stopped by its watchdog (``debug.inject_nan_step = 2``, exit 4), and the
 odd-geometry ``eigs`` at gamma = 1, k = 5, whose c0(0) is negative: the
 only run whose Garding search goes past the first grid shift.  Digests
 depend on the BLAS library and the CPU, so compare runs on one machine.
 Exits 1 when a run's exit code is not the expected one (the P48 solves
-exit 3: their spurious kernel is a known open defect).
+exit 3: their spurious kernel is a known open defect; the NaN probe exits 4).
 """
 
 import argparse
@@ -78,6 +79,9 @@ SMALL = [
     ("verify-adn", "verify-adn", (), 0),
     ("evolve-odd-cnab2", "evolve", ODD + _trajectory(8, 12, 16, "cnab2", 0.1), 0),
     ("probe", "probe-uniqueness", _trajectory(8, 8, 16, "cnab2", 0.1) + ("probe.seed = 4",), 0),
+    # the probe's watchdog path: NaN in the base run after step 2
+    ("probe-nan", "probe-uniqueness", _trajectory(8, 8, 16, "cnab2", 0.1) + (
+        "probe.seed = 4", "debug.inject_nan_step = 2"), 4),
     ("sweep", "sweep", _trajectory(4, 4, 12, "euler", 0.1) + ("sweep.levels = 3",), 0),
     ("eigs-odd-gamma1", "eigs", ODD + _res(8, 6, 16) + (
         "model.gamma = 1.0", "model.ell = 0.05", "eigs.count = 12"), 0),

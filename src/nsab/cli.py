@@ -340,7 +340,8 @@ def _exp_probe(cfg, out, operators, stage):
                             amplitude=1.0, decay=cfg["u0.decay"])
         p1, p2 = uniqueness_probe(ops, u0, pert, (d1, d2), cfg["time.T"],
                                   cfg["time.dt"], scheme=cfg["scheme.name"],
-                                  watchdog_ceiling=cfg["watchdog.ceiling"])
+                                  watchdog_ceiling=cfg["watchdog.ceiling"],
+                                  inject_nan_step=cfg["debug.inject_nan_step"] or None)
     stage.steps = p1.steps
     # the Gronwall rate log(growth) / h3_integral, fitted over the points of
     # the window where h3_integral > 0 (a base run at rest has none: nan)

@@ -185,7 +185,7 @@ def _check_domain(values, seen):
         if values[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {values[key]!r}",
                               line=seen.get(key))
-    for key in ("u0.seed", "forcing.seed", "probe.seed"):
+    for key in ("u0.seed", "forcing.seed", "probe.seed", "debug.inject_nan_step"):
         if values[key] < 0:
             raise ConfigError(f"{key} must be nonnegative, got {values[key]!r}",
                               line=seen.get(key))

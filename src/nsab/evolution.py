@@ -29,12 +29,18 @@ The step is planned once per run (the plan/execute split of FFTW, Frigo
 and Johnson 2005): every buffer and view it touches is built on the first
 step of a member shape, so a step is a fixed list of numpy calls with its
 arithmetic that of the one-off functions, bit for bit.  The stepper owns
-the rows [u | N | N_prev] and their products with its stacks
-(:class:`IMEXStepper`); the operator set keeps the nonlinear term's calls
-over the padded grid's workspace (:class:`NonlinearPlan`) and the monitors'
-K_a and K_grad products (:meth:`nsab.operators.OperatorSet.apply`).  A
-step copies u, N and N_prev into the rows and returns fresh arrays, so the
-states it returned keep their values.
+the state of its run: the rows [u | N | N_prev] and their products with
+its stacks (:class:`StepRows`), advanced in place - N moves to N_prev, the
+nonlinear term's duals are copied from the grid workspace into N, the
+product writes u' and u' goes back into u.  The operator set keeps the
+nonlinear term's calls over the padded grid's workspace
+(:class:`NonlinearPlan`) and the monitors' K_a and K_grad products
+(:meth:`nsab.operators.OperatorSet.products`) with the arrays of their
+sums, planned per member shape too.  :meth:`IMEXStepper.step` loads a
+state into the rows, advances them and returns fresh copies, so the states
+it returned keep their values; the uniqueness probe loads its stacked
+state once and reads every step's norms from the output rows, building no
+field or state.
 """
 
 from __future__ import annotations
@@ -97,11 +103,8 @@ def nonlinear_term(u, ops):
     (:class:`NonlinearPlan`, kept by ops).  A stacked u gives the stacked
     duals, each member's bitwise equal to its own call.
     """
-    lead = u.mean.shape[:-2]
-    plan = ops.plan(("nonlinear", lead), lambda: NonlinearPlan(ops, lead))
-    reconstruct(u, ops.cache, GridWorkspace.want, ops.params.alpha, plan)
-    run(plan.backward)
-    return SolenoidalField(u.geometry, u.resolution, *(d.copy() for d in plan.duals))
+    duals = NonlinearPlan.of(ops, u.mean.shape[:-2])(u)
+    return SolenoidalField(u.geometry, u.resolution, *(d.copy() for d in duals))
 
 
 class NonlinearPlan:
@@ -114,9 +117,17 @@ class NonlinearPlan:
     synthesizes its grids; ``backward`` forms (curl v) x u into ``prod`` and
     projects it onto the duals."""
 
+    @staticmethod
+    def of(ops, lead):
+        """The plan of ops for member axes lead, built on first use."""
+        return ops.plan(("nonlinear", lead), lambda: NonlinearPlan(ops, lead))
+
     def __init__(self, ops, lead):
         cache, grid = ops.cache, ops.layout.grid
         work = grid.workspace(ops.resolution, lead)
+        # no reference to ops, which keeps the plan: a cycle would hold a
+        # finished run's arrays until the garbage collector runs
+        self.cache, self.alpha = cache, ops.params.alpha
         self.fields = (work.psi, work.phi, work.mean)
         synthesis, (rows, mean) = plan_synthesis(self.fields, cache, work.want, ops.params.alpha,
                                                  work)
@@ -133,6 +144,12 @@ class NonlinearPlan:
         from_grid, (rows, mean) = grid.plan_from_grid(work.prod, work)
         analysis, self.duals = plan_analysis(rows, mean, cache, work)
         self.backward += from_grid + analysis
+
+    def __call__(self, u):
+        """The (psi, phi, mean) duals of the nonlinear term of u: views of
+        the workspace, overwritten by the plan's next call."""
+        reconstruct(u, self.cache, GridWorkspace.want, self.alpha, self)
+        return run(self.backward, self.duals)
 
     def reconstruct(self, f):
         """The grids of the workspace's quantities of f, as
@@ -192,10 +209,10 @@ class IMEXStepper:
     first step seeded with the initial nonlinear slope).
     nonlinear=False freezes N to 0 (linear order studies).
 
-    The stepper owns the buffers of its step, built on its first step of
-    each member shape: per potential, the rows [u | N | N_prev] side by
-    side and their planned product with the propagator stack.  A step
-    copies into the rows, runs the products and returns fresh arrays.
+    The stepper owns the state of its runs, per member shape: the rows of
+    :class:`StepRows`, advanced in place.  :meth:`step` loads a state into
+    them, advances them and returns fresh copies; a run kept in the rows
+    is loaded once (:meth:`load`).
     """
 
     def __init__(self, ops, dt, scheme="euler", nonlinear=True):
@@ -220,35 +237,83 @@ class IMEXStepper:
 
         self._stacks = [stack(blk, blk.M_lambda) for blk in ops.blocks]
         self._parts = 1 + len(weights)
-        self._plans = {}
+        self._rows = {}
 
-    def _plan(self, u):
-        """(slots, products) of u's member shape, per potential: its rows
-        split into the parts u, N, N_prev, and their planned product."""
-        lead = u.mean.shape[:-2]
-        if lead not in self._plans:
-            rows = [np.empty(c.shape[:-1] + (self._parts * c.shape[-1],)) for c in u.potentials()]
-            self._plans[lead] = [np.split(x, self._parts, axis=-1) for x in rows], [
-                BlockProduct(S, x, np.empty(c.shape), runs) for S, x, c, runs
-                in zip(self._stacks, rows, u.potentials(), self.ops.layout.potential_buckets)]
-        return self._plans[lead]
+    def load(self, state):
+        """The :class:`StepRows` of state's member shape, holding state."""
+        lead = state.field.mean.shape[:-2]
+        if lead not in self._rows:
+            self._rows[lead] = StepRows(self, state.field)
+        rows = self._rows[lead]
+        rows.load(state)
+        return rows
 
     def step(self, state):
-        u, N = state.field, None
-        slots, products = self._plan(u)
-        parts = [u]
-        if self.nonlinear:
-            N = nonlinear_term(u, self.ops)
-            parts.append(N)
-            if self.scheme == "cnab2":
-                parts.append(state.history if state.history is not None else N)
-        for slot, cs in zip(slots, zip(*(f.potentials() for f in parts))):
-            for x, c in zip(slot, cs):
+        rows = self.load(state)
+        rows.advance()
+        return rows.state()
+
+
+class StepRows:
+    """The state of a stepper's run on fields of one member shape: per
+    potential the rows [u | N | N_prev] side by side (``u`` views the u
+    slots), and the planned calls that advance it in place.  ``out``, the
+    product's output rows, holds the state the last :meth:`advance` wrote.
+    """
+
+    def __init__(self, stepper, u):
+        ops, parts = stepper.ops, stepper._parts
+        rows = [np.empty(c.shape[:-1] + (parts * c.shape[-1],)) for c in u.potentials()]
+        slots = list(zip(*(np.split(x, parts, axis=-1) for x in rows)))
+        self.u = SolenoidalField(u.geometry, u.resolution, *slots[0])
+        self.out = u._map(lambda c: np.empty(c.shape))
+        products = [BlockProduct(S, x, y, runs) for S, x, y, runs in zip(
+            stepper._stacks, rows, self.out.potentials(), ops.layout.potential_buckets)]
+        self.update = products + [partial(np.copyto, a, b)
+                                  for a, b in zip(slots[0], self.out.potentials())]
+        self.dt, self.time = stepper.dt, 0.0
+        self.N = slots[1] if stepper.nonlinear else ()
+        self.plan = NonlinearPlan.of(ops, u.mean.shape[:-2]) if stepper.nonlinear else None
+        # cnab2 copies N to N_prev before the next step overwrites N
+        # ("move"), or after a first step's N, its initial slope ("seed");
+        # a loaded history is in N_prev already
+        self.N_prev = slots[2] if parts == 3 else ()
+        self.keep = [partial(np.copyto, a, b) for a, b in zip(self.N_prev, self.N)]
+        self.pending = "seed"
+
+    def load(self, state):
+        """Copy state's field, and its history into N_prev, into the rows."""
+        for x, c in zip(self.u.potentials(), state.field.potentials()):
+            np.copyto(x, c)
+        self.time, self.pending = state.time, "seed"
+        if self.keep and state.history is not None:
+            for x, c in zip(self.N_prev, state.history.potentials()):
                 np.copyto(x, c)
-        return EvolutionState(state.time + self.dt,
-                              SolenoidalField(u.geometry, u.resolution,
-                                              *(product().copy() for product in products)),
-                              N if self.scheme == "cnab2" else None)
+            self.pending = None
+
+    def advance(self):
+        """One step in place: N moves to N_prev (cnab2), the nonlinear
+        term's duals are copied from the grid workspace into N (on a first
+        step into N_prev too), and the rows times the stepper's stacks go
+        into ``out`` and back into u.  No field, state or dual is built."""
+        if self.pending == "move":
+            run(self.keep)
+        if self.plan is not None:
+            for x, d in zip(self.N, self.plan(self.u)):
+                np.copyto(x, d)
+        if self.pending == "seed":
+            run(self.keep)
+        run(self.update)
+        self.time, self.pending = self.time + self.dt, "move"
+
+    def state(self):
+        """The state in the rows as fresh arrays: the field and, for cnab2,
+        its nonlinear term as the history."""
+        field = self.out.copy()
+        if not self.keep:
+            return EvolutionState(self.time, field, None)
+        return EvolutionState(self.time, field, SolenoidalField(
+            field.geometry, field.resolution, *(x.copy() for x in self.N)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,52 +424,77 @@ class UniquenessProbe:
     steps: int = 0            # steps taken by the base run and all members
 
 
-def _h1_norms(ops, w):
-    """H1 norm sqrt(<w[j] + K_grad w[j], w[j]>) of each member w[j] of a
-    stacked field, each member's as its own; inf where the square overflowed."""
+def _h1_norms(ops, members, base):
+    """H1 norm sqrt(<w[j] + K_grad w[j], w[j]>) of each member w[j] of the
+    stacked difference w = members - base, each member's as its own; inf
+    where the square overflowed.  w is written into the input rows of the
+    set's planned K_grad products (:meth:`nsab.operators.OperatorSet.products`),
+    and the sums run as ``SolenoidalField.dot(per_member=True)`` runs them -
+    per potential an einsum over each member's rows times its weight, added
+    in turn to 0 - into arrays planned with them."""
+    lead = members.mean.shape[:-2]
+    products = ops.products("K_grad", lead)
+    rows, sums = ops.plan(("h1", lead), lambda: (
+        [(p.x.reshape(lead[0], -1), np.empty(p.x.shape)) for p in products],
+        np.empty((4,) + lead)))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = w + ops.apply("K_grad", w)
-        return _root(x.dot(w, per_member=True)).tolist()
+        for product, a, b, (w, x), e, k in zip(products, members.potentials(), base.potentials(),
+                                               rows, sums, (2.0, 2.0, 1.0)):
+            np.subtract(a, b, out=product.x)
+            np.add(product.x, product(), out=x)
+            np.einsum("ej,ej->e", w, x.reshape(w.shape), out=e)
+            np.multiply(e, k, out=e)
+        total = sums[3]
+        np.add(sums[0], 0.0, out=total)
+        np.add(total, sums[1], out=total)
+        np.add(total, sums[2], out=total)
+        return _root(total).tolist()
 
 
 def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
-                     watchdog_ceiling=1e6):
+                     watchdog_ceiling=1e6, inject_nan_step=None):
     """Paired-trajectory separation growth in the H1 norm, one probe per delta.
 
     perturbation is a unit-shape field; the member for delta starts from
     u0 + delta * perturbation and is compared with the base trajectory from
     u0, which is integrated once and shared: one stacked state holds the
-    base run (member 0) and the members.  Each member equals a single-delta
-    run bit for bit; delta = 0 reproduces the base trajectory (growth
-    identically 1).  The watchdog of :func:`run_evolution` checks the base
-    run, then the members' finite coefficients; when it fires the probes
-    end with the last step before it and carry the event.  A step computes the
-    base run's K_a norms and the members' H1 norms, nothing else.
+    base run (member 0) and the members, and stays in the stepper's rows
+    (:class:`StepRows`) for the whole run.  Each member equals a
+    single-delta run bit for bit; delta = 0 reproduces the base trajectory
+    (growth identically 1).  The watchdog of :func:`run_evolution` checks
+    the base run, then the members' finite coefficients; when it fires the
+    probes end with the last step before it and carry the event.
+    inject_nan_step, as in :func:`run_evolution`, sets the base run's psi
+    to NaN after that step.  A step computes the base run's K_a norms and
+    the members' H1 norms, nothing else, by products planned for the run
+    that read the step's output rows.
     """
     nsteps = step_count(T, dt)
     stepper = IMEXStepper(ops, dt, scheme)
     sn, ceiling = _initial_norms(ops, u0, watchdog_ceiling)
-    state = EvolutionState(0.0, SolenoidalField.stack(
-        [u0] + [u0 + d * perturbation for d in deltas]))
-    w0 = [w if d != 0.0 else 1.0
-          for d, w in zip(deltas, _h1_norms(ops, state.field[1:] - u0))]
+    rows = stepper.load(EvolutionState(0.0, SolenoidalField.stack(
+        [u0] + [u0 + d * perturbation for d in deltas])))
+    w0 = [w if d != 0.0 else 1.0 for d, w in zip(deltas, _h1_norms(ops, rows.u[1:], u0))]
     if 0.0 in w0:
         raise ParameterError("a probe delta is too small to change u0 in floating point")
+    base, members = rows.out[0], rows.out[1:]
     times, h3, growth = [0.0], [0.0], [[1.0] for _ in deltas]
     acc, taken = 0.0, 0
-    for n in range(nsteps):
+    for n in range(1, nsteps + 1):
         # the members are counted only for a step that passed the base's checks
-        state, taken, h3_prev = stepper.step(state), taken + 1, sn["A_half"]
-        base = state.field[0]
-        event, sn = _watchdog(ops, state.time, base, ceiling)
+        rows.advance()
+        taken, h3_prev = taken + 1, sn["A_half"]
+        if n == inject_nan_step:
+            base.psi[:] = np.nan
+        event, sn = _watchdog(ops, rows.time, base, ceiling)
         if event is None:
             taken += len(deltas)
-            h1 = _h1_norms(ops, state.field[1:] - base)
-            event = _nonfinite_event(state.time, state.field[1:], ceiling, h1)
+            h1 = _h1_norms(ops, members, base)
+            event = _nonfinite_event(rows.time, members, ceiling, h1)
         if event is not None:
             break
         acc += 0.5 * dt * (h3_prev + sn["A_half"])
-        times.append(state.time)
+        times.append(rows.time)
         h3.append(acc)
         for j, (d, wn) in enumerate(zip(deltas, h1)):
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)

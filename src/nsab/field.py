@@ -61,7 +61,7 @@ the arrays of one product of synthesized quantities (input and coefficient
 rows, derivative values, profiles, spectral box, grid, product, forward
 halves, gathered planes and dual rows) reused from call to call instead of
 allocated afresh.  Each stage - :class:`BlockProduct`, the synthesis, the
-grid scatter and gather, the analysis - is one builder of its numpy calls
+two grid gathers, the analysis - is one builder of its numpy calls
 over given arrays (``plan_*``): a one-off call builds them over fresh
 arrays and runs them once, and a run's time step builds them once over the
 workspace (:class:`nsab.evolution.NonlinearPlan`) and runs that fixed list
@@ -80,7 +80,6 @@ workspace holds a plan.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -237,8 +236,9 @@ class PaddedGrid:
     and half the mean, so 2 Re G_0 adds the rows' partners -k2.
     :meth:`from_grid` is the adjoint, scaled by 1/(M1 M2), so it returns
     the grid's Fourier coefficients of the stored modes.  One flat box
-    index per component count (:meth:`index`) scatters the mixed planes of
-    all rows and components at once, and gathers them back.
+    index per component count (:meth:`index`) gathers the mixed planes of
+    all rows and components back from the box, and its inverse
+    (:meth:`gather`) fills the box from them in one take.
 
     Both transforms write into a :class:`GridWorkspace` when given one
     (:meth:`workspace`), into fresh arrays otherwise.  Leading member axes
@@ -274,6 +274,20 @@ class PaddedGrid:
                               + np.arange(C) * size).ravel()
         return self._index[C]
 
+    def gather(self, C):
+        """The row of the box source (:meth:`plan_to_grid`) that fills each
+        flat (component, k1, plane, k2) box slot: the mixed planes at their
+        :meth:`index`, half the mean of each component at (k1, plane, k2) =
+        (0, real, 0), and the zero row everywhere else (column k1 = 0 at
+        k2 < 0 and the mean's imaginary part)."""
+        if ("gather", C) not in self._index:
+            index, size = self.index(C), math.prod(self.box)
+            g = np.full(C * size, len(index))
+            g[index] = np.arange(len(index))
+            g[np.arange(C) * size + self.center] = len(index) + 1 + np.arange(C)
+            self._index[("gather", C)] = g
+        return self._index[("gather", C)]
+
     def workspace(self, resolution, lead):
         """The :class:`GridWorkspace` of resolution's Q nodes and basis sizes
         for fields with leading member axes lead, built on first use and
@@ -286,26 +300,33 @@ class PaddedGrid:
     def to_grid(self, rows, mean):
         """Real (..., C, M1, M2, Q) samples of the mixed (..., R, 2, C, Q)
         planes and real (..., C, Q) mean of :func:`synthesize_rows`."""
-        return run(*self.plan_to_grid(np.ascontiguousarray(rows), mean, None))
+        return run(*self.plan_to_grid(rows, mean, None))
 
     def plan_to_grid(self, rows, mean, work):
-        """(calls, grid) of :meth:`to_grid` of contiguous rows, into work."""
+        """(calls, grid) of :meth:`to_grid` of rows and mean, into work.
+
+        The box is gathered in one take from its source, (..., 2 R C + 1 + C,
+        Q) rows: the mixed planes, a zero row and half the mean, in that
+        order (:meth:`gather`).  A workspace's synthesis writes its planes
+        and mean there (``GridWorkspace.source``); other rows and means are
+        copied in."""
         *lead, R, _, C, Q = rows.shape
         K1, _, J = self.box
-        K2, n = self.center, math.prod(lead) * C
-        box = _array(work, "box", (*lead, C, 2 * K1 * J, Q))
+        n, planes = math.prod(lead) * C, 2 * R * C
+        source = _array(work, "source", (*lead, planes + 1 + C, Q))
+        box = _array(work, "box", (*lead, C * 2 * K1 * J, Q))
         half = _array(work, "half", (n * K1, 2 * self.shape[1], Q))
         grid = _array(work, "grid", (n, self.shape[0], self.shape[1] * Q))
-        # the writes below fill every slot of the box, so a reused one needs
-        # no zeroing: column k1 = 0 has zeros at k2 < 0 and at the mean's
-        # imaginary part, and half the mean (it counts twice)
-        calls = [partial(box[..., :K2, :].fill, 0.0),
-                 partial(box[..., J:J + K2 + 1, :].fill, 0.0),
-                 partial(np.multiply, mean, 0.5, out=box[..., K2, :]),
-                 partial(operator.setitem, _view(box, (*lead, -1, Q)),
-                         (..., self.index(C), slice(None)), _view(rows, (*lead, -1, Q))),
-                 partial(np.matmul, self.y_inv, _view(box, (n * K1, 2 * J, Q)), out=half),
-                 partial(np.matmul, self.x_inv, _view(half, (n, 2 * K1, -1)), out=grid)]
+        given = _view(source[..., :planes, :], rows.shape)
+        # a workspace's synthesis wrote rows into the source already
+        same = rows.__array_interface__ == given.__array_interface__
+        calls = [] if same else [partial(np.copyto, given, rows)]
+        # take with mode="clip" writes into the box directly (the indices are in range)
+        calls += [partial(source[..., planes, :].fill, 0.0),
+                  partial(np.multiply, mean, 0.5, out=source[..., planes + 1:, :]),
+                  partial(source.take, self.gather(C), axis=-2, out=box, mode="clip"),
+                  partial(np.matmul, self.y_inv, _view(box, (n * K1, 2 * J, Q)), out=half),
+                  partial(np.matmul, self.x_inv, _view(half, (n, 2 * K1, -1)), out=grid)]
         return calls, _view(grid, (*lead, C, *self.shape, Q))
 
     def from_grid(self, U):
@@ -325,7 +346,7 @@ class PaddedGrid:
         # take with mode="clip" writes into rows directly (the indices are in range)
         calls = [partial(np.matmul, self.x_fwd, _view(U, (n, M1, M2 * Q)), out=half),
                  partial(np.matmul, self.y_fwd, _view(half, (n * K1, 2 * M2, Q)), out=box),
-                 partial(np.take, _view(box, (*lead, -1, Q)), self.index(C), axis=-2,
+                 partial(_view(box, (*lead, -1, Q)).take, self.index(C), axis=-2,
                          out=_view(rows, (*lead, -1, Q)), mode="clip")]
         return calls, (rows, _view(box, (*lead, C, -1, Q))[..., self.center, :])
 
@@ -371,10 +392,12 @@ class GridWorkspace:
     outputs ``gt``, ``gp`` and the mean's ``wmean`` and dual ``dmean``;
 
     region B: the input potentials ``psi``, ``phi``, ``mean`` and their
-    W^T products ``ct``, ``cp``; ``profiles`` (lead + (R, 2, C, Q) mixed
-    planes) and ``meanprof``, ``half``, ``prod`` and its ``scratch``, ``fbox``
-    and the analysis mixing ``mixed`` (after ``fbox``, whose mean slot the
-    analysis still reads), and the dual rows ``dpsi``, ``dphi``.
+    W^T products ``ct``, ``cp``; the box ``source`` of
+    :meth:`PaddedGrid.plan_to_grid`, where the synthesis writes its
+    ``profiles`` (lead + (R, 2, C, Q) mixed planes) and ``meanprof`` (which
+    the gather halves in place); ``half``, ``prod`` and its ``scratch``,
+    ``fbox`` and the analysis mixing ``mixed`` (after ``fbox``, whose mean
+    slot the analysis still reads), and the dual rows ``dpsi``, ``dphi``.
     """
 
     #: the quantities of the nonlinear term, velocity and filtered vorticity
@@ -398,7 +421,7 @@ class GridWorkspace:
               ("wmean", lead + (2, Q)), ("dmean", lead + (2, n_t))]],
             [[("psi", lead + (R, 2, n_t)), ("phi", lead + (R, 2, n_p)),
               ("mean", lead + (2, n_t)), ("ct", lead + (R, 2, n_t)), ("cp", lead + (R, 2, n_p))],
-             [("profiles", lead + (R, 2, C, Q)), ("meanprof", lead + (C, Q))],
+             [("source", lead + (2 * R * C + 1 + C, Q))],
              [("half", (E * C * K1, 2 * M2, Q))],
              [("prod", lead + (3, M1, M2, Q)), ("scratch", lead + (M1, M2, Q))],
              [("fbox", (E * 3 * K1, 2 * J, Q)), ("mixed", rows)],
@@ -411,6 +434,9 @@ class GridWorkspace:
                     n = math.prod(shape)
                     setattr(self, name, buf[at:at + n].reshape(shape))
                     at += n
+        # the synthesis writes its planes and mean into the box source
+        self.profiles = _view(self.source[..., :2 * R * C, :], rows[:-2] + (C, Q))
+        self.meanprof = self.source[..., 2 * R * C + 1:, :]
 
 
 _layouts = {}

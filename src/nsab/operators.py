@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import BasisCache
-from .field import BlockProduct, SolenoidalField
+from .field import BlockProduct, SolenoidalField, zero_field
 
 
 FORMS = ("K_a", "K_grad", "K_bilap")
@@ -150,18 +150,24 @@ class OperatorSet:
             self._plans[key] = build()
         return self._plans[key]
 
-    def apply(self, form, f):
-        """f times form, bitwise as ``f.apply(self.stacks(form))``, by this
-        set's planned products for f's member axes: f is copied into input
-        rows that the products of all forms share, and the result views their
-        shared output rows, so it holds until the next :meth:`apply` to
-        fields of f's shape."""
-        lead = f.mean.shape[:-2]
-        rows = self.plan(("rows", lead),
-                         lambda: [(np.empty(c.shape), np.empty(c.shape)) for c in f.potentials()])
-        products = self.plan((form, lead), lambda: [
+    def products(self, form, lead):
+        """The planned products of form, one per potential, for fields with
+        member axes lead: each reads its input rows ``x``, which the products
+        of all forms share, and writes their shared output rows ``out``."""
+        rows = self.plan(("rows", lead), lambda: [
+            (np.empty(lead + c.shape), np.empty(lead + c.shape))
+            for c in zero_field(self.geometry, self.resolution).potentials()])
+        return self.plan((form, lead), lambda: [
             BlockProduct(S, x, y, runs)
             for S, (x, y), runs in zip(self.stacks(form), rows, self.layout.potential_buckets)])
+
+    def apply(self, form, f):
+        """f times form, bitwise as ``f.apply(self.stacks(form))``, by this
+        set's planned products for f's member axes (:meth:`products`): f is
+        copied into their input rows, and the result views their output
+        rows, so it holds until the next :meth:`apply` to fields of f's
+        shape."""
+        products = self.products(form, f.mean.shape[:-2])
         for product, c in zip(products, f.potentials()):
             np.copyto(product.x, c)
             product()
@@ -199,17 +205,33 @@ class OperatorSet:
         As M = I, all are quadratic forms of the per-block K_a and K_grad: with
         z = (K_a + s) c, A0^2 = ||u||^2, A_half^2 = a(u, u) + s A0^2, A1^2 =
         ||z||^2 and A1_lambda^2 = <M_Lambda z, z> = A1^2 + alpha^2 <K_grad z, z>.
-        The call applies K_a once; grad_sq and A1_lambda, which only energy
-        reports read, apply K_grad on first read (:class:`ScaleNorms`), the
-        latter to z with some rows rounded once (:meth:`_rounded_once`).
+        The call applies K_a once, by the planned products of f's member axes
+        (:meth:`products`; f is copied into their input rows), and sums as
+        ``SolenoidalField.dot`` does over views of those rows; grad_sq and
+        A1_lambda, which only energy reports read, apply K_grad on first read
+        (:class:`ScaleNorms`), to f as it is then and the latter to z (arrays
+        of its own) with some rows rounded once (:meth:`_rounded_once`).
         For finite c, a square that overflows (to inf, -inf or nan) gives an
         inf norm: the watchdog's blow-up signal.
         """
-        s, a2 = self.shift, self.params.alpha**2
+        lead, s, a2 = f.mean.shape[:-2], self.shift, self.params.alpha**2
+        products = self.products("K_a", lead)
+
+        def plan():
+            # the products' input and output rows as fields, and rows for s c
+            x, kf = zip(*((p.x, p.out) for p in products))
+            return (SolenoidalField(self.geometry, self.resolution, *x),
+                    SolenoidalField(self.geometry, self.resolution, *kf),
+                    [np.empty(c.shape) for c in x])
+
+        x, kf, scaled = self.plan(("a_scale", lead), plan)
         with np.errstate(over="ignore", invalid="ignore"):
-            kf = self.apply("K_a", f)
-            z = kf + f * s
-            l2sq, a_uu, z2 = f.dot(f), kf.dot(f), z.dot(z)
+            for product, c, t in zip(products, f.potentials(), scaled):
+                np.copyto(product.x, c)
+                product()
+                np.multiply(product.x, s, out=t)
+            z = kf._map(np.add, scaled)  # fresh: A1_lambda reads it later
+            l2sq, a_uu, z2 = x.dot(x), kf.dot(x), z.dot(z)
             n0, n1, n2 = _root(np.array([l2sq, a_uu + s * l2sq, z2]))
         sn = ScaleNorms(A0=n0, A_half=n1, A1=n2, shift=s, l2_sq=l2sq, a_uu=a_uu)
         sn.later = {"grad_sq": lambda: self.form_inner("K_grad", f, f),

@@ -107,6 +107,24 @@ def test_evolve_nan_injection_watchdog_exit(cfgfile, tmp_path):
     assert wd["reason"] == "nan"
 
 
+def test_probe_nan_injection_watchdog_exit(tmp_path):
+    """debug.inject_nan_step sets the probe's base run to NaN after that
+    step, as it does evolve's run: the watchdog stops the probe there (exit
+    4, one line), with probe.csv up to the step before."""
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SMALL + "debug.inject_nan_step = 2\n")
+    out = tmp_path / "nan"
+    proc = _run_cli("probe-uniqueness", "--config", str(cfg), "--out", str(out))
+    lines = proc.stderr.strip().splitlines()
+    assert proc.returncode == 4 and "Traceback" not in proc.stderr
+    assert len(lines) == 1 and "nan" in lines[0] and "t = 0.04" in lines[0]
+    wd = json.loads((out / "watchdog.json").read_text())
+    assert wd["reason"] == "nan" and wd["time"] == pytest.approx(0.04)
+    rows = (out / "probe.csv").read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.02]
+    assert not (out / "probe.json").exists()
+
+
 def _run_cli(*args):
     """`python -m nsab.cli *args` with RuntimeWarnings turned into errors."""
     env = dict(os.environ, PYTHONPATH=str(Path(nsab.__file__).resolve().parents[1]))
@@ -424,6 +442,10 @@ def _config_with(overrides):
                             "u0.id": "single_mode"}, False, id="single-mode-N-2"),
     # found by tests/test_config_fuzz.py
     pytest.param("evolve", {"u0.seed": "-1"}, False, id="seed-negative"),
+    # a negative step was never reached, so the debug key did nothing
+    *(pytest.param(sub, {"debug.inject_nan_step": "-1"}, False,
+                   id=f"{sub}-inject-nan-step-negative")
+      for sub in ("evolve", "probe-uniqueness")),
     pytest.param("evolve", {"model.beta": "1e-300"}, False, id="beta-squared-underflows"),
     # a square of alpha or beta overflowed: an OverflowError traceback (exit
     # 1, no manifest) in the block forms, or in the config parse itself

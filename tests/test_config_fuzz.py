@@ -59,7 +59,7 @@ VALID = {
     "eigs.count": st.integers(1, 30),
     "convergence.p_values": st.lists(st.integers(6, 8), min_size=1, max_size=2).map(
         lambda ps: ",".join(map(str, ps))),
-    "debug.inject_nan_step": st.integers(-2, 3),
+    "debug.inject_nan_step": st.integers(0, 3),
 }
 # time.dt and time.T are drawn together below, so that a valid run takes at
 # most two steps

@@ -1,6 +1,7 @@
 """Nonlinear term, exact propagator, IMEX stepping, monitors, probes."""
 
 import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from nsab.basis import BasisCache
 from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
                         layout_for, project_velocity, random_field, reconstruct,
                         synthesize_rows, zero_field)
-from nsab.operators import FORMS, OperatorSet
+from nsab.operators import FORMS, OperatorSet, _root
 from nsab.params import Resolution, derive_params
 from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
 
@@ -646,29 +647,31 @@ def test_probe_arithmetic_is_the_full_fft_nonlinear_term(geo, monkeypatch):
     (conftest.nonlinear_term_on_grid).  The same run with that term scaled
     by 1 + 1e-9 misses the bound: its state moves by about 3e-12, while
     h3_integral, which depends on N only weakly here, moves by about
-    1e-15."""
+    1e-15.  The probe keeps its state in the stepper's rows and takes the
+    nonlinear term's duals from its plan (NonlinearPlan.__call__), so the
+    final state is read from the rows and the term is replaced there."""
     rtol = 1e-12
     res = Resolution(N1=8, N2=8, P=16)
     o = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res)
     u0 = random_field(geo, res, seed=1, amplitude=0.3)
     pert = random_field(geo, res, seed=2, amplitude=1.0)
-    states, step = [], IMEXStepper.step
-    monkeypatch.setattr(IMEXStepper, "step",
-                        lambda self, state: states.append(step(self, state)) or states[-1])
+    loaded, load = [], IMEXStepper.load
+    monkeypatch.setattr(IMEXStepper, "load",
+                        lambda self, state: loaded.append(load(self, state)) or loaded[-1])
 
     def probe():
         h3 = uniqueness_probe(o, u0, pert, (1e-8, 1e-6), 0.1, 0.02)[0].h3_integral[1:]
-        return [h3, *states[-1].field.potentials()]
+        return [h3, *(c.copy() for c in loaded[-1].u.potentials())]
 
     def on_grid(scale):
-        def term(u, ops):
-            return SolenoidalField.stack([nonlinear_term_on_grid(u[j], ops, res.padded_shape)
-                                          * scale for j in range(len(u.mean))])
+        def term(plan, u):
+            return SolenoidalField.stack([nonlinear_term_on_grid(u[j], o, res.padded_shape)
+                                          * scale for j in range(len(u.mean))]).potentials()
         return term
 
     got = probe()
     for scale, within in ((1.0, True), (1.0 + 1e-9, False)):
-        monkeypatch.setattr(evolution, "nonlinear_term", on_grid(scale))
+        monkeypatch.setattr(evolution.NonlinearPlan, "__call__", on_grid(scale))
         want = probe()
         err = max(np.abs(a - b).max() / np.abs(b).max() for a, b in zip(got, want))
         assert (err <= rtol) == within
@@ -761,13 +764,14 @@ def test_to_grid_with_workspace_reads_the_profiles_given(par, geo, members):
 
 def test_cnab2_history_owns_its_arrays(par, geo, monkeypatch):
     """cnab2 keeps N as history across a step: a run equals one whose
-    nonlinear term hands over a copy."""
+    nonlinear term hands over a copy of the workspace's duals."""
     res = Resolution(N1=8, N2=8, P=16)
     o = OperatorSet(par, geo, res)
     u0 = random_field(geo, res, seed=6, amplitude=0.3)
     got = run_evolution(o, u0, 0.02, 0.2, scheme="cnab2", cadence=2)
-    plain = evolution.nonlinear_term
-    monkeypatch.setattr(evolution, "nonlinear_term", lambda u, ops: plain(u, ops).copy())
+    plain = evolution.NonlinearPlan.__call__
+    monkeypatch.setattr(evolution.NonlinearPlan, "__call__",
+                        lambda plan, u: tuple(d.copy() for d in plain(plan, u)))
     want = run_evolution(o, u0, 0.02, 0.2, scheme="cnab2", cadence=2)
     assert _same_field(got.final.field, want.final.field)
     assert got.steps == want.steps == 10
@@ -914,34 +918,113 @@ def test_states_returned_by_step_are_left_alone(par, geo):
     assert all(np.array_equal(a, c) for a, c in held)
 
 
-def test_warm_probe_step_allocates_under_1300kb(par, geo):
-    """A warm step of the probe on a 3-member stack at N16/P32 - the IMEX
-    step, the watchdog's norms of the base run and the members' H1 norms -
-    writes into the rows and workspace planned for its run: its traced
-    allocation peak, the returned state and duals (0.32 MB each) and the
-    monitors' sums, measured at 1.09 MB (1.62 MB when every product took
-    fresh rows), stays under 1.3 MB."""
+def _probe_rows(o, scheme, fields):
+    """The stepper's rows of a probe on the stacked fields, with its base
+    run and members: views of the step's output rows."""
+    rows = IMEXStepper(o, 0.02, scheme).load(EvolutionState(0.0, SolenoidalField.stack(fields)))
+    return rows, rows.out[0], rows.out[1:]
+
+
+def test_warm_probe_step_allocates_under_200kb(par, geo):
+    """A warm step of the probe on a 3-member stack at N16/P32 - the step
+    of the stepper's rows, the watchdog's norms of the base run and the
+    members' H1 norms - writes into the rows, workspace and monitor arrays
+    planned for its run: its traced allocation peak, the watchdog's
+    z = (K_a + s) c (0.11 MB, kept for a later A1_lambda) and the monitors'
+    sums, measured at 0.17 MB (1.09 MB when each step returned a fresh state
+    and its duals), stays under 0.2 MB."""
     res = Resolution(N1=16, N2=16, P=32)
     o = OperatorSet(par, geo, res)
     u0, pert = (random_field(geo, res, seed=s, amplitude=a) for s, a in ((1, 0.3), (7, 1.0)))
-    stepper = IMEXStepper(o, 0.02, "cnab2")
-    state = EvolutionState(0.0, SolenoidalField.stack([u0, u0 + 1e-8 * pert, u0 + 1e-6 * pert]))
+    rows, base, members = _probe_rows(o, "cnab2", [u0, u0 + 1e-8 * pert, u0 + 1e-6 * pert])
 
-    def probe_step(state):
-        state = stepper.step(state)
-        base = state.field[0]
-        evolution._watchdog(o, state.time, base, 1e300)
-        evolution._h1_norms(o, state.field[1:] - base)
-        return state
+    def probe_step():
+        rows.advance()
+        evolution._watchdog(o, rows.time, base, 1e300)
+        evolution._h1_norms(o, members, base)
 
-    state = probe_step(probe_step(state))
+    probe_step()
+    probe_step()
     tracemalloc.start()
     try:
-        probe_step(state)
+        probe_step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3e6
+    assert peak < 2.0e5
+
+
+def test_runs_leave_no_reference_cycles(par, geo):
+    """A run's plans keep no reference to the operator set that keeps them,
+    so a finished probe or evolve run frees its rows and plans at once: a
+    cycle would hold them until the garbage collector ran, and a process
+    running many operations would peak higher."""
+    res = Resolution(N1=8, N2=8, P=16)
+    u0 = random_field(geo, res, seed=1, amplitude=0.3)
+
+    def runs():
+        o = OperatorSet(par, geo, res)
+        uniqueness_probe(o, u0, u0, (1e-8, 1e-6), 0.06, 0.02)
+        run_evolution(o, u0, 0.02, 0.06, scheme="cnab2")
+
+    runs()
+    gc.collect()
+    gc.disable()
+    try:
+        runs()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _one_off_scale_norms(ops, f):
+    """l2_sq, a_uu, A0, A_half and A1 of a_scale_norms composed of one-off
+    calls on fresh arrays: SolenoidalField.apply, field arithmetic and dot."""
+    s = ops.shift
+    kf = f.apply(ops.stacks("K_a"))
+    z = kf + f * s
+    l2sq, a_uu, z2 = f.dot(f), kf.dot(f), z.dot(z)
+    return [l2sq, a_uu, *_root(np.array([l2sq, a_uu + s * l2sq, z2]))]
+
+
+def _one_off_h1_norms(ops, w):
+    x = w + w.apply(ops.stacks("K_grad"))
+    return _root(x.dot(w, per_member=True)).tolist()
+
+
+def _bits(values):
+    return np.array(values, float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("N, P", [(8, 16), (16, 32)], ids=["N8P16", "N16P32"])
+@pytest.mark.parametrize("scheme", ["euler", "cnab2"])
+def test_planned_monitors_are_the_one_off_norms(par, geo, scheme, N, P):
+    """The watchdog's norms of the base run and the members' H1 norms, read
+    as the probe reads them from the step's output rows by products planned
+    for the run, equal the one-off compositions bit for bit over three steps
+    of a 3-member stack; so do both for members with an inf and a NaN
+    coefficient."""
+    res = Resolution(N1=N, N2=N, P=P)
+    o = OperatorSet(par, geo, res)
+    fields = [random_field(geo, res, seed=s, amplitude=a)
+              for s, a in ((1, 0.3), (2, 1.0), (3, 5.0))]
+    rows, base, members = _probe_rows(o, scheme, fields)
+    keys = ("l2_sq", "a_uu", "A0", "A_half", "A1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            rows.advance()
+            sn = o.a_scale_norms(base)
+            assert _bits([sn[k] for k in keys]) == _bits(_one_off_scale_norms(o, base.copy()))
+            h1 = evolution._h1_norms(o, members, base)
+            assert _bits(h1) == _bits(_one_off_h1_norms(o, members - base))
+        members.psi[0, 3, 1, 2] = np.inf
+        members.phi[1, 0, 0, 1] = np.nan
+        h1 = evolution._h1_norms(o, members, base)
+        assert h1 == [np.inf, np.inf]
+        assert _bits(h1) == _bits(_one_off_h1_norms(o, members - base))
+        for j in range(2):
+            sn = o.a_scale_norms(members[j])
+            assert _bits([sn[k] for k in keys]) == _bits(_one_off_scale_norms(o, members[j].copy()))
 
 
 def test_warm_stacked_nonlinear_term_allocates_under_1050kb(par, geo):

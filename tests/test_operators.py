@@ -315,6 +315,23 @@ def test_a_scale_norms_overflow_reads_inf(setup, geo_odd, res_small):
     assert sn["A0"] == sn["A_half"] == np.inf
 
 
+def test_scale_norms_read_late_keep_their_values(geo, res_small):
+    """grad_sq and A1_lambda, computed on first read, read the field and the
+    z = (K_a + s) c of their own call: read after later a_scale_norms calls
+    of the same and of a stacked shape, which reuse the planned rows, they
+    equal the values read at once, bit for bit."""
+    ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res_small)
+    fields = [random_field(geo, res_small, seed=s, amplitude=a)
+              for s, a in ((1, 0.3), (2, 1.0), (3, 5.0))]
+    keys = ("grad_sq", "A1_lambda")
+    eager = [[ops.a_scale_norms(f)[k] for k in keys] for f in fields]
+    late = [ops.a_scale_norms(f) for f in fields]
+    ops.a_scale_norms(SolenoidalField.stack(fields))
+    ops.a_scale_norms(fields[0] * 2.0)
+    got = [[sn[k] for k in keys] for sn in late]
+    assert np.array(got).view(np.int64).tolist() == np.array(eager).view(np.int64).tolist()
+
+
 def _a_scale_norms_longdouble(ops, f, shift):
     """Reference: the watchdog norms as quadratic forms of the stored K_a and
     K_grad rows, z = (K_a + shift) c, summed in extended precision."""
