@@ -27,12 +27,15 @@ two gamma, short ``evolve``, ``probe-uniqueness`` and ``sweep`` runs, and
 the configs of the benchmark's two trajectory workloads (evolve at N16/P32,
 Euler, T 0.2, cadence 5; the cnab2 probe at N8/P16, T 0.5, amplitude 0.3).
 The ``small`` set keeps one of each kind at the smallest sizes, a probe
-stopped by its watchdog (``debug.inject_nan_step = 2``, exit 4), and the
-odd-geometry ``eigs`` at gamma = 1, k = 5, whose c0(0) is negative: the
-only run whose Garding search goes past the first grid shift.  Digests
-depend on the BLAS library and the CPU, so compare runs on one machine.
-Exits 1 when a run's exit code is not the expected one (the P48 solves
-exit 3: their spurious kernel is a known open defect; the NaN probe exits 4).
+and an evolve stopped by their watchdog (``debug.inject_nan_step = 2``,
+exit 4), an evolve whose watchdog fires on blow-up at step 3, off its
+cadence of 4 (exit 4: its last report's balance reads the K_grad norm of
+step 2, computed only then), and the odd-geometry ``eigs`` at gamma = 1,
+k = 5, whose c0(0) is negative: the only run whose Garding search goes
+past the first grid shift.  Digests depend on the BLAS library and the
+CPU, so compare runs on one machine.  Exits 1 when a run's exit code is not
+the expected one (the P48 solves exit 3: their spurious kernel is a known
+open defect; the runs stopped by their watchdog exit 4).
 """
 
 import argparse
@@ -82,6 +85,12 @@ SMALL = [
     # the probe's watchdog path: NaN in the base run after step 2
     ("probe-nan", "probe-uniqueness", _trajectory(8, 8, 16, "cnab2", 0.1) + (
         "probe.seed = 4", "debug.inject_nan_step = 2"), 4),
+    # evolve's watchdog paths: NaN after step 2; a blow-up at step 3, off
+    # the cadence, whose balance reads step 2's K_grad norm computed late
+    ("evolve-nan", "evolve", _trajectory(8, 8, 16, "cnab2", 0.1) + (
+        "debug.inject_nan_step = 2",), 4),
+    ("evolve-blowup", "evolve", _trajectory(8, 8, 16, "cnab2", 0.2, amplitude=1e4) + (
+        "output.cadence = 4",), 4),
     ("sweep", "sweep", _trajectory(4, 4, 12, "euler", 0.1) + ("sweep.levels = 3",), 0),
     ("eigs-odd-gamma1", "eigs", ODD + _res(8, 6, 16) + (
         "model.gamma = 1.0", "model.ell = 0.05", "eigs.count = 12"), 0),

@@ -296,7 +296,7 @@ def _exp_evolve(cfg, out, operators, stage):
     with stage("write"):
         write_csv(out / "timeseries.csv", _TS_HEADER, rows)
         if result.watchdog is None:
-            write_snapshot(out / "final.snap", result.final.field, cfg.params)
+            write_snapshot(out / "final.snap", result.final, cfg.params)
             return EXIT_OK
         return _watchdog_exit(out, result.watchdog)
 

@@ -26,21 +26,19 @@ propagator through the factorization u(t) = L^{-1/2} e^{-tD} L^{1/2} u0
 (+ Duhamel term), which serves as the order oracle for the steppers.
 
 The step is planned once per run (the plan/execute split of FFTW, Frigo
-and Johnson 2005): every buffer and view it touches is built on the first
-step of a member shape, so a step is a fixed list of numpy calls with its
-arithmetic that of the one-off functions, bit for bit.  The stepper owns
-the state of its run: the rows [u | N | N_prev] and their products with
-its stacks (:class:`StepRows`), advanced in place - N moves to N_prev, the
-nonlinear term's duals are copied from the grid workspace into N, the
-product writes u' and u' goes back into u.  The operator set keeps the
-nonlinear term's calls over the padded grid's workspace
-(:class:`NonlinearPlan`) and the monitors' K_a and K_grad products
-(:meth:`nsab.operators.OperatorSet.products`) with the arrays of their
-sums, planned per member shape too.  :meth:`IMEXStepper.step` loads a
-state into the rows, advances them and returns fresh copies, so the states
-it returned keep their values; the uniqueness probe loads its stacked
-state once and reads every step's norms from the output rows, building no
-field or state.
+and Johnson 2005): the stepper is built over the run's initial field or
+member stack and owns the run's state, the rows [u | N | N_prev] and their
+products with its stacks, so a step is a fixed list of numpy calls with its
+arithmetic that of the one-off functions, bit for bit.
+:meth:`IMEXStepper.step` advances the rows in place - N moves to N_prev,
+the nonlinear term's duals are copied from the grid workspace into N, the
+product writes u' into ``out`` and u' goes back into u - and builds no
+field or state.  The operator set keeps the nonlinear term's calls over the
+padded grid's workspace (:class:`NonlinearPlan`) and the monitors' K_a and
+K_grad products (:meth:`nsab.operators.OperatorSet.products`) with the
+arrays of their sums, planned per member shape too.  The uniqueness probe
+reads every step's norms from ``out``; an evolve run keeps one copy of
+``out`` per step, whose K_grad norm the next report's balance reads.
 """
 
 from __future__ import annotations
@@ -54,13 +52,6 @@ from .field import (BlockProduct, GridWorkspace, SolenoidalField, plan_analysis,
                     reconstruct, run)
 from .operators import OperatorSet, _root
 from .params import ParameterError, derive_params, step_count
-
-
-@dataclass
-class EvolutionState:
-    time: float
-    field: object
-    history: object = None  # previous nonlinear dual (multistep schemes)
 
 
 @dataclass
@@ -202,20 +193,20 @@ def linear_propagator_exact(u0, t, ops, forcing=None, panels=8, nodes=8):
 # ---------------------------------------------------------------------------
 
 class IMEXStepper:
-    """Implicit linear part, explicit nonlinearity.
+    """Implicit linear part, explicit nonlinearity, for the run from u0.
 
     scheme="euler": backward Euler / forward Euler (first order);
     scheme="cnab2": Crank-Nicolson / Adams-Bashforth 2 (second order,
     first step seeded with the initial nonlinear slope).
     nonlinear=False freezes N to 0 (linear order studies).
 
-    The stepper owns the state of its runs, per member shape: the rows of
-    :class:`StepRows`, advanced in place.  :meth:`step` loads a state into
-    them, advances them and returns fresh copies; a run kept in the rows
-    is loaded once (:meth:`load`).
+    The stepper holds the state of the run from u0, a field or a member
+    stack: per potential the rows [u | N | N_prev] side by side (``u``,
+    ``N`` and ``N_prev`` view their slots) and ``out``, the product's output
+    rows, which hold the field the last :meth:`step` wrote, at ``time``.
     """
 
-    def __init__(self, ops, dt, scheme="euler", nonlinear=True):
+    def __init__(self, ops, dt, u0, scheme="euler", nonlinear=True):
         if dt <= 0:
             raise ValueError("dt must be positive")
         if scheme not in ("euler", "cnab2"):
@@ -236,100 +227,55 @@ class IMEXStepper:
             return np.swapaxes(np.concatenate(parts, axis=-1), 1, 2).copy()
 
         self._stacks = [stack(blk, blk.M_lambda) for blk in ops.blocks]
-        self._parts = 1 + len(weights)
-        self._rows = {}
-
-    def load(self, state):
-        """The :class:`StepRows` of state's member shape, holding state."""
-        lead = state.field.mean.shape[:-2]
-        if lead not in self._rows:
-            self._rows[lead] = StepRows(self, state.field)
-        rows = self._rows[lead]
-        rows.load(state)
-        return rows
-
-    def step(self, state):
-        rows = self.load(state)
-        rows.advance()
-        return rows.state()
-
-
-class StepRows:
-    """The state of a stepper's run on fields of one member shape: per
-    potential the rows [u | N | N_prev] side by side (``u`` views the u
-    slots), and the planned calls that advance it in place.  ``out``, the
-    product's output rows, holds the state the last :meth:`advance` wrote.
-    """
-
-    def __init__(self, stepper, u):
-        ops, parts = stepper.ops, stepper._parts
-        rows = [np.empty(c.shape[:-1] + (parts * c.shape[-1],)) for c in u.potentials()]
+        parts = 1 + len(weights)
+        rows = [np.empty(c.shape[:-1] + (parts * c.shape[-1],)) for c in u0.potentials()]
         slots = list(zip(*(np.split(x, parts, axis=-1) for x in rows)))
-        self.u = SolenoidalField(u.geometry, u.resolution, *slots[0])
-        self.out = u._map(lambda c: np.empty(c.shape))
+        for x, c in zip(slots[0], u0.potentials()):
+            np.copyto(x, c)
+        self.u = SolenoidalField(u0.geometry, u0.resolution, *slots[0])
+        self.out = u0._map(lambda c: np.empty(c.shape))
         products = [BlockProduct(S, x, y, runs) for S, x, y, runs in zip(
-            stepper._stacks, rows, self.out.potentials(), ops.layout.potential_buckets)]
+            self._stacks, rows, self.out.potentials(), ops.layout.potential_buckets)]
         self.update = products + [partial(np.copyto, a, b)
                                   for a, b in zip(slots[0], self.out.potentials())]
-        self.dt, self.time = stepper.dt, 0.0
-        self.N = slots[1] if stepper.nonlinear else ()
-        self.plan = NonlinearPlan.of(ops, u.mean.shape[:-2]) if stepper.nonlinear else None
-        # cnab2 copies N to N_prev before the next step overwrites N
-        # ("move"), or after a first step's N, its initial slope ("seed");
-        # a loaded history is in N_prev already
+        self.time = 0.0
+        self.N = slots[1] if nonlinear else ()
+        self.plan = NonlinearPlan.of(ops, u0.mean.shape[:-2]) if nonlinear else None
+        # cnab2 copies N to N_prev before a step overwrites N, and after the
+        # first step's N, its initial slope
         self.N_prev = slots[2] if parts == 3 else ()
         self.keep = [partial(np.copyto, a, b) for a, b in zip(self.N_prev, self.N)]
-        self.pending = "seed"
+        self.first = True
 
-    def load(self, state):
-        """Copy state's field, and its history into N_prev, into the rows."""
-        for x, c in zip(self.u.potentials(), state.field.potentials()):
-            np.copyto(x, c)
-        self.time, self.pending = state.time, "seed"
-        if self.keep and state.history is not None:
-            for x, c in zip(self.N_prev, state.history.potentials()):
-                np.copyto(x, c)
-            self.pending = None
-
-    def advance(self):
+    def step(self):
         """One step in place: N moves to N_prev (cnab2), the nonlinear
-        term's duals are copied from the grid workspace into N (on a first
+        term's duals are copied from the grid workspace into N (on the first
         step into N_prev too), and the rows times the stepper's stacks go
         into ``out`` and back into u.  No field, state or dual is built."""
-        if self.pending == "move":
+        if not self.first:
             run(self.keep)
         if self.plan is not None:
             for x, d in zip(self.N, self.plan(self.u)):
                 np.copyto(x, d)
-        if self.pending == "seed":
+        if self.first:
             run(self.keep)
         run(self.update)
-        self.time, self.pending = self.time + self.dt, "move"
-
-    def state(self):
-        """The state in the rows as fresh arrays: the field and, for cnab2,
-        its nonlinear term as the history."""
-        field = self.out.copy()
-        if not self.keep:
-            return EvolutionState(self.time, field, None)
-        return EvolutionState(self.time, field, SolenoidalField(
-            field.geometry, field.resolution, *(x.copy() for x in self.N)))
+        self.time, self.first = self.time + self.dt, False
 
 
 # ---------------------------------------------------------------------------
 # trajectories, energy monitors, watchdog
 # ---------------------------------------------------------------------------
 
-def energy_report(ops, state, prev=None, dt=None, snorm=None, prev_snorm=None):
-    """The report of state from its a_scale_norms snorm (None: computed), and
-    of prev (prev_snorm) for the balance; their K_grad products run here."""
-    sn = snorm if snorm is not None else ops.a_scale_norms(state.field)
+def energy_report(ops, time, sn, prev=None, dt=None):
+    """The report at time of the a_scale_norms sn of a state, with the
+    balance against the norms prev of the state dt before it; their K_grad
+    products run here."""
     E, a_uu, grad = _energy(ops, sn), sn["a_uu"], sn["grad_sq"]
     bal = np.nan
     if prev is not None and dt:
-        E0 = _energy(ops, prev_snorm if prev_snorm is not None else ops.a_scale_norms(prev.field))
-        bal = abs((E - E0) / dt + ops.params.beta**2 * a_uu + grad)
-    return EnergyReport(state.time, E, a_uu, grad,
+        bal = abs((E - _energy(ops, prev)) / dt + ops.params.beta**2 * a_uu + grad)
+    return EnergyReport(time, E, a_uu, grad,
                         float(np.sqrt(max(sn["l2_sq"], 0.0) + max(grad, 0.0))),
                         sn["A_half"], sn["A1_lambda"], bal)
 
@@ -342,7 +288,7 @@ def _energy(ops, sn):
 @dataclass
 class EvolutionResult:
     reports: list
-    final: EvolutionState
+    final: object  # the field at the last step taken
     watchdog: object = None
     steps: int = 0  # steps taken, fewer than T / dt when the watchdog fires
 
@@ -394,20 +340,21 @@ def run_evolution(ops, u0, dt, T, scheme="euler", cadence=1,
     at report steps (every cadence-th, the last and a watchdog step).
     """
     nsteps = step_count(T, dt)
-    stepper = IMEXStepper(ops, dt, scheme)
+    stepper = IMEXStepper(ops, dt, u0, scheme)
     sn, ceiling = _initial_norms(ops, u0, watchdog_ceiling)
-    state = EvolutionState(0.0, u0.copy(), None)
-    reports = [energy_report(ops, state, snorm=sn)]
+    reports = [energy_report(ops, 0.0, sn)]
     for n in range(1, nsteps + 1):
-        prev, prev_sn, state = state, sn, stepper.step(state)
+        stepper.step()
+        # a copy: the next report's balance reads this step's grad_sq lazily
+        prev, field = sn, stepper.out.copy()
         if inject_nan_step is not None and n == inject_nan_step:
-            state.field.psi[:] = np.nan
-        event, sn = _watchdog(ops, state.time, state.field, ceiling)
+            field.psi[:] = np.nan
+        event, sn = _watchdog(ops, stepper.time, field, ceiling)
         if sn is not None and (event is not None or n % cadence == 0 or n == nsteps):
-            reports.append(energy_report(ops, state, prev, dt, sn, prev_sn))
+            reports.append(energy_report(ops, stepper.time, sn, prev, dt))
         if event is not None:
-            return EvolutionResult(reports, state, event, n)
-    return EvolutionResult(reports, state, None, nsteps)
+            return EvolutionResult(reports, field, event, n)
+    return EvolutionResult(reports, field, None, nsteps)
 
 
 # ---------------------------------------------------------------------------
@@ -459,42 +406,41 @@ def uniqueness_probe(ops, u0, perturbation, deltas, T, dt, scheme="cnab2",
     u0 + delta * perturbation and is compared with the base trajectory from
     u0, which is integrated once and shared: one stacked state holds the
     base run (member 0) and the members, and stays in the stepper's rows
-    (:class:`StepRows`) for the whole run.  Each member equals a
-    single-delta run bit for bit; delta = 0 reproduces the base trajectory
-    (growth identically 1).  The watchdog of :func:`run_evolution` checks
-    the base run, then the members' finite coefficients; when it fires the
-    probes end with the last step before it and carry the event.
-    inject_nan_step, as in :func:`run_evolution`, sets the base run's psi
-    to NaN after that step.  A step computes the base run's K_a norms and
-    the members' H1 norms, nothing else, by products planned for the run
-    that read the step's output rows.
+    for the whole run.  Each member equals a single-delta run bit for bit;
+    delta = 0 reproduces the base trajectory (growth identically 1).  The
+    watchdog of :func:`run_evolution` checks the base run, then the members'
+    finite coefficients; when it fires the probes end with the last step
+    before it and carry the event.  inject_nan_step, as in
+    :func:`run_evolution`, sets the base run's psi to NaN after that step.
+    A step computes the base run's K_a norms and the members' H1 norms,
+    nothing else, by products planned for the run that read the step's
+    output rows.
     """
     nsteps = step_count(T, dt)
-    stepper = IMEXStepper(ops, dt, scheme)
+    stack = SolenoidalField.stack([u0] + [u0 + d * perturbation for d in deltas])
+    stepper = IMEXStepper(ops, dt, stack, scheme)
     sn, ceiling = _initial_norms(ops, u0, watchdog_ceiling)
-    rows = stepper.load(EvolutionState(0.0, SolenoidalField.stack(
-        [u0] + [u0 + d * perturbation for d in deltas])))
-    w0 = [w if d != 0.0 else 1.0 for d, w in zip(deltas, _h1_norms(ops, rows.u[1:], u0))]
+    w0 = [w if d != 0.0 else 1.0 for d, w in zip(deltas, _h1_norms(ops, stack[1:], u0))]
     if 0.0 in w0:
         raise ParameterError("a probe delta is too small to change u0 in floating point")
-    base, members = rows.out[0], rows.out[1:]
+    base, members = stepper.out[0], stepper.out[1:]
     times, h3, growth = [0.0], [0.0], [[1.0] for _ in deltas]
     acc, taken = 0.0, 0
     for n in range(1, nsteps + 1):
         # the members are counted only for a step that passed the base's checks
-        rows.advance()
+        stepper.step()
         taken, h3_prev = taken + 1, sn["A_half"]
         if n == inject_nan_step:
             base.psi[:] = np.nan
-        event, sn = _watchdog(ops, rows.time, base, ceiling)
+        event, sn = _watchdog(ops, stepper.time, base, ceiling)
         if event is None:
             taken += len(deltas)
             h1 = _h1_norms(ops, members, base)
-            event = _nonfinite_event(rows.time, members, ceiling, h1)
+            event = _nonfinite_event(stepper.time, members, ceiling, h1)
         if event is not None:
             break
         acc += 0.5 * dt * (h3_prev + sn["A_half"])
-        times.append(rows.time)
+        times.append(stepper.time)
         h3.append(acc)
         for j, (d, wn) in enumerate(zip(deltas, h1)):
             growth[j].append(wn / w0[j] if d != 0.0 else 1.0)

@@ -358,7 +358,7 @@ def test_a_scale_norms_match_extended_precision(geo):
     res = Resolution(N1=16, N2=16, P=32)
     ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res)
     u0 = random_field(geo, res, seed=3, amplitude=0.2)
-    stepped = run_evolution(ops, u0, 0.02, 0.2, cadence=10).final.field
+    stepped = run_evolution(ops, u0, 0.02, 0.2, cadence=10).final
     for f in (u0, stepped):
         got = ops.a_scale_norms(f)
         want = _a_scale_norms_longdouble(ops, f, got["shift"])
@@ -376,7 +376,7 @@ def test_a_scale_norms_hold_their_bound_under_roundoff_noise(geo):
     res = Resolution(N1=16, N2=16, P=32)
     ops = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo, res)
     u0 = random_field(geo, res, seed=3, amplitude=0.2)
-    stepped = run_evolution(ops, u0, 0.02, 0.2, cadence=10).final.field
+    stepped = run_evolution(ops, u0, 0.02, 0.2, cadence=10).final
     rng = np.random.default_rng(5)
     for copy in range(11):
         noise = [1.0 + (copy > 0) * 1e-15 * rng.standard_normal(c.shape)
