@@ -26,7 +26,10 @@ solve and an ``eigs`` on an odd geometry, ``convergence``, ``verify-adn`` at
 two gamma, short ``evolve``, ``probe-uniqueness`` and ``sweep`` runs, and
 the configs of the benchmark's two trajectory workloads (evolve at N16/P32,
 Euler, T 0.2, cadence 5; the cnab2 probe at N8/P16, T 0.5, amplitude 0.3).
-The ``small`` set keeps one of each kind at the smallest sizes, a probe
+The ``small`` set keeps one of each kind at the smallest sizes, a solve
+with zero forcing and one at k = 2/H with manufactured forcing (the
+stationary solve diagonalizes a block only for its data or for a failed
+kernel certificate: these two runs take the certificate's two paths), a probe
 and an evolve stopped by their watchdog (``debug.inject_nan_step = 2``,
 exit 4), an evolve whose watchdog fires on blow-up at step 3, off its
 cadence of 4 (exit 4: its last report's balance reads the K_grad norm of
@@ -77,6 +80,12 @@ def _trajectory(n1, n2, p, scheme, T, amplitude=0.2):
 #: (name, subcommand, config lines on top of MODEL, expected exit code)
 SMALL = [
     *_stationary(24),
+    # no block has data: each one's kernel certificate clears it
+    ("solve-zero-p24", "solve", _res(16, 16, 24) + ("forcing.id = zero",), 0),
+    # k = ell / beta^2 = 2/H: the mean block is singular, the manufactured
+    # forcing has no mean data, and the failed certificate diagonalizes it
+    ("solve-kernel-mean", "solve", _res(16, 16, 24) + (
+        "model.ell = 0.02", "forcing.id = manufactured"), 0),
     ("solve-odd", "solve", ODD + _res(6, 8, 16) + ("forcing.seed = 5",), 0),
     ("convergence", "convergence", _res(8, 8, 12) + ("convergence.p_values = 12,16,20",), 0),
     ("verify-adn", "verify-adn", (), 0),

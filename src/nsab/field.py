@@ -47,8 +47,8 @@ the filtered velocity v = (1 - alpha^2 Lap) u and Lap^2 u);
 Galerkin projection onto the solenoidal test basis (a Leray projection when
 fed an arbitrary field).
 
-Only :func:`reconstruct` and :func:`project_velocity` know the padded
-grid, M1 x M2 x Q physical samples with M the smallest even count
+Only :func:`reconstruct` and :func:`nsab.evolution.nonlinear_term` know the
+padded grid, M1 x M2 x Q physical samples with M the smallest even count
 >= 3N/2 per direction (``Resolution.padded_shape``): stored wavenumbers
 reach |k| = N/2 - 1 only, so products of two fields do not alias back onto
 them and their projection is exact.  Both go through :class:`PaddedGrid`,
@@ -234,8 +234,8 @@ class PaddedGrid:
     k1 > 0 counting twice for its conjugate partners k1 < 0.  Column k1 = 0
     counts twice as well: it holds the stored rows k2 > 0, zeros for k2 < 0
     and half the mean, so 2 Re G_0 adds the rows' partners -k2.
-    :meth:`from_grid` is the adjoint, scaled by 1/(M1 M2), so it returns
-    the grid's Fourier coefficients of the stored modes.  One flat box
+    :meth:`plan_from_grid` plans the adjoint, scaled by 1/(M1 M2), which
+    gives the grid's Fourier coefficients of the stored modes.  One flat box
     index per component count (:meth:`index`) gathers the mixed planes of
     all rows and components back from the box, and its inverse
     (:meth:`gather`) fills the box from them in one take.
@@ -329,14 +329,11 @@ class PaddedGrid:
                   partial(np.matmul, self.x_inv, _view(half, (n, 2 * K1, -1)), out=grid)]
         return calls, _view(grid, (*lead, C, *self.shape, Q))
 
-    def from_grid(self, U):
-        """(rows, mean) Fourier coefficients of real (..., C, M1, M2, Q)
-        samples: the mixed (..., R, 2, C, Q) planes of the stored modes, as
-        :meth:`to_grid` reads them, and the real (..., C, Q) mean."""
-        return run(*self.plan_from_grid(np.ascontiguousarray(U), None))
-
     def plan_from_grid(self, U, work):
-        """(calls, (rows, mean)) of :meth:`from_grid` of contiguous U, into work."""
+        """(calls, (rows, mean)) of the Fourier coefficients of contiguous real
+        (..., C, M1, M2, Q) samples U, into work: the mixed (..., R, 2, C, Q)
+        planes of the stored modes, as :meth:`to_grid` reads them, and the
+        real (..., C, Q) mean."""
         *lead, C, M1, M2, Q = U.shape
         K1, _, J = self.box
         n = math.prod(lead) * C
@@ -380,7 +377,7 @@ class GridWorkspace:
     resolution with leading member axes lead (E members; () for one
     field): :func:`synthesize_rows` of the quantities :attr:`want` (C = 3
     len(want) components), :meth:`PaddedGrid.to_grid`, a (3, M1, M2, Q)
-    pointwise product, :meth:`PaddedGrid.from_grid` and :func:`analyze_rows`,
+    pointwise product, :meth:`PaddedGrid.plan_from_grid` and :func:`analyze_rows`,
     the coefficient rows included.  The workspace holds arrays only; each
     run plans its calls over them (:class:`nsab.evolution.NonlinearPlan`).
     Every array is a view of one of two flat float64 regions.  Each step of
@@ -707,7 +704,7 @@ def reconstruct(f, cache, want=("u",), alpha=None, plan=None):
 
 def analyze_rows(rows, mean, cache):
     """Galerkin projection of velocity profiles given as the mixed planes
-    rows (..., R, 2, 3, Q) of :meth:`PaddedGrid.from_grid` and the real
+    rows (..., R, 2, 3, Q) of :meth:`PaddedGrid.plan_from_grid` and the real
     (..., 3, Q) mean: velocity synthesis transposed step by step, the
     mixing adjoint (one real product per plane), quadrature weights (and
     area), the tables of psi's value and of phi's value and derivative, W.
@@ -727,7 +724,7 @@ def plan_analysis(rows, mean, cache, work):
     wmean, dmean = _array(work, "wmean", (*lead, 2, Q)), _array(work, "dmean", (*lead, 2, n_t))
     psi, phi = _array(work, "dpsi", gt.shape), _array(work, "dphi", gp.shape)
     # the mean goes before the W products, which may overwrite its slot of
-    # the from_grid box (GridWorkspace)
+    # the plan_from_grid box (GridWorkspace)
     calls = [partial(np.matmul, cache.layout.mixing(("u",))[2], rows, out=g),
              partial(np.multiply, g, wa, out=g),
              partial(np.matmul, _view(g[..., 0, :], (*lead, 2 * R, Q)), cache.synth_T[:, :Q].T,
@@ -739,14 +736,3 @@ def plan_analysis(rows, mean, cache, work):
              BlockProduct(cache.W_tor, gt, psi, buckets),
              BlockProduct(cache.W_pol, gp, phi, buckets)]
     return calls, (psi, phi, dmean)
-
-
-def project_velocity(U, cache):
-    """L2 projection of a gridded vector field onto the solenoidal basis.
-
-    For fields inside the discrete space this inverts the velocity of
-    :func:`reconstruct`; in general it realizes the Leray-type
-    projection (gradient parts drop out by construction of the test basis).
-    """
-    rows, mean = cache.layout.grid.from_grid(U)
-    return analyze_rows(rows, mean, cache)

@@ -130,7 +130,8 @@ class OperatorSet:
     applies a form through :meth:`stacks`: ``u.apply(ops.stacks("K_a"))``,
     or through the set's planned products, :meth:`apply`.  The set keeps
     the plans of its run (:meth:`plan`): they bind its basis and stacks,
-    and go with it.
+    and go with it; among them the eigenpairs of the K_a blocks its
+    stationary solves diagonalized (:meth:`eigh`).
     """
 
     def __init__(self, params, geometry, resolution, cache=None):
@@ -187,10 +188,19 @@ class OperatorSet:
         """<form u, v> summed over the full Hermitian spectrum; real output."""
         return self.apply(form, u).dot(v)
 
-    @cached_property
-    def eig(self):
-        """Eigenpairs (lam, V) of each K_a stack of ``blocks`` (M = I)."""
-        return tuple(np.linalg.eigh(blk.K_a) for blk in self.blocks)
+    def eigh(self, p, need):
+        """Eigenpairs (lam, V) of the K_a stack ``blocks[p]`` (M = I) with
+        every block of the mask need diagonalized: the set keeps each block
+        it solved, so no block is solved twice.  A block never solved holds
+        lam = 1 and V = 0."""
+        K = self.blocks[p].K_a
+        lam, V, done = self.plan(("eigh", p), lambda: (
+            np.ones(K.shape[:2]), np.zeros(K.shape), np.zeros(len(K), bool)))
+        new = need & ~done
+        if new.any():
+            lam[new], V[new] = np.linalg.eigh(K[new])
+            done |= new
+        return lam, V
 
     @cached_property
     def shift(self):
@@ -267,6 +277,25 @@ def lowest_eigenvalue(stacks):
         except np.linalg.LinAlgError:
             return np.linalg.eigvalsh(K)[:, 0].min(initial=np.inf)
     return min(lowest(K) for K in stacks)
+
+
+def lowest_above(K, t):
+    """Mask of the blocks of a symmetric (U, n, n) stack K whose lowest
+    eigenvalue a float64 Cholesky factor of K - t I (t one shift per block)
+    certifies above t: a factor exists only for a matrix that is positive
+    definite up to a backward error of order n u ||K|| (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 10).  The
+    stack is factored in one batched call; a call that fails is split in
+    halves until each failing block stands alone."""
+    def factors(A):
+        try:
+            np.linalg.cholesky(A)
+            return np.ones(len(A), bool)
+        except np.linalg.LinAlgError:
+            if len(A) == 1:
+                return np.zeros(1, bool)
+            return np.concatenate([factors(A[:len(A) // 2]), factors(A[len(A) // 2:])])
+    return factors(K - t[:, None, None] * np.eye(K.shape[-1]))
 
 
 def _root(sq):

@@ -12,8 +12,10 @@ linear algebra and no per-block loop:
                        (K_a + g0 I, I + K_grad + K_bilap), i.e. the largest
                        c0 with a(u,u) + g0 ||u||^2 >= c0 ||u||_{H2}^2 on the
                        discrete space, on a logarithmic shift grid, from
-                       the pencils reduced once to C + g0 N and solved,
-                       inside the grid, only where a chord bound can set c0;
+                       the pencils reduced once to C + g0 N, every block
+                       solved at g0 = 0 and, at a shift, only the blocks
+                       that neither their value at 0 nor a Cholesky
+                       certificate clears;
                        and the transition shift s* = -lambda_min(K_a - t B)
                        past which c0 > t, read from one spectrum;
 * ``spectral_factors`` square-root factors of the Helmholtz filter form
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import lowest_eigenvalue
+from .operators import lowest_above, lowest_eigenvalue
 
 
 @dataclass
@@ -92,6 +94,10 @@ def eigenpairs_A(ops, count):
 DEFAULT_SHIFT_GRID = (0.0,) + tuple(10.0**j for j in range(-3, 5))
 #: c0 above this counts as coercive
 C0_THRESHOLD = 1e-10
+#: the Garding search's margin over best, relative to ||C|| + shift: many
+#: times the rounding of forming C + shift N, of eigvalsh and of a Cholesky
+#: factor (Higham, ch. 10), so a cleared block's eigvalsh lies above best
+SLACK = 1e-10
 
 H2_NORM_DEFINITION = "||u||_H2^2 := ||u||^2 + ||grad u||^2 + ||Lap u||^2 (assembled forms)"
 
@@ -120,35 +126,39 @@ def _reduced_pencils(ops):
     return pencils
 
 
-def _exact(pencils, shift):
-    """(shift, lowest eigenvalue, norm) of C + shift N per block, stacks concatenated."""
-    w = [np.linalg.eigvalsh(C + shift * N) for C, N in pencils]
-    return shift, np.concatenate([v[:, 0] for v in w]), np.concatenate([abs(v).max(1) for v in w])
+def _lowest_at_zero(pencils):
+    """(lowest eigenvalue, norm) of C + 0 N per block, one pair per stack."""
+    w = [np.linalg.eigvalsh(C + 0.0 * N) for C, N in pencils]
+    return [(v[:, 0], np.abs(v).max(axis=1)) for v in w]
 
 
-def _c0_between(pencils, lo, hi, shift):
-    """c0(shift) for lo[0] <= shift <= hi[0], from the exact ends lo and hi.
+def _c0(pencils, zero, shift):
+    """c0(shift): the lowest eigenvalue of C + shift N over every block, with
+    eigvalsh on few blocks (``zero`` from :func:`_lowest_at_zero`).
 
-    A block's lowest eigenvalue is concave in the shift, so it lies above the
-    chord through its end values (Horn & Johnson, Matrix Analysis, sec. 4.3).
-    The block with the lowest chord is solved first, then those whose chord,
-    less 1e-10 times the chord of ||C + s N||, is below the best value found;
-    eigvalsh works matrix by matrix, so c0 is bitwise the minimum over all."""
-    (a, lam_a, nrm_a), (b, lam_b, nrm_b) = lo, hi
-    if shift in (a, b):
-        return float((lam_a if shift == a else lam_b).min())
-    t = (shift - a) / (b - a)
-    bound = (1 - t) * lam_a + t * lam_b - 1e-10 * ((1 - t) * nrm_a + t * nrm_b)
-    split = np.cumsum([len(C) for C, _ in pencils])[:-1]
-
-    def lowest(solve):  # solve: a mask over the concatenated blocks
-        return min((np.linalg.eigvalsh(C[m] + shift * N[m])[:, 0].min()
-                    for (C, N), m in zip(pencils, np.split(solve, split)) if m.any()),
-                   default=np.inf)
-
-    first = bound == bound.min()
-    best = lowest(first)
-    return float(min(best, lowest((bound < best) & ~first)))
+    N is positive definite, so a block's lowest eigenvalue grows with the
+    shift: lam_b(0) bounds lam_b(shift) below.  The block lowest at 0 is
+    solved first, giving best; every other block is cleared when lam_b(0) is
+    at least best + slack, or when C + shift N - (best + slack) I has a
+    Cholesky factor (:func:`lowest_above`), slack = SLACK (||C_b|| + shift),
+    as ||N|| <= 1.  Only the blocks left are solved, best lowered as they
+    come; eigvalsh works matrix by matrix, so c0 is bitwise the minimum over
+    all blocks."""
+    lows = [lam.min(initial=np.inf) for lam, _ in zero]
+    p = int(np.argmin(lows))
+    b = int(np.argmin(zero[p][0]))
+    C, N = pencils[p]
+    best = np.linalg.eigvalsh(C[b:b + 1] + shift * N[b:b + 1])[0, 0]
+    for q, ((C, N), (lam, norm)) in enumerate(zip(pencils, zero)):
+        t = best + SLACK * (norm + shift)
+        rest = lam < t
+        if q == p:
+            rest[b] = False
+        K = C[rest] + shift * N[rest]
+        left = K[~lowest_above(K, t[rest])]
+        if len(left):
+            best = min(best, np.linalg.eigvalsh(left)[:, 0].min())
+    return float(best)
 
 
 def garding_constants(ops):
@@ -160,14 +170,14 @@ def garding_constants(ops):
     While the last shift fails, the grid goes on by decades, at most to the
     first decade past s*; gamma0_refined is s* within its grid bracket."""
     pencils, g = _reduced_pencils(ops), DEFAULT_SHIFT_GRID[-1]
-    ends = (_exact(pencils, DEFAULT_SHIFT_GRID[0]), _exact(pencils, g))
-    c0 = {s: _c0_between(pencils, *ends, s) for s in DEFAULT_SHIFT_GRID}
+    zero = _lowest_at_zero(pencils)
+    c0 = {s: _c0(pencils, zero, s) for s in DEFAULT_SHIFT_GRID}
     s_star = DEFAULT_SHIFT_GRID[0]
     if c0[s_star] <= C0_THRESHOLD:
         s_star = -lowest_eigenvalue(b.K_a - C0_THRESHOLD * b.h2_form() for b in ops.blocks)
         while c0[g] <= C0_THRESHOLD and g < s_star:
             g *= 10.0
-            c0[g] = float(_exact(pencils, g)[1].min())
+            c0[g] = _c0(pencils, zero, g)
     grid = tuple(c0)
     i = next((i for i, s in enumerate(grid) if c0[s] > C0_THRESHOLD), None)
     if i is None:

@@ -30,6 +30,7 @@ import numpy as np
 from .basis import legendre_table
 from .field import (SolenoidalField, as_complex, as_planes, blockmul, synthesize_rows,
                     tangential_swap, zero_field)
+from .operators import lowest_above
 
 
 class ConsistencyError(RuntimeError):
@@ -53,7 +54,11 @@ class SolveReport:
     rhs_norm: float
 
 
-#: a block's eigenvalues |lam| <= KERNEL_RTOL * max|lam| span its kernel
+#: a block's eigenvalues |lam| <= KERNEL_RTOL * max|lam| span its kernel.
+#: A block of order n whose K_a - (KERNEL_RTOL + n^2 eps) ||K_a||_F I has a
+#: Cholesky factor has none: ||K_a||_F >= max|lam|, and n^2 eps covers the
+#: backward errors of the factor and of eigh (Higham, ch. 10; Golub & Van
+#: Loan, sec. 8.3)
 KERNEL_RTOL = 1e-10
 #: data along the kernel beyond CONSISTENCY_RTOL * its norm is inconsistent
 CONSISTENCY_RTOL = 1e-8
@@ -62,10 +67,24 @@ CONSISTENCY_RTOL = 1e-8
 def solve_stationary(ops, rhs):
     """Solve K_a u = rhs per block; least-squares on the kernel complement.
 
-    Raises ConsistencyError when a singular block sees data along its
-    kernel beyond CONSISTENCY_RTOL times the data norm.
+    A block is diagonalized (``OperatorSet.eigh``, once per set) only when
+    rhs has data in it or a Cholesky certificate cannot rule out its
+    kernel (:func:`nsab.operators.lowest_above`, see ``KERNEL_RTOL``); any
+    other block has the zero solution and no kernel, as its eigenpairs would
+    give it.  Raises ConsistencyError when a singular block sees data along
+    its kernel beyond CONSISTENCY_RTOL times the data norm.
     """
-    lam, V = zip(*ops.eig)
+    eig = []
+    for p, (stack, c, block) in enumerate(zip(ops.blocks, rhs.potentials(),
+                                               ops.layout.potential_blocks)):
+        need = np.zeros(len(stack.K_a), bool)
+        need[block[c.any(axis=tuple(range(1, c.ndim)))]] = True  # blocks with data
+        free = np.flatnonzero(~need)
+        K = stack.K_a[free]
+        tau = (KERNEL_RTOL + stack.n**2 * np.finfo(float).eps) * np.linalg.norm(K, axis=(1, 2))
+        need[free] = ~lowest_above(K, tau)
+        eig.append(ops.eigh(p, need))
+    lam, V = zip(*eig)
     d = rhs.apply(V)  # rows of c @ V
     kernel_dim, violation, parts = 0, 0.0, []
     for lam_p, c, block in zip(lam, d.potentials(), ops.layout.potential_blocks):

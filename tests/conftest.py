@@ -12,12 +12,12 @@ import scipy.linalg
 
 from nsab.basis import BasisCache, gauss_legendre, recombined_bases
 from nsab.field import (SolenoidalField, analyze_rows, as_complex, as_planes, layout_for,
-                        project_velocity, reconstruct, synthesize_rows, tangential_swap,
-                        zero_field)
+                        reconstruct, run, synthesize_rows, tangential_swap, zero_field)
 from nsab.operators import poloidal_forms, toroidal_forms
 from nsab.params import ChannelGeometry, Resolution, derive_params
 from nsab.spectral import DEFAULT_SHIFT_GRID
-from nsab.stationary import _legendre_design
+from nsab.stationary import (CONSISTENCY_RTOL, KERNEL_RTOL, ConsistencyError, SolveReport,
+                             _legendre_design)
 
 #: gamma values of the exact covering and elimination checks; 1e-300 keeps
 #: a float gamma whose exact Fraction has a huge denominator
@@ -311,6 +311,17 @@ def convert_rows(rows):
     return np.swapaxes(as_complex(tangential_swap(rows), axis=-3), -3, -2)
 
 
+def project_velocity(U, cache):
+    """L2 projection of a gridded vector field onto the solenoidal basis.
+
+    For fields inside the discrete space this inverts the velocity of
+    :func:`reconstruct`; in general it realizes the Leray-type
+    projection (gradient parts drop out by construction of the test basis).
+    """
+    rows, mean = run(*cache.layout.grid.plan_from_grid(np.ascontiguousarray(U), None))
+    return analyze_rows(rows, mean, cache)
+
+
 def nonlinear_term_fresh(u, ops):
     """N(u) composed from the public functions, every array fresh:
     reconstruct -> (curl v) x u -> project_velocity."""
@@ -359,7 +370,7 @@ def reconstruct_fft(f, cache, want=("u",), alpha=None):
 
 
 def project_velocity_fft(U, cache):
-    """field.project_velocity through numpy's real FFT: rfft2 of the grid,
+    """project_velocity through numpy's real FFT: rfft2 of the grid,
     then the stored rows and the mean gathered from the half spectrum."""
     M2 = cache.resolution.padded_shape[1]
     k1, k2 = cache.layout.k.T
@@ -396,6 +407,31 @@ def reference_eigenpairs(ops, count):
                       for i in range(stack.n)]
     found.sort(key=lambda f: f[:4])
     return [f[:1] + f[4:] for f in found[:count]]
+
+
+def reference_solve(ops, rhs):
+    """solve_stationary with every block diagonalized: eigh of each whole K_a
+    stack, the kernel |lam| <= KERNEL_RTOL max|lam| read per row from all of
+    them, and the solution and SolveReport computed as the solve does."""
+    lam, V = zip(*(np.linalg.eigh(blk.K_a) for blk in ops.blocks))
+    d = rhs.apply(V)
+    kernel_dim, violation, parts = 0, 0.0, []
+    for lam_p, c, block in zip(lam, d.potentials(), ops.layout.potential_blocks):
+        x = c if c.ndim == 3 else c[:, None, :]
+        top = np.abs(lam_p).max(axis=1, keepdims=True, initial=0.0)
+        kernel = (np.abs(lam_p) <= KERNEL_RTOL * top)[block][:, None, :]
+        kernel_dim += int(kernel.sum())
+        along = np.sum(np.where(kernel, x, 0.0) ** 2, axis=(-2, -1))
+        violation = max(violation, float(np.sqrt(along.max(initial=0.0))))
+        parts.append(np.divide(x, lam_p[block][:, None, :], out=np.zeros_like(x),
+                               where=~kernel).reshape(c.shape))
+    rhs_norm = rhs.norm_l2()
+    if violation > CONSISTENCY_RTOL * max(rhs_norm, 1e-300):
+        raise ConsistencyError(violation)
+    u = SolenoidalField(ops.geometry, ops.resolution, *parts).apply(
+        [np.swapaxes(v, 1, 2).copy() for v in V])
+    residual = (u.apply(ops.stacks("K_a")) - rhs).norm_l2()
+    return u, SolveReport(kernel_dim, violation, residual, rhs_norm)
 
 
 def reference_c0(ops, shift):

@@ -15,7 +15,7 @@ from nsab.evolution import (IMEXStepper, energy_report, linear_propagator_exact,
 from nsab import evolution, field
 from nsab.basis import BasisCache
 from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
-                        layout_for, project_velocity, random_field, reconstruct,
+                        layout_for, random_field, reconstruct,
                         synthesize_rows, zero_field)
 from nsab.operators import FORMS, OperatorSet, _root
 from nsab.params import Resolution, derive_params
@@ -23,8 +23,8 @@ from nsab.spectral import eigenpairs_A, garding_constants, spectral_factors
 
 from conftest import (block_groups, distinct_blocks, hermitian_modes, mean_tables,
                       mode_velocity_profiles, nonlinear_term_fresh,
-                      nonlinear_term_on_grid, params_with_k, project_velocity_fft,
-                      reconstruct_fft)
+                      nonlinear_term_on_grid, params_with_k, project_velocity,
+                      project_velocity_fft, reconstruct_fft)
 
 
 @pytest.fixture(scope="module")

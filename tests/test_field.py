@@ -5,14 +5,15 @@ import pytest
 
 from nsab.basis import BasisCache
 from nsab.field import (MEAN_BUCKETS, SolenoidalField, as_complex, as_planes, blockmul,
-                        layout_for, project_velocity, random_field, reconstruct,
+                        layout_for, random_field, reconstruct,
                         synthesize_rows, tangential_swap, zero_field)
 from nsab.operators import OperatorSet
 from nsab.params import Resolution, derive_params
 
 from conftest import (convert_rows, grid_quadrature, hermitian_modes, mean_tables,
-                      mode_velocity_profiles, pair_bases, project_velocity_fft,
-                      random_field_loop, reconstruct_fft, velocity_dual)
+                      mode_velocity_profiles, pair_bases, project_velocity,
+                      project_velocity_fft, random_field_loop, reconstruct_fft,
+                      velocity_dual)
 
 
 def test_zero_field_maps_to_zero_velocity(geo, res_small, cache_small):

@@ -7,7 +7,7 @@ import scipy.optimize
 from nsab.field import reconstruct
 from nsab.operators import OperatorSet
 from nsab.params import ChannelGeometry, Resolution, derive_params
-from nsab.spectral import (C0_THRESHOLD, DEFAULT_SHIFT_GRID, _c0_between, _exact,
+from nsab.spectral import (C0_THRESHOLD, DEFAULT_SHIFT_GRID, _c0, _lowest_at_zero,
                            _reduced_pencils, eigenpairs_A, garding_constants,
                            spectral_factors)
 
@@ -250,8 +250,9 @@ def test_garding_with_empty_stacks(geo):
 @pytest.mark.parametrize("k", [0.0, 1.0, 5.0])
 @pytest.mark.parametrize("geometry", ["geo", "geo_odd"])
 def test_bracketed_search_is_bitwise_the_minimum_over_every_block(request, geometry, k):
-    """The chord bounds only choose which blocks to solve: c0 on the grid and
-    at shifts inside the bracket is the full per-block minimum, bit for bit."""
+    """lam_b(0) and the Cholesky certificates only choose which blocks to
+    solve: c0 on the grid and at shifts between its points is the full
+    per-block minimum, bit for bit; at k = 5, c0(0) < 0."""
     o = OperatorSet(params_with_k(1.0, k), request.getfixturevalue(geometry),
                     Resolution(N1=8, N2=8, P=12))
     pencils = _reduced_pencils(o)
@@ -262,14 +263,15 @@ def test_bracketed_search_is_bitwise_the_minimum_over_every_block(request, geome
     g = garding_constants(o)
     assert g.grid == DEFAULT_SHIFT_GRID
     assert all(g.c0[s] == every_block(s) for s in g.grid)
-    ends = (_exact(pencils, 0.0), _exact(pencils, DEFAULT_SHIFT_GRID[-1]))
+    zero = _lowest_at_zero(pencils)
     for s in np.geomspace(1e-4, 5e3, 20):
-        assert _c0_between(pencils, *ends, s) == every_block(s)
+        assert _c0(pencils, zero, s) == every_block(s)
 
 
 def test_garding_solves_at_most_four_eigenproblems_per_block(geo, monkeypatch):
-    """At N16/P32 the grid's ends solve all 67 blocks; the seven shifts
-    between them together solve fewer than the 9 x 67 of a full search."""
+    """At N16/P32 lam_b(0) takes all 67 blocks and each of the nine grid
+    shifts one more, its candidate: the certificates clear every other
+    block (a full search solves 9 x 67 blocks, a chord search solved 195)."""
     o = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo,
                     Resolution(N1=16, N2=16, P=32))
     blocks = sum(len(b.K_a) for b in o.blocks)
@@ -281,7 +283,7 @@ def test_garding_solves_at_most_four_eigenproblems_per_block(geo, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     garding_constants(o)
-    assert blocks == 67 and sum(solved) <= 4 * blocks
+    assert blocks == 67 and sum(solved) == blocks + 9
 
 
 def test_garding_goes_on_by_decades_until_a_shift_is_coercive(geo):

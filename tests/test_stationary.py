@@ -12,7 +12,7 @@ from nsab.stationary import (ConsistencyError, recover_pressure, solve_stationar
 from nsab.manufactured import TrigProfile, default_case
 
 from conftest import (block_groups, gradient_forcing, params_with_k,
-                      reference_pressure, velocity_dual)
+                      reference_pressure, reference_solve, velocity_dual)
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +22,71 @@ def ops(geo, res_small):
     return OperatorSet(derive_params(0.2, 0.1, 0.3, 0.015), geo, res_small)
 
 
-def test_zero_forcing_zero_solution(ops, geo, res_small):
+def _counting_eigh(monkeypatch):
+    """The block counts of the np.linalg.eigh calls from here on."""
+    solved, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return solved
+
+
+def _outcome(solve, o, rhs):
+    """Solution bytes and SolveReport, or the ConsistencyError's magnitude."""
+    try:
+        u, rep = solve(o, rhs)
+    except ConsistencyError as exc:
+        return exc.magnitude
+    return [c.tobytes() for c in u.potentials()], rep
+
+
+def test_zero_forcing_zero_solution(ops, geo, res_small, monkeypatch):
+    """Every block passes its kernel certificate, so none is diagonalized."""
+    solved = _counting_eigh(monkeypatch)
     u, rep = solve_stationary(ops, zero_field(geo, res_small))
     assert u.norm_l2() == 0.0
     assert rep.kernel_dim == 0
+    assert solved == []
+
+
+@pytest.mark.parametrize("P", [24, 32, 40, 48])
+def test_solve_is_bitwise_the_every_block_solve(geo, P, monkeypatch):
+    """At N16, zero, manufactured and random forcing, solved in turn on one
+    set and then zero and manufactured again, give the solution bytes and
+    SolveReport of the solve that diagonalizes every block; at P48 the
+    spurious kernel raises ConsistencyError with its magnitude in both
+    (ROADMAP item 1).  Zero forcing diagonalizes no block below P48, and no
+    block is diagonalized twice: random forcing has data in all 67."""
+    o = OperatorSet(derive_params(0.2, 0.1, -1.0, 0.01), geo,
+                    Resolution(N1=16, N2=16, P=P))
+    forcing = {"zero": zero_field(geo, o.resolution),
+               "manufactured": default_case(geo).rhs(o),
+               "random": velocity_dual(random_field(geo, o.resolution, seed=11), o)}
+    want = {name: _outcome(reference_solve, o, rhs) for name, rhs in forcing.items()}
+    assert isinstance(want["manufactured"], float) == (P == 48)
+    solved = _counting_eigh(monkeypatch)
+    for i, name in enumerate(("zero", "manufactured", "random", "zero", "manufactured")):
+        assert _outcome(solve_stationary, o, forcing[name]) == want[name], name
+        if i == 0 and P < 48:
+            assert solved == []
+    assert sum(solved) == sum(len(b.K_a) for b in o.blocks) == 67
+
+
+@pytest.mark.parametrize("P", [24, 40])
+def test_kernel_without_data_is_still_found(geo, P):
+    """At k = 2/H the mean block is singular (test_kernel_handling) and
+    manufactured forcing has no mean data: the failed certificate alone
+    diagonalizes the block, and the solve reports its kernel as the
+    every-block solve does (at P40, beside a spurious one)."""
+    o = OperatorSet(params_with_k(-1.0, 2.0 / geo.H), geo, Resolution(N1=16, N2=16, P=P))
+    rhs = default_case(geo).rhs(o)
+    assert not rhs.mean.any()
+    want = _outcome(reference_solve, o, rhs)
+    assert _outcome(solve_stationary, o, rhs) == want
+    assert want[1].kernel_dim == (2 if P == 24 else 4)
 
 
 def test_discrete_manufactured_recovery(ops, geo, res_small):
